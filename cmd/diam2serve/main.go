@@ -78,31 +78,12 @@ func main() {
 	}
 }
 
-func scaleFor(scaleName string, seed int64) (harness.Scale, []harness.Preset, error) {
-	var sc harness.Scale
-	var presets []harness.Preset
-	switch scaleName {
-	case "quick":
-		sc = harness.QuickScale()
-		presets = harness.SmallPresets()
-	case "medium":
-		sc = harness.MediumScale()
-		presets = harness.SmallPresets()
-	case "paper":
-		sc = harness.PaperScale()
-		presets = harness.PaperPresets()
-	default:
-		return sc, nil, fmt.Errorf("unknown scale %q (quick|medium|paper)", scaleName)
-	}
-	sc.Seed = seed
-	return sc, presets, nil
-}
-
 func run(httpAddr, storeDir, scaleName string, seed int64, band float64, grid, queueMax, escWorkers int, campMode bool, workerID string, drainTO time.Duration) error {
-	sc, presets, err := scaleFor(scaleName, seed)
+	sc, presets, err := harness.ScaleByName(scaleName)
 	if err != nil {
 		return err
 	}
+	sc.Seed = seed
 
 	var st *store.Store
 	if campMode {

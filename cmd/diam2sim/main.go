@@ -76,7 +76,7 @@ func main() {
 		pattern  = flag.String("pattern", "uni", "synthetic pattern: uni|wc")
 		exchange = flag.String("exchange", "", "closed-loop exchange instead: a2a|nn")
 		load     = flag.Float64("load", 0.5, "offered load (fraction of injection bandwidth)")
-		scale    = flag.String("scale", "quick", "scale: quick|paper")
+		scale    = flag.String("scale", "quick", "scale: quick|medium|paper")
 		ni       = flag.Int("ni", 0, "override UGAL nI")
 		c        = flag.Float64("c", 0, "override UGAL cost constant (c or cSF)")
 		seed     = flag.Int64("seed", 1, "random seed")
@@ -220,14 +220,9 @@ func run(ctx context.Context, topoName, algName, pattern, exchange string, load 
 	if err != nil {
 		return err
 	}
-	var sc harness.Scale
-	switch scaleName {
-	case "quick":
-		sc = harness.QuickScale()
-	case "paper":
-		sc = harness.PaperScale()
-	default:
-		return fmt.Errorf("unknown scale %q", scaleName)
+	sc, _, err := harness.ScaleByName(scaleName)
+	if err != nil {
+		return err
 	}
 	sc.Seed = seed
 	sc.Faults = fp

@@ -225,20 +225,9 @@ func run(ctx context.Context, fig, scaleName string, seed int64, plotDir string,
 			}
 		}
 	}
-	var sc harness.Scale
-	var presets []harness.Preset
-	switch scaleName {
-	case "quick":
-		sc = harness.QuickScale()
-		presets = harness.SmallPresets()
-	case "medium":
-		sc = harness.MediumScale()
-		presets = harness.SmallPresets()
-	case "paper":
-		sc = harness.PaperScale()
-		presets = harness.PaperPresets()
-	default:
-		return fmt.Errorf("unknown scale %q (quick|medium|paper)", scaleName)
+	sc, presets, err := harness.ScaleByName(scaleName)
+	if err != nil {
+		return err
 	}
 	sc.Seed = seed
 	sc.Cores = cores

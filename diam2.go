@@ -281,10 +281,12 @@ var (
 // experiment point.
 type ReplicationStats = harness.Replication
 
-// Telemetry: the unified observability layer (DESIGN.md §11). A
+// Telemetry: the engine's one observer (DESIGN.md §11). A
 // TelemetryCollector attaches to an engine (Engine.AttachTelemetry) or,
 // via Scale.Telemetry, to every point of a sweep; it observes without
 // perturbing — results are bit-identical with and without one attached.
+// Per-link utilization is Snapshot().Links (hottest first) and
+// per-packet routes are the inject/route/deliver records of Events().
 type (
 	// TelemetryCollector gathers one run's heatmap, latency split and
 	// flight-recorder events.

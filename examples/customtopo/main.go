@@ -61,17 +61,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng.EnableLinkStats()
+	tel := diam2.NewTelemetryCollector(diam2.TelemetryOptions{})
+	eng.AttachTelemetry(tel)
 	if !eng.RunUntilDrained(1_000_000) {
 		log.Fatal("trace did not drain")
 	}
+	eng.Finish()
 	res := eng.Results()
 	fmt.Printf("replayed %d packets in %d cycles (avg latency %.0f cycles, %.2f hops)\n",
 		res.Delivered, res.Cycles, res.AvgLatency, res.AvgHops)
-	loads := eng.LinkLoads()
-	if len(loads) > 0 {
+	if links := tel.Snapshot(0).Links; len(links) > 0 {
 		fmt.Printf("hottest link r%d->r%d at %.1f%% utilization\n",
-			loads[0].From, loads[0].To, loads[0].Load*100)
+			links[0].From, links[0].To, links[0].Load*100)
 	}
 
 	// Export for visualization.

@@ -259,6 +259,16 @@ func TestScaleConfigs(t *testing.T) {
 	if p.SwitchLatency != 20 || p.LinkLatency != 10 {
 		t.Errorf("paper latencies = %d/%d, want 20/10", p.SwitchLatency, p.LinkLatency)
 	}
+	// The CLI vocabulary names each scale by its label.
+	for _, name := range []string{"quick", "medium", "paper"} {
+		sc, presets, err := ScaleByName(name)
+		if err != nil || sc.Label != name || len(presets) == 0 {
+			t.Errorf("ScaleByName(%q) = %q, %d presets, %v", name, sc.Label, len(presets), err)
+		}
+	}
+	if _, _, err := ScaleByName("huge"); err == nil {
+		t.Error("ScaleByName accepted an unknown scale")
+	}
 }
 
 func TestReplicate(t *testing.T) {

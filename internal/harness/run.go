@@ -116,6 +116,21 @@ func QuickScale() Scale {
 	}
 }
 
+// ScaleByName resolves the CLIs' shared -scale vocabulary to a scale
+// and the preset set it runs on. Sweeps, reports and the query service
+// only share store keys when they resolve the same name here.
+func ScaleByName(name string) (Scale, []Preset, error) {
+	switch name {
+	case "quick":
+		return QuickScale(), SmallPresets(), nil
+	case "medium":
+		return MediumScale(), SmallPresets(), nil
+	case "paper":
+		return PaperScale(), PaperPresets(), nil
+	}
+	return Scale{}, nil, fmt.Errorf("unknown scale %q (quick|medium|paper)", name)
+}
+
 // patternSeed returns the seed for traffic-structure draws.
 func (s Scale) patternSeed() int64 {
 	if s.PatternSeed != 0 {

@@ -4,16 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"diam2/internal/fluid"
 	"diam2/internal/store"
-	"diam2/internal/topo"
-	"diam2/internal/traffic"
 )
 
 // This file is the screening tier: the fluid model promoted to a
@@ -142,23 +138,14 @@ func (p Preset) Family() string {
 	return p.Name
 }
 
-// screenCombo lazily computes the load-independent link loads of one
-// (topology, routing, pattern) combination, shared by every load of
-// its ladder whichever worker gets there first.
-type screenCombo struct {
-	once  sync.Once
-	loads fluid.LinkLoads
-	hops  float64
-	err   error
-}
-
-// ScreenSweep answers the spec's grid over the presets analytically.
-// Each (topology, algorithm, pattern, load) tuple is one scheduler
-// point — fanned out by scale.Sched, reported to scale.Sched.OnPoint,
-// and stored (when scale.Sched.Store is set) under the fluid tier —
-// while the link-load computation is shared across each combination's
-// load ladder. Results arrive in grid order: presets outermost, then
-// algorithms, patterns, loads.
+// ScreenSweep answers the spec's grid over the presets analytically,
+// as a client of Screener: each (topology, algorithm, pattern, load)
+// tuple is one Screener.SchedPoint — fanned out by scale.Sched,
+// reported to scale.Sched.OnPoint, and stored (when scale.Sched.Store
+// is set) under the fluid tier — while the screener shares the
+// link-load computation across each combination's load ladder. Results
+// arrive in grid order: presets outermost, then algorithms, patterns,
+// loads.
 func ScreenSweep(presets []Preset, spec ScreenSpec, scale Scale) ([]ScreenPoint, error) {
 	spec = spec.withDefaults()
 	for _, alg := range spec.Algs {
@@ -166,56 +153,17 @@ func ScreenSweep(presets []Preset, spec ScreenSpec, scale Scale) ([]ScreenPoint,
 			return nil, err
 		}
 	}
+	scr, err := NewScreener(presets, scale)
+	if err != nil {
+		return nil, err
+	}
 	scale.Tier = store.TierFluid
-	cfg := scale.SimConfig(1)
-	reg := scale.Telemetry.Registry
 	var points []Point[ScreenPoint]
 	for _, p := range presets {
-		tp, err := p.Build()
-		if err != nil {
-			return nil, err
-		}
-		model := fluid.New(tp)
-		var wc *traffic.Permutation
-		for _, pat := range spec.Pats {
-			if pat == PatWC {
-				perm, err := traffic.WorstCase(tp, rand.New(rand.NewSource(scale.patternSeed())))
-				if err != nil {
-					return nil, err
-				}
-				wc = &perm
-				break
-			}
-		}
-		family := p.Family()
 		for _, alg := range spec.Algs {
-			rt, _ := fluidRouting(alg)
 			for _, pat := range spec.Pats {
-				combo := &screenCombo{}
-				fpat := fluidPattern(pat)
-				topoName, algName, patName := p.Name, alg.String(), pat.String()
 				for _, load := range spec.Loads {
-					load := load
-					points = append(points, Point[ScreenPoint]{
-						Key: ScreenPointKey(topoName, alg, pat, load),
-						Run: func(ctx context.Context, seed int64) (ScreenPoint, error) {
-							combo.once.Do(func() {
-								combo.loads, combo.hops, combo.err = model.Loads(fpat, rt, wc)
-							})
-							if combo.err != nil {
-								return ScreenPoint{}, combo.err
-							}
-							screenEstimates.Add(1)
-							reg.AddScreen(1, 0)
-							return ScreenPoint{
-								Topo:     topoName,
-								Family:   family,
-								Alg:      algName,
-								Pat:      patName,
-								Estimate: model.EstimateAt(combo.loads, combo.hops, load, cfg),
-							}, nil
-						},
-					})
+					points = append(points, scr.SchedPoint(p.Name, alg, pat, load))
 				}
 			}
 		}
@@ -368,30 +316,25 @@ func ParsePatternKind(s string) (PatternKind, error) {
 }
 
 // EscalateSweep re-runs the picked points through the flit-level
-// simulator (ordinary sim-tier store keys, prefixed "escalate|" so
-// they never collide with figure sweeps) and scores each against its
-// fluid estimate. presets must cover every topology the picks name.
+// simulator and scores each against its fluid estimate. presets must
+// cover every topology the picks name.
 func EscalateSweep(picks []EscalationPick, presets []Preset, scale Scale) ([]Escalation, error) {
-	byName := make(map[string]Preset, len(presets))
-	for _, p := range presets {
-		byName[p.Name] = p
+	scr, err := NewScreener(presets, scale)
+	if err != nil {
+		return nil, err
 	}
-	topos := make(map[string]topo.Topology)
-	reg := scale.Telemetry.Registry
+	return scr.Escalate(picks, scale)
+}
+
+// Escalate is EscalateSweep on the screener's already-built topologies
+// (ordinary sim-tier store keys, prefixed "escalate|" so they never
+// collide with figure sweeps).
+func (s *Screener) Escalate(picks []EscalationPick, scale Scale) ([]Escalation, error) {
 	points := make([]Point[LoadPoint], 0, len(picks))
 	for _, pick := range picks {
-		preset, ok := byName[pick.Point.Topo]
-		if !ok {
-			return nil, fmt.Errorf("harness: escalation names topology %s outside the preset set", pick.Point.Topo)
-		}
-		tp, ok := topos[preset.Name]
-		if !ok {
-			var err error
-			tp, err = preset.Build()
-			if err != nil {
-				return nil, err
-			}
-			topos[preset.Name] = tp
+		st, err := s.topoState(pick.Point.Topo)
+		if err != nil {
+			return nil, err
 		}
 		alg, err := ParseAlgKind(pick.Point.Alg)
 		if err != nil {
@@ -403,14 +346,14 @@ func EscalateSweep(picks []EscalationPick, presets []Preset, scale Scale) ([]Esc
 		}
 		load := pick.Point.Load
 		points = append(points, Point[LoadPoint]{
-			Key: EscalatePointKey(preset.Name, alg, pat, load),
+			Key: EscalatePointKey(st.preset.Name, alg, pat, load),
 			Run: func(ctx context.Context, seed int64) (LoadPoint, error) {
-				res, err := RunSynthetic(tp, alg, preset.BestAdaptive, pat, load, scale.forPoint(ctx, seed))
+				res, err := RunSynthetic(st.tp, alg, st.preset.BestAdaptive, pat, load, scale.forPoint(ctx, seed))
 				if err != nil {
 					return LoadPoint{}, err
 				}
 				screenEscalated.Add(1)
-				reg.AddScreen(0, 1)
+				s.reg.AddScreen(0, 1)
 				return LoadPoint{Load: load, Throughput: res.Throughput, AvgLatency: res.AvgLatency}, nil
 			},
 		})
@@ -461,59 +404,41 @@ func mustPat(s string) PatternKind {
 // any sweep. Every scenario family must have a preset, or the gate
 // would silently shrink.
 func Calibrate(presets []Preset, scale Scale) ([]fluid.Calibration, error) {
-	type famState struct {
-		preset Preset
-		tp     topo.Topology
-		model  *fluid.Model
-		wc     *traffic.Permutation
-	}
-	fams := make(map[string]*famState)
+	first := make(map[string]Preset) // family -> its first preset
+	var firsts []Preset
 	for _, p := range presets {
-		if _, ok := fams[p.Family()]; ok {
-			continue
+		if _, ok := first[p.Family()]; !ok {
+			first[p.Family()] = p
+			firsts = append(firsts, p)
 		}
-		fams[p.Family()] = &famState{preset: p}
 	}
-	cfg := scale.SimConfig(1)
 	scens := fluid.Scenarios()
+	for _, s := range scens {
+		if _, ok := first[s.Family]; !ok {
+			return nil, fmt.Errorf("harness: calibration scenario %s has no preset of family %s", s.Name(), s.Family)
+		}
+	}
+	scr, err := NewScreener(firsts, scale)
+	if err != nil {
+		return nil, err
+	}
 	fluidSats := make([]float64, len(scens))
 	points := make([]Point[LoadPoint], 0, len(scens))
 	for i, s := range scens {
-		fs, ok := fams[s.Family]
-		if !ok {
-			return nil, fmt.Errorf("harness: calibration scenario %s has no preset of family %s", s.Name(), s.Family)
+		alg, pat := AlgMIN, PatUNI
+		if s.Routing == fluid.RoutingValiant {
+			alg = AlgINR
 		}
-		if fs.tp == nil {
-			tp, err := fs.preset.Build()
-			if err != nil {
-				return nil, err
-			}
-			fs.tp = tp
-			fs.model = fluid.New(tp)
-			perm, err := traffic.WorstCase(tp, rand.New(rand.NewSource(scale.patternSeed())))
-			if err != nil {
-				return nil, err
-			}
-			fs.wc = &perm
+		if s.Pattern == fluid.PatternWorstCase {
+			pat = PatWC
 		}
-		est, err := fs.model.Evaluate(s.Pattern, s.Routing, fs.wc, 1.0, cfg)
+		preset := first[s.Family]
+		sp, err := scr.Point(preset.Name, alg, pat, 1.0)
 		if err != nil {
 			return nil, err
 		}
-		fluidSats[i] = est.Saturation
-		var alg AlgKind
-		if s.Routing == fluid.RoutingValiant {
-			alg = AlgINR
-		} else {
-			alg = AlgMIN
-		}
-		var pat PatternKind
-		if s.Pattern == fluid.PatternWorstCase {
-			pat = PatWC
-		} else {
-			pat = PatUNI
-		}
-		tp, preset := fs.tp, fs.preset
+		fluidSats[i] = sp.Saturation
+		tp := scr.topos[preset.Name].tp
 		points = append(points, Point[LoadPoint]{
 			Key: fmt.Sprintf("calibrate|%s|%s|%s|load=1.0000", preset.Name, alg, pat),
 			Run: func(ctx context.Context, seed int64) (LoadPoint, error) {
@@ -531,7 +456,7 @@ func Calibrate(presets []Preset, scale Scale) ([]fluid.Calibration, error) {
 	}
 	out := make([]fluid.Calibration, len(scens))
 	for i, s := range scens {
-		out[i] = s.Compare(fams[s.Family].preset.Name, fluidSats[i], sims[i].Throughput)
+		out[i] = s.Compare(first[s.Family].Name, fluidSats[i], sims[i].Throughput)
 	}
 	return out, nil
 }
@@ -605,29 +530,23 @@ func FluidSaturationTable(presets []Preset, seed int64) (*Table, error) {
 		Title:  "Fluid-model saturation loads (analytic; fraction of injection bandwidth)",
 		Header: []string{"topology", "UNI MIN", "WC MIN", "WC INR"},
 	}
+	scr, err := NewScreener(presets, Scale{Seed: seed})
+	if err != nil {
+		return nil, err
+	}
 	for _, p := range presets {
-		tp, err := p.Build()
-		if err != nil {
-			return nil, err
+		row := []string{p.Name}
+		for _, c := range []struct {
+			alg AlgKind
+			pat PatternKind
+		}{{AlgMIN, PatUNI}, {AlgMIN, PatWC}, {AlgINR, PatWC}} {
+			sp, err := scr.Point(p.Name, c.alg, c.pat, 1.0)
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, f3(sp.Saturation))
 		}
-		model := fluid.New(tp)
-		wc, err := traffic.WorstCase(tp, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			return nil, err
-		}
-		uni, _, err := model.Loads(fluid.PatternUniform, fluid.RoutingMinimal, nil)
-		if err != nil {
-			return nil, err
-		}
-		wcMin, _, err := model.Loads(fluid.PatternWorstCase, fluid.RoutingMinimal, &wc)
-		if err != nil {
-			return nil, err
-		}
-		wcInr, _, err := model.Loads(fluid.PatternWorstCase, fluid.RoutingValiant, &wc)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(p.Name, f3(uni.Saturation()), f3(wcMin.Saturation()), f3(wcInr.Saturation()))
+		t.AddRow(row...)
 	}
 	return t, nil
 }

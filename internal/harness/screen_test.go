@@ -10,6 +10,7 @@ import (
 
 	"diam2/internal/fluid"
 	"diam2/internal/store"
+	"diam2/internal/telemetry"
 )
 
 // quickScreenSpec keeps screening tests fast: one short ladder.
@@ -367,6 +368,26 @@ func TestScreenCountersAdvance(t *testing.T) {
 	}
 	if EscalatedPoints() != beforeEsc {
 		t.Error("screen-only sweep advanced the escalation counter")
+	}
+
+	// A served cold query submits one Screener.SchedPoint: it must
+	// advance the process counter and the registry together.
+	sc := QuickScale()
+	sc.Telemetry.Registry = telemetry.NewRegistry()
+	scr, err := NewScreener(SmallPresets()[:1], sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = ScreenedEstimates()
+	pt := scr.SchedPoint(SmallPresets()[0].Name, AlgMIN, PatUNI, 0.5)
+	if _, err := Collect(sc, []Point[ScreenPoint]{pt}); err != nil {
+		t.Fatal(err)
+	}
+	if delta := ScreenedEstimates() - before; delta != 1 {
+		t.Errorf("ScreenedEstimates grew by %d for one served point", delta)
+	}
+	if got := sc.Telemetry.Registry.Snapshot().ScreenEstimates; got != 1 {
+		t.Errorf("registry counted %d estimates for one served point", got)
 	}
 }
 

@@ -1,33 +1,35 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
 
 	"diam2/internal/fluid"
 	"diam2/internal/sim"
+	"diam2/internal/telemetry"
 	"diam2/internal/topo"
 	"diam2/internal/traffic"
 )
 
-// Screener answers individual screening points on demand — the
-// long-lived counterpart of ScreenSweep for callers like the
-// design-space query service, where points arrive one query at a time
-// instead of as a grid. Topology builds, fluid models, worst-case
-// permutations and per-(routing, pattern) link loads are computed once
-// and cached for the Screener's lifetime, so a warm Point call is a
-// single EstimateAt evaluation. All methods are safe for concurrent
-// use.
+// Screener is the harness's one fluid evaluator: it answers individual
+// screening points on demand, for grid callers (ScreenSweep, Calibrate,
+// FluidSaturationTable) and for callers like the design-space query
+// service, where points arrive one query at a time. Topology builds,
+// fluid models, worst-case permutations and per-(routing, pattern)
+// link loads are computed once and cached for the Screener's lifetime,
+// so a warm Point call is a single EstimateAt evaluation. All methods
+// are safe for concurrent use.
 //
-// A Screener pins the same inputs ScreenSweep derives from its Scale —
-// the sim config and the pattern seed — so a point answered here is
-// value-identical to the same point answered by a sweep at that scale.
+// A Screener pins what screening derives from its Scale — the sim
+// config, the pattern seed and the telemetry registry — so a point
+// answered here is value-identical whichever caller asks.
 type Screener struct {
 	presets []Preset
-	byName  map[string]Preset
 	cfg     sim.Config
 	patSeed int64
+	reg     *telemetry.Registry
 
 	mu     sync.Mutex
 	topos  map[string]*screenerTopo
@@ -46,6 +48,16 @@ type screenerTopo struct {
 	wcErr  error
 }
 
+// screenCombo lazily computes the load-independent link loads of one
+// (topology, routing, pattern) combination, shared by every load of
+// its ladder whichever worker gets there first.
+type screenCombo struct {
+	once  sync.Once
+	loads fluid.LinkLoads
+	hops  float64
+	err   error
+}
+
 type screenerComboKey struct {
 	topo string
 	alg  AlgKind
@@ -58,21 +70,20 @@ type screenerComboKey struct {
 func NewScreener(presets []Preset, scale Scale) (*Screener, error) {
 	s := &Screener{
 		presets: presets,
-		byName:  make(map[string]Preset, len(presets)),
 		cfg:     scale.SimConfig(1),
 		patSeed: scale.patternSeed(),
+		reg:     scale.Telemetry.Registry,
 		topos:   make(map[string]*screenerTopo, len(presets)),
 		combos:  make(map[screenerComboKey]*screenCombo),
 	}
 	for _, p := range presets {
-		if _, dup := s.byName[p.Name]; dup {
+		if _, dup := s.topos[p.Name]; dup {
 			return nil, fmt.Errorf("harness: duplicate preset %s", p.Name)
 		}
 		tp, err := p.Build()
 		if err != nil {
 			return nil, fmt.Errorf("harness: building %s: %w", p.Name, err)
 		}
-		s.byName[p.Name] = p
 		s.topos[p.Name] = &screenerTopo{
 			preset: p,
 			family: p.Family(),
@@ -88,8 +99,11 @@ func (s *Screener) Presets() []Preset { return s.presets }
 
 // Preset returns the named preset.
 func (s *Screener) Preset(name string) (Preset, bool) {
-	p, ok := s.byName[name]
-	return p, ok
+	st, ok := s.topos[name]
+	if !ok {
+		return Preset{}, false
+	}
+	return st.preset, true
 }
 
 // topoState returns the cached per-topology state.
@@ -101,8 +115,7 @@ func (s *Screener) topoState(name string) (*screenerTopo, error) {
 }
 
 // worstCase returns the topology's pinned worst-case permutation,
-// drawing it on first use with the screener's pattern seed — the same
-// draw ScreenSweep makes.
+// drawing it on first use with the screener's pattern seed.
 func (st *screenerTopo) worstCase(patSeed int64) (*traffic.Permutation, error) {
 	st.wcOnce.Do(func() {
 		perm, err := traffic.WorstCase(st.tp, rand.New(rand.NewSource(patSeed)))
@@ -142,9 +155,7 @@ func (s *Screener) combo(st *screenerTopo, alg AlgKind, pat PatternKind) (*scree
 	return c, c.err
 }
 
-// Point answers one screening point analytically. The result is
-// value-identical to the same point of a ScreenSweep at the screener's
-// scale.
+// Point answers one screening point analytically.
 func (s *Screener) Point(topoName string, alg AlgKind, pat PatternKind, load float64) (ScreenPoint, error) {
 	st, err := s.topoState(topoName)
 	if err != nil {
@@ -161,6 +172,24 @@ func (s *Screener) Point(topoName string, alg AlgKind, pat PatternKind, load flo
 		Pat:      pat.String(),
 		Estimate: st.model.EstimateAt(c.loads, c.hops, load, s.cfg),
 	}, nil
+}
+
+// SchedPoint returns the scheduler point of one fluid-tier screening
+// point: key ScreenPointKey, run Point plus the screening counters.
+// ScreenSweep and the query service both submit exactly this, so the
+// store records and counters of the two paths cannot drift.
+func (s *Screener) SchedPoint(topoName string, alg AlgKind, pat PatternKind, load float64) Point[ScreenPoint] {
+	return Point[ScreenPoint]{
+		Key: ScreenPointKey(topoName, alg, pat, load),
+		Run: func(context.Context, int64) (ScreenPoint, error) {
+			sp, err := s.Point(topoName, alg, pat, load)
+			if err == nil {
+				screenEstimates.Add(1)
+				s.reg.AddScreen(1, 0)
+			}
+			return sp, err
+		},
+	}
 }
 
 // Ladder answers the (alg, pat) combination across every preset and

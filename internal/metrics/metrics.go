@@ -1,6 +1,6 @@
 // Package metrics provides the streaming statistics used by the
 // simulator: running means, bounded histograms with percentile
-// queries, and time series for throughput/latency-vs-load curves.
+// queries, and exact quantiles of small samples.
 package metrics
 
 import (
@@ -165,38 +165,6 @@ func (h *Histogram) Percentile(p float64) float64 {
 		}
 	}
 	return math.Inf(1)
-}
-
-// TimePoint is one sample of a time series.
-type TimePoint struct {
-	T int64
-	V float64
-}
-
-// Series is an append-only time series.
-type Series struct {
-	Points []TimePoint
-}
-
-// Add appends a sample.
-func (s *Series) Add(t int64, v float64) {
-	s.Points = append(s.Points, TimePoint{T: t, V: v})
-}
-
-// MeanAfter returns the mean of samples with T >= t0 (0 when none).
-func (s *Series) MeanAfter(t0 int64) float64 {
-	var sum float64
-	var n int
-	for _, p := range s.Points {
-		if p.T >= t0 {
-			sum += p.V
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }
 
 // Quantiles computes exact quantiles of a small sample slice (it

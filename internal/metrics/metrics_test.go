@@ -95,22 +95,6 @@ func TestHistogramInvalidShape(t *testing.T) {
 	NewHistogram(0, 10)
 }
 
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Add(0, 1)
-	s.Add(10, 2)
-	s.Add(20, 3)
-	if got := s.MeanAfter(10); got != 2.5 {
-		t.Errorf("MeanAfter(10) = %v, want 2.5", got)
-	}
-	if got := s.MeanAfter(100); got != 0 {
-		t.Errorf("MeanAfter(100) = %v, want 0", got)
-	}
-	if got := s.MeanAfter(0); got != 2 {
-		t.Errorf("MeanAfter(0) = %v, want 2", got)
-	}
-}
-
 func TestQuantiles(t *testing.T) {
 	xs := []float64{5, 1, 3, 2, 4}
 	qs := Quantiles(xs, 20, 50, 100)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -55,15 +56,26 @@ func resolveError(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), http.StatusInternalServerError)
 }
 
+// maxBody bounds a request body before it is decoded: maxBatch caps
+// only the expanded query count, and 1 MiB covers an explicit list of
+// that many queries.
+const maxBody = 1 << 20
+
+// decodeBody decodes a JSON request body of at most maxBody bytes.
+func decodeBody(w http.ResponseWriter, req *http.Request, v any) error {
+	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBody)).Decode(v); err != nil {
+		return badQuery("bad request body: %v", err)
+	}
+	return nil
+}
+
 // parseQuery reads one query from URL parameters (GET) or a JSON body
 // (POST).
-func parseQuery(req *http.Request) (Query, error) {
+func parseQuery(w http.ResponseWriter, req *http.Request) (Query, error) {
 	if req.Method == http.MethodPost {
 		var q Query
-		if err := json.NewDecoder(req.Body).Decode(&q); err != nil {
-			return Query{}, badQuery("bad query body: %v", err)
-		}
-		return q, nil
+		err := decodeBody(w, req, &q)
+		return q, err
 	}
 	v := req.URL.Query()
 	q := Query{
@@ -72,7 +84,8 @@ func parseQuery(req *http.Request) (Query, error) {
 		Pattern: v.Get("pattern"),
 	}
 	if lv := v.Get("load"); lv != "" {
-		if _, err := fmt.Sscanf(lv, "%g", &q.Load); err != nil {
+		var err error
+		if q.Load, err = strconv.ParseFloat(lv, 64); err != nil {
 			return Query{}, badQuery("load %q is not a number", lv)
 		}
 	}
@@ -89,7 +102,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	defer release()
-	q, err := parseQuery(req)
+	q, err := parseQuery(w, req)
 	if err != nil {
 		resolveError(w, err)
 		return
@@ -181,8 +194,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
 	}
 	defer release()
 	var br BatchRequest
-	if err := json.NewDecoder(req.Body).Decode(&br); err != nil {
-		resolveError(w, badQuery("bad batch body: %v", err))
+	if err := decodeBody(w, req, &br); err != nil {
+		resolveError(w, err)
 		return
 	}
 	queries, err := s.expand(br)

@@ -101,9 +101,14 @@ func TestHTTPQuery(t *testing.T) {
 	for path, want := range map[string]int{
 		"/query?topo=Nope&load=0.5":        http.StatusBadRequest,
 		"/query?topo=SF(q=5,p=3)&load=abc": http.StatusBadRequest,
-		"/ticket/":                         http.StatusBadRequest,
-		"/ticket/esc-999999":               http.StatusNotFound,
-		"/query/batch":                     http.StatusMethodNotAllowed,
+		// NaN passes a naive range check and trailing garbage a
+		// scanf-style parse; both must be the client's error.
+		"/query?topo=SF(q=5,p=3)&load=NaN":    http.StatusBadRequest,
+		"/query?topo=SF(q=5,p=3)&load=Inf":    http.StatusBadRequest,
+		"/query?topo=SF(q=5,p=3)&load=0.5abc": http.StatusBadRequest,
+		"/ticket/":                            http.StatusBadRequest,
+		"/ticket/esc-999999":                  http.StatusNotFound,
+		"/query/batch":                        http.StatusMethodNotAllowed,
 	} {
 		resp, err := http.Get(hs.URL + path)
 		if err != nil {
@@ -163,6 +168,39 @@ func TestHTTPBatchGrid(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("batch %.40s...: %d, want 400", bad, resp.StatusCode)
+		}
+	}
+}
+
+// countingReader counts the bytes a handler pulled from a request body.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// TestHTTPBodyLimit: a request body past maxBody is the client's error
+// on both POST endpoints, and the handler stops reading at the limit
+// instead of buffering the whole body.
+func TestHTTPBodyLimit(t *testing.T) {
+	s := newTestServer(t, nil)
+	mux := telemetry.NewMux()
+	s.Register(mux)
+	for _, path := range []string{"/query", "/query/batch"} {
+		// One JSON string that does not end within the limit.
+		body := &countingReader{r: strings.NewReader(`{"topo":"` + strings.Repeat("x", 4*maxBody))}
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+		if rec.Code < 400 || rec.Code >= 500 {
+			t.Errorf("POST %s with a %d-byte body: %d, want 4xx", path, 4*maxBody, rec.Code)
+		}
+		if body.n > 2*maxBody {
+			t.Errorf("POST %s read %d bytes of an oversized body; limit is %d", path, body.n, maxBody)
 		}
 	}
 }

@@ -236,6 +236,9 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.Presets) == 0 {
 		return nil, errors.New("serve: Config.Presets is empty")
 	}
+	// The registry rides on the scale so the screener and every
+	// scheduler submission below meter into it.
+	cfg.Scale.Telemetry = harness.TelemetryPlan{Registry: cfg.Registry}
 	scr, err := harness.NewScreener(cfg.Presets, cfg.Scale)
 	if err != nil {
 		return nil, err
@@ -317,19 +320,20 @@ func (s *Server) resolve(ctx context.Context, q Query) (Answer, error) {
 		// schema bump): fall through to the analytic tiers.
 	}
 
-	// Tier 2: the analytic answer, cached or computed. Keys match
-	// ScreenSweep's, so screening sweeps pre-warm this tier.
+	// Tier 2: the analytic answer, cached or computed. The point is
+	// the one ScreenSweep submits, so screening sweeps pre-warm this
+	// tier.
 	fluidScale := s.cfg.Scale
 	fluidScale.Tier = store.TierFluid
-	fluidPoint := harness.ScreenPointKey(q.Topo, alg, pat, q.Load)
-	fluidKey := fluidScale.CanonicalPointKey(fluidPoint)
+	fluidPoint := s.scr.SchedPoint(q.Topo, alg, pat, q.Load)
+	fluidKey := fluidScale.CanonicalPointKey(fluidPoint.Key)
 	tier := TierFluidCache
 	var sp harness.ScreenPoint
 	if rec, ok := s.cfg.Store.Get(fluidKey); ok && json.Unmarshal(rec.Payload, &sp) == nil && sp.Topo != "" {
 		// cached
 	} else {
 		tier = TierFluid
-		sp, err = s.fluidCompute(ctx, fluidScale, fluidPoint, q, alg, pat)
+		sp, err = s.fluidCompute(ctx, fluidScale, fluidPoint)
 		if err != nil {
 			return Answer{}, err
 		}
@@ -369,7 +373,7 @@ func (s *Server) normalize(q *Query) (harness.AlgKind, harness.PatternKind, erro
 	if err != nil {
 		return 0, 0, badQuery("pattern %q: want UNI or WC", q.Pattern)
 	}
-	if q.Load <= 0 || q.Load > 1 {
+	if !(q.Load > 0 && q.Load <= 1) { // also rejects NaN
 		return 0, 0, badQuery("load %v outside (0, 1]", q.Load)
 	}
 	return alg, pat, nil
@@ -392,8 +396,8 @@ func (s *Server) tolerance(sp harness.ScreenPoint, alg harness.AlgKind, pat harn
 // fluidCompute computes (and records) one fluid point through the
 // scheduler, deduplicating concurrent identical computations: the
 // first caller computes, everyone else waits for its result.
-func (s *Server) fluidCompute(ctx context.Context, sc harness.Scale, pointKey string, q Query, alg harness.AlgKind, pat harness.PatternKind) (harness.ScreenPoint, error) {
-	key := sc.CanonicalPointKey(pointKey)
+func (s *Server) fluidCompute(ctx context.Context, sc harness.Scale, pt harness.Point[harness.ScreenPoint]) (harness.ScreenPoint, error) {
+	key := sc.CanonicalPointKey(pt.Key)
 	s.mu.Lock()
 	if f, ok := s.flight[key]; ok {
 		s.mu.Unlock()
@@ -423,18 +427,7 @@ func (s *Server) fluidCompute(ctx context.Context, sc harness.Scale, pointKey st
 	// on this flight must not lose the result because the first
 	// client hung up.
 	sc.Sched = harness.Sched{Workers: 1, Ctx: s.baseCtx, Store: s.cfg.Store}
-	sc.Telemetry = harness.TelemetryPlan{Registry: s.cfg.Registry}
-	pts := []harness.Point[harness.ScreenPoint]{{
-		Key: pointKey,
-		Run: func(ctx context.Context, seed int64) (harness.ScreenPoint, error) {
-			sp, err := s.scr.Point(q.Topo, alg, pat, q.Load)
-			if err == nil {
-				s.cfg.Registry.AddScreen(1, 0)
-			}
-			return sp, err
-		},
-	}}
-	res, err := harness.Collect(sc, pts)
+	res, err := harness.Collect(sc, []harness.Point[harness.ScreenPoint]{pt})
 	if err != nil {
 		f.err = err
 		return harness.ScreenPoint{}, err
@@ -556,7 +549,8 @@ func (s *Server) escWorker() {
 }
 
 // runEscalation re-simulates one picked point at flit-level fidelity
-// through EscalateSweep — same scale, same seeds, same store keys as
+// through the screener's Escalate — EscalateSweep's body on the
+// already-built topologies: same scale, same seeds, same store keys as
 // the sweep path — and scores it against its calibration tolerance.
 func (s *Server) runEscalation(t *ticket) {
 	if err := s.baseCtx.Err(); err != nil {
@@ -566,8 +560,7 @@ func (s *Server) runEscalation(t *ticket) {
 	s.setTicketState(t, TicketRunning)
 	sc := s.cfg.Scale
 	sc.Sched = harness.Sched{Workers: 1, Ctx: s.baseCtx, Store: s.cfg.Store, Campaign: s.cfg.Campaign}
-	sc.Telemetry = harness.TelemetryPlan{Registry: s.cfg.Registry}
-	escs, err := harness.EscalateSweep([]harness.EscalationPick{t.pick}, s.cfg.Presets, sc)
+	escs, err := s.scr.Escalate([]harness.EscalationPick{t.pick}, sc)
 	if err != nil {
 		s.finishTicket(t, nil, err)
 		return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -87,12 +88,16 @@ func TestResolveTierLadder(t *testing.T) {
 	s := newTestServer(t, nil)
 	ctx := context.Background()
 
+	estimates := harness.ScreenedEstimates()
 	cold, err := s.Resolve(ctx, testQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.Tier != TierFluid {
 		t.Fatalf("cold query answered from %q, want %q", cold.Tier, TierFluid)
+	}
+	if delta := harness.ScreenedEstimates() - estimates; delta != 1 {
+		t.Errorf("a served cold query advanced harness.ScreenedEstimates by %d, want 1", delta)
 	}
 	if cold.Estimate == nil || cold.Estimate.Saturation <= 0 {
 		t.Fatalf("cold estimate = %+v", cold.Estimate)
@@ -285,6 +290,8 @@ func TestBadQueries(t *testing.T) {
 		{Topo: "SF(q=5,p=3)", Routing: "MIN", Pattern: "A2A", Load: 0.5},
 		{Topo: "SF(q=5,p=3)", Routing: "MIN", Pattern: "UNI", Load: 0},
 		{Topo: "SF(q=5,p=3)", Routing: "MIN", Pattern: "UNI", Load: 1.5},
+		{Topo: "SF(q=5,p=3)", Routing: "MIN", Pattern: "UNI", Load: math.NaN()},
+		{Topo: "SF(q=5,p=3)", Routing: "MIN", Pattern: "UNI", Load: math.Inf(1)},
 	} {
 		_, err := s.Resolve(context.Background(), q)
 		var bad *BadQueryError

@@ -145,12 +145,8 @@ type Engine struct {
 
 	lastDeliver int64 // cycle of the most recent delivery
 
-	linkStats LinkStats
-
-	observer     DeliveryObserver     // optional delivery hook of the workload
-	recorder     *RouteRecorder       // optional per-packet route capture
-	perNodeFlits []int64              // optional per-destination accounting
-	tel          *telemetry.Collector // optional unified telemetry (see telemetry.go)
+	observer DeliveryObserver     // optional delivery hook of the workload
+	tel      *telemetry.Collector // the engine's one optional observer (see telemetry.go)
 
 	// Fault injection (nil / zero without a schedule; see fault.go).
 	faults        *faultState
@@ -163,13 +159,6 @@ type Engine struct {
 	faultsSkipped int64
 	rebuilds      int64
 	recoveryMax   int64 // max drop -> redelivery time observed
-
-	// Throughput time-series sampling (see timeseries.go).
-	sampleInterval      int64
-	sampleCount         int64
-	deliveredFlitsTotal int64
-	lastSampleFlits     int64
-	thrSeries           metrics.Series
 }
 
 // NewEngine wires a network, routing algorithm and workload together.
@@ -243,7 +232,6 @@ func (e *Engine) Step() {
 	e.linkStage()
 	e.switchStage()
 	e.injectStage()
-	e.sampleTick()
 	e.advanceCycle()
 }
 
@@ -355,21 +343,14 @@ func (e *Engine) deliver(h pktHandle) {
 	p.DeliverTime = e.now
 	e.delivered++
 	e.lastDeliver = e.now
-	e.deliveredFlitsTotal += int64(p.Flits)
 	if e.now >= e.Warmup {
 		e.deliveredFlitsWindow += int64(p.Flits)
-		if e.perNodeFlits != nil {
-			e.perNodeFlits[p.Dst] += int64(p.Flits)
-		}
 	}
 	if p.Retx > 0 && e.now-p.FirstDrop > e.recoveryMax {
 		e.recoveryMax = e.now - p.FirstDrop
 	}
 	if e.observer != nil {
 		e.observer.OnDeliver(p, e.now)
-	}
-	if e.recorder != nil {
-		e.recorder.recordDeliver(p)
 	}
 	if e.tel != nil {
 		e.tel.Deliver(e.now, p.ID, p.Src, p.Dst, float64(p.DeliverTime-p.GenTime), p.Minimal, p.Hops, p.Flits)
@@ -454,12 +435,8 @@ func (e *Engine) linkStage() {
 						e.outPkt[next.part] = append(e.outPkt[next.part],
 							pktMsg{router: next.ID, port: r.revPort[port], vc: vc, ready: now + linkLat, pkt: *p})
 					}
-					e.recordLink(r.ID, next.ID, pf)
 					if e.tel != nil {
 						e.tel.LinkTraverse(r.ID, next.ID, vc, pf)
-					}
-					if e.recorder != nil {
-						e.recorder.recordHop(p, next.ID, p.VC)
 					}
 					if next.part != e.shard {
 						e.slab.release(ent.h)
@@ -719,9 +696,6 @@ func (e *Engine) tryInject(nd *Node) {
 	p.InjectTime = e.now
 	p.VC = vc
 	e.injected++
-	if e.recorder != nil {
-		e.recorder.recordInject(p)
-	}
 	if e.tel != nil {
 		if retx >= 0 {
 			e.tel.Retransmit(e.now, p.ID, p.Src, p.Dst, nd.Router, vc, e.pktFlits)

@@ -295,28 +295,6 @@ func TestTraceWorkloadEndToEnd(t *testing.T) {
 	}
 }
 
-// TestThroughputSampling: the sampled series tracks the delivered
-// load over time and shows the warm-up ramp.
-func TestThroughputSampling(t *testing.T) {
-	tp := mustMLFM(t, 3)
-	w := &traffic.OpenLoop{Pattern: traffic.Uniform{N: tp.Nodes()}, Load: 0.5, PacketFlits: 4}
-	e := buildEngine(t, tp, routing.NewMinimal(tp), w)
-	e.EnableThroughputSampling(1000)
-	e.Run(10000)
-	s := e.ThroughputSeries()
-	if len(s.Points) != 10 {
-		t.Fatalf("samples = %d, want 10", len(s.Points))
-	}
-	// First window includes the fill-up ramp; steady-state windows
-	// should deliver ~0.5.
-	if got := s.MeanAfter(3000); got < 0.4 || got > 0.6 {
-		t.Errorf("steady-state sampled throughput %.3f, want ~0.5", got)
-	}
-	if s.Points[0].V > s.MeanAfter(3000) {
-		t.Error("first window should be below steady state (ramp-up)")
-	}
-}
-
 // TestMappingMatters: the MLFM's aligned-torus nearest-neighbor
 // advantage comes from placement — under a random process-to-node
 // mapping the same exchange loses locality (X exchanges leave the
@@ -417,33 +395,6 @@ func TestSpeedupImprovesSaturation(t *testing.T) {
 	}
 	if s2 < s1+0.1 {
 		t.Errorf("speedup 2 (%.3f) should clearly beat speedup 1 (%.3f)", s2, s1)
-	}
-}
-
-// TestFairnessUniform: round-robin arbitration keeps uniform traffic
-// fair across destinations (Jain index near 1).
-func TestFairnessUniform(t *testing.T) {
-	tp := mustMLFM(t, 4)
-	w := &traffic.OpenLoop{Pattern: traffic.Uniform{N: tp.Nodes()}, Load: 0.7, PacketFlits: 4}
-	e := buildEngine(t, tp, routing.NewMinimal(tp), w)
-	e.EnablePerNodeStats()
-	e.Warmup = 3000
-	e.Run(16000)
-	f := e.Fairness()
-	if f.JainIndex < 0.95 {
-		t.Errorf("Jain index %.3f under uniform traffic, want ~1", f.JainIndex)
-	}
-	if f.Mean < 0.6 || f.Mean > 0.8 {
-		t.Errorf("mean per-node throughput %.3f, want ~0.7", f.Mean)
-	}
-	if f.Min > f.Mean || f.Max < f.Mean {
-		t.Error("min/mean/max ordering violated")
-	}
-	// Disabled engines report zeros.
-	e2 := buildEngine(t, tp, routing.NewMinimal(tp), w)
-	e2.Run(100)
-	if got := e2.Fairness(); got.JainIndex != 0 {
-		t.Error("fairness reported without enabling")
 	}
 }
 

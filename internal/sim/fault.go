@@ -275,7 +275,6 @@ func (e *Engine) applyUp(link [2]int) bool {
 func (e *Engine) dropLinkTraffic(u, v *Router) {
 	pu := u.portTo(v.ID)
 	pv := v.portTo(u.ID)
-	linkLat := int64(e.Cfg.LinkLatency)
 	for vc := 0; vc < e.Cfg.NumVCs; vc++ {
 		q := &v.inQ[v.idx(pv, vc)]
 		for i := q.len() - 1; i >= 0; i-- {
@@ -286,9 +285,8 @@ func (e *Engine) dropLinkTraffic(u, v *Router) {
 				ent := v.takeIn(pv, vc, i)
 				u.credits[u.idx(pu, vc)] += e.pktFlits
 				// The flits never arrived: restitute the utilization
-				// credit recordLink granted when the transfer started
-				// (ready - linkLat), alongside the buffer credits.
-				e.uncreditLink(u.ID, v.ID, e.pktFlits, ent.ready-linkLat)
+				// credit LinkTraverse granted when the transfer
+				// started, alongside the buffer credits.
 				if e.tel != nil {
 					e.tel.LinkRestitute(u.ID, v.ID, vc, e.pktFlits)
 				}

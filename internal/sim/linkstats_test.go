@@ -5,8 +5,23 @@ import (
 
 	"diam2/internal/routing"
 	"diam2/internal/sim"
+	"diam2/internal/telemetry"
 	"diam2/internal/traffic"
 )
+
+// windowLinks runs e through warmup unobserved, then attaches a
+// collector for the remaining total-warmup cycles and returns its link
+// heatmap (hottest first): observation starts at the attach cycle, so
+// the loads are normalized by the measurement window alone.
+func windowLinks(e *sim.Engine, warmup, total int64) []telemetry.LinkSnap {
+	e.Warmup = warmup
+	e.Run(warmup)
+	c := telemetry.NewCollector(telemetry.Options{})
+	e.AttachTelemetry(c)
+	e.Run(total - warmup)
+	e.Finish()
+	return c.Snapshot(0).Links
+}
 
 // TestLinkStatsWorstCaseHotspot verifies the Section 4.2 structure
 // directly: under the MLFM adversarial shift with minimal routing,
@@ -29,23 +44,20 @@ func TestLinkStatsWorstCaseHotspot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.EnableLinkStats()
-	e.Warmup = 3000
-	e.Run(18000)
+	loads := windowLinks(e, 3000, 18000)
 
 	res := e.Results()
 	if res.Throughput > 0.3 {
 		t.Fatalf("WC throughput %.3f, expected pinned near 1/h", res.Throughput)
 	}
-	if got := e.MaxLinkLoad(); got < 0.9 {
-		t.Errorf("hottest link at %.3f utilization, want ~1.0 (saturated bottleneck)", got)
-	}
-	loads := e.LinkLoads()
 	if len(loads) == 0 {
 		t.Fatal("no link loads recorded")
 	}
+	if got := loads[0].Load; got < 0.9 {
+		t.Errorf("hottest link at %.3f utilization, want ~1.0 (saturated bottleneck)", got)
+	}
 	if loads[0].Load < loads[len(loads)-1].Load {
-		t.Error("LinkLoads not sorted by decreasing load")
+		t.Error("snapshot links not sorted by decreasing load")
 	}
 	// The WC pattern loads every source router's single minimal path:
 	// a large set of saturated links, not one.
@@ -74,10 +86,7 @@ func TestLinkStatsUniformBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.EnableLinkStats()
-	e.Warmup = 2000
-	e.Run(12000)
-	loads := e.LinkLoads()
+	loads := windowLinks(e, 2000, 12000)
 	if len(loads) == 0 {
 		t.Fatal("no link loads recorded")
 	}
@@ -88,20 +97,5 @@ func TestLinkStatsUniformBalance(t *testing.T) {
 	mean := sum / float64(len(loads))
 	if loads[0].Load > 3*mean+0.1 {
 		t.Errorf("max link load %.3f vs mean %.3f: uniform traffic unexpectedly skewed", loads[0].Load, mean)
-	}
-}
-
-// TestLinkStatsDisabled: without EnableLinkStats the engine records
-// nothing and MaxLinkLoad is zero.
-func TestLinkStatsDisabled(t *testing.T) {
-	tp := mustMLFM(t, 3)
-	ex := traffic.AllToAll(tp.Nodes(), 1, nil)
-	e := buildEngine(t, tp, routing.NewMinimal(tp), ex)
-	e.RunUntilDrained(1_000_000)
-	if got := e.LinkLoads(); len(got) != 0 {
-		t.Errorf("LinkLoads = %d entries without enabling", len(got))
-	}
-	if e.MaxLinkLoad() != 0 {
-		t.Error("MaxLinkLoad != 0 without enabling")
 	}
 }

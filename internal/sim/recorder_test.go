@@ -1,17 +1,87 @@
 package sim_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"diam2/internal/routing"
 	"diam2/internal/sim"
+	"diam2/internal/telemetry"
 	"diam2/internal/topo"
 	"diam2/internal/traffic"
 )
 
+// recordedRoute is one packet's observed path, rebuilt from the
+// collector's flight-recorder events: the ground truth for validating
+// routing invariants against what the simulator actually did rather
+// than what the algorithm intended.
+type recordedRoute struct {
+	Src, Dst     int // nodes
+	Routers      []int
+	VCs          []int // VC used on each router-to-router link
+	Minimal      bool
+	Intermediate int
+	Delivered    bool
+}
+
+// intermediateSpy wraps a routing algorithm and remembers the
+// intermediate router of each packet's latest Inject decision — the one
+// routing fact the event stream does not carry.
+type intermediateSpy struct {
+	sim.RoutingAlgorithm
+	inter map[int64]int
+}
+
+func (s *intermediateSpy) Inject(p *sim.Packet, r *sim.Router, rng *rand.Rand) int {
+	vc := s.RoutingAlgorithm.Inject(p, r, rng)
+	s.inter[p.ID] = p.Intermediate
+	return vc
+}
+
+// recordRoutes drains an exchange under alg with a collector attached
+// and rebuilds the route of every packet whose inject event the
+// bounded ring still holds (events are in time order, so such a
+// packet's later events are held too). Each route event names the
+// router that decided and the VC of the outgoing link; the last one is
+// the ejection at the destination router.
+func recordRoutes(t *testing.T, tp topo.Topology, alg sim.RoutingAlgorithm, ex sim.Workload, maxCycles int64) []*recordedRoute {
+	t.Helper()
+	spy := &intermediateSpy{RoutingAlgorithm: alg, inter: map[int64]int{}}
+	e := buildEngine(t, tp, spy, ex)
+	c := telemetry.NewCollector(telemetry.Options{RingEvents: 1 << 16})
+	e.AttachTelemetry(c)
+	if !e.RunUntilDrained(maxCycles) {
+		t.Fatal("did not drain")
+	}
+	e.Finish()
+	byPacket := map[int64]*recordedRoute{}
+	var routes []*recordedRoute
+	for _, ev := range c.Events() {
+		r := byPacket[ev.Packet]
+		switch ev.Kind {
+		case telemetry.EvInject:
+			r = &recordedRoute{Src: ev.Src, Dst: ev.Dst, Intermediate: spy.inter[ev.Packet]}
+			byPacket[ev.Packet] = r
+			routes = append(routes, r)
+		case telemetry.EvRoute:
+			if r != nil {
+				r.Routers = append(r.Routers, ev.Router)
+				r.VCs = append(r.VCs, ev.VC)
+			}
+		case telemetry.EvDeliver:
+			if r != nil {
+				r.VCs = r.VCs[:len(r.VCs)-1] // the ejection is not a link
+				r.Minimal = ev.Minimal
+				r.Delivered = true
+			}
+		}
+	}
+	return routes
+}
+
 // validateRoutes checks recorded routes against routing invariants on
 // the actual graph.
-func validateRoutes(t *testing.T, tp topo.Topology, routes []*sim.RecordedRoute, maxHops int, wantMinimal bool) {
+func validateRoutes(t *testing.T, tp topo.Topology, routes []*recordedRoute, maxHops int, wantMinimal bool) {
 	t.Helper()
 	if len(routes) == 0 {
 		t.Fatal("no routes recorded")
@@ -82,42 +152,11 @@ func validateRoutes(t *testing.T, tp topo.Topology, routes []*sim.RecordedRoute,
 func TestRecordedMinimalRoutes(t *testing.T) {
 	tp := mustSF(t, 5)
 	ex := traffic.AllToAll(tp.Nodes(), 1, nil)
-	e := buildEngine(t, tp, routing.NewMinimal(tp), ex)
-	e.EnableRouteRecording(7, 2000)
-	if !e.RunUntilDrained(4_000_000) {
-		t.Fatal("did not drain")
-	}
-	validateRoutes(t, tp, e.Routes(), 2, true)
+	validateRoutes(t, tp, recordRoutes(t, tp, routing.NewMinimal(tp), ex, 4_000_000), 2, true)
 }
 
 func TestRecordedValiantRoutes(t *testing.T) {
 	tp := mustMLFM(t, 3)
 	ex := traffic.AllToAll(tp.Nodes(), 1, nil)
-	e := buildEngine(t, tp, routing.NewValiant(tp), ex)
-	e.EnableRouteRecording(5, 2000)
-	if !e.RunUntilDrained(8_000_000) {
-		t.Fatal("did not drain")
-	}
-	validateRoutes(t, tp, e.Routes(), 4, false)
-}
-
-func TestRecorderDisabled(t *testing.T) {
-	tp := mustMLFM(t, 3)
-	ex := traffic.AllToAll(tp.Nodes(), 1, nil)
-	e := buildEngine(t, tp, routing.NewMinimal(tp), ex)
-	e.RunUntilDrained(1_000_000)
-	if e.Routes() != nil {
-		t.Error("routes recorded without enabling")
-	}
-}
-
-func TestRecorderBounded(t *testing.T) {
-	tp := mustMLFM(t, 3)
-	ex := traffic.AllToAll(tp.Nodes(), 2, nil)
-	e := buildEngine(t, tp, routing.NewMinimal(tp), ex)
-	e.EnableRouteRecording(1, 10)
-	e.RunUntilDrained(1_000_000)
-	if got := len(e.Routes()); got != 10 {
-		t.Errorf("recorded %d routes, want capped at 10", got)
-	}
+	validateRoutes(t, tp, recordRoutes(t, tp, routing.NewValiant(tp), ex, 8_000_000), 4, false)
 }

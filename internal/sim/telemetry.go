@@ -2,13 +2,15 @@ package sim
 
 import "diam2/internal/telemetry"
 
-// AttachTelemetry connects a telemetry collector to the engine.
-// Attach before the run starts; pass nil to detach. The collector is
-// purely observational — it is fed from the engine's recording hooks
-// and never feeds anything back, so enabling telemetry does not change
-// simulation results (the golden-stats suite pins this). With no
-// collector attached every hook is a single nil check, preserving the
-// zero-alloc hot path.
+// AttachTelemetry connects a telemetry collector, the engine's one
+// optional observer. Attach before the run starts, or at the first
+// cycle of the window to observe (link loads and events count from the
+// attach cycle; VC residency assumes buffers empty at attach); pass
+// nil to detach. The collector is purely observational — it is fed
+// from the engine's recording hooks and never feeds anything back, so
+// enabling telemetry does not change simulation results (the
+// golden-stats suite pins this). With no collector attached every hook
+// is a single nil check, preserving the zero-alloc hot path.
 func (e *Engine) AttachTelemetry(c *telemetry.Collector) {
 	e.tel = c
 	e.Net.tel = c
@@ -21,13 +23,11 @@ func (e *Engine) AttachTelemetry(c *telemetry.Collector) {
 // Telemetry returns the attached collector (nil when disabled).
 func (e *Engine) Telemetry() *telemetry.Collector { return e.tel }
 
-// Finish finalizes end-of-run state: the throughput time-series flushes
-// its final partial window (short runs would otherwise produce an empty
-// series) and the telemetry collector, if any, records the end cycle.
-// Finish is idempotent and does not advance the simulation; the harness
-// calls it after every run, before reading Results.
+// Finish finalizes end-of-run state: the telemetry collector, if any,
+// records the end cycle. Finish is idempotent and does not advance the
+// simulation; the harness calls it after every run, before reading
+// Results.
 func (e *Engine) Finish() {
-	e.flushSample()
 	if e.tel != nil {
 		e.tel.Finish(e.now)
 	}

@@ -170,40 +170,6 @@ func TestTelemetryTraceJSONL(t *testing.T) {
 	}
 }
 
-// TestFinishFlushesPartialWindow: a run whose length is not a multiple
-// of the sampling interval must still report the tail window —
-// Engine.Finish flushes it, normalized by its actual width, and is
-// idempotent.
-func TestFinishFlushesPartialWindow(t *testing.T) {
-	tp := mustMLFM(t, 3)
-	w := &traffic.OpenLoop{Pattern: traffic.Uniform{N: tp.Nodes()}, Load: 0.4, PacketFlits: 4}
-	e := buildEngine(t, tp, routing.NewMinimal(tp), w)
-	e.EnableThroughputSampling(1000)
-	e.Run(2500)
-	if got := len(e.ThroughputSeries().Points); got != 2 {
-		t.Fatalf("before Finish: %d full windows sampled, want 2", got)
-	}
-	e.Finish()
-	pts := e.ThroughputSeries().Points
-	if len(pts) != 3 {
-		t.Fatalf("after Finish: %d points, want 3 (partial tail flushed)", len(pts))
-	}
-	tail := pts[2]
-	if tail.T != 2500 {
-		t.Errorf("tail window stamped at cycle %d, want 2500", tail.T)
-	}
-	// The tail is normalized by its 500-cycle width: at steady load it
-	// must be commensurate with the full windows, not scaled down by
-	// the interval.
-	if tail.V <= 0 || tail.V > 3*pts[1].V+0.1 {
-		t.Errorf("tail throughput %.4f implausible vs full window %.4f", tail.V, pts[1].V)
-	}
-	e.Finish()
-	if got := len(e.ThroughputSeries().Points); got != 3 {
-		t.Errorf("Finish not idempotent: %d points after second call", got)
-	}
-}
-
 // TestLinkStatsFaultRestitution pins the in-flight drop fix: flits that
 // left a sender but were destroyed on the wire by a link failure must
 // not count as carried traffic. A single packet crosses a triangle's
@@ -213,7 +179,7 @@ func TestFinishFlushesPartialWindow(t *testing.T) {
 // delivers the packet around the detour.
 func TestLinkStatsFaultRestitution(t *testing.T) {
 	const triangle = "routers 3\nnodes 0 1\nnodes 1 1\nnodes 2 1\n0 1\n0 2\n1 2\n"
-	build := func() (*sim.Engine, *traffic.Exchange) {
+	build := func() (*sim.Engine, *traffic.Exchange, *telemetry.Collector) {
 		tp, err := topo.ReadEdgeList(strings.NewReader(triangle), "triangle")
 		if err != nil {
 			t.Fatal(err)
@@ -231,17 +197,26 @@ func TestLinkStatsFaultRestitution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.EnableLinkStats()
-		return e, ex
+		c := telemetry.NewCollector(telemetry.Options{})
+		e.AttachTelemetry(c)
+		return e, ex, c
+	}
+	linkFlits := func(c *telemetry.Collector, from, to int) int64 {
+		for _, l := range c.Snapshot(0).Links {
+			if l.From == from && l.To == to {
+				return l.Flits
+			}
+		}
+		return 0
 	}
 
 	// Dry run: find the cycle the packet starts across link 0->1 (the
 	// cycle its flits are credited to the counter).
-	dry, _ := build()
+	dry, _, dc := build()
 	sentAt := int64(-1)
 	for i := 0; i < 1000; i++ {
 		dry.Step()
-		if dry.LinkFlits()[[2]int{0, 1}] > 0 {
+		if linkFlits(dc, 0, 1) > 0 {
 			sentAt = dry.Now() - 1 // the credit landed during this Step
 			break
 		}
@@ -252,9 +227,7 @@ func TestLinkStatsFaultRestitution(t *testing.T) {
 
 	// Fault run: kill the link one cycle after the send starts — the
 	// packet is on the wire (LinkLatency 8) and must be dropped.
-	e, ex := build()
-	c := telemetry.NewCollector(telemetry.Options{})
-	e.AttachTelemetry(c)
+	e, ex, c := build()
 	fs := sim.NewFaultSchedule([]sim.FaultEvent{{Cycle: sentAt + 2, Link: [2]int{0, 1}}})
 	if err := e.SetFaultSchedule(fs); err != nil {
 		t.Fatal(err)
@@ -271,23 +244,16 @@ func TestLinkStatsFaultRestitution(t *testing.T) {
 		t.Fatalf("delivered %d of %d", res.Delivered, ex.TotalPackets())
 	}
 	// The credit for the dropped traversal must have been restituted.
-	if got := e.LinkFlits()[[2]int{0, 1}]; got != 0 {
+	if got := linkFlits(c, 0, 1); got != 0 {
 		t.Errorf("dead link 0->1 credited %d flits; dropped traffic must not count", got)
 	}
 	// The retransmitted packet detoured via router 2.
 	for _, link := range [][2]int{{0, 2}, {2, 1}} {
-		if got := e.LinkFlits()[link]; got != 4 {
+		if got := linkFlits(c, link[0], link[1]); got != 4 {
 			t.Errorf("detour link %v carried %d flits, want 4", link, got)
 		}
 	}
-	// The telemetry heatmap mirrors the engine's counters, including
-	// the restitution.
 	snap := c.Snapshot(0)
-	for _, l := range snap.Links {
-		if l.From == 0 && l.To == 1 && l.Flits != 0 {
-			t.Errorf("telemetry credits dead link 0->1 with %d flits", l.Flits)
-		}
-	}
 	if snap.LinkFlits != 8 {
 		t.Errorf("telemetry link-flit total %d, want 8 (two detour hops)", snap.LinkFlits)
 	}
