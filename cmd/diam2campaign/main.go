@@ -44,7 +44,7 @@ import (
 
 	"diam2/internal/buildinfo"
 	"diam2/internal/campaign"
-	"diam2/internal/sim"
+	"diam2/internal/cliflags"
 	"diam2/internal/store"
 	"diam2/internal/telemetry"
 )
@@ -52,16 +52,10 @@ import (
 func main() {
 	var (
 		dir      = flag.String("store", "", "store directory of the campaign (required)")
-		version  = flag.Bool("version", false, "print build/version info and exit")
 		httpAddr = flag.String("http", "", "serve: coordinator listen address, e.g. :6060")
 		name     = flag.String("name", "", "submit: campaign name")
 	)
-	flag.Parse()
-	if *version {
-		fmt.Println(buildinfo.Banner("diam2campaign"))
-		fmt.Printf("engine schema %d, store schema %d\n", sim.EngineSchema, store.Schema)
-		return
-	}
+	cliflags.Parse("diam2campaign")
 	if *dir == "" || flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: diam2campaign -store DIR {status|submit -name NAME [ARGS...]|serve -http ADDR}")
 		os.Exit(2)
@@ -235,13 +229,7 @@ type progressBody struct {
 // Factored out of serve so tests can drive it without a listener.
 func coordinatorMux(storeDir, campDir string) *telemetry.Mux {
 	reg := telemetry.NewRegistry()
-	reg.SetCampaign(func() any {
-		st, err := campaign.Scan(campDir)
-		if err != nil {
-			return map[string]string{"error": err.Error()}
-		}
-		return st
-	})
+	cliflags.ServeCampaign(reg, campDir)
 	mux := reg.Handler()
 	mux.HandleFunc("/campaign/progress", func(w http.ResponseWriter, req *http.Request) {
 		st, err := campaign.Scan(campDir)

@@ -38,12 +38,9 @@ import (
 	"syscall"
 	"time"
 
-	"diam2/internal/buildinfo"
-	"diam2/internal/campaign"
+	"diam2/internal/cliflags"
 	"diam2/internal/harness"
 	"diam2/internal/serve"
-	"diam2/internal/sim"
-	"diam2/internal/store"
 	"diam2/internal/telemetry"
 )
 
@@ -57,83 +54,49 @@ func main() {
 		grid       = flag.Int("grid", 30, "decision-ladder size for the escalation policy")
 		queueMax   = flag.Int("queue", 64, "admitted-query bound; excess answered 429 + Retry-After")
 		escWorkers = flag.Int("esc-workers", 1, "background escalation worker count")
-		campMode   = flag.Bool("campaign", false, "open the store shared and run escalations under the campaign lease protocol")
-		workerID   = flag.String("worker-id", "", "campaign worker name (default host-pid)")
 		drainTO    = flag.Duration("drain-timeout", 30*time.Second, "how long queued escalations get to finish on shutdown")
-		version    = flag.Bool("version", false, "print build/version info and exit")
+		camp       cliflags.Campaign // shared store lock; escalations run under the lease protocol
 	)
-	flag.Parse()
-	if *version {
-		fmt.Println(buildinfo.Banner("diam2serve"))
-		fmt.Printf("engine schema %d, store schema %d\n", sim.EngineSchema, store.Schema)
-		return
-	}
+	camp.Register()
+	cliflags.Parse("diam2serve")
 	if *httpAddr == "" || *storeDir == "" {
 		fmt.Fprintln(os.Stderr, "usage: diam2serve -http ADDR -store DIR [flags]")
 		os.Exit(2)
 	}
-	if err := run(*httpAddr, *storeDir, *scaleName, *seed, *band, *grid, *queueMax, *escWorkers, *campMode, *workerID, *drainTO); err != nil {
+	if err := run(*httpAddr, *storeDir, *scaleName, *seed, *band, *grid, *queueMax, *escWorkers, camp, *drainTO); err != nil {
 		fmt.Fprintln(os.Stderr, "diam2serve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(httpAddr, storeDir, scaleName string, seed int64, band float64, grid, queueMax, escWorkers int, campMode bool, workerID string, drainTO time.Duration) error {
+func run(httpAddr, storeDir, scaleName string, seed int64, band float64, grid, queueMax, escWorkers int, camp cliflags.Campaign, drainTO time.Duration) error {
 	sc, presets, err := harness.ScaleByName(scaleName)
 	if err != nil {
 		return err
 	}
 	sc.Seed = seed
 
-	var st *store.Store
-	if campMode {
-		st, err = store.OpenCLICampaign(storeDir, "diam2serve")
-	} else {
-		st, err = store.OpenCLI(storeDir, "diam2serve")
-	}
+	closeStore, err := cliflags.Store{Dir: storeDir}.Attach("diam2serve", &sc, camp.On)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		fmt.Fprintln(os.Stderr, "diam2serve:", st.Summary())
-		if cerr := st.Close(); cerr != nil {
-			fmt.Fprintln(os.Stderr, "diam2serve: store close:", cerr)
-		}
-	}()
+	defer closeStore()
 
 	reg := telemetry.NewRegistry()
 	reg.PublishExpvar()
 
-	var worker *campaign.Worker
-	if campMode {
-		owner := workerID
-		if owner == "" {
-			host, _ := os.Hostname()
-			if host == "" {
-				host = "serve"
-			}
-			owner = fmt.Sprintf("%s-%d", host, os.Getpid())
-		}
-		worker, err = campaign.NewWorker(campaign.DirFor(storeDir), owner, campaign.Policy{})
-		if err != nil {
-			return err
-		}
+	worker, err := camp.Join("diam2serve", storeDir, reg)
+	if err != nil {
+		return err
+	}
+	if worker != nil {
 		defer func() { _ = worker.Close() }()
-		dir := worker.Dir()
-		reg.SetCampaign(func() any {
-			cst, err := campaign.Scan(dir)
-			if err != nil {
-				return map[string]string{"error": err.Error()}
-			}
-			return cst
-		})
-		fmt.Fprintf(os.Stderr, "diam2serve: campaign worker %s joined %s\n", owner, dir)
 	}
 
 	srv, err := serve.New(serve.Config{
 		Presets:    presets,
 		Scale:      sc,
-		Store:      st,
+		Store:      sc.Sched.Store,
 		Band:       band,
 		Loads:      harness.ScreenGridLoads(grid),
 		QueueMax:   queueMax,

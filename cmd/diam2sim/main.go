@@ -61,10 +61,9 @@ import (
 	"strings"
 	"time"
 
-	"diam2/internal/buildinfo"
+	"diam2/internal/cliflags"
 	"diam2/internal/harness"
 	"diam2/internal/sim"
-	"diam2/internal/store"
 	"diam2/internal/topo"
 	"diam2/internal/traffic"
 )
@@ -84,9 +83,6 @@ func main() {
 		jobs     = flag.Int("j", 0, "worker-pool size for -saturate: independent points in parallel (0: all CPUs, 1: serial); orthogonal to -cores")
 		cores    = flag.Int("cores", 1, "threads *within* each simulation (sharded engine; 1: serial engine); orthogonal to -j, not bit-identical to serial")
 		progress = flag.Bool("progress", false, "report each completed sweep point on stderr")
-		storeDir = flag.String("store", "", "content-addressed result store for -saturate ladder points (see diam2sweep -store)")
-		force    = flag.Bool("force", false, "with -store, recompute every point (fresh results still recorded)")
-		version  = flag.Bool("version", false, "print build/version info and exit")
 
 		failLinks  = flag.Float64("fail-links", 0, "links to fail mid-run: a fraction (< 1) or a count (>= 1)")
 		failAt     = flag.Int64("fail-at", -1, "cycle at which -fail-links links go down (default: end of warmup)")
@@ -99,16 +95,14 @@ func main() {
 		memProfile   = flag.String("memprofile", "", "write a pprof allocation profile at exit to this file")
 		traceProfile = flag.String("traceprofile", "", "write a runtime execution trace of the run to this file (go tool trace; shows -cores barrier waits)")
 
-		telemetryOn = flag.Bool("telemetry", false, "collect unified telemetry (heatmap, latency split, flight recorder)")
-		traceOut    = flag.String("trace-out", "", "write the flight-recorder event trace as JSONL to this file (implies -telemetry)")
-		httpAddr    = flag.String("http", "", "serve /telemetry, /debug/vars and /debug/pprof on this address, e.g. :6060 (implies -telemetry)")
+		// The store rides the experiment scheduler, so it covers the
+		// -saturate ladder; a plain single run bypasses it.
+		st  cliflags.Store
+		tel cliflags.Telemetry
 	)
-	flag.Parse()
-	if *version {
-		fmt.Println(buildinfo.Banner("diam2sim"))
-		fmt.Printf("engine schema %d, store schema %d\n", sim.EngineSchema, store.Schema)
-		return
-	}
+	st.Register()
+	tel.Register(false)
+	cliflags.Parse("diam2sim")
 	fp := harness.FaultPlan{
 		FailAt:         *failAt,
 		MTBF:           *mtbf,
@@ -128,12 +122,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "diam2sim:", err)
 		os.Exit(1)
 	}
-	tel := telOpts{
-		enabled:  *telemetryOn || *traceOut != "" || *httpAddr != "",
-		traceOut: *traceOut,
-		httpAddr: *httpAddr,
-	}
-	runErr := run(ctx, *topoName, *algName, *pattern, *exchange, *load, *scale, *ni, *c, *seed, *saturate, *jobs, *cores, *progress, fp, tel, *storeDir, *force)
+	runErr := run(ctx, *topoName, *algName, *pattern, *exchange, *load, *scale, *ni, *c, *seed, *saturate, *jobs, *cores, *progress, fp, tel, st)
 	if err := stopProf(); err != nil {
 		fmt.Fprintln(os.Stderr, "diam2sim:", err)
 		os.Exit(1)
@@ -167,34 +156,7 @@ func findPreset(name string) (harness.Preset, error) {
 			BestAdaptive: harness.UGALConfig{NI: 4, C: 2},
 		}, nil
 	}
-	all := map[string]harness.Preset{}
-	for _, p := range harness.PaperPresets() {
-		switch {
-		case strings.HasPrefix(p.Name, "SF(q=13,p=9"):
-			all["sf9"] = p
-		case strings.HasPrefix(p.Name, "SF(q=13,p=10"):
-			all["sf10"] = p
-		case strings.HasPrefix(p.Name, "MLFM"):
-			all["mlfm"] = p
-		case strings.HasPrefix(p.Name, "OFT"):
-			all["oft"] = p
-		}
-	}
-	for _, p := range harness.SmallPresets() {
-		switch {
-		case strings.HasPrefix(p.Name, "SF"):
-			all["sf-small"] = p
-		case strings.HasPrefix(p.Name, "MLFM"):
-			all["mlfm-small"] = p
-		case strings.HasPrefix(p.Name, "OFT"):
-			all["oft-small"] = p
-		}
-	}
-	p, ok := all[name]
-	if !ok {
-		return harness.Preset{}, fmt.Errorf("unknown topology %q", name)
-	}
-	return p, nil
+	return harness.PresetByShort(name)
 }
 
 func parseAlg(name string) (harness.AlgKind, error) {
@@ -211,7 +173,7 @@ func parseAlg(name string) (harness.AlgKind, error) {
 	return 0, fmt.Errorf("unknown algorithm %q", name)
 }
 
-func run(ctx context.Context, topoName, algName, pattern, exchange string, load float64, scaleName string, ni int, c float64, seed int64, saturate bool, jobs, cores int, progress bool, fp harness.FaultPlan, tel telOpts, storeDir string, force bool) error {
+func run(ctx context.Context, topoName, algName, pattern, exchange string, load float64, scaleName string, ni int, c float64, seed int64, saturate bool, jobs, cores int, progress bool, fp harness.FaultPlan, tel cliflags.Telemetry, st cliflags.Store) error {
 	preset, err := findPreset(topoName)
 	if err != nil {
 		return err
@@ -240,27 +202,16 @@ func run(ctx context.Context, topoName, algName, pattern, exchange string, load 
 			fmt.Fprintf(os.Stderr, "[%d/%d] %s (%s)%s\n", done, total, key, elapsed.Round(time.Millisecond), engTag)
 		}
 	}
-	sink, telShutdown, err := tel.setup(&sc)
+	sink, _, telShutdown, err := tel.Setup(&sc, false)
 	if err != nil {
 		return err
 	}
 	defer telShutdown()
-	if storeDir != "" {
-		// The store rides the experiment scheduler, so it covers the
-		// -saturate ladder; a plain single run bypasses it.
-		st, err := store.OpenCLI(storeDir, "diam2sim")
-		if err != nil {
-			return err
-		}
-		defer func() {
-			fmt.Fprintln(os.Stderr, "diam2sim:", st.Summary())
-			if cerr := st.Close(); cerr != nil {
-				fmt.Fprintln(os.Stderr, "diam2sim: store close:", cerr)
-			}
-		}()
-		sc.Sched.Store = st
-		sc.Sched.Force = force
+	closeStore, err := st.Attach("diam2sim", &sc, false)
+	if err != nil {
+		return err
 	}
+	defer closeStore()
 	ugal := preset.BestAdaptive
 	if ni > 0 {
 		ugal.NI = ni
@@ -330,7 +281,7 @@ func run(ctx context.Context, topoName, algName, pattern, exchange string, load 
 		fmt.Printf("effective throughput %.1f%% of injection bandwidth\n", eff*100)
 		printResults(res)
 		simRate()
-		return tel.report(sink)
+		return report(tel, sink)
 	}
 
 	var pat harness.PatternKind
@@ -355,7 +306,7 @@ func run(ctx context.Context, topoName, algName, pattern, exchange string, load 
 		fmt.Printf("saturation load (%s, %s): %.3f of injection bandwidth\n", pattern, algName, sat)
 		simRate()
 		fmt.Fprintf(os.Stderr, "diam2sim: %d points in %s wall time\n", len(curve), time.Since(start).Round(time.Millisecond))
-		return tel.report(sink)
+		return report(tel, sink)
 	}
 	res, err := harness.RunSynthetic(tp, alg, ugal, pat, load, sc)
 	if err != nil {
@@ -366,7 +317,7 @@ func run(ctx context.Context, topoName, algName, pattern, exchange string, load 
 	fmt.Printf("delivered throughput %.1f%% of injection bandwidth\n", res.Throughput*100)
 	printResults(res)
 	simRate()
-	return tel.report(sink)
+	return report(tel, sink)
 }
 
 func printResults(res sim.Results) {

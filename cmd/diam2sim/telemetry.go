@@ -2,45 +2,13 @@ package main
 
 import (
 	"fmt"
-	"os"
 
+	"diam2/internal/cliflags"
 	"diam2/internal/harness"
-	"diam2/internal/telemetry"
 )
 
-// telOpts carries the -telemetry/-trace-out/-http flag values.
-type telOpts struct {
-	enabled  bool
-	traceOut string
-	httpAddr string
-}
-
-// setup wires a telemetry sink (and, with -http, a live registry) into
-// the scale. It returns the sink (nil when disabled) and a teardown
-// function for the HTTP server.
-func (o telOpts) setup(sc *harness.Scale) (*harness.TelemetrySink, func(), error) {
-	if !o.enabled {
-		return nil, func() {}, nil
-	}
-	sink := &harness.TelemetrySink{}
-	sc.Telemetry = harness.TelemetryPlan{Sink: sink}
-	shutdown := func() {}
-	if o.httpAddr != "" {
-		reg := telemetry.NewRegistry()
-		reg.PublishExpvar()
-		sc.Telemetry.Registry = reg
-		addr, stop, err := reg.Serve(o.httpAddr)
-		if err != nil {
-			return nil, nil, err
-		}
-		fmt.Fprintf(os.Stderr, "telemetry: live at http://%s/telemetry (pprof under /debug/pprof/)\n", addr)
-		shutdown = func() { _ = stop() }
-	}
-	return sink, shutdown, nil
-}
-
 // report prints the telemetry summary and writes the JSONL trace.
-func (o telOpts) report(sink *harness.TelemetrySink) error {
+func report(tel cliflags.Telemetry, sink *harness.TelemetrySink) error {
 	if sink == nil {
 		return nil
 	}
@@ -68,19 +36,5 @@ func (o telOpts) report(sink *harness.TelemetrySink) error {
 		}
 		fmt.Printf("  %4d -> %-4d %10d  %.3f\n", l.From, l.To, l.Flits, l.Load)
 	}
-	if o.traceOut != "" {
-		f, err := os.Create(o.traceOut)
-		if err != nil {
-			return err
-		}
-		if err := sink.WriteTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "telemetry: event trace written to %s\n", o.traceOut)
-	}
-	return nil
+	return tel.Export(sink)
 }

@@ -51,7 +51,7 @@ import (
 	"io"
 	"os"
 
-	"diam2/internal/buildinfo"
+	"diam2/internal/cliflags"
 	"diam2/internal/sim"
 	"diam2/internal/store"
 )
@@ -59,16 +59,10 @@ import (
 func main() {
 	var (
 		dir     = flag.String("store", "", "store directory (required)")
-		version = flag.Bool("version", false, "print build/version info and exit")
 		verbose = flag.Bool("v", false, "list: full canonical keys and payloads")
 		dryRun  = flag.Bool("dry-run", false, "gc: report without rewriting")
 	)
-	flag.Parse()
-	if *version {
-		fmt.Println(buildinfo.Banner("diam2store"))
-		fmt.Printf("engine schema %d, store schema %d\n", sim.EngineSchema, store.Schema)
-		return
-	}
+	cliflags.Parse("diam2store")
 	if *dir == "" || flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: diam2store -store DIR {list|stats|verify|diff OTHERDIR|gc}")
 		os.Exit(2)

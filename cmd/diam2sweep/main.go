@@ -100,9 +100,8 @@ import (
 
 	"diam2/internal/buildinfo"
 	"diam2/internal/campaign"
+	"diam2/internal/cliflags"
 	"diam2/internal/harness"
-	"diam2/internal/sim"
-	"diam2/internal/store"
 )
 
 func main() {
@@ -116,37 +115,28 @@ func main() {
 		jobs      = flag.Int("j", 0, "sweep worker-pool size: independent points in parallel (0: all CPUs, 1: serial); orthogonal to -cores")
 		cores     = flag.Int("cores", 1, "threads *within* each simulation (sharded engine; 1: serial engine); orthogonal to -j, not bit-identical to serial")
 		progress  = flag.Bool("progress", false, "report each completed sweep point on stderr")
-		storeDir  = flag.String("store", "", "content-addressed result store: reuse completed points, record the rest (resumes interrupted campaigns)")
-		force     = flag.Bool("force", false, "with -store, recompute every point (fresh results still recorded)")
-		version   = flag.Bool("version", false, "print build/version info and exit")
 
 		screen      = flag.Bool("screen", false, "screening tier: answer the oblivious sweep grid analytically (fluid model) instead of regenerating a figure")
 		screenGrid  = flag.Int("screen-grid", 0, "with -screen, offered-load ladder size, evenly spaced in (0,1] (0: the default figure ladder)")
 		escBand     = flag.Float64("escalate-band", 0, "with -screen, re-simulate screened points within this relative band of their predicted saturation, plus family-crossover brackets (0: screen only)")
 		screenCheck = flag.Bool("screen-check", false, "with -screen and -escalate-band, fail if any escalated point's fluid estimate misses its recorded calibration tolerance")
 
-		campaignOn = flag.Bool("campaign", false, "join -store as one of several cooperating worker processes (leases, heartbeats, retries; see README, \"Distributed campaigns\")")
-		workerID   = flag.String("worker-id", "", "campaign worker ID, unique per live worker (default: host-pid)")
-		leaseTTL   = flag.Duration("lease-ttl", campaign.DefaultLeaseTTL, "campaign lease time-to-live: a worker silent this long loses its points to the others")
-		watchdogD  = flag.Duration("watchdog", 0, "campaign per-attempt timeout: a point attempt running longer is cancelled, retried and eventually quarantined (0: off)")
-		retries    = flag.Int("retries", campaign.DefaultMaxAttempts, "campaign attempts per point (across all workers) before quarantine")
-		backoffD   = flag.Duration("backoff", campaign.DefaultBaseBackoff, "campaign base backoff after a failed attempt (doubles per attempt, jittered)")
-
 		cpuProfile   = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
 		memProfile   = flag.String("memprofile", "", "write a pprof allocation profile at exit to this file")
 		traceProfile = flag.String("traceprofile", "", "write a runtime execution trace of the sweep to this file (go tool trace; shows -cores barrier waits and -j worker scheduling)")
 
-		telemetryOn = flag.Bool("telemetry", false, "collect unified telemetry for every sweep point")
-		traceOut    = flag.String("trace-out", "", "write the per-point flight-recorder traces as JSONL to this file (implies -telemetry)")
-		heatmapOut  = flag.String("heatmap", "", "write the aggregated congestion heatmap as CSV to this file (implies -telemetry)")
-		httpAddr    = flag.String("http", "", "serve /telemetry, /debug/vars and /debug/pprof on this address, e.g. :6060 (implies -telemetry)")
+		st   cliflags.Store
+		camp cliflags.Campaign
+		tel  cliflags.Telemetry
 	)
-	flag.Parse()
-	if *version {
-		fmt.Println(buildinfo.Banner("diam2sweep"))
-		fmt.Printf("engine schema %d, store schema %d\n", sim.EngineSchema, store.Schema)
-		return
-	}
+	st.Register()
+	camp.Register()
+	tel.Register(true)
+	flag.DurationVar(&camp.Policy.LeaseTTL, "lease-ttl", campaign.DefaultLeaseTTL, "campaign lease time-to-live: a worker silent this long loses its points to the others")
+	flag.DurationVar(&camp.Policy.Watchdog, "watchdog", 0, "campaign per-attempt timeout: a point attempt running longer is cancelled, retried and eventually quarantined (0: off)")
+	flag.IntVar(&camp.Policy.MaxAttempts, "retries", campaign.DefaultMaxAttempts, "campaign attempts per point (across all workers) before quarantine")
+	flag.DurationVar(&camp.Policy.BaseBackoff, "backoff", campaign.DefaultBaseBackoff, "campaign base backoff after a failed attempt (doubles per attempt, jittered)")
+	cliflags.Parse("diam2sweep")
 	if *fig == "" && !*screen {
 		flag.Usage()
 		os.Exit(2)
@@ -155,12 +145,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "diam2sweep: -screen replaces -fig (the screening tier covers the whole oblivious grid); pass one or the other")
 		os.Exit(2)
 	}
-	if *campaignOn {
-		if *storeDir == "" {
+	if camp.On {
+		if st.Dir == "" {
 			fmt.Fprintln(os.Stderr, "diam2sweep: -campaign requires -store (workers coordinate through the store directory)")
 			os.Exit(2)
 		}
-		if *telemetryOn || *traceOut != "" || *heatmapOut != "" {
+		if tel.Collecting() {
 			fmt.Fprintln(os.Stderr, "diam2sweep: -campaign is incompatible with telemetry collection (telemetry bypasses the store lookups campaigns depend on; run a dedicated -telemetry sweep instead)")
 			os.Exit(2)
 		}
@@ -172,28 +162,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "diam2sweep:", err)
 		os.Exit(1)
 	}
-	tel := telOpts{
-		enabled:  *telemetryOn || *traceOut != "" || *heatmapOut != "" || *httpAddr != "",
-		traceOut: *traceOut,
-		heatmap:  *heatmapOut,
-		httpAddr: *httpAddr,
-		campaign: *campaignOn,
-	}
-	camp := campaignOpts{
-		enabled:  *campaignOn,
-		workerID: *workerID,
-		leaseTTL: *leaseTTL,
-		watchdog: *watchdogD,
-		retries:  *retries,
-		backoff:  *backoffD,
-	}
 	scr := screenOpts{
 		enabled: *screen,
 		band:    *escBand,
 		grid:    *screenGrid,
 		check:   *screenCheck,
 	}
-	runErr := run(ctx, *fig, *scaleName, *seed, *plotDir, *ascii, *csvDir, *jobs, *cores, *progress, tel, *storeDir, *force, camp, scr)
+	runErr := run(ctx, *fig, *scaleName, *seed, *plotDir, *ascii, *csvDir, *jobs, *cores, *progress, tel, st, camp, scr)
 	if err := stopProf(); err != nil {
 		fmt.Fprintln(os.Stderr, "diam2sweep:", err)
 		os.Exit(1)
@@ -209,15 +184,7 @@ func main() {
 	}
 }
 
-// campaignOpts carries the -campaign flag group.
-type campaignOpts struct {
-	enabled                     bool
-	workerID                    string
-	leaseTTL, watchdog, backoff time.Duration
-	retries                     int
-}
-
-func run(ctx context.Context, fig, scaleName string, seed int64, plotDir string, ascii bool, csvDir string, jobs, cores int, progress bool, tel telOpts, storeDir string, force bool, camp campaignOpts, scr screenOpts) error {
+func run(ctx context.Context, fig, scaleName string, seed int64, plotDir string, ascii bool, csvDir string, jobs, cores int, progress bool, tel cliflags.Telemetry, stf cliflags.Store, camp cliflags.Campaign, scr screenOpts) error {
 	for _, dir := range []string{plotDir, csvDir} {
 		if dir != "" {
 			if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -275,54 +242,28 @@ func run(ctx context.Context, fig, scaleName string, seed int64, plotDir string,
 			}
 		},
 	}
-	sink, reg, telShutdown, err := tel.setup(&sc)
+	// Campaign workers serve the -http endpoints but collect nothing:
+	// they rely on the store lookups that collection bypasses.
+	sink, reg, telShutdown, err := tel.Setup(&sc, camp.On)
 	if err != nil {
 		return err
 	}
 	defer telShutdown()
-	var st *store.Store
-	if storeDir != "" {
-		if camp.enabled {
-			st, err = store.OpenCLICampaign(storeDir, "diam2sweep")
-		} else {
-			st, err = store.OpenCLI(storeDir, "diam2sweep")
-		}
-		if err != nil {
-			return err
-		}
-		defer func() {
-			fmt.Fprintln(os.Stderr, "diam2sweep:", st.Summary())
-			if cerr := st.Close(); cerr != nil {
-				fmt.Fprintln(os.Stderr, "diam2sweep: store close:", cerr)
-			}
-		}()
-		sc.Sched.Store = st
-		sc.Sched.Force = force
-		if sink != nil {
-			fmt.Fprintln(os.Stderr, "diam2sweep: telemetry collection recomputes every point (store lookups bypassed, results still recorded)")
-		}
+	closeStore, err := stf.Attach("diam2sweep", &sc, camp.On)
+	if err != nil {
+		return err
 	}
-	if camp.enabled {
-		owner := camp.workerID
-		if owner == "" {
-			host, _ := os.Hostname()
-			if host == "" {
-				host = "worker"
-			}
-			owner = fmt.Sprintf("%s-%d", host, os.Getpid())
-		}
-		worker, err = campaign.NewWorker(campaign.DirFor(storeDir), owner, campaign.Policy{
-			LeaseTTL:    camp.leaseTTL,
-			Watchdog:    camp.watchdog,
-			MaxAttempts: camp.retries,
-			BaseBackoff: camp.backoff,
-		})
-		if err != nil {
-			return err
-		}
+	defer closeStore()
+	if sink != nil && sc.Sched.Store != nil {
+		fmt.Fprintln(os.Stderr, "diam2sweep: telemetry collection recomputes every point (store lookups bypassed, results still recorded)")
+	}
+	worker, err = camp.Join("diam2sweep", stf.Dir, reg)
+	if err != nil {
+		return err
+	}
+	if worker != nil {
 		defer func() { _ = worker.Close() }()
 		sc.Sched.Campaign = worker
-		fmt.Fprintf(os.Stderr, "diam2sweep: campaign worker %s joined %s\n", owner, worker.Dir())
 		// Record what this campaign computes (first submitter wins; a
 		// coordinator's explicit submit may already have).
 		_ = campaign.WriteManifest(worker.Dir(), campaign.Manifest{
@@ -343,16 +284,6 @@ func run(ctx context.Context, fig, scaleName string, seed int64, plotDir string,
 				worker.Drain()
 			}
 		}()
-		if reg != nil {
-			dir := worker.Dir()
-			reg.SetCampaign(func() any {
-				stat, err := campaign.Scan(dir)
-				if err != nil {
-					return map[string]string{"error": err.Error()}
-				}
-				return stat
-			})
-		}
 	}
 	workers := jobs
 	if workers <= 0 {
@@ -380,21 +311,14 @@ func run(ctx context.Context, fig, scaleName string, seed int64, plotDir string,
 		if err := runScreen(sc, presets, scr, csvDir); err != nil {
 			return err
 		}
-		return tel.finish(sink)
+		return exportTelemetry(tel, sink)
 	}
 
 	// Preset lookup by family for the per-topology adaptive figures.
 	byFamily := map[string]harness.Preset{}
 	for _, p := range presets {
-		switch {
-		case p.SFStyle:
-			if _, ok := byFamily["SF"]; !ok { // first SF preset (p = floor)
-				byFamily["SF"] = p
-			}
-		case p.Name[:4] == "MLFM":
-			byFamily["MLFM"] = p
-		default:
-			byFamily["OFT"] = p
+		if _, ok := byFamily[p.Family()]; !ok { // the family's first preset (SF: p = floor)
+			byFamily[p.Family()] = p
 		}
 	}
 	loads := harness.DefaultLoads()
@@ -502,5 +426,16 @@ func run(ctx context.Context, fig, scaleName string, seed int64, plotDir string,
 			return fmt.Errorf("fig %s: %w", f, err)
 		}
 	}
-	return tel.finish(sink)
+	return exportTelemetry(tel, sink)
+}
+
+// exportTelemetry prints the sweep's one-line telemetry summary and
+// writes the -trace-out and -heatmap files.
+func exportTelemetry(tel cliflags.Telemetry, sink *harness.TelemetrySink) error {
+	if sink != nil {
+		tot := sink.Totals()
+		fmt.Fprintf(os.Stderr, "telemetry: %d points, injected=%d delivered=%d dropped=%d link-flits=%d\n",
+			tot.Points, tot.Injected, tot.Delivered, tot.Dropped, tot.LinkFlits)
+	}
+	return tel.Export(sink)
 }

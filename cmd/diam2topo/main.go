@@ -18,7 +18,7 @@ import (
 	"fmt"
 	"os"
 
-	"diam2/internal/buildinfo"
+	"diam2/internal/cliflags"
 	"diam2/internal/harness"
 	"diam2/internal/partition"
 	"diam2/internal/topo"
@@ -40,13 +40,8 @@ func main() {
 		exportEL  = flag.String("edgelist", "", "write the named paper topology as an edge list to stdout")
 		fluidSat  = flag.Bool("fluid", false, "analytic (fluid-model) saturation loads for the paper configurations")
 		draw      = flag.String("draw", "", "write a Fig. 1-style SVG diagram of the named topology (sf9|sf10|mlfm|oft) to stdout")
-		version   = flag.Bool("version", false, "print build/version info and exit")
 	)
-	flag.Parse()
-	if *version {
-		fmt.Println(buildinfo.Banner("diam2topo"))
-		return
-	}
+	cliflags.Parse("diam2topo")
 	if !*summary && !*scaling && !*bisection && *ml3b == 0 && !*diversity && !*lambda2 && !*fluidSat && *exportDOT == "" && *exportEL == "" && *draw == "" {
 		flag.Usage()
 		os.Exit(2)
@@ -95,11 +90,7 @@ func fluidTable(seed int64) error {
 // paperTopo resolves a short name to a built paper topology.
 func paperTopo(name string) (topo.Topology, error) {
 	for _, p := range harness.PaperPresets() {
-		short := map[string]string{
-			"SF(q=13,p=9)": "sf9", "SF(q=13,p=10)": "sf10",
-			"MLFM(h=15)": "mlfm", "OFT(k=12)": "oft",
-		}[p.Name]
-		if short == name {
+		if p.Short == name {
 			return p.Build()
 		}
 	}

@@ -1,0 +1,210 @@
+// Package cliflags declares the flag groups the diam2 binaries share
+// (-version, the resumable -store, the -campaign worker, the -telemetry
+// observers) together with the wiring behind each, so that a flag is
+// declared and its subsystem opened in one place. Register methods
+// declare on flag.CommandLine; call them before Parse.
+package cliflags
+
+import (
+	"flag"
+	"fmt"
+	"io"
+	"os"
+
+	"diam2/internal/buildinfo"
+	"diam2/internal/campaign"
+	"diam2/internal/harness"
+	"diam2/internal/sim"
+	"diam2/internal/store"
+	"diam2/internal/telemetry"
+)
+
+// Parse declares -version and parses the command line; under -version
+// it prints the build banner and the schema versions, and exits.
+func Parse(prog string) {
+	version := flag.Bool("version", false, "print build/version info and exit")
+	flag.Parse()
+	if *version {
+		fmt.Println(buildinfo.Banner(prog))
+		fmt.Printf("engine schema %d, store schema %d\n", sim.EngineSchema, store.Schema)
+		os.Exit(0)
+	}
+}
+
+// Store is the resumable-sweep flag group: -store and -force.
+type Store struct {
+	Dir   string
+	Force bool
+}
+
+// Register declares the group's flags.
+func (s *Store) Register() {
+	flag.StringVar(&s.Dir, "store", "", "content-addressed result store: reuse completed sweep points, record the rest (resumes interrupted sweeps)")
+	flag.BoolVar(&s.Force, "force", false, "with -store, recompute every point (fresh results still recorded)")
+}
+
+// Attach opens the store (creating it if needed; under the shared
+// campaign lock when shared) and hangs it on sc.Sched. The returned
+// func prints the run's store summary and closes the store. Without
+// -store, Attach does nothing.
+func (s Store) Attach(prog string, sc *harness.Scale, shared bool) (func(), error) {
+	if s.Dir == "" {
+		return func() {}, nil
+	}
+	open := store.OpenCLI
+	if shared {
+		open = store.OpenCLICampaign
+	}
+	st, err := open(s.Dir, prog)
+	if err != nil {
+		return nil, err
+	}
+	sc.Sched.Store, sc.Sched.Force = st, s.Force
+	return func() {
+		fmt.Fprintf(os.Stderr, "%s: %s\n", prog, st.Summary())
+		if err := st.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: store close: %v\n", prog, err)
+		}
+	}, nil
+}
+
+// Campaign is the cooperating-worker flag group: -campaign and
+// -worker-id. Policy is the worker's lease policy; binaries that
+// expose its knobs bind their own flags to its fields.
+type Campaign struct {
+	On       bool
+	WorkerID string
+	Policy   campaign.Policy
+}
+
+// Register declares the group's flags.
+func (c *Campaign) Register() {
+	flag.BoolVar(&c.On, "campaign", false, "join -store as one of several cooperating worker processes (leases, heartbeats, retries; see README, \"Distributed campaigns\")")
+	flag.StringVar(&c.WorkerID, "worker-id", "", "campaign worker ID, unique per live worker (default: host-pid)")
+}
+
+// Join registers this process as a worker of the campaign in storeDir
+// and points reg's /campaign endpoint (reg may be nil) at it. Without
+// -campaign it returns a nil worker. The caller closes the worker.
+func (c Campaign) Join(prog, storeDir string, reg *telemetry.Registry) (*campaign.Worker, error) {
+	if !c.On {
+		return nil, nil
+	}
+	owner := c.WorkerID
+	if owner == "" {
+		host, _ := os.Hostname()
+		if host == "" {
+			host = "worker"
+		}
+		owner = fmt.Sprintf("%s-%d", host, os.Getpid())
+	}
+	w, err := campaign.NewWorker(campaign.DirFor(storeDir), owner, c.Policy)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(os.Stderr, "%s: campaign worker %s joined %s\n", prog, owner, w.Dir())
+	ServeCampaign(reg, w.Dir())
+	return w, nil
+}
+
+// ServeCampaign makes reg's /campaign endpoint answer with a fresh
+// scan of the campaign directory.
+func ServeCampaign(reg *telemetry.Registry, dir string) {
+	reg.SetCampaign(func() any {
+		st, err := campaign.Scan(dir)
+		if err != nil {
+			return map[string]string{"error": err.Error()}
+		}
+		return st
+	})
+}
+
+// Telemetry is the observability flag group: -telemetry, -trace-out,
+// -http and, for binaries that aggregate one across points, -heatmap.
+type Telemetry struct {
+	On                      bool
+	TraceOut, Heatmap, HTTP string
+}
+
+// Register declares the group's flags.
+func (t *Telemetry) Register(heatmap bool) {
+	flag.BoolVar(&t.On, "telemetry", false, "collect unified telemetry (congestion heatmap, latency split, flight recorder) for every simulated point")
+	flag.StringVar(&t.TraceOut, "trace-out", "", "write the per-point flight-recorder traces as JSONL to this file (implies -telemetry)")
+	flag.StringVar(&t.HTTP, "http", "", "serve /telemetry, /debug/vars and /debug/pprof on this address, e.g. :6060 (implies -telemetry)")
+	if heatmap {
+		flag.StringVar(&t.Heatmap, "heatmap", "", "write the aggregated congestion heatmap as CSV to this file (implies -telemetry)")
+	}
+}
+
+// Collecting reports whether a flag other than -http asked for
+// per-point collection (-http alone collects too, unless Setup is
+// told to only serve).
+func (t Telemetry) Collecting() bool {
+	return t.On || t.TraceOut != "" || t.Heatmap != ""
+}
+
+// Setup wires a telemetry sink and, with -http, a live registry into
+// the scale. It returns the sink (nil when telemetry is off), the
+// registry (nil without -http) and the HTTP teardown func. serveOnly
+// keeps the -http endpoints, /campaign included, but collects nothing:
+// campaign workers rely on the store lookups collection bypasses.
+func (t Telemetry) Setup(sc *harness.Scale, serveOnly bool) (*harness.TelemetrySink, *telemetry.Registry, func(), error) {
+	shutdown := func() {}
+	if !t.Collecting() && t.HTTP == "" {
+		return nil, nil, shutdown, nil
+	}
+	var sink *harness.TelemetrySink
+	if !serveOnly {
+		sink = &harness.TelemetrySink{}
+		sc.Telemetry.Sink = sink
+	}
+	var reg *telemetry.Registry
+	if t.HTTP != "" {
+		reg = telemetry.NewRegistry()
+		reg.PublishExpvar()
+		if sink != nil {
+			sc.Telemetry.Registry = reg
+		}
+		addr, stop, err := reg.Serve(t.HTTP)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		endpoints := "/telemetry"
+		if serveOnly {
+			endpoints = "/campaign and /telemetry"
+		}
+		fmt.Fprintf(os.Stderr, "telemetry: live at http://%s%s (pprof under /debug/pprof/)\n", addr, endpoints)
+		shutdown = func() { _ = stop() }
+	}
+	return sink, reg, shutdown, nil
+}
+
+// Export writes the sink's event trace (-trace-out) and aggregated
+// congestion heatmap (-heatmap); a nil sink exports nothing.
+func (t Telemetry) Export(sink *harness.TelemetrySink) error {
+	if sink == nil {
+		return nil
+	}
+	write := func(path, what string, render func(io.Writer) error) error {
+		if path == "" {
+			return nil
+		}
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		if err := render(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "telemetry: %s written to %s\n", what, path)
+		return nil
+	}
+	if err := write(t.TraceOut, "event trace", sink.WriteTrace); err != nil {
+		return err
+	}
+	return write(t.Heatmap, "congestion heatmap", sink.WriteHeatmapCSV)
+}

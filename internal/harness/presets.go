@@ -19,7 +19,9 @@ type UGALConfig = routing.UGALConfig
 // Preset names one evaluated topology configuration together with the
 // adaptive-routing constants the paper found to work best for it.
 type Preset struct {
-	Name  string
+	Name string
+	// Short is the preset's command-line name (-topo sf9, -draw mlfm).
+	Short string
 	Build func() (topo.Topology, error)
 	// BestAdaptive returns the paper's preferred adaptive
 	// configuration for this topology (used in Figs. 13 and 14).
@@ -34,23 +36,27 @@ func PaperPresets() []Preset {
 	return []Preset{
 		{
 			Name:         "SF(q=13,p=9)",
+			Short:        "sf9",
 			Build:        func() (topo.Topology, error) { return topo.NewSlimFly(13, topo.RoundDown) },
 			BestAdaptive: routing.UGALConfig{NI: 4, CSF: 1, SFCost: true},
 			SFStyle:      true,
 		},
 		{
 			Name:         "SF(q=13,p=10)",
+			Short:        "sf10",
 			Build:        func() (topo.Topology, error) { return topo.NewSlimFly(13, topo.RoundUp) },
 			BestAdaptive: routing.UGALConfig{NI: 4, CSF: 1, SFCost: true},
 			SFStyle:      true,
 		},
 		{
 			Name:         "MLFM(h=15)",
+			Short:        "mlfm",
 			Build:        func() (topo.Topology, error) { return topo.NewMLFM(15) },
 			BestAdaptive: routing.UGALConfig{NI: 5, C: 2},
 		},
 		{
 			Name:         "OFT(k=12)",
+			Short:        "oft",
 			Build:        func() (topo.Topology, error) { return topo.NewOFT(12) },
 			BestAdaptive: routing.UGALConfig{NI: 1, C: 2},
 		},
@@ -63,21 +69,35 @@ func SmallPresets() []Preset {
 	return []Preset{
 		{
 			Name:         "SF(q=5,p=3)",
+			Short:        "sf-small",
 			Build:        func() (topo.Topology, error) { return topo.NewSlimFly(5, topo.RoundDown) },
 			BestAdaptive: routing.UGALConfig{NI: 4, CSF: 1, SFCost: true},
 			SFStyle:      true,
 		},
 		{
 			Name:         "MLFM(h=6)",
+			Short:        "mlfm-small",
 			Build:        func() (topo.Topology, error) { return topo.NewMLFM(6) },
 			BestAdaptive: routing.UGALConfig{NI: 5, C: 2},
 		},
 		{
 			Name:         "OFT(k=6)",
+			Short:        "oft-small",
 			Build:        func() (topo.Topology, error) { return topo.NewOFT(6) },
 			BestAdaptive: routing.UGALConfig{NI: 1, C: 2},
 		},
 	}
+}
+
+// PresetByShort resolves a command-line topology name among the paper
+// and small presets.
+func PresetByShort(name string) (Preset, error) {
+	for _, p := range append(PaperPresets(), SmallPresets()...) {
+		if p.Short == name {
+			return p, nil
+		}
+	}
+	return Preset{}, fmt.Errorf("unknown topology %q", name)
 }
 
 // AlgKind selects a routing strategy for a run.

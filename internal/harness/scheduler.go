@@ -71,12 +71,6 @@ type Sched struct {
 	// Workers is the worker-pool size: 1 runs serially on the calling
 	// goroutine, <= 0 means GOMAXPROCS.
 	Workers int
-	// Window bounds the results buffered ahead of the in-order emit
-	// frontier (the scheduler's only unbounded-memory risk when one
-	// early point is much slower than its successors). <= 0 picks
-	// 4x the worker count; values below the worker count would only
-	// idle workers and are raised to it.
-	Window int
 	// OnPoint, if set, observes every completed point.
 	OnPoint Progress
 	// Ctx, if set, cancels the sweep; nil means context.Background().
@@ -119,17 +113,6 @@ func (s Sched) workers(n int) int {
 	}
 	if w < 1 {
 		w = 1
-	}
-	return w
-}
-
-func (s Sched) window(workers int) int {
-	w := s.Window
-	if w <= 0 {
-		w = 4 * workers
-	}
-	if w < workers {
-		w = workers
 	}
 	return w
 }
@@ -213,7 +196,11 @@ func RunPoints[T any](sc Scale, points []Point[T], emit func(i int, res T) error
 		return errors.New("harness: Sched.Campaign requires Sched.Store (leases are keyed by canonical store keys)")
 	}
 	if sc.Sched.Store != nil {
-		points = storePoints(sc, points)
+		wrapped := make([]Point[T], n)
+		for i, p := range points {
+			wrapped[i] = stored(sc, p)
+		}
+		points = wrapped
 	}
 	w := sc.Sched.workers(n)
 	if w == 1 {
@@ -222,7 +209,10 @@ func RunPoints[T any](sc Scale, points []Point[T], emit func(i int, res T) error
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	window := sc.Sched.window(w)
+	// Results buffered ahead of the in-order emit frontier are bounded
+	// (the scheduler's only unbounded-memory risk when one early point
+	// is much slower than its successors).
+	window := 4 * w
 	sem := make(chan struct{}, window) // dispatched-but-not-emitted bound
 	indices := make(chan int)
 	results := make(chan outcome[T], w)

@@ -247,9 +247,9 @@ func TestRunPointsCancelPrompt(t *testing.T) {
 
 // TestRunPointsWindowBound checks the bounded-memory contract: the
 // number of points dispatched beyond the in-order emit frontier never
-// exceeds the window.
+// exceeds the window (4x the worker count).
 func TestRunPointsWindowBound(t *testing.T) {
-	const n, workers, window = 64, 4, 5
+	const n, workers, window = 64, 2, 8
 	var emitted atomic.Int64
 	var maxAhead atomic.Int64
 	points := make([]Point[int], n)
@@ -274,7 +274,7 @@ func TestRunPointsWindowBound(t *testing.T) {
 			},
 		}
 	}
-	err := RunPoints(schedScale(1, Sched{Workers: workers, Window: window}), points, func(int, int) error {
+	err := RunPoints(schedScale(1, Sched{Workers: workers}), points, func(int, int) error {
 		emitted.Add(1)
 		return nil
 	})
@@ -331,8 +331,7 @@ func TestRunPointsProgress(t *testing.T) {
 }
 
 // TestSchedDefaults pins the knob resolution: zero Sched uses
-// GOMAXPROCS workers, the window never drops below the worker count,
-// and worker counts are clamped to the sweep size.
+// GOMAXPROCS workers and worker counts are clamped to the sweep size.
 func TestSchedDefaults(t *testing.T) {
 	var s Sched
 	if got := s.workers(1000); got < 1 {
@@ -347,11 +346,5 @@ func TestSchedDefaults(t *testing.T) {
 	}
 	if got := (Sched{Workers: -1}).workers(2); got != want {
 		t.Errorf("negative workers resolves to %d, want min(GOMAXPROCS, 2) = %d", got, want)
-	}
-	if got := (Sched{Window: 2}).window(8); got != 8 {
-		t.Errorf("window below workers resolves to %d, want 8", got)
-	}
-	if got := (Sched{}).window(3); got != 12 {
-		t.Errorf("default window = %d, want 4x workers = 12", got)
 	}
 }

@@ -14,16 +14,17 @@ import (
 )
 
 // This file wires the content-addressed experiment store (see
-// internal/store) into the scheduler. When Sched.Store is set, every
-// sweep point is wrapped so that it first consults the store under its
-// canonical key — a digest of the fully-resolved point configuration
-// plus sim.EngineSchema — and only recomputes on a miss; every computed
-// result is appended to the store with its provenance. Cache hits are
-// ordinary (fast) points to the scheduler: they flow through the same
-// in-order emit machinery, so a warm resume produces byte-identical
-// figure output to a cold serial run. The payloads are JSON; Go's
-// encoding round-trips float64 exactly, so rendered tables cannot
-// drift between a computed and a replayed result.
+// internal/store) into the scheduler, in three pieces: canonicalKey
+// derives a point's content address, Lookup fetches and decodes a
+// stored result, and stored wraps a point so that it first consults
+// the store under its canonical key — a digest of the fully-resolved
+// point configuration plus sim.EngineSchema — and only recomputes on a
+// miss; every computed result is appended with its provenance. Cache
+// hits are ordinary (fast) points to the scheduler: they flow through
+// the same in-order emit machinery, so a warm resume produces
+// byte-identical figure output to a cold serial run. The payloads are
+// JSON; Go's encoding round-trips float64 exactly, so rendered tables
+// cannot drift between a computed and a replayed result.
 //
 // Telemetry interplay: a cache hit never runs an engine, so it cannot
 // produce a telemetry bundle. Rather than emit sweeps whose telemetry
@@ -37,7 +38,7 @@ import (
 // this scale. Everything that can change the point's output is in the
 // point key (topology, algorithm, pattern, per-point load or failure
 // fraction), in these fields, or — for adaptive algorithms — in the
-// point's pinned UGAL configuration (storePoints folds Point.UGAL in).
+// point's pinned UGAL configuration (canonicalKey folds Point.UGAL in).
 func (s Scale) pointConfig(pointKey string) store.PointConfig {
 	cores := s.Cores
 	if cores <= 1 {
@@ -67,154 +68,130 @@ func (s Scale) pointConfig(pointKey string) store.PointConfig {
 	}
 }
 
-// CanonicalPointKey resolves the content address a point with this
-// scheduler key stores under at this scale — the key a sweep consults
-// before recomputing, and the one the query service uses to recognize
-// already-answered points. Points that pin a UGAL configuration
-// (adaptive sweeps) fold it in separately (see storePoints) and are
-// not covered.
+// canonicalKey is the only derivation of the content address a point
+// stores under at a scale: the scale's resolved configuration plus the
+// point's pinned UGAL configuration, if any.
+func canonicalKey[T any](sc Scale, p Point[T]) string {
+	cfg := sc.pointConfig(p.Key)
+	if p.UGAL != nil {
+		cfg.HasUGAL = true
+		cfg.UGALNI = p.UGAL.NI
+		cfg.UGALC = p.UGAL.C
+		cfg.UGALCSF = p.UGAL.CSF
+		cfg.UGALSFCost = p.UGAL.SFCost
+		cfg.UGALThreshold = p.UGAL.Threshold
+	}
+	return cfg.Key()
+}
+
+// CanonicalPointKey is canonicalKey for a point that pins no UGAL
+// configuration, by its scheduler key alone.
 func (s Scale) CanonicalPointKey(pointKey string) string {
-	return s.pointConfig(pointKey).Key()
+	return canonicalKey(s, Point[struct{}]{Key: pointKey})
 }
 
-// storePoints wraps a sweep's points with store consultation and
-// recording. Lookups are skipped under -force and whenever telemetry
-// is collecting (see the file comment); recording always happens.
-// With Sched.Campaign set, the wrapping additionally runs every point
-// through the multi-process lease protocol (see campaignRun).
-func storePoints[T any](sc Scale, points []Point[T]) []Point[T] {
-	st := sc.Sched.Store
-	lookup := !sc.Sched.Force && sc.Telemetry.Sink == nil
-	out := make([]Point[T], len(points))
-	for i, p := range points {
-		cfg := sc.pointConfig(p.Key)
-		if p.UGAL != nil {
-			cfg.HasUGAL = true
-			cfg.UGALNI = p.UGAL.NI
-			cfg.UGALC = p.UGAL.C
-			cfg.UGALCSF = p.UGAL.CSF
-			cfg.UGALSFCost = p.UGAL.SFCost
-			cfg.UGALThreshold = p.UGAL.Threshold
-		}
-		key := cfg.Key()
-		run := p.Run
-		pointKey := p.Key
-		if sc.Sched.Campaign != nil {
-			out[i] = Point[T]{Key: p.Key, Run: campaignRun(sc, key, pointKey, run, lookup)}
-			continue
-		}
-		out[i] = Point[T]{
-			Key: p.Key,
-			Run: func(ctx context.Context, seed int64) (T, error) {
-				if lookup {
-					if rec, ok := st.Get(key); ok {
-						var v T
-						if err := json.Unmarshal(rec.Payload, &v); err == nil {
-							return v, nil
-						}
-						// Payload no longer decodes as T (the result
-						// type changed without an EngineSchema bump):
-						// treat as a miss and overwrite below.
-					}
-				}
-				return computeAndRecord(sc, key, pointKey, run, ctx, seed)
-			},
-		}
-	}
-	return out
+// Lookup fetches the stored result of a point from sc.Sched.Store —
+// what a sweep consults before recomputing, and how the query service
+// recognizes already-answered points. It returns the point's canonical
+// key either way. A payload that no longer decodes as T (the result
+// type changed without an EngineSchema bump) is a miss: the caller
+// recomputes and overwrites it.
+func Lookup[T any](sc Scale, p Point[T]) (v T, key string, ok bool) {
+	key = canonicalKey(sc, p)
+	v, ok = lookupKey[T](sc.Sched.Store, key)
+	return v, key, ok
 }
 
-// computeAndRecord runs the point and appends its result to the store
-// with provenance.
-func computeAndRecord[T any](sc Scale, key, pointKey string, run func(ctx context.Context, seed int64) (T, error), ctx context.Context, seed int64) (T, error) {
-	start := time.Now()
-	v, err := run(ctx, seed)
-	if err != nil {
-		return v, err
+// lookupKey is Lookup under an already-derived canonical key: stored
+// derives a point's key once, not once per consultation (a second
+// derivation per point shows in a 30 000-point screening sweep).
+func lookupKey[T any](st *store.Store, key string) (v T, ok bool) {
+	if rec, hit := st.Get(key); hit && json.Unmarshal(rec.Payload, &v) == nil {
+		return v, true
 	}
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return v, err
-	}
-	worker := ""
-	if sc.Sched.Campaign != nil {
-		worker = sc.Sched.Campaign.Owner()
-	}
-	err = sc.Sched.Store.Put(store.Record{
-		Key:          key,
-		Point:        pointKey,
-		Seed:         seed,
-		BaseSeed:     sc.Seed,
-		EngineSchema: sim.EngineSchema,
-		Engine:       buildinfo.Version(),
-		Tier:         sc.Tier,
-		Worker:       worker,
-		WallMS:       float64(time.Since(start)) / float64(time.Millisecond),
-		Created:      time.Now().UTC().Format(time.RFC3339),
-		Payload:      payload,
-	})
-	return v, err
+	var zero T
+	return zero, false
 }
 
-// campaignRun wraps one point for multi-process execution: the
-// worker's Execute drives the lease/heartbeat/retry protocol, Cached
-// consults the shared store (refreshing it so other processes'
-// appends count as hits), and the attempt — panic-captured so a
-// poison point is retried and quarantined instead of killing the pool
-// — computes and records the result. A cache hit is indistinguishable
-// from a computed result downstream, so the in-order emit machinery
-// renders a multi-worker campaign byte-identically to a cold
+// stored wraps a point with store consultation and recording. Lookups
+// are skipped under -force and whenever telemetry is collecting (see
+// the file comment); recording always happens. With Sched.Campaign set
+// the same cached/attempt pair runs under the worker's multi-process
+// lease/heartbeat/retry protocol instead of directly; a cache hit is
+// indistinguishable from a computed result downstream either way, so a
+// multi-worker campaign renders byte-identically to a cold
 // single-process run.
-func campaignRun[T any](sc Scale, key, pointKey string, run func(ctx context.Context, seed int64) (T, error), lookup bool) func(ctx context.Context, seed int64) (T, error) {
+func stored[T any](sc Scale, p Point[T]) Point[T] {
 	st, w := sc.Sched.Store, sc.Sched.Campaign
-	return func(ctx context.Context, seed int64) (T, error) {
-		var res T
+	lookup := !sc.Sched.Force && sc.Telemetry.Sink == nil
+	key := canonicalKey(sc, p)
+	worker := ""
+	if w != nil {
+		worker = w.Owner()
+	}
+	out := p
+	out.Run = func(ctx context.Context, seed int64) (res T, err error) {
 		have := false
-		tryDecode := func(rec store.Record) bool {
-			var v T
-			if json.Unmarshal(rec.Payload, &v) != nil {
-				return false // result type drifted; recompute below
-			}
-			res, have = v, true
-			return true
-		}
 		cached := func() bool {
-			if !lookup {
-				return false
+			if lookup {
+				res, have = lookupKey[T](st, key)
 			}
-			if rec, ok := st.Get(key); ok && tryDecode(rec) {
-				return true
-			}
-			if st.Refresh() != nil {
-				return false
-			}
-			rec, ok := st.Get(key)
-			return ok && tryDecode(rec)
+			return have
 		}
+		// attempt computes and records the result. Panics are captured
+		// here so that a campaign retries and quarantines a poison
+		// point instead of losing the pool to it.
 		attempt := func(actx context.Context) (err error) {
 			defer func() {
 				if r := recover(); r != nil {
-					err = &PanicError{Key: pointKey, Value: r, Stack: debug.Stack()}
+					err = &PanicError{Key: p.Key, Value: r, Stack: debug.Stack()}
 				}
 			}()
-			v, err := computeAndRecord(sc, key, pointKey, run, actx, seed)
+			start := time.Now()
+			v, err := p.Run(actx, seed)
 			if err != nil {
 				return err
 			}
-			res, have = v, true
-			return nil
+			payload, err := json.Marshal(v)
+			if err != nil {
+				return err
+			}
+			err = st.Put(store.Record{
+				Key:          key,
+				Point:        p.Key,
+				Seed:         seed,
+				BaseSeed:     sc.Seed,
+				EngineSchema: sim.EngineSchema,
+				Engine:       buildinfo.Version(),
+				Tier:         sc.Tier,
+				Worker:       worker,
+				WallMS:       float64(time.Since(start)) / float64(time.Millisecond),
+				Created:      time.Now().UTC().Format(time.RFC3339),
+				Payload:      payload,
+			})
+			if err == nil {
+				res, have = v, true
+			}
+			return err
 		}
-		err := w.Execute(ctx, campaign.Task{Key: key, Point: pointKey, Cached: cached, Attempt: attempt})
-		if err != nil {
+		if w == nil {
+			if !cached() {
+				err = attempt(ctx)
+			}
 			return res, err
 		}
-		if !have {
-			// Execute returned success without the attempt or a cache hit
-			// producing a value — only possible if Cached raced a store
-			// record it then failed to decode; surface it rather than
-			// emitting a zero value into a figure.
-			return res, fmt.Errorf("campaign: point %s finished without a result", pointKey)
+		err = w.Execute(ctx, campaign.Task{Key: key, Point: p.Key, Attempt: attempt,
+			// Other processes append to the shared store: refresh it
+			// before calling a miss a miss.
+			Cached: func() bool { return cached() || (lookup && st.Refresh() == nil && cached()) },
+		})
+		if err == nil && !have {
+			// Execute succeeded without the attempt or a cache hit
+			// producing a value; surface it rather than emitting a
+			// zero value into a figure.
+			err = fmt.Errorf("campaign: point %s finished without a result", p.Key)
 		}
-		return res, nil
+		return res, err
 	}
+	return out
 }

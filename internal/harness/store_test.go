@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -380,5 +381,66 @@ func TestStoreCorruptTailRecovery(t *testing.T) {
 	if s.Puts != 1 || s.Hits != total-1 {
 		t.Errorf("resume recomputed %d points with %d hits, want exactly 1 recompute and %d hits",
 			s.Puts, s.Hits, total-1)
+	}
+}
+
+// TestLookup pins the one fetch-and-decode site: a recorded point is a
+// hit under its canonical key, an unrecorded one a miss, a payload
+// that no longer decodes as the asked-for type a miss, and a point
+// that pins a UGAL configuration keys apart from the same key string
+// unpinned.
+func TestLookup(t *testing.T) {
+	st := openTestStore(t, t.TempDir())
+	defer st.Close()
+	sc := storeScale(1, st)
+	pt := Point[LoadPoint]{
+		Key: "lookup|a",
+		Run: func(context.Context, int64) (LoadPoint, error) { return LoadPoint{Load: 0.5, Throughput: 0.25}, nil },
+	}
+	if _, key, ok := Lookup(sc, pt); ok || key != sc.CanonicalPointKey(pt.Key) {
+		t.Fatalf("empty store: ok=%v key=%s, want a miss under %s", ok, key, sc.CanonicalPointKey(pt.Key))
+	}
+	if _, err := Collect(sc, []Point[LoadPoint]{pt}); err != nil {
+		t.Fatal(err)
+	}
+	got, key, ok := Lookup(sc, pt)
+	if !ok || got.Throughput != 0.25 || key != sc.CanonicalPointKey(pt.Key) {
+		t.Errorf("recorded point: got %+v key=%s ok=%v", got, key, ok)
+	}
+	if _, _, ok := Lookup(sc, Point[LoadPoint]{Key: "lookup|b"}); ok {
+		t.Error("unrecorded point is a hit")
+	}
+	// The record holds a JSON object; asked for as a number it no
+	// longer decodes, which must read as a miss, not an error or a
+	// zero-valued hit.
+	if v, driftKey, ok := Lookup(sc, Point[float64]{Key: pt.Key}); ok || v != 0 || driftKey != key {
+		t.Errorf("drifted payload: v=%v key=%s ok=%v, want a miss under the same key", v, driftKey, ok)
+	}
+	pinned := pt
+	pinned.UGAL = &UGALConfig{NI: 4, C: 2}
+	if _, pinnedKey, ok := Lookup(sc, pinned); ok || pinnedKey == key {
+		t.Errorf("UGAL-pinned point: ok=%v key=%s, want a miss under a different key than %s", ok, pinnedKey, key)
+	}
+}
+
+// TestStoredPanicNotRecorded: a point that panics in a plain
+// (non-campaign) store sweep surfaces as the scheduler's usual
+// "point <key>: panicked:" error and leaves nothing in the store.
+func TestStoredPanicNotRecorded(t *testing.T) {
+	st := openTestStore(t, t.TempDir())
+	defer st.Close()
+	for _, workers := range []int{1, 3} {
+		points := []Point[int]{
+			{Key: "ok", Run: func(context.Context, int64) (int, error) { return 1, nil }},
+			{Key: "boom", Run: func(context.Context, int64) (int, error) { panic("kaboom") }},
+		}
+		_, err := Collect(storeScale(workers, st), points)
+		var pe *PanicError
+		if !errors.As(err, &pe) || !strings.HasPrefix(err.Error(), "point boom: panicked: kaboom") {
+			t.Fatalf("workers=%d: err = %v, want point boom: panicked: kaboom", workers, err)
+		}
+		if _, _, ok := Lookup(storeScale(1, st), points[1]); ok {
+			t.Errorf("workers=%d: the panicking point was recorded", workers)
+		}
 	}
 }

@@ -21,9 +21,6 @@ type TelemetryPlan struct {
 	// Sink receives one collector per completed run; nil disables
 	// telemetry entirely (the engines skip attachment).
 	Sink *TelemetrySink
-	// Events bounds each point's flight-recorder ring; <= 0 selects
-	// telemetry.DefaultRingEvents.
-	Events int
 	// Registry, when non-nil, exposes in-flight collectors to the live
 	// HTTP endpoint (diam2sweep -http) for the duration of their runs.
 	Registry *telemetry.Registry
@@ -35,7 +32,7 @@ func (tp TelemetryPlan) attach(e *sim.Engine, label string) *telemetry.Collector
 	if tp.Sink == nil {
 		return nil
 	}
-	c := telemetry.NewCollector(telemetry.Options{Label: label, RingEvents: tp.Events})
+	c := telemetry.NewCollector(telemetry.Options{Label: label})
 	e.AttachTelemetry(c)
 	tp.Registry.Attach(c)
 	return c

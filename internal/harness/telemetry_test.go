@@ -14,7 +14,7 @@ func telScale(workers int, sink *TelemetrySink) Scale {
 	sc.Cycles = 6000
 	sc.Warmup = 1200
 	sc.Sched = Sched{Workers: workers}
-	sc.Telemetry = TelemetryPlan{Sink: sink, Events: 128}
+	sc.Telemetry = TelemetryPlan{Sink: sink}
 	return sc
 }
 

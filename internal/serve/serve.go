@@ -28,7 +28,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -237,10 +236,15 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("serve: Config.Presets is empty")
 	}
 	// The registry rides on the scale so the screener and every
-	// scheduler submission below meter into it.
+	// scheduler submission below meter into it; so does the store,
+	// under the server-lifetime context (a computation must not be
+	// lost because the client that started it hung up).
+	ctx, stop := context.WithCancel(context.Background())
 	cfg.Scale.Telemetry = harness.TelemetryPlan{Registry: cfg.Registry}
+	cfg.Scale.Sched = harness.Sched{Workers: 1, Ctx: ctx, Store: cfg.Store}
 	scr, err := harness.NewScreener(cfg.Presets, cfg.Scale)
 	if err != nil {
+		stop()
 		return nil, err
 	}
 	if cfg.QueueMax <= 0 {
@@ -256,7 +260,6 @@ func New(cfg Config) (*Server, error) {
 	if len(loads) == 0 {
 		loads = harness.ScreenGridLoads(30)
 	}
-	ctx, stop := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:       cfg,
 		scr:       scr,
@@ -303,21 +306,16 @@ func (s *Server) resolve(ctx context.Context, q Query) (Answer, error) {
 	// -screen -escalate-band` runs and from this server's own past
 	// escalations both satisfy it.
 	simPoint := harness.EscalatePointKey(q.Topo, alg, pat, q.Load)
-	simKey := s.cfg.Scale.CanonicalPointKey(simPoint)
-	if rec, ok := s.cfg.Store.Get(simKey); ok {
-		var lp harness.LoadPoint
-		if json.Unmarshal(rec.Payload, &lp) == nil {
-			ans := Answer{Query: q, Tier: TierSimCache, Key: simKey, Sim: &lp}
-			// The analytic estimate rides along for comparison; it is
-			// pure computation, never stored from here.
-			if sp, err := s.scr.Point(q.Topo, alg, pat, q.Load); err == nil {
-				ans.Estimate = &sp
-				ans.Tolerance = s.tolerance(sp, alg, pat)
-			}
-			return ans, nil
+	lp, simKey, ok := harness.Lookup(s.cfg.Scale, harness.Point[harness.LoadPoint]{Key: simPoint})
+	if ok {
+		ans := Answer{Query: q, Tier: TierSimCache, Key: simKey, Sim: &lp}
+		// The analytic estimate rides along for comparison; it is
+		// pure computation, never stored from here.
+		if sp, err := s.scr.Point(q.Topo, alg, pat, q.Load); err == nil {
+			ans.Estimate = &sp
+			ans.Tolerance = s.tolerance(sp, alg, pat)
 		}
-		// Payload no longer decodes (result type drifted without a
-		// schema bump): fall through to the analytic tiers.
+		return ans, nil
 	}
 
 	// Tier 2: the analytic answer, cached or computed. The point is
@@ -326,14 +324,11 @@ func (s *Server) resolve(ctx context.Context, q Query) (Answer, error) {
 	fluidScale := s.cfg.Scale
 	fluidScale.Tier = store.TierFluid
 	fluidPoint := s.scr.SchedPoint(q.Topo, alg, pat, q.Load)
-	fluidKey := fluidScale.CanonicalPointKey(fluidPoint.Key)
 	tier := TierFluidCache
-	var sp harness.ScreenPoint
-	if rec, ok := s.cfg.Store.Get(fluidKey); ok && json.Unmarshal(rec.Payload, &sp) == nil && sp.Topo != "" {
-		// cached
-	} else {
+	sp, fluidKey, ok := harness.Lookup(fluidScale, fluidPoint)
+	if !ok || sp.Topo == "" {
 		tier = TierFluid
-		sp, err = s.fluidCompute(ctx, fluidScale, fluidPoint)
+		sp, err = s.fluidCompute(ctx, fluidScale, fluidKey, fluidPoint)
 		if err != nil {
 			return Answer{}, err
 		}
@@ -396,8 +391,7 @@ func (s *Server) tolerance(sp harness.ScreenPoint, alg harness.AlgKind, pat harn
 // fluidCompute computes (and records) one fluid point through the
 // scheduler, deduplicating concurrent identical computations: the
 // first caller computes, everyone else waits for its result.
-func (s *Server) fluidCompute(ctx context.Context, sc harness.Scale, pt harness.Point[harness.ScreenPoint]) (harness.ScreenPoint, error) {
-	key := sc.CanonicalPointKey(pt.Key)
+func (s *Server) fluidCompute(ctx context.Context, sc harness.Scale, key string, pt harness.Point[harness.ScreenPoint]) (harness.ScreenPoint, error) {
 	s.mu.Lock()
 	if f, ok := s.flight[key]; ok {
 		s.mu.Unlock()
@@ -422,11 +416,7 @@ func (s *Server) fluidCompute(ctx context.Context, sc harness.Scale, pt harness.
 	}
 	// Run through the scheduler with the store attached: the record
 	// (key, point, seed, tier, payload) comes out identical to the
-	// one a ScreenSweep at this scale writes. The computation runs
-	// under the server's lifetime context, not the request's: waiters
-	// on this flight must not lose the result because the first
-	// client hung up.
-	sc.Sched = harness.Sched{Workers: 1, Ctx: s.baseCtx, Store: s.cfg.Store}
+	// one a ScreenSweep at this scale writes.
 	res, err := harness.Collect(sc, []harness.Point[harness.ScreenPoint]{pt})
 	if err != nil {
 		f.err = err
@@ -559,7 +549,7 @@ func (s *Server) runEscalation(t *ticket) {
 	}
 	s.setTicketState(t, TicketRunning)
 	sc := s.cfg.Scale
-	sc.Sched = harness.Sched{Workers: 1, Ctx: s.baseCtx, Store: s.cfg.Store, Campaign: s.cfg.Campaign}
+	sc.Sched.Campaign = s.cfg.Campaign
 	escs, err := s.scr.Escalate([]harness.EscalationPick{t.pick}, sc)
 	if err != nil {
 		s.finishTicket(t, nil, err)

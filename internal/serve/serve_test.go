@@ -116,7 +116,13 @@ func TestResolveTierLadder(t *testing.T) {
 		t.Fatalf("escalation reasons %v lack %q", cold.Escalation.Reasons, harness.ReasonBand)
 	}
 
-	// The fluid record must be in the store under the canonical key.
+	// The fluid record must be in the store under the canonical key —
+	// the one a ScreenSweep at this scale writes.
+	fluidScale := harness.QuickScale()
+	fluidScale.Tier = store.TierFluid
+	if want := fluidScale.CanonicalPointKey(harness.ScreenPointKey(testQuery.Topo, harness.AlgMIN, harness.PatWC, testQuery.Load)); cold.Key != want {
+		t.Fatalf("fluid answer key %s, want the screening sweep's %s", cold.Key, want)
+	}
 	if _, ok := s.cfg.Store.Get(cold.Key); !ok {
 		t.Fatalf("fluid record %s not stored", cold.Key)
 	}

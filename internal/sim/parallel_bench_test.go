@@ -50,7 +50,7 @@ func TestStepZeroAllocParallel(t *testing.T) {
 
 // BenchmarkParallelEngine measures sustained cycles/s of the sharded
 // engine against the serial engine on the same near-saturation point
-// (the BENCH_parallel.json methodology; see EXPERIMENTS.md). The
+// (see EXPERIMENTS.md, "Sharded engine"). The
 // shard/worker split separates partitioning overhead (P=4/W=1: mailbox
 // and barrier costs with zero actual parallelism) from parallel
 // speedup (P=4/W=4), which is what makes single-CPU numbers honest.

@@ -151,6 +151,27 @@ func TestSlimFlyWorstCase(t *testing.T) {
 	}
 }
 
+// TestSlimFlyWorstCaseEverySeed pins the fallback's last-router trade:
+// when the only free destination is the unpaired router itself (10-18%
+// of seeds), the pairing must still complete.
+func TestSlimFlyWorstCaseEverySeed(t *testing.T) {
+	for _, q := range []int{5, 7, 13} {
+		sf, err := topo.NewSlimFly(q, topo.RoundDown)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(1); seed <= 300; seed++ {
+			p, err := WorstCase(sf, rand.New(rand.NewSource(seed)))
+			if err == nil {
+				err = p.Validate()
+			}
+			if err != nil {
+				t.Errorf("SF(q=%d) seed %d: %v", q, seed, err)
+			}
+		}
+	}
+}
+
 func TestOpenLoopRate(t *testing.T) {
 	w := &OpenLoop{Pattern: Uniform{N: 100}, Load: 0.5, PacketFlits: 4}
 	rng := rand.New(rand.NewSource(9))

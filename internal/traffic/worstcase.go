@@ -56,7 +56,27 @@ func slimFlyWorstCase(t topo.Topology, rng *rand.Rand) (Permutation, error) {
 			}
 		}
 		if best < 0 {
-			return Permutation{}, fmt.Errorf("traffic: cannot complete worst-case pairing at router %d", a)
+			// The only free destination is a itself. Trade with an
+			// already-paired source b: a takes b's destination and b
+			// sends to a, preferring a b that keeps both at distance 2.
+			b := -1
+			for s := 0; s < r; s++ {
+				if s == a || !usedSrc[s] {
+					continue
+				}
+				if b < 0 {
+					b = s
+				}
+				if dist[a][routerDst[s]] == 2 && dist[s][a] == 2 {
+					b = s
+					break
+				}
+			}
+			if b < 0 {
+				return Permutation{}, fmt.Errorf("traffic: cannot complete worst-case pairing at router %d", a)
+			}
+			best, routerDst[b] = routerDst[b], a
+			usedDst[a] = true
 		}
 		routerDst[a] = best
 		usedSrc[a] = true
