@@ -27,12 +27,24 @@ var updateStats = flag.Bool("update-stats", false, "rewrite the golden stats dig
 // reproduce them byte for byte, proving the wake-list and freelist
 // machinery is behaviour-preserving, not merely plausible. The same
 // scenario specs drive the serial-vs-parallel differential suite
-// (parallel_test.go). Regenerate with -update-stats only for a change
-// that intentionally alters simulation semantics.
+// (parallel_test.go). The two *-deep scenarios run a mid-size Slim Fly
+// on sim.DefaultConfig — 800/400-flit buffers, AllocWindow 64, 20/10-
+// cycle latencies — so queues hundreds of packets deep, the windowed
+// scan past a blocked head and queue-storage growth sit under a digest
+// too; each also pins its two-shard form (the sharded engine has its
+// own digests by design). Regenerate with -update-stats only for a
+// change that intentionally alters simulation semantics.
 func TestGoldenStatsIdentity(t *testing.T) {
 	got := make([]string, 0, len(goldenSpecs))
 	for _, sc := range goldenSpecs {
 		got = append(got, sc.name+" "+resultsDigest(runGoldenSerial(t, sc)))
+	}
+	// Sharded lines follow the serial ones, so line i is goldenSpecs[i]
+	// for every reader of the file.
+	for _, sc := range goldenSpecs {
+		if sc.sharded {
+			got = append(got, sc.name+"@P2 "+resultsDigest(runGoldenParallel(t, sc, sim.ParallelOptions{Partitions: 2, Workers: 2})))
+		}
 	}
 	path := filepath.Join("testdata", "golden_stats.txt")
 	text := strings.Join(got, "\n") + "\n"
@@ -90,6 +102,7 @@ type goldenSpec struct {
 	warmup   int64
 	cycles   int64 // > 0: Run(cycles); otherwise RunUntilDrained(maxDrain)
 	maxDrain int64
+	sharded  bool // also pin the P=2 sharded digest (TestGoldenStatsIdentity)
 }
 
 // runGoldenSerial executes a scenario on the serial engine.
@@ -228,5 +241,32 @@ var goldenSpecs = []goldenSpec{
 			return goldenParts{topo: tp, cfg: sim.TestConfig(alg.NumVCs()), alg: alg, work: openUniform(tp, 0.25), faults: fs}
 		},
 		warmup: 1000, cycles: 12000,
+	},
+	{
+		name: "sf7-min-uni-deep",
+		setup: func(t *testing.T) goldenParts {
+			tp := mustSF(t, 7)
+			alg := routing.NewMinimal(tp)
+			return goldenParts{topo: tp, cfg: sim.DefaultConfig(alg.NumVCs()), alg: alg, work: openUniform(tp, 0.7)}
+		},
+		warmup: 500, cycles: 3000, sharded: true,
+	},
+	{
+		name: "sf7-ugal-wc-deep",
+		setup: func(t *testing.T) goldenParts {
+			tp := mustSF(t, 7)
+			wc, err := traffic.WorstCase(tp, rand.New(rand.NewSource(42)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := sim.DefaultConfig(4)
+			alg, err := routing.NewUGAL(tp, routing.UGALConfig{NI: 4, CSF: 1, SFCost: true}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := &traffic.OpenLoop{Pattern: wc, Load: 0.6, PacketFlits: 4}
+			return goldenParts{topo: tp, cfg: cfg, alg: alg, work: w}
+		},
+		warmup: 500, cycles: 3000, sharded: true,
 	},
 }
