@@ -305,7 +305,7 @@ func (e *Engine) processEvents() {
 		nodes := e.Net.Nodes
 		for _, ref := range s.credits {
 			if ref&nodeCreditRef == 0 {
-				routers[ref>>32].credits[uint32(ref)] += flits
+				routers[ref>>32].credits[uint32(ref)] += int32(flits)
 			} else {
 				nodes[(ref>>32)&0x7fffffff].credits[uint32(ref)] += flits
 			}
@@ -317,8 +317,8 @@ func (e *Engine) processEvents() {
 		for _, ref := range s.releases {
 			r := routers[ref>>32]
 			ci := int(uint32(ref))
-			r.outOcc[ci] -= flits
-			r.occSum[ci/r.nv] -= flits
+			r.outOcc[ci] -= int32(flits)
+			r.occSum[ci/r.nv] -= int32(flits)
 		}
 		s.releases = s.releases[:0]
 	}
@@ -384,7 +384,7 @@ func (e *Engine) linkStage() {
 	// *Router don't alias these fields, so leaving them as e.x reloads
 	// them on every iteration of the hot loops below.
 	now := e.now
-	pf := e.pktFlits
+	pf := int32(e.pktFlits)
 	act := e.acts.out
 	for id := act.nextFrom(0); id >= 0; id = act.nextFrom(id + 1) {
 		r := e.Net.Routers[id]
@@ -396,19 +396,15 @@ func (e *Engine) linkStage() {
 			if r.portDown != nil && port < r.netPorts && r.portDown[port] {
 				continue // downed links stop transmitting
 			}
-			start := r.rrOut[port]
+			start := int(r.rrOut[port])
 			for i := 0; i < nv; i++ {
 				vc := start + i
 				if vc >= nv {
 					vc -= nv
 				}
 				ci := r.idx(port, vc)
-				q := &r.outQ[ci]
-				if q.empty() {
-					continue
-				}
-				if q.front().ready > now {
-					continue
+				if r.outQ[ci].head.ready > now {
+					continue // empty, or not yet through the switch
 				}
 				if !r.isTerminal(port) {
 					// Virtual cut-through: need room downstream for the
@@ -422,7 +418,7 @@ func (e *Engine) linkStage() {
 					p.Hops++
 					next := e.Net.Routers[r.neighbor[port]]
 					if next.part == e.shard {
-						next.enqueueIn(r.revPort[port], vc, entry{h: ent.h, ready: now + linkLat, outPort: -1})
+						next.enqueueIn(int(r.revPort[port]), vc, entry{h: ent.h, ready: now + linkLat, outPort: unrouted})
 					} else {
 						// Cross-partition hop: the packet leaves this
 						// shard's world entirely, so it travels by value —
@@ -433,10 +429,10 @@ func (e *Engine) linkStage() {
 						// keeps it untouched this cycle even under serial
 						// semantics.
 						e.outPkt[next.part] = append(e.outPkt[next.part],
-							pktMsg{router: next.ID, port: r.revPort[port], vc: vc, ready: now + linkLat, pkt: *p})
+							pktMsg{router: next.ID, port: int(r.revPort[port]), vc: vc, ready: now + linkLat, pkt: *p})
 					}
 					if e.tel != nil {
-						e.tel.LinkTraverse(r.ID, next.ID, vc, pf)
+						e.tel.LinkTraverse(r.ID, next.ID, vc, int(pf))
 					}
 					if next.part != e.shard {
 						e.slab.release(ent.h)
@@ -450,7 +446,7 @@ func (e *Engine) linkStage() {
 				if vc++; vc == nv {
 					vc = 0
 				}
-				r.rrOut[port] = vc
+				r.rrOut[port] = int16(vc)
 				break
 			}
 		}
@@ -505,10 +501,11 @@ func (e *Engine) switchAllocPort(r *Router, port, nv int, xfer, swLat, linkLat i
 		return false
 	}
 	// Hoisted loads, same rationale as linkStage.
-	pf := e.pktFlits
-	obf := e.Cfg.OutputBufFlits
+	pf := int32(e.pktFlits)
+	obf := int32(e.Cfg.OutputBufFlits)
 	win0 := e.Cfg.AllocWindow
-	startVC := r.rrVC[port]
+	rings := &r.acts.rings
+	startVC := int(r.rrVC[port])
 	for vi := 0; vi < nv; vi++ {
 		vc := startVC + vi
 		if vc >= nv {
@@ -528,7 +525,7 @@ func (e *Engine) switchAllocPort(r *Router, port, nv int, xfer, swLat, linkLat i
 			win = q.len()
 		}
 		for i := 0; i < win; i++ {
-			cand := q.at(i)
+			cand := q.at(rings, i)
 			if cand.ready > now {
 				break // later entries arrived even later
 			}
@@ -541,8 +538,8 @@ func (e *Engine) switchAllocPort(r *Router, port, nv int, xfer, swLat, linkLat i
 					op, ov := e.Alg.NextHop(p, r, e.rng)
 					cand.outPort, cand.outVC = int16(op), int16(ov)
 				}
-				r.pendingOut[cand.outPort] += p.Flits
-				r.occSum[cand.outPort] += p.Flits
+				r.pendingOut[cand.outPort] += int32(p.Flits)
+				r.occSum[cand.outPort] += int32(p.Flits)
 				if e.tel != nil {
 					e.tel.Route(e.now, p.ID, p.Src, p.Dst, r.ID, int(cand.outPort), p.VC, int(cand.outVC), p.Minimal)
 				}
@@ -563,8 +560,8 @@ func (e *Engine) switchAllocPort(r *Router, port, nv int, xfer, swLat, linkLat i
 		ent := r.takeIn(port, vc, pick)
 		p := e.pkt(ent.h)
 		op, ov := int(ent.outPort), int(ent.outVC)
-		r.pendingOut[op] -= p.Flits
-		r.occSum[op] += pf - p.Flits
+		r.pendingOut[op] -= int32(p.Flits)
+		r.occSum[op] += pf - int32(p.Flits)
 		p.VC = ov
 		r.outOcc[r.idx(op, ov)] += pf
 		r.outAccept[op] = now + xfer
@@ -576,11 +573,11 @@ func (e *Engine) switchAllocPort(r *Router, port, nv int, xfer, swLat, linkLat i
 		// the credit ring, applied in a batched pass (see
 		// processEvents).
 		if r.isTerminal(port) {
-			node := r.nodeAt[port-r.netPorts]
+			node := int(r.nodeAt[port-r.netPorts])
 			e.scheduleCredit(xfer+linkLat, nodeRef(node, vc))
 		} else {
 			up := e.Net.Routers[r.neighbor[port]]
-			ref := routerRef(up.ID, up.idx(r.revPort[port], vc))
+			ref := routerRef(up.ID, up.idx(int(r.revPort[port]), vc))
 			if up.part == e.shard {
 				e.scheduleCredit(xfer+linkLat, ref)
 			} else {
@@ -595,7 +592,7 @@ func (e *Engine) switchAllocPort(r *Router, port, nv int, xfer, swLat, linkLat i
 		if vc++; vc == nv {
 			vc = 0
 		}
-		r.rrVC[port] = vc
+		r.rrVC[port] = int16(vc)
 		return true
 	}
 	return false
@@ -668,7 +665,7 @@ func (e *Engine) tryInject(nd *Node) {
 		if nd.srcQ.empty() {
 			return
 		}
-		h = nd.srcQ.front().h
+		h = nd.srcQ.head.h
 		p = e.pkt(h)
 	}
 	r := e.Net.Routers[nd.Router]
@@ -708,5 +705,5 @@ func (e *Engine) tryInject(nd *Node) {
 	}
 	nd.linkFree = e.now + int64(e.pktFlits)
 	inPort := e.Net.nodeRouterPort[p.Src]
-	r.enqueueIn(inPort, vc, entry{h: h, ready: e.now + int64(e.Cfg.LinkLatency), outPort: -1})
+	r.enqueueIn(inPort, vc, entry{h: h, ready: e.now + int64(e.Cfg.LinkLatency), outPort: unrouted})
 }

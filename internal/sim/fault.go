@@ -281,9 +281,9 @@ func (e *Engine) dropLinkTraffic(u, v *Router) {
 			// Entries with ready > now are still on the wire. (They can
 			// never carry a cached route decision: switch allocation
 			// only inspects entries whose head flit has arrived.)
-			if q.at(i).ready > e.now {
+			if q.at(&v.acts.rings, i).ready > e.now {
 				ent := v.takeIn(pv, vc, i)
-				u.credits[u.idx(pu, vc)] += e.pktFlits
+				u.credits[u.idx(pu, vc)] += int32(e.pktFlits)
 				// The flits never arrived: restitute the utilization
 				// credit LinkTraverse granted when the transfer
 				// started, alongside the buffer credits.
@@ -310,8 +310,8 @@ func (e *Engine) dropDeadOutput(r *Router, port, vc int) {
 	slab := e.slabFor(r)
 	for !q.empty() {
 		ent := r.dequeueOut(port, vc)
-		r.outOcc[r.idx(port, vc)] -= e.pktFlits
-		r.occSum[port] -= e.pktFlits
+		r.outOcc[r.idx(port, vc)] -= int32(e.pktFlits)
+		r.occSum[port] -= int32(e.pktFlits)
 		e.dropPacket(slab.at(ent.h), r.ID, port, vc)
 		slab.release(ent.h)
 	}
@@ -342,12 +342,12 @@ func (e *Engine) rebuildTables() {
 		for i := range r.inQ {
 			q := &r.inQ[i]
 			for j := 0; j < q.len(); j++ {
-				ent := q.at(j)
+				ent := q.at(&r.acts.rings, j)
 				if ent.outPort >= 0 {
-					fl := slab.at(ent.h).Flits
+					fl := int32(slab.at(ent.h).Flits)
 					r.pendingOut[ent.outPort] -= fl
 					r.occSum[ent.outPort] -= fl
-					ent.outPort = -1
+					ent.outPort = unrouted
 				}
 			}
 		}

@@ -123,7 +123,7 @@ func checkInvariants(net *Network, cfg Config, c engineCounts) error {
 				inPkts += r.inQ[r.idx(port, vc)].len()
 				outPkts += r.outQ[r.idx(port, vc)].len()
 			}
-			if inPkts != r.inPortPkts[port] || outPkts != r.outPortPkts[port] {
+			if inPkts != int(r.inPortPkts[port]) || outPkts != int(r.outPortPkts[port]) {
 				return fmt.Errorf("sim: router %d port %d packet counters (%d,%d) != actual (%d,%d)",
 					r.ID, port, r.inPortPkts[port], r.outPortPkts[port], inPkts, outPkts)
 			}
@@ -136,14 +136,14 @@ func checkInvariants(net *Network, cfg Config, c engineCounts) error {
 				if r.outOcc[i] < 0 {
 					return fmt.Errorf("sim: router %d port %d vc %d outOcc %d < 0", r.ID, port, vc, r.outOcc[i])
 				}
-				if r.outOcc[i] > cfg.OutputBufFlits {
+				if int(r.outOcc[i]) > cfg.OutputBufFlits {
 					return fmt.Errorf("sim: router %d port %d vc %d outOcc %d > capacity %d",
 						r.ID, port, vc, r.outOcc[i], cfg.OutputBufFlits)
 				}
 				if r.credits[i] < 0 {
 					return fmt.Errorf("sim: router %d port %d vc %d credits %d < 0", r.ID, port, vc, r.credits[i])
 				}
-				if !r.isTerminal(port) && r.credits[i] > cfg.InputBufFlits {
+				if !r.isTerminal(port) && int(r.credits[i]) > cfg.InputBufFlits {
 					return fmt.Errorf("sim: router %d port %d vc %d credits %d > capacity %d",
 						r.ID, port, vc, r.credits[i], cfg.InputBufFlits)
 				}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"diam2/internal/telemetry"
 	"diam2/internal/topo"
@@ -17,51 +18,36 @@ type Router struct {
 	net      *Network
 	nPorts   int
 	netPorts int
-	nv       int   // == net.Cfg.NumVCs, cached off the hot path's pointer chase
-	neighbor []int // network port -> neighbor router
-	revPort  []int // network port -> the port at that neighbor that leads back here
-	nodeAt   []int // terminal port index (0-based from netPorts) -> node
+	nv       int // == net.Cfg.NumVCs, cached off the hot path's pointer chase
 
-	inQ  []queue // [port*numVC + vc]
-	outQ []queue
-
-	outOcc  []int // reserved output-buffer occupancy, flits [port*numVC+vc]
-	credits []int // free space in the downstream input buffer [port*numVC+vc]
-
-	inPortFree []int64 // input port -> cycle it can start a new stream
-	outAccept  []int64 // output port -> cycle the crossbar output can accept a new stream
-	linkFree   []int64 // output port -> cycle the outgoing link is free
-
-	rrIn  int   // round-robin pointer over input ports
-	rrVC  []int // per input port, round-robin pointer over VCs
-	rrOut []int // per output port, round-robin pointer over VCs
-
+	rrIn     int // round-robin pointer over input ports
 	inCount  int // packets currently buffered in input queues
 	outCount int // packets currently buffered in output queues
-
-	// Per-port packet counts and occupancy masks over them: bit p of
-	// inMask is set iff inPortPkts[p] > 0 (same for outMask). The
-	// engine's stages iterate these masks to skip empty (port, VC)
-	// groups. Maintained exclusively by the enqueue*/dequeue*/take*
-	// wrappers below — mutate the queues only through them.
-	inPortPkts  []int
-	outPortPkts []int
-	inMask      bitset
-	outMask     bitset
-
-	// portDown marks network ports whose link is currently failed.
-	// Nil unless a fault schedule is attached (see fault.go).
-	portDown []bool
 
 	// acts points at the active-set group of the engine shard that owns
 	// this router; part is that shard's index. Serial engines own every
 	// router through the single group in Network.acts, so part is 0 and
 	// all routers share one pointer. The parallel engine reassigns both
 	// (see parallel.go) so each shard's queue mutations touch only its
-	// own bitset words — sharing words across shards would be a data
-	// race.
+	// own bitset words and ring arena — sharing either across shards
+	// would be a data race.
 	acts *actSet
 	part int
+
+	// Everything below is a view into the router's block of
+	// Network.mem, laid out by carve in this order and in the narrowest
+	// type that NewNetwork's range checks admit (DESIGN.md §15 has the
+	// budget in bytes and cache lines).
+
+	inPortFree []int64 // input port -> cycle it can start a new stream
+	outAccept  []int64 // output port -> cycle the crossbar output can accept a new stream
+	linkFree   []int64 // output port -> cycle the outgoing link is free
+
+	inQ  []queue // [port*numVC + vc]
+	outQ []queue
+
+	outOcc  []int32 // reserved output-buffer occupancy, flits [port*numVC+vc]
+	credits []int32 // free space in the downstream input buffer [port*numVC+vc]
 
 	// pendingOut[port] counts flits sitting in this router's input
 	// buffers whose (cached) route decision targets the port — the
@@ -71,7 +57,7 @@ type Router struct {
 	// alone stays near-empty even on a hot port, because the
 	// crossbar feeds it no faster than the link drains it; the
 	// backlog lives on the input side.
-	pendingOut []int
+	pendingOut []int32
 
 	// occSum[port] caches pendingOut[port] + Σ_vc outOcc[port*nv+vc],
 	// the congestion signal OutOccupancy serves. Adaptive routing reads
@@ -79,7 +65,59 @@ type Router struct {
 	// it is maintained incrementally at the (few) mutation sites of
 	// pendingOut/outOcc instead of summed per query. CheckInvariants
 	// re-derives it from scratch and cross-checks.
-	occSum []int
+	occSum []int32
+
+	// Per-port packet counts and occupancy masks over them: bit p of
+	// inMask is set iff inPortPkts[p] > 0 (same for outMask). The
+	// engine's stages iterate these masks to skip empty (port, VC)
+	// groups. Maintained exclusively by the enqueue*/dequeue*/take*
+	// wrappers below — mutate the queues only through them.
+	inPortPkts  []int32
+	outPortPkts []int32
+
+	neighbor []int32 // network port -> neighbor router
+	nodeAt   []int32 // terminal port index (0-based from netPorts) -> node
+	revPort  []int16 // network port -> the port at that neighbor that leads back here
+	rrVC     []int16 // per input port, round-robin pointer over VCs
+	rrOut    []int16 // per output port, round-robin pointer over VCs
+
+	// Indices of credits[0], outOcc[0] and occSum[0] in Network.mem.w32:
+	// what deferred credit returns and buffer releases are addressed by.
+	creditsAt, outOccAt, occSumAt uint32
+
+	inMask  bitset
+	outMask bitset
+
+	// portDown marks network ports whose link is currently failed.
+	// Nil unless a fault schedule is attached (see fault.go).
+	portDown []bool
+}
+
+// carve lays the router's arrays out in its block; with a zero arena it
+// only measures.
+func (r *Router) carve(l *layout, a *blockArena) {
+	l.alignLine()
+	p, q := r.nPorts, r.nPorts*r.nv
+	r.inPortFree, _ = carve(l, a.i64, p)
+	r.outAccept, _ = carve(l, a.i64, p)
+	r.linkFree, _ = carve(l, a.i64, p)
+	r.inQ, _ = carve(l, a.q, q)
+	r.outQ, _ = carve(l, a.q, q)
+	var at int
+	r.credits, at = carve(l, a.w32, q)
+	r.creditsAt = uint32(at)
+	r.outOcc, at = carve(l, a.w32, q)
+	r.outOccAt = uint32(at)
+	r.occSum, at = carve(l, a.w32, p)
+	r.occSumAt = uint32(at)
+	r.pendingOut, _ = carve(l, a.w32, p)
+	r.inPortPkts, _ = carve(l, a.w32, p)
+	r.outPortPkts, _ = carve(l, a.w32, p)
+	r.neighbor, _ = carve(l, a.w32, r.netPorts)
+	r.nodeAt, _ = carve(l, a.w32, p-r.netPorts)
+	r.revPort, _ = carve(l, a.h16, r.netPorts)
+	r.rrVC, _ = carve(l, a.h16, p)
+	r.rrOut, _ = carve(l, a.h16, p)
 }
 
 // Network wires the topology into routers and nodes.
@@ -90,6 +128,10 @@ type Network struct {
 	Nodes   []*Node
 
 	nodeRouterPort []int // node -> terminal port index at its router
+
+	// mem holds every router's hot state, one aligned block each (see
+	// blockArena and Router.carve).
+	mem blockArena
 
 	// Active sets (see activeset.go), grouped per engine shard: one
 	// actSet per partition of the router set, each holding the wake
@@ -125,9 +167,52 @@ type Node struct {
 	part int
 }
 
+// checkRanges rejects a topology or configuration whose sizes do not
+// fit the narrow types of the hot state (entry.outPort/outVC, the int16
+// and int32 arrays of a router's block, Packet's fields, pktHandle,
+// ring offsets) — an error here instead of a silent wrap later.
+func checkRanges(t topo.Topology, cfg Config) error {
+	g := t.Graph()
+	const max16, max32 = math.MaxInt16, math.MaxInt32
+	if cfg.NumVCs > max16 {
+		return fmt.Errorf("sim: NumVCs %d exceeds %d", cfg.NumVCs, max16)
+	}
+	if g.N() > max32 || t.Nodes() > max32 {
+		return fmt.Errorf("sim: %d routers / %d nodes exceed %d", g.N(), t.Nodes(), max32)
+	}
+	if cfg.SourceQueueCap > max32 {
+		return fmt.Errorf("sim: SourceQueueCap %d exceeds %d", cfg.SourceQueueCap, max32)
+	}
+	// Worst-case packets alive at once: every buffer and source queue
+	// full. It bounds slab handles and, doubled for ring slack, ring
+	// offsets.
+	pkts := int64(t.Nodes()) * int64(cfg.SourceQueueCap)
+	for r := 0; r < g.N(); r++ {
+		ports := int64(g.Degree(r) + len(t.RouterNodes(r)))
+		if ports > max16 {
+			return fmt.Errorf("sim: router %d has %d ports, more than %d", r, ports, max16)
+		}
+		// occSum sums a port's output buffers and every input buffer of
+		// the router that may be routed toward it.
+		flits := ports * int64(cfg.NumVCs) * (int64(cfg.InputBufFlits) + int64(cfg.OutputBufFlits))
+		if flits > max32 {
+			return fmt.Errorf("sim: router %d buffers %d flits (InputBufFlits %d, OutputBufFlits %d), more than %d",
+				r, flits, cfg.InputBufFlits, cfg.OutputBufFlits, max32)
+		}
+		pkts += flits / int64(cfg.PacketFlits())
+	}
+	if 2*pkts > max32 {
+		return fmt.Errorf("sim: buffers hold up to %d packets, more than packet handles address (%d)", pkts, max32/2)
+	}
+	return nil
+}
+
 // NewNetwork builds the simulator state for a topology.
 func NewNetwork(t topo.Topology, cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := checkRanges(t, cfg); err != nil {
 		return nil, err
 	}
 	g := t.Graph()
@@ -138,52 +223,54 @@ func NewNetwork(t topo.Topology, cfg Config) (*Network, error) {
 		Nodes:          make([]*Node, t.Nodes()),
 		nodeRouterPort: make([]int, t.Nodes()),
 	}
-	for r := 0; r < g.N(); r++ {
-		nbs := g.Neighbors(r)
-		nodes := t.RouterNodes(r)
-		rt := &Router{
+	routers := make([]Router, g.N())
+	var size layout
+	for r := range routers {
+		rt := &routers[r]
+		*rt = Router{
 			ID:       r,
 			net:      n,
-			netPorts: len(nbs),
-			nPorts:   len(nbs) + len(nodes),
+			netPorts: g.Degree(r),
+			nPorts:   g.Degree(r) + len(t.RouterNodes(r)),
 			nv:       cfg.NumVCs,
-			neighbor: nbs,
-			nodeAt:   nodes,
 		}
-		v := cfg.NumVCs
-		rt.inQ = make([]queue, rt.nPorts*v)
-		rt.outQ = make([]queue, rt.nPorts*v)
-		rt.outOcc = make([]int, rt.nPorts*v)
-		rt.credits = make([]int, rt.nPorts*v)
+		rt.carve(&size, &blockArena{})
+		n.Routers[r] = rt
+	}
+	size.alignLine()
+	if size.off/4 > math.MaxUint32 {
+		return nil, fmt.Errorf("sim: %d bytes of router state exceed what credit references address", size.off)
+	}
+	n.mem = newBlockArena(size.off)
+	var at layout
+	for _, rt := range n.Routers {
+		rt.carve(&at, &n.mem)
 		for i := range rt.credits {
-			rt.credits[i] = cfg.InputBufFlits
+			rt.credits[i] = int32(cfg.InputBufFlits)
 		}
-		rt.inPortFree = make([]int64, rt.nPorts)
-		rt.outAccept = make([]int64, rt.nPorts)
-		rt.linkFree = make([]int64, rt.nPorts)
-		rt.rrVC = make([]int, rt.nPorts)
-		rt.rrOut = make([]int, rt.nPorts)
-		rt.pendingOut = make([]int, rt.nPorts)
-		rt.occSum = make([]int, rt.nPorts)
-		rt.inPortPkts = make([]int, rt.nPorts)
-		rt.outPortPkts = make([]int, rt.nPorts)
+		for i := range rt.inQ {
+			rt.inQ[i].head.ready = neverReady
+			rt.outQ[i].head.ready = neverReady
+		}
+		for p, nb := range g.Neighbors(rt.ID) {
+			rt.neighbor[p] = int32(nb)
+		}
+		for i, node := range t.RouterNodes(rt.ID) {
+			rt.nodeAt[i] = int32(node)
+			n.nodeRouterPort[node] = rt.netPorts + i
+		}
 		rt.inMask = newBitset(rt.nPorts)
 		rt.outMask = newBitset(rt.nPorts)
-		n.Routers[r] = rt
-		for i, node := range nodes {
-			n.nodeRouterPort[node] = len(nbs) + i
-		}
 	}
 	// Second pass: precompute the reverse port of every link, replacing
 	// the per-hop map lookup the stages used to do.
 	for _, rt := range n.Routers {
-		rt.revPort = make([]int, rt.netPorts)
 		for p, nb := range rt.neighbor {
 			back := n.Routers[nb].portTo(rt.ID)
 			if back < 0 {
 				return nil, fmt.Errorf("sim: asymmetric adjacency %d->%d", rt.ID, nb)
 			}
-			rt.revPort[p] = back
+			rt.revPort[p] = int16(back)
 		}
 	}
 	n.acts = []*actSet{newActSet(g.N(), t.Nodes())}
@@ -207,12 +294,14 @@ func NewNetwork(t topo.Topology, cfg Config) (*Network, error) {
 // with nonempty source queues (the O(1) drained() check). The bitsets
 // span the whole network — only the owned components' bits are ever
 // set, and wasting a few idle words per shard keeps component IDs
-// global.
+// global. rings is the overflow storage of the shard's queues (see
+// packet.go): only the owner pushes, so only the owner grows it.
 type actSet struct {
 	in      bitset
 	out     bitset
 	node    bitset
 	srcBusy int
+	rings   ringArena
 }
 
 func newActSet(routers, nodes int) *actSet {
@@ -283,20 +372,20 @@ func (r *Router) portTo(next int) int {
 	lo, hi := 0, len(r.neighbor)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if r.neighbor[mid] < next {
+		if int(r.neighbor[mid]) < next {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(r.neighbor) && r.neighbor[lo] == next {
+	if lo < len(r.neighbor) && int(r.neighbor[lo]) == next {
 		return lo
 	}
 	return -1
 }
 
 // NeighborAt returns the router on the other end of a network port.
-func (r *Router) NeighborAt(port int) int { return r.neighbor[port] }
+func (r *Router) NeighborAt(port int) int { return int(r.neighbor[port]) }
 
 // NetPorts returns the number of network (router-to-router) ports.
 func (r *Router) NetPorts() int { return r.netPorts }
@@ -306,15 +395,14 @@ func (r *Router) NetPorts() int { return r.netPorts }
 // the reserved output-buffer occupancy plus the virtual-output-queue
 // load — flits in this router's input buffers already routed toward
 // the port.
-func (r *Router) OutOccupancy(port int) int { return r.occSum[port] }
+func (r *Router) OutOccupancy(port int) int { return int(r.occSum[port]) }
 
 // OutBufferOccupancy returns only the output-buffer part of the
 // signal (exposed for analysis and ablations).
 func (r *Router) OutBufferOccupancy(port int) int {
 	s := 0
-	v := r.net.Cfg.NumVCs
-	for i := port * v; i < (port+1)*v; i++ {
-		s += r.outOcc[i]
+	for _, occ := range r.outOcc[port*r.nv : (port+1)*r.nv] {
+		s += int(occ)
 	}
 	return s
 }
@@ -338,7 +426,7 @@ func (r *Router) isTerminal(port int) bool { return port >= r.netPorts }
 // enqueueIn buffers a packet at an input (port, vc) and wakes the
 // router for switch allocation.
 func (r *Router) enqueueIn(port, vc int, ent entry) {
-	r.inQ[port*r.nv+vc].push(ent)
+	r.inQ[port*r.nv+vc].push(&r.acts.rings, ent)
 	r.inCount++
 	r.inPortPkts[port]++
 	r.inMask.set(port)
@@ -351,7 +439,7 @@ func (r *Router) enqueueIn(port, vc int, ent entry) {
 // takeIn removes the i-th packet of an input (port, vc) queue,
 // retiring the router from the input active set if it was the last.
 func (r *Router) takeIn(port, vc, i int) entry {
-	ent := r.inQ[port*r.nv+vc].removeAt(i)
+	ent := r.inQ[port*r.nv+vc].removeAt(&r.acts.rings, i)
 	r.inCount--
 	if r.inPortPkts[port]--; r.inPortPkts[port] == 0 {
 		r.inMask.clear(port)
@@ -368,7 +456,7 @@ func (r *Router) takeIn(port, vc, i int) entry {
 // enqueueOut buffers a packet at an output (port, vc) and wakes the
 // router for link traversal.
 func (r *Router) enqueueOut(port, vc int, ent entry) {
-	r.outQ[port*r.nv+vc].push(ent)
+	r.outQ[port*r.nv+vc].push(&r.acts.rings, ent)
 	r.outCount++
 	r.outPortPkts[port]++
 	r.outMask.set(port)
@@ -378,7 +466,7 @@ func (r *Router) enqueueOut(port, vc int, ent entry) {
 // dequeueOut pops the head packet of an output (port, vc) queue,
 // retiring the router from the output active set if it was the last.
 func (r *Router) dequeueOut(port, vc int) entry {
-	ent := r.outQ[port*r.nv+vc].pop()
+	ent := r.outQ[port*r.nv+vc].pop(&r.acts.rings)
 	r.outCount--
 	if r.outPortPkts[port]--; r.outPortPkts[port] == 0 {
 		r.outMask.clear(port)
@@ -395,14 +483,14 @@ func (n *Network) pushSrc(nd *Node, h pktHandle) {
 	if nd.srcQ.empty() {
 		nd.acts.srcBusy++
 	}
-	nd.srcQ.push(entry{h: h})
+	nd.srcQ.push(&nd.acts.rings, entry{h: h})
 	nd.acts.node.set(nd.ID)
 }
 
 // popSrc removes the head of a node's source queue, putting the node
 // to sleep if it has no remaining injection work.
 func (n *Network) popSrc(nd *Node) {
-	nd.srcQ.pop()
+	nd.srcQ.pop(&nd.acts.rings)
 	if nd.srcQ.empty() {
 		nd.acts.srcBusy--
 		if len(nd.retxQ) == 0 {

@@ -1,5 +1,10 @@
 package sim
 
+import (
+	"math/bits"
+	"slices"
+)
+
 // Packet is the unit of routing; it serializes as Flits flits.
 type Packet struct {
 	ID        int64
@@ -90,67 +95,142 @@ func (e *Engine) slabFor(r *Router) *pktSlab {
 	return &e.slab
 }
 
-// queue is a FIFO of buffer entries backed by a slice with an
-// amortized-compacting head index.
-type queue struct {
-	items []entry
-	head  int
-}
+// neverReady is the ready cycle of an empty queue's head slot: polls
+// compare head.ready against the clock, so an empty queue reads as
+// "not yet" without a separate emptiness test.
+const neverReady = int64(1<<63 - 1)
 
 // entry is one packet resident in (or traversing toward) a buffer.
 // It is 16 bytes and pointer-free: the packet lives in the engine's
 // slab, and the cached switch-allocation decision is packed into two
-// int16 fields (a router's port count is far below 32k).
+// int16 fields (NewNetwork rejects port and VC counts beyond them).
 type entry struct {
 	ready int64     // cycle the head flit is present in this buffer
 	h     pktHandle // slab handle of the resident packet
-	// Cached routing decision (switch allocation stage); -1 until set.
+	// Cached routing decision (switch allocation stage); unrouted (-1)
+	// until set.
 	outPort int16
 	outVC   int16
 }
 
-func (q *queue) empty() bool { return q.head >= len(q.items) }
+const unrouted = -1
 
-func (q *queue) len() int { return len(q.items) - q.head }
+// queue is a FIFO of buffer entries, 32 bytes so that two share a cache
+// line inside the router's block. The oldest entry is stored inline:
+// polling an empty, not-yet-ready or blocked queue — by far the most
+// common visit — reads head and nothing else. Entries behind it
+// overflow into a power-of-two ring carved from the owning shard's
+// ringArena; the ring appears on the second push, doubles when full and
+// is kept when the queue drains, so a queue's storage settles at the
+// depth it actually reaches rather than at its credit capacity.
+type queue struct {
+	head  entry // oldest entry; head.ready == neverReady when empty
+	n     int32 // entries queued, head included
+	start int32 // ring position of the entry behind head
+	off   int32 // ring's offset in the ringArena (meaningful when cap > 0)
+	cap   int32 // ring capacity: 0 or a power of two
+}
 
-func (q *queue) push(e entry) { q.items = append(q.items, e) }
+// ringArena is the overflow storage of one shard's queues: regions of
+// 2^k entries handed out from one growing slice, recycled through
+// per-size free lists threaded through the freed regions themselves.
+// Only the owning shard pushes (and so allocates); growing relocates
+// mem, so an *entry into it must not be held across a push.
+type ringArena struct {
+	mem  []entry
+	free [31]int32 // per log2(size): offset+1 of the first free region, 0 if none
+}
 
-// front returns a pointer to the head entry; call only when !empty().
-func (q *queue) front() *entry { return &q.items[q.head] }
+const minRing = 4 // entries in a queue's first ring
 
-func (q *queue) pop() entry {
-	e := q.items[q.head]
-	q.head++
-	if q.head == len(q.items) {
-		// Drained: rewind to the front of the backing array so the
-		// next push reuses warm slots instead of growing the tail.
-		q.items = q.items[:0]
-		q.head = 0
-	} else if q.head > 64 && q.head*2 >= len(q.items) {
-		n := copy(q.items, q.items[q.head:])
-		q.items = q.items[:n]
-		q.head = 0
+func (a *ringArena) alloc(size int32) int32 {
+	k := bits.TrailingZeros32(uint32(size))
+	if f := a.free[k]; f != 0 {
+		a.free[k] = int32(a.mem[f-1].h) // next link, stored in the region's first slot
+		return f - 1
 	}
+	off := len(a.mem)
+	a.mem = slices.Grow(a.mem, int(size))[:off+int(size)]
+	return int32(off)
+}
+
+func (a *ringArena) release(off, size int32) {
+	k := bits.TrailingZeros32(uint32(size))
+	a.mem[off].h = pktHandle(a.free[k])
+	a.free[k] = off + 1
+}
+
+func (q *queue) empty() bool { return q.n == 0 }
+
+func (q *queue) len() int { return int(q.n) }
+
+// slot returns the arena index of the i-th overflow entry (i >= 0).
+func (q *queue) slot(i int32) int32 { return q.off + (q.start+i)&(q.cap-1) }
+
+func (q *queue) push(a *ringArena, e entry) {
+	if q.n == 0 {
+		q.head = e
+		q.n = 1
+		return
+	}
+	over := q.n - 1
+	if over == q.cap {
+		q.grow(a)
+	}
+	a.mem[q.slot(over)] = e
+	q.n++
+}
+
+// grow moves the overflow entries into a ring of twice the capacity and
+// recycles the old one.
+func (q *queue) grow(a *ringArena) {
+	size := 2 * q.cap
+	if size == 0 {
+		size = minRing
+	}
+	off := a.alloc(size)
+	for i := int32(0); i < q.cap; i++ {
+		a.mem[off+i] = a.mem[q.slot(i)]
+	}
+	if q.cap > 0 {
+		a.release(q.off, q.cap)
+	}
+	q.off, q.cap, q.start = off, size, 0
+}
+
+func (q *queue) pop(a *ringArena) entry {
+	e := q.head
+	if q.n--; q.n == 0 {
+		q.head = entry{ready: neverReady}
+		return e
+	}
+	q.head = a.mem[q.slot(0)]
+	q.start = (q.start + 1) & (q.cap - 1)
 	return e
 }
 
 // at returns a pointer to the i-th entry from the front (0 = head);
 // call only when i < len().
-func (q *queue) at(i int) *entry { return &q.items[q.head+i] }
+func (q *queue) at(a *ringArena, i int) *entry {
+	if i == 0 {
+		return &q.head
+	}
+	return &a.mem[q.slot(int32(i-1))]
+}
 
 // removeAt removes and returns the i-th entry from the front,
 // preserving the order of the rest. removeAt(0) == pop().
-func (q *queue) removeAt(i int) entry {
+func (q *queue) removeAt(a *ringArena, i int) entry {
 	if i == 0 {
-		return q.pop()
+		return q.pop(a)
 	}
-	pos := q.head + i
-	e := q.items[pos]
-	copy(q.items[pos:], q.items[pos+1:])
-	q.items = q.items[:len(q.items)-1]
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
+	// Close the gap from the front: the window bounds i, the queue's
+	// depth does not bound what lies behind it.
+	e := a.mem[q.slot(int32(i-1))]
+	for j := int32(i - 1); j > 0; j-- {
+		a.mem[q.slot(j)] = a.mem[q.slot(j-1)]
 	}
+	q.start = (q.start + 1) & (q.cap - 1)
+	q.n--
 	return e
 }

@@ -5,60 +5,71 @@ import (
 	"testing/quick"
 )
 
+// newTestQueue returns an empty queue in the state NewNetwork leaves
+// one in, with a private ring arena.
+func newTestQueue() (*queue, *ringArena) {
+	return &queue{head: entry{ready: neverReady}}, &ringArena{}
+}
+
 func TestQueueFIFO(t *testing.T) {
-	var q queue
+	q, a := newTestQueue()
 	if !q.empty() || q.len() != 0 {
 		t.Fatal("new queue not empty")
 	}
 	for i := 0; i < 5; i++ {
-		q.push(entry{ready: int64(i)})
+		q.push(a, entry{ready: int64(i)})
 	}
 	if q.len() != 5 {
 		t.Fatalf("len = %d", q.len())
 	}
 	for i := 0; i < 5; i++ {
-		if got := q.pop().ready; got != int64(i) {
+		if got := q.pop(a).ready; got != int64(i) {
 			t.Fatalf("pop %d returned %d", i, got)
 		}
 	}
 	if !q.empty() {
 		t.Fatal("queue not empty after draining")
 	}
+	if q.head.ready != neverReady {
+		t.Fatalf("drained queue's head polls ready at %d, want neverReady", q.head.ready)
+	}
 }
 
 func TestQueueAt(t *testing.T) {
-	var q queue
+	q, a := newTestQueue()
 	for i := 0; i < 4; i++ {
-		q.push(entry{ready: int64(10 + i)})
+		q.push(a, entry{ready: int64(10 + i)})
 	}
-	q.pop()
+	q.pop(a)
 	for i := 0; i < 3; i++ {
-		if q.at(i).ready != int64(11+i) {
-			t.Fatalf("at(%d) = %d", i, q.at(i).ready)
+		if q.at(a, i).ready != int64(11+i) {
+			t.Fatalf("at(%d) = %d", i, q.at(a, i).ready)
 		}
 	}
-	// Mutation through at() must persist.
-	q.at(1).outPort = 7
-	if q.at(1).outPort != 7 {
+	// Mutation through at() must persist, on the inline head and in the
+	// ring.
+	q.at(a, 0).outPort = 5
+	q.at(a, 1).outPort = 7
+	if q.at(a, 0).outPort != 5 || q.at(a, 1).outPort != 7 {
 		t.Fatal("at() mutation lost")
 	}
 }
 
 func TestQueueRemoveAt(t *testing.T) {
-	var q queue
+	q, a := newTestQueue()
 	for i := 0; i < 5; i++ {
-		q.push(entry{ready: int64(i)})
+		q.push(a, entry{ready: int64(i)})
 	}
-	if got := q.removeAt(2).ready; got != 2 {
+	if got := q.removeAt(a, 2).ready; got != 2 {
 		t.Fatalf("removeAt(2) = %d", got)
 	}
 	want := []int64{0, 1, 3, 4}
 	for i, w := range want {
-		if q.at(i).ready != w {
-			t.Fatalf("after removeAt, at(%d) = %d, want %d", i, q.at(i).ready, w)
+		if q.at(a, i).ready != w {
+			t.Fatalf("after removeAt, at(%d) = %d, want %d", i, q.at(a, i).ready, w)
 		}
 	}
-	if got := q.removeAt(0).ready; got != 0 {
+	if got := q.removeAt(a, 0).ready; got != 0 {
 		t.Fatalf("removeAt(0) = %d", got)
 	}
 	if q.len() != 3 {
@@ -66,83 +77,98 @@ func TestQueueRemoveAt(t *testing.T) {
 	}
 }
 
-func TestQueueCompaction(t *testing.T) {
-	var q queue
-	// Force the amortized head compaction path.
-	for i := 0; i < 300; i++ {
-		q.push(entry{ready: int64(i)})
-	}
-	for i := 0; i < 200; i++ {
-		if got := q.pop().ready; got != int64(i) {
-			t.Fatalf("pop %d = %d", i, got)
+// TestQueueRingWrapGrow drives the ring through growth with a wrapped
+// start: pops move start off zero, pushes wrap past the ring's end, and
+// the next doubling must unroll the wrapped contents in order.
+func TestQueueRingWrapGrow(t *testing.T) {
+	q, a := newTestQueue()
+	next, want := int64(0), int64(0)
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			q.push(a, entry{ready: next})
+			next++
 		}
 	}
-	for i := 0; i < 100; i++ {
-		q.push(entry{ready: int64(300 + i)})
-	}
-	for i := 0; i < 200; i++ {
-		want := int64(200 + i)
-		if got := q.pop().ready; got != want {
-			t.Fatalf("post-compaction pop = %d, want %d", got, want)
+	pop := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if got := q.pop(a).ready; got != want {
+				t.Fatalf("pop = %d, want %d", got, want)
+			}
+			want++
 		}
 	}
+	push(5) // head + a full first ring
+	if q.cap != minRing || q.start != 0 {
+		t.Fatalf("ring cap %d start %d after %d pushes, want %d and 0", q.cap, q.start, 5, minRing)
+	}
+	pop(3)
+	push(3) // wraps: start 3, entries at ring slots 3, 0, 1, 2
+	if q.start != 3 || q.len() != 5 {
+		t.Fatalf("start %d len %d, want a wrapped full ring (3, 5)", q.start, q.len())
+	}
+	push(1) // grows with the ring wrapped
+	if q.cap != 2*minRing || q.start != 0 {
+		t.Fatalf("ring cap %d start %d after growth, want %d and 0", q.cap, q.start, 2*minRing)
+	}
+	push(300)
+	pop(200)
+	push(100)
+	pop(q.len())
 	if !q.empty() {
 		t.Fatal("queue should be empty")
 	}
+	// The outgrown rings went back to the arena: a second queue reaching
+	// the same depth reuses them instead of extending it.
+	size := len(a.mem)
+	q2 := &queue{head: entry{ready: neverReady}}
+	for i := 0; i < 200; i++ {
+		q2.push(a, entry{ready: int64(i)})
+	}
+	if len(a.mem) != size {
+		t.Fatalf("arena grew from %d to %d entries although freed rings cover the demand", size, len(a.mem))
+	}
 }
 
-// TestQueueRemoveAtCompactionBoundary drives the interaction between
-// removeAt and pop's amortized head compaction (which fires only once
-// head > 64 and at least half the backing slice is dead). removeAt
-// indexes relative to head, so a compaction moving head back to 0 must
-// not change what removeAt(i) addresses — this walks the exact
-// boundary where the old and new head coexist within one sequence of
-// operations.
-func TestQueueRemoveAtCompactionBoundary(t *testing.T) {
-	var q queue
-	for i := 0; i < 130; i++ {
-		q.push(entry{ready: int64(i)})
+// TestQueueRemoveAtWrapBoundary removes from the middle of a ring whose
+// contents wrap around its end: removeAt indexes from the front of the
+// queue, shifts the entries ahead of the gap across the wrap, and must
+// leave order and addressing intact on both sides of it.
+func TestQueueRemoveAtWrapBoundary(t *testing.T) {
+	q, a := newTestQueue()
+	for i := 0; i < 9; i++ { // head + a full ring of 8
+		q.push(a, entry{ready: int64(i)})
 	}
-	// 64 pops leave head at 64: one below the compaction threshold.
-	for i := 0; i < 64; i++ {
-		if got := q.pop().ready; got != int64(i) {
+	for i := 0; i < 6; i++ {
+		if got := q.pop(a).ready; got != int64(i) {
 			t.Fatalf("pop %d = %d", i, got)
 		}
 	}
-	if q.head != 64 {
-		t.Fatalf("head = %d, want 64 (compaction fired early)", q.head)
+	for i := 9; i < 14; i++ { // tail wraps past the ring's end
+		q.push(a, entry{ready: int64(i)})
 	}
-	// removeAt with a large head must address relative to the front.
-	if got := q.removeAt(3).ready; got != 67 {
-		t.Fatalf("removeAt(3) = %d, want 67", got)
+	if q.cap != 8 || q.start != 6 {
+		t.Fatalf("ring cap %d start %d, want 8 and 6 (wrapped)", q.cap, q.start)
 	}
-	// removeAt(0) delegates to pop, pushing head to 65 > 64 with
-	// head*2 = 130 >= len = 129: the compaction fires here.
-	if got := q.removeAt(0).ready; got != 64 {
-		t.Fatalf("removeAt(0) = %d, want 64", got)
+	// Queue holds 6..13; entry 4 (value 10) sits past the wrap, the two
+	// ahead of it in the ring (7, 8) before it.
+	if got := q.removeAt(a, 4).ready; got != 10 {
+		t.Fatalf("removeAt(4) = %d, want 10", got)
 	}
-	if q.head != 0 {
-		t.Fatalf("head = %d after boundary pop, want 0 (compaction missed)", q.head)
+	if got := q.removeAt(a, 1).ready; got != 7 {
+		t.Fatalf("removeAt(1) = %d, want 7", got)
 	}
-	// Survivors: 65, 66, 68..129 — order intact across the compaction,
-	// and removeAt keeps addressing from the (moved) front.
-	if got := q.removeAt(2).ready; got != 68 {
-		t.Fatalf("post-compaction removeAt(2) = %d, want 68", got)
-	}
-	want := []int64{65, 66}
-	for i := int64(69); i < 130; i++ {
-		want = append(want, i)
-	}
+	want := []int64{6, 8, 9, 11, 12, 13}
 	if q.len() != len(want) {
 		t.Fatalf("len = %d, want %d", q.len(), len(want))
 	}
 	for i, w := range want {
-		if got := q.at(i).ready; got != w {
+		if got := q.at(a, i).ready; got != w {
 			t.Fatalf("at(%d) = %d, want %d", i, got, w)
 		}
 	}
 	for _, w := range want {
-		if got := q.pop().ready; got != w {
+		if got := q.pop(a).ready; got != w {
 			t.Fatalf("drain pop = %d, want %d", got, w)
 		}
 	}
@@ -155,18 +181,18 @@ func TestQueueRemoveAtCompactionBoundary(t *testing.T) {
 // FIFO order of the survivors.
 func TestQuickQueueOrder(t *testing.T) {
 	prop := func(ops []uint8) bool {
-		var q queue
+		q, a := newTestQueue()
 		next := int64(0)
 		var model []int64
 		for _, op := range ops {
 			switch {
 			case op%3 != 0 || len(model) == 0:
-				q.push(entry{ready: next})
+				q.push(a, entry{ready: next})
 				model = append(model, next)
 				next++
 			default:
 				i := int(op/3) % len(model)
-				got := q.removeAt(i).ready
+				got := q.removeAt(a, i).ready
 				if got != model[i] {
 					return false
 				}
@@ -177,7 +203,7 @@ func TestQuickQueueOrder(t *testing.T) {
 			}
 		}
 		for i, w := range model {
-			if q.at(i).ready != w {
+			if q.at(a, i).ready != w {
 				return false
 			}
 		}
