@@ -78,7 +78,8 @@ func (p *PAR) cost(here, ri, dst int) float64 {
 // its destination; it returns the chosen intermediate or -1 for
 // minimal.
 func (p *PAR) decide(pkt *sim.Packet, r *sim.Router, rng *rand.Rand) int {
-	qM, _ := p.firstHopOccupancy(r, pkt.DstRouter)
+	dst := int(pkt.DstRouter)
+	qM, _ := p.firstHopOccupancy(r, dst)
 	if p.cfg.Threshold > 0 && float64(qM) < p.cfg.Threshold*float64(p.portBuf) {
 		return -1
 	}
@@ -90,7 +91,7 @@ func (p *PAR) decide(pkt *sim.Packet, r *sim.Router, rng *rand.Rand) int {
 			continue
 		}
 		qI, _ := p.firstHopOccupancy(r, ri)
-		if cost := p.cost(r.ID, ri, pkt.DstRouter) * float64(qI); cost < best {
+		if cost := p.cost(r.ID, ri, dst) * float64(qI); cost < best {
 			best = cost
 			bestRi = ri
 		}
@@ -105,7 +106,7 @@ func (p *PAR) Inject(pkt *sim.Packet, r *sim.Router, rng *rand.Rand) int {
 	pkt.Intermediate = -1
 	if ri := p.decide(pkt, r, rng); ri >= 0 {
 		pkt.Minimal = false
-		pkt.Intermediate = ri
+		pkt.Intermediate = int32(ri)
 	}
 	return 0
 }
@@ -113,11 +114,11 @@ func (p *PAR) Inject(pkt *sim.Packet, r *sim.Router, rng *rand.Rand) int {
 // NextHop implements sim.RoutingAlgorithm: minimal packets get one
 // more adaptive decision at their first network hop.
 func (p *PAR) NextHop(pkt *sim.Packet, r *sim.Router, rng *rand.Rand) (int, int) {
-	if pkt.Minimal && pkt.Hops == 1 && r.ID != pkt.DstRouter {
+	if pkt.Minimal && pkt.Hops == 1 && r.ID != int(pkt.DstRouter) {
 		if ri := p.decide(pkt, r, rng); ri >= 0 {
 			pkt.Minimal = false
 			pkt.PhaseTwo = false
-			pkt.Intermediate = ri
+			pkt.Intermediate = int32(ri)
 		}
 	}
 	return p.nextHop(pkt, r, rng)

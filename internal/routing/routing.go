@@ -119,23 +119,23 @@ func (b *base) vcFor(p *sim.Packet) int {
 	}
 	// Dynamic faults can stretch a route beyond the hop budget the VC
 	// count was sized from; the overflow hops share the top channel.
-	if max := b.numVCs() - 1; p.Hops > max {
+	if max := b.numVCs() - 1; int(p.Hops) > max {
 		return max
 	}
-	return p.Hops
+	return int(p.Hops)
 }
 
 // target returns the router the packet currently steers toward and
 // flips the packet into phase two at the intermediate.
 func (b *base) target(p *sim.Packet, here int) int {
 	if p.Minimal || p.PhaseTwo {
-		return p.DstRouter
+		return int(p.DstRouter)
 	}
-	if here == p.Intermediate {
+	if here == int(p.Intermediate) {
 		p.PhaseTwo = true
-		return p.DstRouter
+		return int(p.DstRouter)
 	}
-	return p.Intermediate
+	return int(p.Intermediate)
 }
 
 // nextHop picks the output port along a minimal path toward the
@@ -180,7 +180,7 @@ func (b *base) nextHop(p *sim.Packet, r *sim.Router, rng *rand.Rand) (int, int) 
 func (b *base) pickIntermediate(p *sim.Packet, rng *rand.Rand) int {
 	for {
 		ri := b.eligible[rng.Intn(len(b.eligible))]
-		if ri != p.SrcRouter && ri != p.DstRouter {
+		if ri != int(p.SrcRouter) && ri != int(p.DstRouter) {
 			return ri
 		}
 	}
@@ -253,7 +253,7 @@ func (v *Valiant) NumVCs() int { return v.numVCs() }
 func (v *Valiant) Inject(p *sim.Packet, _ *sim.Router, rng *rand.Rand) int {
 	p.Minimal = false
 	p.PhaseTwo = false
-	p.Intermediate = v.pickIntermediate(p, rng)
+	p.Intermediate = int32(v.pickIntermediate(p, rng))
 	return 0
 }
 

@@ -160,7 +160,7 @@ func (m *SlimFlyMinimal) NextHopRouter(cur, dst int, rng *rand.Rand) (int, error
 
 // NextHop implements sim.RoutingAlgorithm.
 func (m *SlimFlyMinimal) NextHop(p *sim.Packet, r *sim.Router, rng *rand.Rand) (int, int) {
-	next, err := m.NextHopRouter(r.ID, p.DstRouter, rng)
+	next, err := m.NextHopRouter(r.ID, int(p.DstRouter), rng)
 	if err != nil {
 		panic(err)
 	}
@@ -168,7 +168,7 @@ func (m *SlimFlyMinimal) NextHop(p *sim.Packet, r *sim.Router, rng *rand.Rand) (
 	if err != nil {
 		panic(err)
 	}
-	return port, p.Hops
+	return port, int(p.Hops)
 }
 
 // MLFMMinimal routes minimally on the MLFM by pair-index arithmetic:
@@ -196,7 +196,7 @@ func (r *MLFMMinimal) Inject(p *sim.Packet, _ *sim.Router, _ *rand.Rand) int {
 // NextHop implements sim.RoutingAlgorithm.
 func (r *MLFMMinimal) NextHop(p *sim.Packet, rt *sim.Router, rng *rand.Rand) (int, int) {
 	m := r.m
-	cur, dst := rt.ID, p.DstRouter
+	cur, dst := rt.ID, int(p.DstRouter)
 	var next int
 	if m.Layer(cur) >= 0 {
 		// At a local router: go up to a global router shared with
@@ -268,7 +268,7 @@ func (r *OFTMinimal) row(router int) int {
 // NextHop implements sim.RoutingAlgorithm.
 func (r *OFTMinimal) NextHop(p *sim.Packet, rt *sim.Router, rng *rand.Rand) (int, int) {
 	o := r.o
-	cur, dst := rt.ID, p.DstRouter
+	cur, dst := rt.ID, int(p.DstRouter)
 	var next int
 	if o.Level(cur) != 1 {
 		// Lower router: up to a common L1 neighbor of both rows

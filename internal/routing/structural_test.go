@@ -134,7 +134,7 @@ func TestMLFMStructuralColumnDiversity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	used := map[int]bool{}
 	for trial := 0; trial < 200; trial++ {
-		p := &sim.Packet{DstRouter: dst, Minimal: true}
+		p := &sim.Packet{DstRouter: int32(dst), Minimal: true}
 		port, _ := str.NextHop(p, net.Routers[src], rng)
 		used[net.Routers[src].NeighborAt(port)] = true
 	}

@@ -104,14 +104,15 @@ func (u *UGAL) Inject(p *sim.Packet, r *sim.Router, rng *rand.Rand) int {
 	p.PhaseTwo = false
 	p.Intermediate = -1
 
-	qM := u.occupancy(r, p.DstRouter)
+	dst := int(p.DstRouter)
+	qM := u.occupancy(r, dst)
 	// Threshold variant: an uncongested minimal port short-circuits
 	// the adaptive comparison.
 	if u.cfg.Threshold > 0 && float64(qM) < u.cfg.Threshold*float64(u.portBuf) {
 		return 0
 	}
 
-	lM := u.dist[r.ID][p.DstRouter]
+	lM := u.dist[r.ID][dst]
 	bestCost := float64(qM)
 	bestRi := -1
 	for j := 0; j < u.cfg.NI; j++ {
@@ -119,7 +120,7 @@ func (u *UGAL) Inject(p *sim.Packet, r *sim.Router, rng *rand.Rand) int {
 		qI := u.occupancy(r, ri)
 		var c float64
 		if u.cfg.SFCost {
-			lI := u.dist[r.ID][ri] + u.dist[ri][p.DstRouter]
+			lI := u.dist[r.ID][ri] + u.dist[ri][dst]
 			c = float64(lI) / float64(lM) * u.cfg.CSF
 		} else {
 			c = u.cfg.C
@@ -132,7 +133,7 @@ func (u *UGAL) Inject(p *sim.Packet, r *sim.Router, rng *rand.Rand) int {
 	}
 	if bestRi >= 0 {
 		p.Minimal = false
-		p.Intermediate = bestRi
+		p.Intermediate = int32(bestRi)
 	}
 	return 0
 }

@@ -72,15 +72,16 @@ func (u *UGALGlobal) Inject(p *sim.Packet, r *sim.Router, rng *rand.Rand) int {
 	p.PhaseTwo = false
 	p.Intermediate = -1
 	net := r.Network()
-	lM := u.dist[r.ID][p.DstRouter]
-	best := u.pathCost(net, r.ID, p.DstRouter)
+	dst := int(p.DstRouter)
+	lM := u.dist[r.ID][dst]
+	best := u.pathCost(net, r.ID, dst)
 	bestRi := -1
 	for j := 0; j < u.cfg.NI; j++ {
 		ri := u.pickIntermediate(p, rng)
-		qI := u.pathCost(net, r.ID, ri) + u.pathCost(net, ri, p.DstRouter)
+		qI := u.pathCost(net, r.ID, ri) + u.pathCost(net, ri, dst)
 		var c float64
 		if u.cfg.SFCost {
-			lI := u.dist[r.ID][ri] + u.dist[ri][p.DstRouter]
+			lI := u.dist[r.ID][ri] + u.dist[ri][dst]
 			c = float64(lI) / float64(lM) * u.cfg.CSF
 		} else {
 			c = u.cfg.C
@@ -92,7 +93,7 @@ func (u *UGALGlobal) Inject(p *sim.Packet, r *sim.Router, rng *rand.Rand) int {
 	}
 	if bestRi >= 0 {
 		p.Minimal = false
-		p.Intermediate = bestRi
+		p.Intermediate = int32(bestRi)
 	}
 	return 0
 }

@@ -340,11 +340,10 @@ func (e *Engine) Stalled(window int64) bool {
 
 func (e *Engine) deliver(h pktHandle) {
 	p := e.pkt(h)
-	p.DeliverTime = e.now
 	e.delivered++
 	e.lastDeliver = e.now
 	if e.now >= e.Warmup {
-		e.deliveredFlitsWindow += int64(p.Flits)
+		e.deliveredFlitsWindow += int64(e.pktFlits)
 	}
 	if p.Retx > 0 && e.now-p.FirstDrop > e.recoveryMax {
 		e.recoveryMax = e.now - p.FirstDrop
@@ -353,11 +352,11 @@ func (e *Engine) deliver(h pktHandle) {
 		e.observer.OnDeliver(p, e.now)
 	}
 	if e.tel != nil {
-		e.tel.Deliver(e.now, p.ID, p.Src, p.Dst, float64(p.DeliverTime-p.GenTime), p.Minimal, p.Hops, p.Flits)
+		e.tel.Deliver(e.now, p.ID, int(p.Src), int(p.Dst), float64(e.now-p.GenTime), p.Minimal, int(p.Hops), e.pktFlits)
 	}
 	if p.GenTime >= e.Warmup {
-		e.latGen.Add(float64(p.DeliverTime - p.GenTime))
-		e.latNet.Add(float64(p.DeliverTime - p.InjectTime))
+		e.latGen.Add(float64(e.now - p.GenTime))
+		e.latNet.Add(float64(e.now - p.InjectTime))
 		e.hops.Add(float64(p.Hops))
 		if !p.Minimal {
 			e.indirectN++
@@ -414,8 +413,6 @@ func (e *Engine) linkStage() {
 					}
 					r.credits[ci] -= pf
 					ent := r.dequeueOut(port, vc)
-					p := e.pkt(ent.h)
-					p.Hops++
 					next := e.Net.Routers[r.neighbor[port]]
 					if next.part == e.shard {
 						next.enqueueIn(int(r.revPort[port]), vc, entry{h: ent.h, ready: now + linkLat, outPort: unrouted})
@@ -429,7 +426,7 @@ func (e *Engine) linkStage() {
 						// keeps it untouched this cycle even under serial
 						// semantics.
 						e.outPkt[next.part] = append(e.outPkt[next.part],
-							pktMsg{router: next.ID, port: int(r.revPort[port]), vc: vc, ready: now + linkLat, pkt: *p})
+							pktMsg{router: next.ID, port: int(r.revPort[port]), vc: vc, ready: now + linkLat, pkt: *e.pkt(ent.h)})
 					}
 					if e.tel != nil {
 						e.tel.LinkTraverse(r.ID, next.ID, vc, int(pf))
@@ -530,18 +527,22 @@ func (e *Engine) switchAllocPort(r *Router, port, nv int, xfer, swLat, linkLat i
 				break // later entries arrived even later
 			}
 			if cand.outPort < 0 {
+				// The hop's one load of the packet.
 				p := e.pkt(cand.h)
-				if p.DstRouter == r.ID {
-					cand.outPort = int16(e.Net.terminalPortFor(p.Dst))
-					cand.outVC = int16(p.VC)
+				if cand.outPort == unrouted && port < r.netPorts {
+					p.Hops++
+				}
+				if int(p.DstRouter) == r.ID {
+					cand.outPort = int16(e.Net.terminalPortFor(int(p.Dst)))
+					cand.outVC = int16(vc)
 				} else {
 					op, ov := e.Alg.NextHop(p, r, e.rng)
 					cand.outPort, cand.outVC = int16(op), int16(ov)
 				}
-				r.pendingOut[cand.outPort] += int32(p.Flits)
-				r.occSum[cand.outPort] += int32(p.Flits)
+				r.pendingOut[cand.outPort] += pf
+				r.occSum[cand.outPort] += pf
 				if e.tel != nil {
-					e.tel.Route(e.now, p.ID, p.Src, p.Dst, r.ID, int(cand.outPort), p.VC, int(cand.outVC), p.Minimal)
+					e.tel.Route(e.now, p.ID, int(p.Src), int(p.Dst), r.ID, int(cand.outPort), vc, int(cand.outVC), p.Minimal)
 				}
 			}
 			if r.outAccept[cand.outPort] > now {
@@ -556,13 +557,11 @@ func (e *Engine) switchAllocPort(r *Router, port, nv int, xfer, swLat, linkLat i
 		if pick < 0 {
 			continue
 		}
-		// Grant.
+		// Grant: the packet's flits move from the port's pending load to
+		// its output buffer, which leaves occSum as it was.
 		ent := r.takeIn(port, vc, pick)
-		p := e.pkt(ent.h)
 		op, ov := int(ent.outPort), int(ent.outVC)
-		r.pendingOut[op] -= int32(p.Flits)
-		r.occSum[op] += pf - int32(p.Flits)
-		p.VC = ov
+		r.pendingOut[op] -= pf
 		r.outOcc[r.idx(op, ov)] += pf
 		r.outAccept[op] = now + xfer
 		r.inPortFree[port] = now + xfer
@@ -622,11 +621,11 @@ func (e *Engine) injectStage() {
 				h := e.slab.alloc()
 				p := e.pkt(h)
 				p.ID = e.nextID
-				p.Src = nd.ID
-				p.Dst = dst
-				p.SrcRouter = nd.Router
-				p.DstRouter = e.Net.Topo.NodeRouter(dst)
-				p.Flits = e.pktFlits
+				p.Src = int32(nd.ID)
+				p.Dst = int32(dst)
+				p.SrcRouter = int32(nd.Router)
+				p.DstRouter = int32(e.Net.Topo.NodeRouter(dst))
+				p.Flits = int32(e.pktFlits)
 				p.GenTime = e.now
 				p.Intermediate = -1
 				e.nextID++
@@ -691,17 +690,16 @@ func (e *Engine) tryInject(nd *Node) {
 		e.Net.popSrc(nd)
 	}
 	p.InjectTime = e.now
-	p.VC = vc
 	e.injected++
 	if e.tel != nil {
 		if retx >= 0 {
-			e.tel.Retransmit(e.now, p.ID, p.Src, p.Dst, nd.Router, vc, e.pktFlits)
+			e.tel.Retransmit(e.now, p.ID, int(p.Src), int(p.Dst), nd.Router, vc, e.pktFlits)
 		} else {
-			e.tel.Inject(e.now, p.ID, p.Src, p.Dst, nd.Router, vc, e.pktFlits)
+			e.tel.Inject(e.now, p.ID, int(p.Src), int(p.Dst), nd.Router, vc, e.pktFlits)
 		}
 	}
 	if e.now >= e.Warmup {
-		e.injectedFlitsWindow += int64(p.Flits)
+		e.injectedFlitsWindow += int64(e.pktFlits)
 	}
 	nd.linkFree = e.now + int64(e.pktFlits)
 	inPort := e.Net.nodeRouterPort[p.Src]

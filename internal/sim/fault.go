@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -334,20 +335,19 @@ func (e *Engine) rebuildTables() {
 			e.dropDeadOutput(v, v.portTo(u.ID), vc)
 		}
 	}
+	pf := int32(e.pktFlits)
 	for _, r := range e.Net.Routers {
 		if r.inCount == 0 {
 			continue
 		}
-		slab := e.slabFor(r)
 		for i := range r.inQ {
 			q := &r.inQ[i]
 			for j := 0; j < q.len(); j++ {
 				ent := q.at(&r.acts.rings, j)
 				if ent.outPort >= 0 {
-					fl := int32(slab.at(ent.h).Flits)
-					r.pendingOut[ent.outPort] -= fl
-					r.occSum[ent.outPort] -= fl
-					ent.outPort = unrouted
+					r.pendingOut[ent.outPort] -= pf
+					r.occSum[ent.outPort] -= pf
+					ent.outPort = rerouted
 				}
 			}
 		}
@@ -392,13 +392,15 @@ func subgraphWithout(base *graph.Graph, down map[[2]int]bool) *graph.Graph {
 // and vc locate the failing link for the telemetry flight recorder.
 func (e *Engine) dropPacket(p *Packet, router, port, vc int) {
 	if e.tel != nil {
-		e.tel.Drop(e.now, p.ID, p.Src, p.Dst, router, port, vc)
+		e.tel.Drop(e.now, p.ID, int(p.Src), int(p.Dst), router, port, vc)
 	}
 	e.droppedPkts++
 	if p.Retx == 0 {
 		p.FirstDrop = e.now
 	}
-	p.Retx++
+	if p.Retx < math.MaxInt16 {
+		p.Retx++
+	}
 	shift := p.Retx - 1
 	if shift > 16 {
 		shift = 16

@@ -5,28 +5,29 @@ import (
 	"slices"
 )
 
-// Packet is the unit of routing; it serializes as Flits flits.
+// Packet is the unit of routing; it serializes as Flits flits. It is
+// 64 bytes — one cache line of the slab — and the engine loads it once
+// per hop, when the hop is routed: the grant and the link traversal
+// work from the queue entry alone. NewNetwork's range checks cover the
+// narrow fields.
 type Packet struct {
-	ID        int64
-	Src, Dst  int // end-node IDs
-	SrcRouter int
-	DstRouter int
-	Flits     int
+	ID int64
 
-	GenTime     int64 // cycle the packet entered the source queue
-	InjectTime  int64 // cycle the packet started onto the terminal link
-	DeliverTime int64 // cycle the tail flit reached the destination node
-	Hops        int   // router-to-router hops taken
+	GenTime    int64 // cycle the packet entered the source queue
+	InjectTime int64 // cycle the packet started onto the terminal link
+	FirstDrop  int64 // fault injection: cycle of the first drop (valid when Retx > 0)
+
+	Src, Dst  int32 // end-node IDs
+	SrcRouter int32
+	DstRouter int32
 
 	// Routing state, owned by the routing algorithm.
-	Minimal      bool // true: minimal route; false: indirect (Valiant)
-	Intermediate int  // intermediate router for indirect routes, else -1
-	PhaseTwo     bool // indirect routes: intermediate already reached
-	VC           int  // VC assigned on the current link
-
-	// Fault-injection state (see fault.go).
-	Retx      int   // times this packet was dropped by a link failure
-	FirstDrop int64 // cycle of the first drop (valid when Retx > 0)
+	Intermediate int32 // intermediate router for indirect routes, else -1
+	Flits        int32 // always the engine's packet size (CheckInvariants)
+	Hops         int16 // router-to-router hops taken, counted as each is routed
+	Retx         int16 // fault injection: times this packet was dropped by a link failure
+	Minimal      bool  // true: minimal route; false: indirect (Valiant)
+	PhaseTwo     bool  // indirect routes: intermediate already reached
 }
 
 // pktHandle addresses a live Packet inside an engine's slab. Handles
@@ -107,13 +108,19 @@ const neverReady = int64(1<<63 - 1)
 type entry struct {
 	ready int64     // cycle the head flit is present in this buffer
 	h     pktHandle // slab handle of the resident packet
-	// Cached routing decision (switch allocation stage); unrouted (-1)
-	// until set.
+	// Cached routing decision (switch allocation stage): a port once
+	// routed, else one of the two sentinels below.
 	outPort int16
 	outVC   int16
 }
 
-const unrouted = -1
+// A network hop is counted when the arriving entry is first routed.
+// Fault recovery forgets routes (rebuildTables) but not hops, so an
+// entry it sends back for routing says so.
+const (
+	unrouted = -1 // fresh arrival: count the hop, then route
+	rerouted = -2 // route forgotten after a table rebuild: hop already counted
+)
 
 // queue is a FIFO of buffer entries, 32 bytes so that two share a cache
 // line inside the router's block. The oldest entry is stored inline:

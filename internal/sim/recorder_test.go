@@ -34,7 +34,7 @@ type intermediateSpy struct {
 
 func (s *intermediateSpy) Inject(p *sim.Packet, r *sim.Router, rng *rand.Rand) int {
 	vc := s.RoutingAlgorithm.Inject(p, r, rng)
-	s.inter[p.ID] = p.Intermediate
+	s.inter[p.ID] = int(p.Intermediate)
 	return vc
 }
 

@@ -116,7 +116,7 @@ func (a *bfsMinRoute) Inject(p *Packet, _ *Router, _ *rand.Rand) int {
 
 func (a *bfsMinRoute) NextHop(p *Packet, r *Router, _ *rand.Rand) (int, int) {
 	nb := a.next[r.ID][p.DstRouter]
-	vc := p.Hops
+	vc := int(p.Hops)
 	if vc >= a.nv {
 		vc = a.nv - 1
 	}

@@ -26,8 +26,8 @@ func (blackhole) Inject(p *sim.Packet, r *sim.Router, rng *rand.Rand) int { retu
 
 func (blackhole) NextHop(p *sim.Packet, r *sim.Router, rng *rand.Rand) (int, int) {
 	for port := 0; port < r.NetPorts(); port++ {
-		if r.NeighborAt(port) != p.DstRouter {
-			return port, p.Hops % 2
+		if r.NeighborAt(port) != int(p.DstRouter) {
+			return port, int(p.Hops) % 2
 		}
 	}
 	return 0, 0 // degree-1 router: no way to avoid the destination

@@ -97,7 +97,7 @@ func (c *Collective) Done() bool { return c.left == 0 }
 
 // OnDeliver implements sim.DeliveryObserver.
 func (c *Collective) OnDeliver(p *sim.Packet, _ int64) {
-	if p.Dst >= 0 && p.Dst < len(c.received) {
+	if p.Dst >= 0 && int(p.Dst) < len(c.received) {
 		c.received[p.Dst]++
 	}
 }

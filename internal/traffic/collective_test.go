@@ -45,7 +45,7 @@ func drainCollective(t *testing.T, c *Collective) int {
 				if !ok {
 					break
 				}
-				c.OnDeliver(&sim.Packet{Dst: dst}, int64(rounds))
+				c.OnDeliver(&sim.Packet{Dst: int32(dst)}, int64(rounds))
 				progressed = true
 			}
 		}
