@@ -66,29 +66,23 @@ type Workload interface {
 // Deferred effects travel through three typed delay rings instead of a
 // single ring of tagged event structs. Credit returns and output-buffer
 // releases always move exactly one packet's worth of flits, so each is
-// an 8-byte packed reference applied with one integer add in a batched
-// fixed-order pass, and deliveries are bare slab handles. The rings
-// hold no pointers, so the GC never scans them, and one ring slot costs
-// 1/7th the memory traffic of the old event structs — the dominant
-// saving in the saturated regime, where nearly every (port, VC) pair
-// schedules per cycle.
+// a packed reference applied with integer adds on one flat array in a
+// batched fixed-order pass, and deliveries are bare slab handles. The
+// rings hold no pointers, so the GC never scans them.
 //
-// nodeCreditRef tags a terminal-link credit: bits 32..62 hold the node,
-// the low 32 bits the VC. Untagged refs are router credits/releases:
-// bits 32..62 the router, the low 32 bits the precomputed
-// idx(port, vc) buffer index.
-const nodeCreditRef = uint64(1) << 63
+// A credit reference is the index of the counter — a router's
+// credits[idx(port, vc)] or a node's per-VC credit — in Network.mem.w32.
+// A release reference packs two such indices: the port's occSum in the
+// high half, the (port, vc) outOcc in the low half.
 
-func routerRef(router, idx int) uint64 { return uint64(router)<<32 | uint64(uint32(idx)) }
-
-func nodeRef(node, vc int) uint64 {
-	return nodeCreditRef | uint64(node)<<32 | uint64(uint32(vc))
+func releaseRef(r *Router, port, ci int) uint64 {
+	return uint64(r.occSumAt+uint32(port))<<32 | uint64(r.outOccAt+uint32(ci))
 }
 
 // ringSlot holds the deferred effects landing on one future cycle.
 type ringSlot struct {
-	credits  []uint64    // router/node credit returns (packed refs)
-	releases []uint64    // output-buffer occupancy releases (packed refs)
+	credits  []uint32    // router/node credit returns (w32 indices)
+	releases []uint64    // output-buffer occupancy releases (see releaseRef)
 	delivers []pktHandle // packet tails reaching their destination node
 }
 
@@ -111,7 +105,7 @@ type Engine struct {
 	// shard owns.
 	shard   int
 	acts    *actSet
-	nodes   []*Node
+	nodes   []int32 // owned nodes, ascending
 	par     *ParallelEngine
 	outPkt  [][]pktMsg  // [destination shard] cross-partition packet handoffs
 	outCred [][]credMsg // [destination shard] cross-partition credit returns
@@ -176,7 +170,10 @@ func NewEngine(net *Network, alg RoutingAlgorithm, work Workload) (*Engine, erro
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		pktFlits: cfg.PacketFlits(),
 		acts:     net.acts[0],
-		nodes:    net.Nodes,
+		nodes:    make([]int32, len(net.nodes)),
+	}
+	for i := range e.nodes {
+		e.nodes[i] = int32(i)
 	}
 	e.ringLen = int64(cfg.PacketFlits() + cfg.LinkLatency + cfg.SwitchLatency + 2)
 	e.ring = make([]ringSlot, e.ringLen)
@@ -208,7 +205,7 @@ func (e *Engine) slotAt(delay int64) int64 {
 	return t
 }
 
-func (e *Engine) scheduleCredit(delay int64, ref uint64) {
+func (e *Engine) scheduleCredit(delay int64, ref uint32) {
 	s := &e.ring[e.slotAt(delay)]
 	s.credits = append(s.credits, ref)
 }
@@ -299,29 +296,17 @@ func (e *Engine) workDone() bool {
 // callback fires in the same sequence.
 func (e *Engine) processEvents() {
 	s := &e.ring[e.slot]
-	flits := e.pktFlits
-	if len(s.credits) > 0 {
-		routers := e.Net.Routers
-		nodes := e.Net.Nodes
-		for _, ref := range s.credits {
-			if ref&nodeCreditRef == 0 {
-				routers[ref>>32].credits[uint32(ref)] += int32(flits)
-			} else {
-				nodes[(ref>>32)&0x7fffffff].credits[uint32(ref)] += flits
-			}
-		}
-		s.credits = s.credits[:0]
+	flits := int32(e.pktFlits)
+	w32 := e.Net.mem.w32
+	for _, ref := range s.credits {
+		w32[ref] += flits
 	}
-	if len(s.releases) > 0 {
-		routers := e.Net.Routers
-		for _, ref := range s.releases {
-			r := routers[ref>>32]
-			ci := int(uint32(ref))
-			r.outOcc[ci] -= int32(flits)
-			r.occSum[ci/r.nv] -= int32(flits)
-		}
-		s.releases = s.releases[:0]
+	s.credits = s.credits[:0]
+	for _, ref := range s.releases {
+		w32[uint32(ref)] -= flits
+		w32[ref>>32] -= flits
 	}
+	s.releases = s.releases[:0]
 	if len(s.delivers) > 0 {
 		for _, h := range s.delivers {
 			e.deliver(h)
@@ -439,7 +424,7 @@ func (e *Engine) linkStage() {
 					e.scheduleDeliver(flits+linkLat, ent.h)
 				}
 				r.linkFree[port] = now + flits
-				e.scheduleRelease(flits, routerRef(r.ID, ci))
+				e.scheduleRelease(flits, releaseRef(r, port, ci))
 				if vc++; vc == nv {
 					vc = 0
 				}
@@ -572,11 +557,10 @@ func (e *Engine) switchAllocPort(r *Router, port, nv int, xfer, swLat, linkLat i
 		// the credit ring, applied in a batched pass (see
 		// processEvents).
 		if r.isTerminal(port) {
-			node := int(r.nodeAt[port-r.netPorts])
-			e.scheduleCredit(xfer+linkLat, nodeRef(node, vc))
+			e.scheduleCredit(xfer+linkLat, r.nodeCreditsAt+uint32((port-r.netPorts)*nv+vc))
 		} else {
 			up := e.Net.Routers[r.neighbor[port]]
-			ref := routerRef(up.ID, up.idx(int(r.revPort[port]), vc))
+			ref := up.creditsAt + uint32(up.idx(int(r.revPort[port]), vc))
 			if up.part == e.shard {
 				e.scheduleCredit(xfer+linkLat, ref)
 			} else {
@@ -611,37 +595,43 @@ func (e *Engine) injectStage() {
 	if e.workDone() {
 		act := e.acts.node
 		for id := act.nextFrom(0); id >= 0; id = act.nextFrom(id + 1) {
-			e.tryInject(e.Net.Nodes[id])
+			e.tryInject(id)
 		}
 		return
 	}
-	for _, nd := range e.nodes {
-		if nd.srcQ.len() < e.Cfg.SourceQueueCap {
-			if dst, ok := e.Work.NextPacket(nd.ID, e.now, e.rng); ok {
+	net := e.Net
+	srcCap := int32(e.Cfg.SourceQueueCap)
+	for _, id32 := range e.nodes {
+		id := int(id32)
+		loc := &net.nodes[id]
+		if net.mem.q[loc.srcQ].n < srcCap {
+			if dst, ok := e.Work.NextPacket(id, e.now, e.rng); ok {
 				h := e.slab.alloc()
 				p := e.pkt(h)
 				p.ID = e.nextID
-				p.Src = int32(nd.ID)
+				p.Src = id32
 				p.Dst = int32(dst)
-				p.SrcRouter = int32(nd.Router)
-				p.DstRouter = int32(e.Net.Topo.NodeRouter(dst))
+				p.SrcRouter = loc.router
+				p.DstRouter = net.nodes[dst].router
 				p.Flits = int32(e.pktFlits)
 				p.GenTime = e.now
 				p.Intermediate = -1
 				e.nextID++
 				e.generated++
-				e.Net.pushSrc(nd, h)
+				net.pushSrc(e.acts, id, h)
 			}
 		}
-		e.tryInject(nd)
+		e.tryInject(id)
 	}
 }
 
 // tryInject attempts to start one packet from a node onto its terminal
 // link: the oldest ready retransmission if any, else the source-queue
 // head.
-func (e *Engine) tryInject(nd *Node) {
-	if nd.linkFree > e.now {
+func (e *Engine) tryInject(node int) {
+	net := e.Net
+	loc := &net.nodes[node]
+	if net.mem.i64[loc.linkFree] > e.now {
 		return
 	}
 	// Retransmissions of dropped packets take priority over fresh
@@ -650,29 +640,31 @@ func (e *Engine) tryInject(nd *Node) {
 	var h pktHandle
 	var p *Packet
 	if e.faults != nil {
-		retx = nd.readyRetx(e.now)
+		retx = net.readyRetx(node, e.now)
 	}
 	if retx >= 0 {
 		// The retx queue parks packets by value; route state mutations
 		// (here and in Inject below) persist on the parked copy across
 		// failed attempts, exactly as they did on the old shared struct.
-		p = &nd.retxQ[retx].pkt
+		p = &net.retxQ[node][retx].pkt
 		p.Hops = 0
 		p.PhaseTwo = false
 		p.Intermediate = -1
 	} else {
-		if nd.srcQ.empty() {
+		srcQ := &net.mem.q[loc.srcQ]
+		if srcQ.empty() {
 			return
 		}
-		h = nd.srcQ.head.h
+		h = srcQ.head.h
 		p = e.pkt(h)
 	}
-	r := e.Net.Routers[nd.Router]
+	r := net.Routers[loc.router]
 	vc := e.Alg.Inject(p, r, e.rng)
-	if nd.credits[vc] < e.pktFlits {
+	credits := &net.mem.w32[int(loc.credits)+vc]
+	if *credits < int32(e.pktFlits) {
 		return
 	}
-	nd.credits[vc] -= e.pktFlits
+	*credits -= int32(e.pktFlits)
 	if retx >= 0 {
 		// Re-home the parked copy into this shard's slab before
 		// removing it from the queue (DESIGN.md §15).
@@ -680,28 +672,27 @@ func (e *Engine) tryInject(nd *Node) {
 		np := e.pkt(h)
 		*np = *p
 		p = np
-		nd.takeRetx(retx)
-		if len(nd.retxQ) == 0 && nd.srcQ.empty() {
-			nd.acts.node.clear(nd.ID)
+		net.takeRetx(node, retx)
+		if len(net.retxQ[node]) == 0 && net.mem.q[loc.srcQ].empty() {
+			e.acts.node.clear(node)
 		}
 		e.retxWaiting--
 		e.retransmits++
 	} else {
-		e.Net.popSrc(nd)
+		net.popSrc(e.acts, node)
 	}
 	p.InjectTime = e.now
 	e.injected++
 	if e.tel != nil {
 		if retx >= 0 {
-			e.tel.Retransmit(e.now, p.ID, int(p.Src), int(p.Dst), nd.Router, vc, e.pktFlits)
+			e.tel.Retransmit(e.now, p.ID, int(p.Src), int(p.Dst), r.ID, vc, e.pktFlits)
 		} else {
-			e.tel.Inject(e.now, p.ID, int(p.Src), int(p.Dst), nd.Router, vc, e.pktFlits)
+			e.tel.Inject(e.now, p.ID, int(p.Src), int(p.Dst), r.ID, vc, e.pktFlits)
 		}
 	}
 	if e.now >= e.Warmup {
 		e.injectedFlitsWindow += int64(e.pktFlits)
 	}
-	nd.linkFree = e.now + int64(e.pktFlits)
-	inPort := e.Net.nodeRouterPort[p.Src]
-	r.enqueueIn(inPort, vc, entry{h: h, ready: e.now + int64(e.Cfg.LinkLatency), outPort: unrouted})
+	net.mem.i64[loc.linkFree] = e.now + int64(e.pktFlits)
+	r.enqueueIn(net.terminalPortFor(node), vc, entry{h: h, ready: e.now + int64(e.Cfg.LinkLatency), outPort: unrouted})
 }

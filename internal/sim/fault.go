@@ -200,6 +200,7 @@ func (e *Engine) SetFaultSchedule(fs *FaultSchedule) error {
 	for _, r := range e.Net.Routers {
 		r.portDown = make([]bool, r.netPorts)
 	}
+	e.Net.retxQ = make([][]retxEntry, len(e.Net.nodes))
 	return nil
 }
 
@@ -405,20 +406,22 @@ func (e *Engine) dropPacket(p *Packet, router, port, vc int) {
 	if shift > 16 {
 		shift = 16
 	}
-	nd := e.Net.Nodes[p.Src]
-	nd.retxQ = append(nd.retxQ, retxEntry{pkt: *p, ready: e.now + int64(e.Cfg.RetxTimeout)<<shift})
-	// The pending retransmission is injection work: wake the node so
-	// the drain-phase injectStage revisits it when the timer expires.
-	nd.acts.node.set(nd.ID)
+	net := e.Net
+	net.retxQ[p.Src] = append(net.retxQ[p.Src], retxEntry{pkt: *p, ready: e.now + int64(e.Cfg.RetxTimeout)<<shift})
+	// The pending retransmission is injection work: wake the node (in
+	// its router's shard) so the drain-phase injectStage revisits it
+	// when the timer expires.
+	net.Routers[p.SrcRouter].acts.node.set(int(p.Src))
 	e.retxWaiting++
 }
 
 // readyRetx returns the index of the retransmission entry with the
 // earliest expired timer (FIFO among ties), or -1 if none is due.
-func (nd *Node) readyRetx(now int64) int {
+func (n *Network) readyRetx(node int, now int64) int {
 	best := -1
-	for i, ent := range nd.retxQ {
-		if ent.ready <= now && (best < 0 || ent.ready < nd.retxQ[best].ready) {
+	q := n.retxQ[node]
+	for i, ent := range q {
+		if ent.ready <= now && (best < 0 || ent.ready < q[best].ready) {
 			best = i
 		}
 	}
@@ -428,8 +431,9 @@ func (nd *Node) readyRetx(now int64) int {
 // takeRetx removes the i-th retransmission entry. Callers that need
 // the parked packet must copy it out first (the removal shifts the
 // slice).
-func (nd *Node) takeRetx(i int) {
-	nd.retxQ = append(nd.retxQ[:i], nd.retxQ[i+1:]...)
+func (n *Network) takeRetx(node, i int) {
+	q := n.retxQ[node]
+	n.retxQ[node] = append(q[:i], q[i+1:]...)
 }
 
 // FaultStats summarizes the fault-injection activity of a run. All

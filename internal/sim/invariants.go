@@ -49,8 +49,8 @@ func (e *Engine) CheckInvariants() error {
 		// in the network (including the deliver ring); drops released
 		// their slot (the retx queue parks packets by value).
 		var queued int64
-		for _, nd := range e.Net.Nodes {
-			queued += int64(nd.srcQ.len())
+		for _, loc := range e.Net.nodes {
+			queued += int64(e.Net.mem.q[loc.srcQ].n)
 		}
 		want := queued + e.injected - e.delivered - e.droppedPkts
 		if live := int64(e.slab.live()); live != want {
@@ -69,14 +69,20 @@ func checkInvariants(net *Network, cfg Config, c engineCounts) error {
 	// injected - retransmits.
 	var queued, retxQueued int64
 	srcBusy := make([]int, len(net.acts))
-	for _, nd := range net.Nodes {
-		queued += int64(nd.srcQ.len())
-		retxQueued += int64(len(nd.retxQ))
-		if !nd.srcQ.empty() {
-			srcBusy[nd.part]++
+	for id, loc := range net.nodes {
+		r := net.Routers[loc.router]
+		srcQ := &net.mem.q[loc.srcQ]
+		retx := 0
+		if net.retxQ != nil {
+			retx = len(net.retxQ[id])
 		}
-		if wantActive := !nd.srcQ.empty() || len(nd.retxQ) > 0; nd.acts.node.get(nd.ID) != wantActive {
-			return fmt.Errorf("sim: node %d active bit %v, want %v", nd.ID, !wantActive, wantActive)
+		queued += int64(srcQ.n)
+		retxQueued += int64(retx)
+		if !srcQ.empty() {
+			srcBusy[r.part]++
+		}
+		if wantActive := !srcQ.empty() || retx > 0; r.acts.node.get(id) != wantActive {
+			return fmt.Errorf("sim: node %d active bit %v, want %v", id, !wantActive, wantActive)
 		}
 	}
 	for p, a := range net.acts {
@@ -161,10 +167,10 @@ func checkInvariants(net *Network, cfg Config, c engineCounts) error {
 			}
 		}
 	}
-	for _, nd := range net.Nodes {
-		for vc, c := range nd.credits {
-			if c < 0 || c > cfg.InputBufFlits {
-				return fmt.Errorf("sim: node %d vc %d credits %d out of [0,%d]", nd.ID, vc, c, cfg.InputBufFlits)
+	for id, loc := range net.nodes {
+		for vc, c := range net.mem.w32[loc.credits : int(loc.credits)+cfg.NumVCs] {
+			if c < 0 || int(c) > cfg.InputBufFlits {
+				return fmt.Errorf("sim: node %d vc %d credits %d out of [0,%d]", id, vc, c, cfg.InputBufFlits)
 			}
 		}
 	}

@@ -76,14 +76,23 @@ type Router struct {
 	outPortPkts []int32
 
 	neighbor []int32 // network port -> neighbor router
-	nodeAt   []int32 // terminal port index (0-based from netPorts) -> node
 	revPort  []int16 // network port -> the port at that neighbor that leads back here
 	rrVC     []int16 // per input port, round-robin pointer over VCs
 	rrOut    []int16 // per output port, round-robin pointer over VCs
 
-	// Indices of credits[0], outOcc[0] and occSum[0] in Network.mem.w32:
-	// what deferred credit returns and buffer releases are addressed by.
-	creditsAt, outOccAt, occSumAt uint32
+	// The attached nodes' state, by terminal port (0-based from
+	// netPorts): the bounded source queue feeding the terminal link, the
+	// cycle that link is next free, and the node's per-VC credits for
+	// this router's terminal input buffer. The engine reaches a node's
+	// three through Network.nodes without coming through the router.
+	srcQ         []queue
+	nodeLinkFree []int64
+	nodeCredits  []int32 // [terminal*numVC + vc]
+
+	// Indices of credits[0], outOcc[0], occSum[0] and nodeCredits[0] in
+	// Network.mem.w32: what deferred credit returns and buffer releases
+	// are addressed by.
+	creditsAt, outOccAt, occSumAt, nodeCreditsAt uint32
 
 	inMask  bitset
 	outMask bitset
@@ -93,16 +102,19 @@ type Router struct {
 	portDown []bool
 }
 
-// carve lays the router's arrays out in its block; with a zero arena it
-// only measures.
-func (r *Router) carve(l *layout, a *blockArena) {
+// carve lays the router's arrays out in its block and returns where the
+// attached nodes' source queues and link-free cycles start in their
+// views; with a zero arena it only measures.
+func (r *Router) carve(l *layout, a *blockArena) (srcQAt, nodeLinkFreeAt int) {
 	l.alignLine()
-	p, q := r.nPorts, r.nPorts*r.nv
+	p, q, term := r.nPorts, r.nPorts*r.nv, r.nPorts-r.netPorts
 	r.inPortFree, _ = carve(l, a.i64, p)
 	r.outAccept, _ = carve(l, a.i64, p)
 	r.linkFree, _ = carve(l, a.i64, p)
+	r.nodeLinkFree, nodeLinkFreeAt = carve(l, a.i64, term)
 	r.inQ, _ = carve(l, a.q, q)
 	r.outQ, _ = carve(l, a.q, q)
+	r.srcQ, srcQAt = carve(l, a.q, term)
 	var at int
 	r.credits, at = carve(l, a.w32, q)
 	r.creditsAt = uint32(at)
@@ -113,11 +125,13 @@ func (r *Router) carve(l *layout, a *blockArena) {
 	r.pendingOut, _ = carve(l, a.w32, p)
 	r.inPortPkts, _ = carve(l, a.w32, p)
 	r.outPortPkts, _ = carve(l, a.w32, p)
+	r.nodeCredits, at = carve(l, a.w32, term*r.nv)
+	r.nodeCreditsAt = uint32(at)
 	r.neighbor, _ = carve(l, a.w32, r.netPorts)
-	r.nodeAt, _ = carve(l, a.w32, p-r.netPorts)
 	r.revPort, _ = carve(l, a.h16, r.netPorts)
 	r.rrVC, _ = carve(l, a.h16, p)
 	r.rrOut, _ = carve(l, a.h16, p)
+	return srcQAt, nodeLinkFreeAt
 }
 
 // Network wires the topology into routers and nodes.
@@ -125,13 +139,23 @@ type Network struct {
 	Topo    topo.Topology
 	Cfg     Config
 	Routers []*Router
-	Nodes   []*Node
-
-	nodeRouterPort []int // node -> terminal port index at its router
 
 	// mem holds every router's hot state, one aligned block each (see
-	// blockArena and Router.carve).
+	// blockArena and Router.carve), the state of its attached nodes
+	// included.
 	mem blockArena
+
+	// nodes says, per end-node, where its state sits in mem and which
+	// router it hangs off; nodeRouterPort is the terminal port index at
+	// that router (kept apart: ejection looks it up per packet, by
+	// destination).
+	nodes          []nodeLoc
+	nodeRouterPort []int16
+
+	// retxQ[node] holds the packets the network dropped that the node
+	// will re-inject once their timeout expires. Nil unless a fault
+	// schedule is attached (see fault.go).
+	retxQ [][]retxEntry
 
 	// Active sets (see activeset.go), grouped per engine shard: one
 	// actSet per partition of the router set, each holding the wake
@@ -140,7 +164,8 @@ type Network struct {
 	// so the wake-list behaviour (and the golden digests pinning it) is
 	// unchanged; the parallel engine re-partitions into one group per
 	// shard (see parallel.go). Components reach their group through
-	// Router.acts / Node.acts without consulting this slice.
+	// Router.acts (a node through its router's) without consulting this
+	// slice.
 	acts []*actSet
 
 	// tel mirrors Engine.tel so the queue-mutation wrappers can report
@@ -149,22 +174,12 @@ type Network struct {
 	tel *telemetry.Collector
 }
 
-// Node is an end-node: a bounded source queue feeding the terminal
-// link to its router, plus the ejection sink. When fault injection is
-// active the node also holds its retransmission queue — packets the
-// network dropped that will be re-injected once their timeout expires.
-type Node struct {
-	ID       int
-	Router   int
-	srcQ     queue
-	retxQ    []retxEntry
-	linkFree int64
-	credits  []int // per VC: free space in the router's terminal input buffer
-
-	// acts/part mirror Router.acts/part: the active-set group of the
-	// engine shard owning this node (always its router's shard).
-	acts *actSet
-	part int
+// nodeLoc locates an end-node: its router, and the indices of its
+// source queue, terminal-link free cycle and first per-VC credit in
+// mem.q, mem.i64 and mem.w32.
+type nodeLoc struct {
+	srcQ, linkFree, credits uint32
+	router                  int32
 }
 
 // checkRanges rejects a topology or configuration whose sizes do not
@@ -220,8 +235,8 @@ func NewNetwork(t topo.Topology, cfg Config) (*Network, error) {
 		Topo:           t,
 		Cfg:            cfg,
 		Routers:        make([]*Router, g.N()),
-		Nodes:          make([]*Node, t.Nodes()),
-		nodeRouterPort: make([]int, t.Nodes()),
+		nodes:          make([]nodeLoc, t.Nodes()),
+		nodeRouterPort: make([]int16, t.Nodes()),
 	}
 	routers := make([]Router, g.N())
 	var size layout
@@ -244,9 +259,12 @@ func NewNetwork(t topo.Topology, cfg Config) (*Network, error) {
 	n.mem = newBlockArena(size.off)
 	var at layout
 	for _, rt := range n.Routers {
-		rt.carve(&at, &n.mem)
+		srcQAt, linkFreeAt := rt.carve(&at, &n.mem)
 		for i := range rt.credits {
 			rt.credits[i] = int32(cfg.InputBufFlits)
+		}
+		for i := range rt.nodeCredits {
+			rt.nodeCredits[i] = int32(cfg.InputBufFlits)
 		}
 		for i := range rt.inQ {
 			rt.inQ[i].head.ready = neverReady
@@ -256,8 +274,14 @@ func NewNetwork(t topo.Topology, cfg Config) (*Network, error) {
 			rt.neighbor[p] = int32(nb)
 		}
 		for i, node := range t.RouterNodes(rt.ID) {
-			rt.nodeAt[i] = int32(node)
-			n.nodeRouterPort[node] = rt.netPorts + i
+			rt.srcQ[i].head.ready = neverReady
+			n.nodeRouterPort[node] = int16(rt.netPorts + i)
+			n.nodes[node] = nodeLoc{
+				srcQ:     uint32(srcQAt + i),
+				linkFree: uint32(linkFreeAt + i),
+				credits:  rt.nodeCreditsAt + uint32(i*rt.nv),
+				router:   int32(rt.ID),
+			}
 		}
 		rt.inMask = newBitset(rt.nPorts)
 		rt.outMask = newBitset(rt.nPorts)
@@ -276,13 +300,6 @@ func NewNetwork(t topo.Topology, cfg Config) (*Network, error) {
 	n.acts = []*actSet{newActSet(g.N(), t.Nodes())}
 	for _, rt := range n.Routers {
 		rt.acts = n.acts[0]
-	}
-	for id := 0; id < t.Nodes(); id++ {
-		nd := &Node{ID: id, Router: t.NodeRouter(id), credits: make([]int, cfg.NumVCs), acts: n.acts[0]}
-		for v := range nd.credits {
-			nd.credits[v] = cfg.InputBufFlits
-		}
-		n.Nodes[id] = nd
 	}
 	return n, nil
 }
@@ -319,7 +336,7 @@ func (n *Network) partitionShards(part []int, shards int) error {
 	}
 	acts := make([]*actSet, shards)
 	for s := range acts {
-		acts[s] = newActSet(len(n.Routers), len(n.Nodes))
+		acts[s] = newActSet(len(n.Routers), len(n.nodes))
 	}
 	seen := make([]bool, shards)
 	for r, p := range part {
@@ -334,10 +351,6 @@ func (n *Network) partitionShards(part []int, shards int) error {
 		if !ok {
 			return fmt.Errorf("sim: shard %d owns no routers", s)
 		}
-	}
-	for _, nd := range n.Nodes {
-		nd.acts = n.Routers[nd.Router].acts
-		nd.part = n.Routers[nd.Router].part
 	}
 	n.acts = acts
 	return nil
@@ -409,7 +422,7 @@ func (r *Router) OutBufferOccupancy(port int) int {
 
 // terminalPortFor returns the output port of the destination node's
 // router that ejects to that node.
-func (n *Network) terminalPortFor(node int) int { return n.nodeRouterPort[node] }
+func (n *Network) terminalPortFor(node int) int { return int(n.nodeRouterPort[node]) }
 
 func (r *Router) idx(port, vc int) int { return port*r.nv + vc }
 
@@ -478,23 +491,26 @@ func (r *Router) dequeueOut(port, vc int) entry {
 }
 
 // pushSrc appends a freshly generated packet to a node's source queue
-// and wakes the node for injection.
-func (n *Network) pushSrc(nd *Node, h pktHandle) {
-	if nd.srcQ.empty() {
-		nd.acts.srcBusy++
+// and wakes the node for injection. a is the active-set group of the
+// shard owning the node — the calling engine's own.
+func (n *Network) pushSrc(a *actSet, node int, h pktHandle) {
+	q := &n.mem.q[n.nodes[node].srcQ]
+	if q.empty() {
+		a.srcBusy++
 	}
-	nd.srcQ.push(&nd.acts.rings, entry{h: h})
-	nd.acts.node.set(nd.ID)
+	q.push(&a.rings, entry{h: h})
+	a.node.set(node)
 }
 
 // popSrc removes the head of a node's source queue, putting the node
 // to sleep if it has no remaining injection work.
-func (n *Network) popSrc(nd *Node) {
-	nd.srcQ.pop(&nd.acts.rings)
-	if nd.srcQ.empty() {
-		nd.acts.srcBusy--
-		if len(nd.retxQ) == 0 {
-			nd.acts.node.clear(nd.ID)
+func (n *Network) popSrc(a *actSet, node int) {
+	q := &n.mem.q[n.nodes[node].srcQ]
+	q.pop(&a.rings)
+	if q.empty() {
+		a.srcBusy--
+		if n.retxQ == nil || len(n.retxQ[node]) == 0 {
+			a.node.clear(node)
 		}
 	}
 }

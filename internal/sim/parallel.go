@@ -77,7 +77,7 @@ type pktMsg struct {
 // producer meant.
 type credMsg struct {
 	delay int64
-	ref   uint64
+	ref   uint32
 }
 
 // ParallelPreparable is an optional workload interface: workloads that
@@ -253,9 +253,9 @@ func NewParallelEngine(net *Network, alg RoutingAlgorithm, work Workload, opt Pa
 		e.nodes = nil
 		pe.shards[s] = e
 	}
-	for _, nd := range net.Nodes { // node order within a shard = ID order
-		e := pe.shards[nd.part]
-		e.nodes = append(e.nodes, nd)
+	for id, loc := range net.nodes { // node order within a shard = ID order
+		e := pe.shards[part[loc.router]]
+		e.nodes = append(e.nodes, int32(id))
 	}
 	pe.owned = make([][]int, workers)
 	for s := 0; s < p; s++ {
@@ -551,7 +551,7 @@ func (pe *ParallelEngine) Results() Results {
 		}
 	}
 	window := e0.now - pe.Warmup
-	nodes := int64(len(pe.Net.Nodes))
+	nodes := int64(len(pe.Net.nodes))
 	if window > 0 && nodes > 0 {
 		res.Throughput = float64(deliveredFlitsWindow) / float64(window*nodes)
 		res.InjectedLoad = float64(injectedFlitsWindow) / float64(window*nodes)

@@ -39,7 +39,7 @@ func (e *Engine) Results() Results {
 		Delivered: e.delivered,
 	}
 	window := e.now - e.Warmup
-	nodes := int64(len(e.Net.Nodes))
+	nodes := int64(len(e.Net.nodes))
 	if window > 0 && nodes > 0 {
 		res.Throughput = float64(e.deliveredFlitsWindow) / float64(window*nodes)
 		res.InjectedLoad = float64(e.injectedFlitsWindow) / float64(window*nodes)
