@@ -66,9 +66,9 @@ func CDGAcyclicWithVCs(t topo.Topology, policy VCPolicy, indirect bool, vcs int)
 			cont(hops, prev)
 			return
 		}
-		want := b.dist[cur][tgt] - 1
+		want := b.dist.at(cur, tgt) - 1
 		for _, nb := range g.Neighbors(cur) {
-			if b.dist[nb][tgt] != want {
+			if b.dist.at(nb, tgt) != want {
 				continue
 			}
 			vc := vcAt(minimal, phaseTwo, hops)

@@ -45,7 +45,7 @@ func NewPAR(t topo.Topology, cfg UGALConfig, simCfg sim.Config) (*PAR, error) {
 	}
 	for r := 0; r < t.Graph().N(); r++ {
 		for _, e := range p.eligible {
-			if d := p.dist[r][e]; d > p.maxLeg {
+			if d := p.dist.at(r, e); d > p.maxLeg {
 				p.maxLeg = d
 			}
 		}
@@ -66,11 +66,11 @@ func (p *PAR) cost(here, ri, dst int) float64 {
 	if !p.cfg.SFCost {
 		return p.cfg.C
 	}
-	lM := p.dist[here][dst]
+	lM := p.dist.at(here, dst)
 	if lM == 0 {
 		lM = 1
 	}
-	lI := p.dist[here][ri] + p.dist[ri][dst]
+	lI := p.dist.at(here, ri) + p.dist.at(ri, dst)
 	return float64(lI) / float64(lM) * p.cfg.CSF
 }
 

@@ -9,6 +9,7 @@ package routing
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"diam2/internal/graph"
@@ -43,10 +44,55 @@ func PolicyFor(t topo.Topology) VCPolicy {
 	}
 }
 
+// distTable is the all-pairs hop-distance matrix at one byte per entry:
+// every routing decision reads a handful of entries of one row, so a
+// row spanning few cache lines — and the whole table fitting a
+// mid-level cache at paper scale — is what the decision costs.
+type distTable struct {
+	n int
+	d []uint8 // [u*n + v]; farAway for unreachable pairs
+}
+
+// farAway is a row's entry for an unreachable router. Real distances
+// stay below it (newDistTable panics otherwise: no topology this
+// simulator targets comes near a 255-hop diameter).
+const farAway = math.MaxUint8
+
+func newDistTable(g *graph.Graph) distTable {
+	n := g.N()
+	t := distTable{n: n, d: make([]uint8, n*n)}
+	bfs, queue := make([]int, n), make([]int, 0, n)
+	for u := 0; u < n; u++ {
+		g.BFSInto(u, bfs, queue)
+		for v, d := range bfs {
+			switch {
+			case d == graph.Unreachable:
+				d = farAway
+			case d >= farAway:
+				panic(fmt.Sprintf("routing: routers %d and %d are %d hops apart, beyond the distance table's range", u, v, d))
+			}
+			t.d[u*n+v] = uint8(d)
+		}
+	}
+	return t
+}
+
+// row returns the distances from (equally, to) router u.
+func (t distTable) row(u int) []uint8 { return t.d[u*t.n : (u+1)*t.n] }
+
+// at returns the distance between two routers, graph.Unreachable if
+// there is no path.
+func (t distTable) at(u, v int) int {
+	if d := t.d[u*t.n+v]; d != farAway {
+		return int(d)
+	}
+	return graph.Unreachable
+}
+
 // base holds the topology-derived state shared by all algorithms.
 type base struct {
 	topo     topo.Topology
-	dist     [][]int
+	dist     distTable
 	eligible []int // Valiant intermediates: endpoint-attached routers
 	policy   VCPolicy
 	indirect bool // whether indirect routes are ever taken
@@ -61,14 +107,14 @@ type base struct {
 func newBase(t topo.Topology, policy VCPolicy, indirect bool) *base {
 	b := &base{
 		topo:     t,
-		dist:     t.Graph().DistanceMatrix(),
+		dist:     newDistTable(t.Graph()),
 		eligible: t.EndpointRouters(),
 		policy:   policy,
 		indirect: indirect,
 	}
 	for _, u := range b.eligible {
 		for _, v := range b.eligible {
-			if d := b.dist[u][v]; d > b.maxMin {
+			if d := b.dist.at(u, v); d > b.maxMin {
 				b.maxMin = d
 			}
 		}
@@ -99,7 +145,7 @@ func (b *base) numVCs() int {
 // hop-indexed VCs clamp at the top channel when rerouted paths run
 // long (see vcFor).
 func (b *base) Rebuild(g *graph.Graph) {
-	b.dist = g.DistanceMatrix()
+	b.dist = newDistTable(g)
 	b.live = g
 }
 
@@ -146,8 +192,8 @@ func (b *base) nextHop(p *sim.Packet, r *sim.Router, rng *rand.Rand) (int, int) 
 	tgt := b.target(p, r.ID)
 	// The graph is undirected, so the distance matrix is symmetric;
 	// reading the target's row keeps every per-port lookup inside one
-	// contiguous row instead of chasing a row pointer per neighbor.
-	row := b.dist[tgt]
+	// contiguous row of bytes.
+	row := b.dist.row(tgt)
 	want := row[r.ID] - 1
 	bestPort := -1
 	bestOcc := 0
@@ -190,7 +236,7 @@ func (b *base) pickIntermediate(p *sim.Packet, rng *rand.Rand) int {
 // least-occupied output port on a minimal path toward tgt (the
 // UGAL-L congestion signal), together with that port.
 func (b *base) firstHopOccupancy(r *sim.Router, tgt int) (occ, port int) {
-	row := b.dist[tgt] // symmetric matrix, see nextHop
+	row := b.dist.row(tgt) // symmetric matrix, see nextHop
 	want := row[r.ID] - 1
 	occ, port = -1, -1
 	np := r.NetPorts()

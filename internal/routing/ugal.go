@@ -85,10 +85,11 @@ func (u *UGAL) occupancy(r *sim.Router, tgt int) int {
 		occ, _ := u.firstHopOccupancy(r, tgt)
 		return occ
 	}
-	want := u.dist[r.ID][tgt] - 1
+	row := u.dist.row(tgt) // symmetric matrix, see nextHop
+	want := row[r.ID] - 1
 	occ := -1
 	for pt := 0; pt < r.NetPorts(); pt++ {
-		if u.dist[r.NeighborAt(pt)][tgt] != want || !u.usable(r, pt) {
+		if row[r.NeighborAt(pt)] != want || !u.usable(r, pt) {
 			continue
 		}
 		if o := r.OutBufferOccupancy(pt); occ < 0 || o < occ {
@@ -112,7 +113,7 @@ func (u *UGAL) Inject(p *sim.Packet, r *sim.Router, rng *rand.Rand) int {
 		return 0
 	}
 
-	lM := u.dist[r.ID][dst]
+	lM := u.dist.at(r.ID, dst)
 	bestCost := float64(qM)
 	bestRi := -1
 	for j := 0; j < u.cfg.NI; j++ {
@@ -120,7 +121,7 @@ func (u *UGAL) Inject(p *sim.Packet, r *sim.Router, rng *rand.Rand) int {
 		qI := u.occupancy(r, ri)
 		var c float64
 		if u.cfg.SFCost {
-			lI := u.dist[r.ID][ri] + u.dist[ri][dst]
+			lI := u.dist.at(r.ID, ri) + u.dist.at(ri, dst)
 			c = float64(lI) / float64(lM) * u.cfg.CSF
 		} else {
 			c = u.cfg.C

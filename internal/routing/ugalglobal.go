@@ -50,10 +50,11 @@ func (u *UGALGlobal) pathCost(net *sim.Network, cur, tgt int) float64 {
 	cost := 0.0
 	for cur != tgt {
 		r := net.Routers[cur]
-		want := u.dist[cur][tgt] - 1
+		row := u.dist.row(tgt) // symmetric matrix, see nextHop
+		want := row[cur] - 1
 		bestPort, bestOcc := -1, 0
 		for port := 0; port < r.NetPorts(); port++ {
-			if u.dist[r.NeighborAt(port)][tgt] != want || !u.usable(r, port) {
+			if row[r.NeighborAt(port)] != want || !u.usable(r, port) {
 				continue
 			}
 			if occ := r.OutOccupancy(port); bestPort < 0 || occ < bestOcc {
@@ -73,7 +74,7 @@ func (u *UGALGlobal) Inject(p *sim.Packet, r *sim.Router, rng *rand.Rand) int {
 	p.Intermediate = -1
 	net := r.Network()
 	dst := int(p.DstRouter)
-	lM := u.dist[r.ID][dst]
+	lM := u.dist.at(r.ID, dst)
 	best := u.pathCost(net, r.ID, dst)
 	bestRi := -1
 	for j := 0; j < u.cfg.NI; j++ {
@@ -81,7 +82,7 @@ func (u *UGALGlobal) Inject(p *sim.Packet, r *sim.Router, rng *rand.Rand) int {
 		qI := u.pathCost(net, r.ID, ri) + u.pathCost(net, ri, dst)
 		var c float64
 		if u.cfg.SFCost {
-			lI := u.dist[r.ID][ri] + u.dist[ri][dst]
+			lI := u.dist.at(r.ID, ri) + u.dist.at(ri, dst)
 			c = float64(lI) / float64(lM) * u.cfg.CSF
 		} else {
 			c = u.cfg.C

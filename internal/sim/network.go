@@ -80,18 +80,10 @@ type Router struct {
 	rrVC     []int16 // per input port, round-robin pointer over VCs
 	rrOut    []int16 // per output port, round-robin pointer over VCs
 
-	// The attached nodes' state, by terminal port (0-based from
-	// netPorts): the bounded source queue feeding the terminal link, the
-	// cycle that link is next free, and the node's per-VC credits for
-	// this router's terminal input buffer. The engine reaches a node's
-	// three through Network.nodes without coming through the router.
-	srcQ         []queue
-	nodeLinkFree []int64
-	nodeCredits  []int32 // [terminal*numVC + vc]
-
-	// Indices of credits[0], outOcc[0], occSum[0] and nodeCredits[0] in
-	// Network.mem.w32: what deferred credit returns and buffer releases
-	// are addressed by.
+	// Indices of credits[0], outOcc[0] and occSum[0] in Network.mem.w32,
+	// and of the first attached node's first per-VC credit (the nodes of
+	// a router follow each other, by terminal port): what deferred credit
+	// returns and buffer releases are addressed by.
 	creditsAt, outOccAt, occSumAt, nodeCreditsAt uint32
 
 	inMask  bitset
@@ -102,19 +94,18 @@ type Router struct {
 	portDown []bool
 }
 
-// carve lays the router's arrays out in its block and returns where the
-// attached nodes' source queues and link-free cycles start in their
-// views; with a zero arena it only measures.
-func (r *Router) carve(l *layout, a *blockArena) (srcQAt, nodeLinkFreeAt int) {
+// carve lays the router's arrays out in its block; with a zero arena it
+// only measures.
+func (r *Router) carve(l *layout, a *blockArena) {
 	l.alignLine()
-	p, q, term := r.nPorts, r.nPorts*r.nv, r.nPorts-r.netPorts
+	p, q := r.nPorts, r.nPorts*r.nv
 	r.inPortFree, _ = carve(l, a.i64, p)
 	r.outAccept, _ = carve(l, a.i64, p)
 	r.linkFree, _ = carve(l, a.i64, p)
-	r.nodeLinkFree, nodeLinkFreeAt = carve(l, a.i64, term)
+
 	r.inQ, _ = carve(l, a.q, q)
 	r.outQ, _ = carve(l, a.q, q)
-	r.srcQ, srcQAt = carve(l, a.q, term)
+
 	var at int
 	r.credits, at = carve(l, a.w32, q)
 	r.creditsAt = uint32(at)
@@ -125,13 +116,10 @@ func (r *Router) carve(l *layout, a *blockArena) (srcQAt, nodeLinkFreeAt int) {
 	r.pendingOut, _ = carve(l, a.w32, p)
 	r.inPortPkts, _ = carve(l, a.w32, p)
 	r.outPortPkts, _ = carve(l, a.w32, p)
-	r.nodeCredits, at = carve(l, a.w32, term*r.nv)
-	r.nodeCreditsAt = uint32(at)
 	r.neighbor, _ = carve(l, a.w32, r.netPorts)
 	r.revPort, _ = carve(l, a.h16, r.netPorts)
 	r.rrVC, _ = carve(l, a.h16, p)
 	r.rrOut, _ = carve(l, a.h16, p)
-	return srcQAt, nodeLinkFreeAt
 }
 
 // Network wires the topology into routers and nodes.
@@ -222,6 +210,47 @@ func checkRanges(t topo.Topology, cfg Config) error {
 	return nil
 }
 
+// carve lays mem out and returns its size; with a zero arena it only
+// measures. The routers' blocks come first. The nodes' state follows as
+// three dense arrays — source queues, terminal-link free cycles, per-VC
+// credits — because the injection stage sweeps every node every cycle,
+// in order, and a sweep wants consecutive lines. Within each array the
+// nodes of one router are adjacent, by terminal port, and start on a
+// cache line, so here too no line belongs to two routers.
+func (n *Network) carve(a *blockArena) (size int) {
+	var l layout
+	for _, rt := range n.Routers {
+		rt.carve(&l, a)
+	}
+	for _, rt := range n.Routers {
+		l.alignLine()
+		nodes := n.Topo.RouterNodes(rt.ID)
+		_, at := carve(&l, a.q, len(nodes))
+		for i, node := range nodes {
+			n.nodes[node].srcQ = uint32(at + i)
+		}
+	}
+	for _, rt := range n.Routers {
+		l.alignLine()
+		nodes := n.Topo.RouterNodes(rt.ID)
+		_, at := carve(&l, a.i64, len(nodes))
+		for i, node := range nodes {
+			n.nodes[node].linkFree = uint32(at + i)
+		}
+	}
+	for _, rt := range n.Routers {
+		l.alignLine()
+		nodes := n.Topo.RouterNodes(rt.ID)
+		_, at := carve(&l, a.w32, len(nodes)*rt.nv)
+		rt.nodeCreditsAt = uint32(at)
+		for i, node := range nodes {
+			n.nodes[node].credits = uint32(at + i*rt.nv)
+		}
+	}
+	l.alignLine()
+	return l.off
+}
+
 // NewNetwork builds the simulator state for a topology.
 func NewNetwork(t topo.Topology, cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
@@ -239,7 +268,6 @@ func NewNetwork(t topo.Topology, cfg Config) (*Network, error) {
 		nodeRouterPort: make([]int16, t.Nodes()),
 	}
 	routers := make([]Router, g.N())
-	var size layout
 	for r := range routers {
 		rt := &routers[r]
 		*rt = Router{
@@ -249,24 +277,17 @@ func NewNetwork(t topo.Topology, cfg Config) (*Network, error) {
 			nPorts:   g.Degree(r) + len(t.RouterNodes(r)),
 			nv:       cfg.NumVCs,
 		}
-		rt.carve(&size, &blockArena{})
 		n.Routers[r] = rt
 	}
-	size.alignLine()
-	if size.off/4 > math.MaxUint32 {
-		return nil, fmt.Errorf("sim: %d bytes of router state exceed what credit references address", size.off)
+	size := n.carve(&blockArena{})
+	if size/4 > math.MaxUint32 {
+		return nil, fmt.Errorf("sim: %d bytes of router state exceed what credit references address", size)
 	}
-	n.mem = newBlockArena(size.off)
-	var at layout
+	n.mem = newBlockArena(size)
+	n.carve(&n.mem)
 	for _, rt := range n.Routers {
-		srcQAt, linkFreeAt := rt.carve(&at, &n.mem)
 		for i := range rt.credits {
 			rt.credits[i] = int32(cfg.InputBufFlits)
-		}
-		for i := range rt.nodeCredits {
-			rt.nodeCredits[i] = int32(cfg.InputBufFlits)
-		}
-		for i := range rt.inQ {
 			rt.inQ[i].head.ready = neverReady
 			rt.outQ[i].head.ready = neverReady
 		}
@@ -274,13 +295,12 @@ func NewNetwork(t topo.Topology, cfg Config) (*Network, error) {
 			rt.neighbor[p] = int32(nb)
 		}
 		for i, node := range t.RouterNodes(rt.ID) {
-			rt.srcQ[i].head.ready = neverReady
 			n.nodeRouterPort[node] = int16(rt.netPorts + i)
-			n.nodes[node] = nodeLoc{
-				srcQ:     uint32(srcQAt + i),
-				linkFree: uint32(linkFreeAt + i),
-				credits:  rt.nodeCreditsAt + uint32(i*rt.nv),
-				router:   int32(rt.ID),
+			loc := &n.nodes[node]
+			loc.router = int32(rt.ID)
+			n.mem.q[loc.srcQ].head.ready = neverReady
+			for vc := 0; vc < cfg.NumVCs; vc++ {
+				n.mem.w32[int(loc.credits)+vc] = int32(cfg.InputBufFlits)
 			}
 		}
 		rt.inMask = newBitset(rt.nPorts)
