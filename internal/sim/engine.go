@@ -354,12 +354,12 @@ func (e *Engine) deliver(h pktHandle) {
 
 // linkStage moves packets from output buffers onto links: downstream
 // input buffers for network ports, destination nodes for terminal
-// ports. Only routers in the output active set, and within them only
-// ports with buffered packets, are visited; both iterations run in
-// ascending order, matching the full scan's visit order over non-idle
-// components. The VC walk rotates from the round-robin pointer with a
-// conditional subtract — same visit order as the old (rr+i) % nv, no
-// division.
+// ports. Only routers in the output active set are visited, and within
+// them only ports whose wake cycle has come (Router.outWake); both
+// iterations run in ascending order, matching a full scan's visit order
+// over the components that can act. The VC walk rotates from the
+// round-robin pointer with a conditional subtract — same visit order as
+// (rr+i) % nv, no division.
 func (e *Engine) linkStage() {
 	flits := int64(e.pktFlits)
 	linkLat := int64(e.Cfg.LinkLatency)
@@ -372,14 +372,19 @@ func (e *Engine) linkStage() {
 	act := e.acts.out
 	for id := act.nextFrom(0); id >= 0; id = act.nextFrom(id + 1) {
 		r := e.Net.Routers[id]
-		m := r.outMask
-		for port := m.nextFrom(0); port >= 0; port = m.nextFrom(port + 1) {
-			if r.linkFree[port] > now {
+		for port, wake := range r.outWake {
+			if wake > now {
+				continue
+			}
+			if free := r.linkFree[port]; free > now {
+				r.outWake[port] = free
 				continue
 			}
 			if r.portDown != nil && port < r.netPorts && r.portDown[port] {
-				continue // downed links stop transmitting
+				continue // downed links stop transmitting (and keep polling)
 			}
+			// again collects the earliest cycle a later visit could send.
+			again := neverReady
 			start := int(r.rrOut[port])
 			for i := 0; i < nv; i++ {
 				vc := start + i
@@ -387,13 +392,15 @@ func (e *Engine) linkStage() {
 					vc -= nv
 				}
 				ci := r.idx(port, vc)
-				if r.outQ[ci].head.ready > now {
-					continue // empty, or not yet through the switch
+				if ready := r.outQ[ci].head.ready; ready > now {
+					again = min(again, ready) // empty, or not yet through the switch
+					continue
 				}
 				if !r.isTerminal(port) {
 					// Virtual cut-through: need room downstream for the
-					// whole packet.
+					// whole packet. Credits return unannounced: poll.
 					if r.credits[ci] < pf {
+						again = now + 1
 						continue
 					}
 					r.credits[ci] -= pf
@@ -424,6 +431,7 @@ func (e *Engine) linkStage() {
 					e.scheduleDeliver(flits+linkLat, ent.h)
 				}
 				r.linkFree[port] = now + flits
+				again = now + flits
 				e.scheduleRelease(flits, releaseRef(r, port, ci))
 				if vc++; vc == nv {
 					vc = 0
@@ -431,6 +439,7 @@ func (e *Engine) linkStage() {
 				r.rrOut[port] = int16(vc)
 				break
 			}
+			r.outWake[port] = again
 		}
 	}
 }
@@ -447,23 +456,24 @@ func (e *Engine) switchStage() {
 	swLat := int64(e.Cfg.SwitchLatency)
 	linkLat := int64(e.Cfg.LinkLatency)
 	nv := e.Cfg.NumVCs
+	now := e.now
 	act := e.acts.in
 	for id := act.nextFrom(0); id >= 0; id = act.nextFrom(id + 1) {
 		r := e.Net.Routers[id]
-		// Rotated iteration over occupied input ports starting at the
+		// Rotated iteration over the input ports starting at the
 		// round-robin pointer — [rrIn, nPorts) then [0, rrIn) — which
-		// is the order the full scan's (rrIn+pi) % nPorts loop visited
-		// non-empty ports in. A grant may clear the current port's
-		// mask bit; nextFrom tolerates clears at or before the cursor.
+		// is the order a full scan's (rrIn+pi) % nPorts loop visits
+		// them in; a port whose wake cycle lies ahead (Router.inWake)
+		// could neither route nor grant, so the scan skips it.
 		granted := false
-		start := r.rrIn
-		for port := r.inMask.nextFrom(start); port >= 0; port = r.inMask.nextFrom(port + 1) {
-			if e.switchAllocPort(r, port, nv, xfer, swLat, linkLat) {
+		wake := r.inWake
+		for port := r.rrIn; port < len(wake); port++ {
+			if wake[port] <= now && e.switchAllocPort(r, port, nv, xfer, swLat, linkLat) {
 				granted = true
 			}
 		}
-		for port := r.inMask.nextFrom(0); port >= 0 && port < start; port = r.inMask.nextFrom(port + 1) {
-			if e.switchAllocPort(r, port, nv, xfer, swLat, linkLat) {
+		for port := 0; port < r.rrIn; port++ {
+			if wake[port] <= now && e.switchAllocPort(r, port, nv, xfer, swLat, linkLat) {
 				granted = true
 			}
 		}
@@ -476,12 +486,16 @@ func (e *Engine) switchStage() {
 }
 
 // switchAllocPort tries to grant one packet from input port's VC
-// queues to an output buffer; reports whether a grant happened.
+// queues to an output buffer; reports whether a grant happened. Either
+// way it leaves the port's wake cycle exact: the earliest cycle at which
+// a visit could route or grant, given what the port holds now.
 func (e *Engine) switchAllocPort(r *Router, port, nv int, xfer, swLat, linkLat int64) bool {
 	now := e.now
-	if r.inPortFree[port] > now {
+	if free := r.inPortFree[port]; free > now {
+		r.inWake[port] = free
 		return false
 	}
+	again := neverReady
 	// Hoisted loads, same rationale as linkStage.
 	pf := int32(e.pktFlits)
 	obf := int32(e.Cfg.OutputBufFlits)
@@ -509,6 +523,7 @@ func (e *Engine) switchAllocPort(r *Router, port, nv int, xfer, swLat, linkLat i
 		for i := 0; i < win; i++ {
 			cand := q.at(rings, i)
 			if cand.ready > now {
+				again = min(again, cand.ready)
 				break // later entries arrived even later
 			}
 			if cand.outPort < 0 {
@@ -530,10 +545,12 @@ func (e *Engine) switchAllocPort(r *Router, port, nv int, xfer, swLat, linkLat i
 					e.tel.Route(e.now, p.ID, int(p.Src), int(p.Dst), r.ID, int(cand.outPort), vc, int(cand.outVC), p.Minimal)
 				}
 			}
-			if r.outAccept[cand.outPort] > now {
+			if accept := r.outAccept[cand.outPort]; accept > now {
+				again = min(again, accept)
 				continue
 			}
 			if r.outOcc[r.idx(int(cand.outPort), int(cand.outVC))]+pf > obf {
+				again = now + 1 // buffer releases come unannounced: poll
 				continue
 			}
 			pick = i
@@ -550,6 +567,7 @@ func (e *Engine) switchAllocPort(r *Router, port, nv int, xfer, swLat, linkLat i
 		r.outOcc[r.idx(op, ov)] += pf
 		r.outAccept[op] = now + xfer
 		r.inPortFree[port] = now + xfer
+		r.inWake[port] = now + xfer
 		r.enqueueOut(op, ov, entry{h: ent.h, ready: now + swLat})
 		// Return credits upstream once the tail leaves this
 		// input buffer (after flits cycles) plus the credit
@@ -578,6 +596,7 @@ func (e *Engine) switchAllocPort(r *Router, port, nv int, xfer, swLat, linkLat i
 		r.rrVC[port] = int16(vc)
 		return true
 	}
+	r.inWake[port] = again
 	return false
 }
 

@@ -341,6 +341,11 @@ func (e *Engine) rebuildTables() {
 		if r.inCount == 0 {
 			continue
 		}
+		// Forgotten routes must be re-decided at once, not when the ports
+		// would next have had something to grant.
+		for p := range r.inWake {
+			r.inWake[p] = 0
+		}
 		for i := range r.inQ {
 			q := &r.inQ[i]
 			for j := 0; j < q.len(); j++ {

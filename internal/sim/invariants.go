@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // engineCounts is the set of conservation counters an invariant check
 // needs. A serial engine supplies its own; a ParallelEngine sums them
@@ -18,21 +21,32 @@ type engineCounts struct {
 
 // CheckInvariants validates the engine's conservation laws at the
 // current cycle; it is the simulator's self-test, used by the test
-// suite after (and during) runs. It verifies:
+// suite after (and during) runs. Everything the hot path keeps beside
+// the queues themselves is re-derived here from first principles:
 //
 //   - packet conservation: generated = injected + source-queued and
 //     injected = delivered + in-network;
-//   - credit conservation: for every network link, the upstream credit
-//     counter plus flits resident or in flight downstream never
-//     exceeds the input buffer capacity;
-//   - occupancy sanity: all occupancy and credit counters are
-//     non-negative and within capacity;
-//   - active-set consistency: the wake bitsets, per-port packet
-//     counters and the per-shard srcBusy counters agree with an
-//     exhaustive scan of the queues they summarize (the wake-list
-//     invariant of DESIGN.md §10).
+//   - credit conservation: for every link, the upstream credit counter
+//     plus the flits resident downstream never exceeds the input buffer
+//     capacity;
+//   - occupancy: counters are non-negative and within capacity,
+//     pendingOut equals the flits of the input entries routed to the
+//     port, outOcc covers the packets its buffer holds, and occSum is
+//     their sum;
+//   - queue structure: an empty queue's inline head reads neverReady,
+//     ready cycles never decrease along a queue, every resident packet
+//     has the engine's size, and each shard's overflow rings and free
+//     regions tile its ring arena exactly;
+//   - active-set consistency: the wake bitsets and the per-shard
+//     srcBusy counters agree with an exhaustive scan of the queues they
+//     summarize, and no port's wake cycle is later than the first cycle
+//     a full scan of it could route, grant or send (the wake-list
+//     invariant of DESIGN.md §10; a wake cycle may be early).
 func (e *Engine) CheckInvariants() error {
-	if err := checkInvariants(e.Net, e.Cfg, engineCounts{
+	if e.par != nil {
+		return e.par.CheckInvariants()
+	}
+	if err := checkInvariants(e.Net, e.now, []*pktSlab{&e.slab}, engineCounts{
 		generated:   e.generated,
 		injected:    e.injected,
 		retransmits: e.retransmits,
@@ -42,28 +56,62 @@ func (e *Engine) CheckInvariants() error {
 	}); err != nil {
 		return err
 	}
-	if e.par == nil {
-		// Slab accounting (serial engines only — a shard's slab also
-		// holds packets the conservation counters attribute to other
-		// shards): every live arena slot is either source-queued or
-		// in the network (including the deliver ring); drops released
-		// their slot (the retx queue parks packets by value).
-		var queued int64
-		for _, loc := range e.Net.nodes {
-			queued += int64(e.Net.mem.q[loc.srcQ].n)
-		}
-		want := queued + e.injected - e.delivered - e.droppedPkts
-		if live := int64(e.slab.live()); live != want {
-			return fmt.Errorf("sim: packet slab holds %d live slots, want %d (source-queued %d + in-network %d)",
-				live, want, queued, e.injected-e.delivered-e.droppedPkts)
-		}
+	// Slab accounting (serial engines only — a shard's slab also holds
+	// packets the conservation counters attribute to other shards):
+	// every live arena slot is either source-queued or in the network
+	// (including the deliver ring); drops released their slot (the retx
+	// queue parks packets by value).
+	var queued int64
+	for _, loc := range e.Net.nodes {
+		queued += int64(e.Net.mem.q[loc.srcQ].n)
+	}
+	want := queued + e.injected - e.delivered - e.droppedPkts
+	if live := int64(e.slab.live()); live != want {
+		return fmt.Errorf("sim: packet slab holds %d live slots, want %d (source-queued %d + in-network %d)",
+			live, want, queued, e.injected-e.delivered-e.droppedPkts)
 	}
 	return nil
 }
 
-// checkInvariants runs the full invariant sweep over a network given
-// whole-simulation conservation counters (see CheckInvariants).
-func checkInvariants(net *Network, cfg Config, c engineCounts) error {
+// checkInvariants runs the full invariant sweep over a network at cycle
+// now, given whole-simulation conservation counters and each shard's
+// packet slab (see CheckInvariants).
+func checkInvariants(net *Network, now int64, slabs []*pktSlab, c engineCounts) error {
+	cfg := net.Cfg
+	pf := int32(cfg.PacketFlits())
+	// rings[shard] collects the overflow rings in use as (offset, size),
+	// to be checked against the shard's ring arena at the end.
+	rings := make([][][2]int32, len(net.acts))
+	checkQueue := func(q *queue, part int) error {
+		mem, slab := net.acts[part].rings.mem, slabs[part]
+		switch {
+		case q.n < 0 || q.cap < 0 || q.cap&(q.cap-1) != 0 || q.n-1 > q.cap:
+			return fmt.Errorf("%d entries over a ring of %d", q.n, q.cap)
+		case q.cap > 0 && (q.start < 0 || q.start >= q.cap || q.off < 0 || int(q.off)+int(q.cap) > len(mem)):
+			return fmt.Errorf("ring [%d,+%d) start %d outside an arena of %d", q.off, q.cap, q.start, len(mem))
+		case q.n == 0 && q.head.ready != neverReady:
+			return fmt.Errorf("empty but its head polls ready at %d", q.head.ready)
+		}
+		if q.cap > 0 {
+			rings[part] = append(rings[part], [2]int32{q.off, q.cap})
+		}
+		last := int64(0)
+		for i := 0; i < q.len(); i++ {
+			ent := q.at(&net.acts[part].rings, i)
+			if ent.ready < last || ent.ready == neverReady {
+				return fmt.Errorf("entry %d ready at %d behind one ready at %d", i, ent.ready, last)
+			}
+			last = ent.ready
+			if ent.h < 0 || int(ent.h) >= len(slab.arena) {
+				return fmt.Errorf("entry %d holds handle %d outside a slab of %d", i, ent.h, len(slab.arena))
+			}
+			if p := slab.at(ent.h); p.Flits != pf {
+				return fmt.Errorf("packet %d has %d flits, the engine moves %d", p.ID, p.Flits, pf)
+			}
+		}
+		return nil
+	}
+
 	// Packet conservation. Injections count events, so retransmissions
 	// of fault-dropped packets re-count: first-time injections are
 	// injected - retransmits.
@@ -72,6 +120,9 @@ func checkInvariants(net *Network, cfg Config, c engineCounts) error {
 	for id, loc := range net.nodes {
 		r := net.Routers[loc.router]
 		srcQ := &net.mem.q[loc.srcQ]
+		if err := checkQueue(srcQ, r.part); err != nil {
+			return fmt.Errorf("sim: node %d source queue: %w", id, err)
+		}
 		retx := 0
 		if net.retxQ != nil {
 			retx = len(net.retxQ[id])
@@ -83,6 +134,13 @@ func checkInvariants(net *Network, cfg Config, c engineCounts) error {
 		}
 		if wantActive := !srcQ.empty() || retx > 0; r.acts.node.get(id) != wantActive {
 			return fmt.Errorf("sim: node %d active bit %v, want %v", id, !wantActive, wantActive)
+		}
+		port := net.terminalPortFor(id)
+		for vc, c := range net.mem.w32[loc.credits : int(loc.credits)+cfg.NumVCs] {
+			if resident := pf * r.inQ[r.idx(port, vc)].n; c < 0 || int(c+resident) > cfg.InputBufFlits {
+				return fmt.Errorf("sim: node %d vc %d credits %d with %d flits resident at its router, capacity %d",
+					id, vc, c, resident, cfg.InputBufFlits)
+			}
 		}
 	}
 	for p, a := range net.acts {
@@ -106,14 +164,72 @@ func checkInvariants(net *Network, cfg Config, c engineCounts) error {
 		return fmt.Errorf("sim: retransmission queues hold %d packets, counter says %d", retxQueued, c.retxWaiting)
 	}
 
-	// Counter sanity.
 	for _, r := range net.Routers {
 		inCount, outCount := 0, 0
-		for i := range r.inQ {
-			inCount += r.inQ[i].len()
-		}
-		for i := range r.outQ {
-			outCount += r.outQ[i].len()
+		pending := make([]int32, r.nPorts)
+		for port := 0; port < r.nPorts; port++ {
+			// inAt and outAt: the earliest cycle, not before now, at
+			// which a full scan of the port could route or grant,
+			// respectively send, judged from the queues alone.
+			inAt, outAt := neverReady, neverReady
+			for vc := 0; vc < cfg.NumVCs; vc++ {
+				i := r.idx(port, vc)
+				in, out := &r.inQ[i], &r.outQ[i]
+				if err := checkQueue(in, r.part); err != nil {
+					return fmt.Errorf("sim: router %d port %d vc %d input queue: %w", r.ID, port, vc, err)
+				}
+				if err := checkQueue(out, r.part); err != nil {
+					return fmt.Errorf("sim: router %d port %d vc %d output queue: %w", r.ID, port, vc, err)
+				}
+				inCount += in.len()
+				outCount += out.len()
+				scanned := true // the scan reaches an entry only past ready ones, inside the window
+				for j := 0; j < in.len(); j++ {
+					ent := in.at(&r.acts.rings, j)
+					at := max(ent.ready, now)
+					switch {
+					case ent.outPort >= 0 && (int(ent.outPort) >= r.nPorts || ent.outVC < 0 || int(ent.outVC) >= cfg.NumVCs):
+						return fmt.Errorf("sim: router %d port %d vc %d entry %d routed to port %d vc %d",
+							r.ID, port, vc, j, ent.outPort, ent.outVC)
+					case ent.outPort >= 0:
+						pending[ent.outPort] += pf
+						at = max(at, r.outAccept[ent.outPort])
+					case ent.outPort != unrouted && ent.outPort != rerouted:
+						return fmt.Errorf("sim: router %d port %d vc %d entry %d has route state %d",
+							r.ID, port, vc, j, ent.outPort)
+					}
+					if scanned && j < cfg.AllocWindow {
+						inAt = min(inAt, at)
+					}
+					scanned = scanned && ent.ready <= now
+				}
+				if !out.empty() {
+					outAt = min(outAt, max(out.head.ready, now))
+				}
+				switch {
+				case r.outOcc[i] < pf*out.n || int(r.outOcc[i]) > cfg.OutputBufFlits:
+					return fmt.Errorf("sim: router %d port %d vc %d outOcc %d with %d packets buffered, capacity %d",
+						r.ID, port, vc, r.outOcc[i], out.n, cfg.OutputBufFlits)
+				case r.credits[i] < 0:
+					return fmt.Errorf("sim: router %d port %d vc %d credits %d < 0", r.ID, port, vc, r.credits[i])
+				}
+				if !r.isTerminal(port) {
+					down := net.Routers[r.neighbor[port]]
+					resident := pf * down.inQ[down.idx(int(r.revPort[port]), vc)].n
+					if int(r.credits[i]+resident) > cfg.InputBufFlits {
+						return fmt.Errorf("sim: router %d port %d vc %d credits %d + %d flits resident downstream > capacity %d",
+							r.ID, port, vc, r.credits[i], resident, cfg.InputBufFlits)
+					}
+				}
+			}
+			if at := max(inAt, r.inPortFree[port]); r.inWake[port] > at {
+				return fmt.Errorf("sim: router %d input port %d wakes at %d but could route or grant at %d (cycle %d)",
+					r.ID, port, r.inWake[port], at, now)
+			}
+			if at := max(outAt, r.linkFree[port]); r.outWake[port] > at {
+				return fmt.Errorf("sim: router %d output port %d wakes at %d but could send at %d (cycle %d)",
+					r.ID, port, r.outWake[port], at, now)
+			}
 		}
 		if inCount != r.inCount || outCount != r.outCount {
 			return fmt.Errorf("sim: router %d queue counters (%d,%d) != actual (%d,%d)",
@@ -123,43 +239,13 @@ func checkInvariants(net *Network, cfg Config, c engineCounts) error {
 			return fmt.Errorf("sim: router %d active bits (in=%v,out=%v) disagree with queue counts (%d,%d)",
 				r.ID, r.acts.in.get(r.ID), r.acts.out.get(r.ID), inCount, outCount)
 		}
-		for port := 0; port < r.nPorts; port++ {
-			inPkts, outPkts := 0, 0
-			for vc := 0; vc < cfg.NumVCs; vc++ {
-				inPkts += r.inQ[r.idx(port, vc)].len()
-				outPkts += r.outQ[r.idx(port, vc)].len()
+		for port, want := range pending {
+			if r.pendingOut[port] != want {
+				return fmt.Errorf("sim: router %d port %d pendingOut %d, input entries routed to it hold %d flits",
+					r.ID, port, r.pendingOut[port], want)
 			}
-			if inPkts != int(r.inPortPkts[port]) || outPkts != int(r.outPortPkts[port]) {
-				return fmt.Errorf("sim: router %d port %d packet counters (%d,%d) != actual (%d,%d)",
-					r.ID, port, r.inPortPkts[port], r.outPortPkts[port], inPkts, outPkts)
-			}
-			if r.inMask.get(port) != (inPkts > 0) || r.outMask.get(port) != (outPkts > 0) {
-				return fmt.Errorf("sim: router %d port %d mask bits (in=%v,out=%v) disagree with packet counts (%d,%d)",
-					r.ID, port, r.inMask.get(port), r.outMask.get(port), inPkts, outPkts)
-			}
-			for vc := 0; vc < cfg.NumVCs; vc++ {
-				i := r.idx(port, vc)
-				if r.outOcc[i] < 0 {
-					return fmt.Errorf("sim: router %d port %d vc %d outOcc %d < 0", r.ID, port, vc, r.outOcc[i])
-				}
-				if int(r.outOcc[i]) > cfg.OutputBufFlits {
-					return fmt.Errorf("sim: router %d port %d vc %d outOcc %d > capacity %d",
-						r.ID, port, vc, r.outOcc[i], cfg.OutputBufFlits)
-				}
-				if r.credits[i] < 0 {
-					return fmt.Errorf("sim: router %d port %d vc %d credits %d < 0", r.ID, port, vc, r.credits[i])
-				}
-				if !r.isTerminal(port) && int(r.credits[i]) > cfg.InputBufFlits {
-					return fmt.Errorf("sim: router %d port %d vc %d credits %d > capacity %d",
-						r.ID, port, vc, r.credits[i], cfg.InputBufFlits)
-				}
-			}
-			if r.pendingOut[port] < 0 {
-				return fmt.Errorf("sim: router %d port %d pendingOut %d < 0", r.ID, port, r.pendingOut[port])
-			}
-			want := r.pendingOut[port]
-			for vc := 0; vc < cfg.NumVCs; vc++ {
-				want += r.outOcc[r.idx(port, vc)]
+			for _, occ := range r.outOcc[port*r.nv : (port+1)*r.nv] {
+				want += occ
 			}
 			if r.occSum[port] != want {
 				return fmt.Errorf("sim: router %d port %d occSum %d != pendingOut+outOcc %d",
@@ -167,11 +253,31 @@ func checkInvariants(net *Network, cfg Config, c engineCounts) error {
 			}
 		}
 	}
-	for id, loc := range net.nodes {
-		for vc, c := range net.mem.w32[loc.credits : int(loc.credits)+cfg.NumVCs] {
-			if c < 0 || int(c) > cfg.InputBufFlits {
-				return fmt.Errorf("sim: node %d vc %d credits %d out of [0,%d]", id, vc, c, cfg.InputBufFlits)
+
+	// Every shard's rings in use plus its free regions must tile its
+	// arena: a gap is leaked storage, an overlap two queues writing the
+	// same slots.
+	for part, a := range net.acts {
+		mem, regs := a.rings.mem, rings[part]
+		for k, f := range a.rings.free {
+			for f != 0 {
+				if int(f) > len(mem) || len(regs) > len(mem) {
+					return fmt.Errorf("sim: shard %d ring arena: free list of size %d is corrupt", part, 1<<k)
+				}
+				regs = append(regs, [2]int32{f - 1, 1 << k})
+				f = int32(mem[f-1].h)
 			}
+		}
+		sort.Slice(regs, func(i, j int) bool { return regs[i][0] < regs[j][0] })
+		end := int32(0)
+		for _, reg := range regs {
+			if reg[0] != end {
+				return fmt.Errorf("sim: shard %d ring arena: region at %d follows one ending at %d", part, reg[0], end)
+			}
+			end += reg[1]
+		}
+		if int(end) != len(mem) {
+			return fmt.Errorf("sim: shard %d ring arena: regions cover %d of %d entries", part, end, len(mem))
 		}
 	}
 	return nil

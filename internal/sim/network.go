@@ -39,6 +39,17 @@ type Router struct {
 	// type that NewNetwork's range checks admit (DESIGN.md §15 has the
 	// budget in bytes and cache lines).
 
+	// Wake cycles: the switch stage visits input port p only once
+	// inWake[p] has come, the link stage output port p once outWake[p]
+	// has — one compare on a contiguous array per skipped port. A wake
+	// cycle is never later than the first cycle at which the port could
+	// route, grant or send (it may be earlier: the visit then finds
+	// nothing and recomputes it), and neverReady for a port that holds
+	// nothing. The stages raise them, the enqueue wrappers below lower
+	// them, and fault recovery resets them (DESIGN.md §10).
+	inWake  []int64
+	outWake []int64
+
 	inPortFree []int64 // input port -> cycle it can start a new stream
 	outAccept  []int64 // output port -> cycle the crossbar output can accept a new stream
 	linkFree   []int64 // output port -> cycle the outgoing link is free
@@ -67,14 +78,6 @@ type Router struct {
 	// re-derives it from scratch and cross-checks.
 	occSum []int32
 
-	// Per-port packet counts and occupancy masks over them: bit p of
-	// inMask is set iff inPortPkts[p] > 0 (same for outMask). The
-	// engine's stages iterate these masks to skip empty (port, VC)
-	// groups. Maintained exclusively by the enqueue*/dequeue*/take*
-	// wrappers below — mutate the queues only through them.
-	inPortPkts  []int32
-	outPortPkts []int32
-
 	neighbor []int32 // network port -> neighbor router
 	revPort  []int16 // network port -> the port at that neighbor that leads back here
 	rrVC     []int16 // per input port, round-robin pointer over VCs
@@ -86,9 +89,6 @@ type Router struct {
 	// returns and buffer releases are addressed by.
 	creditsAt, outOccAt, occSumAt, nodeCreditsAt uint32
 
-	inMask  bitset
-	outMask bitset
-
 	// portDown marks network ports whose link is currently failed.
 	// Nil unless a fault schedule is attached (see fault.go).
 	portDown []bool
@@ -99,6 +99,8 @@ type Router struct {
 func (r *Router) carve(l *layout, a *blockArena) {
 	l.alignLine()
 	p, q := r.nPorts, r.nPorts*r.nv
+	r.inWake, _ = carve(l, a.i64, p)
+	r.outWake, _ = carve(l, a.i64, p)
 	r.inPortFree, _ = carve(l, a.i64, p)
 	r.outAccept, _ = carve(l, a.i64, p)
 	r.linkFree, _ = carve(l, a.i64, p)
@@ -114,8 +116,7 @@ func (r *Router) carve(l *layout, a *blockArena) {
 	r.occSum, at = carve(l, a.w32, p)
 	r.occSumAt = uint32(at)
 	r.pendingOut, _ = carve(l, a.w32, p)
-	r.inPortPkts, _ = carve(l, a.w32, p)
-	r.outPortPkts, _ = carve(l, a.w32, p)
+
 	r.neighbor, _ = carve(l, a.w32, r.netPorts)
 	r.revPort, _ = carve(l, a.h16, r.netPorts)
 	r.rrVC, _ = carve(l, a.h16, p)
@@ -303,8 +304,9 @@ func NewNetwork(t topo.Topology, cfg Config) (*Network, error) {
 				n.mem.w32[int(loc.credits)+vc] = int32(cfg.InputBufFlits)
 			}
 		}
-		rt.inMask = newBitset(rt.nPorts)
-		rt.outMask = newBitset(rt.nPorts)
+		for p := range rt.inWake {
+			rt.inWake[p], rt.outWake[p] = neverReady, neverReady
+		}
 	}
 	// Second pass: precompute the reverse port of every link, replacing
 	// the per-hop map lookup the stages used to do.
@@ -450,19 +452,21 @@ func (r *Router) idx(port, vc int) int { return port*r.nv + vc }
 func (r *Router) isTerminal(port int) bool { return port >= r.netPorts }
 
 // Queue-mutation wrappers. All input/output buffer pushes and pops go
-// through these so the packet counters, per-port masks and the
+// through these so the packet counters, the ports' wake cycles and the
 // network-level active sets stay consistent by construction — a router
-// is in actIn/actOut exactly while it holds buffered packets, which is
-// the wake-list invariant the active-set engine relies on (DESIGN.md
-// §10). This includes the fault injector's drop paths.
+// is in actIn/actOut exactly while it holds buffered packets, and a
+// port's wake cycle never lies beyond its newest arrival: the wake-list
+// invariant the active-set engine relies on (DESIGN.md §10). This
+// includes the fault injector's drop paths.
 
 // enqueueIn buffers a packet at an input (port, vc) and wakes the
-// router for switch allocation.
+// router and the port for switch allocation.
 func (r *Router) enqueueIn(port, vc int, ent entry) {
 	r.inQ[port*r.nv+vc].push(&r.acts.rings, ent)
+	if ent.ready < r.inWake[port] {
+		r.inWake[port] = ent.ready
+	}
 	r.inCount++
-	r.inPortPkts[port]++
-	r.inMask.set(port)
 	r.acts.in.set(r.ID)
 	if r.net.tel != nil {
 		r.net.tel.VCEnqueue(r.ID, vc)
@@ -473,11 +477,7 @@ func (r *Router) enqueueIn(port, vc int, ent entry) {
 // retiring the router from the input active set if it was the last.
 func (r *Router) takeIn(port, vc, i int) entry {
 	ent := r.inQ[port*r.nv+vc].removeAt(&r.acts.rings, i)
-	r.inCount--
-	if r.inPortPkts[port]--; r.inPortPkts[port] == 0 {
-		r.inMask.clear(port)
-	}
-	if r.inCount == 0 {
+	if r.inCount--; r.inCount == 0 {
 		r.acts.in.clear(r.ID)
 	}
 	if r.net.tel != nil {
@@ -487,12 +487,13 @@ func (r *Router) takeIn(port, vc, i int) entry {
 }
 
 // enqueueOut buffers a packet at an output (port, vc) and wakes the
-// router for link traversal.
+// router and the port for link traversal.
 func (r *Router) enqueueOut(port, vc int, ent entry) {
 	r.outQ[port*r.nv+vc].push(&r.acts.rings, ent)
+	if ent.ready < r.outWake[port] {
+		r.outWake[port] = ent.ready
+	}
 	r.outCount++
-	r.outPortPkts[port]++
-	r.outMask.set(port)
 	r.acts.out.set(r.ID)
 }
 
@@ -500,11 +501,7 @@ func (r *Router) enqueueOut(port, vc int, ent entry) {
 // retiring the router from the output active set if it was the last.
 func (r *Router) dequeueOut(port, vc int) entry {
 	ent := r.outQ[port*r.nv+vc].pop(&r.acts.rings)
-	r.outCount--
-	if r.outPortPkts[port]--; r.outPortPkts[port] == 0 {
-		r.outMask.clear(port)
-	}
-	if r.outCount == 0 {
+	if r.outCount--; r.outCount == 0 {
 		r.acts.out.clear(r.ID)
 	}
 	return ent

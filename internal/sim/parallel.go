@@ -573,7 +573,9 @@ func (pe *ParallelEngine) Results() Results {
 // common cycle and no worker is mid-stage).
 func (pe *ParallelEngine) CheckInvariants() error {
 	var c engineCounts
-	for _, e := range pe.shards {
+	slabs := make([]*pktSlab, len(pe.shards))
+	for s, e := range pe.shards {
+		slabs[s] = &e.slab
 		c.generated += e.generated
 		c.injected += e.injected
 		c.retransmits += e.retransmits
@@ -581,7 +583,7 @@ func (pe *ParallelEngine) CheckInvariants() error {
 		c.droppedPkts += e.droppedPkts
 		c.retxWaiting += e.retxWaiting
 	}
-	return checkInvariants(pe.Net, pe.Cfg, c)
+	return checkInvariants(pe.Net, pe.Now(), slabs, c)
 }
 
 // barrier is a reusable cyclic barrier for a fixed party count. The
