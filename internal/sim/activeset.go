@@ -3,29 +3,32 @@ package sim
 import "math/bits"
 
 // This file holds the active-set primitive behind the engine's
-// O(active) cycle loop. The engine keeps wake bitsets at two levels —
-// routers with buffered packets (Network.actIn / actOut, one bit per
-// router) and ports with buffered packets (Router.inMask / outMask,
-// one bit per port) — so the per-cycle stages iterate only components
-// that can possibly make progress instead of scanning every router,
-// port and VC.
+// O(active) cycle loop. The engine keeps wake state at two levels —
+// bitsets of routers with buffered packets and of nodes with injection
+// work (actSet.in / out / node, one bit each), and inside a router a
+// wake cycle per port (Router.inWake / outWake) — so the per-cycle
+// stages visit only components that can possibly make progress instead
+// of scanning every router, port and VC.
 //
 // The wake-list invariant (DESIGN.md §10): every state mutation that
-// can enable progress at a component must set that component's bit.
-// Membership here is keyed purely on buffered-packet counts, which
-// makes the invariant structural rather than a per-call-site
-// obligation: all queue mutations go through the enqueue*/dequeue*/
-// take* wrappers in network.go, which maintain the counts and bits
-// together, and a component holding no packets is provably a no-op
-// for its stage (credits, link-free times and buffer releases only
-// matter to components that already hold work). Fault injection needs
-// no special wake calls for the same reason — drops run through the
-// same wrappers.
+// can enable progress at a component must wake it — set its bit, lower
+// its wake cycle. Bitset membership is keyed purely on buffered-packet
+// counts and a port's wake cycle is lowered by the same wrapper that
+// buffers an arrival, which makes the invariant structural rather than
+// a per-call-site obligation: all queue mutations go through the
+// enqueue*/dequeue*/take* wrappers in network.go, and a component
+// holding no packets is provably a no-op for its stage. What a port
+// waits for without an arrival announcing it — credits, buffer
+// releases — it polls for (its wake cycle is the next cycle); what it
+// can date — its own serialization, a crossbar output's, an entry still
+// on the wire — it sleeps until. Fault injection drops through the same
+// wrappers and resets the wake cycles of the ports whose routes it
+// forgets.
 //
-// Iteration is in ascending bit order, which is exactly the order the
-// pre-optimization full scans visited non-idle components in, so the
-// engine's packet and RNG sequences are byte-identical to the full
-// scan (enforced by TestGoldenStatsIdentity).
+// Iteration is in ascending order, which is exactly the order a full
+// scan visits the components that act, so the engine's packet and RNG
+// sequences are byte-identical to the full scan (enforced by
+// TestGoldenStatsIdentity).
 
 // bitset is a fixed-capacity bit vector over [0, n).
 type bitset []uint64

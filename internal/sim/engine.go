@@ -72,18 +72,20 @@ type Workload interface {
 //
 // A credit reference is the index of the counter — a router's
 // credits[idx(port, vc)] or a node's per-VC credit — in Network.mem.w32.
-// A release reference packs two such indices: the port's occSum in the
-// high half, the (port, vc) outOcc in the low half.
-
-func releaseRef(r *Router, port, ci int) uint64 {
-	return uint64(r.occSumAt+uint32(port))<<32 | uint64(r.outOccAt+uint32(ci))
-}
-
+// A release reference (releaseRef) packs two such indices.
+//
 // ringSlot holds the deferred effects landing on one future cycle.
 type ringSlot struct {
-	credits  []uint32    // router/node credit returns (w32 indices)
-	releases []uint64    // output-buffer occupancy releases (see releaseRef)
+	credits  []uint32    // router/node credit returns
+	releases []uint64    // output-buffer occupancy releases
 	delivers []pktHandle // packet tails reaching their destination node
+}
+
+// releaseRef addresses the two counters an output-buffer release
+// lowers: the port's occSum in the high half, the (port, vc) outOcc —
+// ci is idx(port, vc) — in the low half.
+func releaseRef(r *Router, port, ci int) uint64 {
+	return uint64(r.occSumAt+uint32(port))<<32 | uint64(r.outOccAt+uint32(ci))
 }
 
 // Engine is the cycle-driven simulator.

@@ -281,7 +281,7 @@ func NewNetwork(t topo.Topology, cfg Config) (*Network, error) {
 		n.Routers[r] = rt
 	}
 	size := n.carve(&blockArena{})
-	if size/4 > math.MaxUint32 {
+	if uint64(size)/4 > math.MaxUint32 {
 		return nil, fmt.Errorf("sim: %d bytes of router state exceed what credit references address", size)
 	}
 	n.mem = newBlockArena(size)

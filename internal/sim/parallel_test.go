@@ -279,9 +279,14 @@ func checkParallelDeterminism(t *testing.T, kind, algKind uint8, load float64, s
 		}
 		defer pe.Stop()
 		pe.Warmup = cycles / 4
-		pe.Run(cycles)
-		if err := pe.CheckInvariants(); err != nil {
-			t.Errorf("invariants: %v", err)
+		// Four legs with the full invariant sweep between them: the
+		// queues' inline heads and rings, the wake cycles and every
+		// counter mirror are re-derived mid-run, not only at the end.
+		for leg := int64(0); leg < 4; leg++ {
+			pe.Run(cycles / 4)
+			if err := pe.CheckInvariants(); err != nil {
+				t.Errorf("invariants at cycle %d: %v", pe.Now(), err)
+			}
 		}
 		return resultsDigest(pe.Results())
 	}
@@ -374,7 +379,9 @@ func FuzzEngineDeterminism(f *testing.F) {
 				t.Fatal(err)
 			}
 			e.Warmup = 200
-			e.Run(800)
+			if err := e.RunChecked(800, 100); err != nil {
+				t.Errorf("invariants: %v", err)
+			}
 			return resultsDigest(e.Results())
 		}
 		a, b := run(), run()

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // newTestQueue returns an empty queue in the state NewNetwork leaves
@@ -211,5 +212,34 @@ func TestQuickQueueOrder(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestHotStateBudget pins the sizes DESIGN.md §15's cache-line budget
+// is written in: a Packet is one line, two queues share one, four
+// entries fill one, and a router's block holds 52 + 72·VCs bytes per
+// port plus 6 per network port — on SF(q=13), 28 ports, that is 5.5 KB
+// at 2 VCs for 100 KB of modelled buffer per port.
+func TestHotStateBudget(t *testing.T) {
+	if s := unsafe.Sizeof(Packet{}); s != cacheLine {
+		t.Errorf("Packet is %d bytes, budget %d", s, cacheLine)
+	}
+	if s := unsafe.Sizeof(queue{}); s != cacheLine/2 {
+		t.Errorf("queue is %d bytes, budget %d", s, cacheLine/2)
+	}
+	if s := unsafe.Sizeof(entry{}); s != cacheLine/4 {
+		t.Errorf("entry is %d bytes, budget %d", s, cacheLine/4)
+	}
+	for _, nv := range []int{1, 2, 4} {
+		r := Router{nPorts: 28, netPorts: 19, nv: nv}
+		var l layout
+		r.carve(&l, &blockArena{})
+		// Per port: 5 int64 cycles, 2 queues and 2 int32 counters per VC,
+		// 2 int32 sums, 2 int16 round-robin pointers; per network port a
+		// neighbor (int32) and its return port (int16).
+		want := 28*(5*8+4+4+2+2) + 28*nv*(2*32+4+4) + 19*(4+2)
+		if l.off < want || l.off >= want+cacheLine {
+			t.Errorf("router block at %d VCs is %d bytes, budget %d (+ alignment)", nv, l.off, want)
+		}
 	}
 }
