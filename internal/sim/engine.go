@@ -421,12 +421,10 @@ func (e *Engine) linkStage() {
 						// semantics.
 						e.outPkt[next.part] = append(e.outPkt[next.part],
 							pktMsg{router: next.ID, port: int(r.revPort[port]), vc: vc, ready: now + linkLat, pkt: *e.pkt(ent.h)})
+						e.slab.release(ent.h)
 					}
 					if e.tel != nil {
 						e.tel.LinkTraverse(r.ID, next.ID, vc, int(pf))
-					}
-					if next.part != e.shard {
-						e.slab.release(ent.h)
 					}
 				} else {
 					ent := r.dequeueOut(port, vc)
@@ -544,7 +542,7 @@ func (e *Engine) switchAllocPort(r *Router, port, nv int, xfer, swLat, linkLat i
 				r.pendingOut[cand.outPort] += pf
 				r.occSum[cand.outPort] += pf
 				if e.tel != nil {
-					e.tel.Route(e.now, p.ID, int(p.Src), int(p.Dst), r.ID, int(cand.outPort), vc, int(cand.outVC), p.Minimal)
+					e.tel.Route(now, p.ID, int(p.Src), int(p.Dst), r.ID, int(cand.outPort), vc, int(cand.outVC), p.Minimal)
 				}
 			}
 			if accept := r.outAccept[cand.outPort]; accept > now {

@@ -14,10 +14,10 @@ import (
 // Engine micro-benchmarks. Every figure in the paper is built from
 // thousands of flit-level simulation points, so single-point speed is
 // the wall-clock bottleneck of the reproduction (see EXPERIMENTS.md,
-// "Engine active-set optimization", for recorded before/after
-// numbers). The benchmark topologies all exceed 50 routers: SF(q=7)
-// has 98, MLFM(h=6) 63, OFT(k=6) 93; SF11 is SlimFly(q=11) with 242
-// routers, tracking the saturated regime at a larger scale.
+// "Where a paper-scale cycle goes", for where that time is spent). The
+// benchmark topologies all exceed 50 routers: SF(q=7) has 98, MLFM(h=6)
+// 63, OFT(k=6) 93; SF11 is SlimFly(q=11) with 242 routers, tracking the
+// saturated regime at a larger scale.
 
 // benchTopologies builds the benchmark instances; index by family name.
 func benchTopologies(tb testing.TB) map[string]topo.Topology {

@@ -23,8 +23,10 @@ import (
 // a cut link arrives with ready = now+LinkLatency >= now+1 (the
 // windowed switch-allocation scan stops at not-yet-ready entries
 // without state change, and per-(port,vc) ready times are monotone in
-// queue order, so a deferred enqueue is invisible this cycle), and a
-// returning credit is scheduled xfer+LinkLatency >= 2 cycles out.
+// queue order, so a deferred enqueue is invisible this cycle; it
+// lowers the port's wake cycle when it lands, before the next cycle's
+// scan consults it), and a returning credit is scheduled
+// xfer+LinkLatency >= 2 cycles out.
 // Cross-shard effects therefore travel through per-shard-pair
 // mailboxes applied between cycles, and each shard's intra-cycle
 // execution is exactly the serial engine's.
