@@ -1,23 +1,18 @@
-// Package diam2 benchmarks: one benchmark per table and figure of the
-// paper's evaluation. Each benchmark regenerates its exhibit at quick
-// scale (reduced instances, identical code paths) and reports the
-// headline quantity the paper plots as a custom metric, so the shape
-// of the results — who wins, by what factor, where the saturation
-// points fall — can be read straight from `go test -bench`.
+// Package diam2 benchmarks for the paper's analytic exhibits — Table 2
+// and Figs. 3-4, which run no simulation. Each regenerates its exhibit
+// and reports the headline quantity the paper plots as a custom metric.
 //
-// The paper-scale sweeps are available through cmd/diam2sweep
-// (-scale paper); see EXPERIMENTS.md for recorded paper-vs-measured
-// comparisons.
+// The simulated exhibits (Figs. 6-14) are measured by the repository
+// benchmark's figs_sweep workload (go run ./bench, see bench/README.md)
+// and regenerated with cmd/diam2sweep; see EXPERIMENTS.md for recorded
+// paper-vs-measured comparisons.
 package diam2_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"diam2"
 )
-
-func quick() diam2.Scale { return diam2.QuickScale() }
 
 // smallPreset returns the reduced preset for a family: 0 = SF,
 // 1 = MLFM, 2 = OFT.
@@ -92,171 +87,4 @@ func BenchmarkFig4Bisection(b *testing.B) {
 	b.ReportMetric(est[0], "SF-bisection/node")
 	b.ReportMetric(est[1], "MLFM-bisection/node")
 	b.ReportMetric(est[2], "OFT-bisection/node")
-}
-
-// BenchmarkFig6aObliviousUniform regenerates the Fig. 6a points at
-// two loads for MIN routing and reports delivered throughput at full
-// offer (the saturation throughput the figure shows at ~0.96-0.98 for
-// the paper's buffers; smaller at quick-scale buffers).
-func BenchmarkFig6aObliviousUniform(b *testing.B) {
-	thr := make([]float64, 3)
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 3; j++ {
-			p := smallPreset(j)
-			tp := buildSmall(b, j)
-			res, err := diam2.RunSynthetic(tp, diam2.AlgMIN, p.BestAdaptive, diam2.PatUNI, 1.0, quick())
-			if err != nil {
-				b.Fatal(err)
-			}
-			thr[j] = res.Throughput
-		}
-	}
-	b.ReportMetric(thr[0], "SF-MIN-sat")
-	b.ReportMetric(thr[1], "MLFM-MIN-sat")
-	b.ReportMetric(thr[2], "OFT-MIN-sat")
-}
-
-// BenchmarkFig6bObliviousWorstCase regenerates Fig. 6b: worst-case
-// saturation under MIN (the 1/(2p), 1/h, 1/k collapses) and under
-// INR (roughly half the uniform saturation).
-func BenchmarkFig6bObliviousWorstCase(b *testing.B) {
-	var minThr, inrThr [3]float64
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 3; j++ {
-			p := smallPreset(j)
-			tp := buildSmall(b, j)
-			rmin, err := diam2.RunSynthetic(tp, diam2.AlgMIN, p.BestAdaptive, diam2.PatWC, 1.0, quick())
-			if err != nil {
-				b.Fatal(err)
-			}
-			rinr, err := diam2.RunSynthetic(tp, diam2.AlgINR, p.BestAdaptive, diam2.PatWC, 1.0, quick())
-			if err != nil {
-				b.Fatal(err)
-			}
-			minThr[j], inrThr[j] = rmin.Throughput, rinr.Throughput
-		}
-	}
-	b.ReportMetric(minThr[0], "SF-MIN-WC")
-	b.ReportMetric(minThr[1], "MLFM-MIN-WC")
-	b.ReportMetric(minThr[2], "OFT-MIN-WC")
-	b.ReportMetric(inrThr[1], "MLFM-INR-WC")
-}
-
-// adaptiveBench runs one Figs. 7-12 style sweep point per preset and
-// reports WC throughput and UNI latency (the two quantities those
-// figures plot).
-func adaptiveBench(b *testing.B, presetIdx int, kind diam2.AlgKind) {
-	b.Helper()
-	p := smallPreset(presetIdx)
-	tp, err := p.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var wcThr, uniLat float64
-	for i := 0; i < b.N; i++ {
-		wc, err := diam2.RunSynthetic(tp, kind, p.BestAdaptive, diam2.PatWC, 1.0, quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		uni, err := diam2.RunSynthetic(tp, kind, p.BestAdaptive, diam2.PatUNI, 0.6, quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		wcThr, uniLat = wc.Throughput, uni.AvgLatency
-	}
-	b.ReportMetric(wcThr, "WC-throughput")
-	b.ReportMetric(uniLat, "UNI-latency-cycles")
-}
-
-// BenchmarkFig7SFAdaptive: SF-A (generic UGAL, length-ratio cost).
-func BenchmarkFig7SFAdaptive(b *testing.B) { adaptiveBench(b, 0, diam2.AlgA) }
-
-// BenchmarkFig8SFAdaptiveThreshold: SF-ATh (T = 10%).
-func BenchmarkFig8SFAdaptiveThreshold(b *testing.B) { adaptiveBench(b, 0, diam2.AlgATh) }
-
-// BenchmarkFig9MLFMAdaptive: MLFM-A.
-func BenchmarkFig9MLFMAdaptive(b *testing.B) { adaptiveBench(b, 1, diam2.AlgA) }
-
-// BenchmarkFig10OFTAdaptive: OFT-A.
-func BenchmarkFig10OFTAdaptive(b *testing.B) { adaptiveBench(b, 2, diam2.AlgA) }
-
-// BenchmarkFig11MLFMAdaptiveThreshold: MLFM-ATh.
-func BenchmarkFig11MLFMAdaptiveThreshold(b *testing.B) { adaptiveBench(b, 1, diam2.AlgATh) }
-
-// BenchmarkFig12OFTAdaptiveThreshold: OFT-ATh.
-func BenchmarkFig12OFTAdaptiveThreshold(b *testing.B) { adaptiveBench(b, 2, diam2.AlgATh) }
-
-// BenchmarkFig13AllToAll regenerates the Fig. 13 all-to-all exchange
-// on the MLFM and reports effective throughput for MIN and INR (the
-// figure's headline contrast: INR at half of MIN/adaptive).
-func BenchmarkFig13AllToAll(b *testing.B) {
-	p := smallPreset(1)
-	tp := buildSmall(b, 1)
-	var effMIN, effINR float64
-	for i := 0; i < b.N; i++ {
-		for _, alg := range []diam2.AlgKind{diam2.AlgMIN, diam2.AlgINR} {
-			ex := diam2.AllToAll(tp.Nodes(), quick().A2APackets, rand.New(rand.NewSource(1)))
-			_, eff, err := diam2.RunExchange(tp, alg, p.BestAdaptive, ex, quick())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if alg == diam2.AlgMIN {
-				effMIN = eff
-			} else {
-				effINR = eff
-			}
-		}
-	}
-	b.ReportMetric(effMIN, "MIN-eff-throughput")
-	b.ReportMetric(effINR, "INR-eff-throughput")
-}
-
-// BenchmarkFig14NearestNeighbor regenerates the Fig. 14
-// nearest-neighbor exchange on the MLFM's structure-aligned torus and
-// reports effective throughput for MIN and the adaptive algorithm.
-func BenchmarkFig14NearestNeighbor(b *testing.B) {
-	p := smallPreset(1)
-	tp := buildSmall(b, 1)
-	mlfm := tp.(*diam2.MLFM)
-	tor := diam2.Torus3D{X: mlfm.H, Y: mlfm.H + 1, Z: mlfm.H}
-	var effMIN, effA float64
-	for i := 0; i < b.N; i++ {
-		for _, alg := range []diam2.AlgKind{diam2.AlgMIN, diam2.AlgA} {
-			ex, err := diam2.NearestNeighbor(tor, tp.Nodes(), quick().NNPackets)
-			if err != nil {
-				b.Fatal(err)
-			}
-			_, eff, err := diam2.RunExchange(tp, alg, p.BestAdaptive, ex, quick())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if alg == diam2.AlgMIN {
-				effMIN = eff
-			} else {
-				effA = eff
-			}
-		}
-	}
-	b.ReportMetric(effMIN, "MIN-eff-throughput")
-	b.ReportMetric(effA, "A-eff-throughput")
-}
-
-// BenchmarkEngineThroughput measures raw simulator speed: packets
-// simulated per second on a mid-size instance (not a paper exhibit;
-// useful for estimating paper-scale run times).
-func BenchmarkEngineThroughput(b *testing.B) {
-	p := smallPreset(1)
-	tp := buildSmall(b, 1)
-	var delivered int64
-	var cycles int64
-	for i := 0; i < b.N; i++ {
-		res, err := diam2.RunSynthetic(tp, diam2.AlgMIN, p.BestAdaptive, diam2.PatUNI, 0.7, quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		delivered += res.Delivered
-		cycles += res.Cycles
-	}
-	b.ReportMetric(float64(delivered)/b.Elapsed().Seconds(), "packets/s")
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
 }

@@ -30,8 +30,8 @@ func (fp FaultPlan) Active() bool {
 }
 
 // apply builds the fault schedule for a topology and attaches it to
-// the engine (serial or parallel — both satisfy simRunner).
-func (fp FaultPlan) apply(e simRunner, t topo.Topology, sc Scale) error {
+// the engine.
+func (fp FaultPlan) apply(e *sim.Engine, t topo.Topology, sc Scale) error {
 	if !fp.Active() {
 		return nil
 	}

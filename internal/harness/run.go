@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"diam2/internal/sim"
-	"diam2/internal/telemetry"
 	"diam2/internal/topo"
 	"diam2/internal/traffic"
 )
@@ -50,17 +49,17 @@ type Scale struct {
 	// and simulated answers for the same point key never alias in the
 	// experiment store.
 	Tier string
-	// Cores > 1 runs every engine at this scale as a sharded
-	// sim.ParallelEngine with Cores partitions and Cores workers.
+	// Cores > 1 runs every engine at this scale with Cores shards and
+	// Cores workers; 0 and 1 both mean one of each.
 	// This is orthogonal to Sched's worker count (-j): -j fans a
 	// sweep's *points* across processes of one machine, while Cores
 	// splits the routers of a *single point* across threads. Sweeps
 	// with many points should prefer -j (embarrassingly parallel, no
-	// synchronization); Cores is for few huge points. The parallel
-	// engine keeps its own determinism contract — identical Results
-	// for a fixed partition at any worker count — but its results are
-	// not bit-identical to the serial engine's (per-shard RNG streams;
-	// see DESIGN.md §14), so the store keys carry Cores.
+	// synchronization); Cores is for few huge points. Every shard
+	// count keeps its own determinism contract — identical Results
+	// for a fixed partition at any worker count — but results are not
+	// bit-identical between shard counts (per-shard RNG streams; see
+	// DESIGN.md §14), so the store keys carry Cores.
 	Cores int
 }
 
@@ -158,50 +157,10 @@ func (s Scale) forPoint(ctx context.Context, seed int64) Scale {
 // abort within milliseconds of Ctrl-C.
 const cancelCheckCycles = 8192
 
-// simRunner is the engine surface the harness drives, satisfied by
-// both the serial sim.Engine and the sharded sim.ParallelEngine.
-type simRunner interface {
-	Run(n int64)
-	RunUntilDrained(maxCycles int64) bool
-	Now() int64
-	Finish()
-	Results() sim.Results
-	SetFaultSchedule(fs *sim.FaultSchedule) error
-}
-
-// newRunner builds the engine one run executes on: serial for
-// Cores <= 1, the sharded parallel engine otherwise. The returned stop
-// function releases the parallel workers (a no-op for serial engines)
-// and must be called exactly once when the run is over. Telemetry
-// collectors hook the serial engine's hot path, so a scale that sets
-// both Cores > 1 and a telemetry sink is rejected here rather than
-// silently dropping events.
-func (s Scale) newRunner(net *sim.Network, alg sim.RoutingAlgorithm, w sim.Workload) (simRunner, func(), error) {
-	if s.Cores <= 1 {
-		e, err := sim.NewEngine(net, alg, w)
-		if err != nil {
-			return nil, nil, err
-		}
-		e.Warmup = s.Warmup
-		return e, func() {}, nil
-	}
-	if s.Telemetry.Sink != nil {
-		return nil, nil, fmt.Errorf("harness: telemetry requires the serial engine; drop -cores=%d or the telemetry sink", s.Cores)
-	}
-	pe, err := sim.NewParallelEngine(net, alg, w, sim.ParallelOptions{Partitions: s.Cores, Workers: s.Cores})
-	if err != nil {
-		return nil, nil, err
-	}
-	pe.Warmup = s.Warmup
-	return pe, pe.Stop, nil
-}
-
 // runCycles advances the engine n cycles in cancellation-checked
-// chunks. Chunked stepping is bit-identical to one monolithic Run —
-// Run is a plain Step loop (and the parallel engine re-launches its
-// cycle loop per Run at identical barrier points) — so determinism is
-// untouched.
-func runCycles(ctx context.Context, e simRunner, n int64) error {
+// chunks. Chunked stepping is bit-identical to one monolithic Run: each
+// Run re-launches the engine's cycle loop at the same barrier points.
+func runCycles(ctx context.Context, e *sim.Engine, n int64) error {
 	for n > 0 {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -218,7 +177,7 @@ func runCycles(ctx context.Context, e simRunner, n int64) error {
 
 // runUntilDrained drains the engine with the same cancellation
 // polling; it reports whether the network drained before maxCycles.
-func runUntilDrained(ctx context.Context, e simRunner, maxCycles int64) (bool, error) {
+func runUntilDrained(ctx context.Context, e *sim.Engine, maxCycles int64) (bool, error) {
 	for {
 		if err := ctx.Err(); err != nil {
 			return false, err
@@ -234,6 +193,63 @@ func runUntilDrained(ctx context.Context, e simRunner, maxCycles int64) (bool, e
 			return false, nil
 		}
 	}
+}
+
+// run is the one path every simulated point takes: routing tables,
+// network, engine (Cores shards and workers; one of each for
+// Cores <= 1), fault schedule, telemetry collector under label, the
+// run itself — s.Cycles cycles of an open-loop workload, or a
+// closed-loop one until it drains — then Finish and the results. The
+// per-event telemetry hooks need the one-shard engine, so a scale that
+// sets both Cores > 1 and a telemetry sink is rejected rather than
+// silently dropping events. An undrained closed loop returns its
+// results so far beside the error.
+func (s Scale) run(t topo.Topology, kind AlgKind, ugal UGALConfig, label string, closedLoop bool,
+	workload func(sim.Config) (sim.Workload, error)) (sim.Results, sim.Config, error) {
+	alg, cfg, err := buildAlg(t, kind, ugal, s)
+	if err != nil {
+		return sim.Results{}, cfg, err
+	}
+	w, err := workload(cfg)
+	if err != nil {
+		return sim.Results{}, cfg, err
+	}
+	net, err := sim.NewNetwork(t, cfg)
+	if err != nil {
+		return sim.Results{}, cfg, err
+	}
+	cores := max(s.Cores, 1)
+	if cores > 1 && s.Telemetry.Sink != nil {
+		return sim.Results{}, cfg, fmt.Errorf("harness: telemetry requires the serial engine; drop -cores=%d or the telemetry sink", s.Cores)
+	}
+	e, err := sim.NewParallelEngine(net, alg, w, sim.ParallelOptions{Partitions: cores, Workers: cores})
+	if err != nil {
+		return sim.Results{}, cfg, err
+	}
+	defer e.Stop()
+	e.Warmup = s.Warmup
+	if err := s.Faults.apply(e, t, s); err != nil {
+		return sim.Results{}, cfg, err
+	}
+	col := s.Telemetry.attach(e, label)
+	drained := true
+	if closedLoop {
+		drained, err = runUntilDrained(s.Sched.context(), e, s.MaxDrain)
+	} else {
+		err = runCycles(s.Sched.context(), e, s.Cycles)
+	}
+	if err != nil {
+		s.Telemetry.discard(col)
+		return sim.Results{}, cfg, err
+	}
+	e.Finish()
+	s.Telemetry.collect(col)
+	res := e.Results()
+	if !drained {
+		return res, cfg, fmt.Errorf("harness: exchange %s did not drain in %d cycles", w.Name(), s.MaxDrain)
+	}
+	countCycles(res.Cycles)
+	return res, cfg, nil
 }
 
 // SimConfig returns the switch configuration for this scale and VC
@@ -269,87 +285,35 @@ func (p PatternKind) String() string {
 
 // RunSynthetic executes one open-loop run and returns its results.
 func RunSynthetic(t topo.Topology, kind AlgKind, ugal UGALConfig, pat PatternKind, load float64, scale Scale) (sim.Results, error) {
-	alg, cfg, err := buildAlg(t, kind, ugal, scale)
-	if err != nil {
-		return sim.Results{}, err
-	}
-	var pattern traffic.Pattern
-	switch pat {
-	case PatUNI:
-		pattern = traffic.Uniform{N: t.Nodes()}
-	case PatWC:
-		wc, err := traffic.WorstCase(t, rand.New(rand.NewSource(scale.patternSeed())))
-		if err != nil {
-			return sim.Results{}, err
+	label := fmt.Sprintf("%s|%s|%s|load=%.4f|seed=%d", t.Name(), kind, pat, load, scale.Seed)
+	res, _, err := scale.run(t, kind, ugal, label, false, func(cfg sim.Config) (sim.Workload, error) {
+		var pattern traffic.Pattern
+		switch pat {
+		case PatUNI:
+			pattern = traffic.Uniform{N: t.Nodes()}
+		case PatWC:
+			wc, err := traffic.WorstCase(t, rand.New(rand.NewSource(scale.patternSeed())))
+			if err != nil {
+				return nil, err
+			}
+			pattern = wc
+		default:
+			return nil, fmt.Errorf("harness: unknown pattern %d", pat)
 		}
-		pattern = wc
-	default:
-		return sim.Results{}, fmt.Errorf("harness: unknown pattern %d", pat)
-	}
-	net, err := sim.NewNetwork(t, cfg)
-	if err != nil {
-		return sim.Results{}, err
-	}
-	w := &traffic.OpenLoop{Pattern: pattern, Load: load, PacketFlits: cfg.PacketFlits()}
-	e, stop, err := scale.newRunner(net, alg, w)
-	if err != nil {
-		return sim.Results{}, err
-	}
-	defer stop()
-	if err := scale.Faults.apply(e, t, scale); err != nil {
-		return sim.Results{}, err
-	}
-	var col *telemetry.Collector
-	if se, ok := e.(*sim.Engine); ok {
-		col = scale.Telemetry.attach(se, fmt.Sprintf("%s|%s|%s|load=%.4f|seed=%d", t.Name(), kind, pat, load, scale.Seed))
-	}
-	if err := runCycles(scale.Sched.context(), e, scale.Cycles); err != nil {
-		scale.Telemetry.discard(col)
-		return sim.Results{}, err
-	}
-	e.Finish()
-	scale.Telemetry.collect(col)
-	res := e.Results()
-	countCycles(res.Cycles)
-	return res, nil
+		return &traffic.OpenLoop{Pattern: pattern, Load: load, PacketFlits: cfg.PacketFlits()}, nil
+	})
+	return res, err
 }
 
 // RunExchange executes a closed-loop exchange to completion and
 // returns the results plus the effective throughput (total delivered
 // load as a fraction of aggregate injection bandwidth, Section 4.4).
 func RunExchange(t topo.Topology, kind AlgKind, ugal UGALConfig, ex *traffic.Exchange, scale Scale) (sim.Results, float64, error) {
-	alg, cfg, err := buildAlg(t, kind, ugal, scale)
+	label := fmt.Sprintf("%s|%s|%s|seed=%d", t.Name(), kind, ex.Name(), scale.Seed)
+	res, cfg, err := scale.run(t, kind, ugal, label, true, func(sim.Config) (sim.Workload, error) { return ex, nil })
 	if err != nil {
-		return sim.Results{}, 0, err
+		return res, 0, err
 	}
-	net, err := sim.NewNetwork(t, cfg)
-	if err != nil {
-		return sim.Results{}, 0, err
-	}
-	e, stop, err := scale.newRunner(net, alg, ex)
-	if err != nil {
-		return sim.Results{}, 0, err
-	}
-	defer stop()
-	if err := scale.Faults.apply(e, t, scale); err != nil {
-		return sim.Results{}, 0, err
-	}
-	var col *telemetry.Collector
-	if se, ok := e.(*sim.Engine); ok {
-		col = scale.Telemetry.attach(se, fmt.Sprintf("%s|%s|%s|seed=%d", t.Name(), kind, ex.Name(), scale.Seed))
-	}
-	drained, err := runUntilDrained(scale.Sched.context(), e, scale.MaxDrain)
-	if err != nil {
-		scale.Telemetry.discard(col)
-		return sim.Results{}, 0, err
-	}
-	e.Finish()
-	scale.Telemetry.collect(col)
-	if !drained {
-		return e.Results(), 0, fmt.Errorf("harness: exchange %s did not drain in %d cycles", ex.Name(), scale.MaxDrain)
-	}
-	res := e.Results()
-	countCycles(res.Cycles)
 	flits := float64(ex.TotalPackets()) * float64(cfg.PacketFlits())
 	eff := flits / (float64(res.Cycles) * float64(t.Nodes()))
 	return res, eff, nil

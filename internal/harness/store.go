@@ -42,7 +42,7 @@ import (
 func (s Scale) pointConfig(pointKey string) store.PointConfig {
 	cores := s.Cores
 	if cores <= 1 {
-		cores = 0 // 1 and unset are both the serial engine
+		cores = 0 // 1 and unset are both one shard, one worker
 	}
 	return store.PointConfig{
 		Point:        pointKey,

@@ -1,8 +1,8 @@
 package sim
 
 import (
-	"fmt"
 	"math/rand"
+	"sync/atomic"
 
 	"diam2/internal/metrics"
 	"diam2/internal/telemetry"
@@ -88,27 +88,63 @@ func releaseRef(r *Router, port, ci int) uint64 {
 	return uint64(r.occSumAt+uint32(port))<<32 | uint64(r.outOccAt+uint32(ci))
 }
 
-// Engine is the cycle-driven simulator.
+// Engine is the cycle-driven simulator: the router set cut into one or
+// more shards, advanced in lockstep by one or more workers (parallel.go
+// holds the driver). NewEngine builds the one-shard, one-worker case —
+// no cut, no goroutine, nothing to release; NewParallelEngine the
+// general one, whose workers Stop releases. Not safe for concurrent use;
+// WorkerCycleCounts alone may be called from other goroutines.
 type Engine struct {
 	Net  *Network
 	Alg  RoutingAlgorithm
 	Work Workload
 	Cfg  Config
 
-	Warmup int64 // cycle at which measurement starts
+	Warmup int64 // cycle at which measurement starts (handed to the shards at each launch)
 
-	// Shard identity (see parallel.go). A serial engine is shard 0 of a
-	// one-shard world: acts is Network.acts[0], nodes covers every
-	// node, and par is nil — every parallel branch below reduces to its
-	// serial form. A ParallelEngine builds one Engine per partition
-	// with acts/nodes restricted to the owned components and par set,
-	// which routes cross-partition packets and credit returns through
-	// the per-shard-pair mailboxes instead of touching state another
-	// shard owns.
-	shard   int
+	shards []*shard
+	part   []int      // router -> shard
+	owned  [][]*shard // worker -> the shards it advances
+
+	bar     barrier
+	quit    bool
+	stopped bool
+
+	// Command state for the current launch, written by the caller before
+	// the start barrier and by barrier actions.
+	until        int64 // Run: stop when now reaches this cycle
+	checkDrained bool  // RunUntilDrained mode
+	maxCycles    int64
+	stopFlag     bool
+	drainedFlag  bool
+	doneLatch    bool // Work.Done() latched after event processing
+
+	// workerCycles[w] counts cycles worker w completed; atomic so a
+	// telemetry reader can sample mid-run.
+	workerCycles []atomic.Int64
+
+	tel *telemetry.Collector // the engine's one optional observer (see telemetry.go)
+}
+
+// shard is one partition's share of the simulation: the routers and
+// nodes it owns (acts, nodes — all of them when the engine has one
+// shard), its rng stream, packet-ID range, event rings, packet slab and
+// counters. The stage functions below touch only state their shard
+// owns; a packet or credit bound for a router another shard owns goes
+// into the per-shard-pair mailboxes (outPkt, outCred), which the driver
+// applies between cycles.
+type shard struct {
+	eng  *Engine
+	net  *Network
+	alg  RoutingAlgorithm
+	work Workload
+	cfg  Config
+
+	warmup int64
+
+	id      int
 	acts    *actSet
-	nodes   []int32 // owned nodes, ascending
-	par     *ParallelEngine
+	nodes   []int32     // owned nodes, ascending
 	outPkt  [][]pktMsg  // [destination shard] cross-partition packet handoffs
 	outCred [][]credMsg // [destination shard] cross-partition credit returns
 
@@ -118,9 +154,9 @@ type Engine struct {
 	ringLen int64
 	slot    int64 // == now % ringLen, maintained incrementally
 
-	// slab holds every live Packet of this engine (shard-private in a
-	// sharded run; see packet.go and DESIGN.md §15). The steady-state
-	// hot path allocates nothing once the arena is warm.
+	// slab holds every live Packet of this shard (see packet.go and
+	// DESIGN.md §15). The steady-state hot path allocates nothing once
+	// the arena is warm.
 	slab pktSlab
 
 	pktFlits int
@@ -141,8 +177,8 @@ type Engine struct {
 
 	lastDeliver int64 // cycle of the most recent delivery
 
-	observer DeliveryObserver     // optional delivery hook of the workload
-	tel      *telemetry.Collector // the engine's one optional observer (see telemetry.go)
+	observer DeliveryObserver     // optional delivery hook of the workload (one shard only)
+	tel      *telemetry.Collector // per-event hooks (one shard only; see telemetry.go)
 
 	// Fault injection (nil / zero without a schedule; see fault.go).
 	faults        *faultState
@@ -157,97 +193,51 @@ type Engine struct {
 	recoveryMax   int64 // max drop -> redelivery time observed
 }
 
-// NewEngine wires a network, routing algorithm and workload together.
-// cfg.NumVCs must cover alg.NumVCs().
+// NewEngine wires a network, routing algorithm and workload together
+// as one shard advanced by the calling goroutine. cfg.NumVCs must cover
+// alg.NumVCs().
 func NewEngine(net *Network, alg RoutingAlgorithm, work Workload) (*Engine, error) {
-	cfg := net.Cfg
-	if alg.NumVCs() > cfg.NumVCs {
-		return nil, fmt.Errorf("sim: algorithm %s needs %d VCs, config has %d", alg.Name(), alg.NumVCs(), cfg.NumVCs)
-	}
-	e := &Engine{
-		Net:      net,
-		Alg:      alg,
-		Work:     work,
-		Cfg:      cfg,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
+	return NewParallelEngine(net, alg, work, ParallelOptions{Partitions: 1, Workers: 1})
+}
+
+// newShard builds shard id of the shards an engine is cut into.
+func newShard(eng *Engine, id, shards int) *shard {
+	cfg := eng.Cfg
+	sh := &shard{
+		eng:      eng,
+		net:      eng.Net,
+		alg:      eng.Alg,
+		work:     eng.Work,
+		cfg:      cfg,
+		id:       id,
+		acts:     eng.Net.acts[id],
+		nodes:    make([]int32, 0, len(eng.Net.nodes)/shards),
+		rng:      rand.New(rand.NewSource(shardSeed(cfg.Seed, id, shards))),
 		pktFlits: cfg.PacketFlits(),
-		acts:     net.acts[0],
-		nodes:    make([]int32, len(net.nodes)),
+		nextID:   int64(id) << 44, // disjoint packet-ID ranges per shard
+		outPkt:   make([][]pktMsg, shards),
+		outCred:  make([][]credMsg, shards),
 	}
-	for i := range e.nodes {
-		e.nodes[i] = int32(i)
-	}
-	e.ringLen = int64(cfg.PacketFlits() + cfg.LinkLatency + cfg.SwitchLatency + 2)
-	e.ring = make([]ringSlot, e.ringLen)
-	e.observer, _ = work.(DeliveryObserver)
+	sh.ringLen = int64(cfg.PacketFlits() + cfg.LinkLatency + cfg.SwitchLatency + 2)
+	sh.ring = make([]ringSlot, sh.ringLen)
+	sh.observer, _ = eng.Work.(DeliveryObserver)
 	// Latency histograms in cycles: bucket width scales with the
 	// network latency so percentiles stay meaningful at any scale.
 	w := float64(cfg.SwitchLatency + cfg.LinkLatency)
-	e.latGen = metrics.NewHistogram(w, 4096)
-	e.latNet = metrics.NewHistogram(w, 4096)
-	return e, nil
+	sh.latGen = metrics.NewHistogram(w, 4096)
+	sh.latNet = metrics.NewHistogram(w, 4096)
+	return sh
 }
 
 // Now returns the current cycle.
-func (e *Engine) Now() int64 { return e.now }
-
-// slotAt maps a scheduling delay onto the ring. e.slot caches
-// now % ringLen, and every delay the stages use fits within one ring
-// revolution, so a conditional subtract replaces the int64 division
-// that showed up hot in profiles. The modulo fallback keeps larger
-// delays correct should one ever appear.
-func (e *Engine) slotAt(delay int64) int64 {
-	t := e.slot + delay
-	if t >= e.ringLen {
-		t -= e.ringLen
-		if t >= e.ringLen {
-			t %= e.ringLen
-		}
-	}
-	return t
-}
-
-func (e *Engine) scheduleCredit(delay int64, ref uint32) {
-	s := &e.ring[e.slotAt(delay)]
-	s.credits = append(s.credits, ref)
-}
-
-func (e *Engine) scheduleRelease(delay int64, ref uint64) {
-	s := &e.ring[e.slotAt(delay)]
-	s.releases = append(s.releases, ref)
-}
-
-func (e *Engine) scheduleDeliver(delay int64, h pktHandle) {
-	s := &e.ring[e.slotAt(delay)]
-	s.delivers = append(s.delivers, h)
-}
+func (e *Engine) Now() int64 { return e.shards[0].now }
 
 // Step advances the simulation by one cycle.
-func (e *Engine) Step() {
-	if e.faults != nil {
-		e.faultTick()
-	}
-	e.processEvents()
-	e.linkStage()
-	e.switchStage()
-	e.injectStage()
-	e.advanceCycle()
-}
-
-// advanceCycle moves the clock to the next cycle, wrapping the cached
-// ring slot.
-func (e *Engine) advanceCycle() {
-	e.now++
-	if e.slot++; e.slot == e.ringLen {
-		e.slot = 0
-	}
-}
+func (e *Engine) Step() { e.Run(1) }
 
 // Run advances the simulation by n cycles.
 func (e *Engine) Run(n int64) {
-	for i := int64(0); i < n; i++ {
-		e.Step()
-	}
+	e.launch(e.Now()+n, false, 0)
 }
 
 // RunUntilDrained steps until the workload is done and every injected
@@ -255,38 +245,96 @@ func (e *Engine) Run(n int64) {
 // to link failures), or maxCycles elapse. It returns true if the
 // network drained.
 func (e *Engine) RunUntilDrained(maxCycles int64) bool {
-	for e.now < maxCycles {
-		if e.drained() {
-			return true
-		}
-		e.Step()
+	e.launch(0, true, maxCycles)
+	return e.drainedFlag
+}
+
+// inFlight counts the packets still in the network: injections minus
+// deliveries minus drops. A shard's own difference can be transiently
+// negative (a packet injected on one shard, delivered or dropped on
+// another); the sum obeys the conservation law.
+func (e *Engine) inFlight() int64 {
+	var n int64
+	for _, sh := range e.shards {
+		n += sh.injected - sh.delivered - sh.droppedPkts
 	}
-	return e.drained()
+	return n
 }
 
 // drained reports that no packet remains anywhere: the workload is
 // exhausted, the source and retransmission queues are empty, and every
-// packet still in the network (injections minus deliveries minus
-// drops) has been accounted for. O(1): Network.srcBusy counts nodes
-// with nonempty source queues, so RunUntilDrained no longer scans all
-// nodes every iteration.
+// packet still in the network has been accounted for. Cheap enough for
+// every cycle: Network.srcBusy counts nodes with nonempty source queues,
+// so nothing scans the nodes.
 func (e *Engine) drained() bool {
-	return e.Work.Done() && e.injected-e.delivered-e.droppedPkts == 0 &&
-		e.retxWaiting == 0 && e.Net.srcBusyTotal() == 0
+	if !e.Work.Done() || e.inFlight() != 0 {
+		return false
+	}
+	var retx int64 // a sum for the same reason: dropped on shard 0, re-injected by the source's shard
+	for _, sh := range e.shards {
+		retx += sh.retxWaiting
+	}
+	return retx == 0 && e.Net.srcBusyTotal() == 0
+}
+
+// Stalled reports whether packets are in flight but none has been
+// delivered for at least window cycles — the signature of a routing
+// deadlock (e.g. indirect routing on too few VCs) or a disconnected
+// route. Healthy saturated networks keep delivering.
+func (e *Engine) Stalled(window int64) bool {
+	last := int64(0)
+	for _, sh := range e.shards {
+		last = max(last, sh.lastDeliver)
+	}
+	return e.inFlight() > 0 && e.Now()-last > window
+}
+
+// slotAt maps a scheduling delay onto the ring. sh.slot caches
+// now % ringLen, and every delay the stages use fits within one ring
+// revolution, so a conditional subtract replaces the int64 division
+// that showed up hot in profiles. The modulo fallback keeps larger
+// delays correct should one ever appear.
+func (sh *shard) slotAt(delay int64) int64 {
+	t := sh.slot + delay
+	if t >= sh.ringLen {
+		t -= sh.ringLen
+		if t >= sh.ringLen {
+			t %= sh.ringLen
+		}
+	}
+	return t
+}
+
+func (sh *shard) scheduleCredit(delay int64, ref uint32) {
+	s := &sh.ring[sh.slotAt(delay)]
+	s.credits = append(s.credits, ref)
+}
+
+func (sh *shard) scheduleRelease(delay int64, ref uint64) {
+	s := &sh.ring[sh.slotAt(delay)]
+	s.releases = append(s.releases, ref)
+}
+
+func (sh *shard) scheduleDeliver(delay int64, h pktHandle) {
+	s := &sh.ring[sh.slotAt(delay)]
+	s.delivers = append(s.delivers, h)
+}
+
+// advanceCycle moves the clock to the next cycle, wrapping the cached
+// ring slot.
+func (sh *shard) advanceCycle() {
+	sh.now++
+	if sh.slot++; sh.slot == sh.ringLen {
+		sh.slot = 0
+	}
 }
 
 // workDone reports whether the workload has been exhausted, as seen at
-// the injection stage. Serial engines ask the workload directly; shard
-// engines read the value their ParallelEngine latched at the
-// post-events barrier — between that barrier and the inject stage no
-// shard calls NextPacket, so the latched value equals what a serial
-// engine would observe here.
-func (e *Engine) workDone() bool {
-	if e.par != nil {
-		return e.par.doneLatch
-	}
-	return e.Work.Done()
-}
+// the injection stage: the value the driver latched after this cycle's
+// events were processed. No shard calls NextPacket between that latch
+// and the inject stage, so it equals what asking the workload here
+// would return.
+func (sh *shard) workDone() bool { return sh.eng.doneLatch }
 
 // processEvents applies the deferred effects that land this cycle:
 // first the batched credit returns, then the output-buffer releases,
@@ -296,10 +344,10 @@ func (e *Engine) workDone() bool {
 // event list; deliveries keep their insertion order, which is the
 // order the old list processed them in, so every stat and observer
 // callback fires in the same sequence.
-func (e *Engine) processEvents() {
-	s := &e.ring[e.slot]
-	flits := int32(e.pktFlits)
-	w32 := e.Net.mem.w32
+func (sh *shard) processEvents() {
+	s := &sh.ring[sh.slot]
+	flits := int32(sh.pktFlits)
+	w32 := sh.net.mem.w32
 	for _, ref := range s.credits {
 		w32[ref] += flits
 	}
@@ -311,47 +359,39 @@ func (e *Engine) processEvents() {
 	s.releases = s.releases[:0]
 	if len(s.delivers) > 0 {
 		for _, h := range s.delivers {
-			e.deliver(h)
+			sh.deliver(h)
 		}
 		s.delivers = s.delivers[:0]
 	}
 }
 
-// Stalled reports whether packets are in flight but none has been
-// delivered for at least window cycles — the signature of a routing
-// deadlock (e.g. indirect routing on too few VCs) or a disconnected
-// route. Healthy saturated networks keep delivering.
-func (e *Engine) Stalled(window int64) bool {
-	return e.injected > e.delivered && e.now-e.lastDeliver > window
-}
-
-func (e *Engine) deliver(h pktHandle) {
-	p := e.pkt(h)
-	e.delivered++
-	e.lastDeliver = e.now
-	if e.now >= e.Warmup {
-		e.deliveredFlitsWindow += int64(e.pktFlits)
+func (sh *shard) deliver(h pktHandle) {
+	p := sh.pkt(h)
+	sh.delivered++
+	sh.lastDeliver = sh.now
+	if sh.now >= sh.warmup {
+		sh.deliveredFlitsWindow += int64(sh.pktFlits)
 	}
-	if p.Retx > 0 && e.now-p.FirstDrop > e.recoveryMax {
-		e.recoveryMax = e.now - p.FirstDrop
+	if p.Retx > 0 && sh.now-p.FirstDrop > sh.recoveryMax {
+		sh.recoveryMax = sh.now - p.FirstDrop
 	}
-	if e.observer != nil {
-		e.observer.OnDeliver(p, e.now)
+	if sh.observer != nil {
+		sh.observer.OnDeliver(p, sh.now)
 	}
-	if e.tel != nil {
-		e.tel.Deliver(e.now, p.ID, int(p.Src), int(p.Dst), float64(e.now-p.GenTime), p.Minimal, int(p.Hops), e.pktFlits)
+	if sh.tel != nil {
+		sh.tel.Deliver(sh.now, p.ID, int(p.Src), int(p.Dst), float64(sh.now-p.GenTime), p.Minimal, int(p.Hops), sh.pktFlits)
 	}
-	if p.GenTime >= e.Warmup {
-		e.latGen.Add(float64(e.now - p.GenTime))
-		e.latNet.Add(float64(e.now - p.InjectTime))
-		e.hops.Add(float64(p.Hops))
+	if p.GenTime >= sh.warmup {
+		sh.latGen.Add(float64(sh.now - p.GenTime))
+		sh.latNet.Add(float64(sh.now - p.InjectTime))
+		sh.hops.Add(float64(p.Hops))
 		if !p.Minimal {
-			e.indirectN++
+			sh.indirectN++
 		}
 	}
 	// The packet has left the simulation and every hook above has run;
 	// recycle the slot (slab ownership rules: DESIGN.md §15).
-	e.slab.release(h)
+	sh.slab.release(h)
 }
 
 // linkStage moves packets from output buffers onto links: downstream
@@ -362,18 +402,18 @@ func (e *Engine) deliver(h pktHandle) {
 // over the components that can act. The VC walk rotates from the
 // round-robin pointer with a conditional subtract — same visit order as
 // (rr+i) % nv, no division.
-func (e *Engine) linkStage() {
-	flits := int64(e.pktFlits)
-	linkLat := int64(e.Cfg.LinkLatency)
-	nv := e.Cfg.NumVCs
+func (sh *shard) linkStage() {
+	flits := int64(sh.pktFlits)
+	linkLat := int64(sh.cfg.LinkLatency)
+	nv := sh.cfg.NumVCs
 	// Hoisted off the Engine: the compiler cannot prove stores through
-	// *Router don't alias these fields, so leaving them as e.x reloads
+	// *Router don't alias these fields, so leaving them as sh.x reloads
 	// them on every iteration of the hot loops below.
-	now := e.now
-	pf := int32(e.pktFlits)
-	act := e.acts.out
+	now := sh.now
+	pf := int32(sh.pktFlits)
+	act := sh.acts.out
 	for id := act.nextFrom(0); id >= 0; id = act.nextFrom(id + 1) {
-		r := e.Net.Routers[id]
+		r := sh.net.Routers[id]
 		for port, wake := range r.outWake {
 			if wake > now {
 				continue
@@ -407,8 +447,8 @@ func (e *Engine) linkStage() {
 					}
 					r.credits[ci] -= pf
 					ent := r.dequeueOut(port, vc)
-					next := e.Net.Routers[r.neighbor[port]]
-					if next.part == e.shard {
+					next := sh.net.Routers[r.neighbor[port]]
+					if next.part == sh.id {
 						next.enqueueIn(int(r.revPort[port]), vc, entry{h: ent.h, ready: now + linkLat, outPort: unrouted})
 					} else {
 						// Cross-partition hop: the packet leaves this
@@ -419,20 +459,20 @@ func (e *Engine) linkStage() {
 						// the entry's ready time (now+linkLat >= now+1)
 						// keeps it untouched this cycle even under serial
 						// semantics.
-						e.outPkt[next.part] = append(e.outPkt[next.part],
-							pktMsg{router: next.ID, port: int(r.revPort[port]), vc: vc, ready: now + linkLat, pkt: *e.pkt(ent.h)})
-						e.slab.release(ent.h)
+						sh.outPkt[next.part] = append(sh.outPkt[next.part],
+							pktMsg{router: next.ID, port: int(r.revPort[port]), vc: vc, ready: now + linkLat, pkt: *sh.pkt(ent.h)})
+						sh.slab.release(ent.h)
 					}
-					if e.tel != nil {
-						e.tel.LinkTraverse(r.ID, next.ID, vc, int(pf))
+					if sh.tel != nil {
+						sh.tel.LinkTraverse(r.ID, next.ID, vc, int(pf))
 					}
 				} else {
 					ent := r.dequeueOut(port, vc)
-					e.scheduleDeliver(flits+linkLat, ent.h)
+					sh.scheduleDeliver(flits+linkLat, ent.h)
 				}
 				r.linkFree[port] = now + flits
 				again = now + flits
-				e.scheduleRelease(flits, releaseRef(r, port, ci))
+				sh.scheduleRelease(flits, releaseRef(r, port, ci))
 				if vc++; vc == nv {
 					vc = 0
 				}
@@ -447,19 +487,19 @@ func (e *Engine) linkStage() {
 // switchStage performs switch allocation: head packets in input
 // buffers are routed and, when the crossbar and output buffer allow,
 // streamed to the chosen output buffer.
-func (e *Engine) switchStage() {
-	flits := int64(e.pktFlits)
+func (sh *shard) switchStage() {
+	flits := int64(sh.pktFlits)
 	// Internal crossbar transfers run Speedup times faster than the
 	// links, so a packet occupies its input port and crossbar output
 	// for fewer cycles (classic input-output-buffered speedup).
-	xfer := (flits + int64(e.Cfg.Speedup) - 1) / int64(e.Cfg.Speedup)
-	swLat := int64(e.Cfg.SwitchLatency)
-	linkLat := int64(e.Cfg.LinkLatency)
-	nv := e.Cfg.NumVCs
-	now := e.now
-	act := e.acts.in
+	xfer := (flits + int64(sh.cfg.Speedup) - 1) / int64(sh.cfg.Speedup)
+	swLat := int64(sh.cfg.SwitchLatency)
+	linkLat := int64(sh.cfg.LinkLatency)
+	nv := sh.cfg.NumVCs
+	now := sh.now
+	act := sh.acts.in
 	for id := act.nextFrom(0); id >= 0; id = act.nextFrom(id + 1) {
-		r := e.Net.Routers[id]
+		r := sh.net.Routers[id]
 		// Rotated iteration over the input ports starting at the
 		// round-robin pointer — [rrIn, nPorts) then [0, rrIn) — which
 		// is the order a full scan's (rrIn+pi) % nPorts loop visits
@@ -468,12 +508,12 @@ func (e *Engine) switchStage() {
 		granted := false
 		wake := r.inWake
 		for port := r.rrIn; port < len(wake); port++ {
-			if wake[port] <= now && e.switchAllocPort(r, port, nv, xfer, swLat, linkLat) {
+			if wake[port] <= now && sh.switchAllocPort(r, port, nv, xfer, swLat, linkLat) {
 				granted = true
 			}
 		}
 		for port := 0; port < r.rrIn; port++ {
-			if wake[port] <= now && e.switchAllocPort(r, port, nv, xfer, swLat, linkLat) {
+			if wake[port] <= now && sh.switchAllocPort(r, port, nv, xfer, swLat, linkLat) {
 				granted = true
 			}
 		}
@@ -489,17 +529,17 @@ func (e *Engine) switchStage() {
 // queues to an output buffer; reports whether a grant happened. Either
 // way it leaves the port's wake cycle exact: the earliest cycle at which
 // a visit could route or grant, given what the port holds now.
-func (e *Engine) switchAllocPort(r *Router, port, nv int, xfer, swLat, linkLat int64) bool {
-	now := e.now
+func (sh *shard) switchAllocPort(r *Router, port, nv int, xfer, swLat, linkLat int64) bool {
+	now := sh.now
 	if free := r.inPortFree[port]; free > now {
 		r.inWake[port] = free
 		return false
 	}
 	again := neverReady
 	// Hoisted loads, same rationale as linkStage.
-	pf := int32(e.pktFlits)
-	obf := int32(e.Cfg.OutputBufFlits)
-	win0 := e.Cfg.AllocWindow
+	pf := int32(sh.pktFlits)
+	obf := int32(sh.cfg.OutputBufFlits)
+	win0 := sh.cfg.AllocWindow
 	rings := &r.acts.rings
 	startVC := int(r.rrVC[port])
 	for vi := 0; vi < nv; vi++ {
@@ -528,21 +568,21 @@ func (e *Engine) switchAllocPort(r *Router, port, nv int, xfer, swLat, linkLat i
 			}
 			if cand.outPort < 0 {
 				// The hop's one load of the packet.
-				p := e.pkt(cand.h)
+				p := sh.pkt(cand.h)
 				if cand.outPort == unrouted && port < r.netPorts {
 					p.Hops++
 				}
 				if int(p.DstRouter) == r.ID {
-					cand.outPort = int16(e.Net.terminalPortFor(int(p.Dst)))
+					cand.outPort = int16(sh.net.terminalPortFor(int(p.Dst)))
 					cand.outVC = int16(vc)
 				} else {
-					op, ov := e.Alg.NextHop(p, r, e.rng)
+					op, ov := sh.alg.NextHop(p, r, sh.rng)
 					cand.outPort, cand.outVC = int16(op), int16(ov)
 				}
 				r.pendingOut[cand.outPort] += pf
 				r.occSum[cand.outPort] += pf
-				if e.tel != nil {
-					e.tel.Route(now, p.ID, int(p.Src), int(p.Dst), r.ID, int(cand.outPort), vc, int(cand.outVC), p.Minimal)
+				if sh.tel != nil {
+					sh.tel.Route(now, p.ID, int(p.Src), int(p.Dst), r.ID, int(cand.outPort), vc, int(cand.outVC), p.Minimal)
 				}
 			}
 			if accept := r.outAccept[cand.outPort]; accept > now {
@@ -575,19 +615,19 @@ func (e *Engine) switchAllocPort(r *Router, port, nv int, xfer, swLat, linkLat i
 		// the credit ring, applied in a batched pass (see
 		// processEvents).
 		if r.isTerminal(port) {
-			e.scheduleCredit(xfer+linkLat, r.nodeCreditsAt+uint32((port-r.netPorts)*nv+vc))
+			sh.scheduleCredit(xfer+linkLat, r.nodeCreditsAt+uint32((port-r.netPorts)*nv+vc))
 		} else {
-			up := e.Net.Routers[r.neighbor[port]]
+			up := sh.net.Routers[r.neighbor[port]]
 			ref := up.creditsAt + uint32(up.idx(int(r.revPort[port]), vc))
-			if up.part == e.shard {
-				e.scheduleCredit(xfer+linkLat, ref)
+			if up.part == sh.id {
+				sh.scheduleCredit(xfer+linkLat, ref)
 			} else {
 				// Credit for an upstream router another shard owns:
 				// deferred to the inter-cycle exchange. The credit delay
 				// xfer+linkLat >= 2 leaves at least one cycle of slack, so
 				// scheduling it on the owner next cycle with delay-1
 				// lands on the same absolute cycle.
-				e.outCred[up.part] = append(e.outCred[up.part], credMsg{delay: xfer + linkLat, ref: ref})
+				sh.outCred[up.part] = append(sh.outCred[up.part], credMsg{delay: xfer + linkLat, ref: ref})
 			}
 		}
 		if vc++; vc == nv {
@@ -610,47 +650,47 @@ func (e *Engine) switchAllocPort(r *Router, port, nv int, xfer, swLat, linkLat i
 // Once Done() reports the workload exhausted, polling is a guaranteed
 // no-op (see the Workload contract) and only woken nodes — those
 // holding source-queue or retransmission work — are visited.
-func (e *Engine) injectStage() {
-	if e.workDone() {
-		act := e.acts.node
+func (sh *shard) injectStage() {
+	if sh.workDone() {
+		act := sh.acts.node
 		for id := act.nextFrom(0); id >= 0; id = act.nextFrom(id + 1) {
-			e.tryInject(id)
+			sh.tryInject(id)
 		}
 		return
 	}
-	net := e.Net
-	srcCap := int32(e.Cfg.SourceQueueCap)
-	for _, id32 := range e.nodes {
+	net := sh.net
+	srcCap := int32(sh.cfg.SourceQueueCap)
+	for _, id32 := range sh.nodes {
 		id := int(id32)
 		loc := &net.nodes[id]
 		if net.mem.q[loc.srcQ].n < srcCap {
-			if dst, ok := e.Work.NextPacket(id, e.now, e.rng); ok {
-				h := e.slab.alloc()
-				p := e.pkt(h)
-				p.ID = e.nextID
+			if dst, ok := sh.work.NextPacket(id, sh.now, sh.rng); ok {
+				h := sh.slab.alloc()
+				p := sh.pkt(h)
+				p.ID = sh.nextID
 				p.Src = id32
 				p.Dst = int32(dst)
 				p.SrcRouter = loc.router
 				p.DstRouter = net.nodes[dst].router
-				p.Flits = int32(e.pktFlits)
-				p.GenTime = e.now
+				p.Flits = int32(sh.pktFlits)
+				p.GenTime = sh.now
 				p.Intermediate = -1
-				e.nextID++
-				e.generated++
-				net.pushSrc(e.acts, id, h)
+				sh.nextID++
+				sh.generated++
+				net.pushSrc(sh.acts, id, h)
 			}
 		}
-		e.tryInject(id)
+		sh.tryInject(id)
 	}
 }
 
 // tryInject attempts to start one packet from a node onto its terminal
 // link: the oldest ready retransmission if any, else the source-queue
 // head.
-func (e *Engine) tryInject(node int) {
-	net := e.Net
+func (sh *shard) tryInject(node int) {
+	net := sh.net
 	loc := &net.nodes[node]
-	if net.mem.i64[loc.linkFree] > e.now {
+	if net.mem.i64[loc.linkFree] > sh.now {
 		return
 	}
 	// Retransmissions of dropped packets take priority over fresh
@@ -658,8 +698,8 @@ func (e *Engine) tryInject(node int) {
 	retx := -1
 	var h pktHandle
 	var p *Packet
-	if e.faults != nil {
-		retx = net.readyRetx(node, e.now)
+	if sh.faults != nil {
+		retx = net.readyRetx(node, sh.now)
 	}
 	if retx >= 0 {
 		// The retx queue parks packets by value; route state mutations
@@ -675,43 +715,43 @@ func (e *Engine) tryInject(node int) {
 			return
 		}
 		h = srcQ.head.h
-		p = e.pkt(h)
+		p = sh.pkt(h)
 	}
 	r := net.Routers[loc.router]
-	vc := e.Alg.Inject(p, r, e.rng)
+	vc := sh.alg.Inject(p, r, sh.rng)
 	credits := &net.mem.w32[int(loc.credits)+vc]
-	if *credits < int32(e.pktFlits) {
+	if *credits < int32(sh.pktFlits) {
 		return
 	}
-	*credits -= int32(e.pktFlits)
+	*credits -= int32(sh.pktFlits)
 	if retx >= 0 {
 		// Re-home the parked copy into this shard's slab before
 		// removing it from the queue (DESIGN.md §15).
-		h = e.slab.alloc()
-		np := e.pkt(h)
+		h = sh.slab.alloc()
+		np := sh.pkt(h)
 		*np = *p
 		p = np
 		net.takeRetx(node, retx)
 		if len(net.retxQ[node]) == 0 && net.mem.q[loc.srcQ].empty() {
-			e.acts.node.clear(node)
+			sh.acts.node.clear(node)
 		}
-		e.retxWaiting--
-		e.retransmits++
+		sh.retxWaiting--
+		sh.retransmits++
 	} else {
-		net.popSrc(e.acts, node)
+		net.popSrc(sh.acts, node)
 	}
-	p.InjectTime = e.now
-	e.injected++
-	if e.tel != nil {
+	p.InjectTime = sh.now
+	sh.injected++
+	if sh.tel != nil {
 		if retx >= 0 {
-			e.tel.Retransmit(e.now, p.ID, int(p.Src), int(p.Dst), r.ID, vc, e.pktFlits)
+			sh.tel.Retransmit(sh.now, p.ID, int(p.Src), int(p.Dst), r.ID, vc, sh.pktFlits)
 		} else {
-			e.tel.Inject(e.now, p.ID, int(p.Src), int(p.Dst), r.ID, vc, e.pktFlits)
+			sh.tel.Inject(sh.now, p.ID, int(p.Src), int(p.Dst), r.ID, vc, sh.pktFlits)
 		}
 	}
-	if e.now >= e.Warmup {
-		e.injectedFlitsWindow += int64(e.pktFlits)
+	if sh.now >= sh.warmup {
+		sh.injectedFlitsWindow += int64(sh.pktFlits)
 	}
-	net.mem.i64[loc.linkFree] = e.now + int64(e.pktFlits)
-	r.enqueueIn(net.terminalPortFor(node), vc, entry{h: h, ready: e.now + int64(e.Cfg.LinkLatency), outPort: unrouted})
+	net.mem.i64[loc.linkFree] = sh.now + int64(sh.pktFlits)
+	r.enqueueIn(net.terminalPortFor(node), vc, entry{h: h, ready: sh.now + int64(sh.cfg.LinkLatency), outPort: unrouted})
 }

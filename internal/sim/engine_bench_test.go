@@ -41,8 +41,6 @@ func benchTopologies(tb testing.TB) map[string]topo.Topology {
 	return map[string]topo.Topology{"SF": sf, "SF11": sf11, "MLFM": ml, "OFT": of}
 }
 
-var benchFamilies = []string{"SF", "MLFM", "OFT"}
-
 // benchStepCases is the BenchmarkEngineStep matrix. Load 0.9 rows and
 // the SF11 cases track the saturated regime — the paper's claims live
 // at and beyond the knee, which is exactly where per-cycle cost peaks —
@@ -87,28 +85,6 @@ func BenchmarkEngineStep(b *testing.B) {
 				e.Step()
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
-		})
-	}
-}
-
-// BenchmarkRunToSaturation runs a whole saturation ladder per
-// iteration — the unit of work every figure sweep repeats per
-// (topology, algorithm, pattern) cell.
-func BenchmarkRunToSaturation(b *testing.B) {
-	tops := benchTopologies(b)
-	loads := []float64{0.2, 0.4, 0.6, 0.8, 1.0}
-	for _, name := range benchFamilies {
-		b.Run(name, func(b *testing.B) {
-			var cycles int64
-			for i := 0; i < b.N; i++ {
-				for _, load := range loads {
-					e := benchEngine(b, tops[name], load)
-					e.Warmup = 1000
-					e.Run(4000)
-					cycles += 4000
-				}
-			}
-			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
 		})
 	}
 }

@@ -166,10 +166,13 @@ type retxEntry struct {
 }
 
 // SetFaultSchedule attaches a fault schedule to the engine. It must be
-// called before the first Step, the routing algorithm must implement
+// called before the first cycle, the routing algorithm must implement
 // RerouteAware, and every scheduled link must exist in the topology.
+// The shards share one fault state: shard 0 applies the events at the
+// cycle barrier, the rest need it to service their nodes'
+// retransmission queues.
 func (e *Engine) SetFaultSchedule(fs *FaultSchedule) error {
-	if e.now != 0 {
+	if e.Now() != 0 {
 		return fmt.Errorf("sim: fault schedule must be attached before the run starts")
 	}
 	ra, ok := e.Alg.(RerouteAware)
@@ -191,12 +194,16 @@ func (e *Engine) SetFaultSchedule(fs *FaultSchedule) error {
 		// packets are never retransmitted spuriously.
 		e.Cfg.RetxTimeout = 64 * (e.Cfg.SwitchLatency + e.Cfg.LinkLatency)
 	}
-	e.faults = &faultState{
+	faults := &faultState{
 		schedule:  sorted.Events,
 		down:      make(map[[2]int]bool),
 		rebuildAt: -1,
 	}
-	e.reroute = ra
+	for _, sh := range e.shards {
+		sh.faults = faults
+		sh.reroute = ra
+		sh.cfg.RetxTimeout = e.Cfg.RetxTimeout
+	}
 	for _, r := range e.Net.Routers {
 		r.portDown = make([]bool, r.netPorts)
 	}
@@ -206,25 +213,25 @@ func (e *Engine) SetFaultSchedule(fs *FaultSchedule) error {
 
 // faultTick applies due schedule events and any pending table rebuild.
 // Called at the top of Step, before packets move.
-func (e *Engine) faultTick() {
-	f := e.faults
+func (sh *shard) faultTick() {
+	f := sh.faults
 	changed := false
-	for f.next < len(f.schedule) && f.schedule[f.next].Cycle <= e.now {
+	for f.next < len(f.schedule) && f.schedule[f.next].Cycle <= sh.now {
 		ev := f.schedule[f.next]
 		f.next++
 		if ev.Up {
-			if e.applyUp(ev.Link) {
+			if sh.applyUp(ev.Link) {
 				changed = true
 			}
-		} else if e.applyDown(ev.Link) {
+		} else if sh.applyDown(ev.Link) {
 			changed = true
 		}
 	}
 	if changed {
-		f.rebuildAt = e.now + int64(e.Cfg.RebuildLatency)
+		f.rebuildAt = sh.now + int64(sh.cfg.RebuildLatency)
 	}
-	if f.rebuildAt >= 0 && e.now >= f.rebuildAt {
-		e.rebuildTables()
+	if f.rebuildAt >= 0 && sh.now >= f.rebuildAt {
+		sh.rebuildTables()
 	}
 }
 
@@ -232,41 +239,41 @@ func (e *Engine) faultTick() {
 // flits and packets parked on the dead output buffers are dropped for
 // retransmission. Failures that would disconnect the router graph are
 // skipped (and counted), mirroring topo.Degrade's refusal.
-func (e *Engine) applyDown(link [2]int) bool {
-	f := e.faults
+func (sh *shard) applyDown(link [2]int) bool {
+	f := sh.faults
 	if f.down[link] {
-		e.faultsSkipped++
+		sh.faultsSkipped++
 		return false
 	}
 	f.down[link] = true
-	if !e.liveGraph().Connected() {
+	if !sh.liveGraph().Connected() {
 		delete(f.down, link)
-		e.faultsSkipped++
+		sh.faultsSkipped++
 		return false
 	}
-	u, v := e.Net.Routers[link[0]], e.Net.Routers[link[1]]
+	u, v := sh.net.Routers[link[0]], sh.net.Routers[link[1]]
 	u.portDown[u.portTo(v.ID)] = true
 	v.portDown[v.portTo(u.ID)] = true
-	e.dropLinkTraffic(u, v)
-	e.dropLinkTraffic(v, u)
-	e.linkDowns++
+	sh.dropLinkTraffic(u, v)
+	sh.dropLinkTraffic(v, u)
+	sh.linkDowns++
 	return true
 }
 
 // applyUp repairs a link. Credits were restored when the in-flight
 // drops happened, so transmission can resume immediately; the routing
 // tables catch up after the rebuild window.
-func (e *Engine) applyUp(link [2]int) bool {
-	f := e.faults
+func (sh *shard) applyUp(link [2]int) bool {
+	f := sh.faults
 	if !f.down[link] {
-		e.faultsSkipped++
+		sh.faultsSkipped++
 		return false
 	}
 	delete(f.down, link)
-	u, v := e.Net.Routers[link[0]], e.Net.Routers[link[1]]
+	u, v := sh.net.Routers[link[0]], sh.net.Routers[link[1]]
 	u.portDown[u.portTo(v.ID)] = false
 	v.portDown[v.portTo(u.ID)] = false
-	e.linkUps++
+	sh.linkUps++
 	return true
 }
 
@@ -274,47 +281,47 @@ func (e *Engine) applyUp(link [2]int) bool {
 // still propagating toward v are lost (their downstream buffer space
 // and upstream credits are reclaimed), and packets already committed
 // to u's output buffer for the dead port can never leave it.
-func (e *Engine) dropLinkTraffic(u, v *Router) {
+func (sh *shard) dropLinkTraffic(u, v *Router) {
 	pu := u.portTo(v.ID)
 	pv := v.portTo(u.ID)
-	for vc := 0; vc < e.Cfg.NumVCs; vc++ {
+	for vc := 0; vc < sh.cfg.NumVCs; vc++ {
 		q := &v.inQ[v.idx(pv, vc)]
 		for i := q.len() - 1; i >= 0; i-- {
 			// Entries with ready > now are still on the wire. (They can
 			// never carry a cached route decision: switch allocation
 			// only inspects entries whose head flit has arrived.)
-			if q.at(&v.acts.rings, i).ready > e.now {
+			if q.at(&v.acts.rings, i).ready > sh.now {
 				ent := v.takeIn(pv, vc, i)
-				u.credits[u.idx(pu, vc)] += int32(e.pktFlits)
+				u.credits[u.idx(pu, vc)] += int32(sh.pktFlits)
 				// The flits never arrived: restitute the utilization
 				// credit LinkTraverse granted when the transfer
 				// started, alongside the buffer credits.
-				if e.tel != nil {
-					e.tel.LinkRestitute(u.ID, v.ID, vc, e.pktFlits)
+				if sh.tel != nil {
+					sh.tel.LinkRestitute(u.ID, v.ID, vc, sh.pktFlits)
 				}
 				// The entry's handle indexes the slab of the shard
 				// owning v (faultTick runs with every other worker
 				// parked at the barrier, so touching a foreign slab is
 				// safe here).
-				slab := e.slabFor(v)
-				e.dropPacket(slab.at(ent.h), u.ID, pu, vc)
+				slab := sh.slabFor(v)
+				sh.dropPacket(slab.at(ent.h), u.ID, pu, vc)
 				slab.release(ent.h)
 			}
 		}
-		e.dropDeadOutput(u, pu, vc)
+		sh.dropDeadOutput(u, pu, vc)
 	}
 }
 
 // dropDeadOutput drains one (port, vc) output buffer of a downed link,
 // sending every packet back to its source for retransmission.
-func (e *Engine) dropDeadOutput(r *Router, port, vc int) {
+func (sh *shard) dropDeadOutput(r *Router, port, vc int) {
 	q := &r.outQ[r.idx(port, vc)]
-	slab := e.slabFor(r)
+	slab := sh.slabFor(r)
 	for !q.empty() {
 		ent := r.dequeueOut(port, vc)
-		r.outOcc[r.idx(port, vc)] -= int32(e.pktFlits)
-		r.occSum[port] -= int32(e.pktFlits)
-		e.dropPacket(slab.at(ent.h), r.ID, port, vc)
+		r.outOcc[r.idx(port, vc)] -= int32(sh.pktFlits)
+		r.occSum[port] -= int32(sh.pktFlits)
+		sh.dropPacket(slab.at(ent.h), r.ID, port, vc)
 		slab.release(ent.h)
 	}
 }
@@ -324,20 +331,20 @@ func (e *Engine) dropDeadOutput(r *Router, port, vc int) {
 // stale routing parked on dead output buffers are dropped, and cached
 // next-hop decisions on the input side are forgotten so those packets
 // detour onto the fresh tables.
-func (e *Engine) rebuildTables() {
-	f := e.faults
+func (sh *shard) rebuildTables() {
+	f := sh.faults
 	f.rebuildAt = -1
-	e.reroute.Rebuild(e.liveGraph())
-	e.rebuilds++
+	sh.reroute.Rebuild(sh.liveGraph())
+	sh.rebuilds++
 	for _, link := range f.sortedDown() {
-		u, v := e.Net.Routers[link[0]], e.Net.Routers[link[1]]
-		for vc := 0; vc < e.Cfg.NumVCs; vc++ {
-			e.dropDeadOutput(u, u.portTo(v.ID), vc)
-			e.dropDeadOutput(v, v.portTo(u.ID), vc)
+		u, v := sh.net.Routers[link[0]], sh.net.Routers[link[1]]
+		for vc := 0; vc < sh.cfg.NumVCs; vc++ {
+			sh.dropDeadOutput(u, u.portTo(v.ID), vc)
+			sh.dropDeadOutput(v, v.portTo(u.ID), vc)
 		}
 	}
-	pf := int32(e.pktFlits)
-	for _, r := range e.Net.Routers {
+	pf := int32(sh.pktFlits)
+	for _, r := range sh.net.Routers {
 		if r.inCount == 0 {
 			continue
 		}
@@ -378,8 +385,8 @@ func (f *faultState) sortedDown() [][2]int {
 
 // liveGraph builds the router graph minus the currently failed links —
 // the graph routing tables are rebuilt from.
-func (e *Engine) liveGraph() *graph.Graph {
-	return subgraphWithout(e.Net.Topo.Graph(), e.faults.down)
+func (sh *shard) liveGraph() *graph.Graph {
+	return subgraphWithout(sh.net.Topo.Graph(), sh.faults.down)
 }
 
 func subgraphWithout(base *graph.Graph, down map[[2]int]bool) *graph.Graph {
@@ -396,13 +403,13 @@ func subgraphWithout(base *graph.Graph, down map[[2]int]bool) *graph.Graph {
 // source for retransmission after the timeout, doubling per attempt
 // (exponential backoff, capped so the shift stays sane). router, port
 // and vc locate the failing link for the telemetry flight recorder.
-func (e *Engine) dropPacket(p *Packet, router, port, vc int) {
-	if e.tel != nil {
-		e.tel.Drop(e.now, p.ID, int(p.Src), int(p.Dst), router, port, vc)
+func (sh *shard) dropPacket(p *Packet, router, port, vc int) {
+	if sh.tel != nil {
+		sh.tel.Drop(sh.now, p.ID, int(p.Src), int(p.Dst), router, port, vc)
 	}
-	e.droppedPkts++
+	sh.droppedPkts++
 	if p.Retx == 0 {
-		p.FirstDrop = e.now
+		p.FirstDrop = sh.now
 	}
 	if p.Retx < math.MaxInt16 {
 		p.Retx++
@@ -411,13 +418,13 @@ func (e *Engine) dropPacket(p *Packet, router, port, vc int) {
 	if shift > 16 {
 		shift = 16
 	}
-	net := e.Net
-	net.retxQ[p.Src] = append(net.retxQ[p.Src], retxEntry{pkt: *p, ready: e.now + int64(e.Cfg.RetxTimeout)<<shift})
+	net := sh.net
+	net.retxQ[p.Src] = append(net.retxQ[p.Src], retxEntry{pkt: *p, ready: sh.now + int64(sh.cfg.RetxTimeout)<<shift})
 	// The pending retransmission is injection work: wake the node (in
 	// its router's shard) so the drain-phase injectStage revisits it
 	// when the timer expires.
 	net.Routers[p.SrcRouter].acts.node.set(int(p.Src))
-	e.retxWaiting++
+	sh.retxWaiting++
 }
 
 // readyRetx returns the index of the retransmission entry with the
@@ -454,25 +461,27 @@ type FaultStats struct {
 	MaxRecovery    int64 // max cycles from a packet's first drop to its delivery
 }
 
-// FaultStats returns the run's fault counters.
+// FaultStats returns the run's fault counters, summed over the shards.
 func (e *Engine) FaultStats() FaultStats {
-	return FaultStats{
-		LinkDownEvents: e.linkDowns,
-		LinkUpEvents:   e.linkUps,
-		SkippedEvents:  e.faultsSkipped,
-		Rebuilds:       e.rebuilds,
-		Dropped:        e.droppedPkts,
-		Retransmits:    e.retransmits,
-		RetxPending:    e.retxWaiting,
-		MaxRecovery:    e.recoveryMax,
+	var fs FaultStats
+	for _, sh := range e.shards {
+		fs.LinkDownEvents += sh.linkDowns
+		fs.LinkUpEvents += sh.linkUps
+		fs.SkippedEvents += sh.faultsSkipped
+		fs.Rebuilds += sh.rebuilds
+		fs.Dropped += sh.droppedPkts
+		fs.Retransmits += sh.retransmits
+		fs.RetxPending += sh.retxWaiting
+		fs.MaxRecovery = max(fs.MaxRecovery, sh.recoveryMax)
 	}
+	return fs
 }
 
 // DownedLinks returns the links currently failed (empty without a
 // schedule), in deterministic order.
 func (e *Engine) DownedLinks() [][2]int {
-	if e.faults == nil {
-		return nil
+	if f := e.shards[0].faults; f != nil {
+		return f.sortedDown()
 	}
-	return e.faults.sortedDown()
+	return nil
 }

@@ -26,7 +26,7 @@ var updateStats = flag.Bool("update-stats", false, "rewrite the golden stats dig
 // the pre-optimization (full-scan) engine; the active-set engine must
 // reproduce them byte for byte, proving the wake-list and freelist
 // machinery is behaviour-preserving, not merely plausible. The same
-// scenario specs drive the serial-vs-parallel differential suite
+// scenario specs drive the sharded engine's determinism suite
 // (parallel_test.go). The two *-deep scenarios run a mid-size Slim Fly
 // on sim.DefaultConfig — 800/400-flit buffers, AllocWindow 64, 20/10-
 // cycle latencies — so queues hundreds of packets deep, the windowed
@@ -58,11 +58,7 @@ func TestGoldenStatsIdentity(t *testing.T) {
 		t.Logf("rewrote %s", path)
 		return
 	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden stats (run with -update-stats to create): %v", err)
-	}
-	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	wantLines := goldenDigests(t)
 	if len(wantLines) != len(got) {
 		t.Fatalf("golden stats hold %d scenarios, test runs %d", len(wantLines), len(got))
 	}
@@ -71,6 +67,17 @@ func TestGoldenStatsIdentity(t *testing.T) {
 			t.Errorf("stats diverge from the seed engine:\n got %s\nwant %s", g, wantLines[i])
 		}
 	}
+}
+
+// goldenDigests reads the recorded digests: line i is goldenSpecs[i]
+// on one shard, the sharded lines follow.
+func goldenDigests(t *testing.T) []string {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", "golden_stats.txt"))
+	if err != nil {
+		t.Fatalf("missing golden stats (run with -update-stats to create): %v", err)
+	}
+	return strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
 }
 
 // resultsDigest renders a Results bit-exactly: integers in decimal,
@@ -85,7 +92,7 @@ func resultsDigest(res sim.Results) string {
 }
 
 // goldenParts is everything a scenario constructs fresh per run, so
-// the serial and parallel runners start from identical state.
+// every run starts from identical state.
 type goldenParts struct {
 	topo   topo.Topology
 	cfg    sim.Config
@@ -105,7 +112,7 @@ type goldenSpec struct {
 	sharded  bool // also pin the P=2 sharded digest (TestGoldenStatsIdentity)
 }
 
-// runGoldenSerial executes a scenario on the serial engine.
+// runGoldenSerial executes a scenario on NewEngine's one shard.
 func runGoldenSerial(t *testing.T, sc goldenSpec) sim.Results {
 	t.Helper()
 	p := sc.setup(t)

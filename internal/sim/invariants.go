@@ -5,20 +5,6 @@ import (
 	"sort"
 )
 
-// engineCounts is the set of conservation counters an invariant check
-// needs. A serial engine supplies its own; a ParallelEngine sums them
-// across shards (per-shard values of in-network packets can be
-// transiently negative when a packet injected on one shard is
-// delivered on another, but the sums obey the same laws).
-type engineCounts struct {
-	generated   int64
-	injected    int64
-	retransmits int64
-	delivered   int64
-	droppedPkts int64
-	retxWaiting int64
-}
-
 // CheckInvariants validates the engine's conservation laws at the
 // current cycle; it is the simulator's self-test, used by the test
 // suite after (and during) runs. Everything the hot path keeps beside
@@ -42,48 +28,33 @@ type engineCounts struct {
 //     summarize, and no port's wake cycle is later than the first cycle
 //     a full scan of it could route, grant or send (the wake-list
 //     invariant of DESIGN.md §10; a wake cycle may be early).
+//
+// Valid only between launches, when the shards are at a common cycle,
+// no worker is mid-stage and the mailboxes are empty.
 func (e *Engine) CheckInvariants() error {
-	if e.par != nil {
-		return e.par.CheckInvariants()
-	}
-	if err := checkInvariants(e.Net, e.now, []*pktSlab{&e.slab}, engineCounts{
-		generated:   e.generated,
-		injected:    e.injected,
-		retransmits: e.retransmits,
-		delivered:   e.delivered,
-		droppedPkts: e.droppedPkts,
-		retxWaiting: e.retxWaiting,
-	}); err != nil {
-		return err
-	}
-	// Slab accounting (serial engines only — a shard's slab also holds
-	// packets the conservation counters attribute to other shards):
-	// every live arena slot is either source-queued or in the network
-	// (including the deliver ring); drops released their slot (the retx
-	// queue parks packets by value).
-	var queued int64
-	for _, loc := range e.Net.nodes {
-		queued += int64(e.Net.mem.q[loc.srcQ].n)
-	}
-	want := queued + e.injected - e.delivered - e.droppedPkts
-	if live := int64(e.slab.live()); live != want {
-		return fmt.Errorf("sim: packet slab holds %d live slots, want %d (source-queued %d + in-network %d)",
-			live, want, queued, e.injected-e.delivered-e.droppedPkts)
-	}
-	return nil
-}
-
-// checkInvariants runs the full invariant sweep over a network at cycle
-// now, given whole-simulation conservation counters and each shard's
-// packet slab (see CheckInvariants).
-func checkInvariants(net *Network, now int64, slabs []*pktSlab, c engineCounts) error {
+	net, now := e.Net, e.Now()
 	cfg := net.Cfg
 	pf := int32(cfg.PacketFlits())
+	// The conservation counters, summed over the shards: a shard's own
+	// in-network count can be transiently negative (a packet injected
+	// on one shard is delivered on another) and its slab also holds
+	// packets the counters attribute to other shards, but the sums obey
+	// the laws.
+	var c struct{ generated, injected, retransmits, delivered, droppedPkts, retxWaiting, live int64 }
+	for _, sh := range e.shards {
+		c.generated += sh.generated
+		c.injected += sh.injected
+		c.retransmits += sh.retransmits
+		c.delivered += sh.delivered
+		c.droppedPkts += sh.droppedPkts
+		c.retxWaiting += sh.retxWaiting
+		c.live += int64(sh.slab.live())
+	}
 	// rings[shard] collects the overflow rings in use as (offset, size),
 	// to be checked against the shard's ring arena at the end.
 	rings := make([][][2]int32, len(net.acts))
 	checkQueue := func(q *queue, part int) error {
-		mem, slab := net.acts[part].rings.mem, slabs[part]
+		mem, slab := net.acts[part].rings.mem, &e.shards[part].slab
 		switch {
 		case q.n < 0 || q.cap < 0 || q.cap&(q.cap-1) != 0 || q.n-1 > q.cap:
 			return fmt.Errorf("%d entries over a ring of %d", q.n, q.cap)
@@ -162,6 +133,13 @@ func checkInvariants(net *Network, now int64, slabs []*pktSlab, c engineCounts) 
 	}
 	if retxQueued != c.retxWaiting {
 		return fmt.Errorf("sim: retransmission queues hold %d packets, counter says %d", retxQueued, c.retxWaiting)
+	}
+	// Slab accounting: every live arena slot is either source-queued or
+	// in the network (including the deliver ring); drops released their
+	// slot (the retx queue parks packets by value).
+	if want := queued + c.injected - c.delivered - c.droppedPkts; c.live != want {
+		return fmt.Errorf("sim: packet slabs hold %d live slots, want %d (source-queued %d + in-network %d)",
+			c.live, want, queued, c.injected-c.delivered-c.droppedPkts)
 	}
 
 	for _, r := range net.Routers {
@@ -286,16 +264,12 @@ func checkInvariants(net *Network, now int64, slabs []*pktSlab, c engineCounts) 
 // RunChecked is Run with invariant checks every checkEvery cycles
 // (and once at the end); it returns the first violation found.
 func (e *Engine) RunChecked(n, checkEvery int64) error {
-	if checkEvery < 1 {
-		checkEvery = 1
-	}
-	for i := int64(0); i < n; i++ {
-		e.Step()
-		if i%checkEvery == checkEvery-1 {
-			if err := e.CheckInvariants(); err != nil {
-				return fmt.Errorf("%w (at cycle %d)", err, e.now)
-			}
+	for checkEvery = max(checkEvery, 1); n > checkEvery; n -= checkEvery {
+		e.Run(checkEvery)
+		if err := e.CheckInvariants(); err != nil {
+			return fmt.Errorf("%w (at cycle %d)", err, e.Now())
 		}
 	}
+	e.Run(n)
 	return e.CheckInvariants()
 }

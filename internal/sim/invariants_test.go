@@ -29,7 +29,7 @@ func TestInvariantsCatchCorruptMirrors(t *testing.T) {
 	if err := e.RunChecked(300, 50); err != nil {
 		t.Fatal(err)
 	}
-	rings := &net.acts[0].rings
+	sh, rings := e.shards[0], &net.acts[0].rings
 
 	// Pick state to corrupt: an input port holding a packet that has
 	// arrived, an output queue holding one, a queue with a ring, and an
@@ -39,7 +39,7 @@ func TestInvariantsCatchCorruptMirrors(t *testing.T) {
 	var ringedQ, emptyQ *queue
 	for _, r := range net.Routers {
 		for i := range r.inQ {
-			if q := &r.inQ[i]; rIn == nil && !q.empty() && q.head.ready <= e.now && r.inPortFree[i/r.nv] <= e.now {
+			if q := &r.inQ[i]; rIn == nil && !q.empty() && q.head.ready <= e.Now() && r.inPortFree[i/r.nv] <= e.Now() {
 				rIn, inPort = r, i/r.nv
 			}
 			if q := &r.outQ[i]; rOut == nil && !q.empty() {
@@ -67,7 +67,7 @@ func TestInvariantsCatchCorruptMirrors(t *testing.T) {
 	}{
 		{"late input wake", func() func() {
 			old := rIn.inWake[inPort]
-			rIn.inWake[inPort] = e.now + 1000
+			rIn.inWake[inPort] = e.Now() + 1000
 			return func() { rIn.inWake[inPort] = old }
 		}, "could route or grant"},
 		{"late output wake", func() func() {
@@ -77,7 +77,7 @@ func TestInvariantsCatchCorruptMirrors(t *testing.T) {
 			return func() { rOut.outWake[port] = old }
 		}, "could send"},
 		{"empty queue with a live head", func() func() {
-			emptyQ.head.ready = e.now
+			emptyQ.head.ready = e.Now()
 			return func() { emptyQ.head.ready = neverReady }
 		}, "empty but its head polls ready"},
 		{"two queues on one ring", func() func() {
@@ -90,9 +90,9 @@ func TestInvariantsCatchCorruptMirrors(t *testing.T) {
 			return func() { rings.mem = rings.mem[:len(rings.mem)-4] }
 		}, "ring arena"},
 		{"pending load off by a packet", func() func() {
-			rIn.pendingOut[0] += int32(e.pktFlits)
-			rIn.occSum[0] += int32(e.pktFlits)
-			return func() { rIn.pendingOut[0] -= int32(e.pktFlits); rIn.occSum[0] -= int32(e.pktFlits) }
+			rIn.pendingOut[0] += int32(sh.pktFlits)
+			rIn.occSum[0] += int32(sh.pktFlits)
+			return func() { rIn.pendingOut[0] -= int32(sh.pktFlits); rIn.occSum[0] -= int32(sh.pktFlits) }
 		}, "pendingOut"},
 		{"occupancy sum drifted", func() func() {
 			rOut.occSum[0]++
@@ -105,7 +105,7 @@ func TestInvariantsCatchCorruptMirrors(t *testing.T) {
 			return func() { rOut.outOcc[outQ] = old; rOut.occSum[outQ/rOut.nv] += old }
 		}, "outOcc"},
 		{"packet of the wrong size", func() func() {
-			p := e.pkt(rOut.outQ[outQ].head.h)
+			p := sh.pkt(rOut.outQ[outQ].head.h)
 			p.Flits++
 			return func() { p.Flits-- }
 		}, "flits"},

@@ -25,12 +25,12 @@ type Router struct {
 	outCount int // packets currently buffered in output queues
 
 	// acts points at the active-set group of the engine shard that owns
-	// this router; part is that shard's index. Serial engines own every
-	// router through the single group in Network.acts, so part is 0 and
-	// all routers share one pointer. The parallel engine reassigns both
-	// (see parallel.go) so each shard's queue mutations touch only its
-	// own bitset words and ring arena — sharing either across shards
-	// would be a data race.
+	// this router; part is that shard's index. A one-shard engine owns
+	// every router through the single group in Network.acts, so part is
+	// 0 and all routers share one pointer. From two shards up the
+	// engine reassigns both (see parallel.go) so each shard's queue
+	// mutations touch only its own bitset words and ring arena —
+	// sharing either across shards would be a data race.
 	acts *actSet
 	part int
 
@@ -149,10 +149,9 @@ type Network struct {
 	// Active sets (see activeset.go), grouped per engine shard: one
 	// actSet per partition of the router set, each holding the wake
 	// bitsets and srcBusy counter for the routers and nodes that shard
-	// owns. A serial engine has exactly one group covering everything,
-	// so the wake-list behaviour (and the golden digests pinning it) is
-	// unchanged; the parallel engine re-partitions into one group per
-	// shard (see parallel.go). Components reach their group through
+	// owns. NewNetwork builds one group covering everything, which a
+	// one-shard engine keeps; from two shards up the engine
+	// re-partitions into one group per shard (see parallel.go). Components reach their group through
 	// Router.acts (a node through its router's) without consulting this
 	// slice.
 	acts []*actSet
@@ -350,8 +349,8 @@ func newActSet(routers, nodes int) *actSet {
 // partitionShards regroups the network's active sets into one group
 // per shard, with part[r] naming router r's shard; nodes follow their
 // router. It must be called before any traffic enters the network (the
-// bitsets start empty and are not migrated). Only the parallel engine
-// calls this; serial engines keep the single group NewNetwork built.
+// bitsets start empty and are not migrated). A one-shard engine without
+// an explicit cut skips this and keeps the single group NewNetwork built.
 func (n *Network) partitionShards(part []int, shards int) error {
 	if len(part) != len(n.Routers) {
 		return fmt.Errorf("sim: partition maps %d routers, network has %d", len(part), len(n.Routers))
@@ -378,8 +377,7 @@ func (n *Network) partitionShards(part []int, shards int) error {
 	return nil
 }
 
-// srcBusyTotal sums the busy-source counters across shards (a serial
-// network has one).
+// srcBusyTotal sums the busy-source counters across shards.
 func (n *Network) srcBusyTotal() int {
 	total := 0
 	for _, a := range n.acts {

@@ -79,22 +79,17 @@ func (s *pktSlab) release(h pktHandle) { s.free = append(s.free, h) }
 // arena (used by the invariant sweep and the recycling tests).
 func (s *pktSlab) live() int { return len(s.arena) - len(s.free) }
 
-// pkt resolves a handle against this engine's slab (the common,
+// pkt resolves a handle against this shard's slab (the common,
 // shard-local case; see slabFor for the fault injector's cross-shard
 // resolution at barriers).
-func (e *Engine) pkt(h pktHandle) *Packet { return e.slab.at(h) }
+func (sh *shard) pkt(h pktHandle) *Packet { return sh.slab.at(h) }
 
-// slabFor returns the slab owning the entries resident at router r.
-// For a serial engine (and for a shard's own routers) that is the
-// engine's slab; the fault injector, which runs on shard 0 at the
-// cycle barrier while every other worker is parked, uses it to resolve
-// and release handles held by routers other shards own.
-func (e *Engine) slabFor(r *Router) *pktSlab {
-	if e.par != nil && r.part != e.shard {
-		return &e.par.shards[r.part].slab
-	}
-	return &e.slab
-}
+// slabFor returns the slab owning the entries resident at router r:
+// the slab of the shard that owns r. The fault injector, which runs on
+// shard 0 at the cycle barrier while every other worker is parked,
+// uses it to resolve and release handles held by routers other shards
+// own.
+func (sh *shard) slabFor(r *Router) *pktSlab { return &sh.eng.shards[r.part].slab }
 
 // neverReady is the ready cycle of an empty queue's head slot: polls
 // compare head.ready against the clock, so an empty queue reads as

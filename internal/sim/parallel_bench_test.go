@@ -1,7 +1,6 @@
 package sim_test
 
 import (
-	"fmt"
 	"testing"
 
 	"diam2/internal/routing"
@@ -28,8 +27,8 @@ func benchParallel(tb testing.TB, tp topo.Topology, load float64, parts, workers
 	return pe
 }
 
-// TestStepZeroAllocParallel mirrors the serial TestStepZeroAlloc trio
-// for the sharded engine: once queue slabs, event rings, freelists and
+// TestStepZeroAllocParallel mirrors the one-shard TestStepZeroAlloc trio
+// from two shards and two workers up: once queue slabs, event rings, freelists and
 // the cross-shard mailboxes are warmed, the per-cycle path — barrier
 // rounds included — must not allocate on any worker. AllocsPerRun
 // counts mallocs across all goroutines, so the resident workers are
@@ -45,38 +44,5 @@ func TestStepZeroAllocParallel(t *testing.T) {
 	const cycles = 64
 	if avg := testing.AllocsPerRun(50, func() { pe.Run(cycles) }); avg != 0 {
 		t.Errorf("steady-state parallel Run allocates %.4f times per %d cycles, want 0", avg, cycles)
-	}
-}
-
-// BenchmarkParallelEngine measures sustained cycles/s of the sharded
-// engine against the serial engine on the same near-saturation point
-// (see EXPERIMENTS.md, "Sharded engine"). The
-// shard/worker split separates partitioning overhead (P=4/W=1: mailbox
-// and barrier costs with zero actual parallelism) from parallel
-// speedup (P=4/W=4), which is what makes single-CPU numbers honest.
-func BenchmarkParallelEngine(b *testing.B) {
-	tp, err := topo.NewSlimFly(19, topo.RoundDown) // 722 routers — paper-scale
-	if err != nil {
-		b.Fatal(err)
-	}
-	const load = 0.7 // near saturation for MIN/uniform
-	b.Run("serial", func(b *testing.B) {
-		e := benchEngine(b, tp, load)
-		e.Run(2000)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.Step()
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
-	})
-	for _, c := range []struct{ p, w int }{{4, 1}, {2, 2}, {4, 4}} {
-		b.Run(fmt.Sprintf("P=%d/W=%d", c.p, c.w), func(b *testing.B) {
-			pe := benchParallel(b, tp, load, c.p, c.w)
-			defer pe.Stop()
-			pe.Run(2000)
-			b.ResetTimer()
-			pe.Run(int64(b.N))
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
-		})
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"diam2/internal/topo"
 )
 
-// TestParallelTelemetryWorkerCycles exercises the parallel engine's
-// only telemetry channel: an attached collector receives the
+// TestParallelTelemetryWorkerCycles exercises the one telemetry channel
+// an engine has from two shards up: an attached collector receives the
 // per-worker cycle counters at Finish, and they appear in the
 // snapshot. Each worker advances its shards in lockstep, so after
 // Run(n) every worker has completed exactly n cycles.
@@ -37,7 +37,7 @@ func TestParallelTelemetryWorkerCycles(t *testing.T) {
 	if len(snap.WorkerCycles) != pe.Workers() {
 		t.Errorf("snapshot WorkerCycles has %d entries, want %d", len(snap.WorkerCycles), pe.Workers())
 	}
-	// A serial-run collector never sets the counters; the field must
+	// A one-shard run never sets the counters; the field must
 	// stay absent so existing snapshot consumers see no change.
 	if got := telemetry.NewCollector(telemetry.Options{}).Snapshot(0).WorkerCycles; got != nil {
 		t.Errorf("fresh collector snapshot carries WorkerCycles %v, want nil", got)

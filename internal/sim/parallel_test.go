@@ -2,28 +2,33 @@ package sim_test
 
 import (
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"diam2/internal/routing"
 	"diam2/internal/sim"
+	"diam2/internal/telemetry"
 	"diam2/internal/topo"
 	"diam2/internal/traffic"
 )
 
-// This file is the parallel engine's determinism contract, enforced
-// differentially (DESIGN.md §14):
+// This file is the sharded engine's determinism contract (DESIGN.md
+// §14):
 //
-//  1. a one-shard parallel engine reproduces the serial engine
-//     bit-exactly, on every golden scenario — the anchor tying the
-//     parallel machinery to the golden digests;
+//  1. NewParallelEngine's one-shard, one-worker construction reproduces
+//     the recorded golden digests on every scenario — NewEngine is that
+//     construction, so the two are the same code;
 //  2. for a fixed partition, Results are identical for any worker
 //     count and across repeated runs — the contract that makes
-//     parallel results storable and resumable;
-//  3. conservation invariants hold after parallel runs;
-//  4. unsafe combinations (global-state routing, delivery-observing or
-//     unmarked workloads) are refused, not silently raced.
+//     sharded results storable and resumable;
+//  3. conservation invariants hold after sharded runs;
+//  4. what only one shard can order (global-state routing,
+//     delivery-observing or unmarked workloads, a collector's event
+//     hooks) is accepted there and refused from two shards up, not
+//     silently raced.
 //
-// The whole file runs under -race in the parallel-equivalence CI job.
+// The whole file runs under -race in CI (go test -race ./...).
 
 // runGoldenParallel executes a golden scenario on a parallel engine
 // and checks invariants on the way out.
@@ -56,19 +61,19 @@ func runGoldenParallel(t *testing.T, sc goldenSpec, opt sim.ParallelOptions) sim
 	return pe.Results()
 }
 
-// TestParallelSerialParity: a one-shard parallel engine must be
-// bit-identical to the serial engine on every golden scenario — same
-// rng stream, same packet IDs, same merge (a single-shard merge copies
-// exactly), so any divergence is a bug in the sharding machinery
-// itself.
+// TestParallelSerialParity: the one-shard, one-worker form of
+// NewParallelEngine must reproduce the digest recorded for each golden
+// scenario — same rng stream, same packet IDs, same merge (a
+// single-shard merge copies exactly). NewEngine is that construction,
+// so this pins the general constructor's defaults (seed kept, IDs from
+// 0, no cut) to the file TestGoldenStatsIdentity pins NewEngine to.
 func TestParallelSerialParity(t *testing.T) {
-	for _, sc := range goldenSpecs {
-		sc := sc
+	want := goldenDigests(t)
+	for i, sc := range goldenSpecs {
 		t.Run(sc.name, func(t *testing.T) {
-			serial := resultsDigest(runGoldenSerial(t, sc))
-			par := resultsDigest(runGoldenParallel(t, sc, sim.ParallelOptions{Partitions: 1, Workers: 1}))
-			if par != serial {
-				t.Errorf("one-shard parallel diverges from serial:\n par %s\n ser %s", par, serial)
+			got := sc.name + " " + resultsDigest(runGoldenParallel(t, sc, sim.ParallelOptions{Partitions: 1, Workers: 1}))
+			if got != want[i] {
+				t.Errorf("one-shard engine diverges from the recorded digest:\n got %s\nwant %s", got, want[i])
 			}
 		})
 	}
@@ -147,45 +152,116 @@ func TestParallelExplicitPartition(t *testing.T) {
 	bad("empty shard", sim.ParallelOptions{Partitions: 3, RouterPartition: short})
 }
 
-// TestParallelRejectsUnsafe: combinations the parallel engine cannot
-// order must fail construction, not race.
+// TestParallelRejectsUnsafe: the sharding gates, by shard count. What
+// one shard runs in its caller's order is accepted there and refused
+// at construction — not raced — from two shards up, whatever the worker
+// count.
 func TestParallelRejectsUnsafe(t *testing.T) {
 	tp := mustMLFM(t, 3)
-	cfg := sim.TestConfig(2)
-
-	// Global-state routing reads remote occupancy counters.
 	ug, err := routing.NewUGALGlobal(tp, routing.UGALConfig{NI: 2, C: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := sim.NewNetwork(tp, cfg)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name    string
+		alg     sim.RoutingAlgorithm
+		work    sim.Workload
+		refusal string
+	}{
+		{"unmarked workload", routing.NewMinimal(tp), unmarkedWorkload{n: tp.Nodes()}, "not marked parallel-safe"},
+		{"delivery-observing workload", routing.NewMinimal(tp), observingWorkload{n: tp.Nodes()}, "observes deliveries"},
+		{"UGAL-Global", ug, openUniform(tp, 0.1), "reads remote router state"},
 	}
-	if pe, err := sim.NewParallelEngine(net, ug, openUniform(tp, 0.1), sim.ParallelOptions{Partitions: 2}); err == nil {
-		pe.Stop()
-		t.Error("UGAL-Global accepted by the parallel engine")
+	for _, c := range cases {
+		for _, shards := range []int{1, 2} {
+			net, err := sim.NewNetwork(tp, sim.TestConfig(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := sim.NewParallelEngine(net, c.alg, c.work, sim.ParallelOptions{Partitions: shards, Workers: 1})
+			switch {
+			case shards == 1 && err != nil:
+				t.Errorf("%s refused at one shard: %v", c.name, err)
+			case shards == 1:
+				if err := e.RunChecked(300, 100); err != nil {
+					t.Errorf("%s at one shard: %v", c.name, err)
+				}
+			case err == nil:
+				e.Stop()
+				t.Errorf("%s accepted at two shards", c.name)
+			case !strings.Contains(err.Error(), c.refusal):
+				t.Errorf("%s refused at two shards with %q, want a message naming %q", c.name, err, c.refusal)
+			}
+		}
 	}
 
-	// A workload without the ParallelSafe marker.
-	net2, err := sim.NewNetwork(tp, cfg)
-	if err != nil {
-		t.Fatal(err)
+	// A collector's per-event hooks are wired at one shard and left
+	// off at two, where it is handed the worker cycle counters alone.
+	for _, shards := range []int{1, 2} {
+		e := benchParallel(t, tp, 0.2, shards, shards)
+		c := telemetry.NewCollector(telemetry.Options{})
+		e.AttachTelemetry(c)
+		e.Run(300)
+		e.Finish()
+		e.Stop()
+		snap := c.Snapshot(0)
+		if hooked := snap.Injected > 0; hooked != (shards == 1) {
+			t.Errorf("%d shards: collector saw %d injections", shards, snap.Injected)
+		}
+		if counted := len(snap.WorkerCycles) > 0; counted != (shards > 1) {
+			t.Errorf("%d shards: collector holds worker cycles %v", shards, snap.WorkerCycles)
+		}
 	}
-	if pe, err := sim.NewParallelEngine(net2, routing.NewMinimal(tp), unmarkedWorkload{n: tp.Nodes()}, sim.ParallelOptions{Partitions: 2}); err == nil {
-		pe.Stop()
-		t.Error("unmarked workload accepted by the parallel engine")
-	}
+}
 
-	// A delivery-observing workload (ordering of OnDeliver is undefined
-	// under sharding).
-	net3, err := sim.NewNetwork(tp, cfg)
-	if err != nil {
-		t.Fatal(err)
+// enterCounting records the engine's EnterParallel calls on their way
+// to the exchange.
+type enterCounting struct {
+	*traffic.Exchange
+	entered *int
+}
+
+func (w enterCounting) EnterParallel() { *w.entered++; w.Exchange.EnterParallel() }
+
+// TestEnterParallelNeedsTwoWorkers: a closed-loop workload keeps its
+// plain counter — no atomic per injected packet — unless a second
+// worker will call it, however many shards there are.
+func TestEnterParallelNeedsTwoWorkers(t *testing.T) {
+	tp := mustMLFM(t, 3)
+	for _, c := range []struct{ shards, workers, want int }{{1, 1, 0}, {2, 1, 0}, {2, 2, 1}} {
+		entered := 0
+		ex := enterCounting{traffic.AllToAll(tp.Nodes(), 1, rand.New(rand.NewSource(3))), &entered}
+		net, err := sim.NewNetwork(tp, sim.TestConfig(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := sim.NewParallelEngine(net, routing.NewMinimal(tp), ex, sim.ParallelOptions{Partitions: c.shards, Workers: c.workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !e.RunUntilDrained(1_000_000) {
+			t.Errorf("P=%d W=%d: exchange did not drain", c.shards, c.workers)
+		}
+		e.Stop()
+		if entered != c.want {
+			t.Errorf("P=%d W=%d: EnterParallel called %d times, want %d", c.shards, c.workers, entered, c.want)
+		}
 	}
-	if pe, err := sim.NewParallelEngine(net3, routing.NewMinimal(tp), observingWorkload{n: tp.Nodes()}, sim.ParallelOptions{Partitions: 2}); err == nil {
-		pe.Stop()
-		t.Error("delivery-observing workload accepted by the parallel engine")
+}
+
+// TestEngineStartsNoGoroutine: the one-worker engine runs on its
+// caller's goroutine — nothing to start, nothing for Stop to release.
+// (Workers that earlier tests stopped may still be exiting, so the
+// count may fall meanwhile; it must not rise.)
+func TestEngineStartsNoGoroutine(t *testing.T) {
+	tp := mustMLFM(t, 3)
+	before := runtime.NumGoroutine()
+	e := benchEngine(t, tp, 0.3)
+	e.Run(200)
+	running := runtime.NumGoroutine()
+	e.Stop()
+	if after := runtime.NumGoroutine(); running > before || after > before {
+		t.Errorf("goroutines: %d before NewEngine, %d after Run, %d after Stop", before, running, after)
 	}
 }
 
@@ -356,7 +432,7 @@ func FuzzParallelDeterminism(f *testing.F) {
 	})
 }
 
-// FuzzEngineDeterminism fuzzes the serial engine's own determinism:
+// FuzzEngineDeterminism fuzzes the one-shard engine's own determinism:
 // the same configuration run twice must produce byte-identical Results
 // digests. Guards the engine's "fixed config and seed → fixed output"
 // contract (EngineSchema) against nondeterminism creeping in via map

@@ -179,36 +179,37 @@ func TestSlabRecycleAcrossFaultRetx(t *testing.T) {
 	if err := e.SetFaultSchedule(fs); err != nil {
 		t.Fatal(err)
 	}
-	for e.now < 2_000_000 && !e.drained() {
+	sh := e.shards[0]
+	for e.Now() < 2_000_000 && !e.drained() {
 		e.Step()
-		if e.now%256 == 0 {
+		if e.Now()%256 == 0 {
 			if err := e.CheckInvariants(); err != nil {
-				t.Fatalf("at cycle %d: %v", e.now, err)
+				t.Fatalf("at cycle %d: %v", e.Now(), err)
 			}
 		}
 	}
 	if !e.drained() {
-		t.Fatalf("faulted run did not drain: injected %d delivered %d dropped %d", e.injected, e.delivered, e.droppedPkts)
+		t.Fatalf("faulted run did not drain: injected %d delivered %d dropped %d", sh.injected, sh.delivered, sh.droppedPkts)
 	}
-	if e.droppedPkts == 0 {
+	if sh.droppedPkts == 0 {
 		t.Fatal("no packets dropped — the failure burst missed all traffic (weak test)")
 	}
-	if e.retransmits != e.droppedPkts {
-		t.Errorf("retransmits %d != drops %d after drain", e.retransmits, e.droppedPkts)
+	if sh.retransmits != sh.droppedPkts {
+		t.Errorf("retransmits %d != drops %d after drain", sh.retransmits, sh.droppedPkts)
 	}
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if live := e.slab.live(); live != 0 {
+	if live := sh.slab.live(); live != 0 {
 		t.Errorf("drained engine holds %d live slab slots, want 0", live)
 	}
-	if len(e.slab.free) != len(e.slab.arena) {
-		t.Errorf("freelist holds %d of %d arena slots after drain", len(e.slab.free), len(e.slab.arena))
+	if len(sh.slab.free) != len(sh.slab.arena) {
+		t.Errorf("freelist holds %d of %d arena slots after drain", len(sh.slab.free), len(sh.slab.arena))
 	}
 	// Recycling must bound the arena far below the total packet volume:
 	// the arena peaks at the maximum simultaneous packet population, not
 	// at generated-count.
-	if total := int(e.generated); len(e.slab.arena) >= total {
-		t.Errorf("arena grew to %d slots for %d generated packets — slots are not recycled", len(e.slab.arena), total)
+	if total := int(sh.generated); len(sh.slab.arena) >= total {
+		t.Errorf("arena grew to %d slots for %d generated packets — slots are not recycled", len(sh.slab.arena), total)
 	}
 }

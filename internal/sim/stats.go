@@ -29,28 +29,48 @@ type Results struct {
 	Faults FaultStats
 }
 
-// Results computes the summary at the current cycle.
+// Results computes the summary at the current cycle, merging the shard
+// summaries in fixed shard order (float-sum determinism); with one
+// shard the merge is an exact copy.
 func (e *Engine) Results() Results {
-	res := Results{
-		Cycles:    e.now,
-		Warmup:    e.Warmup,
-		Generated: e.generated,
-		Injected:  e.injected,
-		Delivered: e.delivered,
+	sh0 := e.shards[0]
+	res := Results{Cycles: sh0.now, Warmup: e.Warmup}
+	latGen := sh0.latGen.Clone()
+	latNet := sh0.latNet.Clone()
+	hops := sh0.hops
+	var deliveredFlitsWindow, injectedFlitsWindow, indirectN int64
+	for i, sh := range e.shards {
+		res.Generated += sh.generated
+		res.Injected += sh.injected
+		res.Delivered += sh.delivered
+		deliveredFlitsWindow += sh.deliveredFlitsWindow
+		injectedFlitsWindow += sh.injectedFlitsWindow
+		indirectN += sh.indirectN
+		if i > 0 {
+			// Shapes always match: every shard builds its histograms
+			// from the same Config.
+			if err := latGen.Merge(sh.latGen); err != nil {
+				panic(err)
+			}
+			if err := latNet.Merge(sh.latNet); err != nil {
+				panic(err)
+			}
+			hops.Merge(&sh.hops)
+		}
 	}
-	window := e.now - e.Warmup
+	window := sh0.now - e.Warmup
 	nodes := int64(len(e.Net.nodes))
 	if window > 0 && nodes > 0 {
-		res.Throughput = float64(e.deliveredFlitsWindow) / float64(window*nodes)
-		res.InjectedLoad = float64(e.injectedFlitsWindow) / float64(window*nodes)
+		res.Throughput = float64(deliveredFlitsWindow) / float64(window*nodes)
+		res.InjectedLoad = float64(injectedFlitsWindow) / float64(window*nodes)
 	}
-	res.AvgLatency = e.latGen.Mean()
-	res.P99Latency = e.latGen.Percentile(99)
-	res.MaxLatency = e.latGen.Max()
-	res.AvgNetLatency = e.latNet.Mean()
-	res.AvgHops = e.hops.Mean()
-	if n := e.latGen.N(); n > 0 {
-		res.IndirectFrac = float64(e.indirectN) / float64(n)
+	res.AvgLatency = latGen.Mean()
+	res.P99Latency = latGen.Percentile(99)
+	res.MaxLatency = latGen.Max()
+	res.AvgNetLatency = latNet.Mean()
+	res.AvgHops = hops.Mean()
+	if n := latGen.N(); n > 0 {
+		res.IndirectFrac = float64(indirectN) / float64(n)
 	}
 	res.Faults = e.FaultStats()
 	return res

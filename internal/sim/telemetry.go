@@ -11,12 +11,22 @@ import "diam2/internal/telemetry"
 // enabling telemetry does not change simulation results (the
 // golden-stats suite pins this). With no collector attached every hook
 // is a single nil check, preserving the zero-alloc hot path.
+//
+// The per-event hooks (heatmap, flight recorder) are unsynchronized by
+// design, so they are wired only when one shard makes every call; from
+// two shards up a collector receives the per-worker cycle counters at
+// Finish and nothing else.
 func (e *Engine) AttachTelemetry(c *telemetry.Collector) {
 	e.tel = c
-	e.Net.tel = c
+	if len(e.shards) == 1 {
+		e.shards[0].tel = c
+		e.Net.tel = c
+		if c != nil {
+			c.Shape(len(e.Net.Routers), e.Cfg.NumVCs)
+		}
+	}
 	if c != nil {
-		c.Shape(len(e.Net.Routers), e.Cfg.NumVCs)
-		c.Start(e.now)
+		c.Start(e.Now())
 	}
 }
 
@@ -24,11 +34,15 @@ func (e *Engine) AttachTelemetry(c *telemetry.Collector) {
 func (e *Engine) Telemetry() *telemetry.Collector { return e.tel }
 
 // Finish finalizes end-of-run state: the telemetry collector, if any,
-// records the end cycle. Finish is idempotent and does not advance the
-// simulation; the harness calls it after every run, before reading
-// Results.
+// records the end cycle and, for a sharded run, the per-worker cycle
+// counters. Finish is idempotent and does not advance the simulation;
+// the harness calls it after every run, before reading Results.
 func (e *Engine) Finish() {
-	if e.tel != nil {
-		e.tel.Finish(e.now)
+	if e.tel == nil {
+		return
 	}
+	if len(e.shards) > 1 {
+		e.tel.SetWorkerCycles(e.WorkerCycleCounts())
+	}
+	e.tel.Finish(e.Now())
 }

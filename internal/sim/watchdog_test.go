@@ -95,3 +95,44 @@ func TestStalledWatchdogQuietOnHealthyNetwork(t *testing.T) {
 		t.Error("watchdog fired on a fully drained network")
 	}
 }
+
+// TestStalledWatchdogQuietAfterFaultDrops: retransmissions re-count
+// injections, so after link failures drop packets injected stays above
+// delivered for good; the watchdog must count what is still in flight
+// (drops subtracted), or a drained, idle network reads as wedged. Asked
+// of one shard and of two: the counters are sums.
+func TestStalledWatchdogQuietAfterFaultDrops(t *testing.T) {
+	tp := mustMLFM(t, 4)
+	for _, shards := range []int{1, 2} {
+		ex := traffic.AllToAll(tp.Nodes(), 1, rand.New(rand.NewSource(5)))
+		net, err := sim.NewNetwork(tp, sim.TestConfig(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := sim.NewParallelEngine(net, routing.NewMinimal(tp), ex, sim.ParallelOptions{Partitions: shards, Workers: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Stop()
+		fs, err := sim.RandomLinkFailures(tp, 5, 300, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.SetFaultSchedule(fs); err != nil {
+			t.Fatal(err)
+		}
+		if !e.RunUntilDrained(100_000) {
+			t.Fatalf("%d shards: faulted exchange did not drain: %+v", shards, e.Results())
+		}
+		res := e.Results()
+		if res.Faults.Dropped == 0 || res.Injected <= res.Delivered {
+			t.Fatalf("%d shards: no packet was dropped and retransmitted (weak test): %+v", shards, res)
+		}
+		const window = 1000
+		e.Run(2 * window)
+		if e.Stalled(window) {
+			t.Errorf("%d shards: watchdog fired on a drained network idle for %d cycles (injected %d, delivered %d, dropped %d)",
+				shards, 2*window, res.Injected, res.Delivered, res.Faults.Dropped)
+		}
+	}
+}

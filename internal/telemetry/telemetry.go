@@ -127,9 +127,9 @@ type Collector struct {
 	linkFlits      int64 // total flits that completed a router-to-router traversal
 	hopsDelivered  int64 // sum of Hops over delivered packets
 
-	// workerCycles holds the per-worker cycle counters of a sharded
-	// (sim.ParallelEngine) run; serial engines never set it, so it stays
-	// nil — and absent from snapshots — for single-threaded runs.
+	// workerCycles holds the per-worker cycle counters of a sharded run
+	// (two shards or more); a one-shard engine never sets it, so it
+	// stays nil — and absent from snapshots — for those runs.
 	workerCycles []int64
 
 	startCycle int64
@@ -187,9 +187,10 @@ func (c *Collector) Finish(cycle int64) {
 }
 
 // SetWorkerCycles records the per-worker cycle counters of a sharded
-// engine run. This coarse progress counter is the only telemetry the
-// sharded engine emits — the per-event hooks stay serial-engine-only,
-// so a collector can never perturb or race the parallel hot path.
+// engine run. This coarse progress counter is the only telemetry an
+// engine emits from two shards up — the per-event hooks are wired for
+// one shard only, so a collector can never perturb or race the
+// workers' hot path.
 func (c *Collector) SetWorkerCycles(cycles []int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

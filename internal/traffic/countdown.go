@@ -3,17 +3,17 @@ package traffic
 import "sync/atomic"
 
 // countdown counts packets still to inject across all nodes of a
-// closed-loop workload, with a serial fast path: a serial engine
-// drives NextPacket/Done from one goroutine, so the counter stays a
-// plain int64 and every decrement is a register op. Sharded engines
-// call NextPacket concurrently from different source nodes, so
-// sim.NewParallelEngine flips the counter to its atomic slow path via
-// the workload's EnterParallel before any worker goroutine starts —
-// the flip (and the plain->atomic value handoff) therefore
+// closed-loop workload, with a single-worker fast path: an engine with
+// one worker drives NextPacket/Done from one goroutine, so the counter
+// stays a plain int64 and every decrement is a register op. With more
+// workers NextPacket is called concurrently from different source
+// nodes, so sim.NewParallelEngine flips the counter to its atomic slow
+// path via the workload's EnterParallel before any worker goroutine
+// starts — the flip (and the plain->atomic value handoff) therefore
 // happens-before every concurrent access.
 //
 // The par branch is perfectly predicted (it never changes within a
-// run), so serial engines no longer pay a LOCK XADD per injected
+// run), so one-worker engines pay no LOCK XADD per injected
 // packet — measurable on exchange drains, where every packet of the
 // run crosses this counter.
 type countdown struct {
