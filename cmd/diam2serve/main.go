@@ -44,39 +44,42 @@ import (
 	"diam2/internal/telemetry"
 )
 
+// diam2serve's own flags; the shared groups are declared in main.
+var (
+	httpAddr   = flag.String("http", "", "listen address, e.g. :8080 (required)")
+	storeDir   = flag.String("store", "", "content-addressed result store directory (required; created if absent)")
+	band       = flag.Float64("escalate-band", 0.15, "escalation band around predicted saturation; 0 disables escalation")
+	grid       = flag.Int("grid", 30, "decision-ladder size for the escalation policy")
+	queueMax   = flag.Int("queue", 64, "admitted-query bound; excess answered 429 + Retry-After")
+	escWorkers = flag.Int("esc-workers", 1, "background escalation worker count")
+	drainTO    = flag.Duration("drain-timeout", 30*time.Second, "how long queued escalations get to finish on shutdown")
+)
+
 func main() {
 	var (
-		httpAddr   = flag.String("http", "", "listen address, e.g. :8080 (required)")
-		storeDir   = flag.String("store", "", "content-addressed result store directory (required; created if absent)")
-		scaleName  = flag.String("scale", "quick", "experiment scale: quick|medium|paper (must match the sweeps sharing the store)")
-		seed       = flag.Int64("seed", 1, "base seed (must match the sweeps sharing the store)")
-		band       = flag.Float64("escalate-band", 0.15, "escalation band around predicted saturation; 0 disables escalation")
-		grid       = flag.Int("grid", 30, "decision-ladder size for the escalation policy")
-		queueMax   = flag.Int("queue", 64, "admitted-query bound; excess answered 429 + Retry-After")
-		escWorkers = flag.Int("esc-workers", 1, "background escalation worker count")
-		drainTO    = flag.Duration("drain-timeout", 30*time.Second, "how long queued escalations get to finish on shutdown")
-		camp       cliflags.Campaign // shared store lock; escalations run under the lease protocol
+		scale cliflags.Scale    // must match the sweeps sharing the store
+		camp  cliflags.Campaign // shared store lock; escalations run under the lease protocol
 	)
+	scale.Register()
 	camp.Register()
 	cliflags.Parse("diam2serve")
 	if *httpAddr == "" || *storeDir == "" {
 		fmt.Fprintln(os.Stderr, "usage: diam2serve -http ADDR -store DIR [flags]")
 		os.Exit(2)
 	}
-	if err := run(*httpAddr, *storeDir, *scaleName, *seed, *band, *grid, *queueMax, *escWorkers, camp, *drainTO); err != nil {
+	if err := run(scale, camp); err != nil {
 		fmt.Fprintln(os.Stderr, "diam2serve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(httpAddr, storeDir, scaleName string, seed int64, band float64, grid, queueMax, escWorkers int, camp cliflags.Campaign, drainTO time.Duration) error {
-	sc, presets, err := harness.ScaleByName(scaleName)
+func run(scale cliflags.Scale, camp cliflags.Campaign) error {
+	sc, presets, err := scale.Resolve()
 	if err != nil {
 		return err
 	}
-	sc.Seed = seed
 
-	closeStore, err := cliflags.Store{Dir: storeDir}.Attach("diam2serve", &sc, camp.On)
+	closeStore, err := cliflags.Store{Dir: *storeDir}.Attach("diam2serve", &sc, camp.On)
 	if err != nil {
 		return err
 	}
@@ -85,7 +88,7 @@ func run(httpAddr, storeDir, scaleName string, seed int64, band float64, grid, q
 	reg := telemetry.NewRegistry()
 	reg.PublishExpvar()
 
-	worker, err := camp.Join("diam2serve", storeDir, reg)
+	worker, err := camp.Join("diam2serve", *storeDir, reg)
 	if err != nil {
 		return err
 	}
@@ -97,10 +100,10 @@ func run(httpAddr, storeDir, scaleName string, seed int64, band float64, grid, q
 		Presets:    presets,
 		Scale:      sc,
 		Store:      sc.Sched.Store,
-		Band:       band,
-		Loads:      harness.ScreenGridLoads(grid),
-		QueueMax:   queueMax,
-		EscWorkers: escWorkers,
+		Band:       *band,
+		Loads:      harness.ScreenGridLoads(*grid),
+		QueueMax:   *queueMax,
+		EscWorkers: *escWorkers,
 		Registry:   reg,
 		Campaign:   worker,
 	})
@@ -111,13 +114,13 @@ func run(httpAddr, storeDir, scaleName string, seed int64, band float64, grid, q
 	mux := reg.Handler()
 	srv.Register(mux)
 
-	ln, err := net.Listen("tcp", httpAddr)
+	ln, err := net.Listen("tcp", *httpAddr)
 	if err != nil {
-		return fmt.Errorf("listen %s: %w", httpAddr, err)
+		return fmt.Errorf("listen %s: %w", *httpAddr, err)
 	}
 	httpSrv := &http.Server{Handler: mux}
 	fmt.Fprintf(os.Stderr, "diam2serve: serving design-space queries at http://%s/query (scale %s, %d presets, band %.2f)\n",
-		ln.Addr(), scaleName, len(presets), band)
+		ln.Addr(), scale.Name, len(presets), *band)
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
@@ -128,7 +131,7 @@ func run(httpAddr, storeDir, scaleName string, seed int64, band float64, grid, q
 
 	select {
 	case sig := <-sigc:
-		fmt.Fprintf(os.Stderr, "diam2serve: %v: draining (in-flight queries finish, escalations get %s)\n", sig, drainTO)
+		fmt.Fprintf(os.Stderr, "diam2serve: %v: draining (in-flight queries finish, escalations get %s)\n", sig, *drainTO)
 	case err := <-errc:
 		return fmt.Errorf("http server: %w", err)
 	}
@@ -136,7 +139,7 @@ func run(httpAddr, storeDir, scaleName string, seed int64, band float64, grid, q
 	// Drain order matters: stop accepting and finish in-flight HTTP
 	// responses first (Shutdown blocks until handlers return), then
 	// give the background escalations their budget.
-	shutCtx, cancel := context.WithTimeout(context.Background(), drainTO)
+	shutCtx, cancel := context.WithTimeout(context.Background(), *drainTO)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutCtx); err != nil {
 		fmt.Fprintln(os.Stderr, "diam2serve: http shutdown:", err)

@@ -32,21 +32,14 @@
 // run lengths, same code paths); pass -scale paper for the Section
 // 4.1 configurations — expect hours of CPU time for the full set.
 //
-// Sweeps fan their independent simulation points out across a worker
-// pool; -j sets its size (default: all CPUs) and -progress reports
-// each completed point on stderr. Results are byte-identical for any
-// -j: every point's random stream is derived from (seed, point key),
-// never from scheduling order. Ctrl-C cancels the sweep promptly.
-//
-// -cores is the other, orthogonal parallelism axis: it shards the
-// routers of every *individual simulation* across that many threads of
-// the sharded engine (-j parallelizes *across* points, -cores *within*
-// one). Figure sweeps have many points, so prefer -j and leave -cores
-// at 1; -cores pays off only for few huge points. Sharded results
-// follow their own determinism contract (identical for a fixed
-// partition at any thread count) but are not bit-identical to serial
-// results, so the store keys -cores runs separately and figures mix
-// the two engines only if you do. See DESIGN.md §14.
+// Sweeps fan their independent simulation points out across the -j
+// worker pool; results are byte-identical for any -j, because every
+// point's random stream is derived from (seed, point key), never from
+// scheduling order. Figure sweeps have many points, so prefer -j and
+// leave -cores at 1. Ctrl-C cancels the sweep promptly. These flags,
+// -scale/-seed and the three profilers (whose stderr summary reports
+// sim-cycles and cycles/s) are the shared groups declared and
+// documented in internal/cliflags.
 //
 // Resumable campaigns: -store DIR opens (creating if needed) a
 // content-addressed result store and consults it before every sweep
@@ -70,12 +63,6 @@
 // with diam2campaign or the /campaign endpoint of -http. See README,
 // "Distributed campaigns".
 //
-// Profiling: -cpuprofile/-memprofile write pprof profiles of the whole
-// sweep, -traceprofile a runtime execution trace (worker scheduling
-// and -cores barrier waits), and the stderr summary reports the
-// achieved simulation rate (sim-cycles and cycles/s). See README,
-// "Profiling the engine".
-//
 // Observability: -telemetry attaches a collector to every sweep point;
 // -trace-out FILE exports the per-point flight-recorder events as
 // JSONL, -heatmap FILE writes the aggregated per-link congestion
@@ -91,7 +78,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -104,31 +90,31 @@ import (
 	"diam2/internal/harness"
 )
 
+// diam2sweep's own flags; the shared groups are declared in main.
+var (
+	fig     = flag.String("fig", "", "figure to regenerate: 6a|6b|7|8|9|10|11|12|13|14|resilience|all")
+	plotDir = flag.String("plotdir", "", "write SVG charts for figures with curves into this directory")
+	ascii   = flag.Bool("ascii", false, "also render ASCII charts to stdout")
+	csvDir  = flag.String("csvdir", "", "also write each figure's data as CSV into this directory")
+
+	screen      = flag.Bool("screen", false, "screening tier: answer the oblivious sweep grid analytically (fluid model) instead of regenerating a figure")
+	screenGrid  = flag.Int("screen-grid", 0, "with -screen, offered-load ladder size, evenly spaced in (0,1] (0: the default figure ladder)")
+	escBand     = flag.Float64("escalate-band", 0, "with -screen, re-simulate screened points within this relative band of their predicted saturation, plus family-crossover brackets (0: screen only)")
+	screenCheck = flag.Bool("screen-check", false, "with -screen and -escalate-band, fail if any escalated point's fluid estimate misses its recorded calibration tolerance")
+)
+
 func main() {
 	var (
-		fig       = flag.String("fig", "", "figure to regenerate: 6a|6b|7|8|9|10|11|12|13|14|resilience|all")
-		scaleName = flag.String("scale", "quick", "scale: quick|medium|paper")
-		seed      = flag.Int64("seed", 1, "random seed")
-		plotDir   = flag.String("plotdir", "", "write SVG charts for figures with curves into this directory")
-		ascii     = flag.Bool("ascii", false, "also render ASCII charts to stdout")
-		csvDir    = flag.String("csvdir", "", "also write each figure's data as CSV into this directory")
-		jobs      = flag.Int("j", 0, "sweep worker-pool size: independent points in parallel (0: all CPUs, 1: serial); orthogonal to -cores")
-		cores     = flag.Int("cores", 1, "threads *within* each simulation (sharded engine; 1: serial engine); orthogonal to -j, not bit-identical to serial")
-		progress  = flag.Bool("progress", false, "report each completed sweep point on stderr")
-
-		screen      = flag.Bool("screen", false, "screening tier: answer the oblivious sweep grid analytically (fluid model) instead of regenerating a figure")
-		screenGrid  = flag.Int("screen-grid", 0, "with -screen, offered-load ladder size, evenly spaced in (0,1] (0: the default figure ladder)")
-		escBand     = flag.Float64("escalate-band", 0, "with -screen, re-simulate screened points within this relative band of their predicted saturation, plus family-crossover brackets (0: screen only)")
-		screenCheck = flag.Bool("screen-check", false, "with -screen and -escalate-band, fail if any escalated point's fluid estimate misses its recorded calibration tolerance")
-
-		cpuProfile   = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
-		memProfile   = flag.String("memprofile", "", "write a pprof allocation profile at exit to this file")
-		traceProfile = flag.String("traceprofile", "", "write a runtime execution trace of the sweep to this file (go tool trace; shows -cores barrier waits and -j worker scheduling)")
-
-		st   cliflags.Store
-		camp cliflags.Campaign
-		tel  cliflags.Telemetry
+		scale cliflags.Scale
+		sched cliflags.Sched
+		prof  cliflags.Profile
+		st    cliflags.Store
+		camp  cliflags.Campaign
+		tel   cliflags.Telemetry
 	)
+	scale.Register()
+	sched.Register()
+	prof.Register()
 	st.Register()
 	camp.Register()
 	tel.Register(true)
@@ -155,27 +141,9 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	stopProf, err := harness.StartProfiles(*cpuProfile, *memProfile, *traceProfile)
-	if err != nil {
+	if err := prof.Run(func() error { return run(scale, sched, st, camp, tel) }); err != nil {
 		fmt.Fprintln(os.Stderr, "diam2sweep:", err)
-		os.Exit(1)
-	}
-	scr := screenOpts{
-		enabled: *screen,
-		band:    *escBand,
-		grid:    *screenGrid,
-		check:   *screenCheck,
-	}
-	runErr := run(ctx, *fig, *scaleName, *seed, *plotDir, *ascii, *csvDir, *jobs, *cores, *progress, tel, st, camp, scr)
-	if err := stopProf(); err != nil {
-		fmt.Fprintln(os.Stderr, "diam2sweep:", err)
-		os.Exit(1)
-	}
-	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "diam2sweep:", runErr)
-		if errors.Is(runErr, campaign.ErrDrained) {
+		if errors.Is(err, campaign.ErrDrained) {
 			// Graceful drain is a distinct outcome: this worker did its
 			// part and stopped on request; the campaign itself goes on.
 			os.Exit(3)
@@ -184,21 +152,15 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, fig, scaleName string, seed int64, plotDir string, ascii bool, csvDir string, jobs, cores int, progress bool, tel cliflags.Telemetry, stf cliflags.Store, camp cliflags.Campaign, scr screenOpts) error {
-	for _, dir := range []string{plotDir, csvDir} {
-		if dir != "" {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				return err
-			}
-		}
-	}
-	sc, presets, err := harness.ScaleByName(scaleName)
+func run(scale cliflags.Scale, sched cliflags.Sched, st cliflags.Store, camp cliflags.Campaign, tel cliflags.Telemetry) error {
+	// Ctrl-C cancels the sweep; SIGTERM, for a campaign worker, drains.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	sc, presets, err := scale.Resolve()
 	if err != nil {
 		return err
 	}
-	sc.Seed = seed
-	sc.Cores = cores
-	if cores > 1 {
+	if cores := sched.Cores; cores > 1 {
 		fmt.Fprintf(os.Stderr, "diam2sweep: sharded engine: %d threads per point (-cores), orthogonal to the -j point pool; results are keyed separately from serial runs\n", cores)
 	}
 
@@ -224,23 +186,14 @@ func run(ctx context.Context, fig, scaleName string, seed int64, plotDir string,
 		}
 		return livLine
 	}
+	sched.Wire(ctx, &sc, liveness)
 	var busy atomic.Int64
-	// The progress line carries both parallelism axes: done/total counts
-	// points flowing through the -j pool, and the engine tag marks runs
-	// whose single point is itself sharded across -cores threads.
-	engTag := ""
-	if cores > 1 {
-		engTag = fmt.Sprintf(" [engine: %d-core sharded]", cores)
-	}
-	sc.Sched = harness.Sched{
-		Workers: jobs,
-		Ctx:     ctx,
-		OnPoint: func(done, total int, key string, elapsed time.Duration) {
-			busy.Add(int64(elapsed))
-			if progress {
-				fmt.Fprintf(os.Stderr, "[%d/%d] %s (%s)%s%s\n", done, total, key, elapsed.Round(time.Millisecond), engTag, liveness())
-			}
-		},
+	progress := sc.Sched.OnPoint // nil without -progress
+	sc.Sched.OnPoint = func(done, total int, key string, elapsed time.Duration) {
+		busy.Add(int64(elapsed))
+		if progress != nil {
+			progress(done, total, key, elapsed)
+		}
 	}
 	// Campaign workers serve the -http endpoints but collect nothing:
 	// they rely on the store lookups that collection bypasses.
@@ -249,7 +202,7 @@ func run(ctx context.Context, fig, scaleName string, seed int64, plotDir string,
 		return err
 	}
 	defer telShutdown()
-	closeStore, err := stf.Attach("diam2sweep", &sc, camp.On)
+	closeStore, err := st.Attach("diam2sweep", &sc, camp.On)
 	if err != nil {
 		return err
 	}
@@ -257,7 +210,7 @@ func run(ctx context.Context, fig, scaleName string, seed int64, plotDir string,
 	if sink != nil && sc.Sched.Store != nil {
 		fmt.Fprintln(os.Stderr, "diam2sweep: telemetry collection recomputes every point (store lookups bypassed, results still recorded)")
 	}
-	worker, err = camp.Join("diam2sweep", stf.Dir, reg)
+	worker, err = camp.Join("diam2sweep", st.Dir, reg)
 	if err != nil {
 		return err
 	}
@@ -267,7 +220,7 @@ func run(ctx context.Context, fig, scaleName string, seed int64, plotDir string,
 		// Record what this campaign computes (first submitter wins; a
 		// coordinator's explicit submit may already have).
 		_ = campaign.WriteManifest(worker.Dir(), campaign.Manifest{
-			Name:      fmt.Sprintf("fig %s @ %s", fig, scaleName),
+			Name:      fmt.Sprintf("fig %s @ %s", *fig, scale.Name),
 			Args:      os.Args[1:],
 			Created:   time.Now().UTC().Format(time.RFC3339),
 			CreatedBy: "diam2sweep " + buildinfo.Version(),
@@ -285,7 +238,7 @@ func run(ctx context.Context, fig, scaleName string, seed int64, plotDir string,
 			}
 		}()
 	}
-	workers := jobs
+	workers := sched.Jobs
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -307,8 +260,9 @@ func run(ctx context.Context, fig, scaleName string, seed int64, plotDir string,
 		fmt.Fprintln(os.Stderr, "diam2sweep:", summary)
 	}()
 
-	if scr.enabled {
-		if err := runScreen(sc, presets, scr, csvDir); err != nil {
+	if *screen {
+		o := screenOpts{band: *escBand, grid: *screenGrid, check: *screenCheck}
+		if err := runScreen(sc, presets, o, *csvDir); err != nil {
 			return err
 		}
 		return exportTelemetry(tel, sink)
@@ -326,7 +280,7 @@ func run(ctx context.Context, fig, scaleName string, seed int64, plotDir string,
 	// grid to keep the full figure set to about an hour of CPU.
 	sweepNI := []int{1, 2, 4, 8}
 	sweepC := []float64{0.5, 1, 2, 4}
-	if scaleName == "medium" {
+	if scale.Name == "medium" {
 		loads = []float64{0.1, 0.5, 0.9, 1.0}
 		sweepNI = []int{1, 4}
 		sweepC = []float64{1, 2}
@@ -340,41 +294,22 @@ func run(ctx context.Context, fig, scaleName string, seed int64, plotDir string,
 		if err := t.Render(os.Stdout); err != nil {
 			return err
 		}
-		if csvDir != "" {
-			f, err := os.Create(filepath.Join(csvDir, "fig"+figName+".csv"))
-			if err != nil {
-				return err
-			}
-			if err := t.RenderCSV(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
+		if err := t.WriteCSV(*csvDir, "fig"+figName); err != nil {
+			return err
+		}
+		svgs, err := t.WriteCharts(*plotDir, "fig"+figName)
+		if err != nil {
+			return err
 		}
 		for i, ch := range t.Charts {
-			if ascii {
+			if *ascii {
 				if err := ch.RenderASCII(os.Stdout, 72, 18); err != nil {
 					return err
 				}
 			}
-			if plotDir == "" {
-				continue
+			if svgs != nil {
+				fmt.Printf("wrote %s\n", svgs[i])
 			}
-			name := filepath.Join(plotDir, fmt.Sprintf("fig%s_%d.svg", figName, i))
-			f, err := os.Create(name)
-			if err != nil {
-				return err
-			}
-			if err := ch.RenderSVG(f, 640, 420); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", name)
 		}
 		return nil
 	}
@@ -386,8 +321,8 @@ func run(ctx context.Context, fig, scaleName string, seed int64, plotDir string,
 		return render(harness.AdaptiveSweep(p, kind, sweepNI, sweepC, fixedNI, fixedC, loads, sc))
 	}
 
-	figs := []string{fig}
-	if fig == "all" {
+	figs := []string{*fig}
+	if *fig == "all" {
 		figs = []string{"6a", "6b", "7", "8", "9", "10", "11", "12", "13", "14"}
 	}
 	for _, f := range figs {

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"diam2/internal/harness"
@@ -12,10 +11,9 @@ import (
 // screenOpts carries the -screen flag group: the analytic screening
 // tier and its simulator escalation pass.
 type screenOpts struct {
-	enabled bool    // -screen
-	band    float64 // -escalate-band (0: screen only)
-	grid    int     // -screen-grid (0: DefaultLoads ladder)
-	check   bool    // -screen-check
+	band  float64 // -escalate-band (0: screen only)
+	grid  int     // -screen-grid (0: DefaultLoads ladder)
+	check bool    // -screen-check
 }
 
 // runScreen drives the screening tier: answer the full grid
@@ -73,16 +71,5 @@ func emitTable(t *harness.Table, csvDir, name string) error {
 	if err := t.Render(os.Stdout); err != nil {
 		return err
 	}
-	if csvDir == "" {
-		return nil
-	}
-	f, err := os.Create(filepath.Join(csvDir, name+".csv"))
-	if err != nil {
-		return err
-	}
-	if err := t.RenderCSV(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return t.WriteCSV(csvDir, name)
 }

@@ -14,7 +14,7 @@ import (
 // when -csvdir is set.
 func TestRunScreenScreenOnly(t *testing.T) {
 	dir := t.TempDir()
-	o := screenOpts{enabled: true, grid: 5}
+	o := screenOpts{grid: 5}
 	if err := runScreen(harness.QuickScale(), harness.SmallPresets(), o, dir); err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestRunScreenScreenOnly(t *testing.T) {
 // gates in CI).
 func TestRunScreenEscalateCheck(t *testing.T) {
 	dir := t.TempDir()
-	o := screenOpts{enabled: true, grid: 4, band: 0.05, check: true}
+	o := screenOpts{grid: 4, band: 0.05, check: true}
 	if err := runScreen(harness.QuickScale(), harness.SmallPresets()[:1], o, dir); err != nil {
 		t.Fatal(err)
 	}

@@ -25,76 +25,41 @@ import (
 	"diam2/internal/viz"
 )
 
+var (
+	summary   = flag.Bool("summary", false, "construction summary of the paper configurations")
+	scaling   = flag.Bool("scaling", false, "Fig. 3 scalability/cost table")
+	bisection = flag.Bool("bisection", false, "Fig. 4 bisection-bandwidth estimates")
+	ml3b      = flag.Int("ml3b", 0, "Table 2: print the k-ML3B for this k")
+	diversity = flag.Bool("diversity", false, "Sec. 2.3.3 path-diversity statistics")
+	lambda2   = flag.Bool("lambda2", false, "spectral lambda estimates (bisection lower bounds)")
+	restarts  = flag.Int("restarts", 12, "bisection restarts")
+	passes    = flag.Int("passes", 40, "bisection refinement passes")
+	seed      = flag.Int64("seed", 42, "random seed")
+	exportDOT = flag.String("dot", "", "write the named paper topology (sf9|sf10|mlfm|oft) as Graphviz DOT to stdout")
+	exportEL  = flag.String("edgelist", "", "write the named paper topology as an edge list to stdout")
+	fluidSat  = flag.Bool("fluid", false, "analytic (fluid-model) saturation loads for the paper configurations")
+	draw      = flag.String("draw", "", "write a Fig. 1-style SVG diagram of the named topology (sf9|sf10|mlfm|oft) to stdout")
+)
+
 func main() {
-	var (
-		summary   = flag.Bool("summary", false, "construction summary of the paper configurations")
-		scaling   = flag.Bool("scaling", false, "Fig. 3 scalability/cost table")
-		bisection = flag.Bool("bisection", false, "Fig. 4 bisection-bandwidth estimates")
-		ml3b      = flag.Int("ml3b", 0, "Table 2: print the k-ML3B for this k")
-		diversity = flag.Bool("diversity", false, "Sec. 2.3.3 path-diversity statistics")
-		lambda2   = flag.Bool("lambda2", false, "spectral lambda estimates (bisection lower bounds)")
-		restarts  = flag.Int("restarts", 12, "bisection restarts")
-		passes    = flag.Int("passes", 40, "bisection refinement passes")
-		seed      = flag.Int64("seed", 42, "random seed")
-		exportDOT = flag.String("dot", "", "write the named paper topology (sf9|sf10|mlfm|oft) as Graphviz DOT to stdout")
-		exportEL  = flag.String("edgelist", "", "write the named paper topology as an edge list to stdout")
-		fluidSat  = flag.Bool("fluid", false, "analytic (fluid-model) saturation loads for the paper configurations")
-		draw      = flag.String("draw", "", "write a Fig. 1-style SVG diagram of the named topology (sf9|sf10|mlfm|oft) to stdout")
-	)
 	cliflags.Parse("diam2topo")
 	if !*summary && !*scaling && !*bisection && *ml3b == 0 && !*diversity && !*lambda2 && !*fluidSat && *exportDOT == "" && *exportEL == "" && *draw == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *draw != "" {
-		tp, err := paperTopo(*draw)
-		if err == nil {
-			err = viz.DrawSVG(os.Stdout, tp, 800, 600)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "diam2topo:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exportDOT != "" || *exportEL != "" {
-		if err := export(*exportDOT, *exportEL); err != nil {
-			fmt.Fprintln(os.Stderr, "diam2topo:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fluidSat {
-		if err := fluidTable(*seed); err != nil {
-			fmt.Fprintln(os.Stderr, "diam2topo:", err)
-			os.Exit(1)
-		}
-	}
-	if err := run(*summary, *scaling, *bisection, *ml3b, *diversity, *lambda2, *restarts, *passes, *seed); err != nil {
+	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "diam2topo:", err)
 		os.Exit(1)
 	}
 }
 
-// fluidTable prints analytic saturation loads (Section 4.2/4.3
-// predictions without simulation) via the shared harness helper, the
-// same table diam2report embeds.
-func fluidTable(seed int64) error {
-	t, err := harness.FluidSaturationTable(harness.PaperPresets(), seed)
+// namedTopo builds the preset with the given command-line name.
+func namedTopo(name string) (topo.Topology, error) {
+	p, err := harness.PresetByShort(name)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return t.Render(os.Stdout)
-}
-
-// paperTopo resolves a short name to a built paper topology.
-func paperTopo(name string) (topo.Topology, error) {
-	for _, p := range harness.PaperPresets() {
-		if p.Short == name {
-			return p.Build()
-		}
-	}
-	return nil, fmt.Errorf("unknown topology %q (want sf9|sf10|mlfm|oft)", name)
+	return p.Build()
 }
 
 // export writes a paper topology in DOT or edge-list form.
@@ -103,7 +68,7 @@ func export(dotName, elName string) error {
 	if name == "" {
 		name = elName
 	}
-	tp, err := paperTopo(name)
+	tp, err := namedTopo(name)
 	if err != nil {
 		return err
 	}
@@ -113,8 +78,30 @@ func export(dotName, elName string) error {
 	return topo.WriteEdgeList(os.Stdout, tp)
 }
 
-func run(summary, scaling, bisection bool, ml3b int, diversity, lambda2 bool, restarts, passes int, seed int64) error {
-	if summary {
+func run() error {
+	if *draw != "" {
+		tp, err := namedTopo(*draw)
+		if err != nil {
+			return err
+		}
+		return viz.DrawSVG(os.Stdout, tp, 800, 600)
+	}
+	if *exportDOT != "" || *exportEL != "" {
+		return export(*exportDOT, *exportEL)
+	}
+	// Each analysis prints its table as soon as it is computed.
+	emit := func(t *harness.Table, err error) error {
+		if err != nil {
+			return err
+		}
+		return t.Render(os.Stdout)
+	}
+	if *fluidSat {
+		if err := emit(harness.FluidSaturationTable(harness.PaperPresets(), *seed)); err != nil {
+			return err
+		}
+	}
+	if *summary {
 		t := &harness.Table{
 			Title:  "Paper configurations (Section 4.1)",
 			Header: []string{"topology", "N", "R", "radix", "ports/N", "links/N", "diam"},
@@ -131,46 +118,37 @@ func run(summary, scaling, bisection bool, ml3b int, diversity, lambda2 bool, re
 			t.AddRow(p.Name, fmt.Sprint(c.Nodes), fmt.Sprint(c.Routers), fmt.Sprint(tp.Radix()),
 				fmt.Sprintf("%.2f", c.PortsPerNode), fmt.Sprintf("%.2f", c.LinksPerNode), "2")
 		}
-		if err := t.Render(os.Stdout); err != nil {
+		if err := emit(t, nil); err != nil {
 			return err
 		}
 	}
-	if scaling {
-		t := harness.Fig3Scalability([]int{16, 24, 32, 40, 48, 56, 64})
-		if err := t.Render(os.Stdout); err != nil {
+	if *scaling {
+		if err := emit(harness.Fig3Scalability([]int{16, 24, 32, 40, 48, 56, 64}), nil); err != nil {
 			return err
 		}
 	}
-	if bisection {
-		t, err := harness.Fig4Bisection(harness.PaperPresets(), restarts, passes, seed)
-		if err != nil {
-			return err
-		}
-		if err := t.Render(os.Stdout); err != nil {
+	if *bisection {
+		if err := emit(harness.Fig4Bisection(harness.PaperPresets(), *restarts, *passes, *seed)); err != nil {
 			return err
 		}
 	}
-	if ml3b > 0 {
-		t, err := harness.Table2ML3B(ml3b)
-		if err != nil {
-			return err
-		}
-		if err := t.Render(os.Stdout); err != nil {
+	if *ml3b > 0 {
+		if err := emit(harness.Table2ML3B(*ml3b)); err != nil {
 			return err
 		}
 	}
-	if diversity {
+	if *diversity {
 		for _, p := range harness.PaperPresets() {
 			tp, err := p.Build()
 			if err != nil {
 				return err
 			}
-			if err := harness.DiversityReport(tp).Render(os.Stdout); err != nil {
+			if err := emit(harness.DiversityReport(tp), nil); err != nil {
 				return err
 			}
 		}
 	}
-	if lambda2 {
+	if *lambda2 {
 		t := &harness.Table{
 			Title:  "Spectral lambda (largest adjacency eigenvalue orthogonal to 1) and implied bisection lower bound",
 			Header: []string{"topology", "R", "degree", "lambda", "cut lower bound", "per-node lower bound"},
@@ -181,15 +159,13 @@ func run(summary, scaling, bisection bool, ml3b int, diversity, lambda2 bool, re
 				return err
 			}
 			g := tp.Graph()
-			l := partition.SpectralLambda2(g, 300, seed)
+			l := partition.SpectralLambda2(g, 300, *seed)
 			deg := float64(g.NumEdges()*2) / float64(g.N())
 			lower := (deg - l) * float64(g.N()) / 4
 			t.AddRow(p.Name, fmt.Sprint(g.N()), fmt.Sprintf("%.1f", deg), fmt.Sprintf("%.2f", l),
 				fmt.Sprintf("%.0f", lower), fmt.Sprintf("%.3f", lower/(float64(tp.Nodes())/2)))
 		}
-		if err := t.Render(os.Stdout); err != nil {
-			return err
-		}
+		return emit(t, nil)
 	}
 	return nil
 }

@@ -1,15 +1,21 @@
 // Package cliflags declares the flag groups the diam2 binaries share
-// (-version, the resumable -store, the -campaign worker, the -telemetry
-// observers) together with the wiring behind each, so that a flag is
-// declared and its subsystem opened in one place. Register methods
-// declare on flag.CommandLine; call them before Parse.
+// (-version, -scale/-seed, the -j/-cores scheduler, the profilers, the
+// resumable -store, the -campaign worker, the -telemetry observers)
+// together with the wiring behind each, so that a flag is declared and
+// its subsystem opened in one place. Register methods declare on
+// flag.CommandLine; call them before Parse.
 package cliflags
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
+	"runtime/trace"
+	"time"
 
 	"diam2/internal/buildinfo"
 	"diam2/internal/campaign"
@@ -29,6 +35,128 @@ func Parse(prog string) {
 		fmt.Printf("engine schema %d, store schema %d\n", sim.EngineSchema, store.Schema)
 		os.Exit(0)
 	}
+}
+
+// Scale is the fidelity flag group: -scale and -seed.
+type Scale struct {
+	Name string
+	Seed int64
+}
+
+// Register declares the group's flags.
+func (s *Scale) Register() {
+	flag.StringVar(&s.Name, "scale", "quick", "experiment scale: quick|medium|paper (binaries sharing a -store must agree on it)")
+	flag.Int64Var(&s.Seed, "seed", 1, "base random seed (binaries sharing a -store must agree on it)")
+}
+
+// Resolve returns the named scale under the base seed and the preset
+// set it runs on.
+func (s Scale) Resolve() (harness.Scale, []harness.Preset, error) {
+	sc, presets, err := harness.ScaleByName(s.Name)
+	sc.Seed = s.Seed
+	return sc, presets, err
+}
+
+// Sched is the parallelism flag group: -j fans independent sweep
+// points out across a worker pool (results byte-identical for any -j),
+// -cores shards the routers of each single simulation across threads
+// of the sharded engine (its own determinism contract, keyed
+// separately by -store; DESIGN.md §14), -progress reports each
+// completed point on stderr.
+type Sched struct {
+	Jobs, Cores int
+	Progress    bool
+}
+
+// Register declares the group's flags.
+func (s *Sched) Register() {
+	flag.IntVar(&s.Jobs, "j", 0, "worker-pool size: independent sweep points in parallel (0: all CPUs, 1: serial); orthogonal to -cores")
+	flag.IntVar(&s.Cores, "cores", 1, "threads *within* each simulation (sharded engine; 1: serial engine); orthogonal to -j, not bit-identical to serial")
+	flag.BoolVar(&s.Progress, "progress", false, "report each completed sweep point on stderr")
+}
+
+// Wire sets the pool size, the engine shard count and the cancellation
+// context on sc and, under -progress, the stderr progress line: done
+// and total count points through the -j pool, the engine tag marks
+// points that are themselves sharded across -cores threads, and
+// suffix (may be nil) appends the caller's own state.
+func (s Sched) Wire(ctx context.Context, sc *harness.Scale, suffix func() string) {
+	sc.Cores = s.Cores
+	sc.Sched.Workers, sc.Sched.Ctx = s.Jobs, ctx
+	if !s.Progress {
+		return
+	}
+	engTag := ""
+	if s.Cores > 1 {
+		engTag = fmt.Sprintf(" [engine: %d-core sharded]", s.Cores)
+	}
+	sc.Sched.OnPoint = func(done, total int, key string, elapsed time.Duration) {
+		tail := ""
+		if suffix != nil {
+			tail = suffix()
+		}
+		fmt.Fprintf(os.Stderr, "[%d/%d] %s (%s)%s%s\n", done, total, key, elapsed.Round(time.Millisecond), engTag, tail)
+	}
+}
+
+// Profile is the profiler flag group: -cpuprofile, -memprofile and
+// -traceprofile. A CPU profile says where time went; the execution
+// trace shows worker goroutines blocking on the sharded engine's cycle
+// barriers — shard imbalance appears as one worker computing while the
+// rest park (`go tool trace`).
+type Profile struct {
+	CPU, Mem, Trace string
+}
+
+// Register declares the group's flags.
+func (p *Profile) Register() {
+	flag.StringVar(&p.CPU, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	flag.StringVar(&p.Mem, "memprofile", "", "write a pprof allocation profile at exit to this file")
+	flag.StringVar(&p.Trace, "traceprofile", "", "write a runtime execution trace of the run to this file (go tool trace; shows -cores barrier waits and -j worker scheduling)")
+}
+
+// Run runs work under the requested profilers: the CPU profile and the
+// execution trace cover it, the allocation profile is written after
+// it. It returns work's error, else the first profiler error.
+func (p Profile) Run(work func() error) (err error) {
+	var stops []func() error
+	defer func() {
+		for _, stop := range stops {
+			if serr := stop(); err == nil {
+				err = serr
+			}
+		}
+	}()
+	begin := func(path, what string, start func(io.Writer) error, end func()) error {
+		if path == "" {
+			return nil
+		}
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		if err := start(f); err != nil {
+			f.Close()
+			return fmt.Errorf("start %s: %w", what, err)
+		}
+		stops = append(stops, func() error { end(); return f.Close() })
+		return nil
+	}
+	if err := begin(p.CPU, "cpu profile", pprof.StartCPUProfile, pprof.StopCPUProfile); err != nil {
+		return err
+	}
+	if err := begin(p.Trace, "execution trace", trace.Start, trace.Stop); err != nil {
+		return err
+	}
+	if p.Mem != "" {
+		stops = append(stops, func() error {
+			return harness.WriteFile(p.Mem, func(w io.Writer) error {
+				runtime.GC() // settle the heap so the profile shows retained memory
+				return pprof.Lookup("allocs").WriteTo(w, 0)
+			})
+		})
+	}
+	return work()
 }
 
 // Store is the resumable-sweep flag group: -store and -force.
@@ -189,15 +317,7 @@ func (t Telemetry) Export(sink *harness.TelemetrySink) error {
 		if path == "" {
 			return nil
 		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := render(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := harness.WriteFile(path, render); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "telemetry: %s written to %s\n", what, path)

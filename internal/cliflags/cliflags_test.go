@@ -1,12 +1,16 @@
 package cliflags
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"testing"
+	"time"
 
 	"diam2/internal/harness"
 	"diam2/internal/telemetry"
@@ -142,5 +146,86 @@ func TestTelemetrySetup(t *testing.T) {
 	}
 	if _, err := os.Stat(out); err != nil {
 		t.Errorf("Export wrote no heatmap: %v", err)
+	}
+}
+
+func TestScaleResolve(t *testing.T) {
+	var s Scale
+	parse(t, s.Register)
+	sc, presets, err := s.Resolve()
+	if err != nil || sc.Label != "quick" || sc.Seed != 1 || len(presets) != len(harness.SmallPresets()) {
+		t.Fatalf("defaults resolved to %s seed %d, %d presets, %v", sc.Label, sc.Seed, len(presets), err)
+	}
+	parse(t, s.Register, "-scale", "paper", "-seed", "7")
+	sc, presets, err = s.Resolve()
+	if err != nil || !sc.Paper || sc.Seed != 7 || presets[0].Short != "sf9" {
+		t.Fatalf("-scale paper -seed 7 resolved to %+v, %v", sc, err)
+	}
+	parse(t, s.Register, "-scale", "huge")
+	if _, _, err := s.Resolve(); err == nil {
+		t.Error("unknown -scale resolved")
+	}
+}
+
+func TestSchedWire(t *testing.T) {
+	var s Sched
+	parse(t, s.Register)
+	sc := harness.QuickScale()
+	ctx := context.Background()
+	s.Wire(ctx, &sc, nil)
+	if sc.Cores != 1 || sc.Sched.Workers != 0 || sc.Sched.Ctx != ctx || sc.Sched.OnPoint != nil {
+		t.Errorf("defaults wired cores=%d workers=%d onpoint=%v", sc.Cores, sc.Sched.Workers, sc.Sched.OnPoint != nil)
+	}
+
+	// -progress owns the one progress-line format, engine tag and
+	// caller suffix included.
+	parse(t, s.Register, "-j", "3", "-cores", "2", "-progress")
+	s.Wire(ctx, &sc, func() string { return " workers=2" })
+	if sc.Cores != 2 || sc.Sched.Workers != 3 || sc.Sched.OnPoint == nil {
+		t.Fatalf("-j 3 -cores 2 -progress wired cores=%d workers=%d", sc.Cores, sc.Sched.Workers)
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = w
+	sc.Sched.OnPoint(2, 9, "fig6|x", 1500*time.Microsecond)
+	os.Stderr = saved
+	w.Close()
+	line, _ := io.ReadAll(r)
+	if want := "[2/9] fig6|x (2ms) [engine: 2-core sharded] workers=2\n"; string(line) != want {
+		t.Errorf("progress line %q, want %q", line, want)
+	}
+}
+
+func TestProfileRun(t *testing.T) {
+	var p Profile
+	parse(t, p.Register)
+	boom := errors.New("boom")
+	if err := p.Run(func() error { return boom }); err != boom {
+		t.Fatalf("no profile flags: Run = %v, want the work's error", err)
+	}
+
+	dir := t.TempDir()
+	parse(t, p.Register, "-cpuprofile", dir+"/cpu", "-memprofile", dir+"/mem", "-traceprofile", dir+"/trace")
+	if err := p.Run(func() error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"cpu", "mem", "trace"} {
+		if fi, err := os.Stat(dir + "/" + name); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s: %v, size %v", name, err, fi)
+		}
+	}
+
+	// A trace that cannot start must neither run the work nor leave
+	// the CPU profiler on.
+	parse(t, p.Register, "-cpuprofile", dir+"/cpu2", "-traceprofile", dir+"/no/such/dir/trace")
+	if err := p.Run(func() error { t.Error("work ran"); return nil }); err == nil {
+		t.Fatal("Run with an uncreatable trace file succeeded")
+	}
+	parse(t, p.Register, "-cpuprofile", dir+"/cpu3")
+	if err := p.Run(func() error { return nil }); err != nil {
+		t.Fatalf("CPU profiler still held after a failed Run: %v", err)
 	}
 }

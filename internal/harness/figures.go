@@ -42,12 +42,7 @@ func Fig6Oblivious(presets []Preset, pat PatternKind, loads []float64, scale Sca
 		}
 		for _, kind := range kinds {
 			for _, load := range loads {
-				points = append(points, Point[sim.Results]{
-					Key: fmt.Sprintf("fig6|%s|%s|%s|load=%.4f", p.Name, kind, pat, load),
-					Run: func(ctx context.Context, seed int64) (sim.Results, error) {
-						return RunSynthetic(tp, kind, p.BestAdaptive, pat, load, scale.forPoint(ctx, seed))
-					},
-				})
+				points = append(points, syntheticPoint(pointKey("fig6", p.Name, kind, pat, load), tp, kind, p.BestAdaptive, pat, load, scale, whole))
 			}
 		}
 	}
@@ -116,13 +111,8 @@ func AdaptiveSweep(p Preset, kind AlgKind, varyNI []int, varyC []float64, fixedN
 		}
 		for _, pat := range pats {
 			for _, load := range loads {
-				points = append(points, Point[sim.Results]{
-					Key:  fmt.Sprintf("adaptive|%s|%s|nI=%d|c=%g|%s|load=%.4f", p.Name, kind, v.ni, v.c, pat, load),
-					UGAL: &cfg,
-					Run: func(ctx context.Context, seed int64) (sim.Results, error) {
-						return RunSynthetic(tp, kind, cfg, pat, load, scale.forPoint(ctx, seed))
-					},
-				})
+				key := fmt.Sprintf("adaptive|%s|%s|nI=%d|c=%g|%s|load=%.4f", p.Name, kind, v.ni, v.c, pat, load)
+				points = append(points, syntheticPoint(key, tp, kind, cfg, pat, load, scale, whole))
 			}
 		}
 	}
@@ -152,19 +142,10 @@ func AdaptiveSweep(p Preset, kind AlgKind, varyNI []int, varyC []float64, fixedN
 	return t, nil
 }
 
-// ExchangeKind selects the Section 4.4 exchange.
-type ExchangeKind int
-
-// Exchange patterns.
-const (
-	ExA2A ExchangeKind = iota // all-to-all
-	ExNN                      // 3-D torus nearest neighbor
-)
-
-// buildExchange constructs the exchange workload for a topology. The
+// BuildExchange constructs the exchange workload for a topology. The
 // all-to-all shuffle draws from the scale's pattern seed so every
 // algorithm of a figure runs the identical exchange.
-func buildExchange(tp topo.Topology, kind ExchangeKind, scale Scale) (*traffic.Exchange, error) {
+func BuildExchange(tp topo.Topology, kind ExchangeKind, scale Scale) (*traffic.Exchange, error) {
 	nodes := tp.Nodes()
 	switch kind {
 	case ExA2A:
@@ -218,7 +199,7 @@ func FigExchange(presets []Preset, kind ExchangeKind, scale Scale) (*Table, erro
 					// Each point builds its own workload instance: the
 					// Exchange tracks per-pair progress and must not be
 					// shared between concurrent engines.
-					ex, err := buildExchange(tp, kind, sc)
+					ex, err := BuildExchange(tp, kind, sc)
 					if err != nil {
 						return exResult{}, err
 					}
@@ -239,21 +220,10 @@ func FigExchange(presets []Preset, kind ExchangeKind, scale Scale) (*Table, erro
 			i++
 			name := alg.String()
 			if alg == AlgA {
-				name = p.Name[:pfxLen(p.Name)] + "-A"
+				name = p.Family() + "-A"
 			}
 			t.AddRow(p.Name, name, f3(r.Eff), d(int(r.Res.Cycles)))
 		}
 	}
 	return t, nil
-}
-
-// pfxLen returns the topology-family prefix length of a preset name
-// ("SF(q=13,p=9)" -> "SF").
-func pfxLen(name string) int {
-	for i, c := range name {
-		if c == '(' {
-			return i
-		}
-	}
-	return len(name)
 }

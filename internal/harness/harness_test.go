@@ -1,8 +1,13 @@
 package harness
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"diam2/internal/plot"
 )
 
 func TestTableRender(t *testing.T) {
@@ -142,7 +147,7 @@ func TestRunExchangeQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 	scale := QuickScale()
-	ex, err := buildExchange(tp, ExA2A, scale)
+	ex, err := BuildExchange(tp, ExA2A, scale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,6 +160,35 @@ func TestRunExchangeQuick(t *testing.T) {
 	}
 	if eff <= 0 || eff > 1.05 {
 		t.Errorf("effective throughput %.3f out of range", eff)
+	}
+}
+
+// TestExchangeMeasuredFromCycleZero: a closed-loop exchange is measured
+// whole (Section 4.4). A quick-scale all-to-all drains inside the
+// open-loop warm-up window, so inheriting it reported zero latency,
+// hops and indirect fraction — the numbers an adaptive exchange is run
+// for.
+func TestExchangeMeasuredFromCycleZero(t *testing.T) {
+	p := SmallPresets()[0] // SF(q=5)
+	tp, err := p.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale := QuickScale()
+	ex, err := BuildExchange(tp, ExA2A, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := RunExchange(tp, AlgA, p.BestAdaptive, ex, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cycles >= scale.Warmup {
+		t.Fatalf("exchange took %d cycles; the test needs one that ends inside the %d-cycle warm-up", res.Cycles, scale.Warmup)
+	}
+	if res.Warmup != 0 || res.AvgHops <= 0 || res.AvgLatency <= 0 || res.IndirectFrac <= 0 || res.IndirectFrac > 1 {
+		t.Errorf("warmup=%d avg hops=%.2f avg latency=%.1f indirect=%.3f, want all packets of the exchange measured",
+			res.Warmup, res.AvgHops, res.AvgLatency, res.IndirectFrac)
 	}
 }
 
@@ -336,5 +370,46 @@ func TestTableRenderCSV(t *testing.T) {
 	want := "a,b\n1,\"x,y\"\n2,\"say \"\"hi\"\"\"\n"
 	if b.String() != want {
 		t.Errorf("CSV = %q, want %q", b.String(), want)
+	}
+}
+
+// TestTableFileWriters: the markdown form, and the CSV and SVG files
+// the CLIs' -csvdir/-plotdir ask for — none when the directory flag is
+// unset, the directory created when it is.
+func TestTableFileWriters(t *testing.T) {
+	tab := &Table{Title: "t", Header: []string{"a", "b"}}
+	tab.AddRow("1", "2")
+	ch := &plot.Chart{Title: "t", XLabel: "x", YLabel: "y"}
+	ch.Add(plot.Series{Label: "s", X: []float64{0, 1}, Y: []float64{0, 1}})
+	tab.Charts = []*plot.Chart{ch, ch}
+
+	if got, want := tab.Markdown(), "### t\n\n| a | b |\n|---|---|\n| 1 | 2 |\n\n"; got != want {
+		t.Errorf("markdown = %q, want %q", got, want)
+	}
+
+	if err := tab.WriteCSV("", "fig"); err != nil {
+		t.Fatal(err)
+	}
+	if svgs, err := tab.WriteCharts("", "fig"); err != nil || svgs != nil {
+		t.Fatalf("unset plot directory wrote %v, %v", svgs, err)
+	}
+	dir := filepath.Join(t.TempDir(), "new", "out")
+	if err := tab.WriteCSV(dir, "fig"); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(filepath.Join(dir, "fig.csv")); err != nil || string(data) != "a,b\n1,2\n" {
+		t.Errorf("fig.csv = %q, %v", data, err)
+	}
+	svgs, err := tab.WriteCharts(dir, "fig")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{filepath.Join(dir, "fig_0.svg"), filepath.Join(dir, "fig_1.svg")}; !reflect.DeepEqual(svgs, want) {
+		t.Fatalf("chart paths %v, want %v", svgs, want)
+	}
+	for _, path := range svgs {
+		if data, err := os.ReadFile(path); err != nil || !strings.HasPrefix(string(data), "<svg") {
+			t.Errorf("%s: %v, %.20q", path, err, data)
+		}
 	}
 }

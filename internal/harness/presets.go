@@ -100,37 +100,6 @@ func PresetByShort(name string) (Preset, error) {
 	return Preset{}, fmt.Errorf("unknown topology %q", name)
 }
 
-// AlgKind selects a routing strategy for a run.
-type AlgKind int
-
-// Routing strategies of Section 3.
-const (
-	AlgMIN AlgKind = iota // oblivious minimal
-	AlgINR                // oblivious indirect random (Valiant)
-	AlgA                  // generic UGAL-L adaptive
-	AlgATh                // UGAL-L with threshold (T = 10%)
-)
-
-// String implements fmt.Stringer.
-func (a AlgKind) String() string {
-	switch a {
-	case AlgMIN:
-		return "MIN"
-	case AlgINR:
-		return "INR"
-	case AlgA:
-		return "A"
-	case AlgATh:
-		return "ATh"
-	}
-	return fmt.Sprintf("AlgKind(%d)", int(a))
-}
-
-// usesUGAL reports whether the kind consumes the UGALConfig — and so
-// whether a sweep point must pin the resolved configuration in its
-// canonical store key (Point.UGAL).
-func (a AlgKind) usesUGAL() bool { return a == AlgA || a == AlgATh }
-
 // buildAlg constructs the routing algorithm and the simulator config
 // sized for its VC requirement.
 func buildAlg(t topo.Topology, kind AlgKind, ugal routing.UGALConfig, scale Scale) (sim.RoutingAlgorithm, sim.Config, error) {

@@ -1,22 +1,11 @@
 package harness
 
-import (
-	"fmt"
-	"os"
-	"runtime"
-	"runtime/pprof"
-	"runtime/trace"
-	"sync/atomic"
-)
-
-// Profiling and throughput accounting for the CLIs. The engine's
-// cycle rate is the wall-clock bottleneck of every figure sweep, so
-// both diam2sim and diam2sweep report simulated cycles per second and
-// can capture pprof profiles of a run (see README, "Profiling the
-// engine").
+import "sync/atomic"
 
 // simulatedCycles accumulates the cycles every harness-level run
-// simulates, across all scheduler workers.
+// simulates, across all scheduler workers. The engine's cycle rate is
+// the wall-clock bottleneck of every figure sweep, so diam2sim,
+// diam2sweep and the repository benchmark report it per second.
 var simulatedCycles atomic.Int64
 
 func countCycles(n int64) { simulatedCycles.Add(n) }
@@ -25,72 +14,3 @@ func countCycles(n int64) { simulatedCycles.Add(n) }
 // in this process so far. Sample it before and after a sweep and
 // divide by wall time for the achieved simulation rate.
 func SimulatedCycles() int64 { return simulatedCycles.Load() }
-
-// StartProfiles begins CPU profiling to cpuPath, an execution trace to
-// tracePath, and arranges a heap profile at memPath (any may be
-// empty). The returned stop function finishes all of them; call it
-// once, after the measured work.
-//
-// The execution trace is the tool for the sharded engine: unlike a CPU
-// profile, which says where time went, the trace shows worker
-// goroutines blocking on the cycle barriers — shard imbalance appears
-// as one worker computing while the rest park (`go tool trace`).
-func StartProfiles(cpuPath, memPath, tracePath string) (stop func() error, err error) {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		cpuFile, err = os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			cpuFile.Close()
-			return nil, fmt.Errorf("start cpu profile: %w", err)
-		}
-	}
-	var traceFile *os.File
-	if tracePath != "" {
-		traceFile, err = os.Create(tracePath)
-		if err != nil {
-			if cpuFile != nil {
-				pprof.StopCPUProfile()
-				cpuFile.Close()
-			}
-			return nil, err
-		}
-		if err := trace.Start(traceFile); err != nil {
-			if cpuFile != nil {
-				pprof.StopCPUProfile()
-				cpuFile.Close()
-			}
-			traceFile.Close()
-			return nil, fmt.Errorf("start execution trace: %w", err)
-		}
-	}
-	return func() error {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			if err := cpuFile.Close(); err != nil {
-				return err
-			}
-		}
-		if traceFile != nil {
-			trace.Stop()
-			if err := traceFile.Close(); err != nil {
-				return err
-			}
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				return err
-			}
-			runtime.GC() // settle the heap so the profile shows retained memory
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
-		}
-		return nil
-	}, nil
-}

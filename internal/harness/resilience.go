@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 
 	"diam2/internal/plot"
@@ -125,25 +124,12 @@ func ResilienceSweep(pre Preset, kinds []AlgKind, pats []PatternKind, fracs []fl
 	}
 	var points []Point[sim.Results]
 	for _, kind := range kinds {
-		var pin *UGALConfig
-		if kind.usesUGAL() {
-			pin = &pre.BestAdaptive
-		}
 		for _, pat := range pats {
 			for _, frac := range fracs {
-				points = append(points, Point[sim.Results]{
-					Key:  fmt.Sprintf("resilience|%s|%s|%s|frac=%.4f|load=%.4f", pre.Name, kind, pat, frac, load),
-					UGAL: pin,
-					Run: func(ctx context.Context, seed int64) (sim.Results, error) {
-						scf := sc.forPoint(ctx, seed)
-						scf.Faults = FaultPlan{FailFrac: frac, FailAt: resilienceFailAt(sc)}
-						res, err := RunSynthetic(tp, kind, pre.BestAdaptive, pat, load, scf)
-						if err != nil {
-							return sim.Results{}, fmt.Errorf("resilience %s %s %s frac %.2f: %w", pre.Name, kind, pat, frac, err)
-						}
-						return res, nil
-					},
-				})
+				scf := sc
+				scf.Faults = FaultPlan{FailFrac: frac, FailAt: resilienceFailAt(sc)}
+				key := fmt.Sprintf("resilience|%s|%s|%s|frac=%.4f|load=%.4f", pre.Name, kind, pat, frac, load)
+				points = append(points, syntheticPoint(key, tp, kind, pre.BestAdaptive, pat, load, scf, whole))
 			}
 		}
 	}

@@ -227,7 +227,12 @@ func (s Scale) run(t topo.Topology, kind AlgKind, ugal UGALConfig, label string,
 		return sim.Results{}, cfg, err
 	}
 	defer e.Stop()
-	e.Warmup = s.Warmup
+	if !closedLoop {
+		// Warm-up only gates the statistics, and a closed loop is
+		// measured whole (Section 4.4): an exchange can finish inside
+		// the open-loop warm-up window.
+		e.Warmup = s.Warmup
+	}
 	if err := s.Faults.apply(e, t, s); err != nil {
 		return sim.Results{}, cfg, err
 	}
@@ -266,23 +271,6 @@ func (s Scale) SimConfig(numVCs int) sim.Config {
 	return cfg
 }
 
-// PatternKind selects the synthetic traffic pattern.
-type PatternKind int
-
-// Synthetic patterns of Section 4.3.
-const (
-	PatUNI PatternKind = iota // global uniform random
-	PatWC                     // per-topology adversarial worst case
-)
-
-// String implements fmt.Stringer.
-func (p PatternKind) String() string {
-	if p == PatUNI {
-		return "UNI"
-	}
-	return "WC"
-}
-
 // RunSynthetic executes one open-loop run and returns its results.
 func RunSynthetic(t topo.Topology, kind AlgKind, ugal UGALConfig, pat PatternKind, load float64, scale Scale) (sim.Results, error) {
 	label := fmt.Sprintf("%s|%s|%s|load=%.4f|seed=%d", t.Name(), kind, pat, load, scale.Seed)
@@ -319,27 +307,45 @@ func RunExchange(t topo.Topology, kind AlgKind, ugal UGALConfig, ex *traffic.Exc
 	return res, eff, nil
 }
 
+// syntheticPoint is the scheduler point of one open-loop run under
+// key — the one place a point key meets RunSynthetic. An adaptive kind
+// pins its resolved UGAL configuration for the store's canonical key
+// (the key string names the kind, not every knob: diam2sim -ni/-c
+// override them without renaming anything); the run takes the point's
+// derived seed and the scheduler's context; out shapes the payload the
+// store records.
+func syntheticPoint[T any](key string, t topo.Topology, kind AlgKind, ugal UGALConfig, pat PatternKind, load float64, scale Scale, out func(sim.Results) T) Point[T] {
+	p := Point[T]{Key: key, Run: func(ctx context.Context, seed int64) (T, error) {
+		res, err := RunSynthetic(t, kind, ugal, pat, load, scale.forPoint(ctx, seed))
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		return out(res), nil
+	}}
+	if kind.usesUGAL() {
+		p.UGAL = &ugal
+	}
+	return p
+}
+
+// pointKey is the scheduler key of the per-load point families:
+// family|topology|routing|pattern|load.
+func pointKey(family, topoName string, kind AlgKind, pat PatternKind, load float64) string {
+	return fmt.Sprintf("%s|%s|%s|%s|load=%.4f", family, topoName, kind, pat, load)
+}
+
+// whole keeps a run's full results as the point's payload.
+func whole(res sim.Results) sim.Results { return res }
+
 // SaturationPoint sweeps offered load and returns the highest load at
 // which delivered throughput still tracks the offer within tol
 // (e.g. 0.05 = 5%), along with the full curve. The load ladder runs
 // through the experiment scheduler (scale.Sched), one point per load.
 func SaturationPoint(t topo.Topology, kind AlgKind, ugal UGALConfig, pat PatternKind, loads []float64, tol float64, scale Scale) (float64, []LoadPoint, error) {
-	// The sat key string does not carry the UGAL knobs (diam2sim -ni/-c
-	// override them without renaming anything), so adaptive points pin
-	// the resolved configuration for the store's canonical key.
-	var pin *UGALConfig
-	if kind.usesUGAL() {
-		pin = &ugal
-	}
 	points := make([]Point[sim.Results], 0, len(loads))
 	for _, load := range loads {
-		points = append(points, Point[sim.Results]{
-			Key:  fmt.Sprintf("sat|%s|%s|%s|load=%.4f", t.Name(), kind, pat, load),
-			UGAL: pin,
-			Run: func(ctx context.Context, seed int64) (sim.Results, error) {
-				return RunSynthetic(t, kind, ugal, pat, load, scale.forPoint(ctx, seed))
-			},
-		})
+		points = append(points, syntheticPoint(pointKey("sat", t.Name(), kind, pat, load), t, kind, ugal, pat, load, scale, whole))
 	}
 	results, err := Collect(scale, points)
 	if err != nil {
@@ -348,9 +354,8 @@ func SaturationPoint(t topo.Topology, kind AlgKind, ugal UGALConfig, pat Pattern
 	curve := make([]LoadPoint, 0, len(loads))
 	sat := 0.0
 	for i, load := range loads {
-		res := results[i]
-		curve = append(curve, LoadPoint{Load: load, Throughput: res.Throughput, AvgLatency: res.AvgLatency})
-		if res.Throughput >= load*(1-tol) {
+		curve = append(curve, loadPoint(load, results[i]))
+		if results[i].Throughput >= load*(1-tol) {
 			sat = load
 		}
 	}
@@ -362,4 +367,9 @@ type LoadPoint struct {
 	Load       float64
 	Throughput float64
 	AvgLatency float64
+}
+
+// loadPoint samples a run's results at its offered load.
+func loadPoint(load float64, res sim.Results) LoadPoint {
+	return LoadPoint{Load: load, Throughput: res.Throughput, AvgLatency: res.AvgLatency}
 }

@@ -1,14 +1,13 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"diam2/internal/fluid"
+	"diam2/internal/sim"
 	"diam2/internal/store"
 )
 
@@ -28,31 +27,26 @@ import (
 // fluid saturation estimate against the simulator's delivered plateau
 // for all nine golden scenarios.
 
-// Screening-tier counters, mirroring the cycle accounting in
-// profile.go: estimates answered analytically and points escalated to
-// the simulator, across all scheduler workers.
-var (
-	screenEstimates atomic.Int64
-	screenEscalated atomic.Int64
-)
-
-// ScreenedEstimates returns the analytic estimates answered by this
-// process so far.
-func ScreenedEstimates() int64 { return screenEstimates.Load() }
-
-// EscalatedPoints returns the screened points this process re-ran at
-// flit-level fidelity.
-func EscalatedPoints() int64 { return screenEscalated.Load() }
-
 // ScreenPoint is one answered screening point: the grid coordinates
 // plus the fluid model's estimate. It is the store payload of the
 // fluid tier, so every field must survive a JSON round trip.
 type ScreenPoint struct {
-	Topo   string // topology instance, e.g. "SF(q=5,p=3)"
-	Family string // topology family: "SF", "MLFM", "OFT", ...
-	Alg    string // routing: "MIN" or "INR"
-	Pat    string // pattern: "UNI" or "WC"
+	Topo   string      // topology instance, e.g. "SF(q=5,p=3)"
+	Family string      // topology family: "SF", "MLFM", "OFT", ...
+	Alg    AlgKind     // routing, by name on the wire
+	Pat    PatternKind // pattern, by name on the wire
 	fluid.Estimate
+}
+
+// Tolerance returns the recorded calibration tolerance of the point's
+// (family, pattern, routing) scenario; false when no golden scenario
+// (fluid.Scenarios) covers it.
+func (p ScreenPoint) Tolerance() (float64, bool) {
+	rt, err := fluidRouting(p.Alg)
+	if err != nil {
+		return 0, false
+	}
+	return fluid.ToleranceFor(p.Family, fluidPattern(p.Pat), rt)
 }
 
 // ScreenSpec selects the grid a screening sweep covers. Zero-value
@@ -95,18 +89,19 @@ func ScreenGridLoads(n int) []float64 {
 // stores — must agree on this format, or cache hits silently stop
 // matching.
 func ScreenPointKey(topoName string, alg AlgKind, pat PatternKind, load float64) string {
-	return fmt.Sprintf("screen|%s|%s|%s|load=%.4f", topoName, alg, pat, load)
+	return pointKey("screen", topoName, alg, pat, load)
 }
 
 // EscalatePointKey is the scheduler point key of one escalated
 // (sim-tier) screening point, shared by EscalateSweep and the query
 // service for the same reason as ScreenPointKey.
 func EscalatePointKey(topoName string, alg AlgKind, pat PatternKind, load float64) string {
-	return fmt.Sprintf("escalate|%s|%s|%s|load=%.4f", topoName, alg, pat, load)
+	return pointKey("escalate", topoName, alg, pat, load)
 }
 
 // fluidRouting maps a harness algorithm kind to its analytic
 // counterpart; adaptive kinds have none (see fluid.ErrUnsupportedRouting).
+// This is where "the fluid tier answers MIN and INR only" is decided.
 func fluidRouting(kind AlgKind) (fluid.Routing, error) {
 	switch kind {
 	case AlgMIN:
@@ -115,6 +110,13 @@ func fluidRouting(kind AlgKind) (fluid.Routing, error) {
 		return fluid.RoutingValiant, nil
 	}
 	return 0, fmt.Errorf("%w: %s", fluid.ErrUnsupportedRouting, kind)
+}
+
+// Screenable returns nil for the routing kinds the fluid tier answers
+// and an error wrapping fluid.ErrUnsupportedRouting for the rest.
+func Screenable(kind AlgKind) error {
+	_, err := fluidRouting(kind)
+	return err
 }
 
 // fluidPattern maps a harness pattern kind to the analytic one.
@@ -149,7 +151,7 @@ func (p Preset) Family() string {
 func ScreenSweep(presets []Preset, spec ScreenSpec, scale Scale) ([]ScreenPoint, error) {
 	spec = spec.withDefaults()
 	for _, alg := range spec.Algs {
-		if _, err := fluidRouting(alg); err != nil {
+		if err := Screenable(alg); err != nil {
 			return nil, err
 		}
 	}
@@ -213,11 +215,10 @@ func SelectEscalations(points []ScreenPoint, band float64) []EscalationPick {
 	}
 	// Crossovers: index points by (alg, pat, topo) -> load ladder, then
 	// compare every cross-family topology pair load by load.
-	type ladderKey struct{ alg, pat, topo string }
-	ladders := make(map[ladderKey][]int)
-	var order []ladderKey
+	ladders := make(map[screenerComboKey][]int)
+	var order []screenerComboKey
 	for i, p := range points {
-		k := ladderKey{p.Alg, p.Pat, p.Topo}
+		k := screenerComboKey{p.Topo, p.Alg, p.Pat}
 		if _, ok := ladders[k]; !ok {
 			order = append(order, k)
 		}
@@ -293,28 +294,6 @@ type Escalation struct {
 	Within    bool
 }
 
-// ParseAlgKind inverts AlgKind.String for the kinds screening emits.
-func ParseAlgKind(s string) (AlgKind, error) {
-	switch s {
-	case "MIN":
-		return AlgMIN, nil
-	case "INR":
-		return AlgINR, nil
-	}
-	return 0, fmt.Errorf("harness: unknown screening algorithm %q", s)
-}
-
-// ParsePatternKind inverts PatternKind.String.
-func ParsePatternKind(s string) (PatternKind, error) {
-	switch s {
-	case "UNI":
-		return PatUNI, nil
-	case "WC":
-		return PatWC, nil
-	}
-	return 0, fmt.Errorf("harness: unknown screening pattern %q", s)
-}
-
 // EscalateSweep re-runs the picked points through the flit-level
 // simulator and scores each against its fluid estimate. presets must
 // cover every topology the picks name.
@@ -336,27 +315,12 @@ func (s *Screener) Escalate(picks []EscalationPick, scale Scale) ([]Escalation, 
 		if err != nil {
 			return nil, err
 		}
-		alg, err := ParseAlgKind(pick.Point.Alg)
-		if err != nil {
-			return nil, err
-		}
-		pat, err := ParsePatternKind(pick.Point.Pat)
-		if err != nil {
-			return nil, err
-		}
-		load := pick.Point.Load
-		points = append(points, Point[LoadPoint]{
-			Key: EscalatePointKey(st.preset.Name, alg, pat, load),
-			Run: func(ctx context.Context, seed int64) (LoadPoint, error) {
-				res, err := RunSynthetic(st.tp, alg, st.preset.BestAdaptive, pat, load, scale.forPoint(ctx, seed))
-				if err != nil {
-					return LoadPoint{}, err
-				}
-				screenEscalated.Add(1)
+		alg, pat, load := pick.Point.Alg, pick.Point.Pat, pick.Point.Load
+		points = append(points, syntheticPoint(EscalatePointKey(st.preset.Name, alg, pat, load), st.tp, alg, st.preset.BestAdaptive, pat, load, scale,
+			func(res sim.Results) LoadPoint {
 				s.reg.AddScreen(0, 1)
-				return LoadPoint{Load: load, Throughput: res.Throughput, AvgLatency: res.AvgLatency}, nil
-			},
-		})
+				return loadPoint(load, res)
+			}))
 	}
 	sims, err := Collect(scale, points)
 	if err != nil {
@@ -364,8 +328,7 @@ func (s *Screener) Escalate(picks []EscalationPick, scale Scale) ([]Escalation, 
 	}
 	out := make([]Escalation, len(picks))
 	for i, pick := range picks {
-		rt, _ := fluidRouting(mustAlg(pick.Point.Alg))
-		tol, recorded := fluid.ToleranceFor(pick.Point.Family, fluidPattern(mustPat(pick.Point.Pat)), rt)
+		tol, recorded := pick.Point.Tolerance()
 		rel := math.Inf(1)
 		if sims[i].Throughput > 0 {
 			rel = math.Abs(pick.Point.Throughput-sims[i].Throughput) / sims[i].Throughput
@@ -380,18 +343,6 @@ func (s *Screener) Escalate(picks []EscalationPick, scale Scale) ([]Escalation, 
 		}
 	}
 	return out, nil
-}
-
-// mustAlg/mustPat re-parse strings already validated by EscalateSweep's
-// point-construction loop.
-func mustAlg(s string) AlgKind {
-	k, _ := ParseAlgKind(s)
-	return k
-}
-
-func mustPat(s string) PatternKind {
-	k, _ := ParsePatternKind(s)
-	return k
 }
 
 // Calibrate pins the fluid model against the simulator: for each of
@@ -425,12 +376,14 @@ func Calibrate(presets []Preset, scale Scale) ([]fluid.Calibration, error) {
 	fluidSats := make([]float64, len(scens))
 	points := make([]Point[LoadPoint], 0, len(scens))
 	for i, s := range scens {
-		alg, pat := AlgMIN, PatUNI
-		if s.Routing == fluid.RoutingValiant {
-			alg = AlgINR
+		// The fluid package prints its scenarios in this vocabulary.
+		alg, err := ParseAlg(s.Routing.String())
+		if err != nil {
+			return nil, err
 		}
-		if s.Pattern == fluid.PatternWorstCase {
-			pat = PatWC
+		pat, err := ParsePattern(s.Pattern.String())
+		if err != nil {
+			return nil, err
 		}
 		preset := first[s.Family]
 		sp, err := scr.Point(preset.Name, alg, pat, 1.0)
@@ -439,16 +392,8 @@ func Calibrate(presets []Preset, scale Scale) ([]fluid.Calibration, error) {
 		}
 		fluidSats[i] = sp.Saturation
 		tp := scr.topos[preset.Name].tp
-		points = append(points, Point[LoadPoint]{
-			Key: fmt.Sprintf("calibrate|%s|%s|%s|load=1.0000", preset.Name, alg, pat),
-			Run: func(ctx context.Context, seed int64) (LoadPoint, error) {
-				res, err := RunSynthetic(tp, alg, preset.BestAdaptive, pat, 1.0, scale.forPoint(ctx, seed))
-				if err != nil {
-					return LoadPoint{}, err
-				}
-				return LoadPoint{Load: 1.0, Throughput: res.Throughput, AvgLatency: res.AvgLatency}, nil
-			},
-		})
+		points = append(points, syntheticPoint(pointKey("calibrate", preset.Name, alg, pat, 1.0), tp, alg, preset.BestAdaptive, pat, 1.0, scale,
+			func(res sim.Results) LoadPoint { return loadPoint(1.0, res) }))
 	}
 	sims, err := Collect(scale, points)
 	if err != nil {
@@ -469,12 +414,11 @@ func ScreenTable(points []ScreenPoint) *Table {
 		Title:  "Screening tier: fluid-model estimates",
 		Header: []string{"topology", "routing", "pattern", "saturation", "max link load", "avg hops", "loads"},
 	}
-	type comboKey struct{ topo, alg, pat string }
-	counts := make(map[comboKey]int)
-	var order []comboKey
-	rep := make(map[comboKey]ScreenPoint)
+	counts := make(map[screenerComboKey]int)
+	var order []screenerComboKey
+	rep := make(map[screenerComboKey]ScreenPoint)
 	for _, p := range points {
-		k := comboKey{p.Topo, p.Alg, p.Pat}
+		k := screenerComboKey{p.Topo, p.Alg, p.Pat}
 		if _, ok := counts[k]; !ok {
 			order = append(order, k)
 			rep[k] = p
@@ -483,7 +427,7 @@ func ScreenTable(points []ScreenPoint) *Table {
 	}
 	for _, k := range order {
 		p := rep[k]
-		t.AddRow(k.topo, k.alg, k.pat, f3(p.Saturation), f3(p.MaxLinkLoad), f2(p.AvgHops), d(counts[k]))
+		t.AddRow(k.topo, k.alg.String(), k.pat.String(), f3(p.Saturation), f3(p.MaxLinkLoad), f2(p.AvgHops), d(counts[k]))
 	}
 	return t
 }
@@ -502,7 +446,7 @@ func EscalationTable(escs []Escalation) *Table {
 			within = fmt.Sprintf("%v", e.Within)
 		}
 		p := e.Pick.Point
-		t.AddRow(p.Topo, p.Alg, p.Pat, f3(p.Load), strings.Join(e.Pick.Reasons, "+"),
+		t.AddRow(p.Topo, p.Alg.String(), p.Pat.String(), f3(p.Load), strings.Join(e.Pick.Reasons, "+"),
 			f3(p.Throughput), f3(e.Sim.Throughput), f3(e.RelErr), tol, within)
 	}
 	return t

@@ -38,10 +38,10 @@ func TestScreenSweepClosedForms(t *testing.T) {
 	// 1/h for MLFM (h=6), 1/k for OFT (k=6) — 1/6 for all three here.
 	sats := map[string]float64{}
 	for _, p := range points {
-		if p.Alg == "MIN" && p.Pat == "WC" {
+		if p.Alg == AlgMIN && p.Pat == PatWC {
 			sats[p.Topo] = p.Saturation
 		}
-		if p.Alg == "MIN" && p.Pat == "UNI" && p.Saturation < 0.85 {
+		if p.Alg == AlgMIN && p.Pat == PatUNI && p.Saturation < 0.85 {
 			t.Errorf("%s UNI MIN saturation %.3f, want near full bandwidth", p.Topo, p.Saturation)
 		}
 	}
@@ -53,8 +53,8 @@ func TestScreenSweepClosedForms(t *testing.T) {
 	// Grid order: presets outermost, then algs, pats, loads.
 	i := 0
 	for _, p := range presets {
-		for _, alg := range []string{"MIN", "INR"} {
-			for _, pat := range []string{"UNI", "WC"} {
+		for _, alg := range []AlgKind{AlgMIN, AlgINR} {
+			for _, pat := range []PatternKind{PatUNI, PatWC} {
 				for _, load := range spec.Loads {
 					got := points[i]
 					if got.Topo != p.Name || got.Alg != alg || got.Pat != pat || got.Load != load {
@@ -132,7 +132,7 @@ func TestScreenTierKeysDistinct(t *testing.T) {
 	fluidScale.Tier = store.TierFluid
 	simScale.Tier = store.TierSim
 	for _, p := range points {
-		pointKey := "screen|" + p.Topo + "|" + p.Alg + "|" + p.Pat + "|load=" + strconv.FormatFloat(p.Load, 'f', 4, 64)
+		pointKey := "screen|" + p.Topo + "|" + p.Alg.String() + "|" + p.Pat.String() + "|load=" + strconv.FormatFloat(p.Load, 'f', 4, 64)
 		fk := fluidScale.pointConfig(pointKey).Key()
 		sk := simScale.pointConfig(pointKey).Key()
 		if fk == sk {
@@ -166,7 +166,15 @@ func TestScreenTierKeysDistinct(t *testing.T) {
 }
 
 // screenPt builds a synthetic screened point for selection tests.
-func screenPt(topoName, family, alg, pat string, load, sat, thr float64) ScreenPoint {
+func screenPt(topoName, family, algName, patName string, load, sat, thr float64) ScreenPoint {
+	alg, err := ParseAlg(algName)
+	if err != nil {
+		panic(err)
+	}
+	pat, err := ParsePattern(patName)
+	if err != nil {
+		panic(err)
+	}
 	return ScreenPoint{
 		Topo: topoName, Family: family, Alg: alg, Pat: pat,
 		Estimate: fluid.Estimate{Load: load, Saturation: sat, Throughput: thr, AvgLatency: 1},
@@ -354,40 +362,35 @@ func TestScreenGridLoads(t *testing.T) {
 	}
 }
 
-// TestScreenCountersAdvance: the process-wide screening counter grows
-// by exactly the number of analytically answered points.
+// TestScreenCountersAdvance: the registry's screening counter grows by
+// exactly the number of analytically answered points.
 func TestScreenCountersAdvance(t *testing.T) {
-	before := ScreenedEstimates()
-	beforeEsc := EscalatedPoints()
-	points, err := ScreenSweep(SmallPresets()[:1], quickScreenSpec(), QuickScale())
+	sc := QuickScale()
+	sc.Telemetry.Registry = telemetry.NewRegistry()
+	points, err := ScreenSweep(SmallPresets()[:1], quickScreenSpec(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if delta := ScreenedEstimates() - before; delta != int64(len(points)) {
-		t.Errorf("ScreenedEstimates grew by %d for %d screened points", delta, len(points))
+	snap := sc.Telemetry.Registry.Snapshot()
+	if snap.ScreenEstimates != int64(len(points)) {
+		t.Errorf("registry counted %d estimates for %d screened points", snap.ScreenEstimates, len(points))
 	}
-	if EscalatedPoints() != beforeEsc {
+	if snap.ScreenEscalations != 0 {
 		t.Error("screen-only sweep advanced the escalation counter")
 	}
 
 	// A served cold query submits one Screener.SchedPoint: it must
-	// advance the process counter and the registry together.
-	sc := QuickScale()
-	sc.Telemetry.Registry = telemetry.NewRegistry()
+	// advance the registry by one.
 	scr, err := NewScreener(SmallPresets()[:1], sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before = ScreenedEstimates()
 	pt := scr.SchedPoint(SmallPresets()[0].Name, AlgMIN, PatUNI, 0.5)
 	if _, err := Collect(sc, []Point[ScreenPoint]{pt}); err != nil {
 		t.Fatal(err)
 	}
-	if delta := ScreenedEstimates() - before; delta != 1 {
-		t.Errorf("ScreenedEstimates grew by %d for one served point", delta)
-	}
-	if got := sc.Telemetry.Registry.Snapshot().ScreenEstimates; got != 1 {
-		t.Errorf("registry counted %d estimates for one served point", got)
+	if delta := sc.Telemetry.Registry.Snapshot().ScreenEstimates - snap.ScreenEstimates; delta != 1 {
+		t.Errorf("registry counted %d estimates for one served point", delta)
 	}
 }
 
@@ -494,25 +497,45 @@ func TestCalibrateMissingFamily(t *testing.T) {
 	}
 }
 
-// TestParseScreenKinds: the parsers invert the String forms screening
-// emits and reject everything else (adaptive kinds never screen).
+// TestParseScreenKinds: each kind's parser inverts its String for every
+// member in either case and rejects everything else; the fluid tier,
+// not the parser, is what turns the adaptive kinds away.
 func TestParseScreenKinds(t *testing.T) {
-	if k, err := ParseAlgKind("INR"); err != nil || k != AlgINR {
-		t.Errorf("ParseAlgKind(INR) = %v, %v", k, err)
+	for _, spell := range []func(string) string{strings.ToUpper, strings.ToLower, func(s string) string { return s }} {
+		for _, k := range []AlgKind{AlgMIN, AlgINR, AlgA, AlgATh} {
+			if got, err := ParseAlg(spell(k.String())); err != nil || got != k {
+				t.Errorf("ParseAlg(%q) = %v, %v", spell(k.String()), got, err)
+			}
+		}
+		for _, k := range []PatternKind{PatUNI, PatWC} {
+			if got, err := ParsePattern(spell(k.String())); err != nil || got != k {
+				t.Errorf("ParsePattern(%q) = %v, %v", spell(k.String()), got, err)
+			}
+		}
+		for _, k := range []ExchangeKind{ExA2A, ExNN} {
+			if got, err := ParseExchange(spell(k.String())); err != nil || got != k {
+				t.Errorf("ParseExchange(%q) = %v, %v", spell(k.String()), got, err)
+			}
+		}
 	}
-	if _, err := ParseAlgKind("ATh"); err == nil {
-		t.Error("ParseAlgKind accepted an adaptive kind")
+	if _, err := ParseAlg("UGAL"); err == nil {
+		t.Error("ParseAlg accepted an unknown name")
 	}
-	if k, err := ParsePatternKind("WC"); err != nil || k != PatWC {
-		t.Errorf("ParsePatternKind(WC) = %v, %v", k, err)
+	if _, err := ParsePattern("A2A"); err == nil {
+		t.Error("ParsePattern accepted an exchange name")
 	}
-	if k, err := ParsePatternKind("UNI"); err != nil || k != PatUNI {
-		t.Errorf("ParsePatternKind(UNI) = %v, %v", k, err)
+	if _, err := ParseExchange(""); err == nil {
+		t.Error("ParseExchange accepted the empty name")
+	}
+	for _, k := range []AlgKind{AlgA, AlgATh} {
+		if err := Screenable(k); !errors.Is(err, fluid.ErrUnsupportedRouting) {
+			t.Errorf("Screenable(%s) = %v, want ErrUnsupportedRouting", k, err)
+		}
+	}
+	if err := Screenable(AlgINR); err != nil {
+		t.Errorf("Screenable(INR) = %v", err)
 	}
 	if got := (Preset{Name: "bare"}).Family(); got != "bare" {
 		t.Errorf("Family of a parameterless preset = %q, want the name itself", got)
-	}
-	if _, err := ParsePatternKind("A2A"); err == nil {
-		t.Error("ParsePatternKind accepted a non-screening pattern")
 	}
 }

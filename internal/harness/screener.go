@@ -94,9 +94,6 @@ func NewScreener(presets []Preset, scale Scale) (*Screener, error) {
 	return s, nil
 }
 
-// Presets returns the screener's preset set in construction order.
-func (s *Screener) Presets() []Preset { return s.presets }
-
 // Preset returns the named preset.
 func (s *Screener) Preset(name string) (Preset, bool) {
 	st, ok := s.topos[name]
@@ -168,8 +165,8 @@ func (s *Screener) Point(topoName string, alg AlgKind, pat PatternKind, load flo
 	return ScreenPoint{
 		Topo:     st.preset.Name,
 		Family:   st.family,
-		Alg:      alg.String(),
-		Pat:      pat.String(),
+		Alg:      alg,
+		Pat:      pat,
 		Estimate: st.model.EstimateAt(c.loads, c.hops, load, s.cfg),
 	}, nil
 }
@@ -184,7 +181,6 @@ func (s *Screener) SchedPoint(topoName string, alg AlgKind, pat PatternKind, loa
 		Run: func(context.Context, int64) (ScreenPoint, error) {
 			sp, err := s.Point(topoName, alg, pat, load)
 			if err == nil {
-				screenEstimates.Add(1)
 				s.reg.AddScreen(1, 0)
 			}
 			return sp, err

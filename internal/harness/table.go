@@ -3,6 +3,8 @@ package harness
 import (
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 
 	"diam2/internal/plot"
@@ -104,4 +106,66 @@ func (t *Table) RenderCSV(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// Markdown returns the table as a markdown section: a "###" heading
+// and a pipe table.
+func (t *Table) Markdown() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "### %s\n\n", t.Title)
+	b.WriteString("| " + strings.Join(t.Header, " | ") + " |\n")
+	b.WriteString("|" + strings.Repeat("---|", len(t.Header)) + "\n")
+	for _, row := range t.Rows {
+		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
+	}
+	b.WriteString("\n")
+	return b.String()
+}
+
+// WriteFile creates path and writes it through render, reporting the
+// close error of a file it wrote in full.
+func WriteFile(path string, render func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := render(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// writeIn writes dir/name through render, creating dir, and returns
+// the path; an empty dir (a CLI's unset output-directory flag) writes
+// nothing.
+func writeIn(dir, name string, render func(io.Writer) error) (string, error) {
+	if dir == "" {
+		return "", nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
+	}
+	path := filepath.Join(dir, name)
+	return path, WriteFile(path, render)
+}
+
+// WriteCSV writes the table as dir/name.csv (see writeIn).
+func (t *Table) WriteCSV(dir, name string) error {
+	_, err := writeIn(dir, name+".csv", t.RenderCSV)
+	return err
+}
+
+// WriteCharts writes chart i of the table as dir/prefix_i.svg (see
+// writeIn) and returns the paths written, in chart order.
+func (t *Table) WriteCharts(dir, prefix string) ([]string, error) {
+	var paths []string
+	for i, ch := range t.Charts {
+		path, err := writeIn(dir, fmt.Sprintf("%s_%d.svg", prefix, i), func(w io.Writer) error { return ch.RenderSVG(w, 640, 420) })
+		if err != nil || path == "" {
+			return nil, err
+		}
+		paths = append(paths, path)
+	}
+	return paths, nil
 }

@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"diam2/internal/campaign"
-	"diam2/internal/fluid"
 	"diam2/internal/harness"
 	"diam2/internal/store"
 	"diam2/internal/telemetry"
@@ -59,8 +58,8 @@ const (
 // Query is one design-space question.
 type Query struct {
 	Topo    string  `json:"topo"`    // preset name, e.g. "SF(q=5,p=3)"
-	Routing string  `json:"routing"` // "MIN" or "INR"
-	Pattern string  `json:"pattern"` // "UNI" or "WC"
+	Routing string  `json:"routing"` // a harness.AlgKind the fluid tier answers: MIN or INR
+	Pattern string  `json:"pattern"` // a harness.PatternKind: UNI or WC
 	Load    float64 `json:"load"`    // offered load fraction in (0, 1]
 }
 
@@ -313,7 +312,7 @@ func (s *Server) resolve(ctx context.Context, q Query) (Answer, error) {
 		// pure computation, never stored from here.
 		if sp, err := s.scr.Point(q.Topo, alg, pat, q.Load); err == nil {
 			ans.Estimate = &sp
-			ans.Tolerance = s.tolerance(sp, alg, pat)
+			ans.Tolerance = tolerance(sp)
 		}
 		return ans, nil
 	}
@@ -333,7 +332,7 @@ func (s *Server) resolve(ctx context.Context, q Query) (Answer, error) {
 			return Answer{}, err
 		}
 	}
-	ans := Answer{Query: q, Tier: tier, Key: fluidKey, Estimate: &sp, Tolerance: s.tolerance(sp, alg, pat)}
+	ans := Answer{Query: q, Tier: tier, Key: fluidKey, Estimate: &sp, Tolerance: tolerance(sp)}
 
 	// Tier 3: the escalation policy decides whether this point
 	// deserves flit-level fidelity; if so the client gets a ticket to
@@ -360,11 +359,13 @@ func (s *Server) normalize(q *Query) (harness.AlgKind, harness.PatternKind, erro
 		}
 		return 0, 0, badQuery("unknown topology %q (serving: %v)", q.Topo, names)
 	}
-	alg, err := harness.ParseAlgKind(q.Routing)
-	if err != nil {
+	// An adaptive kind parses, but every answer carries an analytic
+	// estimate and the fluid tier has none for it.
+	alg, err := harness.ParseAlg(q.Routing)
+	if err != nil || harness.Screenable(alg) != nil {
 		return 0, 0, badQuery("routing %q: want MIN or INR", q.Routing)
 	}
-	pat, err := harness.ParsePatternKind(q.Pattern)
+	pat, err := harness.ParsePattern(q.Pattern)
 	if err != nil {
 		return 0, 0, badQuery("pattern %q: want UNI or WC", q.Pattern)
 	}
@@ -374,17 +375,9 @@ func (s *Server) normalize(q *Query) (harness.AlgKind, harness.PatternKind, erro
 	return alg, pat, nil
 }
 
-// tolerance looks up the calibration stamp for an analytic answer.
-func (s *Server) tolerance(sp harness.ScreenPoint, alg harness.AlgKind, pat harness.PatternKind) *Tolerance {
-	rt := fluid.RoutingMinimal
-	if alg == harness.AlgINR {
-		rt = fluid.RoutingValiant
-	}
-	fp := fluid.PatternUniform
-	if pat == harness.PatWC {
-		fp = fluid.PatternWorstCase
-	}
-	tol, recorded := fluid.ToleranceFor(sp.Family, fp, rt)
+// tolerance is the calibration stamp of an analytic answer.
+func tolerance(sp harness.ScreenPoint) *Tolerance {
+	tol, recorded := sp.Tolerance()
 	return &Tolerance{RelErr: tol, Recorded: recorded}
 }
 

@@ -88,7 +88,7 @@ func TestResolveTierLadder(t *testing.T) {
 	s := newTestServer(t, nil)
 	ctx := context.Background()
 
-	estimates := harness.ScreenedEstimates()
+	estimates := s.cfg.Registry.Snapshot().ScreenEstimates
 	cold, err := s.Resolve(ctx, testQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -96,8 +96,8 @@ func TestResolveTierLadder(t *testing.T) {
 	if cold.Tier != TierFluid {
 		t.Fatalf("cold query answered from %q, want %q", cold.Tier, TierFluid)
 	}
-	if delta := harness.ScreenedEstimates() - estimates; delta != 1 {
-		t.Errorf("a served cold query advanced harness.ScreenedEstimates by %d, want 1", delta)
+	if delta := s.cfg.Registry.Snapshot().ScreenEstimates - estimates; delta != 1 {
+		t.Errorf("a served cold query advanced the registry's ScreenEstimates by %d, want 1", delta)
 	}
 	if cold.Estimate == nil || cold.Estimate.Saturation <= 0 {
 		t.Fatalf("cold estimate = %+v", cold.Estimate)
@@ -293,6 +293,8 @@ func TestBadQueries(t *testing.T) {
 	for _, q := range []Query{
 		{Topo: "Nope(1)", Routing: "MIN", Pattern: "UNI", Load: 0.5},
 		{Topo: "SF(q=5,p=3)", Routing: "UGAL", Pattern: "UNI", Load: 0.5},
+		{Topo: "SF(q=5,p=3)", Routing: "A", Pattern: "UNI", Load: 0.5},
+		{Topo: "SF(q=5,p=3)", Routing: "ATh", Pattern: "UNI", Load: 0.5},
 		{Topo: "SF(q=5,p=3)", Routing: "MIN", Pattern: "A2A", Load: 0.5},
 		{Topo: "SF(q=5,p=3)", Routing: "MIN", Pattern: "UNI", Load: 0},
 		{Topo: "SF(q=5,p=3)", Routing: "MIN", Pattern: "UNI", Load: 1.5},

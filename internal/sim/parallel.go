@@ -116,10 +116,6 @@ type ParallelOptions struct {
 	RouterPartition []int
 }
 
-// ParallelEngine is the name bench/ and older callers give the engine
-// NewParallelEngine returns.
-type ParallelEngine = Engine
-
 // shardSeed derives shard s's rng seed. A one-shard engine keeps the
 // configured seed unchanged; otherwise seeds are decorrelated with a
 // splitmix64 finalizer, depending only on (seed, shard) so results are

@@ -11,7 +11,7 @@ import (
 
 // benchParallel builds a warmed parallel engine over the benchmark
 // MLFM with the given shard/worker counts.
-func benchParallel(tb testing.TB, tp topo.Topology, load float64, parts, workers int) *sim.ParallelEngine {
+func benchParallel(tb testing.TB, tp topo.Topology, load float64, parts, workers int) *sim.Engine {
 	tb.Helper()
 	alg := routing.NewMinimal(tp)
 	cfg := sim.TestConfig(alg.NumVCs())
