@@ -277,3 +277,24 @@ var goldenSpecs = []goldenSpec{
 		warmup: 500, cycles: 3000, sharded: true,
 	},
 }
+
+// The "-l10" scenarios re-run the closed-loop exchange and both fault
+// styles on TestConfig with the paper's latencies (LinkLatency 10,
+// SwitchLatency 20), on one shard and on two: the only golden lines
+// where a drain or a fault schedule meets a sharded engine with more
+// than one cycle of lookahead. Appended, so every earlier line keeps
+// its index.
+func init() {
+	for _, i := range []int{4, 5, 8} { // mlfm-inr-a2a, sf-min-faults, mlfm-min-mtbf
+		sc := goldenSpecs[i]
+		setup := sc.setup
+		sc.name += "-l10"
+		sc.sharded = true
+		sc.setup = func(t *testing.T) goldenParts {
+			p := setup(t)
+			p.cfg.LinkLatency, p.cfg.SwitchLatency = 10, 20
+			return p
+		}
+		goldenSpecs = append(goldenSpecs, sc)
+	}
+}
