@@ -239,8 +239,8 @@ func run(scale cliflags.Scale, sched cliflags.Sched, st cliflags.Store, camp cli
 		}()
 	}
 	workers := sched.Jobs
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if workers <= 0 { // the pool's own default (harness.Sched.Workers)
+		workers = max(1, runtime.GOMAXPROCS(0)/max(sched.Cores, 1))
 	}
 	start := time.Now()
 	defer func() {

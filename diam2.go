@@ -230,8 +230,8 @@ type (
 	ResultTable = harness.Table
 	// Sched carries the experiment-scheduler knobs (worker count,
 	// progress callback, cancellation) of Scale.Sched; the zero value
-	// fans sweeps out across GOMAXPROCS workers with byte-identical
-	// results for any worker count.
+	// fans sweeps out across GOMAXPROCS / Scale.Cores workers with
+	// byte-identical results for any worker count.
 	Sched = harness.Sched
 	// SweepProgress observes completed sweep points (Sched.OnPoint).
 	SweepProgress = harness.Progress

@@ -70,7 +70,7 @@ type Sched struct {
 
 // Register declares the group's flags.
 func (s *Sched) Register() {
-	flag.IntVar(&s.Jobs, "j", 0, "worker-pool size: independent sweep points in parallel (0: all CPUs, 1: serial); orthogonal to -cores")
+	flag.IntVar(&s.Jobs, "j", 0, "worker-pool size: independent sweep points in parallel (0: the CPUs divided by -cores, 1: serial); an explicit value is used as given, and results do not depend on it")
 	flag.IntVar(&s.Cores, "cores", 1, "threads *within* each simulation (sharded engine; 1: serial engine); orthogonal to -j, not bit-identical to serial")
 	flag.BoolVar(&s.Progress, "progress", false, "report each completed sweep point on stderr")
 }

@@ -34,9 +34,9 @@ type Scale struct {
 	Faults FaultPlan
 	// Sched carries the experiment-scheduler knobs (worker count,
 	// progress callback, cancellation); see scheduler.go. The zero
-	// value fans sweeps out across GOMAXPROCS workers. Results are
-	// identical for any worker count: every sweep point runs with a
-	// seed derived from (Seed, point key), not from execution order.
+	// value fans sweeps out across GOMAXPROCS / Cores workers. Results
+	// are identical for any worker count: every sweep point runs with
+	// a seed derived from (Seed, point key), not from execution order.
 	Sched Sched
 	// Telemetry opts every run at this scale into the unified
 	// telemetry layer (see telemetry.go); the zero value attaches
@@ -158,8 +158,10 @@ func (s Scale) forPoint(ctx context.Context, seed int64) Scale {
 const cancelCheckCycles = 8192
 
 // runCycles advances the engine n cycles in cancellation-checked
-// chunks. Chunked stepping is bit-identical to one monolithic Run: each
-// Run re-launches the engine's cycle loop at the same barrier points.
+// chunks. Chunked stepping is bit-identical to one monolithic Run: a
+// chunk's end cuts a sharded engine's epoch short, and Results do not
+// depend on where epochs are cut (the cut-invariance clause of the
+// engine's determinism contract, sim.TestEpochCutInvariance).
 func runCycles(ctx context.Context, e *sim.Engine, n int64) error {
 	for n > 0 {
 		if err := ctx.Err(); err != nil {

@@ -65,11 +65,13 @@ type Point[T any] struct {
 type Progress func(done, total int, key string, elapsed time.Duration)
 
 // Sched carries the fan-out knobs of a sweep; it rides along a Scale
-// so generator signatures stay stable. The zero value uses one worker
-// per available CPU (GOMAXPROCS) with no progress reporting.
+// so generator signatures stay stable. The zero value keeps every CPU
+// busy (GOMAXPROCS / Scale.Cores points at a time) with no progress
+// reporting.
 type Sched struct {
 	// Workers is the worker-pool size: 1 runs serially on the calling
-	// goroutine, <= 0 means GOMAXPROCS.
+	// goroutine, <= 0 means GOMAXPROCS divided by the Scale's Cores, at
+	// least 1.
 	Workers int
 	// OnPoint, if set, observes every completed point.
 	OnPoint Progress
@@ -102,19 +104,19 @@ func (s Sched) context() context.Context {
 	return context.Background()
 }
 
-// workers resolves the pool size for a sweep of n points.
-func (s Sched) workers(n int) int {
+// workers resolves the pool size for a sweep of n points whose engines
+// each run cores workers of their own (Scale.Cores). An explicit
+// Workers is used as given. The default shares the CPUs out among the
+// engines — GOMAXPROCS / cores points at a time — because a sharded
+// engine's workers meet at a barrier every few cycles, and on an
+// oversubscribed machine each meeting waits for a thread that is queued
+// behind another point's.
+func (s Sched) workers(n, cores int) int {
 	w := s.Workers
 	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+		w = runtime.GOMAXPROCS(0) / max(cores, 1)
 	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(1, min(w, n))
 }
 
 // DeriveSeed maps (base seed, point key) to the seed a point runs
@@ -202,7 +204,7 @@ func RunPoints[T any](sc Scale, points []Point[T], emit func(i int, res T) error
 		}
 		points = wrapped
 	}
-	w := sc.Sched.workers(n)
+	w := sc.Sched.workers(n, sc.Cores)
 	if w == 1 {
 		return runSerial(ctx, sc, points, emit)
 	}

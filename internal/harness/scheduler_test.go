@@ -330,21 +330,25 @@ func TestRunPointsProgress(t *testing.T) {
 	}
 }
 
-// TestSchedDefaults pins the knob resolution: zero Sched uses
-// GOMAXPROCS workers and worker counts are clamped to the sweep size.
+// TestSchedDefaults pins the pool-size resolution: the default shares
+// GOMAXPROCS out among engines of Cores workers each, an explicit
+// Workers is used as given, and both are clamped to [1, sweep size].
 func TestSchedDefaults(t *testing.T) {
-	var s Sched
-	if got := s.workers(1000); got < 1 {
-		t.Errorf("zero Sched resolves to %d workers", got)
-	}
-	if got := (Sched{Workers: 8}).workers(3); got != 3 {
-		t.Errorf("workers clamped to %d, want 3 (sweep size)", got)
-	}
-	want := runtime.GOMAXPROCS(0)
-	if want > 2 {
-		want = 2 // clamped to the sweep size
-	}
-	if got := (Sched{Workers: -1}).workers(2); got != want {
-		t.Errorf("negative workers resolves to %d, want min(GOMAXPROCS, 2) = %d", got, want)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	for _, c := range []struct{ workers, cores, points, want int }{
+		{0, 0, 1000, 8}, // zero Sched, serial engines: every CPU
+		{0, 1, 1000, 8},
+		{-1, 1, 2, 2},   // clamped to the sweep size
+		{0, 2, 1000, 4}, // two-worker engines: four points at a time
+		{0, 3, 1000, 2},
+		{0, 8, 1000, 1},
+		{0, 16, 1000, 1}, // more engine workers than CPUs: still one point
+		{8, 1, 3, 3},
+		{8, 4, 1000, 8}, // an explicit -j is not divided
+		{1, 2, 1000, 1},
+	} {
+		if got := (Sched{Workers: c.workers}).workers(c.points, c.cores); got != c.want {
+			t.Errorf("Workers %d, Cores %d, %d points on 8 CPUs: pool of %d, want %d", c.workers, c.cores, c.points, got, c.want)
+		}
 	}
 }

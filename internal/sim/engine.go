@@ -89,7 +89,7 @@ func releaseRef(r *Router, port, ci int) uint64 {
 }
 
 // Engine is the cycle-driven simulator: the router set cut into one or
-// more shards, advanced in lockstep by one or more workers (parallel.go
+// more shards, advanced in epochs by one or more workers (parallel.go
 // holds the driver). NewEngine builds the one-shard, one-worker case —
 // no cut, no goroutine, nothing to release; NewParallelEngine the
 // general one, whose workers Stop releases. Not safe for concurrent use;
@@ -117,7 +117,11 @@ type Engine struct {
 	maxCycles    int64
 	stopFlag     bool
 	drainedFlag  bool
-	doneLatch    bool // Work.Done() latched after event processing
+
+	// Epoch state, written by the boundary action alone (parallel.go).
+	epoch      int64 // cycles every shard runs before the next barrier
+	par        int   // mailbox parity the running epoch's producers write
+	boundaries int64 // boundary actions run, the stopping ones included
 
 	// workerCycles[w] counts cycles worker w completed; atomic so a
 	// telemetry reader can sample mid-run.
@@ -132,7 +136,7 @@ type Engine struct {
 // counters. The stage functions below touch only state their shard
 // owns; a packet or credit bound for a router another shard owns goes
 // into the per-shard-pair mailboxes (outPkt, outCred), which the driver
-// applies between cycles.
+// applies between epochs.
 type shard struct {
 	eng  *Engine
 	net  *Network
@@ -144,9 +148,9 @@ type shard struct {
 
 	id      int
 	acts    *actSet
-	nodes   []int32     // owned nodes, ascending
-	outPkt  [][]pktMsg  // [destination shard] cross-partition packet handoffs
-	outCred [][]credMsg // [destination shard] cross-partition credit returns
+	nodes   []int32        // owned nodes, ascending
+	outPkt  [2][][]pktMsg  // [epoch parity][destination shard] cross-partition packet handoffs
+	outCred [2][][]credMsg // [epoch parity][destination shard] cross-partition credit returns
 
 	now     int64
 	rng     *rand.Rand
@@ -215,8 +219,10 @@ func newShard(eng *Engine, id, shards int) *shard {
 		rng:      rand.New(rand.NewSource(shardSeed(cfg.Seed, id, shards))),
 		pktFlits: cfg.PacketFlits(),
 		nextID:   int64(id) << 44, // disjoint packet-ID ranges per shard
-		outPkt:   make([][]pktMsg, shards),
-		outCred:  make([][]credMsg, shards),
+	}
+	for par := range sh.outPkt {
+		sh.outPkt[par] = make([][]pktMsg, shards)
+		sh.outCred[par] = make([][]credMsg, shards)
 	}
 	sh.ringLen = int64(cfg.PacketFlits() + cfg.LinkLatency + cfg.SwitchLatency + 2)
 	sh.ring = make([]ringSlot, sh.ringLen)
@@ -329,12 +335,13 @@ func (sh *shard) advanceCycle() {
 	}
 }
 
-// workDone reports whether the workload has been exhausted, as seen at
-// the injection stage: the value the driver latched after this cycle's
-// events were processed. No shard calls NextPacket between that latch
-// and the inject stage, so it equals what asking the workload here
-// would return.
-func (sh *shard) workDone() bool { return sh.eng.doneLatch }
+// workDone reports whether the workload has been exhausted, asked at
+// the injection stage. From two shards up the answer may depend on how
+// far other shards have run, and that is harmless: once Done returns
+// true, NextPacket is a no-op that draws nothing (the Workload
+// contract), so polling every node and visiting the woken ones are the
+// same cycle whichever answer a shard gets.
+func (sh *shard) workDone() bool { return sh.work.Done() }
 
 // processEvents applies the deferred effects that land this cycle:
 // first the batched credit returns, then the output-buffer releases,
@@ -411,6 +418,7 @@ func (sh *shard) linkStage() {
 	// them on every iteration of the hot loops below.
 	now := sh.now
 	pf := int32(sh.pktFlits)
+	outPkt := sh.outPkt[sh.eng.par]
 	act := sh.acts.out
 	for id := act.nextFrom(0); id >= 0; id = act.nextFrom(id + 1) {
 		r := sh.net.Routers[id]
@@ -454,12 +462,11 @@ func (sh *shard) linkStage() {
 						// Cross-partition hop: the packet leaves this
 						// shard's world entirely, so it travels by value —
 						// the owning shard re-homes it in its own slab at
-						// the inter-cycle exchange (handles never cross
+						// the end of the epoch (handles never cross
 						// shards; DESIGN.md §15). Deferral is safe because
-						// the entry's ready time (now+linkLat >= now+1)
-						// keeps it untouched this cycle even under serial
-						// semantics.
-						sh.outPkt[next.part] = append(sh.outPkt[next.part],
+						// the entry's ready time (now+linkLat) is not
+						// before the epoch's end (parallel.go).
+						outPkt[next.part] = append(outPkt[next.part],
 							pktMsg{router: next.ID, port: int(r.revPort[port]), vc: vc, ready: now + linkLat, pkt: *sh.pkt(ent.h)})
 						sh.slab.release(ent.h)
 					}
@@ -623,11 +630,10 @@ func (sh *shard) switchAllocPort(r *Router, port, nv int, xfer, swLat, linkLat i
 				sh.scheduleCredit(xfer+linkLat, ref)
 			} else {
 				// Credit for an upstream router another shard owns:
-				// deferred to the inter-cycle exchange. The credit delay
-				// xfer+linkLat >= 2 leaves at least one cycle of slack, so
-				// scheduling it on the owner next cycle with delay-1
-				// lands on the same absolute cycle.
-				sh.outCred[up.part] = append(sh.outCred[up.part], credMsg{delay: xfer + linkLat, ref: ref})
+				// deferred to the end of the epoch, which its landing
+				// cycle now+xfer+linkLat lies beyond (parallel.go).
+				outCred := sh.outCred[sh.eng.par]
+				outCred[up.part] = append(outCred[up.part], credMsg{at: now + xfer + linkLat, ref: ref})
 			}
 		}
 		if vc++; vc == nv {

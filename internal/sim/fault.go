@@ -169,7 +169,7 @@ type retxEntry struct {
 // called before the first cycle, the routing algorithm must implement
 // RerouteAware, and every scheduled link must exist in the topology.
 // The shards share one fault state: shard 0 applies the events at the
-// cycle barrier, the rest need it to service their nodes'
+// epoch barrier, the rest need it to service their nodes'
 // retransmission queues.
 func (e *Engine) SetFaultSchedule(fs *FaultSchedule) error {
 	if e.Now() != 0 {
@@ -211,8 +211,23 @@ func (e *Engine) SetFaultSchedule(fs *FaultSchedule) error {
 	return nil
 }
 
+// nextCycle returns the first cycle at which faultTick has work: the
+// next unapplied event's or the pending table rebuild's, neverReady if
+// neither exists. The driver ends an epoch there (parallel.go).
+func (f *faultState) nextCycle() int64 {
+	at := neverReady
+	if f.next < len(f.schedule) {
+		at = f.schedule[f.next].Cycle
+	}
+	if f.rebuildAt >= 0 {
+		at = min(at, f.rebuildAt)
+	}
+	return at
+}
+
 // faultTick applies due schedule events and any pending table rebuild.
-// Called at the top of Step, before packets move.
+// Called by the boundary action at a cycle nextCycle names, before
+// packets move and with every mailbox empty.
 func (sh *shard) faultTick() {
 	f := sh.faults
 	changed := false

@@ -12,35 +12,46 @@ import (
 // This file is the engine's driver: the router set is cut into shards
 // (internal/partition provides the cut), each shard owns its routers'
 // and nodes' state (engine.go), and workers advance the shards in
-// lockstep, one cycle per barrier round (conservative synchronization).
-// The serial simulator is the one-shard, one-worker case of it: no cut,
-// the calling goroutine is the only worker, and each barrier is a direct
+// epochs of up to Config.LinkLatency cycles with one barrier between
+// epochs (conservative synchronization). The serial simulator is the
+// one-shard, one-worker case of it: no cut, the calling goroutine is
+// the only worker, every epoch is one cycle and the barrier is a direct
 // call of its action.
 //
-// Why one cycle of lookahead is safe: Config.Validate enforces
-// LinkLatency >= 1, so anything one shard sends another this cycle
-// cannot affect the receiver until the next cycle — a packet crossing
-// a cut link arrives with ready = now+LinkLatency >= now+1 (the
-// windowed switch-allocation scan stops at not-yet-ready entries
-// without state change, and per-(port,vc) ready times are monotone in
-// queue order, so a deferred enqueue is invisible this cycle; it
-// lowers the port's wake cycle when it lands, before the next cycle's
-// scan consults it), and a returning credit is scheduled
-// xfer+LinkLatency >= 2 cycles out.
-// Cross-shard effects therefore travel through per-shard-pair
-// mailboxes applied between cycles, and within a cycle a shard runs
-// the stage functions on its own state alone.
+// Why LinkLatency cycles of lookahead are safe. Let an epoch cover the
+// cycles [T, T+E) with E <= L = LinkLatency, and let a shard act on a
+// cut link in cycle t of it:
+//
+//   - a packet it sends arrives with ready = t+L >= T+E. The windowed
+//     switch-allocation scan stops at a not-yet-ready entry without
+//     state change; each input (port, vc) queue is fed by exactly one
+//     upstream port, so ready times are monotone in queue order, the
+//     entries missing during the epoch are a not-yet-ready suffix, and
+//     mailbox FIFO order is queue order; enqueueIn lowers the port's
+//     wake cycle when the entry lands, before the scan of cycle T+E
+//     consults it;
+//   - a credit it returns lands at t+xfer+L > T+E (xfer >= 1), and
+//     credits are commutative adds applied at their landing cycle.
+//
+// So nothing one shard does to another inside an epoch can be observed
+// before the epoch ends, and applying an epoch's mail at its end is
+// invisible: within an epoch a shard runs the stage functions on its
+// own state alone, all E cycles back to back. An epoch is cut short of
+// L cycles where something global must happen at an exact cycle — the
+// run's last cycle, a fault-schedule event, a pending table rebuild,
+// and every cycle of a closed loop's drain (see boundary).
 //
 // Determinism contract (tested by parallel_test.go, see DESIGN.md §14):
 // for a fixed router partition, Results are identical for any worker
-// count and across repeated runs — shard-local state (rng, packet IDs,
-// event rings) depends only on the partition, and mailboxes are
-// drained in fixed source-shard order. Runs with P > 1 shards are NOT
-// bit-identical to one-shard runs: each shard draws from its own rng
-// stream, whereas one shard interleaves one stream across all nodes.
-// Chasing bit-parity would force a global rng and serialize the
-// injection stage; instead every shard count carries its own golden
-// digests.
+// count, across repeated runs, and wherever epochs are cut — Run(1) n
+// times, Run(n) once and any chunking in between give the same bytes.
+// Shard-local state (rng, packet IDs, event rings) depends only on the
+// partition, and mailboxes are drained in fixed source-shard order.
+// Runs with P > 1 shards are NOT bit-identical to one-shard runs: each
+// shard draws from its own rng stream, whereas one shard interleaves
+// one stream across all nodes. Chasing bit-parity would force a global
+// rng and serialize the injection stage; instead every shard count
+// carries its own golden digests.
 //
 // Sharding gates: a workload must be marked ParallelSafeWorkload and
 // must not observe deliveries, and the routing algorithm must not read
@@ -81,12 +92,13 @@ type pktMsg struct {
 }
 
 // credMsg is a credit return crossing a shard boundary: the consumer
-// schedules the packed ref (see engine.go) on its own credit ring at
-// its current cycle plus delay, which is the same absolute cycle the
-// producer meant.
+// schedules the packed ref (see engine.go) on its own credit ring for
+// the absolute cycle at. Absolute, not a delay: the consumer reads the
+// message at the end of the epoch, up to LinkLatency-1 cycles after the
+// producing cycle.
 type credMsg struct {
-	delay int64
-	ref   uint32
+	at  int64
+	ref uint32
 }
 
 // ParallelPreparable is an optional workload interface: workloads that
@@ -292,98 +304,120 @@ func (e *Engine) workerLoop(w int) {
 	}
 }
 
-// cycleLoop advances the worker's shards until a barrier action raises
-// stopFlag. Three barriers per cycle; actions run on the last arriver
-// while every other worker is parked, so they may touch global state:
+// cycleLoop advances the worker's shards, one epoch per barrier round,
+// until the boundary action raises stopFlag. The action runs on the last
+// arriver while every other worker is parked, so it may touch global
+// state; it flips the mailbox parity, so after the barrier out*[par^1]
+// holds the epoch just run and nobody writes it before the next round —
+// one barrier separates its producers from its consumers, and the
+// producers of the next epoch write the other buffer:
 //
-//	barrier(preCycle)   stop/drain decision, then fault events, before
-//	                    any packet moves
-//	processEvents       per shard: credits, releases, deliveries land
-//	barrier(latchDone)  Work.Done() latched — deliveries above may have
-//	                    completed a closed loop, and no NextPacket runs
-//	                    between here and the inject stage
-//	link/switch/inject  per shard, cut traffic into mailboxes
-//	barrier(nil)        all producers done writing mailboxes
-//	applyMail + advance per shard: drain mailboxes in source order
-//	                    (one shard has no mail), step the local clock
+//	barrier(boundary)   stop/drain decision, fault events, next epoch's
+//	                    length, mailbox parity flipped
+//	applyMail           per shard: the ended epoch's cut traffic, in
+//	                    source-shard order (also at the stopping
+//	                    boundary, so a stopped engine holds no mail; one
+//	                    shard has none)
+//	epoch x cycle       per shard, back to back: events, link, switch,
+//	                    inject, advance — cut traffic into out*[par]
 func (e *Engine) cycleLoop(w int) {
 	shards := e.owned[w]
 	mail := len(e.shards) > 1
 	for {
-		e.bar.await(e.preCycle)
+		e.bar.await(e.boundary)
+		if mail {
+			for _, sh := range shards {
+				e.applyMail(sh, e.par^1)
+			}
+		}
 		if e.stopFlag {
 			return
 		}
 		for _, sh := range shards {
-			sh.processEvents()
-		}
-		e.bar.await(e.latchDone)
-		for _, sh := range shards {
-			sh.linkStage()
-			sh.switchStage()
-			sh.injectStage()
-		}
-		e.bar.await(nil)
-		for _, sh := range shards {
-			if mail {
-				e.applyMail(sh)
+			for c := e.epoch; c > 0; c-- {
+				sh.processEvents()
+				sh.linkStage()
+				sh.switchStage()
+				sh.injectStage()
+				sh.advanceCycle()
 			}
-			sh.advanceCycle()
 		}
-		e.workerCycles[w].Add(1)
+		e.workerCycles[w].Add(e.epoch)
 	}
 }
 
-// preCycle is the start-of-cycle barrier action: decide whether to
-// stop, then apply due fault events. Shard 0 applies them for every
-// shard — all share one fault state (SetFaultSchedule).
-func (e *Engine) preCycle() {
+// boundary is the barrier action between epochs, every shard at cycle
+// now: decide whether to stop, apply due fault events (shard 0 applies
+// them for every shard — all share one fault state), and set the next
+// epoch's length to the largest count of cycles, at most LinkLatency,
+// before something global must happen at an exact cycle:
+//
+//   - the run's last cycle (until, maxCycles);
+//   - the next fault-schedule event or pending table rebuild, which act
+//     on every shard's queues at once;
+//   - the cycle a closed loop drains, which is an output
+//     (Results.Cycles). The workload's last packet still needs more
+//     than LinkLatency cycles to reach its destination, so while
+//     Work.Done() reads false at a boundary the network cannot have
+//     drained by the next one; once it reads true, epochs are one cycle.
+//
+// One shard always takes one-cycle epochs: its barrier is a direct
+// call, and a delivery-observing workload (accepted there) may finish
+// on any delivery.
+func (e *Engine) boundary() {
+	e.boundaries++
+	e.par ^= 1
+	now := e.Now()
+	left := e.until - now
 	if e.checkDrained {
+		left = e.maxCycles - now
 		if e.drained() {
-			e.stopFlag = true
 			e.drainedFlag = true
-			return
+			left = 0
 		}
-		if e.Now() >= e.maxCycles {
-			e.stopFlag = true
-			return
-		}
-	} else if e.Now() >= e.until {
+	}
+	if left <= 0 {
 		e.stopFlag = true
 		return
 	}
-	if sh := e.shards[0]; sh.faults != nil {
-		sh.faultTick()
+	e.epoch = 1
+	if len(e.shards) > 1 && !(e.checkDrained && e.Work.Done()) {
+		e.epoch = min(int64(e.Cfg.LinkLatency), left)
+	}
+	if f := e.shards[0].faults; f != nil {
+		if f.nextCycle() <= now {
+			// A failing link drops the packets still on its wire, and
+			// those sent across the cut in the ended epoch are on the
+			// wire in a mailbox: land all mail before the events.
+			for _, sh := range e.shards {
+				e.applyMail(sh, e.par^1)
+			}
+			e.shards[0].faultTick()
+		}
+		e.epoch = min(e.epoch, f.nextCycle()-now)
 	}
 }
 
-// latchDone is the post-events barrier action; see workDone.
-func (e *Engine) latchDone() {
-	e.doneLatch = e.Work.Done()
-}
-
-// applyMail drains every producer's mailbox for shard dst, in fixed
-// source-shard order so the destination queues — and the slab
-// allocation order, hence the handle/freelist state — see a
-// deterministic arrival order regardless of worker scheduling. The
-// receiving shard's clock still reads the producing cycle
-// (advanceCycle runs after), so credit delays land on the absolute
-// cycle the producer intended.
-func (e *Engine) applyMail(dst *shard) {
+// applyMail drains, for shard dst, every producer's mailbox of the
+// given parity, in fixed source-shard order so the destination queues —
+// and the slab allocation order, hence the handle/freelist state — see
+// a deterministic arrival order regardless of worker scheduling. Every
+// shard's clock reads the boundary cycle.
+func (e *Engine) applyMail(dst *shard, par int) {
 	for _, prod := range e.shards {
-		pkts := prod.outPkt[dst.id]
+		pkts := prod.outPkt[par][dst.id]
 		for i := range pkts {
 			m := &pkts[i]
 			h := dst.slab.alloc()
 			*dst.slab.at(h) = m.pkt
-			e.Net.Routers[m.router].enqueueIn(m.port, m.vc, entry{h: h, ready: m.ready, outPort: -1})
+			e.Net.Routers[m.router].enqueueIn(m.port, m.vc, entry{h: h, ready: m.ready, outPort: unrouted})
 		}
-		prod.outPkt[dst.id] = pkts[:0]
-		crs := prod.outCred[dst.id]
+		prod.outPkt[par][dst.id] = pkts[:0]
+		crs := prod.outCred[par][dst.id]
 		for i := range crs {
-			dst.scheduleCredit(crs[i].delay, crs[i].ref)
+			dst.scheduleCredit(crs[i].at-dst.now, crs[i].ref)
 		}
-		prod.outCred[dst.id] = crs[:0]
+		prod.outCred[par][dst.id] = crs[:0]
 	}
 }
 

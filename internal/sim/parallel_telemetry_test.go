@@ -3,6 +3,7 @@ package sim_test
 import (
 	"testing"
 
+	"diam2/internal/sim"
 	"diam2/internal/telemetry"
 	"diam2/internal/topo"
 )
@@ -10,14 +11,14 @@ import (
 // TestParallelTelemetryWorkerCycles exercises the one telemetry channel
 // an engine has from two shards up: an attached collector receives the
 // per-worker cycle counters at Finish, and they appear in the
-// snapshot. Each worker advances its shards in lockstep, so after
-// Run(n) every worker has completed exactly n cycles.
+// snapshot. The workers meet at every epoch boundary, the stopping one
+// included, so after Run(n) every worker has completed exactly n cycles.
 func TestParallelTelemetryWorkerCycles(t *testing.T) {
 	tp, err := topo.NewMLFM(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pe := benchParallel(t, tp, 0.2, 2, 2)
+	pe := benchParallel(t, tp, sim.TestConfig, 0.2, 2, 2)
 	defer pe.Stop()
 	c := telemetry.NewCollector(telemetry.Options{Label: "par"})
 	pe.AttachTelemetry(c)

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -198,7 +199,7 @@ func TestParallelRejectsUnsafe(t *testing.T) {
 	// A collector's per-event hooks are wired at one shard and left
 	// off at two, where it is handed the worker cycle counters alone.
 	for _, shards := range []int{1, 2} {
-		e := benchParallel(t, tp, 0.2, shards, shards)
+		e := benchParallel(t, tp, sim.TestConfig, 0.2, shards, shards)
 		c := telemetry.NewCollector(telemetry.Options{})
 		e.AttachTelemetry(c)
 		e.Run(300)
@@ -322,10 +323,120 @@ func TestParallelConservation(t *testing.T) {
 	}
 }
 
+// runChunked advances e in launches of chunk(k) cycles, k = 0, 1, …:
+// an open loop (cycles > 0) by Run until cycle `cycles`, a closed loop
+// by RunUntilDrained until it drains. check runs between launches.
+func runChunked(t *testing.T, e *sim.Engine, cycles int64, chunk func(k int) int64, check bool) {
+	t.Helper()
+	const maxDrain = 200_000
+	for k := 0; ; k++ {
+		n := chunk(k)
+		switch {
+		case cycles > 0:
+			e.Run(min(n, cycles-e.Now()))
+		case e.RunUntilDrained(min(e.Now()+n, maxDrain)):
+			return
+		case e.Now() >= maxDrain:
+			t.Fatalf("did not drain in %d cycles", maxDrain)
+		}
+		if cycles > 0 && e.Now() >= cycles {
+			return
+		}
+		if check {
+			if err := e.CheckInvariants(); err != nil {
+				t.Fatalf("invariants at cycle %d: %v", e.Now(), err)
+			}
+		}
+	}
+}
+
+// TestEpochCutInvariance: for a fixed partition, Results do not depend
+// on where epochs are cut. A launch of one cycle forces one-cycle
+// epochs — the lockstep protocol, one barrier round per cycle — so
+// chunk size 1 against one launch for the whole run is the
+// differential test of LinkLatency-cycle epochs against cycle-by-cycle
+// semantics, and random chunk sizes cut epochs at every offset. The
+// fault burst lands at a cycle that is a multiple of no LinkLatency
+// here and its table rebuild 37 cycles later, so both end an epoch
+// early; the closed loop pins the drain cycle (Results.Cycles).
+func TestEpochCutInvariance(t *testing.T) {
+	tp := mustSF(t, 5)
+	chunkings := []struct {
+		name  string
+		chunk func(k int) int64
+	}{
+		{"1", func(int) int64 { return 1 }},
+		{"all", func(int) int64 { return 1 << 40 }},
+		{"random", nil}, // 1..23 from a fresh seeded rng per run
+	}
+	for _, linkLat := range []int{1, 3, 10} {
+		for _, parts := range []int{2, 3} {
+			for _, closed := range []bool{false, true} {
+				for _, faulted := range []bool{false, true} {
+					name := map[bool]string{false: "open", true: "closed"}[closed]
+					if faulted {
+						name += "-faults"
+					}
+					t.Run(fmt.Sprintf("L%d-P%d-%s", linkLat, parts, name), func(t *testing.T) {
+						ref := ""
+						for _, c := range chunkings {
+							alg := routing.NewValiant(tp)
+							cfg := sim.TestConfig(alg.NumVCs())
+							cfg.LinkLatency, cfg.SwitchLatency, cfg.RebuildLatency = linkLat, 2*linkLat, 37
+							net, err := sim.NewNetwork(tp, cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							work, cycles := openUniform(tp, 0.4), int64(4000)
+							if closed {
+								work, cycles = traffic.AllToAll(tp.Nodes(), 2, rand.New(rand.NewSource(7))), 0
+							}
+							e, err := sim.NewParallelEngine(net, alg, work, sim.ParallelOptions{Partitions: parts, Workers: parts})
+							if err != nil {
+								t.Fatal(err)
+							}
+							defer e.Stop()
+							if faulted {
+								fs, err := sim.RandomLinkFailures(tp, 4, 1503, 9)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if err := e.SetFaultSchedule(fs); err != nil {
+									t.Fatal(err)
+								}
+							}
+							e.Warmup = 500
+							chunk := c.chunk
+							if chunk == nil {
+								rng := rand.New(rand.NewSource(int64(linkLat*100 + parts)))
+								chunk = func(int) int64 { return 1 + rng.Int63n(23) }
+							}
+							runChunked(t, e, cycles, chunk, c.chunk == nil)
+							if err := e.CheckInvariants(); err != nil {
+								t.Errorf("chunks of %s: %v", c.name, err)
+							}
+							res := e.Results()
+							if faulted && res.Faults.Dropped == 0 {
+								t.Errorf("chunks of %s: the failure burst dropped nothing (weak test)", c.name)
+							}
+							if d := resultsDigest(res); ref == "" {
+								ref = d
+							} else if d != ref {
+								t.Errorf("digest depends on where epochs are cut:\n chunks of %-6s %s\n chunks of %-6s %s", chunkings[0].name, ref, c.name, d)
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
 // TestParallelPropertyDeterminism: randomized configurations (topology
-// family, load, seed, partition count) must be repeat-stable and
-// worker-count-independent. A seeded sweep — the fuzz target
-// FuzzParallelDeterminism explores the same space open-endedly.
+// family, load, seed, partition count, link latency, chunking) must be
+// repeat-stable, worker-count-independent and cut-independent. A seeded
+// sweep — the fuzz target FuzzParallelDeterminism explores the same
+// space open-endedly.
 func TestParallelPropertyDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 	for i := 0; i < 6; i++ {
@@ -334,17 +445,24 @@ func TestParallelPropertyDeterminism(t *testing.T) {
 		load := rng.Float64()
 		seed := rng.Int63n(1 << 20)
 		parts := uint8(2 + rng.Intn(3))
-		checkParallelDeterminism(t, kind, algKind, load, seed, parts, 1500)
+		linkLat := uint8(rng.Intn(256))
+		chunks := rng.Int63()
+		checkParallelDeterminism(t, kind, algKind, load, seed, parts, linkLat, chunks, 1500)
 	}
 }
 
-// checkParallelDeterminism builds the fuzz scenario and requires
-// digest stability across a repeat and across worker counts. Shared
-// by the property test and FuzzParallelDeterminism.
-func checkParallelDeterminism(t *testing.T, kind, algKind uint8, load float64, seed int64, parts uint8, cycles int64) {
+// checkParallelDeterminism builds the fuzz scenario with a link latency
+// of 1 + linkLat%12 cycles and requires one digest from four runs: one
+// and two workers and a repeat, each in launches of uneven lengths drawn
+// from the chunks seed, and a run of one cycle per launch (one-cycle
+// epochs: the lockstep protocol). Shared by the property test and
+// FuzzParallelDeterminism.
+func checkParallelDeterminism(t *testing.T, kind, algKind uint8, load float64, seed int64, parts, linkLat uint8, chunks, cycles int64) {
 	t.Helper()
-	run := func(workers int) string {
+	run := func(workers int, chunk func(int) int64, check bool) string {
 		tp, alg, work, cfg := fuzzScenario(t, kind, algKind, load, seed)
+		cfg.LinkLatency = 1 + int(linkLat%12)
+		cfg.SwitchLatency = 2 * cfg.LinkLatency
 		net, err := sim.NewNetwork(tp, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -355,23 +473,26 @@ func checkParallelDeterminism(t *testing.T, kind, algKind uint8, load float64, s
 		}
 		defer pe.Stop()
 		pe.Warmup = cycles / 4
-		// Four legs with the full invariant sweep between them: the
-		// queues' inline heads and rings, the wake cycles and every
-		// counter mirror are re-derived mid-run, not only at the end.
-		for leg := int64(0); leg < 4; leg++ {
-			pe.Run(cycles / 4)
-			if err := pe.CheckInvariants(); err != nil {
-				t.Errorf("invariants at cycle %d: %v", pe.Now(), err)
-			}
+		// The full invariant sweep runs between launches: the queues'
+		// inline heads and rings, the wake cycles and every counter
+		// mirror are re-derived mid-run, not only at the end.
+		runChunked(t, pe, cycles, chunk, check)
+		if err := pe.CheckInvariants(); err != nil {
+			t.Errorf("invariants at cycle %d: %v", pe.Now(), err)
 		}
 		return resultsDigest(pe.Results())
 	}
-	a := run(1)
-	b := run(2)
-	c := run(2)
-	if a != b || b != c {
-		t.Errorf("kind=%d alg=%d load=%v seed=%d parts=%d: digests diverge\n w1   %s\n w2   %s\n w2'  %s",
-			kind, algKind, load, seed, parts, a, b, c)
+	uneven := func() func(int) int64 {
+		rng := rand.New(rand.NewSource(chunks))
+		return func(int) int64 { return 1 + rng.Int63n(cycles/3) }
+	}
+	a := run(1, uneven(), true)
+	b := run(2, uneven(), true)
+	c := run(2, uneven(), true)
+	d := run(2, func(int) int64 { return 1 }, false)
+	if a != b || b != c || c != d {
+		t.Errorf("kind=%d alg=%d load=%v seed=%d parts=%d linkLat=%d chunks=%d: digests diverge\n w1   %s\n w2   %s\n w2'  %s\n w2/1 %s",
+			kind, algKind, load, seed, parts, linkLat, chunks, a, b, c, d)
 	}
 }
 
@@ -415,20 +536,21 @@ func fuzzScenario(t testing.TB, kind, algKind uint8, load float64, seed int64) (
 }
 
 // FuzzParallelDeterminism fuzzes the parallel determinism contract:
-// arbitrary (topology, algorithm, load, seed, partition count) must
-// produce identical digests across worker counts and repeats.
+// arbitrary (topology, algorithm, load, seed, partition count, link
+// latency, chunking) must produce identical digests across worker
+// counts, repeats and epoch cuts.
 func FuzzParallelDeterminism(f *testing.F) {
-	f.Add(uint8(0), uint8(0), 0.3, int64(1), uint8(2))
-	f.Add(uint8(1), uint8(1), 0.6, int64(42), uint8(3))
-	f.Add(uint8(3), uint8(0), 0.9, int64(7), uint8(4))
-	f.Add(uint8(4), uint8(1), 0.1, int64(99), uint8(2))
-	f.Fuzz(func(t *testing.T, kind, algKind uint8, load float64, seed int64, parts uint8) {
+	f.Add(uint8(0), uint8(0), 0.3, int64(1), uint8(2), uint8(0), int64(1))
+	f.Add(uint8(1), uint8(1), 0.6, int64(42), uint8(3), uint8(9), int64(2))
+	f.Add(uint8(3), uint8(0), 0.9, int64(7), uint8(4), uint8(2), int64(3))
+	f.Add(uint8(4), uint8(1), 0.1, int64(99), uint8(2), uint8(11), int64(4))
+	f.Fuzz(func(t *testing.T, kind, algKind uint8, load float64, seed int64, parts, linkLat uint8, chunks int64) {
 		if parts%8 < 2 {
 			parts = 2 + parts%8
 		} else {
 			parts = parts % 8
 		}
-		checkParallelDeterminism(t, kind, algKind, load, seed, parts, 600)
+		checkParallelDeterminism(t, kind, algKind, load, seed, parts, linkLat, chunks, 600)
 	})
 }
 
