@@ -361,74 +361,83 @@ func runChunked(t *testing.T, e *sim.Engine, cycles int64, chunk func(k int) int
 // early; the closed loop pins the drain cycle (Results.Cycles).
 func TestEpochCutInvariance(t *testing.T) {
 	tp := mustSF(t, 5)
+	// run builds the scenario afresh and advances it in chunks drawn
+	// from chunk (nil: 1..23 from a seeded rng, invariants checked
+	// between launches).
+	run := func(t *testing.T, linkLat, parts int, closed, faulted bool, chunk func(int) int64) sim.Results {
+		alg := routing.NewValiant(tp)
+		cfg := sim.TestConfig(alg.NumVCs())
+		cfg.LinkLatency, cfg.SwitchLatency, cfg.RebuildLatency = linkLat, 2*linkLat, 37
+		net, err := sim.NewNetwork(tp, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		work, cycles := openUniform(tp, 0.4), int64(4000)
+		if closed {
+			work, cycles = traffic.AllToAll(tp.Nodes(), 2, rand.New(rand.NewSource(7))), 0
+		}
+		e, err := sim.NewParallelEngine(net, alg, work, sim.ParallelOptions{Partitions: parts, Workers: parts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Stop()
+		if faulted {
+			fs, err := sim.RandomLinkFailures(tp, 4, 1503, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.SetFaultSchedule(fs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.Warmup = 500
+		check := chunk == nil
+		if check {
+			rng := rand.New(rand.NewSource(int64(linkLat*100 + parts)))
+			chunk = func(int) int64 { return 1 + rng.Int63n(23) }
+		}
+		runChunked(t, e, cycles, chunk, check)
+		if err := e.CheckInvariants(); err != nil {
+			t.Error(err)
+		}
+		res := e.Results()
+		if faulted && res.Faults.Dropped == 0 {
+			t.Error("the failure burst dropped nothing (weak test)")
+		}
+		return res
+	}
 	chunkings := []struct {
 		name  string
-		chunk func(k int) int64
+		chunk func(int) int64
 	}{
 		{"1", func(int) int64 { return 1 }},
 		{"all", func(int) int64 { return 1 << 40 }},
-		{"random", nil}, // 1..23 from a fresh seeded rng per run
+		{"random", nil},
 	}
+	type scenario struct {
+		linkLat, parts  int
+		closed, faulted bool
+	}
+	var cases []scenario
 	for _, linkLat := range []int{1, 3, 10} {
 		for _, parts := range []int{2, 3} {
 			for _, closed := range []bool{false, true} {
-				for _, faulted := range []bool{false, true} {
-					name := map[bool]string{false: "open", true: "closed"}[closed]
-					if faulted {
-						name += "-faults"
-					}
-					t.Run(fmt.Sprintf("L%d-P%d-%s", linkLat, parts, name), func(t *testing.T) {
-						ref := ""
-						for _, c := range chunkings {
-							alg := routing.NewValiant(tp)
-							cfg := sim.TestConfig(alg.NumVCs())
-							cfg.LinkLatency, cfg.SwitchLatency, cfg.RebuildLatency = linkLat, 2*linkLat, 37
-							net, err := sim.NewNetwork(tp, cfg)
-							if err != nil {
-								t.Fatal(err)
-							}
-							work, cycles := openUniform(tp, 0.4), int64(4000)
-							if closed {
-								work, cycles = traffic.AllToAll(tp.Nodes(), 2, rand.New(rand.NewSource(7))), 0
-							}
-							e, err := sim.NewParallelEngine(net, alg, work, sim.ParallelOptions{Partitions: parts, Workers: parts})
-							if err != nil {
-								t.Fatal(err)
-							}
-							defer e.Stop()
-							if faulted {
-								fs, err := sim.RandomLinkFailures(tp, 4, 1503, 9)
-								if err != nil {
-									t.Fatal(err)
-								}
-								if err := e.SetFaultSchedule(fs); err != nil {
-									t.Fatal(err)
-								}
-							}
-							e.Warmup = 500
-							chunk := c.chunk
-							if chunk == nil {
-								rng := rand.New(rand.NewSource(int64(linkLat*100 + parts)))
-								chunk = func(int) int64 { return 1 + rng.Int63n(23) }
-							}
-							runChunked(t, e, cycles, chunk, c.chunk == nil)
-							if err := e.CheckInvariants(); err != nil {
-								t.Errorf("chunks of %s: %v", c.name, err)
-							}
-							res := e.Results()
-							if faulted && res.Faults.Dropped == 0 {
-								t.Errorf("chunks of %s: the failure burst dropped nothing (weak test)", c.name)
-							}
-							if d := resultsDigest(res); ref == "" {
-								ref = d
-							} else if d != ref {
-								t.Errorf("digest depends on where epochs are cut:\n chunks of %-6s %s\n chunks of %-6s %s", chunkings[0].name, ref, c.name, d)
-							}
-						}
-					})
-				}
+				cases = append(cases, scenario{linkLat, parts, closed, false}, scenario{linkLat, parts, closed, true})
 			}
 		}
+	}
+	for _, sc := range cases {
+		t.Run(fmt.Sprintf("L%d-P%d-closed=%v-faults=%v", sc.linkLat, sc.parts, sc.closed, sc.faulted), func(t *testing.T) {
+			ref := ""
+			for _, c := range chunkings {
+				d := resultsDigest(run(t, sc.linkLat, sc.parts, sc.closed, sc.faulted, c.chunk))
+				if ref == "" {
+					ref = d
+				} else if d != ref {
+					t.Errorf("digest depends on where epochs are cut:\n chunks of %-6s %s\n chunks of %-6s %s", chunkings[0].name, ref, c.name, d)
+				}
+			}
+		})
 	}
 }
 
