@@ -250,10 +250,7 @@ func coordinatorMux(storeDir, campDir string) *telemetry.Mux {
 		} else {
 			body.Records = -1
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(body)
+		telemetry.WriteJSON(w, body)
 	})
 	mux.HandleFunc("/campaign/submit", func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodPost {

@@ -86,8 +86,6 @@ func run(scale cliflags.Scale, camp cliflags.Campaign) error {
 	defer closeStore()
 
 	reg := telemetry.NewRegistry()
-	reg.PublishExpvar()
-
 	worker, err := camp.Join("diam2serve", *storeDir, reg)
 	if err != nil {
 		return err

@@ -78,7 +78,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -238,10 +237,7 @@ func run(scale cliflags.Scale, sched cliflags.Sched, st cliflags.Store, camp cli
 			}
 		}()
 	}
-	workers := sched.Jobs
-	if workers <= 0 { // the pool's own default (harness.Sched.Workers)
-		workers = max(1, runtime.GOMAXPROCS(0)/max(sched.Cores, 1))
-	}
+	workers := sc.Sched.PoolSize(sc.Cores)
 	start := time.Now()
 	defer func() {
 		// point-time sums each point's own elapsed time; the ratio to

@@ -297,7 +297,8 @@ type (
 	TelemetrySnapshot = telemetry.Snapshot
 	// TelemetryEvent is one flight-recorder record.
 	TelemetryEvent = telemetry.Event
-	// TelemetryRegistry tracks live collectors for the HTTP endpoint.
+	// TelemetryRegistry tracks live collectors and named counters and
+	// histograms for the HTTP endpoint.
 	TelemetryRegistry = telemetry.Registry
 	// TelemetryPlan opts a Scale's runs into telemetry collection.
 	TelemetryPlan = harness.TelemetryPlan

@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -212,7 +213,7 @@ func (c *Campaign) Register() {
 }
 
 // Join registers this process as a worker of the campaign in storeDir
-// and points reg's /campaign endpoint (reg may be nil) at it. Without
+// and mounts /campaign for it on reg's mux (reg may be nil). Without
 // -campaign it returns a nil worker. The caller closes the worker.
 func (c Campaign) Join(prog, storeDir string, reg *telemetry.Registry) (*campaign.Worker, error) {
 	if !c.On {
@@ -235,15 +236,21 @@ func (c Campaign) Join(prog, storeDir string, reg *telemetry.Registry) (*campaig
 	return w, nil
 }
 
-// ServeCampaign makes reg's /campaign endpoint answer with a fresh
-// scan of the campaign directory.
+// ServeCampaign mounts /campaign on reg's mux (a nil reg mounts
+// nothing): each request answers a fresh scan of the campaign
+// directory. Until it is mounted the path answers 404, so a plain
+// sweep exposes no misleading empty campaign.
 func ServeCampaign(reg *telemetry.Registry, dir string) {
-	reg.SetCampaign(func() any {
+	if reg == nil {
+		return
+	}
+	reg.Handler().HandleFunc("/campaign", func(w http.ResponseWriter, _ *http.Request) {
 		st, err := campaign.Scan(dir)
 		if err != nil {
-			return map[string]string{"error": err.Error()}
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
 		}
-		return st
+		telemetry.WriteJSON(w, st)
 	})
 }
 
@@ -289,7 +296,6 @@ func (t Telemetry) Setup(sc *harness.Scale, serveOnly bool) (*harness.TelemetryS
 	var reg *telemetry.Registry
 	if t.HTTP != "" {
 		reg = telemetry.NewRegistry()
-		reg.PublishExpvar()
 		if sink != nil {
 			sc.Telemetry.Registry = reg
 		}

@@ -2,6 +2,7 @@ package cliflags
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -9,9 +10,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
+	"diam2/internal/campaign"
 	"diam2/internal/harness"
 	"diam2/internal/telemetry"
 )
@@ -71,22 +74,26 @@ func TestCampaignJoin(t *testing.T) {
 		t.Fatalf("no -campaign: Join = %v, %v, want nil, nil", w, err)
 	}
 
+	// /campaign is mounted on the registry's one mux by Join: 404 before,
+	// then a fresh campaign.Scan as JSON, listed on the "/" index.
 	parse(t, c.Register, "-campaign")
 	reg := telemetry.NewRegistry()
 	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
-	status := func() int {
-		resp, err := http.Get(srv.URL + "/campaign")
+	get := func(path string) (int, string) {
+		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		return resp.StatusCode
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
 	}
-	if got := status(); got != http.StatusNotFound {
+	if got, _ := get("/campaign"); got != http.StatusNotFound {
 		t.Fatalf("/campaign before Join answered %d, want 404", got)
 	}
-	w, err := c.Join("test", t.TempDir(), reg)
+	storeDir := t.TempDir()
+	w, err := c.Join("test", storeDir, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +102,19 @@ func TestCampaignJoin(t *testing.T) {
 	if want := fmt.Sprintf("%s-%d", host, os.Getpid()); host != "" && w.Owner() != want {
 		t.Errorf("default owner %q, want host-pid %q", w.Owner(), want)
 	}
-	if got := status(); got != http.StatusOK {
-		t.Errorf("/campaign after Join answered %d, want 200", got)
+	code, body := get("/campaign")
+	if code != http.StatusOK {
+		t.Fatalf("/campaign after Join answered %d, want 200", code)
+	}
+	var got campaign.Status
+	if err := json.Unmarshal([]byte(body), &got); err != nil {
+		t.Fatalf("/campaign not JSON: %v (%q)", err, body)
+	}
+	if len(got.Workers) != 1 || got.Workers[0].Owner != w.Owner() {
+		t.Errorf("/campaign workers = %+v, want the joined worker %s", got.Workers, w.Owner())
+	}
+	if _, index := get("/"); !strings.Contains(index, "/campaign") {
+		t.Errorf("index does not list /campaign:\n%s", index)
 	}
 
 	parse(t, c.Register, "-campaign", "-worker-id", "w7")

@@ -104,19 +104,18 @@ func (s Sched) context() context.Context {
 	return context.Background()
 }
 
-// workers resolves the pool size for a sweep of n points whose engines
-// each run cores workers of their own (Scale.Cores). An explicit
-// Workers is used as given. The default shares the CPUs out among the
-// engines — GOMAXPROCS / cores points at a time — because a sharded
-// engine's workers meet at a barrier every few cycles, and on an
-// oversubscribed machine each meeting waits for a thread that is queued
-// behind another point's.
-func (s Sched) workers(n, cores int) int {
-	w := s.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0) / max(cores, 1)
+// PoolSize resolves the worker-pool size for engines that each run
+// cores workers of their own (Scale.Cores); a sweep of fewer points
+// runs fewer. An explicit Workers is used as given. The default shares
+// the CPUs out among the engines — GOMAXPROCS / cores points at a time,
+// at least 1 — because a sharded engine's workers meet at a barrier
+// every few cycles, and on an oversubscribed machine each meeting waits
+// for a thread that is queued behind another point's.
+func (s Sched) PoolSize(cores int) int {
+	if s.Workers > 0 {
+		return s.Workers
 	}
-	return max(1, min(w, n))
+	return max(1, runtime.GOMAXPROCS(0)/max(cores, 1))
 }
 
 // DeriveSeed maps (base seed, point key) to the seed a point runs
@@ -204,7 +203,7 @@ func RunPoints[T any](sc Scale, points []Point[T], emit func(i int, res T) error
 		}
 		points = wrapped
 	}
-	w := sc.Sched.workers(n, sc.Cores)
+	w := min(sc.Sched.PoolSize(sc.Cores), n)
 	if w == 1 {
 		return runSerial(ctx, sc, points, emit)
 	}

@@ -331,24 +331,23 @@ func TestRunPointsProgress(t *testing.T) {
 }
 
 // TestSchedDefaults pins the pool-size resolution: the default shares
-// GOMAXPROCS out among engines of Cores workers each, an explicit
-// Workers is used as given, and both are clamped to [1, sweep size].
+// GOMAXPROCS out among engines of Cores workers each, at least 1, and
+// an explicit Workers is used as given.
 func TestSchedDefaults(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	for _, c := range []struct{ workers, cores, points, want int }{
-		{0, 0, 1000, 8}, // zero Sched, serial engines: every CPU
-		{0, 1, 1000, 8},
-		{-1, 1, 2, 2},   // clamped to the sweep size
-		{0, 2, 1000, 4}, // two-worker engines: four points at a time
-		{0, 3, 1000, 2},
-		{0, 8, 1000, 1},
-		{0, 16, 1000, 1}, // more engine workers than CPUs: still one point
-		{8, 1, 3, 3},
-		{8, 4, 1000, 8}, // an explicit -j is not divided
-		{1, 2, 1000, 1},
+	for _, c := range []struct{ workers, cores, want int }{
+		{0, 0, 8}, // zero Sched, serial engines: every CPU
+		{0, 1, 8},
+		{-1, 1, 8},
+		{0, 2, 4}, // two-worker engines: four points at a time
+		{0, 3, 2},
+		{0, 8, 1},
+		{0, 16, 1}, // more engine workers than CPUs: still one point
+		{8, 4, 8},  // an explicit -j is not divided
+		{1, 2, 1},
 	} {
-		if got := (Sched{Workers: c.workers}).workers(c.points, c.cores); got != c.want {
-			t.Errorf("Workers %d, Cores %d, %d points on 8 CPUs: pool of %d, want %d", c.workers, c.cores, c.points, got, c.want)
+		if got := (Sched{Workers: c.workers}).PoolSize(c.cores); got != c.want {
+			t.Errorf("Workers %d, Cores %d on 8 CPUs: pool of %d, want %d", c.workers, c.cores, got, c.want)
 		}
 	}
 }

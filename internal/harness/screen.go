@@ -318,7 +318,7 @@ func (s *Screener) Escalate(picks []EscalationPick, scale Scale) ([]Escalation, 
 		alg, pat, load := pick.Point.Alg, pick.Point.Pat, pick.Point.Load
 		points = append(points, syntheticPoint(EscalatePointKey(st.preset.Name, alg, pat, load), st.tp, alg, st.preset.BestAdaptive, pat, load, scale,
 			func(res sim.Results) LoadPoint {
-				s.reg.AddScreen(0, 1)
+				s.reg.Add("screen.escalations", 1)
 				return loadPoint(load, res)
 			}))
 	}

@@ -371,11 +371,12 @@ func TestScreenCountersAdvance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := sc.Telemetry.Registry.Snapshot()
-	if snap.ScreenEstimates != int64(len(points)) {
-		t.Errorf("registry counted %d estimates for %d screened points", snap.ScreenEstimates, len(points))
+	estimates := func() int64 { return sc.Telemetry.Registry.Snapshot().Counters["screen.estimates"] }
+	before := estimates()
+	if before != int64(len(points)) {
+		t.Errorf("registry counted %d estimates for %d screened points", before, len(points))
 	}
-	if snap.ScreenEscalations != 0 {
+	if sc.Telemetry.Registry.Snapshot().Counters["screen.escalations"] != 0 {
 		t.Error("screen-only sweep advanced the escalation counter")
 	}
 
@@ -389,7 +390,7 @@ func TestScreenCountersAdvance(t *testing.T) {
 	if _, err := Collect(sc, []Point[ScreenPoint]{pt}); err != nil {
 		t.Fatal(err)
 	}
-	if delta := sc.Telemetry.Registry.Snapshot().ScreenEstimates - snap.ScreenEstimates; delta != 1 {
+	if delta := estimates() - before; delta != 1 {
 		t.Errorf("registry counted %d estimates for one served point", delta)
 	}
 }

@@ -181,7 +181,7 @@ func (s *Screener) SchedPoint(topoName string, alg AlgKind, pat PatternKind, loa
 		Run: func(context.Context, int64) (ScreenPoint, error) {
 			sp, err := s.Point(topoName, alg, pat, load)
 			if err == nil {
-				s.reg.AddScreen(1, 0)
+				s.reg.Add("screen.estimates", 1)
 			}
 			return sp, err
 		},

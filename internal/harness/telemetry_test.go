@@ -141,10 +141,10 @@ func TestTelemetryRegistryDrains(t *testing.T) {
 	if len(rs.Active) != 0 {
 		t.Errorf("%d collectors still active after the sweep", len(rs.Active))
 	}
-	if rs.Completed != int64(len(loads)) {
-		t.Errorf("registry completed %d runs, want %d", rs.Completed, len(loads))
+	if got := rs.Counters["runs.completed"]; got != int64(len(loads)) {
+		t.Errorf("registry completed %d runs, want %d", got, len(loads))
 	}
-	if want := sink.Totals().Delivered; rs.CompletedDelivered != want {
-		t.Errorf("registry delivered %d, sink %d", rs.CompletedDelivered, want)
+	if want := sink.Totals().Delivered; rs.Counters["runs.delivered"] != want {
+		t.Errorf("registry delivered %d, sink %d", rs.Counters["runs.delivered"], want)
 	}
 }

@@ -1,12 +1,11 @@
 // Package metrics provides the streaming statistics used by the
-// simulator: running means, bounded histograms with percentile
-// queries, and exact quantiles of small samples.
+// simulator: running means and bounded histograms with percentile
+// queries.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean accumulates a running mean/min/max.
@@ -165,26 +164,4 @@ func (h *Histogram) Percentile(p float64) float64 {
 		}
 	}
 	return math.Inf(1)
-}
-
-// Quantiles computes exact quantiles of a small sample slice (it
-// sorts a copy). ps are percentiles in (0,100].
-func Quantiles(xs []float64, ps ...float64) []float64 {
-	out := make([]float64, len(ps))
-	if len(xs) == 0 {
-		return out
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	for i, p := range ps {
-		idx := int(math.Ceil(p/100*float64(len(s)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(s) {
-			idx = len(s) - 1
-		}
-		out[i] = s[idx]
-	}
-	return out
 }

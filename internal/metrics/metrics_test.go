@@ -95,21 +95,6 @@ func TestHistogramInvalidShape(t *testing.T) {
 	NewHistogram(0, 10)
 }
 
-func TestQuantiles(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	qs := Quantiles(xs, 20, 50, 100)
-	if qs[0] != 1 || qs[1] != 3 || qs[2] != 5 {
-		t.Errorf("Quantiles = %v, want [1 3 5]", qs)
-	}
-	if xs[0] != 5 {
-		t.Error("Quantiles mutated input")
-	}
-	empty := Quantiles(nil, 50)
-	if empty[0] != 0 {
-		t.Error("empty quantile != 0")
-	}
-}
-
 // Property: histogram percentile is monotone in p and bounds the mean
 // sensibly for uniform data.
 func TestQuickHistogramMonotone(t *testing.T) {

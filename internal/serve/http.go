@@ -39,13 +39,6 @@ func (s *Server) admit(w http.ResponseWriter) func() {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
 // resolveError maps a Resolve failure to its HTTP status.
 func resolveError(w http.ResponseWriter, err error) {
 	var bad *BadQueryError
@@ -112,7 +105,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 		resolveError(w, err)
 		return
 	}
-	writeJSON(w, ans)
+	telemetry.WriteJSON(w, ans)
 }
 
 // BatchRequest asks for many queries at once: an explicit list, a
@@ -214,7 +207,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
 		resp.Answers = append(resp.Answers, ans)
 	}
 	resp.ElapsedMS = float64(s.now().Sub(start)) / float64(time.Millisecond)
-	writeJSON(w, resp)
+	telemetry.WriteJSON(w, resp)
 }
 
 func (s *Server) handleTicket(w http.ResponseWriter, req *http.Request) {
@@ -228,12 +221,12 @@ func (s *Server) handleTicket(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, fmt.Sprintf("no ticket %q", id), http.StatusNotFound)
 		return
 	}
-	writeJSON(w, t)
+	telemetry.WriteJSON(w, t)
 }
 
 func (s *Server) handleTickets(w http.ResponseWriter, req *http.Request) {
 	tickets := s.Tickets()
-	writeJSON(w, struct {
+	telemetry.WriteJSON(w, struct {
 		Count   int      `json:"count"`
 		Tickets []Ticket `json:"tickets"`
 	}{Count: len(tickets), Tickets: tickets})

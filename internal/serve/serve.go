@@ -159,8 +159,8 @@ type Config struct {
 	// tickets; <= 0 defaults to 256.
 	EscWorkers int
 	EscBacklog int
-	// Registry, when non-nil, receives per-tier query latency
-	// observations and the screening estimate/escalation counters.
+	// Registry, when non-nil, receives the per-tier query latency
+	// histograms (query_ms.<tier>) and the screen.* counters.
 	Registry *telemetry.Registry
 	// Campaign, when non-nil, runs escalations under the multi-process
 	// lease protocol (the store must then be opened SharedLock), so
@@ -290,8 +290,15 @@ func (s *Server) Resolve(ctx context.Context, q Query) (Answer, error) {
 	}
 	elapsed := s.now().Sub(start)
 	ans.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
-	s.cfg.Registry.ObserveQuery(ans.Tier, elapsed)
+	s.cfg.Registry.Observe(queryMetric[ans.Tier], elapsed)
 	return ans, nil
+}
+
+// queryMetric names each tier's latency histogram on the registry.
+var queryMetric = map[string]string{
+	TierSimCache:   "query_ms." + TierSimCache,
+	TierFluidCache: "query_ms." + TierFluidCache,
+	TierFluid:      "query_ms." + TierFluid,
 }
 
 func (s *Server) resolve(ctx context.Context, q Query) (Answer, error) {

@@ -88,7 +88,8 @@ func TestResolveTierLadder(t *testing.T) {
 	s := newTestServer(t, nil)
 	ctx := context.Background()
 
-	estimates := s.cfg.Registry.Snapshot().ScreenEstimates
+	estimates := func() int64 { return s.cfg.Registry.Snapshot().Counters["screen.estimates"] }
+	before := estimates()
 	cold, err := s.Resolve(ctx, testQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -96,8 +97,8 @@ func TestResolveTierLadder(t *testing.T) {
 	if cold.Tier != TierFluid {
 		t.Fatalf("cold query answered from %q, want %q", cold.Tier, TierFluid)
 	}
-	if delta := s.cfg.Registry.Snapshot().ScreenEstimates - estimates; delta != 1 {
-		t.Errorf("a served cold query advanced the registry's ScreenEstimates by %d, want 1", delta)
+	if delta := estimates() - before; delta != 1 {
+		t.Errorf("a served cold query advanced the registry's screen.estimates by %d, want 1", delta)
 	}
 	if cold.Estimate == nil || cold.Estimate.Saturation <= 0 {
 		t.Fatalf("cold estimate = %+v", cold.Estimate)
@@ -169,9 +170,9 @@ func TestResolveTierLadder(t *testing.T) {
 	}
 
 	// Telemetry metered every tier.
-	qs := s.cfg.Registry.Snapshot().Queries
-	if qs["fluid"].Count != 1 || qs[after.Tier].Count != 1 {
-		t.Errorf("query telemetry = %+v", qs)
+	hs := s.cfg.Registry.Snapshot().Histograms
+	if hs["query_ms.fluid"].N != 1 || hs["query_ms."+after.Tier].N != 1 {
+		t.Errorf("query telemetry = %+v", hs)
 	}
 }
 

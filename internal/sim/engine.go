@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/rand"
-	"sync/atomic"
 
 	"diam2/internal/metrics"
 	"diam2/internal/telemetry"
@@ -92,8 +91,7 @@ func releaseRef(r *Router, port, ci int) uint64 {
 // more shards, advanced in epochs by one or more workers (parallel.go
 // holds the driver). NewEngine builds the one-shard, one-worker case —
 // no cut, no goroutine, nothing to release; NewParallelEngine the
-// general one, whose workers Stop releases. Not safe for concurrent use;
-// WorkerCycleCounts alone may be called from other goroutines.
+// general one, whose workers Stop releases. Not safe for concurrent use.
 type Engine struct {
 	Net  *Network
 	Alg  RoutingAlgorithm
@@ -122,10 +120,6 @@ type Engine struct {
 	epoch      int64 // cycles every shard runs before the next barrier
 	par        int   // mailbox parity the running epoch's producers write
 	boundaries int64 // boundary actions run, the stopping ones included
-
-	// workerCycles[w] counts cycles worker w completed; atomic so a
-	// telemetry reader can sample mid-run.
-	workerCycles []atomic.Int64
 
 	tel *telemetry.Collector // the engine's one optional observer (see telemetry.go)
 }

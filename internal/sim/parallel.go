@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"diam2/internal/partition"
 )
@@ -230,7 +229,6 @@ func NewParallelEngine(net *Network, alg RoutingAlgorithm, work Workload, opt Pa
 	for s, sh := range e.shards {
 		e.owned[s%workers] = append(e.owned[s%workers], sh)
 	}
-	e.workerCycles = make([]atomic.Int64, workers)
 	e.bar.init(workers)
 	for w := 1; w < workers; w++ {
 		go e.workerLoop(w)
@@ -249,16 +247,6 @@ func (e *Engine) Workers() int { return len(e.owned) }
 // run exactly).
 func (e *Engine) RouterPartition() []int {
 	return append([]int(nil), e.part...)
-}
-
-// WorkerCycleCounts returns a snapshot of per-worker completed-cycle
-// counters (safe to call concurrently with a run; telemetry uses it).
-func (e *Engine) WorkerCycleCounts() []int64 {
-	out := make([]int64, len(e.workerCycles))
-	for i := range e.workerCycles {
-		out[i] = e.workerCycles[i].Load()
-	}
-	return out
 }
 
 // Stop releases the worker goroutines (a one-worker engine has none).
@@ -342,7 +330,6 @@ func (e *Engine) cycleLoop(w int) {
 				sh.advanceCycle()
 			}
 		}
-		e.workerCycles[w].Add(e.epoch)
 	}
 }
 

@@ -14,8 +14,8 @@ import "diam2/internal/telemetry"
 //
 // The per-event hooks (heatmap, flight recorder) are unsynchronized by
 // design, so they are wired only when one shard makes every call; from
-// two shards up a collector receives the per-worker cycle counters at
-// Finish and nothing else.
+// two shards up a collector records the observed window and nothing
+// else.
 func (e *Engine) AttachTelemetry(c *telemetry.Collector) {
 	e.tel = c
 	if len(e.shards) == 1 {
@@ -30,19 +30,12 @@ func (e *Engine) AttachTelemetry(c *telemetry.Collector) {
 	}
 }
 
-// Telemetry returns the attached collector (nil when disabled).
-func (e *Engine) Telemetry() *telemetry.Collector { return e.tel }
-
 // Finish finalizes end-of-run state: the telemetry collector, if any,
-// records the end cycle and, for a sharded run, the per-worker cycle
-// counters. Finish is idempotent and does not advance the simulation;
-// the harness calls it after every run, before reading Results.
+// records the end cycle. Finish is idempotent and does not advance the
+// simulation; the harness calls it after every run, before reading
+// Results.
 func (e *Engine) Finish() {
-	if e.tel == nil {
-		return
+	if e.tel != nil {
+		e.tel.Finish(e.Now())
 	}
-	if len(e.shards) > 1 {
-		e.tel.SetWorkerCycles(e.WorkerCycleCounts())
-	}
-	e.tel.Finish(e.Now())
 }

@@ -47,13 +47,14 @@ func TestGoldenStatsTelemetry(t *testing.T) {
 	}
 	faulted := 0
 	for i, c := range cols {
-		if c.EventCount(telemetry.EvDeliver) == 0 {
+		events := c.Snapshot(0).Events
+		if events["deliver"] == 0 {
 			t.Errorf("scenario %s: collector saw no deliveries (hook not wired?)", goldenSpecs[i].name)
 		}
 		// Every faulted scenario must have seen its failure burst.
 		if goldenSpecs[i].name == "sf-min-faults" || goldenSpecs[i].name == "mlfm-min-mtbf" {
 			faulted++
-			if c.EventCount(telemetry.EvDrop) == 0 || c.EventCount(telemetry.EvRetransmit) == 0 {
+			if events["drop"] == 0 || events["retransmit"] == 0 {
 				t.Errorf("%s: collector recorded no drop/retransmit events", goldenSpecs[i].name)
 			}
 		}
@@ -162,8 +163,8 @@ func TestTelemetryTraceJSONL(t *testing.T) {
 		prevCycle = ev.Cycle
 	}
 	var total int64
-	for k := telemetry.EvInject; k <= telemetry.EvDeliver; k++ {
-		total += c.EventCount(k)
+	for _, n := range c.Snapshot(0).Events {
+		total += n
 	}
 	if total <= 64 {
 		t.Errorf("total event count %d; expected eviction beyond the 64-slot ring", total)

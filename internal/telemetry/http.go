@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -15,106 +14,70 @@ import (
 	"diam2/internal/metrics"
 )
 
-// Registry tracks the collectors of a running process so a long sweep
-// can be inspected live: workers attach a point's collector for the
-// duration of its run, and the HTTP handler snapshots whatever is
-// active plus aggregate counters of everything that has completed.
+// Registry is a process's one named set of live measurements: workers
+// attach a point's collector for the duration of its run, and any
+// package adds to a named counter (Add) or a named latency histogram
+// (Observe). The registry knows none of the names; its mux serves the
+// whole set as JSON at /telemetry.
 type Registry struct {
-	mu        sync.Mutex
-	active    map[*Collector]int64 // collector -> attach order
-	nextSeq   int64
-	completed int64
-	// Aggregate counters folded in as collectors detach.
-	doneInjected, doneDelivered, doneDropped int64
-	doneLinkFlits                            int64
-	// Screening-tier counters (see harness.ScreenSweep): analytic
-	// estimates answered and points escalated to the simulator.
-	screenEstimates, screenEscalations int64
-	// Query-service counters: answered design-space queries by
-	// resolution tier (see internal/serve), each with a latency
-	// histogram in milliseconds.
-	queries  map[string]*queryStat
-	campaign func() any
+	mu       sync.Mutex
+	active   map[*Collector]int64 // collector -> attach order
+	nextSeq  int64
+	counters map[string]int64
+	hists    map[string]*metrics.Histogram // milliseconds
+	mux      *Mux
 }
 
-// queryStat accumulates one resolution tier's serving activity.
-type queryStat struct {
-	count int64
-	lat   *metrics.Histogram // milliseconds
-}
-
-// queryLatencyBucketMS × queryLatencyBuckets bound the query latency
-// histogram: 0.25 ms resolution up to 2 s, overflow clamped to the
-// last bucket (a query that slow is an outage, not a distribution).
+// obsBucketMS × obsBuckets bound every Observe histogram: 0.25 ms
+// resolution up to 2 s. Slower observations still count toward n, mean
+// and max; HistSnap clamps their percentiles to the exact max.
 const (
-	queryLatencyBucketMS = 0.25
-	queryLatencyBuckets  = 8000
+	obsBucketMS = 0.25
+	obsBuckets  = 8000
 )
 
-// ObserveQuery folds one answered design-space query into the per-tier
-// serving counters. tier is the resolution tier that produced the
-// answer (e.g. "sim-cache", "fluid-cache", "fluid"); d is the
-// end-to-end resolution latency.
-func (r *Registry) ObserveQuery(tier string, d time.Duration) {
+// NewRegistry creates an empty registry and its observability mux.
+func NewRegistry() *Registry {
+	r := &Registry{
+		active:   make(map[*Collector]int64),
+		counters: make(map[string]int64),
+		hists:    make(map[string]*metrics.Histogram),
+		mux:      NewMux(),
+	}
+	r.mux.HandleFunc("/telemetry", func(w http.ResponseWriter, _ *http.Request) { WriteJSON(w, r.Snapshot()) })
+	r.mux.Handle("/debug/vars", expvar.Handler())
+	r.mux.HandleFunc("/debug/pprof/", pprof.Index)
+	r.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	r.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	r.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	r.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return r
+}
+
+// Add adds delta to the named counter. A nil registry ignores it.
+func (r *Registry) Add(name string, delta int64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.counters[name] += delta
+	r.mu.Unlock()
+}
+
+// Observe folds one duration, in milliseconds, into the named
+// histogram. A nil registry ignores it.
+func (r *Registry) Observe(name string, d time.Duration) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.queries == nil {
-		r.queries = make(map[string]*queryStat)
+	h := r.hists[name]
+	if h == nil {
+		h = metrics.NewHistogram(obsBucketMS, obsBuckets)
+		r.hists[name] = h
 	}
-	st := r.queries[tier]
-	if st == nil {
-		st = &queryStat{lat: metrics.NewHistogram(queryLatencyBucketMS, queryLatencyBuckets)}
-		r.queries[tier] = st
-	}
-	st.count++
-	st.lat.Add(float64(d) / float64(time.Millisecond))
-}
-
-// QueryTierSnapshot is one tier's serving totals in a registry
-// snapshot: the answer count and latency distribution in milliseconds.
-type QueryTierSnapshot struct {
-	Count  int64   `json:"count"`
-	MeanMS float64 `json:"mean_ms"`
-	P50MS  float64 `json:"p50_ms"`
-	P95MS  float64 `json:"p95_ms"`
-	P99MS  float64 `json:"p99_ms"`
-	MaxMS  float64 `json:"max_ms"`
-}
-
-// AddScreen folds screening-tier activity into the registry: analytic
-// (fluid-model) estimates answered and screened points escalated to
-// flit-level simulation. Screening points never attach a Collector —
-// there is no engine to observe — so they report through these
-// counters instead.
-func (r *Registry) AddScreen(estimates, escalations int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.screenEstimates += estimates
-	r.screenEscalations += escalations
-	r.mu.Unlock()
-}
-
-// SetCampaign installs the /campaign data source — typically a closure
-// over campaign.Scan for the store directory the process is working
-// against. Until it is set the endpoint answers 404, so a plain
-// (non-campaign) sweep exposes no misleading empty campaign.
-func (r *Registry) SetCampaign(fn func() any) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.campaign = fn
-	r.mu.Unlock()
-}
-
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{active: make(map[*Collector]int64)}
+	h.Add(float64(d) / float64(time.Millisecond))
 }
 
 // Attach registers a collector as live.
@@ -128,8 +91,8 @@ func (r *Registry) Attach(c *Collector) {
 	r.nextSeq++
 }
 
-// Detach unregisters a collector, folding its totals into the
-// registry's completed-run aggregates.
+// Detach unregisters a collector, folding its totals into the runs.*
+// counters.
 func (r *Registry) Detach(c *Collector) {
 	if r == nil || c == nil {
 		return
@@ -141,86 +104,57 @@ func (r *Registry) Detach(c *Collector) {
 		return
 	}
 	delete(r.active, c)
-	r.completed++
-	r.doneInjected += s.Injected
-	r.doneDelivered += s.Delivered
-	r.doneDropped += s.Dropped
-	r.doneLinkFlits += s.LinkFlits
+	r.counters["runs.completed"]++
+	r.counters["runs.injected"] += s.Injected
+	r.counters["runs.delivered"] += s.Delivered
+	r.counters["runs.dropped"] += s.Dropped
+	r.counters["runs.link_flits"] += s.LinkFlits
 }
 
 // RegistrySnapshot is the /telemetry response body.
 type RegistrySnapshot struct {
-	Time      string      `json:"time"`
-	Active    []*Snapshot `json:"active"`
-	Completed int64       `json:"completed"`
-	// Totals over completed (detached) runs.
-	CompletedInjected  int64 `json:"completed_injected"`
-	CompletedDelivered int64 `json:"completed_delivered"`
-	CompletedDropped   int64 `json:"completed_dropped"`
-	CompletedLinkFlits int64 `json:"completed_link_flits"`
-	// Screening-tier totals (analytic estimates carry no collector).
-	ScreenEstimates   int64 `json:"screen_estimates"`
-	ScreenEscalations int64 `json:"screen_escalations"`
-	// Query-service totals by resolution tier; absent until the first
-	// ObserveQuery.
-	Queries map[string]QueryTierSnapshot `json:"queries,omitempty"`
+	Time       string              `json:"time"`
+	Active     []*Snapshot         `json:"active"` // live collectors, in attach order
+	Counters   map[string]int64    `json:"counters"`
+	Histograms map[string]HistSnap `json:"histograms"`
 }
 
-// Snapshot captures the live collectors (in attach order) and the
-// completed-run aggregates.
+// Snapshot captures the live collectors, the counters and the
+// histograms.
 func (r *Registry) Snapshot() *RegistrySnapshot {
 	r.mu.Lock()
-	type seqCol struct {
-		seq int64
-		c   *Collector
+	cols := make([]*Collector, 0, len(r.active))
+	for c := range r.active {
+		cols = append(cols, c)
 	}
-	cols := make([]seqCol, 0, len(r.active))
-	for c, seq := range r.active {
-		cols = append(cols, seqCol{seq, c})
-	}
+	sort.Slice(cols, func(i, j int) bool { return r.active[cols[i]] < r.active[cols[j]] })
 	out := &RegistrySnapshot{
-		Time:               time.Now().UTC().Format(time.RFC3339),
-		Completed:          r.completed,
-		CompletedInjected:  r.doneInjected,
-		CompletedDelivered: r.doneDelivered,
-		CompletedDropped:   r.doneDropped,
-		CompletedLinkFlits: r.doneLinkFlits,
-		ScreenEstimates:    r.screenEstimates,
-		ScreenEscalations:  r.screenEscalations,
+		Time:       time.Now().UTC().Format(time.RFC3339),
+		Counters:   make(map[string]int64, len(r.counters)),
+		Histograms: make(map[string]HistSnap, len(r.hists)),
 	}
-	if len(r.queries) > 0 {
-		out.Queries = make(map[string]QueryTierSnapshot, len(r.queries))
-		for tier, st := range r.queries {
-			// Observations past the histogram range report +Inf
-			// percentiles; clamp to the exact max so the snapshot
-			// stays JSON-encodable.
-			pct := func(p float64) float64 {
-				v := st.lat.Percentile(p)
-				if math.IsInf(v, 1) {
-					return st.lat.Max()
-				}
-				return v
-			}
-			out.Queries[tier] = QueryTierSnapshot{
-				Count:  st.count,
-				MeanMS: st.lat.Mean(),
-				P50MS:  pct(50),
-				P95MS:  pct(95),
-				P99MS:  pct(99),
-				MaxMS:  st.lat.Max(),
-			}
-		}
+	for name, v := range r.counters {
+		out.Counters[name] = v
+	}
+	for name, h := range r.hists {
+		out.Histograms[name] = histSnap(h)
 	}
 	r.mu.Unlock() // snapshot collectors outside the registry lock
-	for i := 1; i < len(cols); i++ {
-		for j := i; j > 0 && cols[j].seq < cols[j-1].seq; j-- {
-			cols[j], cols[j-1] = cols[j-1], cols[j]
-		}
-	}
-	for _, sc := range cols {
-		out.Active = append(out.Active, sc.c.Snapshot(0))
+	for _, c := range cols {
+		out.Active = append(out.Active, c.Snapshot(0))
 	}
 	return out
+}
+
+// WriteJSON answers v as indented JSON, or 500 when v does not encode.
+func WriteJSON(w http.ResponseWriter, v any) {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(append(b, '\n')) // a failed write means the client left; nobody to tell
 }
 
 // Mux is the observability mux with a self-describing index: every
@@ -282,56 +216,12 @@ func (m *Mux) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	m.mux.ServeHTTP(w, req)
 }
 
-// Handler returns the observability mux: /telemetry (JSON registry
-// snapshot), /campaign (JSON campaign status, when SetCampaign has
-// installed a source), /debug/vars (expvar) and /debug/pprof/*
-// (runtime profiles) — everything a long `diam2sweep -j N` run
-// exposes live. The result is a route-enumerating Mux, so callers may
-// mount additional endpoints on it and the "/" index stays accurate.
-func (r *Registry) Handler() *Mux {
-	mux := NewMux()
-	mux.HandleFunc("/telemetry", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(r.Snapshot()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/campaign", func(w http.ResponseWriter, req *http.Request) {
-		r.mu.Lock()
-		fn := r.campaign
-		r.mu.Unlock()
-		if fn == nil {
-			http.Error(w, "no campaign attached to this process", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(fn()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
-}
-
-var publishOnce sync.Once
-
-// PublishExpvar exports the registry under the expvar name
-// "diam2.telemetry" (idempotent; only the first registry wins, as
-// expvar names are process-global).
-func (r *Registry) PublishExpvar() {
-	publishOnce.Do(func() {
-		expvar.Publish("diam2.telemetry", expvar.Func(func() any { return r.Snapshot() }))
-	})
-}
+// Handler returns the registry's one observability mux: /telemetry
+// (the JSON snapshot), /debug/vars (the runtime's expvars) and
+// /debug/pprof/* (runtime profiles). Every call returns the same mux,
+// so endpoints mounted on it — /campaign, the query service's /query —
+// are served by Serve and listed on the "/" index.
+func (r *Registry) Handler() *Mux { return r.mux }
 
 // Serve starts the observability endpoint on addr (e.g. ":6060") in a
 // background goroutine and returns the bound address (useful with
@@ -342,7 +232,7 @@ func (r *Registry) Serve(addr string) (string, func() error, error) {
 	if err != nil {
 		return "", nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: r.Handler()}
+	srv := &http.Server{Handler: r.mux}
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), srv.Close, nil
 }

@@ -2,16 +2,33 @@ package telemetry
 
 import (
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
+// get fetches path from srv and returns the status and body.
+func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(srv.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(body)
+}
+
 // TestRegistryLifecycle: attach exposes a collector live, detach folds
-// its totals into the completed aggregates.
+// its totals into the runs.* counters.
 func TestRegistryLifecycle(t *testing.T) {
 	r := NewRegistry()
 	c := NewCollector(Options{Label: "p0"})
@@ -21,20 +38,20 @@ func TestRegistryLifecycle(t *testing.T) {
 	if len(s.Active) != 1 || s.Active[0].Label != "p0" {
 		t.Fatalf("active = %+v", s.Active)
 	}
-	if s.Completed != 0 {
-		t.Errorf("completed = %d before detach", s.Completed)
+	if s.Counters["runs.completed"] != 0 {
+		t.Errorf("completed = %d before detach", s.Counters["runs.completed"])
 	}
 	r.Detach(c)
 	s = r.Snapshot()
-	if len(s.Active) != 0 || s.Completed != 1 {
-		t.Fatalf("after detach: %d active, %d completed", len(s.Active), s.Completed)
+	if len(s.Active) != 0 || s.Counters["runs.completed"] != 1 {
+		t.Fatalf("after detach: %d active, counters %v", len(s.Active), s.Counters)
 	}
-	if s.CompletedDelivered != 1 || s.CompletedInjected != 1 || s.CompletedLinkFlits != 8 {
-		t.Errorf("aggregates = %+v", s)
+	if s.Counters["runs.delivered"] != 1 || s.Counters["runs.injected"] != 1 || s.Counters["runs.link_flits"] != 8 {
+		t.Errorf("counters = %v", s.Counters)
 	}
 	// Double detach must not double-count.
 	r.Detach(c)
-	if got := r.Snapshot().Completed; got != 1 {
+	if got := r.Snapshot().Counters["runs.completed"]; got != 1 {
 		t.Errorf("double detach counted: completed = %d", got)
 	}
 	// Nil registry and nil collector are no-ops.
@@ -72,25 +89,7 @@ func TestHTTPHandler(t *testing.T) {
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
 
-	get := func(path string) (int, string) {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var sb strings.Builder
-		buf := make([]byte, 32<<10)
-		for {
-			n, err := resp.Body.Read(buf)
-			sb.Write(buf[:n])
-			if err != nil {
-				break
-			}
-		}
-		return resp.StatusCode, sb.String()
-	}
-
-	code, body := get("/telemetry")
+	code, body := get(t, srv, "/telemetry")
 	if code != http.StatusOK {
 		t.Fatalf("/telemetry status %d", code)
 	}
@@ -102,30 +101,33 @@ func TestHTTPHandler(t *testing.T) {
 		t.Errorf("snapshot = %+v", snap)
 	}
 
-	if code, _ := get("/debug/vars"); code != http.StatusOK {
+	if code, _ := get(t, srv, "/debug/vars"); code != http.StatusOK {
 		t.Errorf("/debug/vars status %d", code)
 	}
-	if code, body := get("/debug/pprof/"); code != http.StatusOK || !strings.Contains(body, "goroutine") {
+	if code, body := get(t, srv, "/debug/pprof/"); code != http.StatusOK || !strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/ status %d", code)
 	}
-	if code, body := get("/"); code != http.StatusOK || !strings.Contains(body, "diam2 endpoints") {
+	if code, body := get(t, srv, "/"); code != http.StatusOK || !strings.Contains(body, "diam2 endpoints") {
 		t.Errorf("index status %d body %q", code, body)
 	}
-	if code, _ := get("/nope"); code != http.StatusNotFound {
+	if code, _ := get(t, srv, "/nope"); code != http.StatusNotFound {
 		t.Errorf("unknown path status %d", code)
 	}
 }
 
-// TestIndexListsEveryRoute: the "/" index enumerates every route
-// registered on the mux — the registry's own endpoints and anything a
-// caller mounts afterwards — so the page cannot go stale.
+// TestIndexListsEveryRoute: Handler returns the registry's one mux, and
+// its "/" index enumerates every route registered on it — the
+// registry's own endpoints and anything a caller mounts afterwards — so
+// the page cannot go stale.
 func TestIndexListsEveryRoute(t *testing.T) {
 	r := NewRegistry()
-	mux := r.Handler()
-	mux.HandleFunc("/query", func(w http.ResponseWriter, req *http.Request) {})
-	mux.HandleFunc("/query/batch", func(w http.ResponseWriter, req *http.Request) {})
-	routes := mux.Routes()
-	for _, want := range []string{"/telemetry", "/campaign", "/debug/vars", "/debug/pprof/", "/query", "/query/batch"} {
+	if r.Handler() != r.Handler() {
+		t.Fatal("Handler built a second mux")
+	}
+	r.Handler().HandleFunc("/query", func(w http.ResponseWriter, req *http.Request) {})
+	r.Handler().HandleFunc("/query/batch", func(w http.ResponseWriter, req *http.Request) {})
+	routes := r.Handler().Routes()
+	for _, want := range []string{"/telemetry", "/debug/vars", "/debug/pprof/", "/query", "/query/batch"} {
 		found := false
 		for _, got := range routes {
 			if got == want {
@@ -138,23 +140,9 @@ func TestIndexListsEveryRoute(t *testing.T) {
 		}
 	}
 
-	srv := httptest.NewServer(mux)
+	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var sb strings.Builder
-	buf := make([]byte, 32<<10)
-	for {
-		n, err := resp.Body.Read(buf)
-		sb.Write(buf[:n])
-		if err != nil {
-			break
-		}
-	}
-	body := sb.String()
+	_, body := get(t, srv, "/")
 	for _, route := range routes {
 		if !strings.Contains(body, route) {
 			t.Errorf("index page missing route %q:\n%s", route, body)
@@ -162,35 +150,92 @@ func TestIndexListsEveryRoute(t *testing.T) {
 	}
 }
 
-// TestObserveQuery: per-tier query counters and latency summaries land
-// in the snapshot, and out-of-range latencies keep it JSON-encodable.
-func TestObserveQuery(t *testing.T) {
+// TestObserve: named counters and histograms land in the snapshot, and
+// out-of-range durations keep it JSON-encodable.
+func TestObserve(t *testing.T) {
 	r := NewRegistry()
-	if r.Snapshot().Queries != nil {
-		t.Error("Queries non-nil before any ObserveQuery")
+	if s := r.Snapshot(); len(s.Counters) != 0 || len(s.Histograms) != 0 {
+		t.Errorf("fresh registry holds %v, %v", s.Counters, s.Histograms)
 	}
 	for i := 0; i < 10; i++ {
-		r.ObserveQuery("fluid", 2*time.Millisecond)
+		r.Observe("q.fluid", 2*time.Millisecond)
 	}
-	r.ObserveQuery("sim-cache", 500*time.Microsecond)
-	r.ObserveQuery("sim-cache", 10*time.Second) // past the histogram range
+	r.Observe("q.sim", 500*time.Microsecond)
+	r.Observe("q.sim", 10*time.Second) // past the histogram range
+	r.Add("hits", 2)
+	r.Add("hits", 3)
 	s := r.Snapshot()
-	if got := s.Queries["fluid"]; got.Count != 10 || got.MeanMS < 1.9 || got.MeanMS > 2.1 {
-		t.Errorf("fluid tier = %+v", got)
+	if got := s.Histograms["q.fluid"]; got.N != 10 || got.Mean < 1.9 || got.Mean > 2.1 || got.P95 < 2 {
+		t.Errorf("q.fluid = %+v", got)
 	}
-	sc := s.Queries["sim-cache"]
-	if sc.Count != 2 || sc.MaxMS < 9999 {
-		t.Errorf("sim-cache tier = %+v", sc)
+	sc := s.Histograms["q.sim"]
+	if sc.N != 2 || sc.Max < 9999 || sc.P99 != sc.Max {
+		t.Errorf("q.sim = %+v, want p99 clamped to the max", sc)
 	}
-	if math.IsInf(sc.P99MS, 0) || math.IsNaN(sc.P99MS) {
-		t.Errorf("P99 %v would not survive JSON encoding", sc.P99MS)
+	if s.Counters["hits"] != 5 {
+		t.Errorf("hits = %d, want 5", s.Counters["hits"])
 	}
 	if _, err := json.Marshal(s); err != nil {
 		t.Errorf("snapshot not JSON-encodable: %v", err)
 	}
 	// Nil registry is a no-op.
 	var nilReg *Registry
-	nilReg.ObserveQuery("fluid", time.Millisecond)
+	nilReg.Observe("q.fluid", time.Millisecond)
+	nilReg.Add("hits", 1)
+}
+
+// TestLatencyOverflowServes: a live collector whose latencies run past
+// its histogram's range (retransmission backoff reaches there) still
+// marshals, and /telemetry answers 200 rather than 500.
+func TestLatencyOverflowServes(t *testing.T) {
+	c := NewCollector(Options{Label: "slow"})
+	fill(c)
+	c.Deliver(250000, 2, 0, 2, 200000, true, 2, 4)
+	snap := c.Snapshot(0)
+	if _, err := json.Marshal(snap); err != nil {
+		t.Fatalf("snapshot not JSON-encodable: %v", err)
+	}
+	if l := snap.LatencyMinimal; math.IsInf(l.P99, 0) || l.P99 != l.Max {
+		t.Errorf("latency = %+v, want p99 clamped to the max", l)
+	}
+	r := NewRegistry()
+	r.Attach(c)
+	srv := httptest.NewServer(r.Handler())
+	defer srv.Close()
+	if code, body := get(t, srv, "/telemetry"); code != http.StatusOK {
+		t.Errorf("/telemetry status %d: %s", code, body)
+	}
+}
+
+// TestRegistryConcurrent: counters, histograms, attach/detach and
+// snapshots may interleave freely (run under -race).
+func TestRegistryConcurrent(t *testing.T) {
+	r := NewRegistry()
+	const goroutines, rounds = 4, 200
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				c := NewCollector(Options{RingEvents: 4})
+				fill(c)
+				r.Attach(c)
+				r.Add("n", 1)
+				r.Observe("d", time.Duration(i)*time.Millisecond)
+				_ = r.Snapshot()
+				r.Detach(c)
+			}
+		}()
+	}
+	wg.Wait()
+	s := r.Snapshot()
+	if want := int64(goroutines * rounds); s.Counters["n"] != want || s.Histograms["d"].N != want || s.Counters["runs.completed"] != want {
+		t.Errorf("counters %v, histogram n %d, want %d each", s.Counters, s.Histograms["d"].N, want)
+	}
+	if len(s.Active) != 0 {
+		t.Errorf("%d collectors still active", len(s.Active))
+	}
 }
 
 // TestServe: the background server binds, answers, and shuts down.
@@ -213,38 +258,21 @@ func TestServe(t *testing.T) {
 	}
 }
 
-// TestCampaignEndpoint: /campaign answers 404 until SetCampaign
-// installs a source, then serves whatever the source returns as JSON.
+// TestCampaignEndpoint: /campaign answers 404 until a source is mounted
+// on the registry's mux, then serves whatever it writes through
+// WriteJSON, and the index advertises it.
 func TestCampaignEndpoint(t *testing.T) {
 	r := NewRegistry()
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
 
-	get := func() (int, string) {
-		resp, err := http.Get(srv.URL + "/campaign")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var sb strings.Builder
-		buf := make([]byte, 32<<10)
-		for {
-			n, err := resp.Body.Read(buf)
-			sb.Write(buf[:n])
-			if err != nil {
-				break
-			}
-		}
-		return resp.StatusCode, sb.String()
+	if code, _ := get(t, srv, "/campaign"); code != http.StatusNotFound {
+		t.Fatalf("/campaign before mounting: status %d, want 404", code)
 	}
-
-	if code, _ := get(); code != http.StatusNotFound {
-		t.Fatalf("/campaign before SetCampaign: status %d, want 404", code)
-	}
-	r.SetCampaign(func() any {
-		return map[string]any{"workers": 3, "leases": []string{"a", "b"}}
+	r.Handler().HandleFunc("/campaign", func(w http.ResponseWriter, _ *http.Request) {
+		WriteJSON(w, map[string]any{"workers": 3, "leases": []string{"a", "b"}})
 	})
-	code, body := get()
+	code, body := get(t, srv, "/campaign")
 	if code != http.StatusOK {
 		t.Fatalf("/campaign status %d", code)
 	}
@@ -258,15 +286,7 @@ func TestCampaignEndpoint(t *testing.T) {
 	if got.Workers != 3 || len(got.Leases) != 2 {
 		t.Errorf("/campaign body = %+v", got)
 	}
-	// The index line advertises the endpoint.
-	resp, err := http.Get(srv.URL + "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	buf := make([]byte, 4096)
-	n, _ := resp.Body.Read(buf)
-	if !strings.Contains(string(buf[:n]), "/campaign") {
-		t.Errorf("index does not mention /campaign: %q", buf[:n])
+	if _, index := get(t, srv, "/"); !strings.Contains(index, "/campaign") {
+		t.Errorf("index does not mention /campaign: %q", index)
 	}
 }

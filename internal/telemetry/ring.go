@@ -14,7 +14,6 @@ type ring struct {
 	buf   []Event // fixed length == capacity
 	start int     // index of the oldest held event
 	n     int     // events currently held
-	total int64   // events ever pushed
 }
 
 func newRing(capacity int) ring {
@@ -25,7 +24,6 @@ func newRing(capacity int) ring {
 }
 
 func (r *ring) push(ev Event) {
-	r.total++
 	if r.n < len(r.buf) {
 		r.buf[(r.start+r.n)%len(r.buf)] = ev
 		r.n++

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"diam2/internal/metrics"
@@ -28,21 +29,29 @@ type VCSnap struct {
 	Enqueues int64 `json:"enqueues"` // cumulative packets buffered
 }
 
-// LatencySnap summarizes one latency histogram.
-type LatencySnap struct {
+// HistSnap summarizes one histogram: the count, the exact mean and max,
+// and bucket-granularity percentiles.
+type HistSnap struct {
 	N    int64   `json:"n"`
 	Mean float64 `json:"mean"`
 	P50  float64 `json:"p50"`
+	P95  float64 `json:"p95"`
 	P99  float64 `json:"p99"`
 	Max  float64 `json:"max"`
 }
 
-func latencySnap(h *metrics.Histogram) LatencySnap {
-	s := LatencySnap{N: h.N(), Mean: h.Mean(), Max: h.Max()}
-	if s.N > 0 {
-		s.P50 = h.Percentile(50)
-		s.P99 = h.Percentile(99)
+// histSnap summarizes h. A percentile is its bucket's upper bound; one
+// past the histogram's range (+Inf) is clamped to the exact max, so
+// every summary encodes as JSON.
+func histSnap(h *metrics.Histogram) HistSnap {
+	s := HistSnap{N: h.N(), Mean: h.Mean(), Max: h.Max()}
+	pct := func(p float64) float64 {
+		if v := h.Percentile(p); !math.IsInf(v, 1) {
+			return v
+		}
+		return s.Max
 	}
+	s.P50, s.P95, s.P99 = pct(50), pct(95), pct(99)
 	return s
 }
 
@@ -74,12 +83,8 @@ type Snapshot struct {
 	// descending peak occupancy.
 	VCs []VCSnap `json:"vcs"`
 
-	LatencyMinimal  LatencySnap `json:"latency_minimal"`
-	LatencyIndirect LatencySnap `json:"latency_indirect"`
-
-	// WorkerCycles lists the cycles each worker of a sharded engine run
-	// executed; absent for serial runs.
-	WorkerCycles []int64 `json:"worker_cycles,omitempty"`
+	LatencyMinimal  HistSnap `json:"latency_minimal"`
+	LatencyIndirect HistSnap `json:"latency_indirect"`
 }
 
 // Snapshot captures the collector's current state. It can be called
@@ -144,9 +149,8 @@ func (c *Collector) Snapshot(now int64) *Snapshot {
 		}
 		return a.VC < b.VC
 	})
-	s.LatencyMinimal = latencySnap(c.latMinimal)
-	s.LatencyIndirect = latencySnap(c.latIndirect)
-	s.WorkerCycles = append([]int64(nil), c.workerCycles...)
+	s.LatencyMinimal = histSnap(c.latMinimal)
+	s.LatencyIndirect = histSnap(c.latIndirect)
 	return s
 }
 

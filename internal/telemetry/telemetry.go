@@ -75,15 +75,16 @@ type Options struct {
 	// RingEvents bounds the flight recorder; the ring keeps the most
 	// recent RingEvents events. <= 0 selects DefaultRingEvents.
 	RingEvents int
-	// LatencyBucket is the latency-histogram bucket width in cycles;
-	// <= 0 selects DefaultLatencyBucket.
-	LatencyBucket float64
 }
 
-// Defaults for Options.
+// DefaultRingEvents is the flight recorder's default capacity.
+const DefaultRingEvents = 4096
+
+// latBucketCycles × latBuckets bound the latency histograms: 32-cycle
+// resolution up to 131 072 cycles.
 const (
-	DefaultRingEvents    = 4096
-	DefaultLatencyBucket = 32.0
+	latBucketCycles = 32.0
+	latBuckets      = 4096
 )
 
 // linkKey identifies a directed router-to-router link.
@@ -127,11 +128,6 @@ type Collector struct {
 	linkFlits      int64 // total flits that completed a router-to-router traversal
 	hopsDelivered  int64 // sum of Hops over delivered packets
 
-	// workerCycles holds the per-worker cycle counters of a sharded run
-	// (two shards or more); a one-shard engine never sets it, so it
-	// stays nil — and absent from snapshots — for those runs.
-	workerCycles []int64
-
 	startCycle int64
 	endCycle   int64
 	finished   bool
@@ -143,16 +139,12 @@ func NewCollector(opts Options) *Collector {
 	if ringCap <= 0 {
 		ringCap = DefaultRingEvents
 	}
-	bucket := opts.LatencyBucket
-	if bucket <= 0 {
-		bucket = DefaultLatencyBucket
-	}
 	return &Collector{
 		label:       opts.Label,
 		ring:        newRing(ringCap),
 		links:       make(map[linkKey]*linkCounter),
-		latMinimal:  metrics.NewHistogram(bucket, 4096),
-		latIndirect: metrics.NewHistogram(bucket, 4096),
+		latMinimal:  metrics.NewHistogram(latBucketCycles, latBuckets),
+		latIndirect: metrics.NewHistogram(latBucketCycles, latBuckets),
 	}
 }
 
@@ -184,25 +176,6 @@ func (c *Collector) Finish(cycle int64) {
 	defer c.mu.Unlock()
 	c.endCycle = cycle
 	c.finished = true
-}
-
-// SetWorkerCycles records the per-worker cycle counters of a sharded
-// engine run. This coarse progress counter is the only telemetry an
-// engine emits from two shards up — the per-event hooks are wired for
-// one shard only, so a collector can never perturb or race the
-// workers' hot path.
-func (c *Collector) SetWorkerCycles(cycles []int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.workerCycles = append(c.workerCycles[:0], cycles...)
-}
-
-// WorkerCycles returns the recorded per-worker cycle counters (nil for
-// serial runs).
-func (c *Collector) WorkerCycles() []int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]int64(nil), c.workerCycles...)
 }
 
 // event appends to the ring and bumps the kind counter. Callers hold mu.
@@ -326,17 +299,6 @@ func (c *Collector) VCDequeue(router, vc int) {
 		return
 	}
 	c.vcOcc[i].cur--
-}
-
-// EventCount returns the number of events of one kind recorded so far
-// (including events the bounded ring has since evicted).
-func (c *Collector) EventCount(kind EventKind) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if int(kind) >= len(c.counts) {
-		return 0
-	}
-	return c.counts[kind]
 }
 
 // Events returns a copy of the flight-recorder ring, oldest first.

@@ -3,7 +3,9 @@
 # answer a cold query from the fluid tier, answer the identical re-issue
 # from the fluid-cache tier, escalate a near-saturation point to the
 # flit-level simulator (pollable ticket to "done", after which the same
-# query is a sim-cache hit), and drain cleanly on SIGTERM with exit 0.
+# query is a sim-cache hit), show every tier's query_ms.<tier> histogram
+# and the screen.* counters on /telemetry, and drain cleanly on SIGTERM
+# with exit 0.
 #
 # Usage: scripts/serve_smoke.sh [ticket-budget-seconds]
 set -euo pipefail
@@ -90,6 +92,16 @@ grep -q '"tier": "sim-cache"' "$workdir/sim.json" || {
   exit 1
 }
 
+echo "== telemetry: every tier's latency histogram and both screening counters are on /telemetry"
+curl -sf "$base/telemetry" > "$workdir/telemetry.json"
+for name in query_ms.fluid query_ms.fluid-cache query_ms.sim-cache screen.estimates screen.escalations; do
+  grep -q "\"$name\":" "$workdir/telemetry.json" || {
+    echo "FAIL: /telemetry lacks $name:" >&2
+    cat "$workdir/telemetry.json" >&2
+    exit 1
+  }
+done
+
 echo "== drain: SIGTERM must exit 0 after finishing in-flight work"
 kill -TERM "$pid"
 rc=0
@@ -106,4 +118,4 @@ grep -q 'diam2serve: drained' "$workdir/serve.log" || {
   exit 1
 }
 
-echo "PASS: fluid -> fluid-cache -> escalation ticket ($ticket, ${elapsed}s) -> sim-cache, drained cleanly on SIGTERM"
+echo "PASS: fluid -> fluid-cache -> escalation ticket ($ticket, ${elapsed}s) -> sim-cache, metered on /telemetry, drained cleanly on SIGTERM"
