@@ -64,6 +64,32 @@ func TestRunExchangeCores(t *testing.T) {
 	}
 }
 
+// TestRunExchangeShortLists: an exchange with fewer node lists than
+// the machine drains, on one core and on two — the nodes beyond the
+// lists inject nothing — and one addressing a node outside the machine
+// is refused before the engine starts.
+func TestRunExchangeShortLists(t *testing.T) {
+	p := SmallPresets()[0] // SF(q=5,p=3)
+	tp, err := p.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cores := range []int{1, 2} {
+		ex := traffic.NewExchange("pair", [][]traffic.Message{{{Dst: 1, Packets: 3}}, {{Dst: 0, Packets: 2}}}, true)
+		res, _, err := RunExchange(tp, AlgMIN, p.BestAdaptive, ex, coresScale(cores))
+		if err != nil {
+			t.Fatalf("cores %d: %v", cores, err)
+		}
+		if res.Delivered != 5 {
+			t.Errorf("cores %d: delivered %d of 5 packets", cores, res.Delivered)
+		}
+	}
+	ex := traffic.NewExchange("far", [][]traffic.Message{{{Dst: tp.Nodes(), Packets: 1}}}, true)
+	if _, _, err := RunExchange(tp, AlgMIN, p.BestAdaptive, ex, coresScale(1)); err == nil {
+		t.Error("destination outside the topology accepted")
+	}
+}
+
 // TestCoresRejectsTelemetry: telemetry collectors hook the serial
 // engine's hot path, so a scale combining Cores > 1 with a telemetry
 // sink must fail loudly instead of silently dropping events.

@@ -299,6 +299,9 @@ func RunSynthetic(t topo.Topology, kind AlgKind, ugal UGALConfig, pat PatternKin
 // returns the results plus the effective throughput (total delivered
 // load as a fraction of aggregate injection bandwidth, Section 4.4).
 func RunExchange(t topo.Topology, kind AlgKind, ugal UGALConfig, ex *traffic.Exchange, scale Scale) (sim.Results, float64, error) {
+	if err := ex.CheckNodes(t.Nodes()); err != nil {
+		return sim.Results{}, 0, err
+	}
 	label := fmt.Sprintf("%s|%s|%s|seed=%d", t.Name(), kind, ex.Name(), scale.Seed)
 	res, cfg, err := scale.run(t, kind, ugal, label, true, func(sim.Config) (sim.Workload, error) { return ex, nil })
 	if err != nil {

@@ -94,5 +94,5 @@ func (m *Mapping) Apply(e *Exchange) *Exchange {
 		}
 		msgs[src] = list
 	}
-	return NewExchange(e.Label+"@"+m.Label, msgs, e.Interleave)
+	return NewExchange(e.Label+"@"+m.Label, msgs, e.Interleaved())
 }

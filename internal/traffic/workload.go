@@ -43,14 +43,19 @@ type Message struct {
 // Exchange is a closed-loop workload: each node owns an ordered list
 // of messages. Injection either drains messages sequentially (the
 // all-to-all shifted order) or round-robins across them
-// (nearest-neighbor style).
+// (nearest-neighbor style). Nodes beyond the lists inject nothing.
 type Exchange struct {
 	Label      string
-	Interleave bool
+	interleave bool
 
-	msgs      [][]Message
-	remaining [][]int // packets left per message
-	rrMsg     []int   // round-robin cursor per node
+	msgs [][]Message
+	// A node's live messages (packets left) form a cyclic successor
+	// list over flat indices into dst/rem/next, in list order. tail[n]
+	// is the predecessor of the message node n sends from next, or -1
+	// once it has sent everything. A message is unlinked when its last
+	// packet goes, so a poll costs O(1).
+	dst, rem, next []int32
+	tail           []int32
 	// left counts packets still to inject across all nodes. Sharded
 	// engines call NextPacket concurrently from different source nodes,
 	// so the counter goes atomic under EnterParallel; all other mutable
@@ -60,16 +65,28 @@ type Exchange struct {
 }
 
 // NewExchange builds an exchange from per-node message lists
-// (msgs[n] are node n's messages).
+// (msgs[n] are node n's messages). Interleaved exchanges round-robin
+// across a node's messages; the others drain them in order.
 func NewExchange(label string, msgs [][]Message, interleave bool) *Exchange {
-	e := &Exchange{Label: label, Interleave: interleave, msgs: msgs}
-	e.remaining = make([][]int, len(msgs))
-	e.rrMsg = make([]int, len(msgs))
+	e := &Exchange{Label: label, interleave: interleave, msgs: msgs, tail: make([]int32, len(msgs))}
+	size := 0
+	for _, list := range msgs {
+		size += len(list)
+	}
+	e.dst, e.rem, e.next = make([]int32, 0, size), make([]int32, 0, size), make([]int32, 0, size)
 	for n, list := range msgs {
-		e.remaining[n] = make([]int, len(list))
-		for i, m := range list {
-			e.remaining[n][i] = m.Packets
+		lo := int32(len(e.dst))
+		for _, m := range list {
 			e.total += int64(m.Packets)
+			if m.Packets > 0 {
+				e.dst = append(e.dst, int32(m.Dst))
+				e.rem = append(e.rem, int32(m.Packets))
+				e.next = append(e.next, int32(len(e.next)+1))
+			}
+		}
+		e.tail[n] = -1
+		if hi := int32(len(e.dst)); hi > lo {
+			e.next[hi-1], e.tail[n] = lo, hi-1
 		}
 	}
 	e.left.init(e.total)
@@ -79,35 +96,44 @@ func NewExchange(label string, msgs [][]Message, interleave bool) *Exchange {
 // Name implements sim.Workload.
 func (e *Exchange) Name() string { return e.Label }
 
+// Interleaved reports whether nodes round-robin across their messages.
+func (e *Exchange) Interleaved() bool { return e.interleave }
+
 // TotalPackets returns the exchange volume in packets.
 func (e *Exchange) TotalPackets() int64 { return e.total }
 
-// NextPacket implements sim.Workload.
-func (e *Exchange) NextPacket(src int, _ int64, _ *rand.Rand) (int, bool) {
-	rem := e.remaining[src]
-	if len(rem) == 0 {
-		return 0, false
-	}
-	if e.Interleave {
-		for trial := 0; trial < len(rem); trial++ {
-			i := (e.rrMsg[src] + trial) % len(rem)
-			if rem[i] > 0 {
-				rem[i]--
-				e.left.dec()
-				e.rrMsg[src] = (i + 1) % len(rem)
-				return e.msgs[src][i].Dst, true
+// CheckNodes reports an error unless every node list and destination
+// lies within a machine of n nodes.
+func (e *Exchange) CheckNodes(n int) error {
+	for src, list := range e.msgs {
+		for _, m := range list {
+			if src >= n || m.Dst < 0 || m.Dst >= n {
+				return fmt.Errorf("traffic: exchange %s: message %d -> %d outside %d nodes", e.Label, src, m.Dst, n)
 			}
 		}
+	}
+	return nil
+}
+
+// NextPacket implements sim.Workload.
+func (e *Exchange) NextPacket(src int, _ int64, _ *rand.Rand) (int, bool) {
+	if src >= len(e.tail) || e.tail[src] < 0 {
 		return 0, false
 	}
-	for i, r := range rem {
-		if r > 0 {
-			rem[i]--
-			e.left.dec()
-			return e.msgs[src][i].Dst, true
+	t := e.tail[src]
+	i := e.next[t]
+	e.left.dec()
+	switch e.rem[i]--; {
+	case e.rem[i] > 0:
+		if e.interleave {
+			e.tail[src] = i
 		}
+	case i == t:
+		e.tail[src] = -1
+	default:
+		e.next[t] = e.next[i]
 	}
-	return 0, false
+	return int(e.dst[i]), true
 }
 
 // Done implements sim.Workload.
@@ -132,6 +158,25 @@ func (e *Exchange) EnterParallel() { e.left.enterParallel() }
 // destination order. Pass a nil rng for the deterministic shifted
 // order (kept for ablation; it is still interleaved).
 func AllToAll(n, packetsPerPair int, rng *rand.Rand) *Exchange {
+	label := "A2A"
+	if rng == nil {
+		label = "A2A-shifted"
+	}
+	return NewExchange(label, allToAllLists(n, packetsPerPair, rng), true)
+}
+
+// AllToAllSequential is the naive synchronized variant: every node
+// drains one full message after another in shifted order. It is kept
+// as an ablation baseline — on the SSPTs the aligned phases form
+// single-minimal-path permutations and throughput collapses relative
+// to the sprayed exchange.
+func AllToAllSequential(n, packetsPerPair int) *Exchange {
+	return NewExchange("A2A-seq", allToAllLists(n, packetsPerPair, nil), false)
+}
+
+// allToAllLists gives node i the shifted destination order i+1, i+2,
+// ... (mod n), shuffled per node when rng is non-nil.
+func allToAllLists(n, packetsPerPair int, rng *rand.Rand) [][]Message {
 	msgs := make([][]Message, n)
 	for i := 0; i < n; i++ {
 		list := make([]Message, 0, n-1)
@@ -143,21 +188,5 @@ func AllToAll(n, packetsPerPair int, rng *rand.Rand) *Exchange {
 		}
 		msgs[i] = list
 	}
-	label := "A2A"
-	if rng == nil {
-		label = "A2A-shifted"
-	}
-	return NewExchange(label, msgs, true)
-}
-
-// AllToAllSequential is the naive synchronized variant: every node
-// drains one full message after another in shifted order. It is kept
-// as an ablation baseline — on the SSPTs the aligned phases form
-// single-minimal-path permutations and throughput collapses relative
-// to the sprayed exchange.
-func AllToAllSequential(n, packetsPerPair int) *Exchange {
-	ex := AllToAll(n, packetsPerPair, nil)
-	ex.Interleave = false
-	ex.Label = "A2A-seq"
-	return ex
+	return msgs
 }
