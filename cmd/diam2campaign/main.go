@@ -40,6 +40,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strings"
 	"time"
 
 	"diam2/internal/buildinfo"
@@ -178,17 +179,19 @@ func status(storeDir, campDir string) error {
 	for _, l := range st.Leases {
 		fmt.Printf("  %-60s owner=%s age=%.1fs\n", l.Point, l.Owner, l.Age)
 	}
+	failures := func(fs []campaign.Failure) {
+		for _, f := range fs {
+			last, _, _ := strings.Cut(f.LastErr, "\n") // panic payloads carry stacks
+			fmt.Printf("  %-60s attempts=%d last: %s\n", f.Point, f.Attempts, last)
+		}
+	}
 	if len(st.Failed) > 0 {
 		fmt.Printf("failing   %d point(s) still retrying\n", len(st.Failed))
-		for _, f := range st.Failed {
-			fmt.Printf("  %-60s attempts=%d last: %s\n", f.Point, f.Attempts, firstLine(f.LastErr))
-		}
+		failures(st.Failed)
 	}
 	if len(st.Quarantined) > 0 {
 		fmt.Printf("QUARANTINED %d poison point(s) (full logs under %s/quarantine)\n", len(st.Quarantined), campDir)
-		for _, f := range st.Quarantined {
-			fmt.Printf("  %-60s attempts=%d last: %s\n", f.Point, f.Attempts, firstLine(f.LastErr))
-		}
+		failures(st.Quarantined)
 	}
 	return nil
 }
@@ -289,15 +292,4 @@ func serve(storeDir, campDir, addr string) error {
 	}
 	fmt.Fprintf(os.Stderr, "diam2campaign: coordinator at http://%s/campaign (progress, submit; telemetry mux underneath)\n", ln.Addr())
 	return (&http.Server{Handler: coordinatorMux(storeDir, campDir)}).Serve(ln)
-}
-
-// firstLine trims multi-line error payloads (panic stacks) for the
-// one-line status listing.
-func firstLine(s string) string {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			return s[:i]
-		}
-	}
-	return s
 }

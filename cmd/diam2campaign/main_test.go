@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"diam2/internal/campaign"
 )
@@ -96,7 +95,7 @@ func TestSubmitFirstWriterWins(t *testing.T) {
 func TestServeEndpoints(t *testing.T) {
 	storeDir := t.TempDir()
 	campDir := campaign.DirFor(storeDir)
-	w, err := campaign.NewWorker(campDir, "w1", campaign.Policy{Heartbeat: 50 * time.Millisecond})
+	w, err := campaign.NewWorker(campDir, "w1", campaign.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,17 +13,14 @@ import (
 	"time"
 )
 
-// testWorker joins dir with a policy tuned for tests: short lease TTL
-// (so steal tests don't stall the suite), fast heartbeats, tiny
-// backoff and poll.
+// testWorker joins dir with a policy tuned for tests: a short lease
+// TTL (so steal tests don't stall the suite, and heartbeats and polls,
+// derived from it, come fast) and a tiny backoff.
 func testWorker(t *testing.T, dir, owner string, mut func(*Policy)) *Worker {
 	t.Helper()
 	pol := Policy{
 		LeaseTTL:    500 * time.Millisecond,
-		Heartbeat:   50 * time.Millisecond,
 		BaseBackoff: time.Millisecond,
-		MaxBackoff:  5 * time.Millisecond,
-		Poll:        5 * time.Millisecond,
 	}
 	if mut != nil {
 		mut(&pol)
@@ -309,15 +306,12 @@ func TestExecuteWatchdogCancelsHungAttempt(t *testing.T) {
 }
 
 // TestBackoffBounds pins the retry curve: exponential from Base, capped
-// at Max, jittered downward by at most half.
+// at 40 × Base, jittered downward by at most half.
 func TestBackoffBounds(t *testing.T) {
 	dir := t.TempDir()
-	w := testWorker(t, dir, "w1", func(p *Policy) {
-		p.BaseBackoff = 100 * time.Millisecond
-		p.MaxBackoff = time.Second
-	})
+	w := testWorker(t, dir, "w1", func(p *Policy) { p.BaseBackoff = 25 * time.Millisecond })
 	for attempts := 1; attempts <= 8; attempts++ {
-		full := 100 * time.Millisecond << (attempts - 1)
+		full := 25 * time.Millisecond << (attempts - 1)
 		if full > time.Second {
 			full = time.Second
 		}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,22 +19,22 @@ const (
 	DefaultLeaseTTL    = 30 * time.Second
 	DefaultMaxAttempts = 3
 	DefaultBaseBackoff = 250 * time.Millisecond
-	DefaultMaxBackoff  = 10 * time.Second
-	DefaultPoll        = 500 * time.Millisecond
 )
 
 // Policy carries the fault-tolerance knobs of one worker. The zero
-// value is usable: 30s leases (heartbeated at TTL/4), no watchdog,
-// 3 attempts per point, 250ms–10s backoff, 500ms busy-lease polling.
+// value is usable: 30s leases, no watchdog, 3 attempts per point, 250ms
+// base backoff. The other timings derive from these two durations:
+// held leases and the worker registration are heartbeated every
+// LeaseTTL/4 (7.5s by default), a worker blocked on another worker's
+// live lease re-checks the store and the lease every LeaseTTL/60
+// (500ms), and backoff is capped at 40 × BaseBackoff (10s).
 type Policy struct {
 	// LeaseTTL is how long a lease may go without a heartbeat before
-	// any worker may steal it. It must comfortably exceed Heartbeat and
-	// any expected scheduling stall; too short only costs duplicate
-	// computation (the store deduplicates), never correctness.
+	// any worker may steal it. It must comfortably exceed the heartbeat
+	// interval (LeaseTTL/4) and any expected scheduling stall; too short
+	// only costs duplicate computation (the store deduplicates), never
+	// correctness.
 	LeaseTTL time.Duration
-	// Heartbeat is the mtime-refresh interval for held leases and the
-	// worker registration; <= 0 picks LeaseTTL/4.
-	Heartbeat time.Duration
 	// Watchdog bounds one attempt of one point: the attempt's context
 	// is cancelled after this long (the engine loops poll it every 8192
 	// simulated cycles), the failure counts toward quarantine, and the
@@ -43,14 +44,10 @@ type Policy struct {
 	// MaxAttempts quarantines a point after this many failed attempts,
 	// counted across workers through the shared failed/ log; <= 0 picks 3.
 	MaxAttempts int
-	// BaseBackoff and MaxBackoff shape the exponential backoff between
-	// attempts: attempt n waits Base * 2^(n-1) capped at Max, with
-	// half-width jitter so colliding workers spread out.
+	// BaseBackoff shapes the exponential backoff between attempts:
+	// attempt n waits BaseBackoff * 2^(n-1) capped at 40 × BaseBackoff,
+	// with half-width jitter so colliding workers spread out.
 	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// Poll is how often a worker blocked on another worker's live lease
-	// re-checks the store and the lease.
-	Poll time.Duration
 }
 
 func (p Policy) leaseTTL() time.Duration {
@@ -60,12 +57,9 @@ func (p Policy) leaseTTL() time.Duration {
 	return DefaultLeaseTTL
 }
 
-func (p Policy) heartbeatEvery() time.Duration {
-	if p.Heartbeat > 0 {
-		return p.Heartbeat
-	}
-	return p.leaseTTL() / 4
-}
+func (p Policy) heartbeatEvery() time.Duration { return p.leaseTTL() / 4 }
+
+func (p Policy) poll() time.Duration { return p.leaseTTL() / 60 }
 
 func (p Policy) maxAttempts() int {
 	if p.MaxAttempts > 0 {
@@ -81,19 +75,7 @@ func (p Policy) baseBackoff() time.Duration {
 	return DefaultBaseBackoff
 }
 
-func (p Policy) maxBackoff() time.Duration {
-	if p.MaxBackoff > 0 {
-		return p.MaxBackoff
-	}
-	return DefaultMaxBackoff
-}
-
-func (p Policy) poll() time.Duration {
-	if p.Poll > 0 {
-		return p.Poll
-	}
-	return DefaultPoll
-}
+func (p Policy) maxBackoff() time.Duration { return 40 * p.baseBackoff() }
 
 // ErrDrained reports that the worker was asked to drain (SIGTERM):
 // points it already held were finished and stored, the rest were left
@@ -308,7 +290,8 @@ func (w *Worker) runLeased(ctx context.Context, t Task, l *lease) (err error, fi
 		if qerr := w.quarantine(f); qerr != nil {
 			return qerr, true
 		}
-		return &Quarantined{Point: t.Point, Key: t.Key, Attempts: attempts, LastErr: firstLine(f.LastErr)}, true
+		last, _, _ := strings.Cut(f.LastErr, "\n") // panic payloads carry stacks
+		return &Quarantined{Point: t.Point, Key: t.Key, Attempts: attempts, LastErr: last}, true
 	}
 	w.release(l) // free the point for other workers before backing off
 	if serr := w.sleep(ctx, w.backoff(attempts)); serr != nil {
@@ -369,7 +352,8 @@ func (w *Worker) readQuarantine(key string) (*Quarantined, error) {
 		// path rewrite it.
 		return nil, nil
 	}
-	return &Quarantined{Point: f.Point, Key: f.Key, Attempts: f.Attempts, LastErr: firstLine(f.LastErr)}, nil
+	last, _, _ := strings.Cut(f.LastErr, "\n")
+	return &Quarantined{Point: f.Point, Key: f.Key, Attempts: f.Attempts, LastErr: last}, nil
 }
 
 // priorAttempts reads the shared attempt count for a point, so retries
@@ -443,15 +427,4 @@ func (w *Worker) Liveness() (live int, oldest time.Duration) {
 		}
 	}
 	return live, oldest
-}
-
-// firstLine trims an error message (panic payloads carry stacks) to
-// its first line for compact summaries.
-func firstLine(s string) string {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			return s[:i]
-		}
-	}
-	return s
 }

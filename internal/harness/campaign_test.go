@@ -32,16 +32,14 @@ func campaignStore(t *testing.T, dir string) *store.Store {
 	return st
 }
 
-// fastPolicy keeps campaign tests quick: short backoff and poll, fast
-// heartbeats, but a TTL comfortably above any test's compute time so
+// fastPolicy keeps campaign tests quick: a short backoff, and a TTL
+// short enough for quick busy-lease polls (TTL/60) yet comfortably
+// above its heartbeat interval (TTL/4) and any scheduling stall, so
 // leases are only stolen where a test arranges it.
 func fastPolicy() campaign.Policy {
 	return campaign.Policy{
-		LeaseTTL:    5 * time.Second,
-		Heartbeat:   50 * time.Millisecond,
+		LeaseTTL:    1500 * time.Millisecond,
 		BaseBackoff: 2 * time.Millisecond,
-		MaxBackoff:  10 * time.Millisecond,
-		Poll:        5 * time.Millisecond,
 	}
 }
 
@@ -151,7 +149,6 @@ func TestCampaignWatchdogReclaim(t *testing.T) {
 	pol1.Watchdog = 60 * time.Millisecond
 	pol1.MaxAttempts = 100 // the hang repeats; quarantine must not preempt the reclaim
 	pol1.BaseBackoff = 200 * time.Millisecond
-	pol1.MaxBackoff = 400 * time.Millisecond
 	sc1, _ := campaignScale(t, dir, "w1", 1, pol1)
 	sc2, w2 := campaignScale(t, dir, "w2", 1, fastPolicy())
 
@@ -216,11 +213,7 @@ func TestCampaignLeaseExpiryReclaim(t *testing.T) {
 	dir := t.TempDir()
 	st1 := campaignStore(t, dir)
 	defer st1.Close()
-	deadPol := campaign.Policy{
-		LeaseTTL:  300 * time.Millisecond,
-		Heartbeat: 50 * time.Millisecond,
-		Poll:      5 * time.Millisecond,
-	}
+	deadPol := campaign.Policy{LeaseTTL: 300 * time.Millisecond}
 	w1, err := campaign.NewWorker(campaign.DirFor(dir), "w1", deadPol)
 	if err != nil {
 		t.Fatal(err)
@@ -228,11 +221,7 @@ func TestCampaignLeaseExpiryReclaim(t *testing.T) {
 
 	// The contended identity is the point's canonical store key — the
 	// same key RunPoints will lease below.
-	sc2, w2 := campaignScale(t, dir, "w2", 1, campaign.Policy{
-		LeaseTTL:  300 * time.Millisecond,
-		Heartbeat: 50 * time.Millisecond,
-		Poll:      10 * time.Millisecond,
-	})
+	sc2, w2 := campaignScale(t, dir, "w2", 1, campaign.Policy{LeaseTTL: 300 * time.Millisecond})
 	key := sc2.pointConfig("expire|0").Key()
 
 	park := make(chan struct{})

@@ -62,10 +62,7 @@ func TestChaosWorkerMain(t *testing.T) {
 	}
 	w, err := campaign.NewWorker(campaign.DirFor(dir), os.Getenv(chaosWorkerEnv), campaign.Policy{
 		LeaseTTL:    500 * time.Millisecond,
-		Heartbeat:   50 * time.Millisecond,
 		BaseBackoff: 5 * time.Millisecond,
-		MaxBackoff:  50 * time.Millisecond,
-		Poll:        10 * time.Millisecond,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "chaos worker:", err)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"os"
@@ -78,34 +79,13 @@ func f2(x float64) string { return fmt.Sprintf("%.2f", x) }
 func f1(x float64) string { return fmt.Sprintf("%.1f", x) }
 func d(x int) string      { return fmt.Sprintf("%d", x) }
 
-// RenderCSV writes the table as RFC-4180-ish CSV (header row first).
+// RenderCSV writes the table as CSV (header row first).
 func (t *Table) RenderCSV(w io.Writer) error {
-	write := func(cells []string) error {
-		for i, c := range cells {
-			if i > 0 {
-				if _, err := io.WriteString(w, ","); err != nil {
-					return err
-				}
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			if _, err := io.WriteString(w, c); err != nil {
-				return err
-			}
-		}
-		_, err := io.WriteString(w, "\n")
+	cw := csv.NewWriter(w)
+	if err := cw.Write(t.Header); err != nil {
 		return err
 	}
-	if err := write(t.Header); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if err := write(row); err != nil {
-			return err
-		}
-	}
-	return nil
+	return cw.WriteAll(t.Rows)
 }
 
 // Markdown returns the table as a markdown section: a "###" heading

@@ -48,58 +48,11 @@ func (c *Config) setDefaults() {
 // (len(w) == g.N(); weights may be zero). It returns the best cut
 // found across restarts.
 func Bisect(g *graph.Graph, w []int, cfg Config) (*Result, error) {
-	n := g.N()
-	if len(w) != n {
-		return nil, fmt.Errorf("partition: %d weights for %d vertices", len(w), n)
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("partition: empty graph")
-	}
-	total := 0
-	maxW := 0
-	for _, wi := range w {
-		if wi < 0 {
-			return nil, fmt.Errorf("partition: negative weight")
-		}
-		total += wi
-		if wi > maxW {
-			maxW = wi
-		}
+	if err := checkWeights(g, w); err != nil {
+		return nil, err
 	}
 	cfg.setDefaults()
-	// A perfectly even split may be impossible with integer weights;
-	// allow a slack of one vertex weight beyond perfect (plus the
-	// requested imbalance fraction). For unit weights and even totals
-	// this forces an exact bisection.
-	slack := total % 2
-	if maxW > 1 {
-		slack = maxW - 1
-	}
-	slack += int(cfg.Imbalance * float64(total))
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	var best *Result
-	for restart := 0; restart < cfg.Restarts; restart++ {
-		// Rotate seeding strategies: BFS growth finds the natural cuts
-		// of tree-like and layered graphs; spectral (Fiedler-vector)
-		// seeding finds global structure; random balanced starts add
-		// diversity on expanders (e.g. the Slim Fly), where a grown
-		// ball has a very poor boundary.
-		var seed seedKind
-		switch restart % 3 {
-		case 0:
-			seed = seedBFS
-		case 1:
-			seed = seedSpectral
-		default:
-			seed = seedRandom
-		}
-		res := bisectOnce(g, w, total, total/2, slack, cfg.Passes, rng, seed)
-		if best == nil || res.Cut < best.Cut {
-			best = res
-		}
-	}
-	return best, nil
+	return bisect(g, w, 1, 2, cfg), nil
 }
 
 // KWay partitions g into k parts by recursive proportional bisection:
@@ -111,20 +64,12 @@ func Bisect(g *graph.Graph, w []int, cfg Config) (*Result, error) {
 // requires. Every part is guaranteed at least one vertex, so k must
 // not exceed g.N().
 func KWay(g *graph.Graph, w []int, k int, cfg Config) ([]int, error) {
+	if err := checkWeights(g, w); err != nil {
+		return nil, err
+	}
 	n := g.N()
-	if len(w) != n {
-		return nil, fmt.Errorf("partition: %d weights for %d vertices", len(w), n)
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("partition: empty graph")
-	}
 	if k < 1 || k > n {
 		return nil, fmt.Errorf("partition: %d parts for %d vertices", k, n)
-	}
-	for _, wi := range w {
-		if wi < 0 {
-			return nil, fmt.Errorf("partition: negative weight")
-		}
 	}
 	cfg.setDefaults()
 	part := make([]int, n)
@@ -134,6 +79,23 @@ func KWay(g *graph.Graph, w []int, k int, cfg Config) ([]int, error) {
 	}
 	kwaySplit(g, w, verts, k, 0, cfg, part)
 	return part, nil
+}
+
+// checkWeights rejects a weight vector that does not fit g, an empty
+// graph and negative weights.
+func checkWeights(g *graph.Graph, w []int) error {
+	if len(w) != g.N() {
+		return fmt.Errorf("partition: %d weights for %d vertices", len(w), g.N())
+	}
+	if g.N() == 0 {
+		return fmt.Errorf("partition: empty graph")
+	}
+	for _, wi := range w {
+		if wi < 0 {
+			return fmt.Errorf("partition: negative weight")
+		}
+	}
+	return nil
 }
 
 // kwaySplit assigns parts [base, base+k) to the given vertex subset,
@@ -195,8 +157,18 @@ func bisectSubset(g *graph.Graph, w []int, verts []int, num, den int, cfg Config
 			}
 		}
 	}
+	return bisect(sg, sw, num, den, cfg).Side
+}
+
+// bisect returns the best of cfg.Restarts seeded bisections of g with
+// target weight fraction num/den on side A. A perfectly proportional
+// split may be impossible with integer weights, so the balance allows
+// a slack of one vertex weight beyond it (plus the requested imbalance
+// fraction); for unit weights and an exact target this forces an
+// exact split.
+func bisect(g *graph.Graph, w []int, num, den int, cfg Config) *Result {
 	total, maxW := 0, 0
-	for _, wi := range sw {
+	for _, wi := range w {
 		total += wi
 		if wi > maxW {
 			maxW = wi
@@ -214,6 +186,11 @@ func bisectSubset(g *graph.Graph, w []int, verts []int, num, den int, cfg Config
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var best *Result
 	for restart := 0; restart < cfg.Restarts; restart++ {
+		// Rotate seeding strategies: BFS growth finds the natural cuts
+		// of tree-like and layered graphs; spectral (Fiedler-vector)
+		// seeding finds global structure; random balanced starts add
+		// diversity on expanders (e.g. the Slim Fly), where a grown
+		// ball has a very poor boundary.
 		var seed seedKind
 		switch restart % 3 {
 		case 0:
@@ -223,12 +200,12 @@ func bisectSubset(g *graph.Graph, w []int, verts []int, num, den int, cfg Config
 		default:
 			seed = seedRandom
 		}
-		res := bisectOnce(sg, sw, total, target, slack, cfg.Passes, rng, seed)
+		res := bisectOnce(g, w, total, target, slack, cfg.Passes, rng, seed)
 		if best == nil || res.Cut < best.Cut {
 			best = res
 		}
 	}
-	return best.Side
+	return best
 }
 
 type seedKind int

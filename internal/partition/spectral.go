@@ -32,23 +32,8 @@ func fiedlerVector(g *graph.Graph, iters int, rng *rand.Rand) []float64 {
 			}
 			tmp[i] = s
 		}
-		// Deflate the all-ones direction and normalize.
-		mean := 0.0
-		for _, x := range tmp {
-			mean += x
-		}
-		mean /= float64(n)
-		norm := 0.0
-		for i := range tmp {
-			tmp[i] -= mean
-			norm += tmp[i] * tmp[i]
-		}
-		norm = math.Sqrt(norm)
-		if norm == 0 {
+		if deflateNormalize(tmp, v) == 0 {
 			return v
-		}
-		for i := range tmp {
-			v[i] = tmp[i] / norm
 		}
 	}
 	return v
@@ -80,24 +65,33 @@ func SpectralLambda2(g *graph.Graph, iters int, seed int64) float64 {
 			}
 			tmp[i] = s
 		}
-		mean := 0.0
-		for _, x := range tmp {
-			mean += x
-		}
-		mean /= float64(n)
-		norm := 0.0
-		for i := range tmp {
-			tmp[i] -= mean
-			norm += tmp[i] * tmp[i]
-		}
-		norm = math.Sqrt(norm)
-		if norm == 0 {
+		if lambda = deflateNormalize(tmp, v); lambda == 0 {
 			return 0
-		}
-		lambda = norm
-		for i := range tmp {
-			v[i] = tmp[i] / norm
 		}
 	}
 	return lambda
+}
+
+// deflateNormalize projects the all-ones direction out of tmp and, if
+// anything is left, stores the unit vector along it in v. It returns
+// the norm of the projected vector (0 leaves v untouched).
+func deflateNormalize(tmp, v []float64) float64 {
+	mean := 0.0
+	for _, x := range tmp {
+		mean += x
+	}
+	mean /= float64(len(tmp))
+	norm := 0.0
+	for i := range tmp {
+		tmp[i] -= mean
+		norm += tmp[i] * tmp[i]
+	}
+	norm = math.Sqrt(norm)
+	if norm == 0 {
+		return 0
+	}
+	for i := range tmp {
+		v[i] = tmp[i] / norm
+	}
+	return norm
 }

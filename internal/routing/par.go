@@ -29,14 +29,8 @@ type PAR struct {
 
 // NewPAR builds progressive adaptive routing.
 func NewPAR(t topo.Topology, cfg UGALConfig, simCfg sim.Config) (*PAR, error) {
-	if cfg.NI < 1 {
-		return nil, fmt.Errorf("routing: PAR requires NI >= 1, got %d", cfg.NI)
-	}
-	if cfg.C <= 0 && !cfg.SFCost {
-		return nil, fmt.Errorf("routing: PAR requires a cost constant")
-	}
-	if cfg.SFCost && cfg.CSF <= 0 {
-		return nil, fmt.Errorf("routing: SF cost model requires CSF > 0")
+	if err := cfg.check("PAR"); err != nil {
+		return nil, err
 	}
 	p := &PAR{
 		base:    newBase(t, VCByHop, true), // diversion needs hop VCs
@@ -61,27 +55,20 @@ func (p *PAR) Name() string { return fmt.Sprintf("PAR(nI=%d)", p.cfg.NI) }
 // intermediate) + maxMin (intermediate to destination) hops.
 func (p *PAR) NumVCs() int { return 1 + p.maxLeg + p.maxMin }
 
-// cost returns the configured penalty for an indirect candidate.
-func (p *PAR) cost(here, ri, dst int) float64 {
-	if !p.cfg.SFCost {
-		return p.cfg.C
-	}
-	lM := p.dist.at(here, dst)
-	if lM == 0 {
-		lM = 1
-	}
-	lI := p.dist.at(here, ri) + p.dist.at(ri, dst)
-	return float64(lI) / float64(lM) * p.cfg.CSF
-}
-
 // decide runs the UGAL comparison at router r for a packet heading to
 // its destination; it returns the chosen intermediate or -1 for
 // minimal.
 func (p *PAR) decide(pkt *sim.Packet, r *sim.Router, rng *rand.Rand) int {
 	dst := int(pkt.DstRouter)
-	qM, _ := p.firstHopOccupancy(r, dst)
+	qM, _ := p.firstHopOccupancy(r, dst, false)
 	if p.cfg.Threshold > 0 && float64(qM) < p.cfg.Threshold*float64(p.portBuf) {
 		return -1
+	}
+	// A packet injected at its destination's router has lM = 0; PAR
+	// keeps its length ratio finite.
+	lM := p.dist.at(r.ID, dst)
+	if lM == 0 {
+		lM = 1
 	}
 	best := float64(qM)
 	bestRi := -1
@@ -90,8 +77,8 @@ func (p *PAR) decide(pkt *sim.Packet, r *sim.Router, rng *rand.Rand) int {
 		if ri == r.ID {
 			continue
 		}
-		qI, _ := p.firstHopOccupancy(r, ri)
-		if cost := p.cost(r.ID, ri, dst) * float64(qI); cost < best {
+		qI, _ := p.firstHopOccupancy(r, ri, false)
+		if cost := p.cfg.penalty(&p.dist, r.ID, ri, dst, lM) * float64(qI); cost < best {
 			best = cost
 			bestRi = ri
 		}

@@ -232,10 +232,12 @@ func (b *base) pickIntermediate(p *sim.Packet, rng *rand.Rand) int {
 	}
 }
 
-// firstHopOccupancy returns the occupancy of the source router's
-// least-occupied output port on a minimal path toward tgt (the
-// UGAL-L congestion signal), together with that port.
-func (b *base) firstHopOccupancy(r *sim.Router, tgt int) (occ, port int) {
+// firstHopOccupancy returns the occupancy of r's least-occupied output
+// port on a minimal path toward tgt (the UGAL-L congestion signal),
+// together with that port; the first such port wins a tie. bufferOnly
+// reads the output-buffer part of the signal alone (the ablation of
+// UGALConfig.OutputBufferSignalOnly).
+func (b *base) firstHopOccupancy(r *sim.Router, tgt int, bufferOnly bool) (occ, port int) {
 	row := b.dist.row(tgt) // symmetric matrix, see nextHop
 	want := row[r.ID] - 1
 	occ, port = -1, -1
@@ -245,6 +247,9 @@ func (b *base) firstHopOccupancy(r *sim.Router, tgt int) (occ, port int) {
 			continue
 		}
 		o := r.OutOccupancy(pt)
+		if bufferOnly {
+			o = r.OutBufferOccupancy(pt)
+		}
 		if port < 0 || o < occ {
 			occ, port = o, pt
 		}

@@ -229,18 +229,14 @@ func (r *MLFMMinimal) NextHop(p *sim.Packet, rt *sim.Router, rng *rand.Rand) (in
 // source and destination rows.
 type OFTMinimal struct {
 	o    *topo.OFT
-	rows []map[int]bool // L1 membership per lower-router row
+	rows [][]int // L1 routers of each lower-router row, ascending
 }
 
 // NewOFTMinimal builds the structural OFT router.
 func NewOFTMinimal(o *topo.OFT) *OFTMinimal {
-	r := &OFTMinimal{o: o, rows: make([]map[int]bool, o.RL)}
-	for i := 0; i < o.RL; i++ {
-		set := make(map[int]bool)
-		for _, nb := range o.Graph().Neighbors(o.L0Router(i)) {
-			set[nb] = true
-		}
-		r.rows[i] = set
+	r := &OFTMinimal{o: o, rows: make([][]int, o.RL)}
+	for i := range r.rows {
+		r.rows[i] = o.Graph().Neighbors(o.L0Router(i)) // sorted, see graph.Neighbors
 	}
 	return r
 }
@@ -274,11 +270,20 @@ func (r *OFTMinimal) NextHop(p *sim.Packet, rt *sim.Router, rng *rand.Rand) (int
 		// Lower router: up to a common L1 neighbor of both rows
 		// (both rows index the shared table; counterparts share all
 		// k, other pairs exactly one).
+		// The sorted rows merge into the common L1s in ascending order,
+		// so a seeded rng makes the same pick on every run.
 		srcRow, dstRow := r.row(cur), r.row(dst)
+		a, b := r.rows[srcRow], r.rows[dstRow]
 		var opts []int
-		for l1 := range r.rows[srcRow] {
-			if r.rows[dstRow][l1] {
-				opts = append(opts, l1)
+		for len(a) > 0 && len(b) > 0 {
+			switch {
+			case a[0] < b[0]:
+				a = a[1:]
+			case a[0] > b[0]:
+				b = b[1:]
+			default:
+				opts = append(opts, a[0])
+				a, b = a[1:], b[1:]
 			}
 		}
 		if len(opts) == 0 {

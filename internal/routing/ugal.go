@@ -50,14 +50,8 @@ type UGAL struct {
 // variant name follows the paper: SF-A/SF-ATh when cfg.SFCost is set,
 // MLFM-A/OFT-A/... otherwise (the topology name is used).
 func NewUGAL(t topo.Topology, cfg UGALConfig, simCfg sim.Config) (*UGAL, error) {
-	if cfg.NI < 1 {
-		return nil, fmt.Errorf("routing: UGAL requires NI >= 1, got %d", cfg.NI)
-	}
-	if cfg.SFCost && cfg.CSF <= 0 {
-		return nil, fmt.Errorf("routing: SF cost model requires CSF > 0")
-	}
-	if !cfg.SFCost && cfg.C <= 0 {
-		return nil, fmt.Errorf("routing: constant cost model requires C > 0")
+	if err := cfg.check("UGAL"); err != nil {
+		return nil, err
 	}
 	u := &UGAL{
 		base:    newBase(t, PolicyFor(t), true),
@@ -78,25 +72,31 @@ func (u *UGAL) Name() string { return u.variant }
 // NumVCs implements sim.RoutingAlgorithm.
 func (u *UGAL) NumVCs() int { return u.numVCs() }
 
-// occupancy returns the congestion signal for the least-loaded
-// minimal first-hop port toward tgt, honoring the signal ablation.
-func (u *UGAL) occupancy(r *sim.Router, tgt int) int {
-	if !u.cfg.OutputBufferSignalOnly {
-		occ, _ := u.firstHopOccupancy(r, tgt)
-		return occ
+// check validates the configuration of the algorithms that reject a
+// bad one (UGAL, PAR); alg names the algorithm in the NI error.
+func (c *UGALConfig) check(alg string) error {
+	if c.NI < 1 {
+		return fmt.Errorf("routing: %s requires NI >= 1, got %d", alg, c.NI)
 	}
-	row := u.dist.row(tgt) // symmetric matrix, see nextHop
-	want := row[r.ID] - 1
-	occ := -1
-	for pt := 0; pt < r.NetPorts(); pt++ {
-		if row[r.NeighborAt(pt)] != want || !u.usable(r, pt) {
-			continue
-		}
-		if o := r.OutBufferOccupancy(pt); occ < 0 || o < occ {
-			occ = o
-		}
+	if c.SFCost && c.CSF <= 0 {
+		return fmt.Errorf("routing: SF cost model requires CSF > 0")
 	}
-	return occ
+	if !c.SFCost && c.C <= 0 {
+		return fmt.Errorf("routing: constant cost model requires C > 0")
+	}
+	return nil
+}
+
+// penalty is the factor an indirect candidate's congestion is scaled
+// by (Section 3.3): the constant C, or under SFCost the Slim Fly
+// length ratio (L_I / L_M) * CSF of the path here -> ri -> dst against
+// the minimal length lM.
+func (c *UGALConfig) penalty(dist *distTable, here, ri, dst, lM int) float64 {
+	if !c.SFCost {
+		return c.C
+	}
+	lI := dist.at(here, ri) + dist.at(ri, dst)
+	return float64(lI) / float64(lM) * c.CSF
 }
 
 // Inject implements sim.RoutingAlgorithm: the adaptive decision.
@@ -106,7 +106,7 @@ func (u *UGAL) Inject(p *sim.Packet, r *sim.Router, rng *rand.Rand) int {
 	p.Intermediate = -1
 
 	dst := int(p.DstRouter)
-	qM := u.occupancy(r, dst)
+	qM, _ := u.firstHopOccupancy(r, dst, u.cfg.OutputBufferSignalOnly)
 	// Threshold variant: an uncongested minimal port short-circuits
 	// the adaptive comparison.
 	if u.cfg.Threshold > 0 && float64(qM) < u.cfg.Threshold*float64(u.portBuf) {
@@ -118,16 +118,8 @@ func (u *UGAL) Inject(p *sim.Packet, r *sim.Router, rng *rand.Rand) int {
 	bestRi := -1
 	for j := 0; j < u.cfg.NI; j++ {
 		ri := u.pickIntermediate(p, rng)
-		qI := u.occupancy(r, ri)
-		var c float64
-		if u.cfg.SFCost {
-			lI := u.dist.at(r.ID, ri) + u.dist.at(ri, dst)
-			c = float64(lI) / float64(lM) * u.cfg.CSF
-		} else {
-			c = u.cfg.C
-		}
-		cost := c * float64(qI)
-		if cost < bestCost {
+		qI, _ := u.firstHopOccupancy(r, ri, u.cfg.OutputBufferSignalOnly)
+		if cost := u.cfg.penalty(&u.dist, r.ID, ri, dst, lM) * float64(qI); cost < bestCost {
 			bestCost = cost
 			bestRi = ri
 		}

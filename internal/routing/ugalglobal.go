@@ -50,19 +50,9 @@ func (u *UGALGlobal) pathCost(net *sim.Network, cur, tgt int) float64 {
 	cost := 0.0
 	for cur != tgt {
 		r := net.Routers[cur]
-		row := u.dist.row(tgt) // symmetric matrix, see nextHop
-		want := row[cur] - 1
-		bestPort, bestOcc := -1, 0
-		for port := 0; port < r.NetPorts(); port++ {
-			if row[r.NeighborAt(port)] != want || !u.usable(r, port) {
-				continue
-			}
-			if occ := r.OutOccupancy(port); bestPort < 0 || occ < bestOcc {
-				bestPort, bestOcc = port, occ
-			}
-		}
-		cost += float64(bestOcc)
-		cur = r.NeighborAt(bestPort)
+		occ, port := u.firstHopOccupancy(r, tgt, false)
+		cost += float64(occ)
+		cur = r.NeighborAt(port)
 	}
 	return cost
 }
@@ -80,14 +70,7 @@ func (u *UGALGlobal) Inject(p *sim.Packet, r *sim.Router, rng *rand.Rand) int {
 	for j := 0; j < u.cfg.NI; j++ {
 		ri := u.pickIntermediate(p, rng)
 		qI := u.pathCost(net, r.ID, ri) + u.pathCost(net, ri, dst)
-		var c float64
-		if u.cfg.SFCost {
-			lI := u.dist.at(r.ID, ri) + u.dist.at(ri, dst)
-			c = float64(lI) / float64(lM) * u.cfg.CSF
-		} else {
-			c = u.cfg.C
-		}
-		if cost := c * qI; cost < best {
+		if cost := u.cfg.penalty(&u.dist, r.ID, ri, dst, lM) * qI; cost < best {
 			best = cost
 			bestRi = ri
 		}

@@ -47,6 +47,10 @@ const (
 	TierFluid      = "fluid"       // analytic result computed (and recorded) now
 )
 
+// escBacklog bounds the escalation tickets queued but not yet running;
+// a full backlog answers "rejected" with a retry note.
+const escBacklog = 256
+
 // Escalation ticket states.
 const (
 	TicketQueued  = "queued"
@@ -155,10 +159,8 @@ type Config struct {
 	// 429 + Retry-After. <= 0 defaults to 64.
 	QueueMax int
 	// EscWorkers is the background escalation worker-pool size; <= 0
-	// defaults to 1. EscBacklog bounds the queued-but-not-running
-	// tickets; <= 0 defaults to 256.
+	// defaults to 1.
 	EscWorkers int
-	EscBacklog int
 	// Registry, when non-nil, receives the per-tier query latency
 	// histograms (query_ms.<tier>) and the screen.* counters.
 	Registry *telemetry.Registry
@@ -188,7 +190,7 @@ type Server struct {
 	seq       int
 	closing   bool
 
-	escQ  chan *ticket
+	escQ  chan *ticket // holds up to escBacklog queued-but-not-running tickets
 	escWG sync.WaitGroup
 
 	// onFluidCompute, when set (tests), runs inside the singleflight
@@ -252,9 +254,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.EscWorkers <= 0 {
 		cfg.EscWorkers = 1
 	}
-	if cfg.EscBacklog <= 0 {
-		cfg.EscBacklog = 256
-	}
 	loads := cfg.Loads
 	if len(loads) == 0 {
 		loads = harness.ScreenGridLoads(30)
@@ -270,7 +269,7 @@ func New(cfg Config) (*Server, error) {
 		decisions: make(map[comboKey]*decision),
 		tickets:   make(map[string]*ticket),
 		byKey:     make(map[string]*ticket),
-		escQ:      make(chan *ticket, cfg.EscBacklog),
+		escQ:      make(chan *ticket, escBacklog),
 		now:       time.Now,
 	}
 	for i := 0; i < cfg.EscWorkers; i++ {

@@ -169,7 +169,7 @@ type shard struct {
 	injectedFlitsWindow  int64
 
 	latGen    *metrics.Histogram // generation -> delivery, cycles
-	latNet    *metrics.Histogram // injection -> delivery, cycles
+	latNet    metrics.Mean       // injection -> delivery, cycles
 	hops      metrics.Mean
 	indirectN int64 // packets routed non-minimally
 
@@ -221,11 +221,9 @@ func newShard(eng *Engine, id, shards int) *shard {
 	sh.ringLen = int64(cfg.PacketFlits() + cfg.LinkLatency + cfg.SwitchLatency + 2)
 	sh.ring = make([]ringSlot, sh.ringLen)
 	sh.observer, _ = eng.Work.(DeliveryObserver)
-	// Latency histograms in cycles: bucket width scales with the
+	// Latency histogram in cycles: bucket width scales with the
 	// network latency so percentiles stay meaningful at any scale.
-	w := float64(cfg.SwitchLatency + cfg.LinkLatency)
-	sh.latGen = metrics.NewHistogram(w, 4096)
-	sh.latNet = metrics.NewHistogram(w, 4096)
+	sh.latGen = metrics.NewHistogram(float64(cfg.SwitchLatency+cfg.LinkLatency), 4096)
 	return sh
 }
 

@@ -54,8 +54,7 @@ import (
 //
 // Sharding gates: a workload must be marked ParallelSafeWorkload and
 // must not observe deliveries, and the routing algorithm must not read
-// remote router state, from two shards up; ParallelPreparable workloads
-// are told only when a second worker will run. One shard needs none of
+// remote router state, from two shards up. One shard needs none of
 // them.
 
 // ParallelSafeWorkload marks workloads whose NextPacket and Done
@@ -98,16 +97,6 @@ type pktMsg struct {
 type credMsg struct {
 	at  int64
 	ref uint32
-}
-
-// ParallelPreparable is an optional workload interface: workloads that
-// keep a single-worker fast path (plain counters, no synchronization)
-// and a concurrent slow path (atomics) implement it to be told when a
-// second worker will run. NewParallelEngine calls EnterParallel exactly
-// once, before any worker goroutine starts, so the switch
-// happens-before every concurrent NextPacket/Done call.
-type ParallelPreparable interface {
-	EnterParallel()
 }
 
 // ParallelOptions configures NewParallelEngine.
@@ -205,9 +194,6 @@ func NewParallelEngine(net *Network, alg RoutingAlgorithm, work Workload, opt Pa
 	}
 	if workers > p {
 		workers = p
-	}
-	if pp, ok := work.(ParallelPreparable); ok && workers > 1 {
-		pp.EnterParallel()
 	}
 
 	e := &Engine{

@@ -215,23 +215,16 @@ func TestParallelRejectsUnsafe(t *testing.T) {
 	}
 }
 
-// enterCounting records the engine's EnterParallel calls on their way
-// to the exchange.
-type enterCounting struct {
-	*traffic.Exchange
-	entered *int
-}
-
-func (w enterCounting) EnterParallel() { *w.entered++; w.Exchange.EnterParallel() }
-
-// TestEnterParallelNeedsTwoWorkers: a closed-loop workload keeps its
-// plain counter — no atomic per injected packet — unless a second
-// worker will call it, however many shards there are.
+// TestEnterParallelNeedsTwoWorkers: a closed-loop workload needs no
+// preparation call before a second worker drives it — its one
+// remaining-packet counter is atomic at every worker count. The
+// exchange drains at P/W = 1/1, 2/1 and 2/2, and two shards give the
+// same Results on one worker as on two.
 func TestEnterParallelNeedsTwoWorkers(t *testing.T) {
 	tp := mustMLFM(t, 3)
-	for _, c := range []struct{ shards, workers, want int }{{1, 1, 0}, {2, 1, 0}, {2, 2, 1}} {
-		entered := 0
-		ex := enterCounting{traffic.AllToAll(tp.Nodes(), 1, rand.New(rand.NewSource(3))), &entered}
+	byShards := map[int]sim.Results{}
+	for _, c := range []struct{ shards, workers int }{{1, 1}, {2, 1}, {2, 2}} {
+		ex := traffic.AllToAll(tp.Nodes(), 1, rand.New(rand.NewSource(3)))
 		net, err := sim.NewNetwork(tp, sim.TestConfig(2))
 		if err != nil {
 			t.Fatal(err)
@@ -244,9 +237,14 @@ func TestEnterParallelNeedsTwoWorkers(t *testing.T) {
 			t.Errorf("P=%d W=%d: exchange did not drain", c.shards, c.workers)
 		}
 		e.Stop()
-		if entered != c.want {
-			t.Errorf("P=%d W=%d: EnterParallel called %d times, want %d", c.shards, c.workers, entered, c.want)
+		res := e.Results()
+		if res.Delivered != ex.TotalPackets() {
+			t.Errorf("P=%d W=%d: delivered %d of %d packets", c.shards, c.workers, res.Delivered, ex.TotalPackets())
 		}
+		if prev, ok := byShards[c.shards]; ok && prev != res {
+			t.Errorf("P=%d: W=%d Results differ from W=1:\n%+v\n%+v", c.shards, c.workers, res, prev)
+		}
+		byShards[c.shards] = res
 	}
 }
 

@@ -36,8 +36,7 @@ func (e *Engine) Results() Results {
 	sh0 := e.shards[0]
 	res := Results{Cycles: sh0.now, Warmup: e.Warmup}
 	latGen := sh0.latGen.Clone()
-	latNet := sh0.latNet.Clone()
-	hops := sh0.hops
+	latNet, hops := sh0.latNet, sh0.hops
 	var deliveredFlitsWindow, injectedFlitsWindow, indirectN int64
 	for i, sh := range e.shards {
 		res.Generated += sh.generated
@@ -47,14 +46,12 @@ func (e *Engine) Results() Results {
 		injectedFlitsWindow += sh.injectedFlitsWindow
 		indirectN += sh.indirectN
 		if i > 0 {
-			// Shapes always match: every shard builds its histograms
+			// Shapes always match: every shard builds its histogram
 			// from the same Config.
 			if err := latGen.Merge(sh.latGen); err != nil {
 				panic(err)
 			}
-			if err := latNet.Merge(sh.latNet); err != nil {
-				panic(err)
-			}
+			latNet.Merge(&sh.latNet)
 			hops.Merge(&sh.hops)
 		}
 	}

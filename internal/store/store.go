@@ -205,9 +205,16 @@ func Open(dir string, opts Options) (*Store, error) {
 		logf("store: removed %d stale .tmp file(s)", len(strays))
 	}
 	idx := s.readIndex()
-	if err := s.scanSegments(); err != nil {
+	if err := s.refresh(); err != nil {
 		s.unlock()
 		return nil, err
+	}
+	s.nextSeg = 1
+	for _, seg := range s.segs {
+		var n int
+		if _, err := fmt.Sscanf(seg.Name, segFormat, &n); err == nil && n >= s.nextSeg {
+			s.nextSeg = n + 1
+		}
 	}
 	s.crossCheckIndex(idx)
 	return s, nil
@@ -262,38 +269,6 @@ func (s *Store) readIndex() *indexFile {
 		return nil
 	}
 	return &idx
-}
-
-// scanSegments replays every segment in name order, building the
-// key->record map and the corruption report.
-func (s *Store) scanSegments() error {
-	names, err := filepath.Glob(filepath.Join(s.dir, segGlob))
-	if err != nil {
-		return err
-	}
-	sort.Strings(names)
-	for _, path := range names {
-		name := filepath.Base(path)
-		added, cur, corrs, err := s.scanFrom(path, segCursor{})
-		if err != nil {
-			return err
-		}
-		s.offsets[name] = cur.off
-		s.lines[name] = cur.line
-		s.segs = append(s.segs, segmentInfo{Name: name, Records: added})
-		s.corrupt = append(s.corrupt, corrs...)
-		var n int
-		if _, err := fmt.Sscanf(name, segFormat, &n); err == nil && n >= s.nextSeg {
-			s.nextSeg = n + 1
-		}
-	}
-	if s.nextSeg == 0 {
-		s.nextSeg = 1
-	}
-	for _, c := range s.corrupt {
-		s.logf("store: skipped corrupt record %s", c)
-	}
-	return nil
 }
 
 // segCursor marks how far into a segment this process has consumed
@@ -367,6 +342,13 @@ func (s *Store) scanFrom(path string, cur segCursor) (added int, out segCursor, 
 func (s *Store) Refresh() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.refresh()
+}
+
+// refresh is Refresh without the lock, and Open's whole scan: on an
+// empty store every segment is new and is read from its first byte, in
+// name order, so later appends of a key win.
+func (s *Store) refresh() error {
 	names, err := filepath.Glob(filepath.Join(s.dir, segGlob))
 	if err != nil {
 		return err

@@ -1,11 +1,12 @@
 package telemetry
 
 import (
-	"bufio"
+	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
 	"sort"
+	"strconv"
 
 	"diam2/internal/metrics"
 )
@@ -207,28 +208,24 @@ func MergeLinks(snaps []*Snapshot) []LinkSnap {
 // WriteHeatmapCSV renders a heatmap as CSV (from,to,flits,load, then
 // one column per VC present), hottest link first.
 func WriteHeatmapCSV(w io.Writer, links []LinkSnap) error {
-	bw := bufio.NewWriter(w)
 	maxVC := 0
 	for _, l := range links {
-		if len(l.PerVC) > maxVC {
-			maxVC = len(l.PerVC)
-		}
+		maxVC = max(maxVC, len(l.PerVC))
 	}
-	fmt.Fprintf(bw, "from,to,flits,load")
+	rows := [][]string{{"from", "to", "flits", "load"}}
 	for vc := 0; vc < maxVC; vc++ {
-		fmt.Fprintf(bw, ",vc%d", vc)
+		rows[0] = append(rows[0], fmt.Sprintf("vc%d", vc))
 	}
-	fmt.Fprintln(bw)
 	for _, l := range links {
-		fmt.Fprintf(bw, "%d,%d,%d,%.6f", l.From, l.To, l.Flits, l.Load)
+		row := []string{strconv.Itoa(l.From), strconv.Itoa(l.To), strconv.FormatInt(l.Flits, 10), strconv.FormatFloat(l.Load, 'f', 6, 64)}
 		for vc := 0; vc < maxVC; vc++ {
 			var f int64
 			if vc < len(l.PerVC) {
 				f = l.PerVC[vc]
 			}
-			fmt.Fprintf(bw, ",%d", f)
+			row = append(row, strconv.FormatInt(f, 10))
 		}
-		fmt.Fprintln(bw)
+		rows = append(rows, row)
 	}
-	return bw.Flush()
+	return csv.NewWriter(w).WriteAll(rows)
 }

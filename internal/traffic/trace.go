@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // TraceRecord is one message of an application communication trace:
@@ -26,10 +27,9 @@ type Trace struct {
 	perNode [][]TraceRecord // sorted by Time
 	cursor  []int           // next record index per node
 	pending []int           // packets left in the current record per node
-	// left goes atomic under EnterParallel for the same reason as
-	// Exchange.left: sharded engines drain different source nodes
-	// concurrently.
-	left  countdown
+	// left is atomic for the same reason as Exchange.left: sharded
+	// engines drain different source nodes concurrently.
+	left  atomic.Int64
 	total int64
 }
 
@@ -58,7 +58,7 @@ func NewTrace(label string, n int, records []TraceRecord) (*Trace, error) {
 		t.perNode[r.Src] = append(t.perNode[r.Src], r)
 		t.total += int64(r.Packets)
 	}
-	t.left.init(t.total)
+	t.left.Store(t.total)
 	for _, list := range t.perNode {
 		sort.SliceStable(list, func(a, b int) bool { return list[a].Time < list[b].Time })
 	}
@@ -86,7 +86,7 @@ func (t *Trace) NextPacket(src int, now int64, _ *rand.Rand) (int, bool) {
 		t.pending[src] = rec.Packets
 	}
 	t.pending[src]--
-	t.left.dec()
+	t.left.Add(-1)
 	if t.pending[src] == 0 {
 		t.cursor[src]++
 	}
@@ -94,15 +94,11 @@ func (t *Trace) NextPacket(src int, now int64, _ *rand.Rand) (int, bool) {
 }
 
 // Done implements sim.Workload.
-func (t *Trace) Done() bool { return t.left.zero() }
+func (t *Trace) Done() bool { return t.left.Load() == 0 }
 
 // ParallelSafe marks the workload safe for sharded engines
 // (sim.ParallelSafeWorkload); see the left field.
 func (t *Trace) ParallelSafe() {}
-
-// EnterParallel implements sim.ParallelPreparable; see
-// Exchange.EnterParallel.
-func (t *Trace) EnterParallel() { t.left.enterParallel() }
 
 // ParseTrace reads the plain-text trace format: one record per line,
 // "time src dst packets", with #-comments and blank lines ignored.

@@ -3,6 +3,7 @@ package traffic
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 )
 
 // OpenLoop adapts a Pattern into an open-loop Bernoulli workload: at
@@ -58,9 +59,9 @@ type Exchange struct {
 	tail           []int32
 	// left counts packets still to inject across all nodes. Sharded
 	// engines call NextPacket concurrently from different source nodes,
-	// so the counter goes atomic under EnterParallel; all other mutable
-	// state is per-source and each source belongs to exactly one shard.
-	left  countdown
+	// so the counter is atomic; all other mutable state is per-source
+	// and each source belongs to exactly one shard.
+	left  atomic.Int64
 	total int64
 }
 
@@ -89,7 +90,7 @@ func NewExchange(label string, msgs [][]Message, interleave bool) *Exchange {
 			e.next[hi-1], e.tail[n] = lo, hi-1
 		}
 	}
-	e.left.init(e.total)
+	e.left.Store(e.total)
 	return e
 }
 
@@ -122,7 +123,7 @@ func (e *Exchange) NextPacket(src int, _ int64, _ *rand.Rand) (int, bool) {
 	}
 	t := e.tail[src]
 	i := e.next[t]
-	e.left.dec()
+	e.left.Add(-1)
 	switch e.rem[i]--; {
 	case e.rem[i] > 0:
 		if e.interleave {
@@ -137,16 +138,11 @@ func (e *Exchange) NextPacket(src int, _ int64, _ *rand.Rand) (int, bool) {
 }
 
 // Done implements sim.Workload.
-func (e *Exchange) Done() bool { return e.left.zero() }
+func (e *Exchange) Done() bool { return e.left.Load() == 0 }
 
 // ParallelSafe marks the workload safe for sharded engines
 // (sim.ParallelSafeWorkload); see the left field.
 func (e *Exchange) ParallelSafe() {}
-
-// EnterParallel implements sim.ParallelPreparable: the sharded engine
-// announces itself before starting workers, switching the
-// remaining-packet counter from its serial fast path to atomics.
-func (e *Exchange) EnterParallel() { e.left.enterParallel() }
 
 // AllToAll builds the A2A exchange of Section 4.4: every node sends
 // packetsPerPair packets to every other node. Following the optimized
