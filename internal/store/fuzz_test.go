@@ -21,6 +21,14 @@ func FuzzCanonicalKey(f *testing.F) {
 		if len(ka) != 64 {
 			t.Fatalf("key length %d, want 64 hex chars", len(ka))
 		}
+		// The bytes hashed must be the original Fprintf encoding's.
+		full := fullConfig()
+		full.Point, full.BaseSeed, full.Cycles = pointA, seed, cycles
+		for _, c := range []PointConfig{a, b, full} {
+			if got, want := c.Key(), fprintfKey(c); got != want {
+				t.Fatalf("point %q: key %s, Fprintf encoding %s", c.Point, got, want)
+			}
+		}
 		if ka != a.Key() {
 			t.Fatal("key not deterministic for identical config")
 		}

@@ -1,6 +1,11 @@
 package store
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -27,18 +32,100 @@ func baseConfig() PointConfig {
 	}
 }
 
+// fullConfig sets every field, with the values that exercise each
+// formatter: the fluid tier, EngineCores, negative seeds (one the
+// int64 minimum), HasUGAL and non-integral UGAL floats.
+func fullConfig() PointConfig {
+	return PointConfig{
+		Point:          "screen|SF(q=5,p=3)|INR|WC|load=0.2500",
+		EngineSchema:   1,
+		EngineCores:    2,
+		Tier:           TierFluid,
+		BaseSeed:       -3,
+		PatternSeed:    math.MinInt64,
+		Cycles:         16000,
+		Warmup:         3000,
+		MaxDrain:       8000000,
+		A2APackets:     2,
+		NNPackets:      8,
+		Paper:          true,
+		FailCount:      3,
+		FailFrac:       0.0125,
+		FailAt:         1000,
+		MTBF:           500000,
+		MTTR:           20000,
+		RetxTimeout:    512,
+		RebuildLatency: 64,
+		HasUGAL:        true,
+		UGALNI:         4,
+		UGALC:          1.5,
+		UGALCSF:        1.0 / 3,
+		UGALSFCost:     true,
+		UGALThreshold:  1e-7,
+	}
+}
+
+// fprintfKey is the canonical encoder as first written, one
+// fmt.Fprintf per field straight into the hash. It is the oracle Key's
+// encoding must reproduce byte for byte.
+func fprintfKey(c PointConfig) string {
+	h := sha256.New()
+	field := func(name, value string) {
+		fmt.Fprintf(h, "%d:%s=%d:%s;", len(name), name, len(value), value)
+	}
+	field("canon", strconv.Itoa(CanonVersion))
+	field("point", c.Point)
+	field("engine", strconv.Itoa(c.EngineSchema))
+	field("engine-cores", strconv.Itoa(c.EngineCores))
+	field("tier", c.Tier)
+	field("seed", strconv.FormatInt(c.BaseSeed, 10))
+	field("pattern-seed", strconv.FormatInt(c.PatternSeed, 10))
+	field("cycles", strconv.FormatInt(c.Cycles, 10))
+	field("warmup", strconv.FormatInt(c.Warmup, 10))
+	field("max-drain", strconv.FormatInt(c.MaxDrain, 10))
+	field("a2a", strconv.Itoa(c.A2APackets))
+	field("nn", strconv.Itoa(c.NNPackets))
+	field("paper", strconv.FormatBool(c.Paper))
+	field("fail-count", strconv.Itoa(c.FailCount))
+	field("fail-frac", strconv.FormatFloat(c.FailFrac, 'g', -1, 64))
+	field("fail-at", strconv.FormatInt(c.FailAt, 10))
+	field("mtbf", strconv.FormatInt(c.MTBF, 10))
+	field("mttr", strconv.FormatInt(c.MTTR, 10))
+	field("retx-timeout", strconv.Itoa(c.RetxTimeout))
+	field("rebuild-latency", strconv.Itoa(c.RebuildLatency))
+	field("has-ugal", strconv.FormatBool(c.HasUGAL))
+	field("ugal-ni", strconv.Itoa(c.UGALNI))
+	field("ugal-c", strconv.FormatFloat(c.UGALC, 'g', -1, 64))
+	field("ugal-csf", strconv.FormatFloat(c.UGALCSF, 'g', -1, 64))
+	field("ugal-sfcost", strconv.FormatBool(c.UGALSFCost))
+	field("ugal-threshold", strconv.FormatFloat(c.UGALThreshold, 'g', -1, 64))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestKeyStable pins the canonical digest: any change to the field
 // encoding, field order, or float formatting breaks this test, which
 // is the point — such a change silently invalidates every existing
-// store, and must instead be expressed as a CanonVersion bump.
+// store, and must instead be expressed as a CanonVersion bump. The
+// literals were recorded under CanonVersion 4.
 func TestKeyStable(t *testing.T) {
-	got := baseConfig().Key()
-	if len(got) != 64 || strings.ToLower(got) != got {
-		t.Fatalf("key is not lowercase hex sha256: %q", got)
-	}
-	again := baseConfig().Key()
-	if got != again {
-		t.Fatalf("key unstable across calls: %q vs %q", got, again)
+	for _, c := range []struct {
+		name string
+		cfg  PointConfig
+		want string
+	}{
+		{"base", baseConfig(), "bfb70a56340eec122db39259c3bf6434c453b9a8977bca32aebe117a057bfe00"},
+		{"full", fullConfig(), "af7625fff6f21973b981dc316a96c88d61d69bcffe82ae353acf280a78db6f06"},
+	} {
+		got := c.cfg.Key()
+		if len(got) != 64 || strings.ToLower(got) != got {
+			t.Fatalf("%s: key is not lowercase hex sha256: %q", c.name, got)
+		}
+		if got != c.want {
+			t.Errorf("%s: key %s, pinned %s", c.name, got, c.want)
+		}
+		if oracle := fprintfKey(c.cfg); got != oracle {
+			t.Errorf("%s: key %s, Fprintf encoding %s", c.name, got, oracle)
+		}
 	}
 }
 
