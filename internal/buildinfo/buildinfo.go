@@ -7,14 +7,16 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"sync"
 )
 
 // Version returns a single-token build identity: the module version
 // when the binary was built from a tagged module, otherwise the VCS
 // revision (short, with a +dirty marker for local modifications), or
 // "devel" when neither is recorded (e.g. go run from a work tree
-// without VCS stamping).
-func Version() string {
+// without VCS stamping). The build info cannot change while the
+// process runs, so it is read once.
+var Version = sync.OnceValue(func() string {
 	bi, ok := debug.ReadBuildInfo()
 	if !ok {
 		return "devel"
@@ -45,7 +47,7 @@ func Version() string {
 	default:
 		return "devel"
 	}
-}
+})
 
 // Banner returns the one-line -version output for a command:
 //

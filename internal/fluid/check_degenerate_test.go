@@ -48,7 +48,7 @@ func TestPermutationLengthMismatch(t *testing.T) {
 	}
 }
 
-// TestEmptyLinkLoads: the load aggregates on an empty map — what a
+// TestEmptyLinkLoads: the load aggregates on no load — what a
 // degenerate pattern with no cross-router flow produces — degrade to
 // the identity values instead of dividing by zero: no load anywhere,
 // saturation capped at 1 (no link ever exceeds injection rate).
@@ -62,5 +62,8 @@ func TestEmptyLinkLoads(t *testing.T) {
 	}
 	if s := l.Saturation(); s != 1 {
 		t.Errorf("empty Saturation = %v, want 1 (never saturates)", s)
+	}
+	if a := l.At(0, 1); a != 0 {
+		t.Errorf("empty At = %v", a)
 	}
 }

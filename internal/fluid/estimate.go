@@ -105,10 +105,10 @@ func (m *Model) Check() error { return m.connErr }
 // them via EstimateAt.
 func (m *Model) Loads(pat Pattern, rt Routing, wc *traffic.Permutation) (LinkLoads, float64, error) {
 	if err := m.Check(); err != nil {
-		return nil, 0, err
+		return LinkLoads{}, 0, err
 	}
 	if rt != RoutingMinimal && rt != RoutingValiant {
-		return nil, 0, fmt.Errorf("%w: %s", ErrUnsupportedRouting, rt)
+		return LinkLoads{}, 0, fmt.Errorf("%w: %s", ErrUnsupportedRouting, rt)
 	}
 	var loads LinkLoads
 	var crossRate float64
@@ -122,7 +122,7 @@ func (m *Model) Loads(pat Pattern, rt Routing, wc *traffic.Permutation) (LinkLoa
 		crossRate = m.uniformCrossRate()
 	case PatternWorstCase:
 		if wc == nil {
-			return nil, 0, errors.New("fluid: worst-case pattern requires a permutation")
+			return LinkLoads{}, 0, errors.New("fluid: worst-case pattern requires a permutation")
 		}
 		var err error
 		if rt == RoutingMinimal {
@@ -131,11 +131,11 @@ func (m *Model) Loads(pat Pattern, rt Routing, wc *traffic.Permutation) (LinkLoa
 			loads, err = m.ValiantPermutation(*wc)
 		}
 		if err != nil {
-			return nil, 0, err
+			return LinkLoads{}, 0, err
 		}
 		crossRate = m.permCrossRate(wc.Perm)
 	default:
-		return nil, 0, fmt.Errorf("fluid: unknown pattern %d", int(pat))
+		return LinkLoads{}, 0, fmt.Errorf("fluid: unknown pattern %d", int(pat))
 	}
 	// Flow conservation: total link load equals the rate-weighted path
 	// length, so the mean hop count is their ratio. For Valiant this

@@ -24,6 +24,11 @@ type Model struct {
 	dist [][]int
 	// cnt[u][v] = number of minimal u->v paths.
 	cnt [][]float64
+	// link[u] indexes router u's first directed link: (u, v) with v
+	// the i-th entry of g.Neighbors(u) is link link[u]+i, and link[n]
+	// is the link count. Neighbour lists are sorted, so link indices
+	// run in (u, v) lexicographic order.
+	link []int
 	// connErr records (once, at New) whether any endpoint-router pair
 	// is unreachable; see Check in estimate.go.
 	connErr error
@@ -35,16 +40,13 @@ func New(tp topo.Topology) *Model {
 	m := &Model{tp: tp, g: g, dist: g.DistanceMatrix()}
 	n := g.N()
 	m.cnt = make([][]float64, n)
+	m.link = make([]int, n+1)
 	for u := 0; u < n; u++ {
+		m.link[u+1] = m.link[u] + g.Degree(u)
 		m.cnt[u] = make([]float64, n)
-		// BFS DAG path counting from u.
+		// BFS DAG path counting from u, processing vertices in
+		// increasing distance from u (counting sort by distance).
 		m.cnt[u][u] = 1
-		// Process vertices in increasing distance from u.
-		order := make([]int, 0, n)
-		for v := 0; v < n; v++ {
-			order = append(order, v)
-		}
-		// Counting sort by distance.
 		maxD := 0
 		for _, d := range m.dist[u] {
 			if d > maxD {
@@ -68,7 +70,6 @@ func New(tp topo.Topology) *Model {
 				m.cnt[u][v] = c
 			}
 		}
-		_ = order
 	}
 	eps := tp.EndpointRouters()
 	for _, u := range eps {
@@ -82,15 +83,39 @@ func New(tp topo.Topology) *Model {
 	return m
 }
 
-// LinkLoads maps directed router links to relative load (flow units
-// crossing the link when every node injects one unit).
-type LinkLoads map[[2]int]float64
+// LinkLoads holds the relative load of every directed router link
+// (flow units crossing the link when every node injects one unit),
+// indexed by link in (u, v) lexicographic order, with the maximum and
+// the total computed once. The zero value carries no load.
+type LinkLoads struct {
+	m    *Model
+	load []float64
+	max  float64
+	sum  float64
+}
+
+// newLoad returns a zeroed per-link accumulator.
+func (m *Model) newLoad() []float64 { return make([]float64, m.link[len(m.link)-1]) }
+
+// linkLoads wraps an accumulated per-link load vector. The total adds
+// the links in index order, so the float sum is the same on every run;
+// links without load add an exact +0.
+func (m *Model) linkLoads(load []float64) LinkLoads {
+	l := LinkLoads{m: m, load: load}
+	for _, v := range load {
+		l.sum += v
+		if v > l.max {
+			l.max = v
+		}
+	}
+	return l
+}
 
 // addFlow spreads `rate` units from router src to router dst evenly
 // over all minimal paths, accumulating directed link loads: the share
 // of edge (u,v) on shortest src->dst paths is
 // cnt(src,u)*cnt(v,dst)/cnt(src,dst).
-func (m *Model) addFlow(loads LinkLoads, src, dst int, rate float64) {
+func (m *Model) addFlow(load []float64, src, dst int, rate float64) {
 	if src == dst || rate == 0 {
 		return
 	}
@@ -104,13 +129,13 @@ func (m *Model) addFlow(loads LinkLoads, src, dst int, rate float64) {
 		if du < 0 || du >= d || m.cnt[src][u] == 0 {
 			continue
 		}
-		for _, v := range m.g.Neighbors(u) {
+		for i, v := range m.g.Neighbors(u) {
 			if m.dist[src][v] != du+1 || m.dist[v][dst] != d-du-1 {
 				continue
 			}
 			share := m.cnt[src][u] * m.cnt[v][dst] / total
 			if share > 0 {
-				loads[[2]int{u, v}] += rate * share
+				load[m.link[u]+i] += rate * share
 			}
 		}
 	}
@@ -120,19 +145,19 @@ func (m *Model) addFlow(loads LinkLoads, src, dst int, rate float64) {
 // minimal routing (each node injects one unit).
 func (m *Model) MinimalPermutation(perm traffic.Permutation) (LinkLoads, error) {
 	if len(perm.Perm) != m.tp.Nodes() {
-		return nil, fmt.Errorf("fluid: permutation covers %d of %d nodes", len(perm.Perm), m.tp.Nodes())
+		return LinkLoads{}, fmt.Errorf("fluid: permutation covers %d of %d nodes", len(perm.Perm), m.tp.Nodes())
 	}
-	loads := LinkLoads{}
+	load := m.newLoad()
 	for src, dst := range perm.Perm {
-		m.addFlow(loads, m.tp.NodeRouter(src), m.tp.NodeRouter(dst), 1)
+		m.addFlow(load, m.tp.NodeRouter(src), m.tp.NodeRouter(dst), 1)
 	}
-	return loads, nil
+	return m.linkLoads(load), nil
 }
 
 // MinimalUniform computes link loads for global uniform traffic under
 // minimal routing.
 func (m *Model) MinimalUniform() LinkLoads {
-	loads := LinkLoads{}
+	load := m.newLoad()
 	n := m.tp.Nodes()
 	rate := 1.0 / float64(n-1)
 	// Aggregate node pairs to router pairs.
@@ -144,10 +169,10 @@ func (m *Model) MinimalUniform() LinkLoads {
 				continue
 			}
 			pd := float64(len(m.tp.RouterNodes(rd)))
-			m.addFlow(loads, rs, rd, ps*pd*rate)
+			m.addFlow(load, rs, rd, ps*pd*rate)
 		}
 	}
-	return loads
+	return m.linkLoads(load)
 }
 
 // ValiantUniform computes link loads for global uniform traffic under
@@ -164,7 +189,7 @@ func (m *Model) ValiantUniform() LinkLoads {
 		// No third router to bounce through: INR degenerates to MIN.
 		return m.MinimalUniform()
 	}
-	loads := LinkLoads{}
+	load := m.newLoad()
 	n := float64(m.tp.Nodes())
 	rate := 1.0 / (n - 1)
 	denom := float64(len(eps) - 2)
@@ -176,10 +201,10 @@ func (m *Model) ValiantUniform() LinkLoads {
 			}
 			pb := float64(len(m.tp.RouterNodes(b)))
 			w := rate * (pa + pb) * (n - pa - pb) / denom
-			m.addFlow(loads, a, b, w)
+			m.addFlow(load, a, b, w)
 		}
 	}
-	return loads
+	return m.linkLoads(load)
 }
 
 // ValiantPermutation computes link loads for a permutation under
@@ -187,36 +212,28 @@ func (m *Model) ValiantUniform() LinkLoads {
 // eligible intermediates, routing minimally on both legs.
 func (m *Model) ValiantPermutation(perm traffic.Permutation) (LinkLoads, error) {
 	if len(perm.Perm) != m.tp.Nodes() {
-		return nil, fmt.Errorf("fluid: permutation covers %d of %d nodes", len(perm.Perm), m.tp.Nodes())
+		return LinkLoads{}, fmt.Errorf("fluid: permutation covers %d of %d nodes", len(perm.Perm), m.tp.Nodes())
 	}
-	loads := LinkLoads{}
+	load := m.newLoad()
 	eligible := m.tp.EndpointRouters()
 	// Aggregate by router pair first (node-level loop would repeat
-	// identical work p times).
-	pairRate := map[[2]int]float64{}
+	// identical work p times), in a dense row-major count: spreading
+	// in index order is (rs, rd) order, so each link's float
+	// accumulation sums in a fixed order and the loads are the same on
+	// every run.
+	r := m.g.N()
+	pairRate := make([]float64, r*r)
 	for src, dst := range perm.Perm {
 		rs, rd := m.tp.NodeRouter(src), m.tp.NodeRouter(dst)
 		if rs != rd {
-			pairRate[[2]int{rs, rd}]++
+			pairRate[rs*r+rd]++
 		}
 	}
-	// Spread in sorted pair order, not map order: the per-link float
-	// accumulations must sum in a fixed order or the last bit of the
-	// loads (and so saturation) varies run to run, breaking the
-	// harness's byte-identical determinism contract.
-	pairs := make([][2]int, 0, len(pairRate))
-	for pair := range pairRate {
-		pairs = append(pairs, pair)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
+	for pair, rate := range pairRate {
+		if rate == 0 {
+			continue
 		}
-		return pairs[i][1] < pairs[j][1]
-	})
-	for _, pair := range pairs {
-		rate := pairRate[pair]
-		rs, rd := pair[0], pair[1]
+		rs, rd := pair/r, pair%r
 		// Count usable intermediates (excluding src/dst routers).
 		usable := 0
 		for _, ri := range eligible {
@@ -225,7 +242,7 @@ func (m *Model) ValiantPermutation(perm traffic.Permutation) (LinkLoads, error) 
 			}
 		}
 		if usable == 0 {
-			m.addFlow(loads, rs, rd, rate)
+			m.addFlow(load, rs, rd, rate)
 			continue
 		}
 		w := rate / float64(usable)
@@ -233,62 +250,37 @@ func (m *Model) ValiantPermutation(perm traffic.Permutation) (LinkLoads, error) 
 			if ri == rs || ri == rd {
 				continue
 			}
-			m.addFlow(loads, rs, ri, w)
-			m.addFlow(loads, ri, rd, w)
+			m.addFlow(load, rs, ri, w)
+			m.addFlow(load, ri, rd, w)
 		}
 	}
-	return loads, nil
+	return m.linkLoads(load), nil
 }
 
-// sortedLinks returns the directed links in lexicographic order.
-// Float summations over LinkLoads iterate this order, not the map's:
-// map iteration order varies per run, and float addition is not
-// associative, so summing in map order would break the harness's
-// byte-identical determinism contract in the last bit.
-func (l LinkLoads) sortedLinks() [][2]int {
-	links := make([][2]int, 0, len(l))
-	for k := range l {
-		links = append(links, k)
+// At returns the load of the directed link (u, v); 0 when the routers
+// are not adjacent.
+func (l LinkLoads) At(u, v int) float64 {
+	if l.m == nil || !l.m.g.HasEdge(u, v) {
+		return 0
 	}
-	sort.Slice(links, func(i, j int) bool {
-		if links[i][0] != links[j][0] {
-			return links[i][0] < links[j][0]
-		}
-		return links[i][1] < links[j][1]
-	})
-	return links
+	return l.load[l.m.link[u]+sort.SearchInts(l.m.g.Neighbors(u), v)]
 }
 
 // Sum returns the total load over all directed links. By flow
 // conservation this equals the rate-weighted path length of the
 // traffic, which is how the screening tier derives mean hop counts.
-func (l LinkLoads) Sum() float64 {
-	var s float64
-	for _, k := range l.sortedLinks() {
-		s += l[k]
-	}
-	return s
-}
+func (l LinkLoads) Sum() float64 { return l.sum }
 
 // MaxLoad returns the highest directed-link load.
-func (l LinkLoads) MaxLoad() float64 {
-	var max float64
-	for _, v := range l {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
+func (l LinkLoads) MaxLoad() float64 { return l.max }
 
 // Saturation converts loads into the theoretical saturation fraction:
 // the injection rate at which the hottest link reaches capacity
 // (1 / max relative load; 1.0 when no link ever exceeds the per-node
 // injection rate).
 func (l LinkLoads) Saturation() float64 {
-	m := l.MaxLoad()
-	if m <= 1 {
+	if l.max <= 1 {
 		return 1
 	}
-	return 1 / m
+	return 1 / l.max
 }

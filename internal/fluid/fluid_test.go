@@ -162,7 +162,7 @@ func TestFlowConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var total float64
-	for _, v := range loads {
+	for _, v := range loads.load {
 		total += v
 	}
 	// Every flow crosses exactly 2 links (diameter-two worst case,
@@ -181,18 +181,41 @@ func TestPathSplitting(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := New(m4)
-	loads := LinkLoads{}
+	load := model.newLoad()
 	src := m4.LocalRouter(0, 2)
 	dst := m4.LocalRouter(3, 2) // same column: h = 4 minimal paths
-	model.addFlow(loads, src, dst, 1)
-	if len(loads) != 8 { // 4 paths x 2 links
-		t.Fatalf("links used = %d, want 8", len(loads))
+	model.addFlow(load, src, dst, 1)
+	if n := linksUsed(load); n != 8 { // 4 paths x 2 links
+		t.Fatalf("links used = %d, want 8", n)
 	}
-	for link, v := range loads {
-		if math.Abs(v-0.25) > 1e-9 {
-			t.Errorf("link %v load %v, want 0.25", link, v)
+	for link, v := range load {
+		if v != 0 && math.Abs(v-0.25) > 1e-9 {
+			t.Errorf("link %d load %v, want 0.25", link, v)
 		}
 	}
+	// Each path leaves src on its own link and enters dst on its own.
+	loads := model.linkLoads(load)
+	var out, in float64
+	for _, v := range m4.Graph().Neighbors(src) {
+		out += loads.At(src, v)
+	}
+	for _, u := range m4.Graph().Neighbors(dst) {
+		in += loads.At(u, dst)
+	}
+	if math.Abs(out-1) > 1e-9 || math.Abs(in-1) > 1e-9 {
+		t.Errorf("flow out of src %v, into dst %v; want 1 each", out, in)
+	}
+}
+
+// linksUsed counts the links carrying load.
+func linksUsed(load []float64) int {
+	n := 0
+	for _, v := range load {
+		if v > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // TestLatencyModelShape: the analytic latency curve is monotone in

@@ -40,26 +40,23 @@ func (l *LatencyModel) AvgLatency(loads LinkLoads, avgHops float64, x float64) f
 	if x <= 0 {
 		return l.baseCycles(int(math.Round(avgHops)))
 	}
-	maxLoad := loads.MaxLoad()
-	if x*maxLoad >= 1 {
+	if x*loads.max >= 1 {
 		return math.Inf(1)
 	}
 	// Mean queueing delay per traversed link, weighted by link usage:
 	// average over links of rho/(2(1-rho)) with rho = x * relative
-	// load, weighted by the link's share of total flow. Links iterate
-	// in sorted order so the sum is bit-identical across runs (see
-	// LinkLoads.sortedLinks).
-	var total, wsum float64
-	for _, link := range loads.sortedLinks() {
-		rel := loads[link]
+	// load, weighted by the link's share of total flow (links carrying
+	// more flow are traversed by more packets). One pass in link index
+	// order, so the sum is bit-identical across runs; links without
+	// load add an exact +0.
+	var total float64
+	for _, rel := range loads.load {
 		rho := x * rel
-		w := rel // links carrying more flow are traversed by more packets
-		total += w * rho / (2 * (1 - rho))
-		wsum += w
+		total += rel * rho / (2 * (1 - rho))
 	}
 	queue := 0.0
-	if wsum > 0 {
-		queue = total / wsum * l.packetCycles()
+	if loads.sum > 0 {
+		queue = total / loads.sum * l.packetCycles()
 	}
 	return l.baseCycles(int(math.Round(avgHops))) + (avgHops)*queue
 }

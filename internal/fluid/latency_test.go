@@ -224,7 +224,7 @@ func TestValiantUniformAggregation(t *testing.T) {
 	m := New(tp)
 	got := m.ValiantUniform()
 
-	want := LinkLoads{}
+	want := m.newLoad()
 	eps := m.tp.EndpointRouters()
 	n := float64(m.tp.Nodes())
 	rate := 1.0 / (n - 1)
@@ -252,12 +252,12 @@ func TestValiantUniformAggregation(t *testing.T) {
 			}
 		}
 	}
-	if len(got) != len(want) {
-		t.Fatalf("aggregated uses %d links, brute force %d", len(got), len(want))
+	if linksUsed(got.load) != linksUsed(want) {
+		t.Fatalf("aggregated uses %d links, brute force %d", linksUsed(got.load), linksUsed(want))
 	}
 	for link, v := range want {
-		if math.Abs(got[link]-v) > 1e-9 {
-			t.Errorf("link %v: aggregated %.9f, brute force %.9f", link, got[link], v)
+		if math.Abs(got.load[link]-v) > 1e-9 {
+			t.Errorf("link %d: aggregated %.9f, brute force %.9f", link, got.load[link], v)
 		}
 	}
 }

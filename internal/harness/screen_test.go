@@ -344,6 +344,30 @@ func TestPresetFamily(t *testing.T) {
 	}
 }
 
+// TestScreenerPointAllocs: once a combination's link loads exist, a
+// screening point is one pass over them and allocates nothing — the
+// per-point cost of a 30 000-point screen.
+func TestScreenerPointAllocs(t *testing.T) {
+	scr, err := NewScreener(SmallPresets(), QuickScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pat := range []PatternKind{PatUNI, PatWC} {
+		if _, err := scr.Point("SF(q=5,p=3)", AlgINR, pat, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		load := 0.0
+		if avg := testing.AllocsPerRun(200, func() {
+			load += 0.01
+			if _, err := scr.Point("SF(q=5,p=3)", AlgINR, pat, load); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("warm Point(%s) allocates %v times per call, want 0", pat, avg)
+		}
+	}
+}
+
 // TestScreenGridLoads: n evenly spaced loads ending exactly at 1.0,
 // all strictly positive (a zero offered load is not a screening point).
 func TestScreenGridLoads(t *testing.T) {
