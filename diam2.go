@@ -331,7 +331,8 @@ type PartitionConfig = partition.Config
 type (
 	// FluidModel computes per-link loads analytically.
 	FluidModel = fluid.Model
-	// FluidLinkLoads maps directed router links to relative load.
+	// FluidLinkLoads holds the relative load of every directed router
+	// link.
 	FluidLinkLoads = fluid.LinkLoads
 )
 
