@@ -172,44 +172,21 @@ type (
 	Exchange = traffic.Exchange
 	// Torus3D is the nearest-neighbor process arrangement.
 	Torus3D = traffic.Torus3D
-	// Trace replays a timed application communication trace.
-	Trace = traffic.Trace
-	// TraceRecord is one message of a trace.
-	TraceRecord = traffic.TraceRecord
-	// Collective is a dependency-driven collective-operation workload.
-	Collective = traffic.Collective
-	// StepMessage is one transfer within a collective step.
-	StepMessage = traffic.StepMessage
 	// Mapping is a process-rank to node assignment.
 	Mapping = traffic.Mapping
 )
 
 // Traffic constructors.
 var (
-	WorstCase                  = traffic.WorstCase
-	RouterShift                = traffic.RouterShift
-	AllToAll                   = traffic.AllToAll
-	AllToAllSequential         = traffic.AllToAllSequential
-	NewTrace                   = traffic.NewTrace
-	ParseTrace                 = traffic.ParseTrace
-	WriteTrace                 = traffic.WriteTrace
-	SyntheticPhaseTrace        = traffic.SyntheticPhaseTrace
-	NewCollective              = traffic.NewCollective
-	RingAllGather              = traffic.RingAllGather
-	RecursiveDoublingAllGather = traffic.RecursiveDoublingAllGather
-	BinomialBroadcast          = traffic.BinomialBroadcast
-	RingAllReduce              = traffic.RingAllReduce
-	NewMapping                 = traffic.NewMapping
-	ContiguousMapping          = traffic.ContiguousMapping
-	RandomMapping              = traffic.RandomMapping
-	RoundRobinMapping          = traffic.RoundRobinMapping
-	NodeShift                  = traffic.NodeShift
-	Tornado                    = traffic.Tornado
-	BitComplement              = traffic.BitComplement
-	BitReverse                 = traffic.BitReverse
-	Transpose                  = traffic.Transpose
-	NearestNeighbor            = traffic.NearestNeighbor
-	FitTorus3D                 = traffic.FitTorus3D
+	WorstCase          = traffic.WorstCase
+	RouterShift        = traffic.RouterShift
+	AllToAll           = traffic.AllToAll
+	AllToAllSequential = traffic.AllToAllSequential
+	NewMapping         = traffic.NewMapping
+	ContiguousMapping  = traffic.ContiguousMapping
+	RandomMapping      = traffic.RandomMapping
+	NearestNeighbor    = traffic.NearestNeighbor
+	FitTorus3D         = traffic.FitTorus3D
 )
 
 // Harness types: presets, scales and experiment generators.

@@ -1,12 +1,13 @@
-// Custom topologies and trace replay: load a network from an edge
-// list, run a bursty application phase-trace over it, and export the
-// topology as Graphviz DOT — the extension features for using the
-// simulator beyond the paper's own topologies.
+// Custom topologies: load a network from an edge list, run the
+// paper's all-to-all exchange over it, and export the topology as
+// Graphviz DOT — the extension features for using the simulator beyond
+// the paper's own topologies.
 package main
 
 import (
 	"fmt"
 	"log"
+	"math/rand"
 	"os"
 	"strings"
 
@@ -43,13 +44,9 @@ func main() {
 	fmt.Printf("loaded %s: %d nodes on %d routers (%.2f ports/node)\n",
 		tp.Name(), cost.Nodes, cost.Routers, cost.PortsPerNode)
 
-	// A bursty three-phase trace: compute gaps of 2000 cycles between
-	// communication phases, each phase a shift permutation.
-	records := diam2.SyntheticPhaseTrace(tp.Nodes(), 3, 8, 2000)
-	trace, err := diam2.NewTrace("phases", tp.Nodes(), records)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// The A2A exchange of Section 4.4: every node sends 4 packets to
+	// every other node.
+	ex := diam2.AllToAll(tp.Nodes(), 4, rand.New(rand.NewSource(1)))
 	// The prism has diameter 2, so Valiant routing needs 4 hop-indexed
 	// VCs; size the switch from the algorithm's requirement.
 	alg := diam2.NewValiant(tp)
@@ -57,18 +54,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := diam2.NewEngine(net, alg, trace)
+	eng, err := diam2.NewEngine(net, alg, ex)
 	if err != nil {
 		log.Fatal(err)
 	}
 	tel := diam2.NewTelemetryCollector(diam2.TelemetryOptions{})
 	eng.AttachTelemetry(tel)
 	if !eng.RunUntilDrained(1_000_000) {
-		log.Fatal("trace did not drain")
+		log.Fatal("exchange did not drain")
 	}
 	eng.Finish()
 	res := eng.Results()
-	fmt.Printf("replayed %d packets in %d cycles (avg latency %.0f cycles, %.2f hops)\n",
+	fmt.Printf("exchanged %d packets in %d cycles (avg latency %.0f cycles, %.2f hops)\n",
 		res.Delivered, res.Cycles, res.AvgLatency, res.AvgHops)
 	if links := tel.Snapshot(0).Links; len(links) > 0 {
 		fmt.Printf("hottest link r%d->r%d at %.1f%% utilization\n",

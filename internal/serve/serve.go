@@ -333,6 +333,9 @@ func (s *Server) resolve(ctx context.Context, q Query) (Answer, error) {
 	sp, fluidKey, ok := harness.Lookup(fluidScale, fluidPoint)
 	if !ok || sp.Topo == "" {
 		tier = TierFluid
+		// The lookup above already missed (or found a record without a
+		// topology): recompute and overwrite rather than look again.
+		fluidScale.Sched.Force = true
 		sp, err = s.fluidCompute(ctx, fluidScale, fluidKey, fluidPoint)
 		if err != nil {
 			return Answer{}, err

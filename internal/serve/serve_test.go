@@ -176,6 +176,41 @@ func TestResolveTierLadder(t *testing.T) {
 	}
 }
 
+// TestFluidRecordWithoutTopoRecomputed: a fluid record whose payload
+// decodes without a topology is a miss. The query recomputes the point
+// and overwrites the record, so the next query is a cache hit on a real
+// estimate.
+func TestFluidRecordWithoutTopoRecomputed(t *testing.T) {
+	s := newTestServer(t, nil)
+	ctx := context.Background()
+	q := Query{Topo: "OFT(k=6)", Routing: "MIN", Pattern: "UNI", Load: 0.42}
+	fluidScale := harness.QuickScale()
+	fluidScale.Tier = store.TierFluid
+	key := fluidScale.CanonicalPointKey(harness.ScreenPointKey(q.Topo, harness.AlgMIN, harness.PatUNI, q.Load))
+	if err := s.cfg.Store.Put(store.Record{Key: key, Payload: []byte("{}")}); err != nil {
+		t.Fatal(err)
+	}
+
+	first, err := s.Resolve(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Tier != TierFluid || first.Estimate.Topo != q.Topo || first.Estimate.Saturation <= 0 {
+		t.Fatalf("query over a topology-less record answered %q with %+v, want a fresh %q estimate", first.Tier, first.Estimate, TierFluid)
+	}
+	if rec, ok := s.cfg.Store.Get(key); !ok || string(rec.Payload) == "{}" {
+		t.Fatalf("record %s not overwritten: %+v", key, rec)
+	}
+
+	second, err := s.Resolve(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Tier != TierFluidCache || *second.Estimate != *first.Estimate {
+		t.Fatalf("repeat query answered %q with %+v, want %q with %+v", second.Tier, second.Estimate, TierFluidCache, first.Estimate)
+	}
+}
+
 // TestEscalationByteIdentity is the acceptance criterion: the record
 // an escalated query eventually stores is byte-identical — same
 // canonical key, same payload — to the same point run through the

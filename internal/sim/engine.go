@@ -37,14 +37,6 @@ type RoutingAlgorithm interface {
 	NextHop(p *Packet, r *Router, rng *rand.Rand) (port, vc int)
 }
 
-// DeliveryObserver is an optional interface a Workload may implement
-// to learn of packet deliveries — the hook dependency-driven
-// workloads (collective operations) use to gate later communication
-// steps on earlier ones having arrived.
-type DeliveryObserver interface {
-	OnDeliver(p *Packet, now int64)
-}
-
 // Workload drives injection. The engine polls NextPacket once per
 // cycle per node while that node's source queue has room.
 type Workload interface {
@@ -175,8 +167,7 @@ type shard struct {
 
 	lastDeliver int64 // cycle of the most recent delivery
 
-	observer DeliveryObserver     // optional delivery hook of the workload (one shard only)
-	tel      *telemetry.Collector // per-event hooks (one shard only; see telemetry.go)
+	tel *telemetry.Collector // per-event hooks (one shard only; see telemetry.go)
 
 	// Fault injection (nil / zero without a schedule; see fault.go).
 	faults        *faultState
@@ -220,7 +211,6 @@ func newShard(eng *Engine, id, shards int) *shard {
 	}
 	sh.ringLen = int64(cfg.PacketFlits() + cfg.LinkLatency + cfg.SwitchLatency + 2)
 	sh.ring = make([]ringSlot, sh.ringLen)
-	sh.observer, _ = eng.Work.(DeliveryObserver)
 	// Latency histogram in cycles: bucket width scales with the
 	// network latency so percentiles stay meaningful at any scale.
 	sh.latGen = metrics.NewHistogram(float64(cfg.SwitchLatency+cfg.LinkLatency), 4096)
@@ -373,9 +363,6 @@ func (sh *shard) deliver(h pktHandle) {
 	}
 	if p.Retx > 0 && sh.now-p.FirstDrop > sh.recoveryMax {
 		sh.recoveryMax = sh.now - p.FirstDrop
-	}
-	if sh.observer != nil {
-		sh.observer.OnDeliver(p, sh.now)
 	}
 	if sh.tel != nil {
 		sh.tel.Deliver(sh.now, p.ID, int(p.Src), int(p.Dst), float64(sh.now-p.GenTime), p.Minimal, int(p.Hops), sh.pktFlits)

@@ -272,29 +272,6 @@ func TestLatencyComponents(t *testing.T) {
 	}
 }
 
-// TestTraceWorkloadEndToEnd: a phase trace replays through the
-// simulator, respecting release times, and drains completely.
-func TestTraceWorkloadEndToEnd(t *testing.T) {
-	tp := mustMLFM(t, 3)
-	recs := traffic.SyntheticPhaseTrace(tp.Nodes(), 3, 2, 2000)
-	tr, err := traffic.NewTrace("phases", tp.Nodes(), recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := buildEngine(t, tp, routing.NewMinimal(tp), tr)
-	if !e.RunUntilDrained(2_000_000) {
-		t.Fatal("trace did not drain")
-	}
-	res := e.Results()
-	if res.Delivered != tr.TotalPackets() {
-		t.Errorf("delivered %d of %d", res.Delivered, tr.TotalPackets())
-	}
-	// The last phase releases at cycle 4000; completion must be later.
-	if res.Cycles < 4000 {
-		t.Errorf("completed at %d, before the last phase released", res.Cycles)
-	}
-}
-
 // TestMappingMatters: the MLFM's aligned-torus nearest-neighbor
 // advantage comes from placement — under a random process-to-node
 // mapping the same exchange loses locality (X exchanges leave the
@@ -318,53 +295,6 @@ func TestMappingMatters(t *testing.T) {
 	if contig >= random {
 		t.Errorf("contiguous (%d cycles) should beat random mapping (%d cycles) on the aligned torus", contig, random)
 	}
-}
-
-// TestCollectiveEndToEnd: dependency-gated collectives run through
-// the simulator; recursive doubling completes in fewer steps than the
-// ring on a diameter-two network (latency-dominated regime).
-func TestCollectiveEndToEnd(t *testing.T) {
-	tp := mustOFT(t, 3)
-	n := 32 // power of two subset of the machine
-	run := func(c sim.Workload, total int64) int64 {
-		e := buildEngine(t, tp, routing.NewMinimal(tp), c)
-		if !e.RunUntilDrained(4_000_000) {
-			t.Fatalf("%s did not drain", c.Name())
-		}
-		res := e.Results()
-		if res.Delivered != total {
-			t.Fatalf("%s delivered %d of %d", c.Name(), res.Delivered, total)
-		}
-		return res.Cycles
-	}
-	ring, err := traffic.RingAllGather(n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ringCycles := run(ring, ring.TotalPackets())
-	rd, err := traffic.RecursiveDoublingAllGather(n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run(rd, rd.TotalPackets())
-	// The ring's dependency chain is n-1 deep: completion must scale
-	// roughly linearly with n (the defining property the dependency
-	// gating exists to model). Which algorithm wins in absolute
-	// cycles depends on process placement — the contiguous mapping
-	// makes most ring hops router-local here.
-	smallRing, err := traffic.RingAllGather(8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	smallCycles := run(smallRing, smallRing.TotalPackets())
-	if ringCycles < smallCycles*5/2 {
-		t.Errorf("ring(32) = %d cycles vs ring(8) = %d: dependency chain not enforced", ringCycles, smallCycles)
-	}
-	bc, err := traffic.BinomialBroadcast(n, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run(bc, bc.TotalPackets())
 }
 
 // TestSpeedupImprovesSaturation: crossbar speedup 2 raises uniform

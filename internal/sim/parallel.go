@@ -52,10 +52,9 @@ import (
 // rng and serialize the injection stage; instead every shard count
 // carries its own golden digests.
 //
-// Sharding gates: a workload must be marked ParallelSafeWorkload and
-// must not observe deliveries, and the routing algorithm must not read
-// remote router state, from two shards up. One shard needs none of
-// them.
+// Sharding gates: a workload must be marked ParallelSafeWorkload, and
+// the routing algorithm must not read remote router state, from two
+// shards up. One shard needs neither.
 
 // ParallelSafeWorkload marks workloads whose NextPacket and Done
 // methods are safe to call concurrently from shard goroutines
@@ -164,9 +163,6 @@ func NewParallelEngine(net *Network, alg RoutingAlgorithm, work Workload, opt Pa
 	if p > 1 {
 		if _, ok := work.(ParallelSafeWorkload); !ok {
 			return nil, fmt.Errorf("sim: workload %s is not marked parallel-safe", work.Name())
-		}
-		if _, ok := work.(DeliveryObserver); ok {
-			return nil, fmt.Errorf("sim: workload %s observes deliveries, which the parallel engine cannot order", work.Name())
 		}
 		if _, ok := alg.(RemoteStateRouting); ok {
 			return nil, fmt.Errorf("sim: algorithm %s reads remote router state, unsafe under sharding", alg.Name())

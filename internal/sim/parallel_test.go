@@ -170,7 +170,6 @@ func TestParallelRejectsUnsafe(t *testing.T) {
 		refusal string
 	}{
 		{"unmarked workload", routing.NewMinimal(tp), unmarkedWorkload{n: tp.Nodes()}, "not marked parallel-safe"},
-		{"delivery-observing workload", routing.NewMinimal(tp), observingWorkload{n: tp.Nodes()}, "observes deliveries"},
 		{"UGAL-Global", ug, openUniform(tp, 0.1), "reads remote router state"},
 	}
 	for _, c := range cases {
@@ -271,16 +270,6 @@ func (u unmarkedWorkload) NextPacket(src int, now int64, rng *rand.Rand) (int, b
 	return (src + 1) % u.n, true
 }
 func (u unmarkedWorkload) Done() bool { return false }
-
-type observingWorkload struct{ n int }
-
-func (o observingWorkload) Name() string { return "observing" }
-func (o observingWorkload) NextPacket(src int, now int64, rng *rand.Rand) (int, bool) {
-	return (o.n - 1 - src + o.n) % o.n, true
-}
-func (o observingWorkload) Done() bool                         { return false }
-func (o observingWorkload) ParallelSafe()                      {}
-func (o observingWorkload) OnDeliver(p *sim.Packet, now int64) {}
 
 // TestParallelConservation: a drained closed-loop exchange through a
 // multi-shard engine conserves packets globally (per-shard counters

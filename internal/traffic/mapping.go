@@ -3,8 +3,6 @@ package traffic
 import (
 	"fmt"
 	"math/rand"
-
-	"diam2/internal/topo"
 )
 
 // Mapping is a bijection from application process ranks to machine
@@ -50,32 +48,6 @@ func ContiguousMapping(n int) *Mapping {
 func RandomMapping(n int, rng *rand.Rand) *Mapping {
 	m, _ := NewMapping("random", rng.Perm(n))
 	return m
-}
-
-// RoundRobinMapping deals consecutive ranks across endpoint routers
-// (rank 0 on router 0's first node, rank 1 on router 1's first node,
-// ...), the opposite extreme from contiguous placement.
-func RoundRobinMapping(t topo.Topology) (*Mapping, error) {
-	eps := t.EndpointRouters()
-	if len(eps) == 0 {
-		return nil, fmt.Errorf("traffic: topology has no endpoint routers")
-	}
-	var ids []int
-	maxPer := 0
-	for _, r := range eps {
-		if n := len(t.RouterNodes(r)); n > maxPer {
-			maxPer = n
-		}
-	}
-	for slot := 0; slot < maxPer; slot++ {
-		for _, r := range eps {
-			nodes := t.RouterNodes(r)
-			if slot < len(nodes) {
-				ids = append(ids, nodes[slot])
-			}
-		}
-	}
-	return NewMapping("round-robin", ids)
 }
 
 // Apply rewrites a fresh exchange's message lists under the mapping:

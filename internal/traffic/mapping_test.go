@@ -3,8 +3,6 @@ package traffic
 import (
 	"math/rand"
 	"testing"
-
-	"diam2/internal/topo"
 )
 
 func TestNewMappingValidation(t *testing.T) {
@@ -43,29 +41,6 @@ func TestRandomMappingIsPermutation(t *testing.T) {
 	}
 	if len(seen) != 40 {
 		t.Fatal("random mapping incomplete")
-	}
-}
-
-func TestRoundRobinMapping(t *testing.T) {
-	tp, err := topo.NewMLFM(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := RoundRobinMapping(tp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.NodeOfRank) != tp.Nodes() {
-		t.Fatalf("mapping covers %d of %d nodes", len(m.NodeOfRank), tp.Nodes())
-	}
-	// Consecutive ranks land on different routers (first full sweep).
-	eps := tp.EndpointRouters()
-	for i := 0; i+1 < len(eps); i++ {
-		r1 := tp.NodeRouter(m.NodeOfRank[i])
-		r2 := tp.NodeRouter(m.NodeOfRank[i+1])
-		if r1 == r2 {
-			t.Fatalf("ranks %d and %d share router %d", i, i+1, r1)
-		}
 	}
 }
 
