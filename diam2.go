@@ -30,10 +30,6 @@ type (
 	FatTree2 = topo.FatTree2
 	// FatTree3 is the three-level Fat-Tree reference.
 	FatTree3 = topo.FatTree3
-	// Dragonfly is the diameter-three baseline of Kim et al.
-	Dragonfly = topo.Dragonfly
-	// Jellyfish is the random regular-graph baseline of Singla et al.
-	Jellyfish = topo.Jellyfish
 	// DegradedTopology is a topology with failed links removed.
 	DegradedTopology = topo.Degraded
 )
@@ -50,20 +46,17 @@ const (
 
 // Topology constructors.
 var (
-	NewSlimFly           = topo.NewSlimFly
-	NewMLFM              = topo.NewMLFM
-	NewOFT               = topo.NewOFT
-	NewHyperX2D          = topo.NewHyperX2D
-	NewFatTree2          = topo.NewFatTree2
-	NewFatTree3          = topo.NewFatTree3
-	NewDragonfly         = topo.NewDragonfly
-	NewJellyfish         = topo.NewJellyfish
-	NewBalancedDragonfly = topo.NewBalancedDragonfly
-	Degrade              = topo.Degrade
-	NewCustom            = topo.NewCustom
-	ReadEdgeList         = topo.ReadEdgeList
-	WriteEdgeList        = topo.WriteEdgeList
-	WriteDOT             = topo.WriteDOT
+	NewSlimFly    = topo.NewSlimFly
+	NewMLFM       = topo.NewMLFM
+	NewOFT        = topo.NewOFT
+	NewHyperX2D   = topo.NewHyperX2D
+	NewFatTree2   = topo.NewFatTree2
+	NewFatTree3   = topo.NewFatTree3
+	Degrade       = topo.Degrade
+	NewCustom     = topo.NewCustom
+	ReadEdgeList  = topo.ReadEdgeList
+	WriteEdgeList = topo.WriteEdgeList
+	WriteDOT      = topo.WriteDOT
 )
 
 // Cost metrics (Fig. 3).
@@ -109,8 +102,6 @@ type (
 	// UGALGlobalRouting is the idealized global-knowledge UGAL
 	// variant (ablation upper bound).
 	UGALGlobalRouting = routing.UGALGlobal
-	// PARRouting is progressive adaptive routing (extension).
-	PARRouting = routing.PAR
 	// UGALConfig parameterizes the adaptive algorithms.
 	UGALConfig = routing.UGALConfig
 )
@@ -130,7 +121,6 @@ var (
 	NewValiant    = routing.NewValiant
 	NewUGAL       = routing.NewUGAL
 	NewUGALGlobal = routing.NewUGALGlobal
-	NewPAR        = routing.NewPAR
 	CDGAcyclic    = routing.CDGAcyclic
 )
 
@@ -248,7 +238,6 @@ var (
 	BisectionEstimate = harness.BisectionEstimate
 	DefaultLoads      = harness.DefaultLoads
 	Replicate         = harness.Replicate
-	FindSaturation    = harness.FindSaturation
 	// DeriveSeed maps (base seed, point key) to a sweep point's seed —
 	// the determinism contract behind parallel sweeps (DESIGN.md §9).
 	DeriveSeed = harness.DeriveSeed

@@ -336,29 +336,6 @@ func TestReplicate(t *testing.T) {
 	}
 }
 
-func TestFindSaturation(t *testing.T) {
-	p := SmallPresets()[1] // MLFM(6)
-	tp, err := p.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	scale := QuickScale()
-	scale.Cycles = 8000
-	scale.Warmup = 1600
-	// Worst-case minimal saturates at 1/h = 0.167; the search should
-	// land near it.
-	sat, err := FindSaturation(tp, AlgMIN, p.BestAdaptive, PatWC, 0.02, 1.0, 0.08, 5, scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sat < 0.08 || sat > 0.30 {
-		t.Errorf("WC saturation %.3f, want near 1/6", sat)
-	}
-	if _, err := FindSaturation(tp, AlgMIN, p.BestAdaptive, PatWC, 0.5, 0.4, 0.05, 3, scale); err == nil {
-		t.Error("inverted range accepted")
-	}
-}
-
 func TestTableRenderCSV(t *testing.T) {
 	tab := &Table{Title: "t", Header: []string{"a", "b"}}
 	tab.AddRow("1", "x,y")

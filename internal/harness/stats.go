@@ -58,26 +58,3 @@ func meanStd(xs []float64) (mean, std float64) {
 	}
 	return mean, math.Sqrt(ss / float64(len(xs)-1))
 }
-
-// FindSaturation binary-searches the saturation load: the highest
-// offered load whose delivered throughput stays within tol of the
-// offer. The search runs iters simulations between lo and hi
-// (fractions of injection bandwidth).
-func FindSaturation(t topo.Topology, kind AlgKind, ugal UGALConfig, pat PatternKind, lo, hi, tol float64, iters int, scale Scale) (float64, error) {
-	if lo < 0 || hi <= lo || hi > 1 {
-		return 0, fmt.Errorf("harness: bad search range [%v, %v]", lo, hi)
-	}
-	for i := 0; i < iters; i++ {
-		mid := (lo + hi) / 2
-		res, err := RunSynthetic(t, kind, ugal, pat, mid, scale)
-		if err != nil {
-			return 0, err
-		}
-		if res.Throughput >= mid*(1-tol) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, nil
-}

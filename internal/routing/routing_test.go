@@ -260,4 +260,28 @@ func TestSFAdaptiveCostModel(t *testing.T) {
 	}
 }
 
+// TestMinimalMLFMColumnDiversity: on an idle network MIN spreads a
+// same-column, different-layer pair over all h global routers of the
+// column (the h-fold path diversity of Section 2.3.3), breaking the
+// tie between equally idle ports at random.
+func TestMinimalMLFMColumnDiversity(t *testing.T) {
+	m := mustMLFM(t, 4)
+	net, err := sim.NewNetwork(m, sim.TestConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	min := routing.NewMinimal(m)
+	src, dst := net.Routers[m.LocalRouter(0, 1)], m.LocalRouter(2, 1)
+	rng := rand.New(rand.NewSource(2))
+	used := map[int]bool{}
+	for trial := 0; trial < 200; trial++ {
+		p := &sim.Packet{DstRouter: int32(dst), Minimal: true}
+		port, _ := min.NextHop(p, src, rng)
+		used[src.NeighborAt(port)] = true
+	}
+	if len(used) != m.H {
+		t.Errorf("same-column routing used %d global routers, want %d", len(used), m.H)
+	}
+}
+
 func randSource() *rand.Rand { return rand.New(rand.NewSource(7)) }

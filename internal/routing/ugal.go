@@ -50,7 +50,7 @@ type UGAL struct {
 // variant name follows the paper: SF-A/SF-ATh when cfg.SFCost is set,
 // MLFM-A/OFT-A/... otherwise (the topology name is used).
 func NewUGAL(t topo.Topology, cfg UGALConfig, simCfg sim.Config) (*UGAL, error) {
-	if err := cfg.check("UGAL"); err != nil {
+	if err := cfg.check(); err != nil {
 		return nil, err
 	}
 	u := &UGAL{
@@ -72,11 +72,10 @@ func (u *UGAL) Name() string { return u.variant }
 // NumVCs implements sim.RoutingAlgorithm.
 func (u *UGAL) NumVCs() int { return u.numVCs() }
 
-// check validates the configuration of the algorithms that reject a
-// bad one (UGAL, PAR); alg names the algorithm in the NI error.
-func (c *UGALConfig) check(alg string) error {
+// check validates a UGAL-L configuration.
+func (c *UGALConfig) check() error {
 	if c.NI < 1 {
-		return fmt.Errorf("routing: %s requires NI >= 1, got %d", alg, c.NI)
+		return fmt.Errorf("routing: UGAL requires NI >= 1, got %d", c.NI)
 	}
 	if c.SFCost && c.CSF <= 0 {
 		return fmt.Errorf("routing: SF cost model requires CSF > 0")

@@ -138,11 +138,14 @@ type BatchResponse struct {
 // x 2 routings x 2 patterns x 90 loads = 1080) fits comfortably.
 const maxBatch = 8192
 
-// expand flattens a batch request into its query list.
+// expand flattens a batch request into its query list. The count is
+// checked against maxBatch before any query is built: a body of a few
+// hundred bytes can name a grid of billions.
 func (s *Server) expand(br BatchRequest) ([]Query, error) {
-	queries := append([]Query(nil), br.Queries...)
+	n := len(br.Queries)
+	var g BatchGrid
 	if br.Grid != nil {
-		g := *br.Grid
+		g = *br.Grid
 		if len(g.Topos) == 0 {
 			for _, p := range s.cfg.Presets {
 				g.Topos = append(g.Topos, p.Name)
@@ -157,23 +160,36 @@ func (s *Server) expand(br BatchRequest) ([]Query, error) {
 		if len(g.Loads) == 0 {
 			g.Loads = s.loads
 		}
-		for _, topo := range g.Topos {
-			for _, rt := range g.Routings {
-				for _, pat := range g.Patterns {
-					for _, load := range g.Loads {
-						queries = append(queries, Query{Topo: topo, Routing: rt, Pattern: pat, Load: load})
-					}
+		n = capCount(n, len(g.Topos), len(g.Routings), len(g.Patterns), len(g.Loads))
+	}
+	if n == 0 {
+		return nil, badQuery("empty batch: give queries and/or a grid")
+	}
+	if n > maxBatch {
+		return nil, badQuery("batch exceeds the %d-query cap", maxBatch)
+	}
+	queries := append(make([]Query, 0, n), br.Queries...)
+	for _, topo := range g.Topos {
+		for _, rt := range g.Routings {
+			for _, pat := range g.Patterns {
+				for _, load := range g.Loads {
+					queries = append(queries, Query{Topo: topo, Routing: rt, Pattern: pat, Load: load})
 				}
 			}
 		}
 	}
-	if len(queries) == 0 {
-		return nil, badQuery("empty batch: give queries and/or a grid")
-	}
-	if len(queries) > maxBatch {
-		return nil, badQuery("batch of %d exceeds the %d-query cap", len(queries), maxBatch)
-	}
 	return queries, nil
+}
+
+// capCount returns explicit plus the product of the grid axes,
+// saturating at maxBatch+1. Every factor is capped first, so no
+// intermediate exceeds (maxBatch+1)^2 and nothing overflows.
+func capCount(explicit int, axes ...int) int {
+	prod := 1
+	for _, a := range axes {
+		prod = min(prod*min(a, maxBatch+1), maxBatch+1)
+	}
+	return min(explicit+prod, maxBatch+1)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {

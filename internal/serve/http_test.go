@@ -3,10 +3,13 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -218,6 +221,103 @@ func bigLoadsJSON(n int) string {
 	}
 	b.WriteByte(']')
 	return b.String()
+}
+
+// TestBatchGridCapBeforeAlloc: a grid past maxBatch is refused before
+// any query is built. Thirty entries on each axis is a body under
+// 1 KB that names 810 000 queries.
+func TestBatchGridCapBeforeAlloc(t *testing.T) {
+	s := newTestServer(t, nil)
+	g := &BatchGrid{}
+	for i := 0; i < 30; i++ {
+		name := fmt.Sprint(i)
+		g.Topos = append(g.Topos, name)
+		g.Routings = append(g.Routings, name)
+		g.Patterns = append(g.Patterns, name)
+		g.Loads = append(g.Loads, float64(i+1)/31)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := s.expand(BatchRequest{Grid: g})
+	runtime.ReadMemStats(&after)
+	var bad *BadQueryError
+	if !errors.As(err, &bad) {
+		t.Fatalf("30^4 grid: error %v, want BadQueryError", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("refusing a 30^4 grid allocated %d bytes, want under 1 MiB", got)
+	}
+}
+
+// FuzzBatchExpand: expand either refuses a batch or returns exactly
+// its explicit queries followed by the grid's cross-product in grid
+// order, and never more than maxBatch. An empty axis takes the
+// server's default.
+func FuzzBatchExpand(f *testing.F) {
+	f.Add(uint16(0), false, uint8(0), uint8(0), uint8(0), uint16(0))
+	f.Add(uint16(2), true, uint8(0), uint8(0), uint8(0), uint16(0))
+	f.Add(uint16(1), true, uint8(30), uint8(30), uint8(30), uint16(30))
+	f.Add(uint16(maxBatch), false, uint8(0), uint8(0), uint8(0), uint16(0))
+	f.Add(uint16(maxBatch-4), true, uint8(1), uint8(2), uint8(2), uint16(1))
+	s := newTestServer(f, nil)
+	var presets []string
+	for _, p := range s.cfg.Presets {
+		presets = append(presets, p.Name)
+	}
+	names := make([]string, 256)
+	for i := range names {
+		names[i] = fmt.Sprint("n", i)
+	}
+	loads := make([]float64, 1<<16)
+	for i := range loads {
+		loads[i] = float64(i)
+	}
+	orDefault := func(axis, def []string) []string {
+		if len(axis) == 0 {
+			return def
+		}
+		return axis
+	}
+	f.Fuzz(func(t *testing.T, explicit uint16, hasGrid bool, topos, routings, patterns uint8, nLoads uint16) {
+		br := BatchRequest{Queries: make([]Query, int(explicit)%(2*maxBatch))}
+		for i := range br.Queries {
+			br.Queries[i] = Query{Topo: "explicit", Load: float64(i)}
+		}
+		n := len(br.Queries)
+		var tps, rts, pts []string
+		var lds []float64
+		if hasGrid {
+			br.Grid = &BatchGrid{Topos: names[:topos], Routings: names[:routings], Patterns: names[:patterns], Loads: loads[:nLoads]}
+			tps, rts, pts = orDefault(br.Grid.Topos, presets), orDefault(br.Grid.Routings, []string{"MIN", "INR"}), orDefault(br.Grid.Patterns, []string{"UNI", "WC"})
+			if lds = br.Grid.Loads; len(lds) == 0 {
+				lds = s.loads
+			}
+			n += len(tps) * len(rts) * len(pts) * len(lds)
+		}
+		got, err := s.expand(br)
+		if n == 0 || n > maxBatch {
+			if err == nil {
+				t.Fatalf("batch of %d accepted (%d queries)", n, len(got))
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("batch of %d refused: %v", n, err)
+		}
+		want := append([]Query(nil), br.Queries...)
+		for _, tp := range tps {
+			for _, rt := range rts {
+				for _, pt := range pts {
+					for _, l := range lds {
+						want = append(want, Query{Topo: tp, Routing: rt, Pattern: pt, Load: l})
+					}
+				}
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("batch of %d expanded to %d queries, not the explicit list then the grid in order", n, len(got))
+		}
+	})
 }
 
 // TestHTTPBackpressure: with a single admission slot held by a stalled

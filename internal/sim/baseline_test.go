@@ -119,57 +119,6 @@ func TestFatTree2CDG(t *testing.T) {
 	}
 }
 
-// TestDragonflySimulates: the diameter-three Dragonfly baseline works
-// with the generic routing machinery (hop VCs: 3 minimal, 6 indirect).
-func TestDragonflySimulates(t *testing.T) {
-	df, err := topo.NewBalancedDragonfly(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	min := routing.NewMinimal(df)
-	if min.NumVCs() != 3 {
-		t.Errorf("Dragonfly minimal VCs = %d, want 3", min.NumVCs())
-	}
-	ex := traffic.AllToAll(df.Nodes(), 1, nil)
-	e := buildEngine(t, df, min, ex)
-	if !e.RunUntilDrained(4_000_000) {
-		t.Fatal("Dragonfly exchange did not drain")
-	}
-	res := e.Results()
-	if res.Delivered != ex.TotalPackets() {
-		t.Errorf("delivered %d of %d", res.Delivered, ex.TotalPackets())
-	}
-	if res.AvgHops > 3 {
-		t.Errorf("AvgHops = %v > 3", res.AvgHops)
-	}
-	v := routing.NewValiant(df)
-	if v.NumVCs() != 6 {
-		t.Errorf("Dragonfly indirect VCs = %d, want 6", v.NumVCs())
-	}
-	ex2 := traffic.AllToAll(df.Nodes(), 1, nil)
-	e2 := buildEngine(t, df, v, ex2)
-	if !e2.RunUntilDrained(8_000_000) {
-		t.Fatal("Dragonfly INR exchange did not drain")
-	}
-	if got := e2.Results().AvgHops; got > 6 {
-		t.Errorf("INR AvgHops = %v > 6", got)
-	}
-}
-
-// TestDragonflyCDG: hop VCs are deadlock-free on the Dragonfly too.
-func TestDragonflyCDG(t *testing.T) {
-	df, err := topo.NewBalancedDragonfly(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := routing.CDGAcyclic(df, routing.VCByHop, false); err != nil {
-		t.Errorf("Dragonfly minimal: %v", err)
-	}
-	if err := routing.CDGAcyclic(df, routing.VCByHop, true); err != nil {
-		t.Errorf("Dragonfly indirect: %v", err)
-	}
-}
-
 // TestFatTree3Simulates: the three-level Fat-Tree runs with hop VCs
 // (up-down routes of at most 4 hops).
 func TestFatTree3Simulates(t *testing.T) {
@@ -192,78 +141,5 @@ func TestFatTree3Simulates(t *testing.T) {
 	}
 	if res.AvgHops > 4 {
 		t.Errorf("AvgHops = %v > 4", res.AvgHops)
-	}
-}
-
-// TestJellyfishSimulates: the random-graph baseline works end to end
-// and needs 3 hops where the SF needs 2.
-func TestJellyfishSimulates(t *testing.T) {
-	jf, err := topo.NewJellyfish(50, 7, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	min := routing.NewMinimal(jf)
-	ex := traffic.AllToAll(jf.Nodes(), 1, nil)
-	e := buildEngine(t, jf, min, ex)
-	if !e.RunUntilDrained(4_000_000) {
-		t.Fatal("Jellyfish exchange did not drain")
-	}
-	res := e.Results()
-	if res.Delivered != ex.TotalPackets() {
-		t.Errorf("delivered %d of %d", res.Delivered, ex.TotalPackets())
-	}
-	sf := mustSF(t, 5)
-	exSF := traffic.AllToAll(sf.Nodes(), 1, nil)
-	eSF := buildEngine(t, sf, routing.NewMinimal(sf), exSF)
-	if !eSF.RunUntilDrained(4_000_000) {
-		t.Fatal("SF exchange did not drain")
-	}
-	if res.AvgHops <= eSF.Results().AvgHops {
-		t.Errorf("Jellyfish avg hops %.2f should exceed SF's %.2f at matched size/degree",
-			res.AvgHops, eSF.Results().AvgHops)
-	}
-}
-
-// TestDragonflyWorstCase: the group-shift pattern collapses minimal
-// routing onto the single inter-group global link, and Valiant
-// routing recovers it (the Dragonfly analogue of Fig. 6b).
-func TestDragonflyWorstCase(t *testing.T) {
-	df, err := topo.NewBalancedDragonfly(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wc, err := traffic.DragonflyWorstCase(df)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(alg sim.RoutingAlgorithm) float64 {
-		cfg := sim.TestConfig(alg.NumVCs())
-		net, err := sim.NewNetwork(df, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := &traffic.OpenLoop{Pattern: wc, Load: 1.0, PacketFlits: cfg.PacketFlits()}
-		e, err := sim.NewEngine(net, alg, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Warmup = 4000
-		e.Run(20000)
-		return e.Results().Throughput
-	}
-	min := run(routing.NewMinimal(df))
-	// The group shift is adversarial, but less brutally than the
-	// classic single-path story: most router pairs in adjacent groups
-	// are at distance 2 through third-group routers, so minimal
-	// multipath spreads the load (the fluid model gives saturation
-	// 0.25 with even splitting; adaptive tie-breaking does a bit
-	// better). It must still sit far below the ~0.88 uniform
-	// saturation.
-	if min > 0.55 {
-		t.Errorf("DF WC minimal throughput %.3f, want well below uniform saturation", min)
-	}
-	inr := run(routing.NewValiant(df))
-	if inr < min {
-		t.Errorf("DF Valiant (%.3f) should not lose to minimal (%.3f)", inr, min)
 	}
 }

@@ -390,17 +390,10 @@ func (n *Network) srcBusyTotal() int {
 // global-knowledge routing variants to inspect remote routers).
 func (r *Router) Network() *Network { return r.net }
 
-// PortTo returns the network port of this router that leads to the
-// neighboring router next, or an error if they are not adjacent.
-func (r *Router) PortTo(next int) (int, error) {
-	if p := r.portTo(next); p >= 0 {
-		return p, nil
-	}
-	return 0, fmt.Errorf("sim: router %d not adjacent to %d", r.ID, next)
-}
-
-// portTo is the allocation-free core of PortTo: binary search over the
-// neighbor list (graph adjacency is kept sorted), -1 if not adjacent.
+// portTo returns the network port of this router that leads to the
+// neighboring router next, -1 if they are not adjacent: an
+// allocation-free binary search over the neighbor list (graph
+// adjacency is kept sorted).
 func (r *Router) portTo(next int) int {
 	lo, hi := 0, len(r.neighbor)
 	for lo < hi {

@@ -381,87 +381,3 @@ func TestScalingMatchesConstruction(t *testing.T) {
 		}
 	}
 }
-
-func TestMLFMGeneral(t *testing.T) {
-	m, err := NewMLFMGeneral(4, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// l layers of h+1 LRs + h(h+1)/2 GRs.
-	if m.Graph().N() != 2*5+10 {
-		t.Errorf("R = %d, want 20", m.Graph().N())
-	}
-	if m.Nodes() != 2*5*3 {
-		t.Errorf("N = %d, want 30", m.Nodes())
-	}
-	if err := VerifyDiameter(m, 2); err != nil {
-		t.Error(err)
-	}
-	if m.LocalRadix() != 7 || m.GlobalRadix() != 4 {
-		t.Errorf("radices = %d/%d, want 7/4", m.LocalRadix(), m.GlobalRadix())
-	}
-	// Degrees: LR = h network links; GR = 2l.
-	g := m.Graph()
-	for _, lr := range m.EndpointRouters() {
-		if g.Degree(lr) != 4 {
-			t.Fatalf("LR %d degree %d, want 4", lr, g.Degree(lr))
-		}
-	}
-	for r := 2 * 5; r < g.N(); r++ {
-		if g.Degree(r) != 4 {
-			t.Fatalf("GR %d degree %d, want 2l = 4", r, g.Degree(r))
-		}
-	}
-	if m.Layer(7) != 1 || m.Column(7) != 2 {
-		t.Error("Layer/Column wrong")
-	}
-	if m.Layer(10) != -1 || m.Column(10) != -1 {
-		t.Error("GR layer/column should be -1")
-	}
-	if _, err := NewMLFMGeneral(1, 1, 1); err == nil {
-		t.Error("h=1 accepted")
-	}
-}
-
-// TestMLFMGeneralMatchesUniform: the (h,h,h) instance coincides with
-// the uniform-radix h-MLFM.
-func TestMLFMGeneralMatchesUniform(t *testing.T) {
-	gen, err := NewMLFMGeneral(4, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uni, err := NewMLFM(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gen.Graph().N() != uni.Graph().N() || gen.Nodes() != uni.Nodes() {
-		t.Fatalf("sizes differ: (%d,%d) vs (%d,%d)", gen.Graph().N(), gen.Nodes(), uni.Graph().N(), uni.Nodes())
-	}
-	for r := 0; r < gen.Graph().N(); r++ {
-		ng, nu := gen.Graph().Neighbors(r), uni.Graph().Neighbors(r)
-		if len(ng) != len(nu) {
-			t.Fatalf("router %d degree differs", r)
-		}
-		for i := range ng {
-			if ng[i] != nu[i] {
-				t.Fatalf("router %d adjacency differs", r)
-			}
-		}
-	}
-}
-
-// TestMLFMGeneralSimulates: the generic routing machinery handles the
-// non-uniform MLFM too.
-func TestMLFMGeneralSimulates(t *testing.T) {
-	m, err := NewMLFMGeneral(3, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Path diversity: same-column LR pairs share l... the GR set is
-	// the same h global routers per column regardless of layer count.
-	g := m.Graph()
-	u, v := 0, m.H+1 // column 0 of layers 0 and 1
-	if got := len(g.CommonNeighbors(u, v)); got != m.H {
-		t.Errorf("same-column diversity = %d, want h = %d", got, m.H)
-	}
-}

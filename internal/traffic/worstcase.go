@@ -135,24 +135,3 @@ func tryChain(g interface {
 	}
 	return false
 }
-
-// DragonflyWorstCase builds the classical Dragonfly adversarial
-// pattern (extension beyond the paper): every node in group g sends
-// to the peer node in group g+1, funneling each group's entire
-// traffic over the single global link between adjacent groups.
-// Minimal routing collapses to roughly 1/(a*p) of injection
-// bandwidth; Valiant-style randomization restores it — the same
-// structure-vs-load-balancing story the paper tells for the
-// diameter-two designs.
-func DragonflyWorstCase(d *topo.Dragonfly) (Permutation, error) {
-	n := d.Nodes()
-	perGroup := d.A * d.P
-	perm := make([]int, n)
-	for node := 0; node < n; node++ {
-		g := node / perGroup
-		off := node % perGroup
-		perm[node] = ((g+1)%d.Groups)*perGroup + off
-	}
-	p := Permutation{Label: "WC-DF", Perm: perm}
-	return p, p.Validate()
-}

@@ -57,9 +57,7 @@ func layout(tp topo.Topology, w, h float64) []point {
 	case *topo.SlimFly:
 		return slimFlyLayout(t, w, h)
 	case *topo.MLFM:
-		return mlfmLayout(t.H, t.H, w, h)
-	case *topo.MLFMGeneral:
-		return mlfmLayout(t.H, t.L, w, h)
+		return mlfmLayout(t.H, w, h)
 	case *topo.OFT:
 		return oftLayout(t, w, h)
 	default:
@@ -99,15 +97,15 @@ func slimFlyLayout(sf *topo.SlimFly, w, h float64) []point {
 	return pos
 }
 
-// mlfmLayout stacks the LR layers as rows with the GR row on top
-// (Fig. 1b).
-func mlfmLayout(hParam, layers int, w, h float64) []point {
+// mlfmLayout stacks the hParam LR layers as rows with the GR row on
+// top (Fig. 1b).
+func mlfmLayout(hParam int, w, h float64) []point {
 	cols := hParam + 1
-	lrs := layers * cols
+	lrs := hParam * cols
 	grs := hParam * (hParam + 1) / 2
 	pos := make([]point, lrs+grs)
-	rowH := (h - 80) / float64(layers+1)
-	for l := 0; l < layers; l++ {
+	rowH := (h - 80) / float64(hParam+1)
+	for l := 0; l < hParam; l++ {
 		for i := 0; i < cols; i++ {
 			pos[l*cols+i] = point{
 				X: 30 + (float64(i)+0.5)*(w-60)/float64(cols),

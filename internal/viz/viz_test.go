@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"diam2/internal/graph"
 	"diam2/internal/topo"
 )
 
@@ -61,12 +62,17 @@ func TestDrawOFT(t *testing.T) {
 }
 
 func TestDrawGeneralAndFallback(t *testing.T) {
-	g, err := topo.NewMLFMGeneral(3, 2, 2)
+	// A user-assembled topology: well-formed SVG, its name escaped.
+	g := graph.New(4)
+	for i := 0; i < 4; i++ {
+		g.MustAddEdge(i, (i+1)%4)
+	}
+	c, err := topo.NewCustom("ring<4>", g, map[int]int{0: 1, 2: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := render(t, g)
-	if !strings.Contains(out, "<svg") || !strings.Contains(out, "</svg>") {
+	out := render(t, c)
+	if !strings.Contains(out, "<svg") || !strings.Contains(out, "</svg>") || !strings.Contains(out, "ring&lt;4&gt;") {
 		t.Error("malformed SVG")
 	}
 	// Fallback circular layout for a baseline topology.
