@@ -21,8 +21,8 @@ import (
 	"diam2/internal/cliflags"
 	"diam2/internal/harness"
 	"diam2/internal/partition"
+	"diam2/internal/plot"
 	"diam2/internal/topo"
-	"diam2/internal/viz"
 )
 
 var (
@@ -84,7 +84,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		return viz.DrawSVG(os.Stdout, tp, 800, 600)
+		return plot.DrawTopologySVG(os.Stdout, tp, 800, 600)
 	}
 	if *exportDOT != "" || *exportEL != "" {
 		return export(*exportDOT, *exportEL)

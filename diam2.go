@@ -5,12 +5,12 @@ import (
 	"diam2/internal/fluid"
 	"diam2/internal/harness"
 	"diam2/internal/partition"
+	"diam2/internal/plot"
 	"diam2/internal/routing"
 	"diam2/internal/sim"
 	"diam2/internal/telemetry"
 	"diam2/internal/topo"
 	"diam2/internal/traffic"
-	"diam2/internal/viz"
 )
 
 // Topology re-exports the topology abstraction.
@@ -237,15 +237,10 @@ var (
 	DiversityReport   = harness.DiversityReport
 	BisectionEstimate = harness.BisectionEstimate
 	DefaultLoads      = harness.DefaultLoads
-	Replicate         = harness.Replicate
 	// DeriveSeed maps (base seed, point key) to a sweep point's seed —
 	// the determinism contract behind parallel sweeps (DESIGN.md §9).
 	DeriveSeed = harness.DeriveSeed
 )
-
-// ReplicationStats summarizes independent replications of one
-// experiment point.
-type ReplicationStats = harness.Replication
 
 // Telemetry: the engine's one observer (DESIGN.md §11). A
 // TelemetryCollector attaches to an engine (Engine.AttachTelemetry) or,
@@ -307,4 +302,4 @@ var NewFluidModel = fluid.New
 
 // DrawTopologySVG renders a topology diagram in the style of the
 // paper's Fig. 1 system views.
-var DrawTopologySVG = viz.DrawSVG
+var DrawTopologySVG = plot.DrawTopologySVG

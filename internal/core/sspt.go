@@ -13,13 +13,13 @@
 // routers of radix 2*r1, so that the network can be built from
 // identical routers. The Multi-Layer Full-Mesh is the r2 = 2 instance
 // and the two-level Orthogonal Fat-Tree is the r2 = r1 instance.
+// Combinatorially, SPT(k, k) is a projective plane of order k-1.
 package core
 
 import (
 	"fmt"
 
 	"diam2/internal/galois"
-	"diam2/internal/mols"
 )
 
 // Pattern is the level-one to level-two interconnection pattern of an
@@ -176,24 +176,16 @@ func ML3BPattern(k int) (*Pattern, error) {
 	}
 	// Square 0: 0..(k-1)^2-1 row-major.
 	fill(0, func(i, j int) int { return i*n + j })
-	if k > 1 {
-		// Square 1: transpose of square 0.
-		if k >= 2 && n > 0 {
-			fill(1, func(i, j int) int { return j*n + i })
-		}
-		// Squares 2..k-1: MOLS L_a(i,j) = (i + a*j) mod n with column j
-		// offset by j*(k-1).
-		for b := 2; b < k; b++ {
-			a := b - 1
-			sq, err := mols.PrimeSquare(n, a)
-			if err != nil {
-				return nil, fmt.Errorf("core: ML3BPattern(k=%d): %w", k, err)
-			}
-			fill(b, func(i, j int) int { return sq[i][j] + j*n })
-		}
+	// Square 1: transpose of square 0.
+	fill(1, func(i, j int) int { return j*n + i })
+	// Squares 2..k-1: the mutually orthogonal Latin squares
+	// L_a(i,j) = (i + a*j) mod n, a = b-1, with column j offset by
+	// j*(k-1).
+	for b := 2; b < k; b++ {
+		a := b - 1
+		fill(b, func(i, j int) int { return (i+a*j)%n + j*n })
 	}
-	p := &Pattern{R1: rl, R2: rl, Rad1: k, Rad2: k, Up: tab}
-	return p, nil
+	return &Pattern{R1: rl, R2: rl, Rad1: k, Rad2: k, Up: tab}, nil
 }
 
 // Stacked is an SSPT: copies of an SPT pattern whose corresponding
@@ -255,21 +247,4 @@ func (s *Stacked) Links() [][2]int {
 		}
 	}
 	return out
-}
-
-// ScaleFormula returns the theoretical end-node count of an SSPT built
-// from routers of radix r with the given r2:
-// N = r^3/4 * (r2-1)/r2 + r^2/(2*r2)   (Section 2.2.2).
-func ScaleFormula(r, r2 int) int {
-	r1 := r / 2
-	return (r1*r1*(r2-1) + r1) * 2 * r1 / r2
-}
-
-// CostPerNode returns the ports-per-endpoint and links-per-endpoint of
-// the SSPT (3 and 2 for every member of the class).
-func (s *Stacked) CostPerNode() (ports, links float64) {
-	n := float64(s.Nodes())
-	totalPorts := float64(s.LowerRouters()*(s.Pattern.Rad1+s.NodesPerLower()) + s.UpperRouters()*s.Copies*s.Pattern.Rad2)
-	totalLinks := float64(s.Nodes() + s.LowerRouters()*s.Pattern.Rad1)
-	return totalPorts / n, totalLinks / n
 }

@@ -225,41 +225,6 @@ func TestPaperConfigurations(t *testing.T) {
 	}
 }
 
-// TestScaleFormula cross-checks the closed-form class scale against
-// the constructed instances.
-func TestScaleFormula(t *testing.T) {
-	for _, h := range []int{2, 4, 6, 15} {
-		p, _ := FullMeshPattern(h)
-		s, _ := Stack(p, h)
-		if got, want := ScaleFormula(2*h, 2), s.Nodes(); got != want {
-			t.Errorf("h=%d: ScaleFormula = %d, built = %d", h, got, want)
-		}
-	}
-	for _, k := range []int{3, 6, 12} {
-		p, _ := ML3BPattern(k)
-		s, _ := Stack(p, 2)
-		if got, want := ScaleFormula(2*k, k), s.Nodes(); got != want {
-			t.Errorf("k=%d: ScaleFormula = %d, built = %d", k, got, want)
-		}
-	}
-}
-
-// TestCostPerNode: every SSPT costs 3 ports and 2 links per endpoint.
-func TestCostPerNode(t *testing.T) {
-	p, _ := FullMeshPattern(6)
-	s, _ := Stack(p, 6)
-	ports, links := s.CostPerNode()
-	if ports != 3 || links != 2 {
-		t.Errorf("MLFM cost = (%v ports, %v links), want (3, 2)", ports, links)
-	}
-	q, _ := ML3BPattern(6)
-	o, _ := Stack(q, 2)
-	ports, links = o.CostPerNode()
-	if ports != 3 || links != 2 {
-		t.Errorf("OFT cost = (%v ports, %v links), want (3, 2)", ports, links)
-	}
-}
-
 func TestLinksEnumeration(t *testing.T) {
 	p, _ := ML3BPattern(3)
 	s, _ := Stack(p, 2)

@@ -114,23 +114,6 @@ func (g *Graph) CountMinimalPaths(src, dst int) int {
 	return cnt[dst]
 }
 
-// MinimalNextHops returns the neighbors of cur that lie on a shortest
-// path from cur to dst, given the precomputed BFS distances from dst
-// (distFromDst[x] = d(dst, x); valid for undirected graphs).
-func (g *Graph) MinimalNextHops(cur, dst int, distFromDst []int) []int {
-	if cur == dst {
-		return nil
-	}
-	want := distFromDst[cur] - 1
-	var out []int
-	for _, v := range g.adj[cur] {
-		if distFromDst[v] == want {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // Girth returns the length of the shortest cycle, or 0 for a forest.
 // It runs a BFS from every vertex, detecting the first cross edge at
 // equal or adjacent depth — O(V*E), fine at topology scale.
@@ -169,35 +152,4 @@ func (g *Graph) Girth() int {
 		}
 	}
 	return best
-}
-
-// EnumerateMinimalPaths returns every shortest path from src to dst
-// as vertex sequences (including both endpoints). The number of such
-// paths can grow combinatorially; limit bounds the result (0 = no
-// limit). Returns nil when dst is unreachable.
-func (g *Graph) EnumerateMinimalPaths(src, dst, limit int) [][]int {
-	if src == dst {
-		return [][]int{{src}}
-	}
-	distFromDst := g.BFS(dst)
-	if distFromDst[src] == Unreachable {
-		return nil
-	}
-	var out [][]int
-	var walk func(path []int)
-	walk = func(path []int) {
-		if limit > 0 && len(out) >= limit {
-			return
-		}
-		cur := path[len(path)-1]
-		if cur == dst {
-			out = append(out, append([]int(nil), path...))
-			return
-		}
-		for _, nb := range g.MinimalNextHops(cur, dst, distFromDst) {
-			walk(append(path, nb))
-		}
-	}
-	walk([]int{src})
-	return out
 }

@@ -234,23 +234,6 @@ func TestCommonNeighbors(t *testing.T) {
 	}
 }
 
-func TestMinimalNextHops(t *testing.T) {
-	g := cycle(4)
-	distFromDst := g.BFS(2)
-	hops := g.MinimalNextHops(0, 2, distFromDst)
-	if len(hops) != 2 {
-		t.Fatalf("next hops = %v, want 2 options", hops)
-	}
-	for _, h := range hops {
-		if h != 1 && h != 3 {
-			t.Errorf("unexpected next hop %d", h)
-		}
-	}
-	if got := g.MinimalNextHops(2, 2, distFromDst); got != nil {
-		t.Errorf("next hops at destination = %v, want nil", got)
-	}
-}
-
 func TestClone(t *testing.T) {
 	g := cycle(5)
 	c := g.Clone()
@@ -301,8 +284,7 @@ func TestPathDiversityInclude(t *testing.T) {
 }
 
 // Property: in any connected random graph, distances satisfy the
-// triangle inequality through any intermediate vertex, and
-// MinimalNextHops always makes progress.
+// triangle inequality through any intermediate vertex.
 func TestQuickDistanceProperties(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -313,18 +295,6 @@ func TestQuickDistanceProperties(t *testing.T) {
 			u, v, w := rng.Intn(n), rng.Intn(n), rng.Intn(n)
 			if m[u][v] > m[u][w]+m[w][v] {
 				return false
-			}
-		}
-		u, v := rng.Intn(n), rng.Intn(n)
-		if u != v {
-			hops := g.MinimalNextHops(u, v, m[v])
-			if len(hops) == 0 {
-				return false
-			}
-			for _, h := range hops {
-				if m[v][h] != m[v][u]-1 {
-					return false
-				}
 			}
 		}
 		return true
@@ -373,47 +343,5 @@ func TestGirth(t *testing.T) {
 	}
 	if g := p.Girth(); g != 5 {
 		t.Errorf("Petersen girth = %d, want 5", g)
-	}
-}
-
-func TestEnumerateMinimalPaths(t *testing.T) {
-	g := cycle(4)
-	paths := g.EnumerateMinimalPaths(0, 2, 0)
-	if len(paths) != 2 {
-		t.Fatalf("paths = %d, want 2", len(paths))
-	}
-	for _, p := range paths {
-		if len(p) != 3 || p[0] != 0 || p[2] != 2 {
-			t.Fatalf("bad path %v", p)
-		}
-	}
-	// Limit respected.
-	if got := g.EnumerateMinimalPaths(0, 2, 1); len(got) != 1 {
-		t.Errorf("limited paths = %d, want 1", len(got))
-	}
-	// Trivial and unreachable cases.
-	if got := g.EnumerateMinimalPaths(1, 1, 0); len(got) != 1 || len(got[0]) != 1 {
-		t.Errorf("self path = %v", got)
-	}
-	d := New(3)
-	d.MustAddEdge(0, 1)
-	if got := d.EnumerateMinimalPaths(0, 2, 0); got != nil {
-		t.Errorf("unreachable paths = %v, want nil", got)
-	}
-	// Count agrees with CountMinimalPaths on a grid.
-	grid := New(9)
-	at := func(r, c int) int { return r*3 + c }
-	for r := 0; r < 3; r++ {
-		for c := 0; c < 3; c++ {
-			if c+1 < 3 {
-				grid.MustAddEdge(at(r, c), at(r, c+1))
-			}
-			if r+1 < 3 {
-				grid.MustAddEdge(at(r, c), at(r+1, c))
-			}
-		}
-	}
-	if got := len(grid.EnumerateMinimalPaths(0, 8, 0)); got != grid.CountMinimalPaths(0, 8) {
-		t.Errorf("enumeration (%d) disagrees with counting (%d)", got, grid.CountMinimalPaths(0, 8))
 	}
 }

@@ -305,37 +305,6 @@ func TestScaleConfigs(t *testing.T) {
 	}
 }
 
-func TestReplicate(t *testing.T) {
-	p := SmallPresets()[1] // MLFM(6)
-	tp, err := p.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	scale := QuickScale()
-	scale.Cycles = 6000
-	scale.Warmup = 1200
-	rep, err := Replicate(tp, AlgMIN, p.BestAdaptive, PatUNI, 0.5, scale, 3, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.N != 3 {
-		t.Errorf("N = %d", rep.N)
-	}
-	if rep.MeanThroughput < 0.45 || rep.MeanThroughput > 0.55 {
-		t.Errorf("mean throughput %.3f, want ~0.5", rep.MeanThroughput)
-	}
-	// Independent seeds below saturation: tiny variance.
-	if rep.StdThroughput > 0.05 {
-		t.Errorf("std %.4f unexpectedly large", rep.StdThroughput)
-	}
-	if rep.MeanLatency <= 0 {
-		t.Error("mean latency not positive")
-	}
-	if _, err := Replicate(tp, AlgMIN, p.BestAdaptive, PatUNI, 0.5, scale, 1, 1); err == nil {
-		t.Error("n=1 accepted")
-	}
-}
-
 func TestTableRenderCSV(t *testing.T) {
 	tab := &Table{Title: "t", Header: []string{"a", "b"}}
 	tab.AddRow("1", "x,y")

@@ -1,6 +1,7 @@
 // Package plot renders simple line charts — the throughput- and
 // latency-versus-load curves of the paper's figures — as ASCII (for
-// terminals) and SVG (for reports), with no dependencies.
+// terminals) and SVG (for reports), and topology diagrams as SVG, with
+// no dependencies outside the module.
 package plot
 
 import (

@@ -8,8 +8,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -316,6 +318,70 @@ func FuzzBatchExpand(f *testing.F) {
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("batch of %d expanded to %d queries, not the explicit list then the grid in order", n, len(got))
+		}
+	})
+}
+
+// FuzzQueryDecode drives /query with arbitrary GET parameter strings
+// and POST bodies. The handler must answer 200 or 400, never panic or
+// 5xx, and a 200's answer must echo the query as given, with only the
+// routing and pattern defaults filled in. Band 0 keeps escalation, and
+// with it the simulator, out of the loop.
+func FuzzQueryDecode(f *testing.F) {
+	s := newTestServer(f, func(c *Config) { c.Band = 0 })
+	for _, p := range s.cfg.Presets {
+		v := url.Values{"topo": {p.Name}, "routing": {"INR"}, "pattern": {"WC"}, "load": {"0.4"}}
+		f.Add(false, v.Encode())
+		body, _ := json.Marshal(Query{Topo: p.Name, Load: 0.7})
+		f.Add(true, string(body))
+	}
+	f.Add(false, "topo=nope&load=NaN")
+	f.Add(false, "load=%zz&topo")
+	f.Add(true, `{"topo":"x","load":1e999}`)
+	f.Add(true, `{"load":"0.5"}`)
+	f.Add(true, "")
+	f.Fuzz(func(t *testing.T, post bool, input string) {
+		var want Query
+		var parsed bool
+		req := httptest.NewRequest(http.MethodGet, "/query", nil)
+		if post {
+			req = httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(input))
+			parsed = json.NewDecoder(strings.NewReader(input)).Decode(&want) == nil
+		} else {
+			req.URL.RawQuery = input
+			v, _ := url.ParseQuery(input)
+			want = Query{Topo: v.Get("topo"), Routing: v.Get("routing"), Pattern: v.Get("pattern")}
+			parsed = true
+			if lv := v.Get("load"); lv != "" {
+				var err error
+				want.Load, err = strconv.ParseFloat(lv, 64)
+				parsed = err == nil
+			}
+		}
+		rec := httptest.NewRecorder()
+		s.handleQuery(rec, req)
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest:
+			return
+		default:
+			t.Fatalf("%v %q: status %d: %s", req.Method, input, rec.Code, rec.Body)
+		}
+		if !parsed {
+			t.Fatalf("%v %q: answered 200 to an input that does not parse", req.Method, input)
+		}
+		if want.Routing == "" {
+			want.Routing = "MIN"
+		}
+		if want.Pattern == "" {
+			want.Pattern = "UNI"
+		}
+		var ans Answer
+		if err := json.Unmarshal(rec.Body.Bytes(), &ans); err != nil {
+			t.Fatalf("%v %q: undecodable answer: %v", req.Method, input, err)
+		}
+		if ans.Query != want {
+			t.Fatalf("%v %q: answer's query %+v, want %+v", req.Method, input, ans.Query, want)
 		}
 	})
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"math/rand"
 
-	"diam2/internal/metrics"
 	"diam2/internal/telemetry"
 )
 
@@ -160,9 +159,9 @@ type shard struct {
 	deliveredFlitsWindow int64 // delivered during the measurement window
 	injectedFlitsWindow  int64
 
-	latGen    *metrics.Histogram // generation -> delivery, cycles
-	latNet    metrics.Mean       // injection -> delivery, cycles
-	hops      metrics.Mean
+	latGen    *telemetry.Histogram // generation -> delivery, cycles
+	latNet    telemetry.Mean       // injection -> delivery, cycles
+	hops      telemetry.Mean
 	indirectN int64 // packets routed non-minimally
 
 	lastDeliver int64 // cycle of the most recent delivery
@@ -213,7 +212,7 @@ func newShard(eng *Engine, id, shards int) *shard {
 	sh.ring = make([]ringSlot, sh.ringLen)
 	// Latency histogram in cycles: bucket width scales with the
 	// network latency so percentiles stay meaningful at any scale.
-	sh.latGen = metrics.NewHistogram(float64(cfg.SwitchLatency+cfg.LinkLatency), 4096)
+	sh.latGen = telemetry.NewHistogram(float64(cfg.SwitchLatency+cfg.LinkLatency), 4096)
 	return sh
 }
 

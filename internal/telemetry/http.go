@@ -10,8 +10,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"diam2/internal/metrics"
 )
 
 // Registry is a process's one named set of live measurements: workers
@@ -24,7 +22,7 @@ type Registry struct {
 	active   map[*Collector]int64 // collector -> attach order
 	nextSeq  int64
 	counters map[string]int64
-	hists    map[string]*metrics.Histogram // milliseconds
+	hists    map[string]*Histogram // milliseconds
 	mux      *Mux
 }
 
@@ -41,7 +39,7 @@ func NewRegistry() *Registry {
 	r := &Registry{
 		active:   make(map[*Collector]int64),
 		counters: make(map[string]int64),
-		hists:    make(map[string]*metrics.Histogram),
+		hists:    make(map[string]*Histogram),
 		mux:      NewMux(),
 	}
 	r.mux.HandleFunc("/telemetry", func(w http.ResponseWriter, _ *http.Request) { WriteJSON(w, r.Snapshot()) })
@@ -74,7 +72,7 @@ func (r *Registry) Observe(name string, d time.Duration) {
 	defer r.mu.Unlock()
 	h := r.hists[name]
 	if h == nil {
-		h = metrics.NewHistogram(obsBucketMS, obsBuckets)
+		h = NewHistogram(obsBucketMS, obsBuckets)
 		r.hists[name] = h
 	}
 	h.Add(float64(d) / float64(time.Millisecond))

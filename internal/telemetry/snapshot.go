@@ -7,8 +7,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-
-	"diam2/internal/metrics"
 )
 
 // LinkSnap is one directed link of the congestion heatmap.
@@ -44,7 +42,7 @@ type HistSnap struct {
 // histSnap summarizes h. A percentile is its bucket's upper bound; one
 // past the histogram's range (+Inf) is clamped to the exact max, so
 // every summary encodes as JSON.
-func histSnap(h *metrics.Histogram) HistSnap {
+func histSnap(h *Histogram) HistSnap {
 	s := HistSnap{N: h.N(), Mean: h.Mean(), Max: h.Max()}
 	pct := func(p float64) float64 {
 		if v := h.Percentile(p); !math.IsInf(v, 1) {

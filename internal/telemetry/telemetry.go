@@ -21,8 +21,6 @@ package telemetry
 
 import (
 	"sync"
-
-	"diam2/internal/metrics"
 )
 
 // EventKind enumerates the flight-recorder event types.
@@ -119,8 +117,8 @@ type Collector struct {
 	nVCs  int
 	vcOcc []vcCounter // [router*nVCs + vc]; sized by Shape
 
-	latMinimal  *metrics.Histogram // generation -> delivery, minimal routes
-	latIndirect *metrics.Histogram // generation -> delivery, indirect routes
+	latMinimal  *Histogram // generation -> delivery, minimal routes
+	latIndirect *Histogram // generation -> delivery, indirect routes
 
 	counts         [numEventKinds]int64
 	flitsInjected  int64
@@ -143,8 +141,8 @@ func NewCollector(opts Options) *Collector {
 		label:       opts.Label,
 		ring:        newRing(ringCap),
 		links:       make(map[linkKey]*linkCounter),
-		latMinimal:  metrics.NewHistogram(latBucketCycles, latBuckets),
-		latIndirect: metrics.NewHistogram(latBucketCycles, latBuckets),
+		latMinimal:  NewHistogram(latBucketCycles, latBuckets),
+		latIndirect: NewHistogram(latBucketCycles, latBuckets),
 	}
 }
 

@@ -1,7 +1,10 @@
 package topo
 
 import (
+	"fmt"
 	"testing"
+
+	"diam2/internal/graph"
 )
 
 func TestMLFMConstruction(t *testing.T) {
@@ -323,61 +326,81 @@ func TestScalingTable(t *testing.T) {
 	}
 }
 
-// TestScalingMatchesConstruction cross-checks the analytic table
-// against actually constructed instances at a small radix.
+// TestScalingMatchesConstruction cross-checks every row of the
+// analytic table against a built instance: its size, its radix, and
+// CostOf's ports and links per end-node. The Dragonfly rows are checked
+// against balancedDragonfly, also at radices 3 and 7 (h = 1, 2).
 func TestScalingMatchesConstruction(t *testing.T) {
-	rows := ScalingTable(12)
-	for _, row := range rows {
-		switch row.Family {
-		case "MLFM":
-			m, err := NewMLFM(row.Param)
+	for _, r := range []int{3, 7, 12, 13, 24, 32} {
+		for _, row := range ScalingTable(r) {
+			var tp Topology
+			var err error
+			switch {
+			case r < 12 && row.Family != "Dragonfly":
+				continue
+			case row.Family == "HyperX":
+				tp, err = NewHyperX2D(row.Param, r-2*(row.Param-1))
+			case row.Family == "SlimFly(floor)":
+				tp, err = NewSlimFly(row.Param, RoundDown)
+			case row.Family == "SlimFly(ceil)":
+				tp, err = NewSlimFly(row.Param, RoundUp)
+			case row.Family == "FatTree2":
+				tp, err = NewFatTree2(row.Param)
+			case row.Family == "FatTree3":
+				tp, err = NewFatTree3(row.Param)
+			case row.Family == "MLFM":
+				tp, err = NewMLFM(row.Param)
+			case row.Family == "OFT":
+				tp, err = NewOFT(row.Param)
+			case row.Family == "Dragonfly":
+				tp, err = balancedDragonfly(row.Param)
+			default:
+				t.Fatalf("r=%d: unknown family %q", r, row.Family)
+			}
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("r=%d %s(%d): %v", r, row.Family, row.Param, err)
 			}
-			if m.Nodes() != row.Nodes {
-				t.Errorf("MLFM: table %d != built %d", row.Nodes, m.Nodes())
+			c := CostOf(tp)
+			if c.Nodes != row.Nodes {
+				t.Errorf("r=%d %s: table N = %d, built %d", r, row.Family, row.Nodes, c.Nodes)
 			}
-			if m.Radix() > 12 {
-				t.Errorf("MLFM radix %d exceeds 12", m.Radix())
+			if tp.Radix() > r {
+				t.Errorf("r=%d %s: built radix %d", r, row.Family, tp.Radix())
 			}
-		case "OFT":
-			o, err := NewOFT(row.Param)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if o.Nodes() != row.Nodes {
-				t.Errorf("OFT: table %d != built %d", row.Nodes, o.Nodes())
-			}
-			if o.Radix() > 12 {
-				t.Errorf("OFT radix %d exceeds 12", o.Radix())
-			}
-		case "SlimFly(floor)":
-			sf, err := NewSlimFly(row.Param, RoundDown)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sf.Nodes() != row.Nodes {
-				t.Errorf("SF floor: table %d != built %d", row.Nodes, sf.Nodes())
-			}
-			if sf.Radix() > 12 {
-				t.Errorf("SF radix %d exceeds 12", sf.Radix())
-			}
-		case "FatTree2":
-			ft, err := NewFatTree2(row.Param)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ft.Nodes() != row.Nodes {
-				t.Errorf("FT2: table %d != built %d", row.Nodes, ft.Nodes())
-			}
-		case "FatTree3":
-			ft, err := NewFatTree3(row.Param)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ft.Nodes() != row.Nodes {
-				t.Errorf("FT3: table %d != built %d", row.Nodes, ft.Nodes())
+			if c.PortsPerNode != row.PortsPerNode || c.LinksPerNode != row.LinksPerNode {
+				t.Errorf("r=%d %s: table ports/N, links/N = %.4f, %.4f; built %.4f, %.4f",
+					r, row.Family, row.PortsPerNode, row.LinksPerNode, c.PortsPerNode, c.LinksPerNode)
 			}
 		}
 	}
+}
+
+// balancedDragonfly wires a balanced Dragonfly by hand: g = a*h+1
+// groups of a = 2h fully connected routers, each router with p = h
+// end-nodes and h global links, every two groups joined by one global
+// link. It checks the result has diameter 3.
+func balancedDragonfly(h int) (Topology, error) {
+	a := 2 * h
+	groups := a*h + 1
+	g := graph.New(a * groups)
+	nodesAt := map[int]int{}
+	for gi := 0; gi < groups; gi++ {
+		for i := 0; i < a; i++ {
+			nodesAt[gi*a+i] = h
+			for j := i + 1; j < a; j++ {
+				g.MustAddEdge(gi*a+i, gi*a+j)
+			}
+		}
+		// Global link t of group gi goes to group gi+t+1 (mod groups)
+		// and leaves from router t/h.
+		for gj := gi + 1; gj < groups; gj++ {
+			ti, tj := gj-gi-1, groups+gi-gj-1
+			g.MustAddEdge(gi*a+ti/h, gj*a+tj/h)
+		}
+	}
+	df, err := NewCustom(fmt.Sprintf("Dragonfly(h=%d)", h), g, nodesAt)
+	if err != nil {
+		return nil, err
+	}
+	return df, VerifyDiameter(df, 3)
 }

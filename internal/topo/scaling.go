@@ -57,14 +57,10 @@ func ScalingTable(r int) []ScalingEntry {
 	var out []ScalingEntry
 	// 2D HyperX: s = floor(r/3)+1 routers per dimension, p = r - 2*(s-1).
 	if s := r/3 + 1; s >= 2 {
-		p := r - 2*(s-1)
-		out = append(out, ScalingEntry{
-			Family: "HyperX", Param: s, Nodes: p * s * s, Diameter: 2,
-			LinksPerNode: 2, PortsPerNode: 3,
-		})
+		out = append(out, direct("HyperX", s, 2, s*s, 2*(s-1), r-2*(s-1)))
 	}
 	for _, rd := range []Rounding{RoundDown, RoundUp} {
-		q, n := MaxSlimFlyQ(r, rd)
+		q, _ := MaxSlimFlyQ(r, rd)
 		if q == 0 {
 			continue
 		}
@@ -72,21 +68,13 @@ func ScalingTable(r int) []ScalingEntry {
 		if rd == RoundUp {
 			name = "SlimFly(ceil)"
 		}
-		w, delta, _ := SlimFlyDelta(q)
-		_ = w
+		_, delta, _ := SlimFlyDelta(q)
 		rp := (3*q - delta) / 2
 		p := rp / 2
 		if rd == RoundUp {
 			p = (rp + 1) / 2
 		}
-		routers := 2 * q * q
-		links := n + routers*rp/2
-		ports := routers * (rp + p)
-		out = append(out, ScalingEntry{
-			Family: name, Param: q, Nodes: n, Diameter: 2,
-			LinksPerNode: float64(links) / float64(n),
-			PortsPerNode: float64(ports) / float64(n),
-		})
+		out = append(out, direct(name, q, 2, 2*q*q, rp, p))
 	}
 	if r >= 2 {
 		re := r - r%2 // even radix
@@ -112,15 +100,24 @@ func ScalingTable(r int) []ScalingEntry {
 	}
 	// Balanced Dragonfly (diameter 3): included as the widely
 	// deployed cost-reduced alternative the paper's introduction
-	// discusses. Radix 4h-1 <= r.
+	// discusses. a = 2h routers per group, p = h end-nodes and h
+	// global links per router, g = a*h+1 groups; radix 4h-1 <= r.
 	if h := (r + 1) / 4; h >= 1 {
 		a := 2 * h
-		g := a*h + 1
-		n := h * a * g
-		out = append(out, ScalingEntry{
-			Family: "Dragonfly", Param: h, Nodes: n, Diameter: 3,
-			LinksPerNode: 2, PortsPerNode: 3,
-		})
+		out = append(out, direct("Dragonfly", h, 3, a*(a*h+1), a-1+h, h))
 	}
 	return out
+}
+
+// direct is the row of a direct network built from identical routers,
+// each with deg router-to-router links and p end-nodes.
+func direct(family string, param, diameter, routers, deg, p int) ScalingEntry {
+	n := routers * p
+	links := n + routers*deg/2
+	ports := routers * (deg + p)
+	return ScalingEntry{
+		Family: family, Param: param, Nodes: n, Diameter: diameter,
+		LinksPerNode: float64(links) / float64(n),
+		PortsPerNode: float64(ports) / float64(n),
+	}
 }
