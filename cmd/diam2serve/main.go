@@ -67,6 +67,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: diam2serve -http ADDR -store DIR [flags]")
 		os.Exit(2)
 	}
+	if *grid < 0 {
+		fmt.Fprintf(os.Stderr, "diam2serve: -grid %d: the decision-ladder size cannot be negative\n", *grid)
+		os.Exit(2)
+	}
 	if err := run(scale, camp); err != nil {
 		fmt.Fprintln(os.Stderr, "diam2serve:", err)
 		os.Exit(1)

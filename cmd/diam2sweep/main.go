@@ -130,6 +130,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "diam2sweep: -screen replaces -fig (the screening tier covers the whole oblivious grid); pass one or the other")
 		os.Exit(2)
 	}
+	if *screenGrid < 0 {
+		fmt.Fprintf(os.Stderr, "diam2sweep: -screen-grid %d: the load ladder size cannot be negative (0: the default figure ladder)\n", *screenGrid)
+		os.Exit(2)
+	}
 	if camp.On {
 		if st.Dir == "" {
 			fmt.Fprintln(os.Stderr, "diam2sweep: -campaign requires -store (workers coordinate through the store directory)")

@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"diam2/internal/cliflags"
@@ -47,7 +48,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "diam2topo:", err)
 		os.Exit(1)
 	}
@@ -63,7 +64,7 @@ func namedTopo(name string) (topo.Topology, error) {
 }
 
 // export writes a paper topology in DOT or edge-list form.
-func export(dotName, elName string) error {
+func export(w io.Writer, dotName, elName string) error {
 	name := dotName
 	if name == "" {
 		name = elName
@@ -73,28 +74,29 @@ func export(dotName, elName string) error {
 		return err
 	}
 	if dotName != "" {
-		return topo.WriteDOT(os.Stdout, tp)
+		return topo.WriteDOT(w, tp)
 	}
-	return topo.WriteEdgeList(os.Stdout, tp)
+	return topo.WriteEdgeList(w, tp)
 }
 
-func run() error {
+// run prints the selected analyses to w.
+func run(w io.Writer) error {
 	if *draw != "" {
 		tp, err := namedTopo(*draw)
 		if err != nil {
 			return err
 		}
-		return plot.DrawTopologySVG(os.Stdout, tp, 800, 600)
+		return plot.DrawTopologySVG(w, tp, 800, 600)
 	}
 	if *exportDOT != "" || *exportEL != "" {
-		return export(*exportDOT, *exportEL)
+		return export(w, *exportDOT, *exportEL)
 	}
 	// Each analysis prints its table as soon as it is computed.
 	emit := func(t *harness.Table, err error) error {
 		if err != nil {
 			return err
 		}
-		return t.Render(os.Stdout)
+		return t.Render(w)
 	}
 	if *fluidSat {
 		if err := emit(harness.FluidSaturationTable(harness.PaperPresets(), *seed)); err != nil {

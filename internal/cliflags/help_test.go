@@ -2,14 +2,52 @@ package cliflags
 
 import (
 	"bytes"
+	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/help from the built binaries")
+
+// The seven binaries are built once per test run, into a directory
+// TestMain removes, and shared by every test that drives them.
+var (
+	buildOnce sync.Once
+	binDir    string
+	buildErr  error
+)
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binDir != "" {
+		os.RemoveAll(binDir)
+	}
+	os.Exit(code)
+}
+
+// binaries builds diam2/cmd/... on first use and returns the directory
+// holding the binaries.
+func binaries(t *testing.T) string {
+	t.Helper()
+	buildOnce.Do(func() {
+		if binDir, buildErr = os.MkdirTemp("", "diam2-cmds-"); buildErr != nil {
+			return
+		}
+		if out, err := exec.Command("go", "build", "-o", binDir+string(filepath.Separator), "diam2/cmd/...").CombinedOutput(); err != nil {
+			buildErr = fmt.Errorf("go build diam2/cmd/...: %v\n%s", err, out)
+		}
+	})
+	if buildErr != nil {
+		t.Fatal(buildErr)
+	}
+	return binDir
+}
 
 // TestHelpGolden builds the seven binaries and compares each one's -h
 // with testdata/help/<prog>.txt: the flag names, types, defaults and
@@ -17,10 +55,7 @@ var update = flag.Bool("update", false, "rewrite testdata/help from the built bi
 // change them by accident. Regenerate with
 // go test ./internal/cliflags -run TestHelpGolden -update.
 func TestHelpGolden(t *testing.T) {
-	bin := t.TempDir()
-	if out, err := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "diam2/cmd/...").CombinedOutput(); err != nil {
-		t.Fatalf("go build diam2/cmd/...: %v\n%s", err, out)
-	}
+	bin := binaries(t)
 	progs, err := os.ReadDir(bin)
 	if err != nil {
 		t.Fatal(err)
@@ -52,6 +87,35 @@ func TestHelpGolden(t *testing.T) {
 		}
 		if !bytes.Equal(out, want) {
 			t.Errorf("%s -h differs from %s:\n%s", prog, golden, out)
+		}
+	}
+}
+
+// TestBadInvocationsExit2: a flag combination or value a binary cannot
+// honour is refused up front with one line on stderr and exit status
+// 2 — never a panic (whose status is also 2), never silently replaced
+// by a default.
+func TestBadInvocationsExit2(t *testing.T) {
+	bin := binaries(t)
+	for _, c := range []struct {
+		prog string
+		args []string
+	}{
+		{"diam2serve", []string{"-http", "127.0.0.1:0", "-store", t.TempDir(), "-grid", "-1"}},
+		{"diam2sweep", []string{"-screen", "-screen-grid", "-3"}},
+		{"diam2sweep", []string{"-screen", "-fig", "14"}},
+	} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(filepath.Join(bin, c.prog), c.args...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%s %s: %v, want exit status 2", c.prog, strings.Join(c.args, " "), err)
+		}
+		if strings.Contains(stderr.String(), "panic:") || strings.Count(stderr.String(), "\n") != 1 || stdout.Len() != 0 {
+			t.Errorf("%s %s: want one line on stderr and nothing on stdout, got stderr:\n%sstdout:\n%s",
+				c.prog, strings.Join(c.args, " "), stderr.String(), stdout.String())
 		}
 	}
 }

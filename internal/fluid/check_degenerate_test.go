@@ -32,19 +32,18 @@ func TestCheckCached(t *testing.T) {
 }
 
 // TestPermutationLengthMismatch: a permutation covering the wrong node
-// count is an error from both routing models, not a partial load map.
+// count is an error from the demand constructor, so neither routing
+// model ever sees a partial load map.
 func TestPermutationLengthMismatch(t *testing.T) {
 	tp, err := topo.NewMLFM(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := New(tp)
-	short := traffic.Permutation{Perm: []int{0}}
-	if _, err := m.MinimalPermutation(short); err == nil {
-		t.Error("MinimalPermutation accepted a 1-node permutation")
-	}
-	if _, err := m.ValiantPermutation(short); err == nil {
-		t.Error("ValiantPermutation accepted a 1-node permutation")
+	for _, perm := range [][]int{{0}, make([]int, tp.Nodes()+1)} {
+		if _, err := m.Permutation(traffic.Permutation{Perm: perm}); err == nil {
+			t.Errorf("Permutation accepted a %d-node permutation of %d nodes", len(perm), tp.Nodes())
+		}
 	}
 }
 

@@ -118,36 +118,40 @@ func TestEstimateAtMatchesSortedMap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, pat := range []Pattern{PatternUniform, PatternWorstCase} {
-			for _, rt := range []Routing{RoutingMinimal, RoutingValiant} {
-				loads, hops, err := m.Loads(pat, rt, &wc)
-				if err != nil {
-					t.Fatal(err)
-				}
+		perm, err := m.Permutation(wc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range []struct {
+			pat    string
+			demand Demand
+		}{{"UNI", uniform(t, m)}, {"WC", perm}} {
+			for _, rt := range []struct {
+				name  string
+				route func(Demand) LinkLoads
+			}{{"MIN", m.Minimal}, {"INR", m.Valiant}} {
+				loads := rt.route(d.demand)
 				ref := toSortedMap(m, loads)
 				if got, want := math.Float64bits(loads.Sum()), math.Float64bits(ref.sum()); got != want {
-					t.Errorf("%s %s %s: Sum bits %x, sorted map %x", tp.Name(), pat, rt, got, want)
+					t.Errorf("%s %s %s: Sum bits %x, sorted map %x", tp.Name(), d.pat, rt.name, got, want)
 				}
-				cross := m.uniformCrossRate()
-				if pat == PatternWorstCase {
-					cross = m.permCrossRate(wc.Perm)
-				}
-				if want := ref.sum() / cross; math.Float64bits(hops) != math.Float64bits(want) {
-					t.Errorf("%s %s %s: hops %v, sorted map %v", tp.Name(), pat, rt, hops, want)
+				hops := loads.hops
+				if want := ref.sum() / d.demand.cross; math.Float64bits(hops) != math.Float64bits(want) {
+					t.Errorf("%s %s %s: hops %v, sorted map %v", tp.Name(), d.pat, rt.name, hops, want)
 				}
 				saturated := 0
 				for i := 0; i <= 2000; i++ {
 					x := 2 * float64(i) / 2000
-					got, want := m.EstimateAt(loads, hops, x, cfg), ref.estimate(hops, x, cfg)
+					got, want := EstimateAt(loads, x, cfg), ref.estimate(hops, x, cfg)
 					if bits(got) != bits(want) {
-						t.Fatalf("%s %s %s load %v: estimate %+v, sorted map %+v", tp.Name(), pat, rt, x, got, want)
+						t.Fatalf("%s %s %s load %v: estimate %+v, sorted map %+v", tp.Name(), d.pat, rt.name, x, got, want)
 					}
 					if got.Saturated() {
 						saturated++
 					}
 				}
 				if saturated == 0 {
-					t.Errorf("%s %s %s: no saturated load in [0, 2]", tp.Name(), pat, rt)
+					t.Errorf("%s %s %s: no saturated load in [0, 2]", tp.Name(), d.pat, rt.name)
 				}
 			}
 		}

@@ -1,5 +1,5 @@
 // Package fluid is an analytic (fluid-flow) throughput model: it
-// computes per-link loads for a traffic pattern under minimal or
+// computes per-link loads for a router-pair demand under minimal or
 // Valiant routing by splitting each flow evenly over its minimal
 // paths, and derives the theoretical saturation load as the inverse
 // of the most loaded link. It cross-validates the discrete-event
@@ -83,15 +83,83 @@ func New(tp topo.Topology) *Model {
 	return m
 }
 
+// Demand is router-pair traffic: the rate each ordered pair of
+// endpoint routers exchanges when every node injects one unit, with
+// same-router traffic left out (it uses no links). Build one with
+// Uniform or Permutation and turn it into link loads with Minimal or
+// Valiant. Valiant recomputes a uniform demand's rates from the
+// topology in its closed form instead of reading rate;
+// TestValiantUniformAggregation checks the two agree.
+type Demand struct {
+	rate  []float64 // R x R, row-major: rate[rs*R+rd]
+	cross float64   // total rate between distinct routers
+	// uniform marks global uniform traffic, for which Valiant has a
+	// closed form.
+	uniform bool
+}
+
+// Uniform returns global uniform traffic: every node sends 1/(N-1) of
+// its unit to every other node. A disconnected topology is an error
+// wrapping ErrDisconnected, since the flows between unreachable
+// routers would vanish from the loads.
+func (m *Model) Uniform() (Demand, error) {
+	if err := m.Check(); err != nil {
+		return Demand{}, err
+	}
+	r := m.g.N()
+	d := Demand{rate: make([]float64, r*r), uniform: true}
+	n := float64(m.tp.Nodes())
+	rate := 1.0 / (n - 1)
+	var same float64
+	eps := m.tp.EndpointRouters()
+	for _, rs := range eps {
+		ps := float64(len(m.tp.RouterNodes(rs)))
+		same += ps * ps
+		for _, rd := range eps {
+			if rs == rd {
+				continue
+			}
+			pd := float64(len(m.tp.RouterNodes(rd)))
+			d.rate[rs*r+rd] = ps * pd * rate
+		}
+	}
+	d.cross = (n*n - same) / (n - 1)
+	return d, nil
+}
+
+// Permutation returns the demand of a node permutation: every node
+// sends its unit to its image. A disconnected topology is an error, as
+// for Uniform.
+func (m *Model) Permutation(perm traffic.Permutation) (Demand, error) {
+	if err := m.Check(); err != nil {
+		return Demand{}, err
+	}
+	if len(perm.Perm) != m.tp.Nodes() {
+		return Demand{}, fmt.Errorf("fluid: permutation covers %d of %d nodes", len(perm.Perm), m.tp.Nodes())
+	}
+	r := m.g.N()
+	d := Demand{rate: make([]float64, r*r)}
+	for src, dst := range perm.Perm {
+		rs, rd := m.tp.NodeRouter(src), m.tp.NodeRouter(dst)
+		if rs != rd {
+			d.rate[rs*r+rd]++
+			d.cross++
+		}
+	}
+	return d, nil
+}
+
 // LinkLoads holds the relative load of every directed router link
 // (flow units crossing the link when every node injects one unit),
-// indexed by link in (u, v) lexicographic order, with the maximum and
-// the total computed once. The zero value carries no load.
+// indexed by link in (u, v) lexicographic order, with the maximum, the
+// total and the demand's mean hop count computed once. The zero value
+// carries no load.
 type LinkLoads struct {
 	m    *Model
 	load []float64
 	max  float64
 	sum  float64
+	hops float64
 }
 
 // newLoad returns a zeroed per-link accumulator.
@@ -99,14 +167,19 @@ func (m *Model) newLoad() []float64 { return make([]float64, m.link[len(m.link)-
 
 // linkLoads wraps an accumulated per-link load vector. The total adds
 // the links in index order, so the float sum is the same on every run;
-// links without load add an exact +0.
-func (m *Model) linkLoads(load []float64) LinkLoads {
+// links without load add an exact +0. By flow conservation the total
+// is the rate-weighted path length of d, so the mean hop count is
+// their ratio; for Valiant it counts both legs.
+func (m *Model) linkLoads(load []float64, d Demand) LinkLoads {
 	l := LinkLoads{m: m, load: load}
 	for _, v := range load {
 		l.sum += v
 		if v > l.max {
 			l.max = v
 		}
+	}
+	if d.cross > 0 {
+		l.hops = l.sum / d.cross
 	}
 	return l
 }
@@ -141,112 +214,59 @@ func (m *Model) addFlow(load []float64, src, dst int, rate float64) {
 	}
 }
 
-// MinimalPermutation computes link loads for a node permutation under
-// minimal routing (each node injects one unit).
-func (m *Model) MinimalPermutation(perm traffic.Permutation) (LinkLoads, error) {
-	if len(perm.Perm) != m.tp.Nodes() {
-		return LinkLoads{}, fmt.Errorf("fluid: permutation covers %d of %d nodes", len(perm.Perm), m.tp.Nodes())
-	}
+// Minimal computes the link loads of d under minimal routing. Pairs
+// spread in (rs, rd) index order, so each link's float accumulation
+// sums in a fixed order and the loads are the same on every run.
+func (m *Model) Minimal(d Demand) LinkLoads {
 	load := m.newLoad()
-	for src, dst := range perm.Perm {
-		m.addFlow(load, m.tp.NodeRouter(src), m.tp.NodeRouter(dst), 1)
+	r := m.g.N()
+	for pair, rate := range d.rate {
+		m.addFlow(load, pair/r, pair%r, rate)
 	}
-	return m.linkLoads(load), nil
+	return m.linkLoads(load, d)
 }
 
-// MinimalUniform computes link loads for global uniform traffic under
-// minimal routing.
-func (m *Model) MinimalUniform() LinkLoads {
-	load := m.newLoad()
-	n := m.tp.Nodes()
-	rate := 1.0 / float64(n-1)
-	// Aggregate node pairs to router pairs.
-	eps := m.tp.EndpointRouters()
-	for _, rs := range eps {
-		ps := float64(len(m.tp.RouterNodes(rs)))
-		for _, rd := range eps {
-			if rs == rd {
-				continue
-			}
-			pd := float64(len(m.tp.RouterNodes(rd)))
-			m.addFlow(load, rs, rd, ps*pd*rate)
-		}
-	}
-	return m.linkLoads(load)
-}
-
-// ValiantUniform computes link loads for global uniform traffic under
-// indirect random routing. Rather than loop over every
-// (source, destination, intermediate) router triple, it aggregates the
-// two minimal legs per directed router pair first: with E endpoint
-// routers and every flow excluding its own source and destination as
-// intermediates, the leg rate of the ordered pair (a,b) sums to
-// rate * (p(a)+p(b)) * (N - p(a) - p(b)) / (E-2), which reduces the
-// triple loop to the same O(E^2) spreading pass MinimalUniform does.
-func (m *Model) ValiantUniform() LinkLoads {
+// Valiant computes the link loads of d under indirect random routing:
+// each pair's rate splits uniformly over the E-2 endpoint routers other
+// than its own two, routing minimally on both legs. With fewer than
+// three endpoint routers there is nothing to bounce through and INR
+// degenerates to MIN.
+//
+// Uniform demand takes a closed form instead of the O(E^3) triple
+// loop: every flow excludes its own source and destination as
+// intermediates, so the leg rate of the ordered pair (a,b) sums to
+// rate * (p(a)+p(b)) * (N - p(a) - p(b)) / (E-2), which leaves the
+// same O(E^2) spreading pass Minimal does.
+func (m *Model) Valiant(d Demand) LinkLoads {
 	eps := m.tp.EndpointRouters()
 	if len(eps) < 3 {
-		// No third router to bounce through: INR degenerates to MIN.
-		return m.MinimalUniform()
+		return m.Minimal(d)
 	}
 	load := m.newLoad()
-	n := float64(m.tp.Nodes())
-	rate := 1.0 / (n - 1)
-	denom := float64(len(eps) - 2)
-	for _, a := range eps {
-		pa := float64(len(m.tp.RouterNodes(a)))
-		for _, b := range eps {
-			if a == b {
-				continue
+	if d.uniform {
+		n := float64(m.tp.Nodes())
+		rate := 1.0 / (n - 1)
+		denom := float64(len(eps) - 2)
+		for _, a := range eps {
+			pa := float64(len(m.tp.RouterNodes(a)))
+			for _, b := range eps {
+				if a == b {
+					continue
+				}
+				pb := float64(len(m.tp.RouterNodes(b)))
+				m.addFlow(load, a, b, rate*(pa+pb)*(n-pa-pb)/denom)
 			}
-			pb := float64(len(m.tp.RouterNodes(b)))
-			w := rate * (pa + pb) * (n - pa - pb) / denom
-			m.addFlow(load, a, b, w)
 		}
+		return m.linkLoads(load, d)
 	}
-	return m.linkLoads(load)
-}
-
-// ValiantPermutation computes link loads for a permutation under
-// indirect random routing: each flow splits uniformly over the
-// eligible intermediates, routing minimally on both legs.
-func (m *Model) ValiantPermutation(perm traffic.Permutation) (LinkLoads, error) {
-	if len(perm.Perm) != m.tp.Nodes() {
-		return LinkLoads{}, fmt.Errorf("fluid: permutation covers %d of %d nodes", len(perm.Perm), m.tp.Nodes())
-	}
-	load := m.newLoad()
-	eligible := m.tp.EndpointRouters()
-	// Aggregate by router pair first (node-level loop would repeat
-	// identical work p times), in a dense row-major count: spreading
-	// in index order is (rs, rd) order, so each link's float
-	// accumulation sums in a fixed order and the loads are the same on
-	// every run.
 	r := m.g.N()
-	pairRate := make([]float64, r*r)
-	for src, dst := range perm.Perm {
-		rs, rd := m.tp.NodeRouter(src), m.tp.NodeRouter(dst)
-		if rs != rd {
-			pairRate[rs*r+rd]++
-		}
-	}
-	for pair, rate := range pairRate {
+	for pair, rate := range d.rate {
 		if rate == 0 {
 			continue
 		}
 		rs, rd := pair/r, pair%r
-		// Count usable intermediates (excluding src/dst routers).
-		usable := 0
-		for _, ri := range eligible {
-			if ri != rs && ri != rd {
-				usable++
-			}
-		}
-		if usable == 0 {
-			m.addFlow(load, rs, rd, rate)
-			continue
-		}
-		w := rate / float64(usable)
-		for _, ri := range eligible {
+		w := rate / float64(len(eps)-2)
+		for _, ri := range eps {
 			if ri == rs || ri == rd {
 				continue
 			}
@@ -254,7 +274,7 @@ func (m *Model) ValiantPermutation(perm traffic.Permutation) (LinkLoads, error) 
 			m.addFlow(load, ri, rd, w)
 		}
 	}
-	return m.linkLoads(load), nil
+	return m.linkLoads(load, d)
 }
 
 // At returns the load of the directed link (u, v); 0 when the routers
@@ -268,7 +288,7 @@ func (l LinkLoads) At(u, v int) float64 {
 
 // Sum returns the total load over all directed links. By flow
 // conservation this equals the rate-weighted path length of the
-// traffic, which is how the screening tier derives mean hop counts.
+// traffic.
 func (l LinkLoads) Sum() float64 { return l.sum }
 
 // MaxLoad returns the highest directed-link load.

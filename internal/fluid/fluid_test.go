@@ -16,6 +16,27 @@ import (
 // routing).
 func routingMin(tp topo.Topology) sim.RoutingAlgorithm { return routing.NewMinimal(tp) }
 
+// uniform is the model's uniform demand; the test fails on a
+// disconnected topology.
+func uniform(t testing.TB, m *Model) Demand {
+	t.Helper()
+	d, err := m.Uniform()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// minimalPermutation is the link loads of a node permutation under
+// minimal routing.
+func minimalPermutation(m *Model, perm traffic.Permutation) (LinkLoads, error) {
+	d, err := m.Permutation(perm)
+	if err != nil {
+		return LinkLoads{}, err
+	}
+	return m.Minimal(d), nil
+}
+
 // TestWorstCaseClosedForms: the fluid model recovers the Section 4.2
 // saturation bounds exactly.
 func TestWorstCaseClosedForms(t *testing.T) {
@@ -27,8 +48,7 @@ func TestWorstCaseClosedForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := New(m6)
-	loads, err := model.MinimalPermutation(wc)
+	loads, err := minimalPermutation(New(m6), wc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +64,7 @@ func TestWorstCaseClosedForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loadsO, err := New(o6).MinimalPermutation(wcO)
+	loadsO, err := minimalPermutation(New(o6), wcO)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +84,7 @@ func TestSlimFlyWorstCaseBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loads, err := New(sf).MinimalPermutation(wc)
+	loads, err := minimalPermutation(New(sf), wc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +108,8 @@ func TestUniformNearFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		loads := New(tp).MinimalUniform()
+		m := New(tp)
+		loads := m.Minimal(uniform(t, m))
 		if sat := loads.Saturation(); sat < 0.85 {
 			t.Errorf("%s uniform saturation %v, want near 1 (full global bandwidth)", tp.Name(), sat)
 		}
@@ -107,10 +128,11 @@ func TestValiantHalvesWorstCase(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := New(m6)
-	loads, err := model.ValiantPermutation(wc)
+	d, err := model.Permutation(wc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	loads := model.Valiant(d)
 	sat := loads.Saturation()
 	if sat < 0.35 || sat > 0.65 {
 		t.Errorf("MLFM WC INR saturation %v, want ~0.5", sat)
@@ -134,8 +156,7 @@ func TestFluidAgreesWithSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := New(m6)
-	min, err := model.MinimalPermutation(wc)
+	min, err := minimalPermutation(New(m6), wc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +177,7 @@ func TestFlowConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := New(m4)
-	loads, err := model.MinimalPermutation(wc)
+	loads, err := minimalPermutation(New(m4), wc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +214,7 @@ func TestPathSplitting(t *testing.T) {
 		}
 	}
 	// Each path leaves src on its own link and enters dst on its own.
-	loads := model.linkLoads(load)
+	loads := model.linkLoads(load, Demand{})
 	var out, in float64
 	for _, v := range m4.Graph().Neighbors(src) {
 		out += loads.At(src, v)
@@ -227,17 +247,15 @@ func TestLatencyModelShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := New(m6)
-	loads := model.MinimalUniform()
+	loads := model.Minimal(uniform(t, model))
 	cfg := sim.DefaultConfig(1)
-	lm := NewLatency(model, cfg)
-	hops := 2.0
-	base := lm.AvgLatency(loads, hops, 0)
+	base := avgLatency(loads, 0, cfg)
 	if base <= 0 {
 		t.Fatal("zero-load latency not positive")
 	}
 	prev := base
 	for _, x := range []float64{0.2, 0.5, 0.8, 0.95} {
-		lat := lm.AvgLatency(loads, hops, x)
+		lat := avgLatency(loads, x, cfg)
 		if math.IsInf(lat, 1) {
 			t.Fatalf("latency infinite at load %v below saturation %v", x, loads.Saturation())
 		}
@@ -251,7 +269,7 @@ func TestLatencyModelShape(t *testing.T) {
 		t.Errorf("latency at 0.95 load (%v) barely above base (%v)", prev, base)
 	}
 	// Beyond saturation: infinite.
-	if !math.IsInf(lm.AvgLatency(loads, hops, 1.2), 1) {
+	if !math.IsInf(avgLatency(loads, 1.2, cfg), 1) {
 		t.Error("latency finite beyond saturation")
 	}
 }
@@ -266,8 +284,7 @@ func TestLatencyModelTracksSimulatorBase(t *testing.T) {
 	}
 	model := New(m4)
 	cfg := sim.TestConfig(1)
-	lm := NewLatency(model, cfg)
-	analytic := lm.AvgLatency(model.MinimalUniform(), 2, 0.05)
+	analytic := avgLatency(model.Minimal(uniform(t, model)), 0.05, cfg)
 
 	net, err := sim.NewNetwork(m4, cfg)
 	if err != nil {

@@ -3,6 +3,7 @@ package fluid
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"diam2/internal/graph"
@@ -45,15 +46,11 @@ func TestZeroLoadLatencyPaperConfigs(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		model := New(tp)
-		loads, hops, err := model.Loads(PatternUniform, RoutingMinimal, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if hops < 1.5 || hops > 2 {
+		loads := model.Minimal(uniform(t, model))
+		if hops := loads.hops; hops < 1.5 || hops > 2 {
 			t.Errorf("%s: uniform mean hops %.3f outside (1.5, 2] for a diameter-two network", name, hops)
 		}
-		got := NewLatency(model, cfg).AvgLatency(loads, hops, 0)
-		if math.Abs(got-want) > 1e-9 {
+		if got := avgLatency(loads, 0, cfg); math.Abs(got-want) > 1e-9 {
 			t.Errorf("%s: zero-load latency %.2f, want %.2f cycles", name, got, want)
 		}
 	}
@@ -70,10 +67,7 @@ func TestLatencyTracksSimulatorAtLowLoad(t *testing.T) {
 	}
 	model := New(tp)
 	cfg := sim.TestConfig(1)
-	est, err := model.Evaluate(PatternUniform, RoutingMinimal, nil, 0.1, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	est := EstimateAt(model.Minimal(uniform(t, model)), 0.1, cfg)
 	if est.Saturated() {
 		t.Fatalf("10%% load reported saturated (saturation %.3f)", est.Saturation)
 	}
@@ -102,23 +96,20 @@ func TestEstimateSaturationSentinel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := New(tp)
 	wc, err := traffic.WorstCase(tp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := sim.TestConfig(1)
-	below, err := model.Evaluate(PatternWorstCase, RoutingMinimal, &wc, 0.1, cfg)
+	loads, err := minimalPermutation(New(tp), wc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := sim.TestConfig(1)
+	below := EstimateAt(loads, 0.1, cfg)
 	if below.Saturated() || below.AvgLatency <= 0 {
 		t.Errorf("below saturation: latency %.2f, Saturated=%v; want finite positive", below.AvgLatency, below.Saturated())
 	}
-	at, err := model.Evaluate(PatternWorstCase, RoutingMinimal, &wc, 0.5, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	at := EstimateAt(loads, 0.5, cfg)
 	if !at.Saturated() || at.AvgLatency >= 0 {
 		t.Errorf("beyond saturation (sat %.3f): latency %.2f, Saturated=%v; want negative sentinel", at.Saturation, at.AvgLatency, at.Saturated())
 	}
@@ -130,16 +121,24 @@ func TestEstimateSaturationSentinel(t *testing.T) {
 	}
 }
 
-// TestEvaluateErrorPaths: the screening surface reports disconnected
-// topologies and unsupported routings as typed errors rather than
-// optimistic numbers.
+// TestEvaluateErrorPaths: both demand constructors report a
+// disconnected topology as a typed error rather than optimistic
+// numbers — the flows between unreachable routers would otherwise
+// vanish from the loads — and pass a connected one.
 func TestEvaluateErrorPaths(t *testing.T) {
 	model := New(disconnectedTopo{})
 	if err := model.Check(); !errors.Is(err, ErrDisconnected) {
 		t.Errorf("Check on disconnected topology = %v, want ErrDisconnected", err)
 	}
-	if _, err := model.Evaluate(PatternUniform, RoutingMinimal, nil, 0.5, sim.TestConfig(1)); !errors.Is(err, ErrDisconnected) {
-		t.Errorf("Evaluate on disconnected topology = %v, want ErrDisconnected", err)
+	if _, err := model.Uniform(); !errors.Is(err, ErrDisconnected) {
+		t.Errorf("Uniform on disconnected topology = %v, want ErrDisconnected", err)
+	}
+	perm := make([]int, disconnectedTopo{}.Nodes())
+	for i := range perm {
+		perm[i] = len(perm) - 1 - i
+	}
+	if _, err := model.Permutation(traffic.Permutation{Perm: perm}); !errors.Is(err, ErrDisconnected) {
+		t.Errorf("Permutation on disconnected topology = %v, want ErrDisconnected", err)
 	}
 
 	tp, err := topo.NewMLFM(4)
@@ -150,14 +149,8 @@ func TestEvaluateErrorPaths(t *testing.T) {
 	if err := m.Check(); err != nil {
 		t.Fatalf("Check on connected topology: %v", err)
 	}
-	if _, _, err := m.Loads(PatternUniform, Routing(99), nil); !errors.Is(err, ErrUnsupportedRouting) {
-		t.Errorf("Loads with bogus routing = %v, want ErrUnsupportedRouting", err)
-	}
-	if _, _, err := m.Loads(PatternWorstCase, RoutingMinimal, nil); err == nil {
-		t.Error("Loads(WC) without a permutation succeeded, want error")
-	}
-	if _, _, err := m.Loads(Pattern(99), RoutingMinimal, nil); err == nil {
-		t.Error("Loads with bogus pattern succeeded, want error")
+	if _, err := m.Uniform(); err != nil {
+		t.Errorf("Uniform on connected topology: %v", err)
 	}
 }
 
@@ -175,89 +168,102 @@ func TestLoadsMeanHops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, hops, err := model.Loads(PatternWorstCase, RoutingMinimal, &wc)
+	d, err := model.Permutation(wc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(hops-2) > 1e-9 {
+	if hops := model.Minimal(d).hops; math.Abs(hops-2) > 1e-9 {
 		t.Errorf("WC MIN mean hops %.6f, want exactly 2", hops)
 	}
-	_, hopsINR, err := model.Loads(PatternWorstCase, RoutingValiant, &wc)
-	if err != nil {
-		t.Fatal(err)
+	if hops := model.Valiant(d).hops; math.Abs(hops-4) > 1e-6 {
+		t.Errorf("WC INR mean hops %.6f, want exactly 4 (two minimal legs)", hops)
 	}
-	if math.Abs(hopsINR-4) > 1e-6 {
-		t.Errorf("WC INR mean hops %.6f, want exactly 4 (two minimal legs)", hopsINR)
+	// Counting router hops per flow directly must agree with flow
+	// conservation (above).
+	var sum float64
+	for src, dst := range wc.Perm {
+		sum += float64(model.dist[tp.NodeRouter(src)][tp.NodeRouter(dst)])
 	}
-	// AvgMinimalHops counts router hops per flow directly; flow
-	// conservation (above) must agree with it.
-	if direct := model.AvgMinimalHops(wc.Perm); math.Abs(direct-2) > 1e-9 {
-		t.Errorf("AvgMinimalHops %.6f, want exactly 2", direct)
+	if direct := sum / float64(len(wc.Perm)); math.Abs(direct-2) > 1e-9 {
+		t.Errorf("direct mean hops %.6f, want exactly 2", direct)
 	}
 	// The identity permutation never leaves a router: zero mean hops.
 	ident := make([]int, tp.Nodes())
 	for i := range ident {
 		ident[i] = i
 	}
-	if h := model.AvgMinimalHops(ident); h != 0 {
-		t.Errorf("AvgMinimalHops(identity) = %.6f, want 0", h)
+	id, err := model.Permutation(traffic.Permutation{Perm: ident})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Permutations must cover every node; a partial one is an error,
-	// under both routings.
-	short := traffic.Permutation{Perm: []int{0}}
-	if _, err := model.MinimalPermutation(short); err == nil {
-		t.Error("MinimalPermutation accepted a partial permutation")
-	}
-	if _, err := model.ValiantPermutation(short); err == nil {
-		t.Error("ValiantPermutation accepted a partial permutation")
+	if h := model.Minimal(id).hops; h != 0 {
+		t.Errorf("identity mean hops %.6f, want 0", h)
 	}
 }
 
-// TestValiantUniformAggregation: the O(E^2) aggregated ValiantUniform
-// must equal the brute-force triple loop over (src, dst, intermediate)
-// router triples.
+// TestValiantUniformAggregation: Valiant's closed form for uniform
+// demand must equal the generic per-pair path over (src, dst,
+// intermediate) router triples, run on the same demand with the
+// uniform mark cleared.
 func TestValiantUniformAggregation(t *testing.T) {
 	tp, err := topo.NewMLFM(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := New(tp)
-	got := m.ValiantUniform()
-
-	want := m.newLoad()
-	eps := m.tp.EndpointRouters()
-	n := float64(m.tp.Nodes())
-	rate := 1.0 / (n - 1)
-	for _, rs := range eps {
-		ps := float64(len(m.tp.RouterNodes(rs)))
-		for _, rd := range eps {
-			if rs == rd {
-				continue
-			}
-			pd := float64(len(m.tp.RouterNodes(rd)))
-			flow := ps * pd * rate
-			usable := 0
-			for _, ri := range eps {
-				if ri != rs && ri != rd {
-					usable++
-				}
-			}
-			w := flow / float64(usable)
-			for _, ri := range eps {
-				if ri == rs || ri == rd {
-					continue
-				}
-				m.addFlow(want, rs, ri, w)
-				m.addFlow(want, ri, rd, w)
-			}
-		}
+	d := uniform(t, m)
+	got := m.Valiant(d)
+	d.uniform = false
+	want := m.Valiant(d)
+	if linksUsed(got.load) != linksUsed(want.load) {
+		t.Fatalf("closed form uses %d links, per-pair path %d", linksUsed(got.load), linksUsed(want.load))
 	}
-	if linksUsed(got.load) != linksUsed(want) {
-		t.Fatalf("aggregated uses %d links, brute force %d", linksUsed(got.load), linksUsed(want))
-	}
-	for link, v := range want {
+	for link, v := range want.load {
 		if math.Abs(got.load[link]-v) > 1e-9 {
-			t.Errorf("link %d: aggregated %.9f, brute force %.9f", link, got.load[link], v)
+			t.Errorf("link %d: closed form %.9f, per-pair path %.9f", link, got.load[link], v)
 		}
+	}
+}
+
+// TestMinimalAggregatesPermutation: spreading a permutation by router
+// pair (Minimal on its Demand) is the per-node even split it replaced,
+// kept here as the oracle: every node flow spread on its own, in node
+// order. Twenty seeded random permutations per small family must agree
+// on every link to 1e-12 relative; the test logs whether the bits
+// matched too.
+func TestMinimalAggregatesPermutation(t *testing.T) {
+	builds := []func() (topo.Topology, error){
+		func() (topo.Topology, error) { return topo.NewSlimFly(5, topo.RoundDown) },
+		func() (topo.Topology, error) { return topo.NewMLFM(6) },
+		func() (topo.Topology, error) { return topo.NewOFT(6) },
+	}
+	for _, b := range builds {
+		tp, err := b()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := New(tp)
+		links, differ := 0, 0
+		for seed := int64(1); seed <= 20; seed++ {
+			perm := traffic.Permutation{Perm: rand.New(rand.NewSource(seed)).Perm(tp.Nodes())}
+			got, err := minimalPermutation(m, perm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := m.newLoad()
+			for src, dst := range perm.Perm {
+				m.addFlow(want, tp.NodeRouter(src), tp.NodeRouter(dst), 1)
+			}
+			for link, v := range want {
+				links++
+				if got.load[link] != v {
+					differ++
+				}
+				if math.Abs(got.load[link]-v) > 1e-12*math.Abs(v) {
+					t.Fatalf("%s seed %d link %d: by router pair %v, per node %v", tp.Name(), seed, link, got.load[link], v)
+				}
+			}
+		}
+		t.Logf("%s: %d of %d link loads differ in their bits from the per-node split (all within 1e-12)", tp.Name(), differ, links)
 	}
 }

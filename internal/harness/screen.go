@@ -23,7 +23,7 @@ import (
 // plus loads where two topology families swap throughput ranking — and
 // EscalateSweep re-runs exactly those points at flit-level fidelity,
 // checking each against the calibration tolerances recorded in
-// fluid.Scenarios. Calibrate maintains those tolerances: it pins the
+// Scenarios. Calibrate maintains those tolerances: it pins the
 // fluid saturation estimate against the simulator's delivered plateau
 // for all nine golden scenarios.
 
@@ -40,13 +40,9 @@ type ScreenPoint struct {
 
 // Tolerance returns the recorded calibration tolerance of the point's
 // (family, pattern, routing) scenario; false when no golden scenario
-// (fluid.Scenarios) covers it.
+// (Scenarios) covers it.
 func (p ScreenPoint) Tolerance() (float64, bool) {
-	rt, err := fluidRouting(p.Alg)
-	if err != nil {
-		return 0, false
-	}
-	return fluid.ToleranceFor(p.Family, fluidPattern(p.Pat), rt)
+	return ToleranceFor(p.Family, p.Pat, p.Alg)
 }
 
 // ScreenSpec selects the grid a screening sweep covers. Zero-value
@@ -97,34 +93,6 @@ func ScreenPointKey(topoName string, alg AlgKind, pat PatternKind, load float64)
 // service for the same reason as ScreenPointKey.
 func EscalatePointKey(topoName string, alg AlgKind, pat PatternKind, load float64) string {
 	return pointKey("escalate", topoName, alg, pat, load)
-}
-
-// fluidRouting maps a harness algorithm kind to its analytic
-// counterpart; adaptive kinds have none (see fluid.ErrUnsupportedRouting).
-// This is where "the fluid tier answers MIN and INR only" is decided.
-func fluidRouting(kind AlgKind) (fluid.Routing, error) {
-	switch kind {
-	case AlgMIN:
-		return fluid.RoutingMinimal, nil
-	case AlgINR:
-		return fluid.RoutingValiant, nil
-	}
-	return 0, fmt.Errorf("%w: %s", fluid.ErrUnsupportedRouting, kind)
-}
-
-// Screenable returns nil for the routing kinds the fluid tier answers
-// and an error wrapping fluid.ErrUnsupportedRouting for the rest.
-func Screenable(kind AlgKind) error {
-	_, err := fluidRouting(kind)
-	return err
-}
-
-// fluidPattern maps a harness pattern kind to the analytic one.
-func fluidPattern(pat PatternKind) fluid.Pattern {
-	if pat == PatUNI {
-		return fluid.PatternUniform
-	}
-	return fluid.PatternWorstCase
 }
 
 // Family names the topology family of a preset: "SF" for Slim Fly
@@ -345,67 +313,6 @@ func (s *Screener) Escalate(picks []EscalationPick, scale Scale) ([]Escalation, 
 	return out, nil
 }
 
-// Calibrate pins the fluid model against the simulator: for each of
-// the nine golden scenarios (fluid.Scenarios) it computes the analytic
-// saturation estimate and the simulator's delivered-throughput plateau
-// at full offered load on the first preset of the scenario's family,
-// and scores the relative disagreement against the scenario's recorded
-// tolerance. The simulator side runs through the scheduler (sim-tier
-// "calibrate|" keys), so calibration is resumable and -j-parallel like
-// any sweep. Every scenario family must have a preset, or the gate
-// would silently shrink.
-func Calibrate(presets []Preset, scale Scale) ([]fluid.Calibration, error) {
-	first := make(map[string]Preset) // family -> its first preset
-	var firsts []Preset
-	for _, p := range presets {
-		if _, ok := first[p.Family()]; !ok {
-			first[p.Family()] = p
-			firsts = append(firsts, p)
-		}
-	}
-	scens := fluid.Scenarios()
-	for _, s := range scens {
-		if _, ok := first[s.Family]; !ok {
-			return nil, fmt.Errorf("harness: calibration scenario %s has no preset of family %s", s.Name(), s.Family)
-		}
-	}
-	scr, err := NewScreener(firsts, scale)
-	if err != nil {
-		return nil, err
-	}
-	fluidSats := make([]float64, len(scens))
-	points := make([]Point[LoadPoint], 0, len(scens))
-	for i, s := range scens {
-		// The fluid package prints its scenarios in this vocabulary.
-		alg, err := ParseAlg(s.Routing.String())
-		if err != nil {
-			return nil, err
-		}
-		pat, err := ParsePattern(s.Pattern.String())
-		if err != nil {
-			return nil, err
-		}
-		preset := first[s.Family]
-		sp, err := scr.Point(preset.Name, alg, pat, 1.0)
-		if err != nil {
-			return nil, err
-		}
-		fluidSats[i] = sp.Saturation
-		tp := scr.topos[preset.Name].tp
-		points = append(points, syntheticPoint(pointKey("calibrate", preset.Name, alg, pat, 1.0), tp, alg, preset.BestAdaptive, pat, 1.0, scale,
-			func(res sim.Results) LoadPoint { return loadPoint(1.0, res) }))
-	}
-	sims, err := Collect(scale, points)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]fluid.Calibration, len(scens))
-	for i, s := range scens {
-		out[i] = s.Compare(first[s.Family].Name, fluidSats[i], sims[i].Throughput)
-	}
-	return out, nil
-}
-
 // ScreenTable summarizes a screening sweep one row per (topology,
 // algorithm, pattern) combination — the load-independent analytic
 // facts, plus the ladder size.
@@ -448,18 +355,6 @@ func EscalationTable(escs []Escalation) *Table {
 		p := e.Pick.Point
 		t.AddRow(p.Topo, p.Alg.String(), p.Pat.String(), f3(p.Load), strings.Join(e.Pick.Reasons, "+"),
 			f3(p.Throughput), f3(e.Sim.Throughput), f3(e.RelErr), tol, within)
-	}
-	return t
-}
-
-// CalibrationTable renders a calibration pass.
-func CalibrationTable(cals []fluid.Calibration) *Table {
-	t := &Table{
-		Title:  "Fluid-model calibration against simulator goldens",
-		Header: []string{"scenario", "topology", "fluid sat", "sim sat", "rel err", "tolerance", "within"},
-	}
-	for _, c := range cals {
-		t.AddRow(c.Name(), c.Topo, f3(c.FluidSat), f3(c.SimSat), f3(c.RelErr), f3(c.Tolerance), fmt.Sprintf("%v", c.Within))
 	}
 	return t
 }

@@ -98,7 +98,7 @@ func TestScreenSweepWorkerInvariance(t *testing.T) {
 func TestScreenSweepRejectsAdaptive(t *testing.T) {
 	sc := QuickScale()
 	_, err := ScreenSweep(SmallPresets(), ScreenSpec{Algs: []AlgKind{AlgA}}, sc)
-	if !errors.Is(err, fluid.ErrUnsupportedRouting) {
+	if !errors.Is(err, ErrUnsupportedRouting) {
 		t.Fatalf("ScreenSweep with AlgA = %v, want ErrUnsupportedRouting", err)
 	}
 }
@@ -553,7 +553,7 @@ func TestParseScreenKinds(t *testing.T) {
 		t.Error("ParseExchange accepted the empty name")
 	}
 	for _, k := range []AlgKind{AlgA, AlgATh} {
-		if err := Screenable(k); !errors.Is(err, fluid.ErrUnsupportedRouting) {
+		if err := Screenable(k); !errors.Is(err, ErrUnsupportedRouting) {
 			t.Errorf("Screenable(%s) = %v, want ErrUnsupportedRouting", k, err)
 		}
 	}

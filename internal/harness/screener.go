@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -54,7 +55,6 @@ type screenerTopo struct {
 type screenCombo struct {
 	once  sync.Once
 	loads fluid.LinkLoads
-	hops  float64
 	err   error
 }
 
@@ -125,18 +125,52 @@ func (st *screenerTopo) worstCase(patSeed int64) (*traffic.Permutation, error) {
 	return st.wc, st.wcErr
 }
 
+// ErrUnsupportedRouting: the requested routing has no fluid
+// counterpart (adaptive routing decides per packet on queue state the
+// fluid abstraction does not carry, so it is an error, not an
+// approximation).
+var ErrUnsupportedRouting = errors.New("fluid: unsupported routing (the fluid model covers MIN and INR only)")
+
+// fluidRoute returns the fluid builder of a routing kind. This switch
+// is where "the fluid tier answers MIN and INR only" is decided.
+func fluidRoute(alg AlgKind) (func(*fluid.Model, fluid.Demand) fluid.LinkLoads, error) {
+	switch alg {
+	case AlgMIN:
+		return (*fluid.Model).Minimal, nil
+	case AlgINR:
+		return (*fluid.Model).Valiant, nil
+	}
+	return nil, fmt.Errorf("%w: %s", ErrUnsupportedRouting, alg)
+}
+
+// Screenable returns nil for the routing kinds the fluid tier answers
+// and an error wrapping ErrUnsupportedRouting for the rest.
+func Screenable(alg AlgKind) error {
+	_, err := fluidRoute(alg)
+	return err
+}
+
+// demand returns the fluid demand of a pattern kind on the topology.
+func (s *Screener) demand(st *screenerTopo, pat PatternKind) (fluid.Demand, error) {
+	switch pat {
+	case PatUNI:
+		return st.model.Uniform()
+	case PatWC:
+		wc, err := st.worstCase(s.patSeed)
+		if err != nil {
+			return fluid.Demand{}, err
+		}
+		return st.model.Permutation(*wc)
+	}
+	return fluid.Demand{}, fmt.Errorf("harness: the fluid tier has no demand for pattern %s", pat)
+}
+
 // combo returns the shared link-load computation for one
 // (topology, routing, pattern), creating it on first use.
 func (s *Screener) combo(st *screenerTopo, alg AlgKind, pat PatternKind) (*screenCombo, error) {
-	rt, err := fluidRouting(alg)
+	route, err := fluidRoute(alg)
 	if err != nil {
 		return nil, err
-	}
-	var wc *traffic.Permutation
-	if pat == PatWC {
-		if wc, err = st.worstCase(s.patSeed); err != nil {
-			return nil, err
-		}
 	}
 	key := screenerComboKey{st.preset.Name, alg, pat}
 	s.mu.Lock()
@@ -147,7 +181,10 @@ func (s *Screener) combo(st *screenerTopo, alg AlgKind, pat PatternKind) (*scree
 	}
 	s.mu.Unlock()
 	c.once.Do(func() {
-		c.loads, c.hops, c.err = st.model.Loads(fluidPattern(pat), rt, wc)
+		var d fluid.Demand
+		if d, c.err = s.demand(st, pat); c.err == nil {
+			c.loads = route(st.model, d)
+		}
 	})
 	return c, c.err
 }
@@ -167,7 +204,7 @@ func (s *Screener) Point(topoName string, alg AlgKind, pat PatternKind, load flo
 		Family:   st.family,
 		Alg:      alg,
 		Pat:      pat,
-		Estimate: st.model.EstimateAt(c.loads, c.hops, load, s.cfg),
+		Estimate: fluid.EstimateAt(c.loads, load, s.cfg),
 	}, nil
 }
 

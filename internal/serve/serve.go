@@ -69,7 +69,7 @@ type Query struct {
 
 // Tolerance stamps an analytic answer with how far to trust it: the
 // measured calibration tolerance of its (family, pattern, routing)
-// scenario (see fluid.Scenarios). Recorded is false when no golden
+// scenario (see harness.Scenarios). Recorded is false when no golden
 // scenario covers the combination.
 type Tolerance struct {
 	RelErr   float64 `json:"rel_err"` // recorded |fluid-sim|/sim bound
