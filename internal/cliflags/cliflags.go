@@ -26,8 +26,13 @@ import (
 	"diam2/internal/telemetry"
 )
 
+// checks are the value checks of the registered groups, which Parse
+// runs; Register methods append to it before Parse.
+var checks []func() error
+
 // Parse declares -version and parses the command line; under -version
-// it prints the build banner and the schema versions, and exits.
+// it prints the build banner and the schema versions, and exits. A
+// value a registered group refuses exits 2 with one line on stderr.
 func Parse(prog string) {
 	version := flag.Bool("version", false, "print build/version info and exit")
 	flag.Parse()
@@ -35,6 +40,12 @@ func Parse(prog string) {
 		fmt.Println(buildinfo.Banner(prog))
 		fmt.Printf("engine schema %d, store schema %d\n", sim.EngineSchema, store.Schema)
 		os.Exit(0)
+	}
+	for _, check := range checks {
+		if err := check(); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
+			os.Exit(2)
+		}
 	}
 }
 
@@ -74,6 +85,19 @@ func (s *Sched) Register() {
 	flag.IntVar(&s.Jobs, "j", 0, "worker-pool size: independent sweep points in parallel (0: the CPUs divided by -cores, 1: serial); an explicit value is used as given, and results do not depend on it")
 	flag.IntVar(&s.Cores, "cores", 1, "threads *within* each simulation (sharded engine; 1: serial engine); orthogonal to -j, not bit-identical to serial")
 	flag.BoolVar(&s.Progress, "progress", false, "report each completed sweep point on stderr")
+	checks = append(checks, s.check)
+}
+
+// check refuses negative sizes, which harness.Sched would otherwise
+// replace by its default.
+func (s *Sched) check() error {
+	if s.Jobs < 0 {
+		return fmt.Errorf("-j %d: the worker-pool size cannot be negative (0: the CPUs divided by -cores)", s.Jobs)
+	}
+	if s.Cores < 0 {
+		return fmt.Errorf("-cores %d: the thread count cannot be negative (1: the serial engine)", s.Cores)
+	}
+	return nil
 }
 
 // Wire sets the pool size, the engine shard count and the cancellation

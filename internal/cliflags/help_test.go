@@ -104,6 +104,8 @@ func TestBadInvocationsExit2(t *testing.T) {
 		{"diam2serve", []string{"-http", "127.0.0.1:0", "-store", t.TempDir(), "-grid", "-1"}},
 		{"diam2sweep", []string{"-screen", "-screen-grid", "-3"}},
 		{"diam2sweep", []string{"-screen", "-fig", "14"}},
+		{"diam2sim", []string{"-j", "-1"}},
+		{"diam2sweep", []string{"-fig", "6", "-cores", "-2"}},
 	} {
 		var stdout, stderr bytes.Buffer
 		cmd := exec.Command(filepath.Join(bin, c.prog), c.args...)

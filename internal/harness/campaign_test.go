@@ -64,22 +64,22 @@ func TestCampaignRequiresStore(t *testing.T) {
 	}
 	defer w.Close()
 	sc := schedScale(1, Sched{Campaign: w})
-	err = RunPoints(sc, []Point[int]{{Key: "p", Run: func(context.Context, int64) (int, error) { return 0, nil }}}, nil)
+	_, err = Collect(sc, []Point[int]{{Key: "p", Run: func(context.Context, int64) (int, error) { return 0, nil }}})
 	if err == nil || !strings.Contains(err.Error(), "requires Sched.Store") {
-		t.Fatalf("RunPoints with Campaign but no Store = %v, want a refusal", err)
+		t.Fatalf("Collect with Campaign but no Store = %v, want a refusal", err)
 	}
 }
 
-// TestRunPointsErrorNamesPoint is the satellite fix: the first worker
-// error surfaced by RunPoints must carry the point key that produced
-// it, for every worker count.
+// TestRunPointsErrorNamesPoint: the first worker error surfaced by
+// Collect must carry the point key that produced it, for every worker
+// count.
 func TestRunPointsErrorNamesPoint(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		points := []Point[int]{
 			{Key: "fine|0", Run: func(context.Context, int64) (int, error) { return 1, nil }},
 			{Key: "broken|1", Run: func(context.Context, int64) (int, error) { return 0, errors.New("kaboom") }},
 		}
-		err := RunPoints(schedScale(1, Sched{Workers: workers}), points, nil)
+		_, err := Collect(schedScale(1, Sched{Workers: workers}), points)
 		if err == nil {
 			t.Fatalf("workers=%d: sweep with a failing point succeeded", workers)
 		}
@@ -90,8 +90,8 @@ func TestRunPointsErrorNamesPoint(t *testing.T) {
 }
 
 // TestCampaignFailsTwiceThenSucceeds: a transiently failing point is
-// retried with backoff and its result lands in the store and the emit
-// stream like any healthy point.
+// retried with backoff and its result lands in the store and the
+// returned results like any healthy point.
 func TestCampaignFailsTwiceThenSucceeds(t *testing.T) {
 	dir := t.TempDir()
 	pol := fastPolicy()
@@ -109,15 +109,17 @@ func TestCampaignFailsTwiceThenSucceeds(t *testing.T) {
 			return float64(seed&0xff) + 1.5, nil
 		}},
 	}
-	got := map[int]float64{}
-	if err := RunPoints(sc, points, func(i int, v float64) error { got[i] = v; return nil }); err != nil {
-		t.Fatalf("RunPoints: %v", err)
+	got, err := Collect(sc, points)
+	if err != nil {
+		t.Fatalf("Collect: %v", err)
 	}
 	if calls.Load() != 3 {
 		t.Errorf("flaky point ran %d times, want 3", calls.Load())
 	}
-	if len(got) != 2 {
-		t.Fatalf("emitted %d results, want 2: %v", len(got), got)
+	for i, off := range []float64{0.5, 1.5} {
+		if want := float64(DeriveSeed(1, points[i].Key)&0xff) + off; got[i] != want {
+			t.Errorf("point %s returned %v, want %v", points[i].Key, got[i], want)
+		}
 	}
 	recs := sc.Sched.Store.Records()
 	if len(recs) != 2 {
@@ -167,10 +169,9 @@ func TestCampaignWatchdogReclaim(t *testing.T) {
 
 	errc := make(chan error, 1)
 	go func() {
-		var v float64
-		err := RunPoints(sc1, mkPoints(true), func(_ int, res float64) error { v = res; return nil })
-		if err == nil && v != 42.5 {
-			err = fmt.Errorf("w1 emitted %v, want 42.5", v)
+		v, err := Collect(sc1, mkPoints(true))
+		if err == nil && v[0] != 42.5 {
+			err = fmt.Errorf("w1 returned %v, want 42.5", v[0])
 		}
 		errc <- err
 	}()
@@ -183,15 +184,15 @@ func TestCampaignWatchdogReclaim(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	var v2 float64
-	if err := RunPoints(sc2, mkPoints(false), func(_ int, res float64) error { v2 = res; return nil }); err != nil {
-		t.Fatalf("w2 RunPoints: %v", err)
+	v2, err := Collect(sc2, mkPoints(false))
+	if err != nil {
+		t.Fatalf("w2 Collect: %v", err)
 	}
-	if v2 != 42.5 {
-		t.Fatalf("w2 emitted %v, want 42.5", v2)
+	if v2[0] != 42.5 {
+		t.Fatalf("w2 returned %v, want 42.5", v2[0])
 	}
 	if err := <-errc; err != nil {
-		t.Fatalf("w1 RunPoints: %v", err)
+		t.Fatalf("w1 Collect: %v", err)
 	}
 	if hangs.Load() < 1 {
 		t.Error("the hanging attempt never ran")
@@ -220,7 +221,7 @@ func TestCampaignLeaseExpiryReclaim(t *testing.T) {
 	}
 
 	// The contended identity is the point's canonical store key — the
-	// same key RunPoints will lease below.
+	// same key Collect will lease below.
 	sc2, w2 := campaignScale(t, dir, "w2", 1, campaign.Policy{LeaseTTL: 300 * time.Millisecond})
 	key := sc2.pointConfig("expire|0").Key()
 
@@ -256,15 +257,14 @@ func TestCampaignLeaseExpiryReclaim(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var got float64
-	err = RunPoints(sc2, []Point[float64]{{Key: "expire|0", Run: func(context.Context, int64) (float64, error) {
+	got, err := Collect(sc2, []Point[float64]{{Key: "expire|0", Run: func(context.Context, int64) (float64, error) {
 		return 7.25, nil
-	}}}, func(_ int, v float64) error { got = v; return nil })
+	}}})
 	if err != nil {
-		t.Fatalf("w2 RunPoints: %v", err)
+		t.Fatalf("w2 Collect: %v", err)
 	}
-	if got != 7.25 {
-		t.Fatalf("w2 emitted %v, want 7.25", got)
+	if got[0] != 7.25 {
+		t.Fatalf("w2 returned %v, want 7.25", got[0])
 	}
 	recs := sc2.Sched.Store.Records()
 	if len(recs) != 1 || recs[0].Worker != w2.Owner() {
@@ -276,7 +276,7 @@ func TestCampaignLeaseExpiryReclaim(t *testing.T) {
 
 // TestCampaignQuarantineContinuesSweep: a poison point is quarantined
 // after MaxAttempts and the sweep carries on — every healthy point is
-// computed, stored and emitted — with the quarantine folded into the
+// computed, stored and returned — with the quarantine folded into the
 // final error.
 func TestCampaignQuarantineContinuesSweep(t *testing.T) {
 	for _, workers := range []int{1, 3} {
@@ -289,8 +289,7 @@ func TestCampaignQuarantineContinuesSweep(t *testing.T) {
 			{Key: "poison|1", Run: func(context.Context, int64) (float64, error) { return 0, errors.New("always broken") }},
 			{Key: "ok|2", Run: func(context.Context, int64) (float64, error) { return 3, nil }},
 		}
-		emitted := map[int]float64{}
-		err := RunPoints(sc, points, func(i int, v float64) error { emitted[i] = v; return nil })
+		got, err := Collect(sc, points)
 		if err == nil {
 			t.Fatalf("workers=%d: sweep with a poison point returned nil error", workers)
 		}
@@ -301,8 +300,8 @@ func TestCampaignQuarantineContinuesSweep(t *testing.T) {
 		if q.Point != "poison|1" || q.Attempts != 2 {
 			t.Errorf("workers=%d: quarantine verdict = %+v", workers, q)
 		}
-		if len(emitted) != 2 || emitted[0] != 1 || emitted[2] != 3 {
-			t.Errorf("workers=%d: healthy points not emitted: %v", workers, emitted)
+		if len(got) != 3 || got[0] != 1 || got[1] != 0 || got[2] != 3 {
+			t.Errorf("workers=%d: healthy points not returned: %v", workers, got)
 		}
 		if n := sc.Sched.Store.Len(); n != 2 {
 			t.Errorf("workers=%d: store has %d records, want the 2 healthy points", workers, n)
@@ -331,13 +330,12 @@ func TestCampaignDrainMidSweep(t *testing.T) {
 		{Key: "second|1", Run: func(context.Context, int64) (float64, error) { return 20, nil }},
 		{Key: "third|2", Run: func(context.Context, int64) (float64, error) { return 30, nil }},
 	}
-	emitted := map[int]float64{}
-	err := RunPoints(sc, points, func(i int, v float64) error { emitted[i] = v; return nil })
+	got, err := Collect(sc, points)
 	if !errors.Is(err, campaign.ErrDrained) {
 		t.Fatalf("drained sweep = %v, want ErrDrained in the chain", err)
 	}
-	if len(emitted) != 1 || emitted[0] != 10 {
-		t.Fatalf("emitted %v, want only the leased point (index 0)", emitted)
+	if len(got) != 3 || got[0] != 10 || got[1] != 0 || got[2] != 0 {
+		t.Fatalf("returned %v, want only the leased point (index 0)", got)
 	}
 	if n := sc.Sched.Store.Len(); n != 1 {
 		t.Fatalf("store has %d records, want 1 (the in-flight point finished and stored)", n)
@@ -355,7 +353,7 @@ func TestCampaignDrainMidSweep(t *testing.T) {
 
 // TestCampaignTwoWorkersSplitSweep: the bread-and-butter case — two
 // workers race through one sweep, every point is computed exactly once
-// in the rendered sense, and both emit identical in-order results.
+// in the rendered sense, and both return identical in-order results.
 func TestCampaignTwoWorkersSplitSweep(t *testing.T) {
 	dir := t.TempDir()
 	const n = 12
@@ -374,11 +372,7 @@ func TestCampaignTwoWorkersSplitSweep(t *testing.T) {
 	}
 	sc1, _ := campaignScale(t, dir, "w1", 2, fastPolicy())
 	sc2, _ := campaignScale(t, dir, "w2", 2, fastPolicy())
-	run := func(sc Scale) ([]float64, error) {
-		out := make([]float64, n)
-		err := RunPoints(sc, mkPoints(), func(i int, v float64) error { out[i] = v; return nil })
-		return out, err
-	}
+	run := func(sc Scale) ([]float64, error) { return Collect(sc, mkPoints()) }
 	type res struct {
 		out []float64
 		err error
@@ -390,7 +384,7 @@ func TestCampaignTwoWorkersSplitSweep(t *testing.T) {
 	if r1.err != nil || err2 != nil {
 		t.Fatalf("worker errors: w1=%v w2=%v", r1.err, err2)
 	}
-	// Both emit streams must match each other and the derived-seed
+	// Both result slices must match each other and the derived-seed
 	// ground truth exactly.
 	for i := 0; i < n; i++ {
 		want := float64(DeriveSeed(1, fmt.Sprintf("split|%02d", i))&0xffff) * 0.5

@@ -69,7 +69,7 @@ func TestChaosWorkerMain(t *testing.T) {
 		os.Exit(1)
 	}
 	sc := schedScale(1, Sched{Workers: 2, Store: st, Campaign: w})
-	runErr := RunPoints(sc, chaosPoints(), nil)
+	_, runErr := Collect(sc, chaosPoints())
 	w.Close()
 	if cerr := st.Close(); runErr == nil {
 		runErr = cerr
@@ -100,7 +100,7 @@ func TestChaosWorkersConverge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := RunPoints(schedScale(1, Sched{Workers: 2, Store: baseStore}), chaosPoints(), nil); err != nil {
+	if _, err := Collect(schedScale(1, Sched{Workers: 2, Store: baseStore}), chaosPoints()); err != nil {
 		t.Fatal(err)
 	}
 	baseline := map[string]store.Record{}

@@ -186,6 +186,12 @@ func FigExchange(presets []Preset, kind ExchangeKind, scale Scale) (*Table, erro
 		if err != nil {
 			return nil, err
 		}
+		// This instance only prices the preset's points by its packet
+		// count; every point builds its own to run.
+		ex, err := BuildExchange(tp, kind, scale)
+		if err != nil {
+			return nil, err
+		}
 		for _, alg := range algs {
 			var pin *UGALConfig
 			if alg.usesUGAL() {
@@ -194,6 +200,7 @@ func FigExchange(presets []Preset, kind ExchangeKind, scale Scale) (*Table, erro
 			points = append(points, Point[exResult]{
 				Key:  fmt.Sprintf("exchange|%s|%s|%s", label, p.Name, alg),
 				UGAL: pin,
+				Cost: pointCost(alg, float64(ex.TotalPackets())),
 				Run: func(ctx context.Context, seed int64) (exResult, error) {
 					sc := scale.forPoint(ctx, seed)
 					// Each point builds its own workload instance: the

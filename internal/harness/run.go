@@ -318,7 +318,8 @@ func RunExchange(t topo.Topology, kind AlgKind, ugal UGALConfig, ex *traffic.Exc
 // (the key string names the kind, not every knob: diam2sim -ni/-c
 // override them without renaming anything); the run takes the point's
 // derived seed and the scheduler's context; out shapes the payload the
-// store records.
+// store records. Its cost is proportional to the packets offered over
+// the run (the warm-up is inside Cycles).
 func syntheticPoint[T any](key string, t topo.Topology, kind AlgKind, ugal UGALConfig, pat PatternKind, load float64, scale Scale, out func(sim.Results) T) Point[T] {
 	p := Point[T]{Key: key, Run: func(ctx context.Context, seed int64) (T, error) {
 		res, err := RunSynthetic(t, kind, ugal, pat, load, scale.forPoint(ctx, seed))
@@ -327,11 +328,21 @@ func syntheticPoint[T any](key string, t topo.Topology, kind AlgKind, ugal UGALC
 			return zero, err
 		}
 		return out(res), nil
-	}}
+	}, Cost: pointCost(kind, load*float64(t.Nodes())*float64(scale.Cycles))}
 	if kind.usesUGAL() {
 		p.UGAL = &ugal
 	}
 	return p
+}
+
+// pointCost is a run's Point.Cost: the packets it moves, doubled for
+// the kinds that may send them over a Valiant detour (INR, A, ATh),
+// which takes twice the hops of a minimal path.
+func pointCost(kind AlgKind, packets float64) float64 {
+	if kind != AlgMIN {
+		return 2 * packets
+	}
+	return packets
 }
 
 // pointKey is the scheduler key of the per-load point families:

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -9,8 +10,10 @@ import (
 	"io"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"diam2/internal/campaign"
@@ -31,8 +34,8 @@ import (
 //     DeriveSeed(scale.Seed, key). A point therefore draws the same
 //     random stream whether it runs first on one worker or last on
 //     sixteen.
-//   - Results are emitted to the caller in submission order from the
-//     calling goroutine, whatever order the workers finish in.
+//   - Results are placed by submission index, whatever order the
+//     workers start and finish them in.
 //
 // Individual runs were audited to share no mutable state: each
 // sim.Engine owns its *rand.Rand (seeded from sim.Config.Seed), every
@@ -56,12 +59,19 @@ type Point[T any] struct {
 	// must pin the configuration here or risk reusing a stored result
 	// from a differently-configured run.
 	UGAL *UGALConfig
+	// Cost is the point's expected run time relative to the other
+	// points of its sweep, in any unit. The pool starts the costliest
+	// point first, so that a sweep's longest run does not start last
+	// and run alone; equal costs, such as those of points that set
+	// none, keep submission order. Cost decides only when a point
+	// starts, never its seed, key or result.
+	Cost float64
 }
 
 // Progress observes sweep progress: it is called once per completed
-// point, in completion order, from the collecting goroutine (never
-// concurrently). done counts completed points, total is the sweep
-// size, and elapsed is the point's own run time.
+// point, in completion order, never concurrently. done counts
+// completed points, total is the sweep size, and elapsed is the
+// point's own run time.
 type Progress func(done, total int, key string, elapsed time.Duration)
 
 // Sched carries the fan-out knobs of a sweep; it rides along a Scale
@@ -172,7 +182,20 @@ func runPoint[T any](ctx context.Context, p Point[T], seed int64) (res T, err er
 	return res, err
 }
 
-// outcome is one finished point traveling from a worker to the collector.
+// sweep is one Collect call's bookkeeping: results by submission
+// index, the completion count, the first fatal error and the campaign
+// verdicts, which are not fatal.
+type sweep[T any] struct {
+	sc      Scale
+	points  []Point[T]
+	out     []T
+	done    int
+	fatal   error
+	quars   []*campaign.Quarantined
+	drained int
+}
+
+// outcome is one finished point.
 type outcome[T any] struct {
 	i       int
 	res     T
@@ -180,140 +203,128 @@ type outcome[T any] struct {
 	elapsed time.Duration
 }
 
-// RunPoints executes the points of a sweep on sc.Sched's worker pool
-// and calls emit(i, result) for every point, in submission order, from
-// the calling goroutine. Each point runs with its derived seed (see
-// DeriveSeed), so the emitted results are identical for any worker
-// count. The first point error (or emit error, or cancellation of
-// sc.Sched.Ctx) stops the sweep: no new points start, in-flight points
-// finish and are discarded, and that first error is returned.
-func RunPoints[T any](sc Scale, points []Point[T], emit func(i int, res T) error) error {
-	ctx := sc.Sched.context()
-	n := len(points)
-	if n == 0 {
-		return ctx.Err()
-	}
-	if sc.Sched.Campaign != nil && sc.Sched.Store == nil {
-		return errors.New("harness: Sched.Campaign requires Sched.Store (leases are keyed by canonical store keys)")
-	}
-	if sc.Sched.Store != nil {
-		wrapped := make([]Point[T], n)
-		for i, p := range points {
-			wrapped[i] = stored(sc, p)
-		}
-		points = wrapped
-	}
-	w := min(sc.Sched.PoolSize(sc.Cores), n)
-	if w == 1 {
-		return runSerial(ctx, sc, points, emit)
-	}
+// exec runs point i with its derived seed.
+func (s *sweep[T]) exec(ctx context.Context, i int) outcome[T] {
+	start := time.Now()
+	res, err := runPoint(ctx, s.points[i], DeriveSeed(s.sc.Seed, s.points[i].Key))
+	return outcome[T]{i: i, res: res, err: err, elapsed: time.Since(start)}
+}
 
+// finish records a finished point and reports whether the sweep goes
+// on: false once a point has failed. Campaign verdicts — a quarantined
+// poison point, a graceful drain — are deliberately not fatal: the
+// sweep keeps going so every healthy point lands in the store, and the
+// verdicts are folded into the error Collect returns (the figure still
+// cannot render, but the campaign's work is preserved for the next
+// worker or rerun).
+func (s *sweep[T]) finish(o outcome[T]) bool {
+	s.done++
+	if s.sc.Sched.OnPoint != nil {
+		s.sc.Sched.OnPoint(s.done, len(s.points), s.points[o.i].Key, o.elapsed)
+	}
+	var q *campaign.Quarantined
+	switch {
+	case o.err == nil:
+		s.out[o.i] = o.res
+	case errors.As(o.err, &q):
+		s.quars = append(s.quars, q)
+	case errors.Is(o.err, campaign.ErrDrained):
+		s.drained++
+	case s.fatal == nil:
+		s.fatal = o.err
+	}
+	return s.fatal == nil
+}
+
+// runSerial is the one-worker path: submission order, no goroutines —
+// the reference the equivalence tests compare the pool against.
+func (s *sweep[T]) runSerial(ctx context.Context) {
+	for i := range s.points {
+		if ctx.Err() != nil || !s.finish(s.exec(ctx, i)) {
+			return
+		}
+	}
+}
+
+// runPool runs the points on w workers, costliest first. The workers
+// take positions from one cursor over the points sorted by descending
+// Cost (stable, so equal costs keep submission order) and hand each
+// outcome to the calling goroutine, which records it, so OnPoint calls
+// never overlap. The first fatal error cancels the pool's context: no
+// new point starts after it, and the points in flight finish.
+func (s *sweep[T]) runPool(ctx context.Context, w int) {
+	order := make([]int, len(s.points))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(s.points[b].Cost, s.points[a].Cost) })
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	// Results buffered ahead of the in-order emit frontier are bounded
-	// (the scheduler's only unbounded-memory risk when one early point
-	// is much slower than its successors).
-	window := 4 * w
-	sem := make(chan struct{}, window) // dispatched-but-not-emitted bound
-	indices := make(chan int)
-	results := make(chan outcome[T], w)
-
-	go func() { // dispatcher
-		defer close(indices)
-		for i := range points {
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				return
-			}
-			select {
-			case indices <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
+	var next atomic.Int64
+	outcomes := make(chan outcome[T])
 	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
+	for range w {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range indices {
-				start := time.Now()
-				res, err := runPoint(ctx, points[i], DeriveSeed(sc.Seed, points[i].Key))
-				select {
-				case results <- outcome[T]{i: i, res: res, err: err, elapsed: time.Since(start)}:
-				case <-ctx.Done():
+			for ctx.Err() == nil {
+				k := int(next.Add(1)) - 1
+				if k >= len(order) {
 					return
 				}
+				outcomes <- s.exec(ctx, order[k])
 			}
 		}()
 	}
 	go func() {
 		wg.Wait()
-		close(results)
+		close(outcomes)
 	}()
+	for o := range outcomes {
+		if !s.finish(o) {
+			cancel()
+		}
+	}
+}
 
-	// Collector: report completions as they land, emit in submission
-	// order, stop everything at the first fatal error. Campaign
-	// verdicts — a quarantined poison point, a graceful drain — are
-	// deliberately NOT fatal: the sweep keeps going so every healthy
-	// point lands in the store, and the verdicts are folded into the
-	// error returned at the end (the figure still cannot render, but
-	// the campaign's work is preserved for the next worker or rerun).
-	pending := make(map[int]outcome[T], window)
-	next, done := 0, 0
-	var firstErr error
-	var quars []*campaign.Quarantined
-	drainSkipped := 0
-	for out := range results {
-		done++
-		if sc.Sched.OnPoint != nil {
-			sc.Sched.OnPoint(done, n, points[out.i].Key, out.elapsed)
-		}
-		if out.err != nil && firstErr == nil {
-			var q *campaign.Quarantined
-			switch {
-			case errors.As(out.err, &q):
-				quars = append(quars, q)
-			case errors.Is(out.err, campaign.ErrDrained):
-				drainSkipped++
-			default:
-				firstErr = out.err
-				cancel()
-			}
-		}
-		pending[out.i] = out
-		for {
-			o, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			<-sem
-			if firstErr == nil && o.err == nil && emit != nil {
-				if err := emit(next, o.res); err != nil {
-					firstErr = fmt.Errorf("point %s: emit: %w", points[next].Key, err)
-					cancel()
-				}
-			}
-			next++
-		}
-		if next == n {
-			break
-		}
+// Collect runs the points of a sweep on sc.Sched's worker pool and
+// returns their results in submission order. Each point runs with its
+// derived seed (see DeriveSeed), so the results are identical for any
+// worker count and any start order. The pool starts the costliest
+// points first (see Point.Cost). The first point error (or
+// cancellation of sc.Sched.Ctx) stops the sweep: no new points start,
+// in-flight points finish and are discarded, and Collect returns that
+// first error and no results. When the only failures are campaign
+// verdicts, every other point runs and Collect returns their results
+// beside the verdict, with zero values in the verdicts' places.
+func Collect[T any](sc Scale, points []Point[T]) ([]T, error) {
+	ctx := sc.Sched.context()
+	if sc.Sched.Campaign != nil && sc.Sched.Store == nil {
+		return nil, errors.New("harness: Sched.Campaign requires Sched.Store (leases are keyed by canonical store keys)")
 	}
-	if firstErr != nil {
-		return firstErr
+	if sc.Sched.Store != nil {
+		wrapped := make([]Point[T], len(points))
+		for i, p := range points {
+			wrapped[i] = stored(sc, p)
+		}
+		points = wrapped
 	}
-	if err := campaignVerdict(quars, drainSkipped); err != nil {
-		return err
+	s := &sweep[T]{sc: sc, points: points, out: make([]T, len(points))}
+	if w := min(sc.Sched.PoolSize(sc.Cores), len(points)); w > 1 {
+		s.runPool(ctx, w)
+	} else {
+		s.runSerial(ctx)
 	}
-	if next < n { // results closed early: workers bailed on cancellation
-		return ctx.Err()
+	if s.fatal != nil {
+		return nil, s.fatal
 	}
-	return nil
+	if err := campaignVerdict(s.quars, s.drained); err != nil {
+		return s.out, err
+	}
+	if s.done < len(points) { // cancelled before every point started
+		return nil, ctx.Err()
+	}
+	return s.out, nil
 }
 
 // campaignVerdict folds a sweep's non-fatal campaign outcomes into its
@@ -338,57 +349,4 @@ func campaignVerdict(quars []*campaign.Quarantined, drainSkipped int) error {
 			store.FormatCount(drainSkipped, "unfinished point"), campaign.ErrDrained)
 	}
 	return nil
-}
-
-// runSerial is the one-worker path: same seeds, same emit order, no
-// goroutines — the baseline the equivalence tests compare the pool
-// against.
-func runSerial[T any](ctx context.Context, sc Scale, points []Point[T], emit func(i int, res T) error) error {
-	n := len(points)
-	var quars []*campaign.Quarantined
-	drainSkipped := 0
-	for i, p := range points {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		start := time.Now()
-		res, err := runPoint(ctx, p, DeriveSeed(sc.Seed, p.Key))
-		if sc.Sched.OnPoint != nil {
-			sc.Sched.OnPoint(i+1, n, p.Key, time.Since(start))
-		}
-		if err != nil {
-			var q *campaign.Quarantined
-			switch {
-			case errors.As(err, &q):
-				quars = append(quars, q)
-			case errors.Is(err, campaign.ErrDrained):
-				drainSkipped++
-			default:
-				return err
-			}
-			continue
-		}
-		if emit != nil {
-			if err := emit(i, res); err != nil {
-				return fmt.Errorf("point %s: emit: %w", p.Key, err)
-			}
-		}
-	}
-	return campaignVerdict(quars, drainSkipped)
-}
-
-// Collect runs the points and returns their results in submission
-// order — the convenience most figure generators use (their results
-// are small summary structs; sweeps with bulky per-point output should
-// stream through RunPoints directly to keep memory bounded).
-func Collect[T any](sc Scale, points []Point[T]) ([]T, error) {
-	out := make([]T, len(points))
-	err := RunPoints(sc, points, func(i int, res T) error {
-		out[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

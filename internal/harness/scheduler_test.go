@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -56,7 +57,7 @@ func TestDeriveSeed(t *testing.T) {
 	}
 }
 
-// TestRunPointsInOrderEmit checks that results are emitted in
+// TestRunPointsInOrderEmit checks that Collect returns the results in
 // submission order with the right values regardless of completion
 // order, for several worker counts.
 func TestRunPointsInOrderEmit(t *testing.T) {
@@ -73,23 +74,16 @@ func TestRunPointsInOrderEmit(t *testing.T) {
 				},
 			}
 		}
-		var got []int
-		err := RunPoints(schedScale(1, Sched{Workers: workers}), points, func(i int, res int) error {
-			got = append(got, res)
-			if res != i*10 {
-				t.Errorf("workers=%d: emit(%d) got result %d", workers, i, res)
-			}
-			return nil
-		})
+		got, err := Collect(schedScale(1, Sched{Workers: workers}), points)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if len(got) != n {
-			t.Fatalf("workers=%d: emitted %d of %d results", workers, len(got), n)
+			t.Fatalf("workers=%d: returned %d of %d results", workers, len(got), n)
 		}
 		for i, v := range got {
 			if v != i*10 {
-				t.Fatalf("workers=%d: out-of-order emit at %d: %v", workers, i, got)
+				t.Fatalf("workers=%d: out-of-order result at %d: %v", workers, i, got)
 			}
 		}
 	}
@@ -101,7 +95,6 @@ func TestRunPointsInOrderEmit(t *testing.T) {
 func TestRunPointsSeedsIndependentOfWorkers(t *testing.T) {
 	const n = 20
 	collect := func(workers int) []int64 {
-		seeds := make([]int64, n)
 		points := make([]Point[int64], n)
 		for i := range points {
 			points[i] = Point[int64]{
@@ -109,10 +102,8 @@ func TestRunPointsSeedsIndependentOfWorkers(t *testing.T) {
 				Run: func(_ context.Context, seed int64) (int64, error) { return seed, nil },
 			}
 		}
-		if err := RunPoints(schedScale(42, Sched{Workers: workers}), points, func(i int, s int64) error {
-			seeds[i] = s
-			return nil
-		}); err != nil {
+		seeds, err := Collect(schedScale(42, Sched{Workers: workers}), points)
+		if err != nil {
 			t.Fatal(err)
 		}
 		return seeds
@@ -140,7 +131,7 @@ func TestRunPointsPanicCapture(t *testing.T) {
 			{Key: "boom", Run: func(context.Context, int64) (int, error) { panic("bad parameter combination") }},
 			{Key: "ok-2", Run: func(context.Context, int64) (int, error) { return 2, nil }},
 		}
-		err := RunPoints(schedScale(1, Sched{Workers: workers}), points, nil)
+		_, err := Collect(schedScale(1, Sched{Workers: workers}), points)
 		if err == nil {
 			t.Fatalf("workers=%d: panic not surfaced", workers)
 		}
@@ -158,7 +149,7 @@ func TestRunPointsPanicCapture(t *testing.T) {
 }
 
 // TestRunPointsErrorStopsSweep checks that the first point error is
-// returned and emission stops at the failure frontier.
+// returned and no results come back with it.
 func TestRunPointsErrorStopsSweep(t *testing.T) {
 	boom := errors.New("engine exploded")
 	const n = 24
@@ -177,18 +168,12 @@ func TestRunPointsErrorStopsSweep(t *testing.T) {
 				},
 			}
 		}
-		var emitted []int
-		err := RunPoints(schedScale(1, Sched{Workers: workers}), points, func(i int, _ int) error {
-			emitted = append(emitted, i)
-			return nil
-		})
+		got, err := Collect(schedScale(1, Sched{Workers: workers}), points)
 		if !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v, want wrapped %v", workers, err, boom)
 		}
-		for _, i := range emitted {
-			if i >= 5 {
-				t.Errorf("workers=%d: emitted point %d past the failed point", workers, i)
-			}
+		if got != nil {
+			t.Errorf("workers=%d: results %v returned beside the error", workers, got)
 		}
 		if workers == 1 && started.Load() != 6 {
 			t.Errorf("serial: started %d points, want 6 (stop at failure)", started.Load())
@@ -221,7 +206,8 @@ func TestRunPointsCancelPrompt(t *testing.T) {
 		done := make(chan error, 1)
 		start := time.Now()
 		go func() {
-			done <- RunPoints(schedScale(1, Sched{Workers: workers, Ctx: ctx}), points, nil)
+			_, err := Collect(schedScale(1, Sched{Workers: workers, Ctx: ctx}), points)
+			done <- err
 		}()
 		<-release
 		cancel()
@@ -245,44 +231,86 @@ func TestRunPointsCancelPrompt(t *testing.T) {
 	}
 }
 
-// TestRunPointsWindowBound checks the bounded-memory contract: the
-// number of points dispatched beyond the in-order emit frontier never
-// exceeds the window (4x the worker count).
-func TestRunPointsWindowBound(t *testing.T) {
-	const n, workers, window = 64, 2, 8
-	var emitted atomic.Int64
-	var maxAhead atomic.Int64
-	points := make([]Point[int], n)
-	for i := range points {
+// TestCollectCostliestFirst checks the pool's start order: the two
+// workers start the two costliest points first, then take the rest by
+// descending cost with ties in submission order; the results still come
+// back in submission order. Every point parks until the test releases
+// one, so each release starts exactly one more point.
+func TestCollectCostliestFirst(t *testing.T) {
+	costs := []float64{1, 3, 1, 7, 2, 7, 1, 3}
+	starts := make(chan int)
+	release := make(chan struct{})
+	points := make([]Point[int], len(costs))
+	for i, c := range costs {
 		points[i] = Point[int]{
-			Key: fmt.Sprintf("w%d", i),
-			Run: func(_ context.Context, _ int64) (int, error) {
-				// Points ahead of the frontier = dispatched - emitted;
-				// sampling a stale (lower) emitted count only
-				// overestimates, so the assertion is safe.
-				ahead := int64(i) + 1 - emitted.Load()
-				for {
-					cur := maxAhead.Load()
-					if ahead <= cur || maxAhead.CompareAndSwap(cur, ahead) {
-						break
-					}
-				}
-				if i == 0 {
-					time.Sleep(30 * time.Millisecond) // hold the frontier at 0
-				}
-				return i, nil
+			Key:  fmt.Sprintf("c%d", i),
+			Cost: c,
+			Run: func(context.Context, int64) (int, error) {
+				starts <- i
+				<-release
+				return i * 10, nil
 			},
 		}
 	}
-	err := RunPoints(schedScale(1, Sched{Workers: workers}), points, func(int, int) error {
-		emitted.Add(1)
-		return nil
-	})
+	type result struct {
+		got []int
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		got, err := Collect(schedScale(1, Sched{Workers: 2}), points)
+		done <- result{got, err}
+	}()
+	next := func() int {
+		select {
+		case i := <-starts:
+			return i
+		case <-time.After(10 * time.Second):
+			t.Fatal("no point started")
+			return -1
+		}
+	}
+	if a, b := next(), next(); min(a, b) != 3 || max(a, b) != 5 {
+		t.Fatalf("first two points started: %d and %d, want the two costliest, 3 and 5", a, b)
+	}
+	for _, want := range []int{1, 7, 4, 0, 2, 6} {
+		release <- struct{}{}
+		if got := next(); got != want {
+			t.Fatalf("started point %d, want %d", got, want)
+		}
+	}
+	release <- struct{}{}
+	release <- struct{}{}
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	for i, v := range r.got {
+		if v != i*10 {
+			t.Fatalf("results %v are not in submission order", r.got)
+		}
+	}
+}
+
+// TestSyntheticPointCost checks the cost the figure sweeps' points
+// carry: more load costs more, and a kind that takes Valiant legs costs
+// more than MIN at the same load.
+func TestSyntheticPointCost(t *testing.T) {
+	tp, err := SmallPresets()[0].Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := maxAhead.Load(); m > window {
-		t.Errorf("dispatch ran %d points ahead of the emit frontier, window is %d", m, window)
+	ranked := []struct {
+		kind AlgKind
+		load float64
+	}{{AlgINR, 0.8}, {AlgMIN, 0.8}, {AlgMIN, 0.2}}
+	prev := math.Inf(1)
+	for _, r := range ranked {
+		c := syntheticPoint("k", tp, r.kind, UGALConfig{}, PatUNI, r.load, QuickScale(), whole).Cost
+		if c <= 0 || c >= prev {
+			t.Errorf("%s at load %.1f costs %g, want in (0, %g)", r.kind, r.load, c, prev)
+		}
+		prev = c
 	}
 }
 
@@ -309,7 +337,7 @@ func TestRunPointsProgress(t *testing.T) {
 		calls = append(calls, done) // data race here would trip -race
 		keys = append(keys, key)
 	}}
-	if err := RunPoints(schedScale(1, sched), points, nil); err != nil {
+	if _, err := Collect(schedScale(1, sched), points); err != nil {
 		t.Fatal(err)
 	}
 	if len(calls) != n {

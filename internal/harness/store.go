@@ -20,8 +20,8 @@ import (
 // the store under its canonical key — a digest of the fully-resolved
 // point configuration plus sim.EngineSchema — and only recomputes on a
 // miss; every computed result is appended with its provenance. Cache
-// hits are ordinary (fast) points to the scheduler: they flow through
-// the same in-order emit machinery, so a warm resume produces
+// hits are ordinary (fast) points to the scheduler: their results land
+// by submission index like any other, so a warm resume produces
 // byte-identical figure output to a cold serial run. The payloads are
 // JSON; Go's encoding round-trips float64 exactly, so rendered tables
 // cannot drift between a computed and a replayed result.

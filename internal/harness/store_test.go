@@ -15,8 +15,8 @@ import (
 )
 
 // This file tests the scheduler/store integration: resumed sweeps must
-// be byte-identical to cold serial runs, cache hits must flow through
-// the in-order emit machinery like any other point, and the telemetry
+// be byte-identical to cold serial runs, cache hits must land in the
+// results by submission index like any other point, and the telemetry
 // and -force escape hatches must bypass lookups without losing
 // recording.
 
@@ -146,10 +146,9 @@ func TestStoreSatUGALKeying(t *testing.T) {
 	}
 }
 
-// TestStoreMixedHitMissOrdering drives RunPoints with half the points
+// TestStoreMixedHitMissOrdering drives Collect with half the points
 // cached and the other half deliberately slow and racing, and checks
-// the emit order is still strictly submission order (satellite: Collect
-// ordering under mixed cache-hit/miss completion).
+// the results are still strictly in submission order.
 func TestStoreMixedHitMissOrdering(t *testing.T) {
 	st := openTestStore(t, t.TempDir())
 	defer st.Close()
@@ -180,34 +179,23 @@ func TestStoreMixedHitMissOrdering(t *testing.T) {
 	for i := 0; i < n; i += 2 {
 		even = append(even, all[i])
 	}
-	if err := RunPoints(storeScale(2, st), even, nil); err != nil {
+	if _, err := Collect(storeScale(2, st), even); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.Stats().Puts; got != int64(len(even)) {
 		t.Fatalf("prepopulation recorded %d points, want %d", got, len(even))
 	}
 
-	var order []int
-	got := make([]int, 0, n)
-	err := RunPoints(storeScale(4, st), mkPoints(true), func(i int, v int) error {
-		order = append(order, i)
-		got = append(got, v)
-		return nil
-	})
+	got, err := Collect(storeScale(4, st), mkPoints(true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != n {
-		t.Fatalf("emitted %d points, want %d", len(got), n)
+		t.Fatalf("returned %d points, want %d", len(got), n)
 	}
 	for i, v := range got {
 		if v != i*10 {
-			t.Errorf("point %d emitted %d, want %d", i, v, i*10)
-		}
-	}
-	for i, idx := range order {
-		if idx != i {
-			t.Fatalf("emit order %v is not submission order", order)
+			t.Errorf("point %d returned %d, want %d", i, v, i*10)
 		}
 	}
 	s := st.Stats()
@@ -216,9 +204,9 @@ func TestStoreMixedHitMissOrdering(t *testing.T) {
 	}
 }
 
-// TestStoreCancelMidSweep cancels from the emit callback while later
-// points (a mix of hits and slow misses) are still in flight: the
-// sweep must return the cancellation error, not hang or emit stale
+// TestStoreCancelMidSweep cancels from the progress callback while
+// later points (a mix of hits and slow misses) are still in flight: the
+// sweep must return the cancellation error, not hang or return stale
 // results.
 func TestStoreCancelMidSweep(t *testing.T) {
 	st := openTestStore(t, t.TempDir())
@@ -244,7 +232,7 @@ func TestStoreCancelMidSweep(t *testing.T) {
 		return pts
 	}
 	// Cache the first half so the cancelled resume sees mixed hits.
-	if err := RunPoints(storeScale(2, st), mk()[:n/2], nil); err != nil {
+	if _, err := Collect(storeScale(2, st), mk()[:n/2]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -252,15 +240,18 @@ func TestStoreCancelMidSweep(t *testing.T) {
 	defer cancel()
 	sc := storeScale(3, st)
 	sc.Sched.Ctx = ctx
-	var emitted atomic.Int32
-	err := RunPoints(sc, mk(), func(i int, v int) error {
-		if emitted.Add(1) == 2 {
+	var finished atomic.Int32
+	sc.Sched.OnPoint = func(int, int, string, time.Duration) {
+		if finished.Add(1) == 2 {
 			cancel()
 		}
-		return nil
-	})
+	}
+	got, err := Collect(sc, mk())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled sweep returned %v, want context.Canceled", err)
+	}
+	if got != nil {
+		t.Fatalf("cancelled sweep returned results %v", got)
 	}
 }
 
