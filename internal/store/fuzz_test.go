@@ -1,6 +1,14 @@
 package store
 
-import "testing"
+import (
+	"encoding/json"
+	"fmt"
+	"hash/crc32"
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+)
 
 // FuzzCanonicalKey checks the two properties resumability rests on:
 // the key is a pure function of the config (stable), and distinct
@@ -63,4 +71,78 @@ func FuzzCanonicalKey(f *testing.F) {
 			t.Fatal("tier content smuggled via the point string collides with the fluid tier")
 		}
 	})
+}
+
+// Real record bodies, as the reflection encoder wrote them: a fluid-tier
+// ScreenPoint and an escalated, simulated LoadPoint.
+const (
+	screenBody = `{"key":"ba5f291582e4bd8856e01fbc9c26ef804bc09eb4414add3e7d85b69a16f064c5","point":"screen|SF(q=5,p=3)|MIN|UNI|load=0.2000","seed":-4132774891191034522,"base_seed":1,"engine_schema":1,"store_schema":1,"engine":"v0.0.0-20261017124640-e33c9e38faa0+dirty","tier":"fluid","wall_ms":1.678456,"created":"2026-10-17T14:06:58Z","payload":{"Topo":"SF(q=5,p=3)","Family":"SF","Alg":"MIN","Pat":"UNI","Load":0.2,"Saturation":1,"MaxLinkLoad":0.7852348993288593,"AvgHops":1.857142857142855,"Throughput":0.2,"AvgLatency":13.691992720655138}}`
+	loadBody   = `{"key":"c138074b24296c271ed6525603e8ca22b6177ff4456b12566b431fb3a1f4f914","point":"escalate|MLFM(h=6)|MIN|UNI|load=1.0000","seed":-4631491008721210580,"base_seed":1,"engine_schema":1,"store_schema":1,"engine":"v0.0.0-20261017124640-e33c9e38faa0+dirty","wall_ms":1300.004417,"created":"2026-10-17T14:08:49Z","payload":{"Load":1,"Throughput":0.8937680097680097,"AvgLatency":234.90483825135394}}`
+)
+
+// FuzzRecordCodec holds the codec to encoding/json and fmt, which
+// framed every existing store. appendLine must produce byte for byte
+// the line json.Marshal framed by Sprintf does (or fail where it
+// fails); the real record bodies must decode without falling back; and
+// whenever parseRecord accepts a body — the encoder's or an arbitrary
+// one — its record must equal json.Unmarshal's.
+func FuzzRecordCodec(f *testing.F) {
+	for _, body := range []string{screenBody, loadBody} {
+		var rec Record
+		if err := json.Unmarshal([]byte(body), &rec); err != nil {
+			f.Fatal(err)
+		}
+		if _, ok := parseRecord([]byte(body)); !ok {
+			f.Fatalf("parseRecord fell back on a body json.Marshal wrote: %s", body)
+		}
+		f.Add(rec.Key, rec.Point, rec.Seed, rec.BaseSeed, rec.EngineSchema, rec.Engine, rec.Tier, rec.Worker,
+			rec.WallMS, rec.Created, []byte(rec.Payload), []byte(body))
+	}
+	f.Add("k", "p<&> \x01é\xff", int64(-1), int64(0), 7, "e\"\\", "fluid", "w1", 1e-7, "c", []byte(`{"a": "<b> "}`), []byte(`{"key":"k" }`))
+	f.Add("", "", int64(0), int64(0), 0, "", "", "", 1e21, "", []byte(nil), []byte(`{"key":"k","point":"p","seed":01}`))
+	f.Add("k", "p", int64(1), int64(2), 3, "e", "", "", math.Copysign(0, -1), "c", []byte(` 1 `), []byte(strings.Replace(loadBody, `"wall_ms":1300.004417`, `"wall_ms":1.3e3`, 1)))
+	// Near misses of the fast decoder's shape, and a payload whose only
+	// escape is U+2028.
+	for _, edit := range [][2]string{{`"payload":{`, `"payload": {`}, {`}}`, `} }`}, {`"base_seed":1`, `"base_seed":01`},
+		{`"seed":-4132774891191034522`, `"seed":-4132774891191034522.0`}, {`"engine_schema":1`, `"engine_schema":1e0`}, {`"tier":"fluid"`, `"tier":"fl\u0075id"`}} {
+		f.Add("k", "p", int64(1), int64(2), 3, "e", "", "", 1.5, "c", []byte("[\"\u2028\"]"), []byte(strings.Replace(screenBody, edit[0], edit[1], 1)))
+	}
+	f.Fuzz(func(t *testing.T, key, point string, seed, baseSeed int64, engineSchema int, engine, tier, worker string,
+		wall float64, created string, payload, body []byte) {
+		rec := Record{Key: key, Point: point, Seed: seed, BaseSeed: baseSeed, EngineSchema: engineSchema,
+			StoreSchema: Schema, Engine: engine, Tier: tier, Worker: worker, WallMS: wall, Created: created}
+		if len(payload) > 0 {
+			rec.Payload = payload
+		}
+		line, err := appendLine(nil, &rec)
+		want, werr := json.Marshal(rec)
+		if werr != nil {
+			if err == nil {
+				t.Fatalf("appendLine accepted a record json.Marshal refuses (%v): %q", werr, line)
+			}
+		} else if err != nil {
+			t.Fatalf("appendLine: %v, but json.Marshal encodes %s", err, want)
+		} else if wantLine := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(want), want); string(line) != wantLine {
+			t.Fatalf("appendLine wrote\n%q\nwant\n%q", line, wantLine)
+		} else {
+			checkDecode(t, line[9:len(line)-1])
+		}
+		checkDecode(t, body)
+	})
+}
+
+// checkDecode fails when parseRecord accepts body but disagrees with
+// json.Unmarshal.
+func checkDecode(t *testing.T, body []byte) {
+	got, ok := parseRecord(body)
+	if !ok {
+		return
+	}
+	var want Record
+	if err := json.Unmarshal(body, &want); err != nil {
+		t.Fatalf("parseRecord accepted %q, which json.Unmarshal rejects: %v", body, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("parseRecord(%q) =\n%+v\njson.Unmarshal gives\n%+v", body, got, want)
+	}
 }

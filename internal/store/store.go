@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -28,12 +27,11 @@ const (
 	segGlob      = "seg-*.jsonl"
 
 	// maxSegmentBytes rotates the active segment; small enough that a
-	// GC rewrite or a verify scan never holds one huge file.
-	maxSegmentBytes = 8 << 20
-	// indexEvery bounds how many appended records the index may trail
-	// the segments by. The index is an accelerator and an integrity
+	// GC rewrite or a verify scan never holds one huge file. The index
+	// is rewritten at each rotation and at Close, so after a kill it
+	// trails the segments by at most one; it is an integrity
 	// cross-check, never the source of truth — Open always rescans.
-	indexEvery = 128
+	maxSegmentBytes = 8 << 20
 )
 
 // Record is one stored sweep-point result with its provenance.
@@ -148,7 +146,6 @@ type Store struct {
 	active      *os.File
 	activeBytes int64
 	activeName  string
-	sinceIndex  int
 
 	hits, misses, puts int64
 }
@@ -396,31 +393,6 @@ func (s *Store) segIndexOf(name string) int {
 	return -1
 }
 
-// parseLine validates one complete (newline-terminated) framed record
-// line.
-func parseLine(raw []byte) (Record, string) {
-	line := bytes.TrimSuffix(raw, []byte("\n"))
-	if len(line) < 10 || line[8] != ' ' {
-		return Record{}, "malformed framing (want \"CRC32HEX <json>\")"
-	}
-	var want uint32
-	if _, err := fmt.Sscanf(string(line[:8]), "%08x", &want); err != nil {
-		return Record{}, "malformed checksum field"
-	}
-	body := line[9:]
-	if got := crc32.ChecksumIEEE(body); got != want {
-		return Record{}, fmt.Sprintf("checksum mismatch (stored %08x, computed %08x)", want, got)
-	}
-	var rec Record
-	if err := json.Unmarshal(body, &rec); err != nil {
-		return Record{}, "checksum ok but JSON undecodable: " + err.Error()
-	}
-	if rec.Key == "" {
-		return Record{}, "record has no key"
-	}
-	return rec, ""
-}
-
 // crossCheckIndex compares the scan against the index; drift is normal
 // after a kill (the index trails the segments) and only logged.
 func (s *Store) crossCheckIndex(idx *indexFile) {
@@ -474,11 +446,10 @@ func (s *Store) Put(rec Record) error {
 		return errors.New("store: record has no key")
 	}
 	rec.StoreSchema = Schema
-	body, err := json.Marshal(rec)
+	line, err := appendLine(nil, &rec)
 	if err != nil {
 		return fmt.Errorf("store: unencodable record %s: %w", ShortKey(rec.Key), err)
 	}
-	line := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(body), body)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.ro {
@@ -489,7 +460,18 @@ func (s *Store) Put(rec Record) error {
 			return err
 		}
 	}
-	if _, err := s.active.WriteString(line); err != nil {
+	if n, err := s.active.Write(line); err != nil {
+		// A failed write that left a torn line behind abandons the
+		// segment, so the next Put starts a fresh one instead of gluing
+		// its record onto the torn bytes; a reopen reports them as the
+		// old segment's truncated tail. A write that wrote nothing (a
+		// full disk) keeps the segment. The write error is the one to
+		// report, so a Close error is dropped.
+		if n > 0 {
+			_ = s.active.Close()
+			s.active = nil
+			s.activeName = ""
+		}
 		return err
 	}
 	s.activeBytes += int64(len(line))
@@ -499,27 +481,26 @@ func (s *Store) Put(rec Record) error {
 	s.recs[rec.Key] = rec
 	s.total++
 	s.puts++
-	// A shared (campaign) writer skips index maintenance entirely: its
-	// view of other workers' segments is partial, so its index would
-	// only record drift for the next open to warn about. The scan is
-	// the source of truth either way.
-	if s.sinceIndex++; s.sinceIndex >= indexEvery && !s.shared {
-		if err := s.writeIndexLocked(); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
 // rotateLocked closes the active segment and opens a fresh one. A new
 // writer session always starts its own segment, so it never appends
-// after a possibly-torn tail of an older file.
+// after a possibly-torn tail of an older file. Closing a full segment
+// rewrites the index, except for a shared (campaign) writer: its view
+// of other workers' segments is partial, so its index would only
+// record drift for the next open to warn about.
 func (s *Store) rotateLocked() error {
 	if s.active != nil {
 		if err := s.active.Close(); err != nil {
 			return err
 		}
 		s.active = nil
+		if !s.shared {
+			if err := s.writeIndexLocked(); err != nil {
+				return err
+			}
+		}
 	}
 	for {
 		name := fmt.Sprintf(segFormat, s.nextSeg)
@@ -545,11 +526,7 @@ func (s *Store) writeIndexLocked() error {
 	segs := make([]segmentInfo, len(s.segs))
 	copy(segs, s.segs)
 	idx := indexFile{StoreSchema: Schema, Segments: segs, Records: len(s.recs)}
-	if err := replaceFile(filepath.Join(s.dir, indexName), mustJSON(idx)); err != nil {
-		return err
-	}
-	s.sinceIndex = 0
-	return nil
+	return replaceFile(filepath.Join(s.dir, indexName), mustJSON(idx))
 }
 
 // Close flushes the index and releases the active segment. The store
@@ -685,17 +662,16 @@ func (s *Store) GC(engineSchema int) (GCReport, error) {
 	for i, seg := range s.segs {
 		old[i] = seg.Name
 	}
-	var buf bytes.Buffer
-	for _, rec := range keep {
-		body, err := json.Marshal(rec)
-		if err != nil {
+	var buf []byte
+	for i := range keep {
+		var err error
+		if buf, err = appendLine(buf, &keep[i]); err != nil {
 			return rep, err
 		}
-		fmt.Fprintf(&buf, "%08x %s\n", crc32.ChecksumIEEE(body), body)
 	}
 	name := fmt.Sprintf(segFormat, s.nextSeg)
 	s.nextSeg++
-	if err := replaceFile(filepath.Join(s.dir, name), buf.Bytes()); err != nil {
+	if err := replaceFile(filepath.Join(s.dir, name), buf); err != nil {
 		return rep, err
 	}
 	for _, seg := range old {
@@ -712,7 +688,7 @@ func (s *Store) GC(engineSchema int) (GCReport, error) {
 	s.total = len(keep)
 	s.activeBytes = 0
 	s.activeName = ""
-	s.offsets = map[string]int64{name: int64(buf.Len())}
+	s.offsets = map[string]int64{name: int64(len(buf))}
 	s.lines = map[string]int{name: len(keep)}
 	return rep, s.writeIndexLocked()
 }

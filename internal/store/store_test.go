@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -200,6 +201,33 @@ func TestCorruptMiddleRecordSkipped(t *testing.T) {
 	}
 	if _, ok := st2.Get(testRecord(2).Key); !ok {
 		t.Error("record after the corrupt line lost")
+	}
+}
+
+// TestChecksumField: the CRC field is exactly eight hex digits. A
+// damaged one is malformed, even where a lenient reading of it ("
+// 1234567" as 0x01234567) would match the body.
+func TestChecksumField(t *testing.T) {
+	var line []byte
+	for i := 0; len(line) == 0 || line[0] != '0'; i++ {
+		rec := testRecord(i)
+		var err error
+		if line, err = appendLine(nil, &rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crc, body := string(line[:8]), string(line[8:])
+	for field, want := range map[string]string{
+		crc:                  "",
+		strings.ToUpper(crc): "",
+		" " + crc[1:]:        "malformed checksum field",
+		crc[:7] + " ":        "malformed checksum field",
+		"0x" + crc[2:]:       "malformed checksum field",
+		"+" + crc[1:]:        "malformed checksum field",
+	} {
+		if _, reason := parseLine([]byte(field + body)); reason != want {
+			t.Errorf("CRC field %q: reason %q, want %q", field, reason, want)
+		}
 	}
 }
 
@@ -478,13 +506,67 @@ func TestSegmentRotation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Each rotation rewrites the index, so before Close it already
+	// lists every segment but the active one.
+	b, err := os.ReadFile(filepath.Join(dir, indexName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var idx indexFile
+	if err := json.Unmarshal(b, &idx); err != nil {
+		t.Fatal(err)
+	}
 	st.Close()
-	if segs := segFiles(t, dir); len(segs) < 3 {
+	segs := segFiles(t, dir)
+	if len(segs) < 3 {
 		t.Fatalf("expected rotation, got %v", segs)
+	}
+	if len(idx.Segments) != len(segs)-1 {
+		t.Errorf("index before Close lists %d segments, want the %d closed ones", len(idx.Segments), len(segs)-1)
 	}
 	st2 := mustOpen(t, dir)
 	defer st2.Close()
 	if st2.Len() != n {
 		t.Fatalf("have %d records across rotated segments, want %d", st2.Len(), n)
+	}
+}
+
+// TestCompatStore opens testdata/compat, a store whose first
+// segment was written by Put under the reflection encoder (records with
+// and without tier and worker, escaped strings, an exponent wall time)
+// and whose second was framed by hand with valid checksums (a
+// non-compact payload, reordered fields, broken JSON, a torn tail).
+// The records and corruptions are the ones that encoder's build read.
+func TestCompatStore(t *testing.T) {
+	st, err := Open(filepath.Join("testdata", "compat"), Options{ReadOnly: true, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	wantRecords := []string{
+		`2f20aac0b2e9b26d32d5540b8d7c6188f8142b80fe84afba110b8ad0ac0b88ac "fig6a|SF(q=5,p=3)|MIN|UNI|load=0.5000" 101 1 1 1 "test" "" "" 1300.004417 "2026-08-05T00:00:00Z" {"Load":0.5,"Throughput":0.4987,"AvgLatency":31.25}`,
+		`cf58a33961747fa3971e4d23065a3c02c3054a51a7d7eaefd28734a42be55ce8 "hand|noncompact" 5 1 1 1 "test" "" "" 1.5 "2026-08-05T00:00:00Z" { "a" : [1, 2],  "b":"x y" }`,
+		`2856355a6c86a3bd06fd584a9c48eb2535a67eb67d4e7e225cf3a9ede871207d "hand|reordered" 6 1 1 1 "test" "fluid" "" 15 "2026-08-05T00:00:00Z" {"v":6}`,
+		`d7ee96daa99a656ffe85b3fad1ad1b32598879962314c8cb85717e6e9e5a136c "screen|SF(q=5,p=3)|MIN|UNI|load=0.2000" 102 1 1 1 "test" "fluid" "w1" 4.2e-07 "2026-08-05T00:00:00Z" {"Topo":"SF(q=5,p=3)","Load":0.2,"Saturation":1,"AvgHops":1.857142857142855}`,
+		`e4ce47ba89d52c4e29a02a0933543c595f0b3053e35ec77be8eb5df52e452032 "test|p004" -9223372036854775808 1 1 1 "test" "" "w2" 1.5 "2026-08-05T00:00:00Z" {"value":4}`,
+		`1cdbb7fcd6b404c1a9f19c0819a52bc2b0d42ae7e1d6354a304568d3e1b7ddb5 "x|<a&b>|café\u2028|\t" 103 1 1 1 "v\"1\"\\dev" "" "" 2e+21 "2026-08-05T00:00:00Z" {"note":"\u003ctag\u003e \u0026 \u2028","v":[1,2,3]}`,
+	}
+	wantCorruptions := []string{
+		`seg-000002.jsonl:3: checksum ok but JSON undecodable: unexpected end of JSON input`,
+		`seg-000002.jsonl:4: truncated tail record (no trailing newline)`,
+	}
+	var records, corruptions []string
+	for _, r := range st.Records() {
+		records = append(records, fmt.Sprintf("%s %q %d %d %d %d %q %q %q %v %q %s", r.Key, r.Point, r.Seed, r.BaseSeed,
+			r.EngineSchema, r.StoreSchema, r.Engine, r.Tier, r.Worker, r.WallMS, r.Created, r.Payload))
+	}
+	for _, c := range st.Corruptions() {
+		corruptions = append(corruptions, c.String())
+	}
+	if !reflect.DeepEqual(records, wantRecords) {
+		t.Errorf("records:\n%s\nwant:\n%s", strings.Join(records, "\n"), strings.Join(wantRecords, "\n"))
+	}
+	if !reflect.DeepEqual(corruptions, wantCorruptions) {
+		t.Errorf("corruptions:\n%s\nwant:\n%s", strings.Join(corruptions, "\n"), strings.Join(wantCorruptions, "\n"))
 	}
 }
