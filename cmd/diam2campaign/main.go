@@ -56,7 +56,7 @@ func main() {
 		httpAddr = flag.String("http", "", "serve: coordinator listen address, e.g. :6060")
 		name     = flag.String("name", "", "submit: campaign name")
 	)
-	cliflags.Parse("diam2campaign")
+	cliflags.Parse("diam2campaign", os.Args[1:])
 	if *dir == "" || flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: diam2campaign -store DIR {status|submit -name NAME [ARGS...]|serve -http ADDR}")
 		os.Exit(2)

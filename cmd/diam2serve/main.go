@@ -62,7 +62,7 @@ func main() {
 	)
 	scale.Register()
 	camp.Register()
-	cliflags.Parse("diam2serve")
+	cliflags.Parse("diam2serve", os.Args[1:])
 	if *httpAddr == "" || *storeDir == "" {
 		fmt.Fprintln(os.Stderr, "usage: diam2serve -http ADDR -store DIR [flags]")
 		os.Exit(2)

@@ -40,6 +40,7 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -52,52 +53,92 @@ import (
 	"diam2/internal/traffic"
 )
 
-// diam2sim's own flags; the shared groups are declared in main.
-var (
-	topoName = flag.String("topo", "mlfm", "topology: sf9|sf10|mlfm|oft|sf-small|mlfm-small|oft-small")
-	algName  = flag.String("alg", "min", "routing: min|inr|a|ath")
-	pattern  = flag.String("pattern", "uni", "synthetic pattern: uni|wc")
-	exchange = flag.String("exchange", "", "closed-loop exchange instead: a2a|nn")
-	load     = flag.Float64("load", 0.5, "offered load (fraction of injection bandwidth)")
-	ni       = flag.Int("ni", 0, "override UGAL nI")
-	c        = flag.Float64("c", 0, "override UGAL cost constant (c or cSF)")
-	saturate = flag.Bool("saturate", false, "sweep the load ladder for the saturation load instead of one run")
+// options is diam2sim's command line: its own flags and the shared
+// groups declared in internal/cliflags.
+type options struct {
+	topo, alg, pattern, exchange string
+	load, c, failLinks           float64
+	ni                           int
+	saturate                     bool
+	faults                       harness.FaultPlan // -fail-at, -mtbf, -mttr and the overrides; -fail-links sets its size
 
-	failLinks  = flag.Float64("fail-links", 0, "links to fail mid-run: a fraction (< 1) or a count (>= 1)")
-	failAt     = flag.Int64("fail-at", -1, "cycle at which -fail-links links go down (default: end of warmup)")
-	mtbf       = flag.Int64("mtbf", 0, "per-link mean cycles between failures (enables the random fault process)")
-	mttr       = flag.Int64("mttr", 0, "per-link repair time in cycles for -mtbf (default: mtbf/10)")
-	retxTO     = flag.Int("retx-timeout", 0, "override the retransmission timeout, cycles")
-	rebuildLat = flag.Int("rebuild-latency", 0, "override the routing-table rebuild latency, cycles (negative forces instant rebuild)")
-)
+	scale cliflags.Scale
+	sched cliflags.Sched
+	prof  cliflags.Profile
+	// The store rides the experiment scheduler, so it covers the
+	// -saturate ladder; a plain single run bypasses it.
+	st  cliflags.Store
+	tel cliflags.Telemetry
+}
 
-func main() {
-	var (
-		scale cliflags.Scale
-		sched cliflags.Sched
-		prof  cliflags.Profile
-		// The store rides the experiment scheduler, so it covers the
-		// -saturate ladder; a plain single run bypasses it.
-		st  cliflags.Store
-		tel cliflags.Telemetry
-	)
-	scale.Register()
-	sched.Register()
-	prof.Register()
-	st.Register()
-	tel.Register(false)
-	cliflags.Parse("diam2sim")
+// parse declares the options on a fresh flag.CommandLine, parses args
+// into them, and refuses the values a run would otherwise clamp, ignore
+// or replace by a default. The load bound is the one diam2serve
+// enforces.
+func (o *options) parse(args []string) error {
+	flag.CommandLine = flag.NewFlagSet("diam2sim", flag.ExitOnError) // a malformed flag exits 2
+	flag.StringVar(&o.topo, "topo", "mlfm", "topology: sf9|sf10|mlfm|oft|sf-small|mlfm-small|oft-small")
+	flag.StringVar(&o.alg, "alg", "min", "routing: min|inr|a|ath")
+	flag.StringVar(&o.pattern, "pattern", "uni", "synthetic pattern: uni|wc")
+	flag.StringVar(&o.exchange, "exchange", "", "closed-loop exchange instead: a2a|nn")
+	flag.Float64Var(&o.load, "load", 0.5, "offered load (fraction of injection bandwidth)")
+	flag.IntVar(&o.ni, "ni", 0, "override UGAL nI")
+	flag.Float64Var(&o.c, "c", 0, "override UGAL cost constant (c or cSF)")
+	flag.BoolVar(&o.saturate, "saturate", false, "sweep the load ladder for the saturation load instead of one run")
+
+	flag.Float64Var(&o.failLinks, "fail-links", 0, "links to fail mid-run: a fraction (< 1) or a count (>= 1)")
+	flag.Int64Var(&o.faults.FailAt, "fail-at", -1, "cycle at which -fail-links links go down (default: end of warmup)")
+	flag.Int64Var(&o.faults.MTBF, "mtbf", 0, "per-link mean cycles between failures (enables the random fault process)")
+	flag.Int64Var(&o.faults.MTTR, "mttr", 0, "per-link repair time in cycles for -mtbf (default: mtbf/10)")
+	flag.IntVar(&o.faults.RetxTimeout, "retx-timeout", 0, "override the retransmission timeout, cycles")
+	flag.IntVar(&o.faults.RebuildLatency, "rebuild-latency", 0, "override the routing-table rebuild latency, cycles (negative forces instant rebuild)")
+
+	o.scale.Register()
+	o.sched.Register()
+	o.prof.Register()
+	o.st.Register()
+	o.tel.Register(false)
+	cliflags.Parse("diam2sim", args)
+	if !(o.load > 0 && o.load <= 1) {
+		return fmt.Errorf("-load %v: the offered load must be in (0, 1]", o.load)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"fail-links", o.failLinks}, {"mtbf", float64(o.faults.MTBF)}, {"mttr", float64(o.faults.MTTR)},
+		{"retx-timeout", float64(o.faults.RetxTimeout)}, {"ni", float64(o.ni)}, {"c", o.c},
+	} {
+		if !(f.v >= 0) {
+			return fmt.Errorf("-%s %v: cannot be negative (0 keeps the default)", f.name, f.v)
+		}
+	}
+	return nil
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run parses args as diam2sim's command line and runs it until done or
+// interrupted, writing results to stdout and summaries to stderr. It
+// returns the exit status: 2 for a value no run can honour, 1 for a
+// failed run.
+func run(args []string, stdout, stderr io.Writer) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if err := prof.Run(func() error { return run(ctx, scale, sched, tel, st) }); err != nil {
-		fmt.Fprintln(os.Stderr, "diam2sim:", err)
-		os.Exit(1)
+	var o options
+	if err := o.parse(args); err != nil {
+		fmt.Fprintln(stderr, "diam2sim:", err)
+		return 2
 	}
+	if err := o.prof.Run(func() error { return o.simulate(ctx, stdout, stderr) }); err != nil {
+		fmt.Fprintln(stderr, "diam2sim:", err)
+		return 1
+	}
+	return 0
 }
 
 func findPreset(name string) (harness.Preset, error) {
-	if strings.HasPrefix(name, "file:") {
-		path := strings.TrimPrefix(name, "file:")
+	if path, ok := strings.CutPrefix(name, "file:"); ok {
 		// The file is read once, up front, and a digest of its contents
 		// becomes part of the topology name. The name is what reaches
 		// every scheduler point key and thus the store's canonical keys:
@@ -121,51 +162,47 @@ func findPreset(name string) (harness.Preset, error) {
 	return harness.PresetByShort(name)
 }
 
-func run(ctx context.Context, scale cliflags.Scale, sched cliflags.Sched, tel cliflags.Telemetry, st cliflags.Store) error {
-	preset, err := findPreset(*topoName)
+// simulate runs what o asks for: one synthetic run, a saturation
+// ladder or one exchange.
+func (o *options) simulate(ctx context.Context, stdout, stderr io.Writer) error {
+	preset, err := findPreset(o.topo)
 	if err != nil {
 		return err
 	}
-	alg, err := harness.ParseAlg(*algName)
+	alg, err := harness.ParseAlg(o.alg)
 	if err != nil {
 		return err
 	}
-	sc, _, err := scale.Resolve()
+	sc, _, err := o.scale.Resolve()
 	if err != nil {
 		return err
 	}
-	sc.Faults = harness.FaultPlan{
-		FailAt:         *failAt,
-		MTBF:           *mtbf,
-		MTTR:           *mttr,
-		RetxTimeout:    *retxTO,
-		RebuildLatency: *rebuildLat,
-	}
-	if *failLinks >= 1 {
-		sc.Faults.FailCount = int(*failLinks)
+	sc.Faults = o.faults
+	if o.failLinks >= 1 {
+		sc.Faults.FailCount = int(o.failLinks)
 	} else {
-		sc.Faults.FailFrac = *failLinks
+		sc.Faults.FailFrac = o.failLinks
 	}
-	sched.Wire(ctx, &sc, nil)
-	sink, _, telShutdown, err := tel.Setup(&sc, false)
+	o.sched.Wire(ctx, &sc, nil)
+	sink, _, telShutdown, err := o.tel.Setup(&sc, false)
 	if err != nil {
 		return err
 	}
 	defer telShutdown()
-	closeStore, err := st.Attach("diam2sim", &sc, false)
+	closeStore, err := o.st.Attach("diam2sim", &sc, false)
 	if err != nil {
 		return err
 	}
 	defer closeStore()
 	ugal := preset.BestAdaptive
-	if *ni > 0 {
-		ugal.NI = *ni
+	if o.ni > 0 {
+		ugal.NI = o.ni
 	}
-	if *c > 0 {
+	if o.c > 0 {
 		if preset.SFStyle {
-			ugal.CSF = *c
+			ugal.CSF = o.c
 		} else {
-			ugal.C = *c
+			ugal.C = o.c
 		}
 	}
 	tp, err := preset.Build()
@@ -181,19 +218,19 @@ func run(ctx context.Context, scale cliflags.Scale, sched cliflags.Sched, tel cl
 	simRate := func() {
 		wall := time.Since(start)
 		if cyc := harness.SimulatedCycles(); cyc > 0 && wall > 0 {
-			fmt.Fprintf(os.Stderr, "engine    %d cycles simulated in %s (%.0f cycles/s)\n",
+			fmt.Fprintf(stderr, "engine    %d cycles simulated in %s (%.0f cycles/s)\n",
 				cyc, wall.Round(time.Millisecond), float64(cyc)/wall.Seconds())
 		}
 	}
 	cost := topo.CostOf(tp)
-	fmt.Printf("topology  %s: N=%d R=%d radix=%d (%.2f ports, %.2f links per node)\n",
+	fmt.Fprintf(stdout, "topology  %s: N=%d R=%d radix=%d (%.2f ports, %.2f links per node)\n",
 		preset.Name, cost.Nodes, cost.Routers, tp.Radix(), cost.PortsPerNode, cost.LinksPerNode)
-	if cores := sched.Cores; cores > 1 {
-		fmt.Printf("engine    sharded: %d partitions x %d worker threads per run (serial when -cores 1)\n", cores, cores)
+	if cores := o.sched.Cores; cores > 1 {
+		fmt.Fprintf(stdout, "engine    sharded: %d partitions x %d worker threads per run (serial when -cores 1)\n", cores, cores)
 	}
 
-	if *exchange != "" {
-		kind, err := harness.ParseExchange(*exchange)
+	if o.exchange != "" {
+		kind, err := harness.ParseExchange(o.exchange)
 		if err != nil {
 			return err
 		}
@@ -203,62 +240,62 @@ func run(ctx context.Context, scale cliflags.Scale, sched cliflags.Sched, tel cl
 		}
 		if kind == harness.ExNN {
 			tor, _ := traffic.TorusFor(tp) // BuildExchange fitted the same torus
-			fmt.Printf("torus     %dx%dx%d\n", tor.X, tor.Y, tor.Z)
+			fmt.Fprintf(stdout, "torus     %dx%dx%d\n", tor.X, tor.Y, tor.Z)
 		}
 		res, eff, err := harness.RunExchange(tp, alg, ugal, ex, sc)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("exchange  %s with %s: %d packets\n", ex.Name(), *algName, ex.TotalPackets())
-		fmt.Printf("completed in %d cycles (%.1f us at 100 Gbps)\n", res.Cycles,
+		fmt.Fprintf(stdout, "exchange  %s with %s: %d packets\n", ex.Name(), o.alg, ex.TotalPackets())
+		fmt.Fprintf(stdout, "completed in %d cycles (%.1f us at 100 Gbps)\n", res.Cycles,
 			sim.DefaultConfig(1).LatencySeconds(float64(res.Cycles))*1e6)
-		fmt.Printf("effective throughput %.1f%% of injection bandwidth\n", eff*100)
-		printResults(res)
+		fmt.Fprintf(stdout, "effective throughput %.1f%% of injection bandwidth\n", eff*100)
+		printResults(stdout, res)
 		simRate()
-		return report(tel, sink)
+		return report(stdout, o.tel, sink)
 	}
 
-	pat, err := harness.ParsePattern(*pattern)
+	pat, err := harness.ParsePattern(o.pattern)
 	if err != nil {
 		return err
 	}
-	if *saturate {
+	if o.saturate {
 		// The load ladder is a set of independent runs, so it goes
 		// through the experiment scheduler and parallelizes with -j.
-		sat, curve, err := harness.SaturationPoint(tp, alg, ugal, pat, harness.DefaultLoads(), 0.05, sc)
+		sat, ladder, err := harness.SaturationPoint(tp, alg, ugal, pat, harness.DefaultLoads(), 0.05, sc)
 		if err != nil {
 			return err
 		}
-		for _, p := range curve {
-			fmt.Printf("load %.2f: throughput %.3f, avg latency %.0f cycles\n", p.Load, p.Throughput, p.AvgLatency)
+		for i, res := range ladder.Runs {
+			fmt.Fprintf(stdout, "load %.2f: throughput %.3f, avg latency %.0f cycles\n", ladder.X[i], res.Throughput, res.AvgLatency)
 		}
-		fmt.Printf("saturation load (%s, %s): %.3f of injection bandwidth\n", *pattern, *algName, sat)
+		fmt.Fprintf(stdout, "saturation load (%s, %s): %.3f of injection bandwidth\n", o.pattern, o.alg, sat)
 		simRate()
-		fmt.Fprintf(os.Stderr, "diam2sim: %d points in %s wall time\n", len(curve), time.Since(start).Round(time.Millisecond))
-		return report(tel, sink)
+		fmt.Fprintf(stderr, "diam2sim: %d points in %s wall time\n", len(ladder.Runs), time.Since(start).Round(time.Millisecond))
+		return report(stdout, o.tel, sink)
 	}
-	res, err := harness.RunSynthetic(tp, alg, ugal, pat, *load, sc)
+	res, err := harness.RunSynthetic(tp, alg, ugal, pat, o.load, sc)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("synthetic %s with %s at load %.2f for %d cycles (warmup %d)\n",
-		*pattern, *algName, *load, sc.Cycles, sc.Warmup)
-	fmt.Printf("delivered throughput %.1f%% of injection bandwidth\n", res.Throughput*100)
-	printResults(res)
+	fmt.Fprintf(stdout, "synthetic %s with %s at load %.2f for %d cycles (warmup %d)\n",
+		o.pattern, o.alg, o.load, sc.Cycles, sc.Warmup)
+	fmt.Fprintf(stdout, "delivered throughput %.1f%% of injection bandwidth\n", res.Throughput*100)
+	printResults(stdout, res)
 	simRate()
-	return report(tel, sink)
+	return report(stdout, o.tel, sink)
 }
 
-func printResults(res sim.Results) {
-	fmt.Printf("packets   generated=%d injected=%d delivered=%d\n", res.Generated, res.Injected, res.Delivered)
-	fmt.Printf("latency   avg=%.0f p99=%.0f max=%.0f cycles (network-only avg %.0f)\n",
+func printResults(w io.Writer, res sim.Results) {
+	fmt.Fprintf(w, "packets   generated=%d injected=%d delivered=%d\n", res.Generated, res.Injected, res.Delivered)
+	fmt.Fprintf(w, "latency   avg=%.0f p99=%.0f max=%.0f cycles (network-only avg %.0f)\n",
 		res.AvgLatency, res.P99Latency, res.MaxLatency, res.AvgNetLatency)
-	fmt.Printf("routing   avg hops %.2f, %.1f%% indirect\n", res.AvgHops, res.IndirectFrac*100)
+	fmt.Fprintf(w, "routing   avg hops %.2f, %.1f%% indirect\n", res.AvgHops, res.IndirectFrac*100)
 	f := res.Faults
 	if f.LinkDownEvents+f.SkippedEvents > 0 {
-		fmt.Printf("faults    downs=%d ups=%d skipped=%d rebuilds=%d\n",
+		fmt.Fprintf(w, "faults    downs=%d ups=%d skipped=%d rebuilds=%d\n",
 			f.LinkDownEvents, f.LinkUpEvents, f.SkippedEvents, f.Rebuilds)
-		fmt.Printf("recovery  dropped=%d retransmitted=%d pending=%d, max drop-to-delivery %d cycles\n",
+		fmt.Fprintf(w, "recovery  dropped=%d retransmitted=%d pending=%d, max drop-to-delivery %d cycles\n",
 			f.Dropped, f.Retransmits, f.RetxPending, f.MaxRecovery)
 	}
 }

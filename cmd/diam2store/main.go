@@ -62,7 +62,7 @@ func main() {
 		verbose = flag.Bool("v", false, "list: full canonical keys and payloads")
 		dryRun  = flag.Bool("dry-run", false, "gc: report without rewriting")
 	)
-	cliflags.Parse("diam2store")
+	cliflags.Parse("diam2store", os.Args[1:])
 	if *dir == "" || flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: diam2store -store DIR {list|stats|verify|diff OTHERDIR|gc}")
 		os.Exit(2)

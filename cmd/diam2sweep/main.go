@@ -121,7 +121,7 @@ func main() {
 	flag.DurationVar(&camp.Policy.Watchdog, "watchdog", 0, "campaign per-attempt timeout: a point attempt running longer is cancelled, retried and eventually quarantined (0: off)")
 	flag.IntVar(&camp.Policy.MaxAttempts, "retries", campaign.DefaultMaxAttempts, "campaign attempts per point (across all workers) before quarantine")
 	flag.DurationVar(&camp.Policy.BaseBackoff, "backoff", campaign.DefaultBaseBackoff, "campaign base backoff after a failed attempt (doubles per attempt, jittered)")
-	cliflags.Parse("diam2sweep")
+	cliflags.Parse("diam2sweep", os.Args[1:])
 	if *fig == "" && !*screen {
 		flag.Usage()
 		os.Exit(2)

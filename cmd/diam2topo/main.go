@@ -43,7 +43,7 @@ var (
 )
 
 func main() {
-	cliflags.Parse("diam2topo")
+	cliflags.Parse("diam2topo", os.Args[1:])
 	if !*summary && !*scaling && !*bisection && *ml3b == 0 && !*diversity && !*lambda2 && !*fluidSat && *exportDOT == "" && *exportEL == "" && *draw == "" {
 		flag.Usage()
 		os.Exit(2)

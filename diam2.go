@@ -191,8 +191,8 @@ type (
 	PatternKind = harness.PatternKind
 	// ExchangeKind selects A2A/NN.
 	ExchangeKind = harness.ExchangeKind
-	// LoadPoint is one sample of a load sweep.
-	LoadPoint = harness.LoadPoint
+	// Curve is one swept series of runs (ResultTable.Curves, a ladder).
+	Curve = harness.Curve
 	// ResultTable is a renderable experiment output.
 	ResultTable = harness.Table
 	// Sched carries the experiment-scheduler knobs (worker count,

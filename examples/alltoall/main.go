@@ -1,33 +1,26 @@
-// All-to-all comparison: run one A2A exchange (the Fig. 13
-// experiment) on each diameter-two topology under minimal, indirect
-// random and adaptive routing, and print the effective throughput.
+// All-to-all comparison: the Fig. 13 experiment — one A2A exchange on
+// each diameter-two topology under minimal, indirect random and
+// adaptive routing — with the effective throughput read from the
+// figure's typed curves rather than its rendered table.
 package main
 
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"diam2"
 )
 
 func main() {
-	scale := diam2.QuickScale()
+	fig, err := diam2.FigExchange(diam2.SmallPresets(), diam2.ExA2A, diam2.QuickScale())
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("One all-to-all exchange per topology (Fig. 13), quick scale:")
 	fmt.Printf("%-14s %-6s %10s %12s\n", "topology", "alg", "eff. thr.", "cycles")
-	for _, preset := range diam2.SmallPresets() {
-		tp, err := preset.Build()
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, alg := range []diam2.AlgKind{diam2.AlgMIN, diam2.AlgINR, diam2.AlgA} {
-			ex := diam2.AllToAll(tp.Nodes(), scale.A2APackets, rand.New(rand.NewSource(1)))
-			res, eff, err := diam2.RunExchange(tp, alg, preset.BestAdaptive, ex, scale)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("%-14s %-6s %9.1f%% %12d\n", preset.Name, alg, eff*100, res.Cycles)
-		}
+	for _, c := range fig.Curves {
+		res := c.Runs[0] // an exchange bar is a one-run curve
+		fmt.Printf("%-14s %-6s %9.1f%% %12d\n", c.Topo, c.Alg, res.Throughput*100, res.Cycles)
 	}
 	fmt.Println("\nExpected shape (paper): MIN and adaptive near the uniform")
 	fmt.Println("saturation point, INR at roughly half of it.")

@@ -26,19 +26,16 @@ func main() {
 	fmt.Printf("%s: %d nodes; aligned torus %dx%dx%d (most-cubic would be %dx%dx%d)\n",
 		mlfm.Name(), mlfm.Nodes(), aligned.X, aligned.Y, aligned.Z, tor.X, tor.Y, tor.Z)
 
-	scale := diam2.QuickScale()
-	for _, alg := range []diam2.AlgKind{diam2.AlgMIN, diam2.AlgINR, diam2.AlgA} {
-		ex, err := diam2.NearestNeighbor(aligned, mlfm.Nodes(), scale.NNPackets)
-		if err != nil {
-			log.Fatal(err)
-		}
-		preset := diam2.SmallPresets()[1] // MLFM(6) adaptive constants
-		res, eff, err := diam2.RunExchange(mlfm, alg, preset.BestAdaptive, ex, scale)
-		if err != nil {
-			log.Fatal(err)
-		}
+	// FigExchange lays the exchange on this aligned torus for an MLFM
+	// and runs it under MIN, INR and the preset's adaptive constants.
+	fig, err := diam2.FigExchange(diam2.SmallPresets()[1:2], diam2.ExNN, diam2.QuickScale())
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, c := range fig.Curves {
+		res := c.Runs[0] // an exchange bar is a one-run curve
 		fmt.Printf("%-4s effective throughput %5.1f%%  (avg %.2f hops, %4.1f%% indirect)\n",
-			alg, eff*100, res.AvgHops, res.IndirectFrac*100)
+			c.Alg, res.Throughput*100, res.AvgHops, res.IndirectFrac*100)
 	}
 	fmt.Println("\nThe adaptive algorithm routes X and Z minimally and sends Y")
 	fmt.Println("exchanges over indirect paths, which is what closes the gap to")

@@ -30,12 +30,15 @@ import (
 // runs; Register methods append to it before Parse.
 var checks []func() error
 
-// Parse declares -version and parses the command line; under -version
-// it prints the build banner and the schema versions, and exits. A
-// value a registered group refuses exits 2 with one line on stderr.
-func Parse(prog string) {
+// Parse declares -version and parses args, the command line without
+// the program name, on flag.CommandLine; under -version it prints the
+// build banner and the schema versions, and exits. A value a
+// registered group refuses exits 2 with one line on stderr. Parse
+// consumes the checks, so a program can declare its groups again on a
+// fresh flag.CommandLine.
+func Parse(prog string, args []string) {
 	version := flag.Bool("version", false, "print build/version info and exit")
-	flag.Parse()
+	flag.CommandLine.Parse(args) // ExitOnError: a parse error exits 2
 	if *version {
 		fmt.Println(buildinfo.Banner(prog))
 		fmt.Printf("engine schema %d, store schema %d\n", sim.EngineSchema, store.Schema)
@@ -47,6 +50,7 @@ func Parse(prog string) {
 			os.Exit(2)
 		}
 	}
+	checks = nil
 }
 
 // Scale is the fidelity flag group: -scale and -seed.

@@ -105,6 +105,15 @@ func TestBadInvocationsExit2(t *testing.T) {
 		{"diam2sweep", []string{"-screen", "-screen-grid", "-3"}},
 		{"diam2sweep", []string{"-screen", "-fig", "14"}},
 		{"diam2sim", []string{"-j", "-1"}},
+		{"diam2sim", []string{"-load", "1.5"}},
+		{"diam2sim", []string{"-load", "-0.5"}},
+		{"diam2sim", []string{"-load", "NaN"}},
+		{"diam2sim", []string{"-fail-links", "-1"}},
+		{"diam2sim", []string{"-mtbf", "-5"}},
+		{"diam2sim", []string{"-mttr", "-5"}},
+		{"diam2sim", []string{"-ni", "-3"}},
+		{"diam2sim", []string{"-c", "-2"}},
+		{"diam2sim", []string{"-retx-timeout", "-1"}},
 		{"diam2sweep", []string{"-fig", "6", "-cores", "-2"}},
 	} {
 		var stdout, stderr bytes.Buffer

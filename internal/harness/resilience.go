@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"diam2/internal/plot"
 	"diam2/internal/sim"
 	"diam2/internal/topo"
 )
@@ -38,10 +37,7 @@ func (fp FaultPlan) apply(e *sim.Engine, t topo.Topology, sc Scale) error {
 	if fp.MTBF > 0 {
 		mttr := fp.MTTR
 		if mttr <= 0 {
-			mttr = fp.MTBF / 10
-			if mttr < 1 {
-				mttr = 1
-			}
+			mttr = max(fp.MTBF/10, 1)
 		}
 		fs = sim.NewRandomFaultSchedule(t, fp.MTBF, mttr, sc.Cycles, sc.Seed)
 	} else {
@@ -79,29 +75,6 @@ func (fp FaultPlan) applyOverrides(cfg *sim.Config) {
 	}
 }
 
-// ResiliencePoint is one sample of a resilience curve: the network's
-// behavior with a given fraction of its links failed mid-run.
-type ResiliencePoint struct {
-	Frac        float64 // requested failure fraction
-	FailedLinks int64   // link failures actually applied
-	Throughput  float64 // delivered load over the measurement window
-	P99Latency  float64 // generation -> delivery, cycles
-	Delivered   int64
-	Generated   int64
-	Dropped     int64 // packet drops caused by the failures
-	Retransmits int64
-	Recovery    int64 // max cycles from a packet's first drop to delivery
-}
-
-// ResilienceCurve is one (topology, algorithm, pattern) sweep across
-// failure fractions.
-type ResilienceCurve struct {
-	Preset  string
-	Alg     AlgKind
-	Pattern PatternKind
-	Points  []ResiliencePoint
-}
-
 // resilienceFailAt places the failure burst a quarter into the
 // measurement window, so the run observes both the disruption and the
 // recovery.
@@ -110,57 +83,35 @@ func resilienceFailAt(sc Scale) int64 {
 }
 
 // ResilienceSweep runs the resilience experiment: for each routing
-// algorithm and traffic pattern, sweep the fraction of failed links
-// and record delivered throughput, tail latency, retransmission
-// counts, and recovery time. Links fail mid-measurement (a quarter
-// into the window). Every (algorithm, pattern, fraction) point is
-// independent and runs through the experiment scheduler; the random
-// failure set of a point is drawn from its derived seed, so the sweep
-// is deterministic for any worker count.
-func ResilienceSweep(pre Preset, kinds []AlgKind, pats []PatternKind, fracs []float64, load float64, sc Scale) ([]ResilienceCurve, error) {
+// algorithm and traffic pattern, one curve over the fraction of failed
+// links, whose runs record delivered throughput, tail latency and, in
+// Results.Faults, the links downed, drops, retransmissions and
+// recovery time. Links fail mid-measurement (a quarter into the
+// window). Every (algorithm, pattern, fraction) point is independent
+// and runs through the experiment scheduler; the random failure set of
+// a point is drawn from its derived seed, so the sweep is
+// deterministic for any worker count.
+func ResilienceSweep(pre Preset, kinds []AlgKind, pats []PatternKind, fracs []float64, load float64, sc Scale) ([]Curve, error) {
 	tp, err := pre.Build()
 	if err != nil {
 		return nil, err
 	}
-	var points []Point[sim.Results]
+	var curves []Curve
 	for _, kind := range kinds {
 		for _, pat := range pats {
-			for _, frac := range fracs {
-				scf := sc
-				scf.Faults = FaultPlan{FailFrac: frac, FailAt: resilienceFailAt(sc)}
-				key := fmt.Sprintf("resilience|%s|%s|%s|frac=%.4f|load=%.4f", pre.Name, kind, pat, frac, load)
-				points = append(points, syntheticPoint(key, tp, kind, pre.BestAdaptive, pat, load, scf, whole))
-			}
+			curves = append(curves, Curve{Topo: pre.Name, Alg: kind, Pattern: pat, UGAL: pre.BestAdaptive, X: fracs})
 		}
 	}
-	results, err := Collect(sc, points)
+	err = collectCurves(sc, curves, func(c *Curve, frac float64) Point[sim.Results] {
+		scf := sc
+		scf.Faults = FaultPlan{FailFrac: frac, FailAt: resilienceFailAt(sc)}
+		key := fmt.Sprintf("resilience|%s|%s|%s|frac=%.4f|load=%.4f", c.Topo, c.Alg, c.Pattern, frac, load)
+		return syntheticPoint(key, tp, c.Alg, c.UGAL, c.Pattern, load, scf, whole)
+	}, whole)
 	if err != nil {
 		return nil, err
 	}
-	var out []ResilienceCurve
-	i := 0
-	for _, kind := range kinds {
-		for _, pat := range pats {
-			curve := ResilienceCurve{Preset: pre.Name, Alg: kind, Pattern: pat}
-			for _, frac := range fracs {
-				res := results[i]
-				i++
-				curve.Points = append(curve.Points, ResiliencePoint{
-					Frac:        frac,
-					FailedLinks: res.Faults.LinkDownEvents,
-					Throughput:  res.Throughput,
-					P99Latency:  res.P99Latency,
-					Delivered:   res.Delivered,
-					Generated:   res.Generated,
-					Dropped:     res.Faults.Dropped,
-					Retransmits: res.Faults.Retransmits,
-					Recovery:    res.Faults.MaxRecovery,
-				})
-			}
-			out = append(out, curve)
-		}
-	}
-	return out, nil
+	return curves, nil
 }
 
 // DefaultFailureFractions is the failure sweep of the resilience
@@ -173,27 +124,21 @@ func DefaultFailureFractions() []float64 {
 // FigResilience renders the resilience sweep across presets as a
 // table plus throughput-versus-failure-fraction charts.
 func FigResilience(presets []Preset, kinds []AlgKind, pats []PatternKind, fracs []float64, load float64, sc Scale) (*Table, error) {
-	t := &Table{
-		Title:  fmt.Sprintf("Resilience: delivered throughput vs. failed links (load %.2f)", load),
-		Header: []string{"topology", "routing", "pattern", "fail frac", "links down", "throughput", "p99 latency", "dropped", "retx", "recovery (cycles)"},
-	}
-	thrChart := &plot.Chart{Title: t.Title, XLabel: "fraction of links failed", YLabel: "delivered throughput"}
+	var curves []Curve
 	for _, pre := range presets {
-		curves, err := ResilienceSweep(pre, kinds, pats, fracs, load, sc)
+		cs, err := ResilienceSweep(pre, kinds, pats, fracs, load, sc)
 		if err != nil {
 			return nil, err
 		}
-		for _, c := range curves {
-			s := plot.Series{Label: fmt.Sprintf("%s %s %s", c.Preset, c.Alg, c.Pattern)}
-			for _, p := range c.Points {
-				t.AddRow(c.Preset, c.Alg.String(), c.Pattern.String(), f2(p.Frac), d(int(p.FailedLinks)),
-					f3(p.Throughput), f1(p.P99Latency), d(int(p.Dropped)), d(int(p.Retransmits)), d(int(p.Recovery)))
-				s.X = append(s.X, p.Frac)
-				s.Y = append(s.Y, p.Throughput)
-			}
-			thrChart.Add(s)
-		}
+		curves = append(curves, cs...)
 	}
-	t.Charts = []*plot.Chart{thrChart}
-	return t, nil
+	return curveTable(fmt.Sprintf("Resilience: delivered throughput vs. failed links (load %.2f)", load),
+		[]string{"topology", "routing", "pattern", "fail frac", "links down", "throughput", "p99 latency", "dropped", "retx", "recovery (cycles)"}, curves,
+		func(c *Curve, i int) []string {
+			r := c.Runs[i]
+			f := r.Faults
+			return []string{c.Topo, c.Alg.String(), c.Pattern.String(), f2(c.X[i]), d(int(f.LinkDownEvents)),
+				f3(r.Throughput), f1(r.P99Latency), d(int(f.Dropped)), d(int(f.Retransmits)), d(int(f.MaxRecovery))}
+		},
+		"fraction of links failed", func(c *Curve) string { return fmt.Sprintf("%s %s %s", c.Topo, c.Alg, c.Pattern) }, throughputAxis), nil
 }

@@ -45,16 +45,17 @@ func TestFaultedExchangeFullDelivery(t *testing.T) {
 	}
 }
 
-// TestResilienceCurveMonotone is the second acceptance check: sweeping
+// TestResilienceThroughputMonotone is the second acceptance check: sweeping
 // the failed-link fraction at a load below saturation produces a
 // monotone-or-flat delivered-throughput curve — more failures never
 // help. A small tolerance absorbs sampling noise between the seeded
-// failure sets.
-func TestResilienceCurveMonotone(t *testing.T) {
+// failure sets. The fault counts are read from each run's
+// Results.Faults.
+func TestResilienceThroughputMonotone(t *testing.T) {
 	pre := SmallPresets()[1] // MLFM(h=6)
 	sc := QuickScale()
-	curves, err := ResilienceSweep(pre, []AlgKind{AlgMIN}, []PatternKind{PatUNI},
-		[]float64{0, 0.05, 0.10, 0.15}, 0.2, sc)
+	fracs := []float64{0, 0.05, 0.10, 0.15}
+	curves, err := ResilienceSweep(pre, []AlgKind{AlgMIN}, []PatternKind{PatUNI}, fracs, 0.2, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,32 +63,31 @@ func TestResilienceCurveMonotone(t *testing.T) {
 		t.Fatalf("got %d curves, want 1", len(curves))
 	}
 	c := curves[0]
-	if len(c.Points) != 4 {
-		t.Fatalf("got %d points, want 4", len(c.Points))
+	if len(c.Runs) != len(fracs) {
+		t.Fatalf("got %d runs, want %d", len(c.Runs), len(fracs))
 	}
 	const tol = 0.02 // absolute throughput slack between adjacent fractions
-	for i := 1; i < len(c.Points); i++ {
-		prev, cur := c.Points[i-1], c.Points[i]
+	for i := 1; i < len(c.Runs); i++ {
+		prev, cur := c.Runs[i-1], c.Runs[i]
 		if cur.Throughput > prev.Throughput+tol {
 			t.Errorf("throughput rose with more failures: frac %.2f -> %.2f gave %.3f -> %.3f",
-				prev.Frac, cur.Frac, prev.Throughput, cur.Throughput)
+				c.X[i-1], c.X[i], prev.Throughput, cur.Throughput)
 		}
 	}
 	// The zero-fraction point must be a clean baseline and the heavy
 	// points must actually fail links.
-	if c.Points[0].FailedLinks != 0 || c.Points[0].Dropped != 0 {
-		t.Errorf("baseline point has faults: %+v", c.Points[0])
+	if f := c.Runs[0].Faults; f.LinkDownEvents != 0 || f.Dropped != 0 {
+		t.Errorf("baseline run has faults: %+v", f)
 	}
-	for _, p := range c.Points[1:] {
-		if p.FailedLinks == 0 {
-			t.Errorf("frac %.2f failed no links", p.Frac)
+	for i, r := range c.Runs[1:] {
+		if r.Faults.LinkDownEvents == 0 {
+			t.Errorf("frac %.2f failed no links", c.X[i+1])
 		}
 	}
 	// Below saturation the network should ride through 15% failures
 	// with most of its throughput intact.
-	if base := c.Points[0].Throughput; c.Points[len(c.Points)-1].Throughput < base*0.5 {
-		t.Errorf("throughput collapsed under failures: %.3f -> %.3f",
-			base, c.Points[len(c.Points)-1].Throughput)
+	if base, last := c.Runs[0].Throughput, c.Runs[len(c.Runs)-1].Throughput; last < base*0.5 {
+		t.Errorf("throughput collapsed under failures: %.3f -> %.3f", base, last)
 	}
 }
 

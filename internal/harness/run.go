@@ -167,10 +167,7 @@ func runCycles(ctx context.Context, e *sim.Engine, n int64) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		chunk := int64(cancelCheckCycles)
-		if chunk > n {
-			chunk = n
-		}
+		chunk := min(cancelCheckCycles, n)
 		e.Run(chunk)
 		n -= chunk
 	}
@@ -184,10 +181,7 @@ func runUntilDrained(ctx context.Context, e *sim.Engine, maxCycles int64) (bool,
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		limit := e.Now() + cancelCheckCycles
-		if limit > maxCycles {
-			limit = maxCycles
-		}
+		limit := min(e.Now()+cancelCheckCycles, maxCycles)
 		if e.RunUntilDrained(limit) {
 			return true, nil
 		}
@@ -207,26 +201,26 @@ func runUntilDrained(ctx context.Context, e *sim.Engine, maxCycles int64) (bool,
 // silently dropping events. An undrained closed loop returns its
 // results so far beside the error.
 func (s Scale) run(t topo.Topology, kind AlgKind, ugal UGALConfig, label string, closedLoop bool,
-	workload func(sim.Config) (sim.Workload, error)) (sim.Results, sim.Config, error) {
+	workload func(sim.Config) (sim.Workload, error)) (sim.Results, error) {
 	alg, cfg, err := buildAlg(t, kind, ugal, s)
 	if err != nil {
-		return sim.Results{}, cfg, err
+		return sim.Results{}, err
 	}
 	w, err := workload(cfg)
 	if err != nil {
-		return sim.Results{}, cfg, err
+		return sim.Results{}, err
 	}
 	net, err := sim.NewNetwork(t, cfg)
 	if err != nil {
-		return sim.Results{}, cfg, err
+		return sim.Results{}, err
 	}
 	cores := max(s.Cores, 1)
 	if cores > 1 && s.Telemetry.Sink != nil {
-		return sim.Results{}, cfg, fmt.Errorf("harness: telemetry requires the serial engine; drop -cores=%d or the telemetry sink", s.Cores)
+		return sim.Results{}, fmt.Errorf("harness: telemetry requires the serial engine; drop -cores=%d or the telemetry sink", s.Cores)
 	}
 	e, err := sim.NewParallelEngine(net, alg, w, sim.ParallelOptions{Partitions: cores, Workers: cores})
 	if err != nil {
-		return sim.Results{}, cfg, err
+		return sim.Results{}, err
 	}
 	defer e.Stop()
 	if !closedLoop {
@@ -236,7 +230,7 @@ func (s Scale) run(t topo.Topology, kind AlgKind, ugal UGALConfig, label string,
 		e.Warmup = s.Warmup
 	}
 	if err := s.Faults.apply(e, t, s); err != nil {
-		return sim.Results{}, cfg, err
+		return sim.Results{}, err
 	}
 	col := s.Telemetry.attach(e, label)
 	drained := true
@@ -247,16 +241,16 @@ func (s Scale) run(t topo.Topology, kind AlgKind, ugal UGALConfig, label string,
 	}
 	if err != nil {
 		s.Telemetry.discard(col)
-		return sim.Results{}, cfg, err
+		return sim.Results{}, err
 	}
 	e.Finish()
 	s.Telemetry.collect(col)
 	res := e.Results()
 	if !drained {
-		return res, cfg, fmt.Errorf("harness: exchange %s did not drain in %d cycles", w.Name(), s.MaxDrain)
+		return res, fmt.Errorf("harness: exchange %s did not drain in %d cycles", w.Name(), s.MaxDrain)
 	}
 	countCycles(res.Cycles)
-	return res, cfg, nil
+	return res, nil
 }
 
 // SimConfig returns the switch configuration for this scale and VC
@@ -276,7 +270,7 @@ func (s Scale) SimConfig(numVCs int) sim.Config {
 // RunSynthetic executes one open-loop run and returns its results.
 func RunSynthetic(t topo.Topology, kind AlgKind, ugal UGALConfig, pat PatternKind, load float64, scale Scale) (sim.Results, error) {
 	label := fmt.Sprintf("%s|%s|%s|load=%.4f|seed=%d", t.Name(), kind, pat, load, scale.Seed)
-	res, _, err := scale.run(t, kind, ugal, label, false, func(cfg sim.Config) (sim.Workload, error) {
+	return scale.run(t, kind, ugal, label, false, func(cfg sim.Config) (sim.Workload, error) {
 		var pattern traffic.Pattern
 		switch pat {
 		case PatUNI:
@@ -292,24 +286,19 @@ func RunSynthetic(t topo.Topology, kind AlgKind, ugal UGALConfig, pat PatternKin
 		}
 		return &traffic.OpenLoop{Pattern: pattern, Load: load, PacketFlits: cfg.PacketFlits()}, nil
 	})
-	return res, err
 }
 
 // RunExchange executes a closed-loop exchange to completion and
 // returns the results plus the effective throughput (total delivered
-// load as a fraction of aggregate injection bandwidth, Section 4.4).
+// load as a fraction of aggregate injection bandwidth, Section 4.4):
+// the run's Throughput, which a closed loop measures from cycle zero.
 func RunExchange(t topo.Topology, kind AlgKind, ugal UGALConfig, ex *traffic.Exchange, scale Scale) (sim.Results, float64, error) {
 	if err := ex.CheckNodes(t.Nodes()); err != nil {
 		return sim.Results{}, 0, err
 	}
 	label := fmt.Sprintf("%s|%s|%s|seed=%d", t.Name(), kind, ex.Name(), scale.Seed)
-	res, cfg, err := scale.run(t, kind, ugal, label, true, func(sim.Config) (sim.Workload, error) { return ex, nil })
-	if err != nil {
-		return res, 0, err
-	}
-	flits := float64(ex.TotalPackets()) * float64(cfg.PacketFlits())
-	eff := flits / (float64(res.Cycles) * float64(t.Nodes()))
-	return res, eff, nil
+	res, err := scale.run(t, kind, ugal, label, true, func(sim.Config) (sim.Workload, error) { return ex, nil })
+	return res, res.Throughput, err
 }
 
 // syntheticPoint is the scheduler point of one open-loop run under
@@ -356,26 +345,24 @@ func whole(res sim.Results) sim.Results { return res }
 
 // SaturationPoint sweeps offered load and returns the highest load at
 // which delivered throughput still tracks the offer within tol
-// (e.g. 0.05 = 5%), along with the full curve. The load ladder runs
-// through the experiment scheduler (scale.Sched), one point per load.
-func SaturationPoint(t topo.Topology, kind AlgKind, ugal UGALConfig, pat PatternKind, loads []float64, tol float64, scale Scale) (float64, []LoadPoint, error) {
-	points := make([]Point[sim.Results], 0, len(loads))
-	for _, load := range loads {
-		points = append(points, syntheticPoint(pointKey("sat", t.Name(), kind, pat, load), t, kind, ugal, pat, load, scale, whole))
-	}
-	results, err := Collect(scale, points)
+// (e.g. 0.05 = 5%), along with the ladder as a curve over loads. The
+// ladder runs through the experiment scheduler (scale.Sched), one
+// point per load.
+func SaturationPoint(t topo.Topology, kind AlgKind, ugal UGALConfig, pat PatternKind, loads []float64, tol float64, scale Scale) (float64, Curve, error) {
+	curves := []Curve{{Topo: t.Name(), Alg: kind, Pattern: pat, UGAL: ugal, X: loads}}
+	err := collectCurves(scale, curves, func(_ *Curve, load float64) Point[sim.Results] {
+		return syntheticPoint(pointKey("sat", t.Name(), kind, pat, load), t, kind, ugal, pat, load, scale, whole)
+	}, whole)
 	if err != nil {
-		return 0, nil, err
+		return 0, Curve{}, err
 	}
-	curve := make([]LoadPoint, 0, len(loads))
 	sat := 0.0
-	for i, load := range loads {
-		curve = append(curve, loadPoint(load, results[i]))
-		if results[i].Throughput >= load*(1-tol) {
-			sat = load
+	for i, res := range curves[0].Runs {
+		if res.Throughput >= loads[i]*(1-tol) {
+			sat = loads[i]
 		}
 	}
-	return sat, curve, nil
+	return sat, curves[0], nil
 }
 
 // LoadPoint is one sample of a throughput/latency-vs-load curve.

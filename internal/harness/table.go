@@ -21,6 +21,9 @@ type Table struct {
 	// latency-versus-load) for graphical rendering; generators with a
 	// natural x-axis fill it.
 	Charts []*plot.Chart
+	// Curves carries the typed runs a swept figure's rows and charts
+	// were rendered from; other tables leave it nil.
+	Curves []Curve
 }
 
 // AddRow appends a formatted row.
