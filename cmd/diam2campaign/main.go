@@ -36,6 +36,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"net"
 	"net/http"
@@ -50,80 +51,41 @@ import (
 	"diam2/internal/telemetry"
 )
 
-func main() {
-	var (
-		dir      = flag.String("store", "", "store directory of the campaign (required)")
-		httpAddr = flag.String("http", "", "serve: coordinator listen address, e.g. :6060")
-		name     = flag.String("name", "", "submit: campaign name")
-	)
-	cliflags.Parse("diam2campaign", os.Args[1:])
-	if *dir == "" || flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: diam2campaign -store DIR {status|submit -name NAME [ARGS...]|serve -http ADDR}")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run runs the command line args, whose flags may follow the
+// subcommand, and returns the exit status (cliflags.Parse, Status).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("diam2campaign", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	dir := fs.String("store", "", "store directory of the campaign (required)")
+	httpAddr := fs.String("http", "", "serve: coordinator listen address, e.g. :6060")
+	name := fs.String("name", "", "submit: campaign name")
+	if status, ok := cliflags.Parse(fs, args, stdout); !ok {
+		return status
 	}
-	// flag.Parse stops at the first positional (the subcommand), so
-	// accept the value flags after it too: "serve -http :0" must work,
-	// and a typo like "serve -htpp :0" must abort, not be ignored.
-	args, err := tailArgs(flag.Args()[1:], httpAddr, name)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "diam2campaign:", err)
-		os.Exit(2)
+	if *dir == "" || fs.NArg() == 0 {
+		fmt.Fprintln(stderr, "usage: diam2campaign -store DIR {status|submit -name NAME [ARGS...]|serve -http ADDR}")
+		return 2
 	}
-	if err := run(*dir, flag.Arg(0), args, *httpAddr, *name); err != nil {
-		fmt.Fprintln(os.Stderr, "diam2campaign:", err)
-		os.Exit(1)
-	}
+	return cliflags.Status(fs, subcommand(stdout, stderr, *dir, fs.Arg(0), fs.Args()[1:], *httpAddr, *name))
 }
 
-// tailArgs sorts the tokens after the subcommand into the recognized
-// value flags and positional arguments. Anything flag-shaped but
-// unrecognized is an error — except after submit's "--", which passes
-// the workers' argument list through verbatim (it is stored, not
-// interpreted, and diam2sweep arguments are flag-shaped).
-func tailArgs(tail []string, httpAddr, name *string) ([]string, error) {
-	args := make([]string, 0, len(tail))
-	take := func(i int, dst *string, flagName string) (int, error) {
-		if i+1 >= len(tail) {
-			return 0, fmt.Errorf("%s needs a value", flagName)
-		}
-		*dst = tail[i+1]
-		return i + 1, nil
-	}
-	for i := 0; i < len(tail); i++ {
-		var err error
-		switch a := tail[i]; a {
-		case "-http", "--http":
-			i, err = take(i, httpAddr, a)
-		case "-name", "--name":
-			i, err = take(i, name, a)
-		case "--":
-			return append(args, tail[i+1:]...), nil
-		default:
-			if len(a) > 0 && a[0] == '-' {
-				return nil, fmt.Errorf("unknown flag %q after subcommand (know -http and -name; pass worker arguments after --)", a)
-			}
-			args = append(args, a)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return args, nil
-}
-
-func run(dir, cmd string, args []string, httpAddr, name string) error {
+// subcommand runs cmd with its positional arguments on the campaign of
+// the store in dir.
+func subcommand(stdout, stderr io.Writer, dir, cmd string, args []string, httpAddr, name string) error {
 	campDir := campaign.DirFor(dir)
 	switch cmd {
 	case "status":
 		if len(args) > 0 {
 			return fmt.Errorf("status takes no arguments (got %q)", args)
 		}
-		return status(dir, campDir)
+		return status(stdout, dir, campDir)
 	case "submit":
 		if name == "" {
 			return fmt.Errorf("submit needs -name")
 		}
-		return submit(campDir, name, args)
+		return submit(stdout, campDir, name, args)
 	case "serve":
 		if len(args) > 0 {
 			return fmt.Errorf("serve takes no arguments (got %q)", args)
@@ -131,7 +93,7 @@ func run(dir, cmd string, args []string, httpAddr, name string) error {
 		if httpAddr == "" {
 			return fmt.Errorf("serve needs -http ADDR")
 		}
-		return serve(dir, campDir, httpAddr)
+		return serve(stderr, dir, campDir, httpAddr)
 	default:
 		return fmt.Errorf("unknown subcommand %q (status|submit|serve)", cmd)
 	}
@@ -149,54 +111,54 @@ func liveRecords(dir string) (int, error) {
 	return st.Len(), nil
 }
 
-func status(storeDir, campDir string) error {
+func status(w io.Writer, storeDir, campDir string) error {
 	st, err := campaign.Scan(campDir)
 	if err != nil {
 		return err
 	}
 	if st.Manifest != nil {
-		fmt.Printf("campaign  %s (submitted %s)\n", st.Manifest.Name, st.Manifest.Created)
+		fmt.Fprintf(w, "campaign  %s (submitted %s)\n", st.Manifest.Name, st.Manifest.Created)
 		if len(st.Manifest.Args) > 0 {
-			fmt.Printf("args      %v\n", st.Manifest.Args)
+			fmt.Fprintf(w, "args      %v\n", st.Manifest.Args)
 		}
 	} else {
-		fmt.Println("campaign  (no manifest submitted)")
+		fmt.Fprintln(w, "campaign  (no manifest submitted)")
 	}
 	if n, err := liveRecords(storeDir); err == nil {
-		fmt.Printf("store     %s\n", store.FormatCount(n, "live record"))
+		fmt.Fprintf(w, "store     %s\n", store.FormatCount(n, "live record"))
 	} else {
-		fmt.Printf("store     not readable yet (%v)\n", err)
+		fmt.Fprintf(w, "store     not readable yet (%v)\n", err)
 	}
-	fmt.Printf("workers   %d registered, %d live\n", len(st.Workers), st.LiveWorkers())
-	for _, w := range st.Workers {
+	fmt.Fprintf(w, "workers   %d registered, %d live\n", len(st.Workers), st.LiveWorkers())
+	for _, wk := range st.Workers {
 		verdict := "LIVE"
-		if !w.Live {
+		if !wk.Live {
 			verdict = "DEAD (leases reclaimable)"
 		}
-		fmt.Printf("  %-24s pid=%-7d host=%-12s heartbeat %.1fs ago  %s\n", w.Owner, w.PID, w.Host, w.HeartbeatAge, verdict)
+		fmt.Fprintf(w, "  %-24s pid=%-7d host=%-12s heartbeat %.1fs ago  %s\n", wk.Owner, wk.PID, wk.Host, wk.HeartbeatAge, verdict)
 	}
-	fmt.Printf("leases    %d outstanding\n", len(st.Leases))
+	fmt.Fprintf(w, "leases    %d outstanding\n", len(st.Leases))
 	for _, l := range st.Leases {
-		fmt.Printf("  %-60s owner=%s age=%.1fs\n", l.Point, l.Owner, l.Age)
+		fmt.Fprintf(w, "  %-60s owner=%s age=%.1fs\n", l.Point, l.Owner, l.Age)
 	}
 	failures := func(fs []campaign.Failure) {
 		for _, f := range fs {
 			last, _, _ := strings.Cut(f.LastErr, "\n") // panic payloads carry stacks
-			fmt.Printf("  %-60s attempts=%d last: %s\n", f.Point, f.Attempts, last)
+			fmt.Fprintf(w, "  %-60s attempts=%d last: %s\n", f.Point, f.Attempts, last)
 		}
 	}
 	if len(st.Failed) > 0 {
-		fmt.Printf("failing   %d point(s) still retrying\n", len(st.Failed))
+		fmt.Fprintf(w, "failing   %d point(s) still retrying\n", len(st.Failed))
 		failures(st.Failed)
 	}
 	if len(st.Quarantined) > 0 {
-		fmt.Printf("QUARANTINED %d poison point(s) (full logs under %s/quarantine)\n", len(st.Quarantined), campDir)
+		fmt.Fprintf(w, "QUARANTINED %d poison point(s) (full logs under %s/quarantine)\n", len(st.Quarantined), campDir)
 		failures(st.Quarantined)
 	}
 	return nil
 }
 
-func submit(campDir, name string, args []string) error {
+func submit(w io.Writer, campDir, name string, args []string) error {
 	m := campaign.Manifest{
 		Name:      name,
 		Args:      args,
@@ -209,7 +171,7 @@ func submit(campDir, name string, args []string) error {
 		}
 		return err
 	}
-	fmt.Printf("submitted %q to %s\n", name, campDir)
+	fmt.Fprintf(w, "submitted %q to %s\n", name, campDir)
 	return nil
 }
 
@@ -285,11 +247,11 @@ func coordinatorMux(storeDir, campDir string) *telemetry.Mux {
 	return mux
 }
 
-func serve(storeDir, campDir, addr string) error {
+func serve(stderr io.Writer, storeDir, campDir, addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("listen %s: %w", addr, err)
 	}
-	fmt.Fprintf(os.Stderr, "diam2campaign: coordinator at http://%s/campaign (progress, submit; telemetry mux underneath)\n", ln.Addr())
+	fmt.Fprintf(stderr, "diam2campaign: coordinator at http://%s/campaign (progress, submit; telemetry mux underneath)\n", ln.Addr())
 	return (&http.Server{Handler: coordinatorMux(storeDir, campDir)}).Serve(ln)
 }

@@ -3,83 +3,107 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
 	"diam2/internal/campaign"
 )
 
+// campaignArgs drives run in-process and returns its exit status,
+// stdout and stderr.
+func campaignArgs(args ...string) (int, string, string) {
+	var stdout, stderr strings.Builder
+	code := run(args, &stdout, &stderr)
+	return code, stdout.String(), stderr.String()
+}
+
+// TestTailArgsValueFlags: value flags after the subcommand are parsed
+// like the ones before it, and the positional arguments among them
+// stay the subcommand's.
 func TestTailArgsValueFlags(t *testing.T) {
-	var httpAddr, name string
-	args, err := tailArgs([]string{"-http", ":0", "-name", "fig6", "pos"}, &httpAddr, &name)
+	storeDir := t.TempDir()
+	if code, out, errOut := campaignArgs("-store", storeDir, "submit", "-name", "fig6", "pos"); code != 0 || out != fmt.Sprintf("submitted %q to %s\n", "fig6", campaign.DirFor(storeDir)) {
+		t.Fatalf("submit -name fig6 pos: exit %d:\n%s%s", code, out, errOut)
+	}
+	m, err := campaign.ReadManifest(campaign.DirFor(storeDir))
+	if err != nil || m == nil || m.Name != "fig6" || !slices.Equal(m.Args, []string{"pos"}) {
+		t.Fatalf("manifest = %+v, %v; want fig6 with args [pos]", m, err)
+	}
+	// serve reaches its listener with the trailing -http value: a port
+	// already taken fails there, after the flags were accepted.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if httpAddr != ":0" || name != "fig6" {
-		t.Errorf("flags not picked up: http=%q name=%q", httpAddr, name)
-	}
-	if len(args) != 1 || args[0] != "pos" {
-		t.Errorf("positional args = %v, want [pos]", args)
+	defer ln.Close()
+	addr := ln.Addr().String()
+	if code, _, errOut := campaignArgs("-store", storeDir, "serve", "-http", addr); code != 1 || !strings.HasPrefix(errOut, "diam2campaign: listen "+addr+": ") {
+		t.Errorf("serve -http %s (taken): exit %d, %q; want the listen error", addr, code, errOut)
 	}
 }
 
+// TestTailArgsRejectsUnknownFlags: an unknown flag after the
+// subcommand, or a value flag without its value, exits 2 with the flag
+// package's message.
 func TestTailArgsRejectsUnknownFlags(t *testing.T) {
+	storeDir := t.TempDir()
 	for _, typo := range []string{"-htpp", "--serve", "-n"} {
-		var httpAddr, name string
-		if _, err := tailArgs([]string{typo, "x"}, &httpAddr, &name); err == nil {
-			t.Errorf("tailArgs accepted unknown flag %q", typo)
+		code, out, errOut := campaignArgs("-store", storeDir, "serve", typo, "x")
+		if code != 2 || out != "" || !strings.HasPrefix(errOut, "flag provided but not defined: -"+strings.TrimLeft(typo, "-")+"\n") {
+			t.Errorf("serve %s x: exit %d, stdout %q, stderr %q; want exit 2 and the flag package's refusal", typo, code, out, errOut)
 		}
 	}
-	var httpAddr, name string
-	if _, err := tailArgs([]string{"-http"}, &httpAddr, &name); err == nil {
-		t.Error("tailArgs accepted -http with no value")
+	if code, _, errOut := campaignArgs("-store", storeDir, "serve", "-http"); code != 2 || !strings.HasPrefix(errOut, "flag needs an argument: -http\n") {
+		t.Errorf("serve -http with no value: exit %d, %q", code, errOut)
 	}
 }
 
 // TestTailArgsPassThrough: everything after "--" is the workers'
 // argument list, stored verbatim even though it is flag-shaped.
 func TestTailArgsPassThrough(t *testing.T) {
-	var httpAddr, name string
-	args, err := tailArgs([]string{"-name", "fig6", "--", "-fig", "6a", "-scale", "paper"}, &httpAddr, &name)
-	if err != nil {
-		t.Fatal(err)
+	storeDir := t.TempDir()
+	want := []string{"-fig", "6a", "-scale", "paper", "--", "-x"}
+	if code, out, errOut := campaignArgs(append([]string{"-store", storeDir, "submit", "-name", "fig6", "--"}, want...)...); code != 0 {
+		t.Fatalf("submit -- ARGS: exit %d:\n%s%s", code, out, errOut)
 	}
-	want := []string{"-fig", "6a", "-scale", "paper"}
-	if len(args) != len(want) {
-		t.Fatalf("args = %v, want %v", args, want)
-	}
-	for i := range want {
-		if args[i] != want[i] {
-			t.Fatalf("args = %v, want %v", args, want)
-		}
+	m, err := campaign.ReadManifest(campaign.DirFor(storeDir))
+	if err != nil || m == nil || !slices.Equal(m.Args, want) {
+		t.Fatalf("manifest = %+v, %v; want args %v", m, err, want)
 	}
 }
 
 func TestRunValidation(t *testing.T) {
-	if err := run("/nonexistent", "status", []string{"stray"}, "", ""); err == nil || !strings.Contains(err.Error(), "takes no arguments") {
-		t.Errorf("status with stray args = %v", err)
-	}
-	if err := run("/nonexistent", "submit", nil, "", ""); err == nil || !strings.Contains(err.Error(), "needs -name") {
-		t.Errorf("submit without -name = %v", err)
-	}
-	if err := run("/nonexistent", "serve", nil, "", ""); err == nil || !strings.Contains(err.Error(), "needs -http") {
-		t.Errorf("serve without -http = %v", err)
-	}
-	if err := run("/nonexistent", "nonsense", nil, "", ""); err == nil || !strings.Contains(err.Error(), "unknown subcommand") {
-		t.Errorf("unknown subcommand = %v", err)
+	for _, c := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-store", "/nonexistent", "status", "stray"}, 1, "takes no arguments"},
+		{[]string{"-store", "/nonexistent", "submit"}, 1, "needs -name"},
+		{[]string{"-store", "/nonexistent", "serve"}, 1, "needs -http"},
+		{[]string{"-store", "/nonexistent", "nonsense"}, 1, "unknown subcommand"},
+		{[]string{"status"}, 2, "usage: diam2campaign -store DIR"},
+		{[]string{"-store", "/nonexistent"}, 2, "usage: diam2campaign -store DIR"},
+	} {
+		if code, _, errOut := campaignArgs(c.args...); code != c.code || !strings.Contains(errOut, c.want) {
+			t.Errorf("%v: exit %d, %q; want exit %d and %q", c.args, code, errOut, c.code, c.want)
+		}
 	}
 }
 
 func TestSubmitFirstWriterWins(t *testing.T) {
 	storeDir := t.TempDir()
 	campDir := campaign.DirFor(storeDir)
-	if err := submit(campDir, "fig 6a", []string{"-fig", "6a"}); err != nil {
+	if err := submit(io.Discard, campDir, "fig 6a", []string{"-fig", "6a"}); err != nil {
 		t.Fatal(err)
 	}
-	err := submit(campDir, "other", nil)
+	err := submit(io.Discard, campDir, "other", nil)
 	if err == nil || !strings.Contains(err.Error(), "already submitted") {
 		t.Fatalf("second submit = %v, want a conflict", err)
 	}

@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -22,29 +23,35 @@ import (
 	"diam2/internal/topo"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run writes the report args ask for and returns the exit status
+// (cliflags.Parse, Status).
+func run(args []string, stdout, stderr io.Writer) int {
 	var (
-		out     = flag.String("o", "REPORT.md", "output markdown file")
-		fast    = flag.Bool("fast", false, "analysis only (skip simulations)")
-		plotDir = flag.String("plotdir", "", "write SVG charts into this directory")
-		scale   cliflags.Scale
-		st      cliflags.Store
+		scale cliflags.Scale
+		st    cliflags.Store
 	)
-	scale.Register()
-	st.Register()
-	cliflags.Parse("diam2report", os.Args[1:])
-	if err := run(*out, *fast, *plotDir, scale, st); err != nil {
-		fmt.Fprintln(os.Stderr, "diam2report:", err)
-		os.Exit(1)
+	fs := flag.NewFlagSet("diam2report", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	out := fs.String("o", "REPORT.md", "output markdown file")
+	fast := fs.Bool("fast", false, "analysis only (skip simulations)")
+	plotDir := fs.String("plotdir", "", "write SVG charts into this directory")
+	scale.Register(fs)
+	st.Register(fs)
+	if status, ok := cliflags.Parse(fs, args, stdout); !ok {
+		return status
 	}
+	return cliflags.Status(fs, report(fs, *out, *fast, *plotDir, scale, st, stdout))
 }
 
-func run(out string, fast bool, plotDir string, scale cliflags.Scale, st cliflags.Store) error {
+// report writes the report to out and notes it on stdout.
+func report(fs *flag.FlagSet, out string, fast bool, plotDir string, scale cliflags.Scale, st cliflags.Store, stdout io.Writer) error {
 	sc, presets, err := scale.Resolve()
 	if err != nil {
 		return err
 	}
-	closeStore, err := st.Attach("diam2report", &sc, false)
+	closeStore, err := st.Attach(fs, &sc, false)
 	if err != nil {
 		return err
 	}
@@ -174,6 +181,6 @@ func run(out string, fast bool, plotDir string, scale cliflags.Scale, st cliflag
 	if err := os.WriteFile(out, []byte(b.String()), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d bytes)\n", out, b.Len())
+	fmt.Fprintf(stdout, "wrote %s (%d bytes)\n", out, b.Len())
 	return nil
 }

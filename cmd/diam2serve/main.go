@@ -31,6 +31,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -44,53 +45,64 @@ import (
 	"diam2/internal/telemetry"
 )
 
-// diam2serve's own flags; the shared groups are declared in main.
-var (
-	httpAddr   = flag.String("http", "", "listen address, e.g. :8080 (required)")
-	storeDir   = flag.String("store", "", "content-addressed result store directory (required; created if absent)")
-	band       = flag.Float64("escalate-band", 0.15, "escalation band around predicted saturation; 0 disables escalation")
-	grid       = flag.Int("grid", 30, "decision-ladder size for the escalation policy")
-	queueMax   = flag.Int("queue", 64, "admitted-query bound; excess answered 429 + Retry-After")
-	escWorkers = flag.Int("esc-workers", 1, "background escalation worker count")
-	drainTO    = flag.Duration("drain-timeout", 30*time.Second, "how long queued escalations get to finish on shutdown")
-)
+// options is diam2serve's command line.
+type options struct {
+	httpAddr, storeDir string
+	grid               int
+	drainTO            time.Duration
+	cfg                serve.Config // -escalate-band, -queue, -esc-workers
 
-func main() {
-	var (
-		scale cliflags.Scale    // must match the sweeps sharing the store
-		camp  cliflags.Campaign // shared store lock; escalations run under the lease protocol
-	)
-	scale.Register()
-	camp.Register()
-	cliflags.Parse("diam2serve", os.Args[1:])
-	if *httpAddr == "" || *storeDir == "" {
-		fmt.Fprintln(os.Stderr, "usage: diam2serve -http ADDR -store DIR [flags]")
-		os.Exit(2)
-	}
-	if *grid < 0 {
-		fmt.Fprintf(os.Stderr, "diam2serve: -grid %d: the decision-ladder size cannot be negative\n", *grid)
-		os.Exit(2)
-	}
-	if err := run(scale, camp); err != nil {
-		fmt.Fprintln(os.Stderr, "diam2serve:", err)
-		os.Exit(1)
-	}
+	scale cliflags.Scale    // must match the sweeps sharing the store
+	camp  cliflags.Campaign // shared store lock; escalations run under the lease protocol
 }
 
-func run(scale cliflags.Scale, camp cliflags.Campaign) error {
-	sc, presets, err := scale.Resolve()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run serves as args ask until SIGTERM or SIGINT, drains, and returns
+// the exit status (cliflags.Parse, Status).
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	fs := flag.NewFlagSet("diam2serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.httpAddr, "http", "", "listen address, e.g. :8080 (required)")
+	fs.StringVar(&o.storeDir, "store", "", "content-addressed result store directory (required; created if absent)")
+	fs.Float64Var(&o.cfg.Band, "escalate-band", 0.15, "escalation band around predicted saturation; 0 disables escalation")
+	fs.IntVar(&o.grid, "grid", 30, "decision-ladder size for the escalation policy")
+	fs.IntVar(&o.cfg.QueueMax, "queue", 64, "admitted-query bound; excess answered 429 + Retry-After")
+	fs.IntVar(&o.cfg.EscWorkers, "esc-workers", 1, "background escalation worker count")
+	fs.DurationVar(&o.drainTO, "drain-timeout", 30*time.Second, "how long queued escalations get to finish on shutdown")
+	o.scale.Register(fs)
+	o.camp.Register(fs)
+	if status, ok := cliflags.Parse(fs, args, stdout); !ok {
+		return status
+	}
+	if o.httpAddr == "" || o.storeDir == "" {
+		fmt.Fprintln(stderr, "usage: diam2serve -http ADDR -store DIR [flags]")
+		return 2
+	}
+	if o.grid < 0 {
+		fmt.Fprintf(stderr, "diam2serve: -grid %d: the decision-ladder size cannot be negative\n", o.grid)
+		return 2
+	}
+	return cliflags.Status(fs, o.listen(fs, stderr))
+}
+
+// listen answers queries until a signal, then drains, reporting on
+// stderr.
+func (o *options) listen(fs *flag.FlagSet, stderr io.Writer) error {
+	sc, presets, err := o.scale.Resolve()
 	if err != nil {
 		return err
 	}
 
-	closeStore, err := cliflags.Store{Dir: *storeDir}.Attach("diam2serve", &sc, camp.On)
+	closeStore, err := cliflags.Store{Dir: o.storeDir}.Attach(fs, &sc, o.camp.On)
 	if err != nil {
 		return err
 	}
 	defer closeStore()
 
 	reg := telemetry.NewRegistry()
-	worker, err := camp.Join("diam2serve", *storeDir, reg)
+	worker, err := o.camp.Join(fs, o.storeDir, reg)
 	if err != nil {
 		return err
 	}
@@ -98,17 +110,9 @@ func run(scale cliflags.Scale, camp cliflags.Campaign) error {
 		defer func() { _ = worker.Close() }()
 	}
 
-	srv, err := serve.New(serve.Config{
-		Presets:    presets,
-		Scale:      sc,
-		Store:      sc.Sched.Store,
-		Band:       *band,
-		Loads:      harness.ScreenGridLoads(*grid),
-		QueueMax:   *queueMax,
-		EscWorkers: *escWorkers,
-		Registry:   reg,
-		Campaign:   worker,
-	})
+	o.cfg.Presets, o.cfg.Scale, o.cfg.Store, o.cfg.Loads = presets, sc, sc.Sched.Store, harness.ScreenGridLoads(o.grid)
+	o.cfg.Registry, o.cfg.Campaign = reg, worker
+	srv, err := serve.New(o.cfg)
 	if err != nil {
 		return err
 	}
@@ -116,13 +120,13 @@ func run(scale cliflags.Scale, camp cliflags.Campaign) error {
 	mux := reg.Handler()
 	srv.Register(mux)
 
-	ln, err := net.Listen("tcp", *httpAddr)
+	ln, err := net.Listen("tcp", o.httpAddr)
 	if err != nil {
-		return fmt.Errorf("listen %s: %w", *httpAddr, err)
+		return fmt.Errorf("listen %s: %w", o.httpAddr, err)
 	}
 	httpSrv := &http.Server{Handler: mux}
-	fmt.Fprintf(os.Stderr, "diam2serve: serving design-space queries at http://%s/query (scale %s, %d presets, band %.2f)\n",
-		ln.Addr(), scale.Name, len(presets), *band)
+	fmt.Fprintf(stderr, "diam2serve: serving design-space queries at http://%s/query (scale %s, %d presets, band %.2f)\n",
+		ln.Addr(), o.scale.Name, len(presets), o.cfg.Band)
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
@@ -133,7 +137,7 @@ func run(scale cliflags.Scale, camp cliflags.Campaign) error {
 
 	select {
 	case sig := <-sigc:
-		fmt.Fprintf(os.Stderr, "diam2serve: %v: draining (in-flight queries finish, escalations get %s)\n", sig, *drainTO)
+		fmt.Fprintf(stderr, "diam2serve: %v: draining (in-flight queries finish, escalations get %s)\n", sig, o.drainTO)
 	case err := <-errc:
 		return fmt.Errorf("http server: %w", err)
 	}
@@ -141,14 +145,14 @@ func run(scale cliflags.Scale, camp cliflags.Campaign) error {
 	// Drain order matters: stop accepting and finish in-flight HTTP
 	// responses first (Shutdown blocks until handlers return), then
 	// give the background escalations their budget.
-	shutCtx, cancel := context.WithTimeout(context.Background(), *drainTO)
+	shutCtx, cancel := context.WithTimeout(context.Background(), o.drainTO)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutCtx); err != nil {
-		fmt.Fprintln(os.Stderr, "diam2serve: http shutdown:", err)
+		fmt.Fprintln(stderr, "diam2serve: http shutdown:", err)
 	}
 	if err := srv.Close(shutCtx); err != nil {
-		fmt.Fprintln(os.Stderr, "diam2serve: escalations cut off at drain timeout:", err)
+		fmt.Fprintln(stderr, "diam2serve: escalations cut off at drain timeout:", err)
 	}
-	fmt.Fprintln(os.Stderr, "diam2serve: drained")
+	fmt.Fprintln(stderr, "diam2serve: drained")
 	return nil
 }

@@ -38,9 +38,11 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -71,34 +73,48 @@ type options struct {
 	tel cliflags.Telemetry
 }
 
-// parse declares the options on a fresh flag.CommandLine, parses args
-// into them, and refuses the values a run would otherwise clamp, ignore
-// or replace by a default. The load bound is the one diam2serve
-// enforces.
-func (o *options) parse(args []string) error {
-	flag.CommandLine = flag.NewFlagSet("diam2sim", flag.ExitOnError) // a malformed flag exits 2
-	flag.StringVar(&o.topo, "topo", "mlfm", "topology: sf9|sf10|mlfm|oft|sf-small|mlfm-small|oft-small")
-	flag.StringVar(&o.alg, "alg", "min", "routing: min|inr|a|ath")
-	flag.StringVar(&o.pattern, "pattern", "uni", "synthetic pattern: uni|wc")
-	flag.StringVar(&o.exchange, "exchange", "", "closed-loop exchange instead: a2a|nn")
-	flag.Float64Var(&o.load, "load", 0.5, "offered load (fraction of injection bandwidth)")
-	flag.IntVar(&o.ni, "ni", 0, "override UGAL nI")
-	flag.Float64Var(&o.c, "c", 0, "override UGAL cost constant (c or cSF)")
-	flag.BoolVar(&o.saturate, "saturate", false, "sweep the load ladder for the saturation load instead of one run")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	flag.Float64Var(&o.failLinks, "fail-links", 0, "links to fail mid-run: a fraction (< 1) or a count (>= 1)")
-	flag.Int64Var(&o.faults.FailAt, "fail-at", -1, "cycle at which -fail-links links go down (default: end of warmup)")
-	flag.Int64Var(&o.faults.MTBF, "mtbf", 0, "per-link mean cycles between failures (enables the random fault process)")
-	flag.Int64Var(&o.faults.MTTR, "mttr", 0, "per-link repair time in cycles for -mtbf (default: mtbf/10)")
-	flag.IntVar(&o.faults.RetxTimeout, "retx-timeout", 0, "override the retransmission timeout, cycles")
-	flag.IntVar(&o.faults.RebuildLatency, "rebuild-latency", 0, "override the routing-table rebuild latency, cycles (negative forces instant rebuild)")
+// run simulates what args ask for, writing results to stdout and
+// summaries to stderr, and returns the exit status (cliflags.Parse,
+// Status).
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	fs := flag.NewFlagSet("diam2sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.topo, "topo", "mlfm", "topology: sf9|sf10|mlfm|oft|sf-small|mlfm-small|oft-small")
+	fs.StringVar(&o.alg, "alg", "min", "routing: min|inr|a|ath")
+	fs.StringVar(&o.pattern, "pattern", "uni", "synthetic pattern: uni|wc")
+	fs.StringVar(&o.exchange, "exchange", "", "closed-loop exchange instead: a2a|nn")
+	fs.Float64Var(&o.load, "load", 0.5, "offered load (fraction of injection bandwidth)")
+	fs.IntVar(&o.ni, "ni", 0, "override UGAL nI")
+	fs.Float64Var(&o.c, "c", 0, "override UGAL cost constant (c or cSF)")
+	fs.BoolVar(&o.saturate, "saturate", false, "sweep the load ladder for the saturation load instead of one run")
 
-	o.scale.Register()
-	o.sched.Register()
-	o.prof.Register()
-	o.st.Register()
-	o.tel.Register(false)
-	cliflags.Parse("diam2sim", args)
+	fs.Float64Var(&o.failLinks, "fail-links", 0, "links to fail mid-run: a fraction (< 1) or a count (>= 1)")
+	fs.Int64Var(&o.faults.FailAt, "fail-at", -1, "cycle at which -fail-links links go down (default: end of warmup)")
+	fs.Int64Var(&o.faults.MTBF, "mtbf", 0, "per-link mean cycles between failures (enables the random fault process)")
+	fs.Int64Var(&o.faults.MTTR, "mttr", 0, "per-link repair time in cycles for -mtbf (default: mtbf/10)")
+	fs.IntVar(&o.faults.RetxTimeout, "retx-timeout", 0, "override the retransmission timeout, cycles")
+	fs.IntVar(&o.faults.RebuildLatency, "rebuild-latency", 0, "override the routing-table rebuild latency, cycles (negative forces instant rebuild)")
+
+	o.scale.Register(fs)
+	o.sched.Register(fs)
+	o.prof.Register(fs)
+	o.st.Register(fs)
+	o.tel.Register(fs, false)
+	if status, ok := cliflags.Parse(fs, args, stdout, o.sched.Check, o.check); !ok {
+		return status
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	return cliflags.Status(fs, o.prof.Run(func() error { return o.simulate(ctx, fs, stdout, stderr) }))
+}
+
+// check refuses the values a run would otherwise clamp, ignore or
+// replace by a default, and the fault flags the run would not read.
+// The load bound is the one diam2serve enforces.
+func (o *options) check() error {
 	if !(o.load > 0 && o.load <= 1) {
 		return fmt.Errorf("-load %v: the offered load must be in (0, 1]", o.load)
 	}
@@ -113,28 +129,20 @@ func (o *options) parse(args []string) error {
 			return fmt.Errorf("-%s %v: cannot be negative (0 keeps the default)", f.name, f.v)
 		}
 	}
+	fp, burst, mtbf := o.faults, o.failLinks > 0, o.faults.MTBF > 0
+	switch {
+	case o.failLinks >= 1 && o.failLinks != math.Trunc(o.failLinks):
+		return fmt.Errorf("-fail-links %v: a count of links (>= 1) must be a whole number", o.failLinks)
+	case burst && mtbf:
+		return fmt.Errorf("-fail-links %v with -mtbf %d: the -mtbf process replaces the one-shot burst; pass one or the other", o.failLinks, fp.MTBF)
+	case fp.FailAt != -1 && !burst:
+		return fmt.Errorf("-fail-at %d: only the -fail-links burst has a failure cycle", fp.FailAt)
+	case fp.MTTR != 0 && !mtbf:
+		return fmt.Errorf("-mttr %d: only the -mtbf process repairs links", fp.MTTR)
+	case (fp.RetxTimeout != 0 || fp.RebuildLatency != 0) && !burst && !mtbf:
+		return errors.New("-retx-timeout and -rebuild-latency tune the recovery from faults: pass -fail-links or -mtbf")
+	}
 	return nil
-}
-
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
-
-// run parses args as diam2sim's command line and runs it until done or
-// interrupted, writing results to stdout and summaries to stderr. It
-// returns the exit status: 2 for a value no run can honour, 1 for a
-// failed run.
-func run(args []string, stdout, stderr io.Writer) int {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	var o options
-	if err := o.parse(args); err != nil {
-		fmt.Fprintln(stderr, "diam2sim:", err)
-		return 2
-	}
-	if err := o.prof.Run(func() error { return o.simulate(ctx, stdout, stderr) }); err != nil {
-		fmt.Fprintln(stderr, "diam2sim:", err)
-		return 1
-	}
-	return 0
 }
 
 func findPreset(name string) (harness.Preset, error) {
@@ -162,9 +170,9 @@ func findPreset(name string) (harness.Preset, error) {
 	return harness.PresetByShort(name)
 }
 
-// simulate runs what o asks for: one synthetic run, a saturation
-// ladder or one exchange.
-func (o *options) simulate(ctx context.Context, stdout, stderr io.Writer) error {
+// simulate runs what o, parsed on fs, asks for: one synthetic run, a
+// saturation ladder or one exchange.
+func (o *options) simulate(ctx context.Context, fs *flag.FlagSet, stdout, stderr io.Writer) error {
 	preset, err := findPreset(o.topo)
 	if err != nil {
 		return err
@@ -183,13 +191,13 @@ func (o *options) simulate(ctx context.Context, stdout, stderr io.Writer) error 
 	} else {
 		sc.Faults.FailFrac = o.failLinks
 	}
-	o.sched.Wire(ctx, &sc, nil)
-	sink, _, telShutdown, err := o.tel.Setup(&sc, false)
+	o.sched.Wire(ctx, fs, &sc, nil)
+	sink, _, telShutdown, err := o.tel.Setup(fs, &sc, false)
 	if err != nil {
 		return err
 	}
 	defer telShutdown()
-	closeStore, err := o.st.Attach("diam2sim", &sc, false)
+	closeStore, err := o.st.Attach(fs, &sc, false)
 	if err != nil {
 		return err
 	}
@@ -252,7 +260,7 @@ func (o *options) simulate(ctx context.Context, stdout, stderr io.Writer) error 
 		fmt.Fprintf(stdout, "effective throughput %.1f%% of injection bandwidth\n", eff*100)
 		printResults(stdout, res)
 		simRate()
-		return report(stdout, o.tel, sink)
+		return report(stdout, fs, o.tel, sink)
 	}
 
 	pat, err := harness.ParsePattern(o.pattern)
@@ -272,7 +280,7 @@ func (o *options) simulate(ctx context.Context, stdout, stderr io.Writer) error 
 		fmt.Fprintf(stdout, "saturation load (%s, %s): %.3f of injection bandwidth\n", o.pattern, o.alg, sat)
 		simRate()
 		fmt.Fprintf(stderr, "diam2sim: %d points in %s wall time\n", len(ladder.Runs), time.Since(start).Round(time.Millisecond))
-		return report(stdout, o.tel, sink)
+		return report(stdout, fs, o.tel, sink)
 	}
 	res, err := harness.RunSynthetic(tp, alg, ugal, pat, o.load, sc)
 	if err != nil {
@@ -283,7 +291,7 @@ func (o *options) simulate(ctx context.Context, stdout, stderr io.Writer) error 
 	fmt.Fprintf(stdout, "delivered throughput %.1f%% of injection bandwidth\n", res.Throughput*100)
 	printResults(stdout, res)
 	simRate()
-	return report(stdout, o.tel, sink)
+	return report(stdout, fs, o.tel, sink)
 }
 
 func printResults(w io.Writer, res sim.Results) {

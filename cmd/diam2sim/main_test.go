@@ -43,11 +43,15 @@ func TestSaturateLadderFromCurve(t *testing.T) {
 	}
 	defer st.Close()
 	sc := harness.QuickScale()
-	sc.Faults.FailAt = -1 // the -fail-at default, which the store keys carry
 	sc.Sched = harness.Sched{Workers: 2, Store: st}
 	sat, ladder, err := harness.SaturationPoint(tp, harness.AlgMIN, p.BestAdaptive, harness.PatWC, harness.DefaultLoads(), 0.05, sc)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// diam2sim's fault-free plan keys like the library's zero plan, so
+	// the library replays every rung the run recorded.
+	if got := st.Stats(); got.Hits != int64(len(ladder.Runs)) || got.Puts != 0 {
+		t.Errorf("library replay of the -saturate store: %d reused, %d computed; want %d, 0", got.Hits, got.Puts, len(ladder.Runs))
 	}
 	var want strings.Builder
 	for i, res := range ladder.Runs {
@@ -77,7 +81,6 @@ func TestSingleRunSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := harness.QuickScale()
-	sc.Faults.FailAt = -1
 	res, err := harness.RunSynthetic(tp, harness.AlgINR, p.BestAdaptive, harness.PatUNI, 0.3, sc)
 	if err != nil {
 		t.Fatal(err)
@@ -101,6 +104,11 @@ func TestOutOfRangeExit2(t *testing.T) {
 		{"-load", "1.5"}, {"-load", "0"}, {"-load", "NaN"},
 		{"-fail-links", "-1"}, {"-mtbf", "-5"}, {"-mttr", "-5"},
 		{"-ni", "-3"}, {"-c", "-2"}, {"-retx-timeout", "-1"},
+		{"-j", "-1"}, {"-cores", "-2"},
+		{"-fail-links", "0.1", "-mtbf", "1000"}, {"-fail-at", "5000"},
+		{"-mttr", "50"}, {"-mttr", "50", "-fail-links", "2"},
+		{"-retx-timeout", "100"}, {"-rebuild-latency", "-1"},
+		{"-fail-links", "2.5"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {
@@ -108,6 +116,28 @@ func TestOutOfRangeExit2(t *testing.T) {
 		}
 		if strings.Count(stderr.String(), "\n") != 1 || !strings.Contains(stderr.String(), args[0]) || stdout.Len() != 0 {
 			t.Errorf("%s: want one stderr line naming the flag, got stderr %q, stdout %q", strings.Join(args, " "), stderr.String(), stdout.String())
+		}
+	}
+}
+
+// TestParseOutcomesInProcess: -version, -h and a malformed flag end the
+// run with their exit status and leave the test binary running.
+func TestParseOutcomesInProcess(t *testing.T) {
+	for _, c := range []struct {
+		args       []string
+		code       int
+		out, errIs string
+	}{
+		{[]string{"-version"}, 0, "diam2sim ", ""},
+		{[]string{"-h"}, 0, "", "Usage of diam2sim:\n"},
+		{[]string{"-nosuchflag"}, 2, "", "flag provided but not defined: -nosuchflag\nUsage of diam2sim:\n"},
+		{[]string{"-load", "x"}, 2, "", "invalid value \"x\" for flag -load: parse error\nUsage of diam2sim:\n"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(c.args, &stdout, &stderr)
+		if code != c.code || !strings.HasPrefix(stdout.String(), c.out) || !strings.HasPrefix(stderr.String(), c.errIs) {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit %d, stdout starting %q, stderr starting %q",
+				strings.Join(c.args, " "), code, stdout.String(), stderr.String(), c.code, c.out, c.errIs)
 		}
 	}
 }

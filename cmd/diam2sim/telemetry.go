@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"io"
 
@@ -8,8 +9,9 @@ import (
 	"diam2/internal/harness"
 )
 
-// report prints the telemetry summary and writes the JSONL trace.
-func report(w io.Writer, tel cliflags.Telemetry, sink *harness.TelemetrySink) error {
+// report prints the telemetry summary to w and writes the JSONL trace,
+// noting it on fs.Output().
+func report(w io.Writer, fs *flag.FlagSet, tel cliflags.Telemetry, sink *harness.TelemetrySink) error {
 	if sink == nil {
 		return nil
 	}
@@ -37,5 +39,5 @@ func report(w io.Writer, tel cliflags.Telemetry, sink *harness.TelemetrySink) er
 		}
 		fmt.Fprintf(w, "  %4d -> %-4d %10d  %.3f\n", l.From, l.To, l.Flits, l.Load)
 	}
-	return tel.Export(sink)
+	return tel.Export(fs, sink)
 }

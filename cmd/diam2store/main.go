@@ -56,104 +56,72 @@ import (
 	"diam2/internal/store"
 )
 
-func main() {
-	var (
-		dir     = flag.String("store", "", "store directory (required)")
-		verbose = flag.Bool("v", false, "list: full canonical keys and payloads")
-		dryRun  = flag.Bool("dry-run", false, "gc: report without rewriting")
-	)
-	cliflags.Parse("diam2store", os.Args[1:])
-	if *dir == "" || flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: diam2store -store DIR {list|stats|verify|diff OTHERDIR|gc}")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run runs the command line args, whose flags may follow the
+// subcommand ("gc -dry-run"; "gc -dryrun" is refused before any store
+// is touched), and returns the exit status (cliflags.Parse, Status).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("diam2store", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	dir := fs.String("store", "", "store directory (required)")
+	verbose := fs.Bool("v", false, "list: full canonical keys and payloads")
+	dryRun := fs.Bool("dry-run", false, "gc: report without rewriting")
+	if status, ok := cliflags.Parse(fs, args, stdout); !ok {
+		return status
 	}
-	// flag.Parse stops at the first positional (the subcommand), so
-	// accept the boolean flags after it too: "gc -dry-run" must not
-	// silently run a real gc.
-	args, err := tailArgs(flag.Args()[1:], verbose, dryRun)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "diam2store:", err)
-		os.Exit(2)
+	if *dir == "" || fs.NArg() == 0 {
+		fmt.Fprintln(stderr, "usage: diam2store -store DIR {list|stats|verify|diff OTHERDIR|gc}")
+		return 2
 	}
-	if err := run(*dir, flag.Arg(0), args, *verbose, *dryRun); err != nil {
-		fmt.Fprintln(os.Stderr, "diam2store:", err)
-		os.Exit(1)
-	}
+	return cliflags.Status(fs, subcommand(stdout, stderr, *dir, fs.Arg(0), fs.Args()[1:], *verbose, *dryRun))
 }
 
-// tailArgs sorts the tokens after the subcommand into recognized
-// boolean flags and positional arguments. Anything flag-shaped but
-// unrecognized is an error: a typo like "gc -dryrun" must abort, not
-// fall through to a real, destructive gc.
-func tailArgs(tail []string, verbose, dryRun *bool) ([]string, error) {
-	args := make([]string, 0, len(tail))
-	for _, a := range tail {
-		switch a {
-		case "-v", "--v":
-			*verbose = true
-		case "-dry-run", "--dry-run":
-			*dryRun = true
-		default:
-			if len(a) > 0 && a[0] == '-' {
-				return nil, fmt.Errorf("unknown flag %q after subcommand (know -v and -dry-run)", a)
-			}
-			args = append(args, a)
-		}
-	}
-	return args, nil
-}
-
-func run(dir, cmd string, args []string, verbose, dryRun bool) error {
-	switch cmd {
-	case "list", "stats", "verify", "gc":
-		// These take no positional arguments; a stray token is a
-		// mistake worth stopping on, not ignoring.
-		if len(args) > 0 {
-			return fmt.Errorf("%s takes no arguments (got %q)", cmd, args)
-		}
-	case "diff":
+// subcommand runs cmd with its positional arguments on the store in dir.
+func subcommand(stdout, stderr io.Writer, dir, cmd string, args []string, verbose, dryRun bool) error {
+	if cmd == "diff" {
 		if len(args) != 1 {
 			return fmt.Errorf("diff wants exactly one other store directory")
 		}
-	default:
+		return diff(stdout, dir, args[0])
+	}
+	do, ok := map[string]func() error{
+		"list":   func() error { return list(stdout, stderr, dir, verbose) },
+		"stats":  func() error { return stats(stdout, dir) },
+		"verify": func() error { return verify(stdout, dir) },
+		"gc":     func() error { return gc(stdout, dir, dryRun) },
+	}[cmd]
+	switch {
+	case !ok:
 		return fmt.Errorf("unknown subcommand %q (list|stats|verify|diff|gc)", cmd)
+	case len(args) > 0:
+		// The others take no positional arguments; a stray token is a
+		// mistake worth stopping on, not ignoring.
+		return fmt.Errorf("%s takes no arguments (got %q)", cmd, args)
 	}
-	switch cmd {
-	case "list":
-		return list(dir, verbose)
-	case "stats":
-		return stats(dir)
-	case "verify":
-		return verify(dir)
-	case "diff":
-		return diff(dir, args[0])
-	default:
-		return gc(dir, dryRun)
-	}
+	return do()
 }
 
-func list(dir string, verbose bool) error {
+func list(w, stderr io.Writer, dir string, verbose bool) error {
 	st, err := store.OpenCLIRead(dir, "diam2store")
 	if err != nil {
 		return err
 	}
 	defer st.Close()
 	for _, rec := range st.Records() {
-		fmt.Printf("%-60s  key=%s seed=%d wall=%.1fms engine-schema=%d build=%s created=%s\n",
+		fmt.Fprintf(w, "%-60s  key=%s seed=%d wall=%.1fms engine-schema=%d build=%s created=%s\n",
 			rec.Point, store.ShortKey(rec.Key), rec.Seed, rec.WallMS, rec.EngineSchema, rec.Engine, rec.Created)
 		if verbose {
-			fmt.Printf("  %s\n  %s\n", rec.Key, rec.Payload)
+			fmt.Fprintf(w, "  %s\n  %s\n", rec.Key, rec.Payload)
 		}
 	}
-	fmt.Fprintln(os.Stderr, "diam2store:", st.Summary())
+	fmt.Fprintln(stderr, "diam2store:", st.Summary())
 	return nil
 }
 
 // stats summarizes one store read-only: per-tier live record counts,
 // on-disk segment footprint, and the dedupe ratio.
-func stats(dir string) error { return statsTo(os.Stdout, dir) }
-
-func statsTo(w io.Writer, dir string) error {
+func stats(w io.Writer, dir string) error {
 	st, err := store.OpenCLIRead(dir, "diam2store")
 	if err != nil {
 		return err
@@ -204,33 +172,33 @@ func formatBytes(n int64) string {
 	}
 }
 
-func verify(dir string) error {
+func verify(w io.Writer, dir string) error {
 	rep, err := store.Verify(dir, sim.EngineSchema)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("segments  %d\n", len(rep.Segments))
+	fmt.Fprintf(w, "segments  %d\n", len(rep.Segments))
 	for _, s := range rep.Segments {
-		fmt.Printf("  %s\n", s)
+		fmt.Fprintf(w, "  %s\n", s)
 	}
-	fmt.Printf("records   %d valid (%d live, %d superseded)\n", rep.Records, rep.Live, rep.Records-rep.Live)
+	fmt.Fprintf(w, "records   %d valid (%d live, %d superseded)\n", rep.Records, rep.Live, rep.Records-rep.Live)
 	if rep.StaleEngine > 0 {
-		fmt.Printf("stale     %s under a different engine schema (current %d); gc reclaims them\n",
+		fmt.Fprintf(w, "stale     %s under a different engine schema (current %d); gc reclaims them\n",
 			store.FormatCount(rep.StaleEngine, "record"), sim.EngineSchema)
 	}
 	if len(rep.Corruptions) == 0 {
-		fmt.Println("integrity ok: every record line passed framing and checksum")
+		fmt.Fprintln(w, "integrity ok: every record line passed framing and checksum")
 		return nil
 	}
-	fmt.Printf("integrity %s skipped:\n", store.FormatCount(len(rep.Corruptions), "corrupt record"))
+	fmt.Fprintf(w, "integrity %s skipped:\n", store.FormatCount(len(rep.Corruptions), "corrupt record"))
 	for _, c := range rep.Corruptions {
-		fmt.Printf("  %s\n", c)
+		fmt.Fprintf(w, "  %s\n", c)
 	}
 	return fmt.Errorf("%s found (resuming sweeps recompute those points; gc rewrites clean segments)",
 		store.FormatCount(len(rep.Corruptions), "corrupt record"))
 }
 
-func diff(dirA, dirB string) error {
+func diff(w io.Writer, dirA, dirB string) error {
 	a, err := store.OpenCLIRead(dirA, "diam2store")
 	if err != nil {
 		return err
@@ -243,15 +211,15 @@ func diff(dirA, dirB string) error {
 	defer b.Close()
 	rep := store.Diff(a, b)
 	for _, rec := range rep.OnlyA {
-		fmt.Printf("only %s: %s (key=%s)\n", dirA, rec.Point, store.ShortKey(rec.Key))
+		fmt.Fprintf(w, "only %s: %s (key=%s)\n", dirA, rec.Point, store.ShortKey(rec.Key))
 	}
 	for _, rec := range rep.OnlyB {
-		fmt.Printf("only %s: %s (key=%s)\n", dirB, rec.Point, store.ShortKey(rec.Key))
+		fmt.Fprintf(w, "only %s: %s (key=%s)\n", dirB, rec.Point, store.ShortKey(rec.Key))
 	}
 	for _, rec := range rep.Differ {
-		fmt.Printf("DIFFER: %s (key=%s) — same canonical key, different payload\n", rec.Point, store.ShortKey(rec.Key))
+		fmt.Fprintf(w, "DIFFER: %s (key=%s) — same canonical key, different payload\n", rec.Point, store.ShortKey(rec.Key))
 	}
-	fmt.Printf("%d equal, %d only in %s, %d only in %s, %d differ\n",
+	fmt.Fprintf(w, "%d equal, %d only in %s, %d only in %s, %d differ\n",
 		rep.Equal, len(rep.OnlyA), dirA, len(rep.OnlyB), dirB, len(rep.Differ))
 	if len(rep.Differ) > 0 {
 		return fmt.Errorf("%s with equal keys but different payloads", store.FormatCount(len(rep.Differ), "record"))
@@ -259,7 +227,7 @@ func diff(dirA, dirB string) error {
 	return nil
 }
 
-func gc(dir string, dryRun bool) error {
+func gc(w io.Writer, dir string, dryRun bool) error {
 	st, err := store.OpenCLIExisting(dir, "diam2store")
 	if err != nil {
 		return err
@@ -270,7 +238,7 @@ func gc(dir string, dryRun bool) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("gc would keep %d record(s), drop %d superseded and %d stale-engine, and rewrite %d segment(s)\n",
+		fmt.Fprintf(w, "gc would keep %d record(s), drop %d superseded and %d stale-engine, and rewrite %d segment(s)\n",
 			rep.Live-rep.StaleEngine, rep.Records-rep.Live, rep.StaleEngine, len(rep.Segments))
 		return nil
 	}
@@ -278,7 +246,7 @@ func gc(dir string, dryRun bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("gc kept %d record(s); dropped %d superseded and %d stale-engine; rewrote %d segment(s) into 1\n",
+	fmt.Fprintf(w, "gc kept %d record(s); dropped %d superseded and %d stale-engine; rewrote %d segment(s) into 1\n",
 		rep.Live, rep.DroppedDupes, rep.DroppedStale, rep.RemovedSegments)
 	return nil
 }

@@ -76,6 +76,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sync"
@@ -89,82 +90,86 @@ import (
 	"diam2/internal/harness"
 )
 
-// diam2sweep's own flags; the shared groups are declared in main.
-var (
-	fig     = flag.String("fig", "", "figure to regenerate: 6a|6b|7|8|9|10|11|12|13|14|resilience|all")
-	plotDir = flag.String("plotdir", "", "write SVG charts for figures with curves into this directory")
-	ascii   = flag.Bool("ascii", false, "also render ASCII charts to stdout")
-	csvDir  = flag.String("csvdir", "", "also write each figure's data as CSV into this directory")
+// options is diam2sweep's command line: its own flags and the shared
+// groups declared in internal/cliflags.
+type options struct {
+	fig, plotDir, csvDir string
+	ascii, screen        bool
+	screenOpts
 
-	screen      = flag.Bool("screen", false, "screening tier: answer the oblivious sweep grid analytically (fluid model) instead of regenerating a figure")
-	screenGrid  = flag.Int("screen-grid", 0, "with -screen, offered-load ladder size, evenly spaced in (0,1] (0: the default figure ladder)")
-	escBand     = flag.Float64("escalate-band", 0, "with -screen, re-simulate screened points within this relative band of their predicted saturation, plus family-crossover brackets (0: screen only)")
-	screenCheck = flag.Bool("screen-check", false, "with -screen and -escalate-band, fail if any escalated point's fluid estimate misses its recorded calibration tolerance")
-)
-
-func main() {
-	var (
-		scale cliflags.Scale
-		sched cliflags.Sched
-		prof  cliflags.Profile
-		st    cliflags.Store
-		camp  cliflags.Campaign
-		tel   cliflags.Telemetry
-	)
-	scale.Register()
-	sched.Register()
-	prof.Register()
-	st.Register()
-	camp.Register()
-	tel.Register(true)
-	flag.DurationVar(&camp.Policy.LeaseTTL, "lease-ttl", campaign.DefaultLeaseTTL, "campaign lease time-to-live: a worker silent this long loses its points to the others")
-	flag.DurationVar(&camp.Policy.Watchdog, "watchdog", 0, "campaign per-attempt timeout: a point attempt running longer is cancelled, retried and eventually quarantined (0: off)")
-	flag.IntVar(&camp.Policy.MaxAttempts, "retries", campaign.DefaultMaxAttempts, "campaign attempts per point (across all workers) before quarantine")
-	flag.DurationVar(&camp.Policy.BaseBackoff, "backoff", campaign.DefaultBaseBackoff, "campaign base backoff after a failed attempt (doubles per attempt, jittered)")
-	cliflags.Parse("diam2sweep", os.Args[1:])
-	if *fig == "" && !*screen {
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *fig != "" && *screen {
-		fmt.Fprintln(os.Stderr, "diam2sweep: -screen replaces -fig (the screening tier covers the whole oblivious grid); pass one or the other")
-		os.Exit(2)
-	}
-	if *screenGrid < 0 {
-		fmt.Fprintf(os.Stderr, "diam2sweep: -screen-grid %d: the load ladder size cannot be negative (0: the default figure ladder)\n", *screenGrid)
-		os.Exit(2)
-	}
-	if camp.On {
-		if st.Dir == "" {
-			fmt.Fprintln(os.Stderr, "diam2sweep: -campaign requires -store (workers coordinate through the store directory)")
-			os.Exit(2)
-		}
-		if tel.Collecting() {
-			fmt.Fprintln(os.Stderr, "diam2sweep: -campaign is incompatible with telemetry collection (telemetry bypasses the store lookups campaigns depend on; run a dedicated -telemetry sweep instead)")
-			os.Exit(2)
-		}
-	}
-	if err := prof.Run(func() error { return run(scale, sched, st, camp, tel) }); err != nil {
-		fmt.Fprintln(os.Stderr, "diam2sweep:", err)
-		if errors.Is(err, campaign.ErrDrained) {
-			// Graceful drain is a distinct outcome: this worker did its
-			// part and stopped on request; the campaign itself goes on.
-			os.Exit(3)
-		}
-		os.Exit(1)
-	}
+	scale cliflags.Scale
+	sched cliflags.Sched
+	prof  cliflags.Profile
+	st    cliflags.Store
+	camp  cliflags.Campaign
+	tel   cliflags.Telemetry
 }
 
-func run(scale cliflags.Scale, sched cliflags.Sched, st cliflags.Store, camp cliflags.Campaign, tel cliflags.Telemetry) error {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run sweeps what args ask for, writing tables to stdout and summaries
+// to stderr, and returns the exit status (cliflags.Parse, Status).
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	fs := flag.NewFlagSet("diam2sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.fig, "fig", "", "figure to regenerate: 6a|6b|7|8|9|10|11|12|13|14|resilience|all")
+	fs.StringVar(&o.plotDir, "plotdir", "", "write SVG charts for figures with curves into this directory")
+	fs.BoolVar(&o.ascii, "ascii", false, "also render ASCII charts to stdout")
+	fs.StringVar(&o.csvDir, "csvdir", "", "also write each figure's data as CSV into this directory")
+
+	fs.BoolVar(&o.screen, "screen", false, "screening tier: answer the oblivious sweep grid analytically (fluid model) instead of regenerating a figure")
+	fs.IntVar(&o.grid, "screen-grid", 0, "with -screen, offered-load ladder size, evenly spaced in (0,1] (0: the default figure ladder)")
+	fs.Float64Var(&o.band, "escalate-band", 0, "with -screen, re-simulate screened points within this relative band of their predicted saturation, plus family-crossover brackets (0: screen only)")
+	fs.BoolVar(&o.check, "screen-check", false, "with -screen and -escalate-band, fail if any escalated point's fluid estimate misses its recorded calibration tolerance")
+
+	o.scale.Register(fs)
+	o.sched.Register(fs)
+	o.prof.Register(fs)
+	o.st.Register(fs)
+	o.camp.Register(fs)
+	o.tel.Register(fs, true)
+	fs.DurationVar(&o.camp.Policy.LeaseTTL, "lease-ttl", campaign.DefaultLeaseTTL, "campaign lease time-to-live: a worker silent this long loses its points to the others")
+	fs.DurationVar(&o.camp.Policy.Watchdog, "watchdog", 0, "campaign per-attempt timeout: a point attempt running longer is cancelled, retried and eventually quarantined (0: off)")
+	fs.IntVar(&o.camp.Policy.MaxAttempts, "retries", campaign.DefaultMaxAttempts, "campaign attempts per point (across all workers) before quarantine")
+	fs.DurationVar(&o.camp.Policy.BaseBackoff, "backoff", campaign.DefaultBaseBackoff, "campaign base backoff after a failed attempt (doubles per attempt, jittered)")
+	if status, ok := cliflags.Parse(fs, args, stdout, o.sched.Check, o.refuse); !ok {
+		return status
+	}
+	if o.fig == "" && !o.screen {
+		fs.Usage()
+		return 2
+	}
+	return cliflags.Status(fs, o.prof.Run(func() error { return o.sweep(fs, args, stdout, stderr) }))
+}
+
+// refuse returns why the flag combination cannot run, if it cannot.
+func (o *options) refuse() error {
+	switch {
+	case o.fig != "" && o.screen:
+		return errors.New("-screen replaces -fig (the screening tier covers the whole oblivious grid); pass one or the other")
+	case o.grid < 0:
+		return fmt.Errorf("-screen-grid %d: the load ladder size cannot be negative (0: the default figure ladder)", o.grid)
+	case o.camp.On && o.st.Dir == "":
+		return errors.New("-campaign requires -store (workers coordinate through the store directory)")
+	case o.camp.On && o.tel.Collecting():
+		return errors.New("-campaign is incompatible with telemetry collection (telemetry bypasses the store lookups campaigns depend on; run a dedicated -telemetry sweep instead)")
+	}
+	return nil
+}
+
+// sweep runs the sweep o, parsed from args on fs, asks for; args go
+// into a campaign's manifest.
+func (o *options) sweep(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) error {
 	// Ctrl-C cancels the sweep; SIGTERM, for a campaign worker, drains.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	sc, presets, err := scale.Resolve()
+	sc, presets, err := o.scale.Resolve()
 	if err != nil {
 		return err
 	}
-	if cores := sched.Cores; cores > 1 {
-		fmt.Fprintf(os.Stderr, "diam2sweep: sharded engine: %d threads per point (-cores), orthogonal to the -j point pool; results are keyed separately from serial runs\n", cores)
+	if cores := o.sched.Cores; cores > 1 {
+		fmt.Fprintf(stderr, "diam2sweep: sharded engine: %d threads per point (-cores), orthogonal to the -j point pool; results are keyed separately from serial runs\n", cores)
 	}
 
 	// Wire the experiment scheduler: worker pool, cancellation, and —
@@ -189,7 +194,7 @@ func run(scale cliflags.Scale, sched cliflags.Sched, st cliflags.Store, camp cli
 		}
 		return livLine
 	}
-	sched.Wire(ctx, &sc, liveness)
+	o.sched.Wire(ctx, fs, &sc, liveness)
 	var busy atomic.Int64
 	progress := sc.Sched.OnPoint // nil without -progress
 	sc.Sched.OnPoint = func(done, total int, key string, elapsed time.Duration) {
@@ -200,20 +205,20 @@ func run(scale cliflags.Scale, sched cliflags.Sched, st cliflags.Store, camp cli
 	}
 	// Campaign workers serve the -http endpoints but collect nothing:
 	// they rely on the store lookups that collection bypasses.
-	sink, reg, telShutdown, err := tel.Setup(&sc, camp.On)
+	sink, reg, telShutdown, err := o.tel.Setup(fs, &sc, o.camp.On)
 	if err != nil {
 		return err
 	}
 	defer telShutdown()
-	closeStore, err := st.Attach("diam2sweep", &sc, camp.On)
+	closeStore, err := o.st.Attach(fs, &sc, o.camp.On)
 	if err != nil {
 		return err
 	}
 	defer closeStore()
 	if sink != nil && sc.Sched.Store != nil {
-		fmt.Fprintln(os.Stderr, "diam2sweep: telemetry collection recomputes every point (store lookups bypassed, results still recorded)")
+		fmt.Fprintln(stderr, "diam2sweep: telemetry collection recomputes every point (store lookups bypassed, results still recorded)")
 	}
-	worker, err = camp.Join("diam2sweep", st.Dir, reg)
+	worker, err = o.camp.Join(fs, o.st.Dir, reg)
 	if err != nil {
 		return err
 	}
@@ -223,8 +228,8 @@ func run(scale cliflags.Scale, sched cliflags.Sched, st cliflags.Store, camp cli
 		// Record what this campaign computes (first submitter wins; a
 		// coordinator's explicit submit may already have).
 		_ = campaign.WriteManifest(worker.Dir(), campaign.Manifest{
-			Name:      fmt.Sprintf("fig %s @ %s", *fig, scale.Name),
-			Args:      os.Args[1:],
+			Name:      fmt.Sprintf("fig %s @ %s", o.fig, o.scale.Name),
+			Args:      args,
 			Created:   time.Now().UTC().Format(time.RFC3339),
 			CreatedBy: "diam2sweep " + buildinfo.Version(),
 		})
@@ -236,7 +241,7 @@ func run(scale cliflags.Scale, sched cliflags.Sched, st cliflags.Store, camp cli
 		defer signal.Stop(sigc)
 		go func() {
 			if _, ok := <-sigc; ok {
-				fmt.Fprintln(os.Stderr, "diam2sweep: SIGTERM: draining (finishing leased points, releasing the rest)")
+				fmt.Fprintln(stderr, "diam2sweep: SIGTERM: draining (finishing leased points, releasing the rest)")
 				worker.Drain()
 			}
 		}()
@@ -257,15 +262,14 @@ func run(scale cliflags.Scale, sched cliflags.Sched, st cliflags.Store, camp cli
 		if cyc := harness.SimulatedCycles(); cyc > 0 && wall > 0 {
 			summary += fmt.Sprintf(" sim-cycles=%d (%.0f cycles/s)", cyc, float64(cyc)/wall.Seconds())
 		}
-		fmt.Fprintln(os.Stderr, "diam2sweep:", summary)
+		fmt.Fprintln(stderr, "diam2sweep:", summary)
 	}()
 
-	if *screen {
-		o := screenOpts{band: *escBand, grid: *screenGrid, check: *screenCheck}
-		if err := runScreen(sc, presets, o, *csvDir); err != nil {
+	if o.screen {
+		if err := runScreen(sc, presets, o.screenOpts, o.csvDir, stdout, stderr); err != nil {
 			return err
 		}
-		return exportTelemetry(tel, sink)
+		return o.exportTelemetry(fs, sink)
 	}
 
 	// Preset lookup by family for the per-topology adaptive figures.
@@ -280,7 +284,7 @@ func run(scale cliflags.Scale, sched cliflags.Sched, st cliflags.Store, camp cli
 	// grid to keep the full figure set to about an hour of CPU.
 	sweepNI := []int{1, 2, 4, 8}
 	sweepC := []float64{0.5, 1, 2, 4}
-	if scale.Name == "medium" {
+	if o.scale.Name == "medium" {
 		loads = []float64{0.1, 0.5, 0.9, 1.0}
 		sweepNI = []int{1, 4}
 		sweepC = []float64{1, 2}
@@ -291,24 +295,24 @@ func run(scale cliflags.Scale, sched cliflags.Sched, st cliflags.Store, camp cli
 		if err != nil {
 			return err
 		}
-		if err := t.Render(os.Stdout); err != nil {
+		if err := t.Render(stdout); err != nil {
 			return err
 		}
-		if err := t.WriteCSV(*csvDir, "fig"+figName); err != nil {
+		if err := t.WriteCSV(o.csvDir, "fig"+figName); err != nil {
 			return err
 		}
-		svgs, err := t.WriteCharts(*plotDir, "fig"+figName)
+		svgs, err := t.WriteCharts(o.plotDir, "fig"+figName)
 		if err != nil {
 			return err
 		}
 		for i, ch := range t.Charts {
-			if *ascii {
-				if err := ch.RenderASCII(os.Stdout, 72, 18); err != nil {
+			if o.ascii {
+				if err := ch.RenderASCII(stdout, 72, 18); err != nil {
 					return err
 				}
 			}
 			if svgs != nil {
-				fmt.Printf("wrote %s\n", svgs[i])
+				fmt.Fprintf(stdout, "wrote %s\n", svgs[i])
 			}
 		}
 		return nil
@@ -321,8 +325,8 @@ func run(scale cliflags.Scale, sched cliflags.Sched, st cliflags.Store, camp cli
 		return render(harness.AdaptiveSweep(p, kind, sweepNI, sweepC, fixedNI, fixedC, loads, sc))
 	}
 
-	figs := []string{*fig}
-	if *fig == "all" {
+	figs := []string{o.fig}
+	if o.fig == "all" {
 		figs = []string{"6a", "6b", "7", "8", "9", "10", "11", "12", "13", "14"}
 	}
 	for _, f := range figs {
@@ -361,16 +365,16 @@ func run(scale cliflags.Scale, sched cliflags.Sched, st cliflags.Store, camp cli
 			return fmt.Errorf("fig %s: %w", f, err)
 		}
 	}
-	return exportTelemetry(tel, sink)
+	return o.exportTelemetry(fs, sink)
 }
 
-// exportTelemetry prints the sweep's one-line telemetry summary and
-// writes the -trace-out and -heatmap files.
-func exportTelemetry(tel cliflags.Telemetry, sink *harness.TelemetrySink) error {
+// exportTelemetry prints the sweep's one-line telemetry summary to
+// fs.Output() and writes the -trace-out and -heatmap files.
+func (o *options) exportTelemetry(fs *flag.FlagSet, sink *harness.TelemetrySink) error {
 	if sink != nil {
 		tot := sink.Totals()
-		fmt.Fprintf(os.Stderr, "telemetry: %d points, injected=%d delivered=%d dropped=%d link-flits=%d\n",
+		fmt.Fprintf(fs.Output(), "telemetry: %d points, injected=%d delivered=%d dropped=%d link-flits=%d\n",
 			tot.Points, tot.Injected, tot.Delivered, tot.Dropped, tot.LinkFlits)
 	}
-	return tel.Export(sink)
+	return o.tel.Export(fs, sink)
 }

@@ -2,7 +2,7 @@ package main
 
 import (
 	"fmt"
-	"os"
+	"io"
 	"time"
 
 	"diam2/internal/harness"
@@ -17,12 +17,12 @@ type screenOpts struct {
 }
 
 // runScreen drives the screening tier: answer the full grid
-// analytically, print the summary, then (with -escalate-band) pick the
+// analytically, print the summary table to stdout, then (with -escalate-band) pick the
 // near-saturation and family-crossover neighborhoods and re-run them
 // through the flit-level simulator, scoring each against the recorded
 // calibration tolerances. With -screen-check, any escalated point
 // outside its recorded tolerance fails the run — the CI smoke gate.
-func runScreen(sc harness.Scale, presets []harness.Preset, o screenOpts, csvDir string) error {
+func runScreen(sc harness.Scale, presets []harness.Preset, o screenOpts, csvDir string, stdout, stderr io.Writer) error {
 	spec := harness.ScreenSpec{}
 	if o.grid > 0 {
 		spec.Loads = harness.ScreenGridLoads(o.grid)
@@ -32,22 +32,22 @@ func runScreen(sc harness.Scale, presets []harness.Preset, o screenOpts, csvDir 
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "diam2sweep: screen: %d analytic points in %s\n",
+	fmt.Fprintf(stderr, "diam2sweep: screen: %d analytic points in %s\n",
 		len(points), time.Since(start).Round(time.Millisecond))
-	if err := emitTable(harness.ScreenTable(points), csvDir, "screen"); err != nil {
+	if err := emitTable(stdout, harness.ScreenTable(points), csvDir, "screen"); err != nil {
 		return err
 	}
 	if o.band <= 0 {
 		return nil
 	}
 	picks := harness.SelectEscalations(points, o.band)
-	fmt.Fprintf(os.Stderr, "diam2sweep: escalating %d of %d screened points (band=%.2f)\n",
+	fmt.Fprintf(stderr, "diam2sweep: escalating %d of %d screened points (band=%.2f)\n",
 		len(picks), len(points), o.band)
 	escs, err := harness.EscalateSweep(picks, presets, sc)
 	if err != nil {
 		return err
 	}
-	if err := emitTable(harness.EscalationTable(escs), csvDir, "escalate"); err != nil {
+	if err := emitTable(stdout, harness.EscalationTable(escs), csvDir, "escalate"); err != nil {
 		return err
 	}
 	if o.check {
@@ -60,15 +60,15 @@ func runScreen(sc harness.Scale, presets []harness.Preset, o screenOpts, csvDir 
 		if bad > 0 {
 			return fmt.Errorf("screen check: %d escalated point(s) outside their recorded calibration tolerance", bad)
 		}
-		fmt.Fprintf(os.Stderr, "diam2sweep: screen check: all %d escalated points within recorded tolerances\n", len(escs))
+		fmt.Fprintf(stderr, "diam2sweep: screen check: all %d escalated points within recorded tolerances\n", len(escs))
 	}
 	return nil
 }
 
-// emitTable renders a screening table to stdout and, with -csvdir, to
+// emitTable renders a screening table to w and, with -csvdir, to
 // <dir>/<name>.csv.
-func emitTable(t *harness.Table, csvDir, name string) error {
-	if err := t.Render(os.Stdout); err != nil {
+func emitTable(w io.Writer, t *harness.Table, csvDir, name string) error {
+	if err := t.Render(w); err != nil {
 		return err
 	}
 	return t.WriteCSV(csvDir, name)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,7 +16,7 @@ import (
 func TestRunScreenScreenOnly(t *testing.T) {
 	dir := t.TempDir()
 	o := screenOpts{grid: 5}
-	if err := runScreen(harness.QuickScale(), harness.SmallPresets(), o, dir); err != nil {
+	if err := runScreen(harness.QuickScale(), harness.SmallPresets(), o, dir, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "screen.csv"))
@@ -27,7 +28,7 @@ func TestRunScreenScreenOnly(t *testing.T) {
 		t.Errorf("screen.csv has %d lines, want 13 (header + 12 combos):\n%s", lines, data)
 	}
 	// Without -csvdir only the stdout table is rendered.
-	if err := runScreen(harness.QuickScale(), harness.SmallPresets()[:1], o, ""); err != nil {
+	if err := runScreen(harness.QuickScale(), harness.SmallPresets()[:1], o, "", io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -39,7 +40,7 @@ func TestRunScreenScreenOnly(t *testing.T) {
 func TestRunScreenEscalateCheck(t *testing.T) {
 	dir := t.TempDir()
 	o := screenOpts{grid: 4, band: 0.05, check: true}
-	if err := runScreen(harness.QuickScale(), harness.SmallPresets()[:1], o, dir); err != nil {
+	if err := runScreen(harness.QuickScale(), harness.SmallPresets()[:1], o, dir, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "escalate.csv"))

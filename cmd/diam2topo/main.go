@@ -26,32 +26,43 @@ import (
 	"diam2/internal/topo"
 )
 
-var (
-	summary   = flag.Bool("summary", false, "construction summary of the paper configurations")
-	scaling   = flag.Bool("scaling", false, "Fig. 3 scalability/cost table")
-	bisection = flag.Bool("bisection", false, "Fig. 4 bisection-bandwidth estimates")
-	ml3b      = flag.Int("ml3b", 0, "Table 2: print the k-ML3B for this k")
-	diversity = flag.Bool("diversity", false, "Sec. 2.3.3 path-diversity statistics")
-	lambda2   = flag.Bool("lambda2", false, "spectral lambda estimates (bisection lower bounds)")
-	restarts  = flag.Int("restarts", 12, "bisection restarts")
-	passes    = flag.Int("passes", 40, "bisection refinement passes")
-	seed      = flag.Int64("seed", 42, "random seed")
-	exportDOT = flag.String("dot", "", "write the named paper topology (sf9|sf10|mlfm|oft) as Graphviz DOT to stdout")
-	exportEL  = flag.String("edgelist", "", "write the named paper topology as an edge list to stdout")
-	fluidSat  = flag.Bool("fluid", false, "analytic (fluid-model) saturation loads for the paper configurations")
-	draw      = flag.String("draw", "", "write a Fig. 1-style SVG diagram of the named topology (sf9|sf10|mlfm|oft) to stdout")
-)
+// options is diam2topo's command line.
+type options struct {
+	summary, scaling, bisection, diversity, lambda2, fluidSat bool
+	ml3b, restarts, passes                                    int
+	seed                                                      int64
+	exportDOT, exportEL, draw                                 string
+}
 
-func main() {
-	cliflags.Parse("diam2topo", os.Args[1:])
-	if !*summary && !*scaling && !*bisection && *ml3b == 0 && !*diversity && !*lambda2 && !*fluidSat && *exportDOT == "" && *exportEL == "" && *draw == "" {
-		flag.Usage()
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run prints the analyses args select and returns the exit status
+// (cliflags.Parse, Status; 2 when none is selected).
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	fs := flag.NewFlagSet("diam2topo", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.BoolVar(&o.summary, "summary", false, "construction summary of the paper configurations")
+	fs.BoolVar(&o.scaling, "scaling", false, "Fig. 3 scalability/cost table")
+	fs.BoolVar(&o.bisection, "bisection", false, "Fig. 4 bisection-bandwidth estimates")
+	fs.IntVar(&o.ml3b, "ml3b", 0, "Table 2: print the k-ML3B for this k")
+	fs.BoolVar(&o.diversity, "diversity", false, "Sec. 2.3.3 path-diversity statistics")
+	fs.BoolVar(&o.lambda2, "lambda2", false, "spectral lambda estimates (bisection lower bounds)")
+	fs.IntVar(&o.restarts, "restarts", 12, "bisection restarts")
+	fs.IntVar(&o.passes, "passes", 40, "bisection refinement passes")
+	fs.Int64Var(&o.seed, "seed", 42, "random seed")
+	fs.StringVar(&o.exportDOT, "dot", "", "write the named paper topology (sf9|sf10|mlfm|oft) as Graphviz DOT to stdout")
+	fs.StringVar(&o.exportEL, "edgelist", "", "write the named paper topology as an edge list to stdout")
+	fs.BoolVar(&o.fluidSat, "fluid", false, "analytic (fluid-model) saturation loads for the paper configurations")
+	fs.StringVar(&o.draw, "draw", "", "write a Fig. 1-style SVG diagram of the named topology (sf9|sf10|mlfm|oft) to stdout")
+	if status, ok := cliflags.Parse(fs, args, stdout); !ok {
+		return status
 	}
-	if err := run(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "diam2topo:", err)
-		os.Exit(1)
+	if o == (options{restarts: o.restarts, passes: o.passes, seed: o.seed}) { // no analysis selected
+		fs.Usage()
+		return 2
 	}
+	return cliflags.Status(fs, o.print(stdout))
 }
 
 // namedTopo builds the preset with the given command-line name.
@@ -79,17 +90,17 @@ func export(w io.Writer, dotName, elName string) error {
 	return topo.WriteEdgeList(w, tp)
 }
 
-// run prints the selected analyses to w.
-func run(w io.Writer) error {
-	if *draw != "" {
-		tp, err := namedTopo(*draw)
+// print prints the selected analyses to w.
+func (o *options) print(w io.Writer) error {
+	if o.draw != "" {
+		tp, err := namedTopo(o.draw)
 		if err != nil {
 			return err
 		}
 		return plot.DrawTopologySVG(w, tp, 800, 600)
 	}
-	if *exportDOT != "" || *exportEL != "" {
-		return export(w, *exportDOT, *exportEL)
+	if o.exportDOT != "" || o.exportEL != "" {
+		return export(w, o.exportDOT, o.exportEL)
 	}
 	// Each analysis prints its table as soon as it is computed.
 	emit := func(t *harness.Table, err error) error {
@@ -98,12 +109,12 @@ func run(w io.Writer) error {
 		}
 		return t.Render(w)
 	}
-	if *fluidSat {
-		if err := emit(harness.FluidSaturationTable(harness.PaperPresets(), *seed)); err != nil {
+	if o.fluidSat {
+		if err := emit(harness.FluidSaturationTable(harness.PaperPresets(), o.seed)); err != nil {
 			return err
 		}
 	}
-	if *summary {
+	if o.summary {
 		t := &harness.Table{
 			Title:  "Paper configurations (Section 4.1)",
 			Header: []string{"topology", "N", "R", "radix", "ports/N", "links/N", "diam"},
@@ -124,22 +135,22 @@ func run(w io.Writer) error {
 			return err
 		}
 	}
-	if *scaling {
+	if o.scaling {
 		if err := emit(harness.Fig3Scalability([]int{16, 24, 32, 40, 48, 56, 64}), nil); err != nil {
 			return err
 		}
 	}
-	if *bisection {
-		if err := emit(harness.Fig4Bisection(harness.PaperPresets(), *restarts, *passes, *seed)); err != nil {
+	if o.bisection {
+		if err := emit(harness.Fig4Bisection(harness.PaperPresets(), o.restarts, o.passes, o.seed)); err != nil {
 			return err
 		}
 	}
-	if *ml3b > 0 {
-		if err := emit(harness.Table2ML3B(*ml3b)); err != nil {
+	if o.ml3b > 0 {
+		if err := emit(harness.Table2ML3B(o.ml3b)); err != nil {
 			return err
 		}
 	}
-	if *diversity {
+	if o.diversity {
 		for _, p := range harness.PaperPresets() {
 			tp, err := p.Build()
 			if err != nil {
@@ -150,7 +161,7 @@ func run(w io.Writer) error {
 			}
 		}
 	}
-	if *lambda2 {
+	if o.lambda2 {
 		t := &harness.Table{
 			Title:  "Spectral lambda (largest adjacency eigenvalue orthogonal to 1) and implied bisection lower bound",
 			Header: []string{"topology", "R", "degree", "lambda", "cut lower bound", "per-node lower bound"},
@@ -161,7 +172,7 @@ func run(w io.Writer) error {
 				return err
 			}
 			g := tp.Graph()
-			l := partition.SpectralLambda2(g, 300, *seed)
+			l := partition.SpectralLambda2(g, 300, o.seed)
 			deg := float64(g.NumEdges()*2) / float64(g.N())
 			lower := (deg - l) * float64(g.N()) / 4
 			t.AddRow(p.Name, fmt.Sprint(g.N()), fmt.Sprintf("%.1f", deg), fmt.Sprintf("%.2f", l),

@@ -11,11 +11,9 @@ import (
 // configuration, 1/(2p) for SF, 1/h for MLFM and 1/k for OFT — 1/18,
 // 1/20, 1/15 and 1/12 to three places.
 func TestFluidPrintsWorstCaseBounds(t *testing.T) {
-	*fluidSat = true
-	defer func() { *fluidSat = false }()
-	var out bytes.Buffer
-	if err := run(&out); err != nil {
-		t.Fatal(err)
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-fluid"}, &out, &errOut); code != 0 {
+		t.Fatalf("-fluid: exit %d\n%s", code, errOut.String())
 	}
 	want := map[string]string{
 		"SF(q=13,p=9)":  "0.056",
@@ -39,16 +37,25 @@ func TestFluidPrintsWorstCaseBounds(t *testing.T) {
 	}
 }
 
-// TestDrawUnknownTopology: an unknown -draw name is an error, and
-// nothing is written.
+// TestDrawUnknownTopology: an unknown -draw name is a failed run (exit
+// 1, one line on stderr), and nothing is written.
 func TestDrawUnknownTopology(t *testing.T) {
-	*draw = "nope"
-	defer func() { *draw = "" }()
-	var out bytes.Buffer
-	if err := run(&out); err == nil {
-		t.Fatal("run -draw nope succeeded")
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-draw", "nope"}, &out, &errOut); code != 1 {
+		t.Fatalf("-draw nope: exit %d, want 1", code)
 	}
-	if out.Len() != 0 {
-		t.Errorf("run -draw nope wrote %d bytes", out.Len())
+	if out.Len() != 0 || !strings.HasPrefix(errOut.String(), "diam2topo: ") || strings.Count(errOut.String(), "\n") != 1 {
+		t.Errorf("-draw nope wrote %d bytes, stderr %q", out.Len(), errOut.String())
+	}
+}
+
+// TestNoAnalysisIsUsage: a command line that selects no analysis
+// prints the usage and exits 2; the tuning flags alone select none.
+func TestNoAnalysisIsUsage(t *testing.T) {
+	for _, args := range [][]string{nil, {"-seed", "7", "-restarts", "3", "-passes", "5"}} {
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 2 || out.Len() != 0 || !strings.HasPrefix(errOut.String(), "Usage of diam2topo:\n") {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want the usage and exit 2", args, code, out.String(), errOut.String())
+		}
 	}
 }

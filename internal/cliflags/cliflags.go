@@ -2,12 +2,16 @@
 // (-version, -scale/-seed, the -j/-cores scheduler, the profilers, the
 // resumable -store, the -campaign worker, the -telemetry observers)
 // together with the wiring behind each, so that a flag is declared and
-// its subsystem opened in one place. Register methods declare on
-// flag.CommandLine; call them before Parse.
+// its subsystem opened in one place. Each group's Register declares on
+// the binary's own FlagSet, before Parse; the methods that report take
+// that FlagSet and write to its Output() under its Name(). Nothing here
+// exits the process or keeps package state, so a binary's
+// run(args, stdout, stderr) can be called in-process.
 package cliflags
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -26,31 +30,57 @@ import (
 	"diam2/internal/telemetry"
 )
 
-// checks are the value checks of the registered groups, which Parse
-// runs; Register methods append to it before Parse.
-var checks []func() error
-
-// Parse declares -version and parses args, the command line without
-// the program name, on flag.CommandLine; under -version it prints the
-// build banner and the schema versions, and exits. A value a
-// registered group refuses exits 2 with one line on stderr. Parse
-// consumes the checks, so a program can declare its groups again on a
-// fresh flag.CommandLine.
-func Parse(prog string, args []string) {
-	version := flag.Bool("version", false, "print build/version info and exit")
-	flag.CommandLine.Parse(args) // ExitOnError: a parse error exits 2
+// Parse declares -version on fs, parses args there, flags after a
+// positional argument included, and runs checks in order. It reports
+// whether the program goes on and, if not, its exit status: 0 after -h,
+// and after -version, which prints the build banner and the schema
+// versions to stdout; 2 after a malformed flag, which fs reports, or a
+// refused value, which goes to fs.Output() as one line. fs.Args() then
+// holds the positional arguments followed, verbatim, by the arguments
+// after a "--".
+func Parse(fs *flag.FlagSet, args []string, stdout io.Writer, checks ...func() error) (status int, ok bool) {
+	version := fs.Bool("version", false, "print build/version info and exit")
+	var pos []string
+	for {
+		if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+			return 0, false
+		} else if err != nil {
+			return 2, false
+		}
+		rest := fs.Args()
+		if n := len(args) - len(rest); len(rest) == 0 || n > 0 && args[n-1] == "--" {
+			fs.Parse(append(append([]string{"--"}, pos...), rest...)) // sets only fs.Args()
+			break
+		}
+		// flag stops at the first positional argument; go on after it.
+		pos, args = append(pos, rest[0]), rest[1:]
+	}
 	if *version {
-		fmt.Println(buildinfo.Banner(prog))
-		fmt.Printf("engine schema %d, store schema %d\n", sim.EngineSchema, store.Schema)
-		os.Exit(0)
+		fmt.Fprintln(stdout, buildinfo.Banner(fs.Name()))
+		fmt.Fprintf(stdout, "engine schema %d, store schema %d\n", sim.EngineSchema, store.Schema)
+		return 0, false
 	}
 	for _, check := range checks {
 		if err := check(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
-			os.Exit(2)
+			fmt.Fprintf(fs.Output(), "%s: %v\n", fs.Name(), err)
+			return 2, false
 		}
 	}
-	checks = nil
+	return 0, true
+}
+
+// Status reports the error a run ended with, if any, as one line on
+// fs.Output() and returns the exit status: 0 without an error, 3 for a
+// campaign worker drained on request (the campaign goes on), else 1.
+func Status(fs *flag.FlagSet, err error) int {
+	if err == nil {
+		return 0
+	}
+	fmt.Fprintf(fs.Output(), "%s: %v\n", fs.Name(), err)
+	if errors.Is(err, campaign.ErrDrained) {
+		return 3
+	}
+	return 1
 }
 
 // Scale is the fidelity flag group: -scale and -seed.
@@ -59,10 +89,10 @@ type Scale struct {
 	Seed int64
 }
 
-// Register declares the group's flags.
-func (s *Scale) Register() {
-	flag.StringVar(&s.Name, "scale", "quick", "experiment scale: quick|medium|paper (binaries sharing a -store must agree on it)")
-	flag.Int64Var(&s.Seed, "seed", 1, "base random seed (binaries sharing a -store must agree on it)")
+// Register declares the group's flags on fs.
+func (s *Scale) Register(fs *flag.FlagSet) {
+	fs.StringVar(&s.Name, "scale", "quick", "experiment scale: quick|medium|paper (binaries sharing a -store must agree on it)")
+	fs.Int64Var(&s.Seed, "seed", 1, "base random seed (binaries sharing a -store must agree on it)")
 }
 
 // Resolve returns the named scale under the base seed and the preset
@@ -84,17 +114,16 @@ type Sched struct {
 	Progress    bool
 }
 
-// Register declares the group's flags.
-func (s *Sched) Register() {
-	flag.IntVar(&s.Jobs, "j", 0, "worker-pool size: independent sweep points in parallel (0: the CPUs divided by -cores, 1: serial); an explicit value is used as given, and results do not depend on it")
-	flag.IntVar(&s.Cores, "cores", 1, "threads *within* each simulation (sharded engine; 1: serial engine); orthogonal to -j, not bit-identical to serial")
-	flag.BoolVar(&s.Progress, "progress", false, "report each completed sweep point on stderr")
-	checks = append(checks, s.check)
+// Register declares the group's flags on fs.
+func (s *Sched) Register(fs *flag.FlagSet) {
+	fs.IntVar(&s.Jobs, "j", 0, "worker-pool size: independent sweep points in parallel (0: the CPUs divided by -cores, 1: serial); an explicit value is used as given, and results do not depend on it")
+	fs.IntVar(&s.Cores, "cores", 1, "threads *within* each simulation (sharded engine; 1: serial engine); orthogonal to -j, not bit-identical to serial")
+	fs.BoolVar(&s.Progress, "progress", false, "report each completed sweep point on stderr")
 }
 
-// check refuses negative sizes, which harness.Sched would otherwise
-// replace by its default.
-func (s *Sched) check() error {
+// Check refuses negative sizes, which harness.Sched would otherwise
+// replace by its default; pass it to Parse.
+func (s *Sched) Check() error {
 	if s.Jobs < 0 {
 		return fmt.Errorf("-j %d: the worker-pool size cannot be negative (0: the CPUs divided by -cores)", s.Jobs)
 	}
@@ -105,11 +134,11 @@ func (s *Sched) check() error {
 }
 
 // Wire sets the pool size, the engine shard count and the cancellation
-// context on sc and, under -progress, the stderr progress line: done
-// and total count points through the -j pool, the engine tag marks
-// points that are themselves sharded across -cores threads, and
-// suffix (may be nil) appends the caller's own state.
-func (s Sched) Wire(ctx context.Context, sc *harness.Scale, suffix func() string) {
+// context on sc and, under -progress, the progress line on fs.Output():
+// done and total count points through the -j pool, the engine tag marks
+// points that are themselves sharded across -cores threads, and suffix
+// (may be nil) appends the caller's own state.
+func (s Sched) Wire(ctx context.Context, fs *flag.FlagSet, sc *harness.Scale, suffix func() string) {
 	sc.Cores = s.Cores
 	sc.Sched.Workers, sc.Sched.Ctx = s.Jobs, ctx
 	if !s.Progress {
@@ -124,7 +153,7 @@ func (s Sched) Wire(ctx context.Context, sc *harness.Scale, suffix func() string
 		if suffix != nil {
 			tail = suffix()
 		}
-		fmt.Fprintf(os.Stderr, "[%d/%d] %s (%s)%s%s\n", done, total, key, elapsed.Round(time.Millisecond), engTag, tail)
+		fmt.Fprintf(fs.Output(), "[%d/%d] %s (%s)%s%s\n", done, total, key, elapsed.Round(time.Millisecond), engTag, tail)
 	}
 }
 
@@ -137,11 +166,11 @@ type Profile struct {
 	CPU, Mem, Trace string
 }
 
-// Register declares the group's flags.
-func (p *Profile) Register() {
-	flag.StringVar(&p.CPU, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	flag.StringVar(&p.Mem, "memprofile", "", "write a pprof allocation profile at exit to this file")
-	flag.StringVar(&p.Trace, "traceprofile", "", "write a runtime execution trace of the run to this file (go tool trace; shows -cores barrier waits and -j worker scheduling)")
+// Register declares the group's flags on fs.
+func (p *Profile) Register(fs *flag.FlagSet) {
+	fs.StringVar(&p.CPU, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	fs.StringVar(&p.Mem, "memprofile", "", "write a pprof allocation profile at exit to this file")
+	fs.StringVar(&p.Trace, "traceprofile", "", "write a runtime execution trace of the run to this file (go tool trace; shows -cores barrier waits and -j worker scheduling)")
 }
 
 // Run runs work under the requested profilers: the CPU profile and the
@@ -194,17 +223,17 @@ type Store struct {
 	Force bool
 }
 
-// Register declares the group's flags.
-func (s *Store) Register() {
-	flag.StringVar(&s.Dir, "store", "", "content-addressed result store: reuse completed sweep points, record the rest (resumes interrupted sweeps)")
-	flag.BoolVar(&s.Force, "force", false, "with -store, recompute every point (fresh results still recorded)")
+// Register declares the group's flags on fs.
+func (s *Store) Register(fs *flag.FlagSet) {
+	fs.StringVar(&s.Dir, "store", "", "content-addressed result store: reuse completed sweep points, record the rest (resumes interrupted sweeps)")
+	fs.BoolVar(&s.Force, "force", false, "with -store, recompute every point (fresh results still recorded)")
 }
 
 // Attach opens the store (creating it if needed; under the shared
 // campaign lock when shared) and hangs it on sc.Sched. The returned
-// func prints the run's store summary and closes the store. Without
-// -store, Attach does nothing.
-func (s Store) Attach(prog string, sc *harness.Scale, shared bool) (func(), error) {
+// func reports the run's store summary on fs.Output() and closes the
+// store. Without -store, Attach does nothing.
+func (s Store) Attach(fs *flag.FlagSet, sc *harness.Scale, shared bool) (func(), error) {
 	if s.Dir == "" {
 		return func() {}, nil
 	}
@@ -212,15 +241,15 @@ func (s Store) Attach(prog string, sc *harness.Scale, shared bool) (func(), erro
 	if shared {
 		open = store.OpenCLICampaign
 	}
-	st, err := open(s.Dir, prog)
+	st, err := open(s.Dir, fs.Name())
 	if err != nil {
 		return nil, err
 	}
 	sc.Sched.Store, sc.Sched.Force = st, s.Force
 	return func() {
-		fmt.Fprintf(os.Stderr, "%s: %s\n", prog, st.Summary())
+		fmt.Fprintf(fs.Output(), "%s: %s\n", fs.Name(), st.Summary())
 		if err := st.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: store close: %v\n", prog, err)
+			fmt.Fprintf(fs.Output(), "%s: store close: %v\n", fs.Name(), err)
 		}
 	}, nil
 }
@@ -234,16 +263,17 @@ type Campaign struct {
 	Policy   campaign.Policy
 }
 
-// Register declares the group's flags.
-func (c *Campaign) Register() {
-	flag.BoolVar(&c.On, "campaign", false, "join -store as one of several cooperating worker processes (leases, heartbeats, retries; see README, \"Distributed campaigns\")")
-	flag.StringVar(&c.WorkerID, "worker-id", "", "campaign worker ID, unique per live worker (default: host-pid)")
+// Register declares the group's flags on fs.
+func (c *Campaign) Register(fs *flag.FlagSet) {
+	fs.BoolVar(&c.On, "campaign", false, "join -store as one of several cooperating worker processes (leases, heartbeats, retries; see README, \"Distributed campaigns\")")
+	fs.StringVar(&c.WorkerID, "worker-id", "", "campaign worker ID, unique per live worker (default: host-pid)")
 }
 
 // Join registers this process as a worker of the campaign in storeDir
-// and mounts /campaign for it on reg's mux (reg may be nil). Without
-// -campaign it returns a nil worker. The caller closes the worker.
-func (c Campaign) Join(prog, storeDir string, reg *telemetry.Registry) (*campaign.Worker, error) {
+// and mounts /campaign for it on reg's mux (reg may be nil), noting the
+// join on fs.Output(). Without -campaign it returns a nil worker. The
+// caller closes the worker.
+func (c Campaign) Join(fs *flag.FlagSet, storeDir string, reg *telemetry.Registry) (*campaign.Worker, error) {
 	if !c.On {
 		return nil, nil
 	}
@@ -259,7 +289,7 @@ func (c Campaign) Join(prog, storeDir string, reg *telemetry.Registry) (*campaig
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(os.Stderr, "%s: campaign worker %s joined %s\n", prog, owner, w.Dir())
+	fmt.Fprintf(fs.Output(), "%s: campaign worker %s joined %s\n", fs.Name(), owner, w.Dir())
 	ServeCampaign(reg, w.Dir())
 	return w, nil
 }
@@ -289,13 +319,13 @@ type Telemetry struct {
 	TraceOut, Heatmap, HTTP string
 }
 
-// Register declares the group's flags.
-func (t *Telemetry) Register(heatmap bool) {
-	flag.BoolVar(&t.On, "telemetry", false, "collect unified telemetry (congestion heatmap, latency split, flight recorder) for every simulated point")
-	flag.StringVar(&t.TraceOut, "trace-out", "", "write the per-point flight-recorder traces as JSONL to this file (implies -telemetry)")
-	flag.StringVar(&t.HTTP, "http", "", "serve /telemetry, /debug/vars and /debug/pprof on this address, e.g. :6060 (implies -telemetry)")
+// Register declares the group's flags on fs.
+func (t *Telemetry) Register(fs *flag.FlagSet, heatmap bool) {
+	fs.BoolVar(&t.On, "telemetry", false, "collect unified telemetry (congestion heatmap, latency split, flight recorder) for every simulated point")
+	fs.StringVar(&t.TraceOut, "trace-out", "", "write the per-point flight-recorder traces as JSONL to this file (implies -telemetry)")
+	fs.StringVar(&t.HTTP, "http", "", "serve /telemetry, /debug/vars and /debug/pprof on this address, e.g. :6060 (implies -telemetry)")
 	if heatmap {
-		flag.StringVar(&t.Heatmap, "heatmap", "", "write the aggregated congestion heatmap as CSV to this file (implies -telemetry)")
+		fs.StringVar(&t.Heatmap, "heatmap", "", "write the aggregated congestion heatmap as CSV to this file (implies -telemetry)")
 	}
 }
 
@@ -308,10 +338,11 @@ func (t Telemetry) Collecting() bool {
 
 // Setup wires a telemetry sink and, with -http, a live registry into
 // the scale. It returns the sink (nil when telemetry is off), the
-// registry (nil without -http) and the HTTP teardown func. serveOnly
-// keeps the -http endpoints, /campaign included, but collects nothing:
-// campaign workers rely on the store lookups collection bypasses.
-func (t Telemetry) Setup(sc *harness.Scale, serveOnly bool) (*harness.TelemetrySink, *telemetry.Registry, func(), error) {
+// registry (nil without -http) and the HTTP teardown func; the live
+// address goes to fs.Output(). serveOnly keeps the -http endpoints,
+// /campaign included, but collects nothing: campaign workers rely on
+// the store lookups collection bypasses.
+func (t Telemetry) Setup(fs *flag.FlagSet, sc *harness.Scale, serveOnly bool) (*harness.TelemetrySink, *telemetry.Registry, func(), error) {
 	shutdown := func() {}
 	if !t.Collecting() && t.HTTP == "" {
 		return nil, nil, shutdown, nil
@@ -335,15 +366,16 @@ func (t Telemetry) Setup(sc *harness.Scale, serveOnly bool) (*harness.TelemetryS
 		if serveOnly {
 			endpoints = "/campaign and /telemetry"
 		}
-		fmt.Fprintf(os.Stderr, "telemetry: live at http://%s%s (pprof under /debug/pprof/)\n", addr, endpoints)
+		fmt.Fprintf(fs.Output(), "telemetry: live at http://%s%s (pprof under /debug/pprof/)\n", addr, endpoints)
 		shutdown = func() { _ = stop() }
 	}
 	return sink, reg, shutdown, nil
 }
 
 // Export writes the sink's event trace (-trace-out) and aggregated
-// congestion heatmap (-heatmap); a nil sink exports nothing.
-func (t Telemetry) Export(sink *harness.TelemetrySink) error {
+// congestion heatmap (-heatmap), noting each on fs.Output(); a nil sink
+// exports nothing.
+func (t Telemetry) Export(fs *flag.FlagSet, sink *harness.TelemetrySink) error {
 	if sink == nil {
 		return nil
 	}
@@ -354,7 +386,7 @@ func (t Telemetry) Export(sink *harness.TelemetrySink) error {
 		if err := harness.WriteFile(path, render); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "telemetry: %s written to %s\n", what, path)
+		fmt.Fprintf(fs.Output(), "telemetry: %s written to %s\n", what, path)
 		return nil
 	}
 	if err := write(t.TraceOut, "event trace", sink.WriteTrace); err != nil {

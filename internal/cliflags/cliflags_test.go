@@ -1,6 +1,7 @@
 package cliflags
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -19,24 +21,23 @@ import (
 	"diam2/internal/telemetry"
 )
 
-// parse declares flags on a fresh flag.CommandLine (Register methods
-// declare there) and parses args.
-func parse(t *testing.T, register func(), args ...string) {
+// parse declares a group's flags on a fresh FlagSet named "test",
+// parses args there and returns it.
+func parse(t *testing.T, register func(*flag.FlagSet), args ...string) *flag.FlagSet {
 	t.Helper()
-	saved := flag.CommandLine
-	t.Cleanup(func() { flag.CommandLine = saved })
-	flag.CommandLine = flag.NewFlagSet("test", flag.ContinueOnError)
-	register()
-	if err := flag.CommandLine.Parse(args); err != nil {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	register(fs)
+	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
+	return fs
 }
 
 func TestStoreAttach(t *testing.T) {
 	var st Store
-	parse(t, st.Register)
+	fs := parse(t, st.Register)
 	sc := harness.QuickScale()
-	closeStore, err := st.Attach("test", &sc, false)
+	closeStore, err := st.Attach(fs, &sc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +47,10 @@ func TestStoreAttach(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	parse(t, st.Register, "-store", dir, "-force")
-	closeStore, err = st.Attach("test", &sc, false)
+	fs = parse(t, st.Register, "-store", dir, "-force")
+	var out bytes.Buffer
+	fs.SetOutput(&out)
+	closeStore, err = st.Attach(fs, &sc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +59,14 @@ func TestStoreAttach(t *testing.T) {
 	}
 	// The plain open holds the exclusive lock until the closer runs.
 	var other harness.Scale
-	if _, err := st.Attach("test", &other, false); err == nil {
+	if _, err := st.Attach(fs, &other, false); err == nil {
 		t.Error("a second exclusive open of a held store succeeded")
 	}
 	closeStore()
-	closeStore, err = st.Attach("test", &other, true)
+	if want := "test: store: 0 reused, 0 computed"; !strings.HasPrefix(out.String(), want) {
+		t.Errorf("closer reported %q, want a line starting %q", out.String(), want)
+	}
+	closeStore, err = st.Attach(fs, &other, true)
 	if err != nil {
 		t.Fatalf("reopening after the closer ran: %v", err)
 	}
@@ -69,14 +75,16 @@ func TestStoreAttach(t *testing.T) {
 
 func TestCampaignJoin(t *testing.T) {
 	var c Campaign
-	parse(t, c.Register)
-	if w, err := c.Join("test", t.TempDir(), nil); w != nil || err != nil {
+	fs := parse(t, c.Register)
+	if w, err := c.Join(fs, t.TempDir(), nil); w != nil || err != nil {
 		t.Fatalf("no -campaign: Join = %v, %v, want nil, nil", w, err)
 	}
 
 	// /campaign is mounted on the registry's one mux by Join: 404 before,
 	// then a fresh campaign.Scan as JSON, listed on the "/" index.
-	parse(t, c.Register, "-campaign")
+	fs = parse(t, c.Register, "-campaign")
+	var out bytes.Buffer
+	fs.SetOutput(&out)
 	reg := telemetry.NewRegistry()
 	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
@@ -93,11 +101,14 @@ func TestCampaignJoin(t *testing.T) {
 		t.Fatalf("/campaign before Join answered %d, want 404", got)
 	}
 	storeDir := t.TempDir()
-	w, err := c.Join("test", storeDir, reg)
+	w, err := c.Join(fs, storeDir, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
+	if want := "test: campaign worker " + w.Owner() + " joined "; !strings.HasPrefix(out.String(), want) {
+		t.Errorf("Join reported %q, want a line starting %q", out.String(), want)
+	}
 	host, _ := os.Hostname()
 	if want := fmt.Sprintf("%s-%d", host, os.Getpid()); host != "" && w.Owner() != want {
 		t.Errorf("default owner %q, want host-pid %q", w.Owner(), want)
@@ -117,8 +128,9 @@ func TestCampaignJoin(t *testing.T) {
 		t.Errorf("index does not list /campaign:\n%s", index)
 	}
 
-	parse(t, c.Register, "-campaign", "-worker-id", "w7")
-	named, err := c.Join("test", t.TempDir(), nil)
+	fs = parse(t, c.Register, "-campaign", "-worker-id", "w7")
+	fs.SetOutput(io.Discard)
+	named, err := c.Join(fs, t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,17 +142,20 @@ func TestCampaignJoin(t *testing.T) {
 
 func TestTelemetrySetup(t *testing.T) {
 	var tel Telemetry
-	parse(t, func() { tel.Register(true) })
+	register := func(fs *flag.FlagSet) { tel.Register(fs, true) }
+	fs := parse(t, register)
 	sc := harness.QuickScale()
-	sink, reg, shutdown, err := tel.Setup(&sc, false)
+	sink, reg, shutdown, err := tel.Setup(fs, &sc, false)
 	if err != nil || sink != nil || reg != nil || sc.Telemetry.Sink != nil {
 		t.Fatalf("telemetry off: Setup = %v, %v, %v", sink, reg, err)
 	}
 	shutdown()
 
 	// -http on a campaign worker: endpoints, no collection.
-	parse(t, func() { tel.Register(true) }, "-http", "127.0.0.1:0")
-	sink, reg, shutdown, err = tel.Setup(&sc, true)
+	fs = parse(t, register, "-http", "127.0.0.1:0")
+	var out bytes.Buffer
+	fs.SetOutput(&out)
+	sink, reg, shutdown, err = tel.Setup(fs, &sc, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,19 +166,27 @@ func TestTelemetrySetup(t *testing.T) {
 	if tel.Collecting() {
 		t.Error("-http alone reports Collecting")
 	}
+	if want := "telemetry: live at http://127.0.0.1:"; !strings.HasPrefix(out.String(), want) {
+		t.Errorf("Setup reported %q, want a line starting %q", out.String(), want)
+	}
 
 	// -heatmap implies collection, and Export writes the file.
-	out := t.TempDir() + "/heat.csv"
-	parse(t, func() { tel.Register(true) }, "-heatmap", out)
-	sink, reg, _, err = tel.Setup(&sc, false)
+	heat := t.TempDir() + "/heat.csv"
+	fs = parse(t, register, "-heatmap", heat)
+	out.Reset()
+	fs.SetOutput(&out)
+	sink, reg, _, err = tel.Setup(fs, &sc, false)
 	if err != nil || sink == nil || reg != nil || sc.Telemetry.Sink != sink || !tel.Collecting() {
 		t.Fatalf("-heatmap: Setup = %v, %v, %v", sink, reg, err)
 	}
-	if err := tel.Export(sink); err != nil {
+	if err := tel.Export(fs, sink); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(out); err != nil {
+	if _, err := os.Stat(heat); err != nil {
 		t.Errorf("Export wrote no heatmap: %v", err)
+	}
+	if want := "telemetry: congestion heatmap written to " + heat + "\n"; out.String() != want {
+		t.Errorf("Export reported %q, want %q", out.String(), want)
 	}
 }
 
@@ -187,32 +210,25 @@ func TestScaleResolve(t *testing.T) {
 
 func TestSchedWire(t *testing.T) {
 	var s Sched
-	parse(t, s.Register)
+	fs := parse(t, s.Register)
 	sc := harness.QuickScale()
 	ctx := context.Background()
-	s.Wire(ctx, &sc, nil)
+	s.Wire(ctx, fs, &sc, nil)
 	if sc.Cores != 1 || sc.Sched.Workers != 0 || sc.Sched.Ctx != ctx || sc.Sched.OnPoint != nil {
 		t.Errorf("defaults wired cores=%d workers=%d onpoint=%v", sc.Cores, sc.Sched.Workers, sc.Sched.OnPoint != nil)
 	}
 
 	// -progress owns the one progress-line format, engine tag and
 	// caller suffix included.
-	parse(t, s.Register, "-j", "3", "-cores", "2", "-progress")
-	s.Wire(ctx, &sc, func() string { return " workers=2" })
+	fs = parse(t, s.Register, "-j", "3", "-cores", "2", "-progress")
+	var line bytes.Buffer
+	fs.SetOutput(&line)
+	s.Wire(ctx, fs, &sc, func() string { return " workers=2" })
 	if sc.Cores != 2 || sc.Sched.Workers != 3 || sc.Sched.OnPoint == nil {
 		t.Fatalf("-j 3 -cores 2 -progress wired cores=%d workers=%d", sc.Cores, sc.Sched.Workers)
 	}
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	saved := os.Stderr
-	os.Stderr = w
 	sc.Sched.OnPoint(2, 9, "fig6|x", 1500*time.Microsecond)
-	os.Stderr = saved
-	w.Close()
-	line, _ := io.ReadAll(r)
-	if want := "[2/9] fig6|x (2ms) [engine: 2-core sharded] workers=2\n"; string(line) != want {
+	if want := "[2/9] fig6|x (2ms) [engine: 2-core sharded] workers=2\n"; line.String() != want {
 		t.Errorf("progress line %q, want %q", line, want)
 	}
 }
@@ -245,5 +261,54 @@ func TestProfileRun(t *testing.T) {
 	parse(t, p.Register, "-cpuprofile", dir+"/cpu3")
 	if err := p.Run(func() error { return nil }); err != nil {
 		t.Fatalf("CPU profiler still held after a failed Run: %v", err)
+	}
+}
+
+// TestParse: flags parse before and after positional arguments, the
+// arguments after "--" stay verbatim, -h and -version end the program
+// with status 0 (the banner on stdout), and a malformed flag or a
+// refused value with status 2 on the FlagSet's output, never an exit.
+func TestParse(t *testing.T) {
+	var s Sched
+	parseArgs := func(args ...string) (*flag.FlagSet, int, bool, string, string) {
+		var stdout, stderr bytes.Buffer
+		fs := flag.NewFlagSet("prog", flag.ContinueOnError)
+		fs.SetOutput(&stderr)
+		s.Register(fs)
+		status, ok := Parse(fs, args, &stdout, s.Check)
+		return fs, status, ok, stdout.String(), stderr.String()
+	}
+	fs, _, ok, _, _ := parseArgs("-j", "2", "sub", "-progress", "pos", "--", "-j", "-1")
+	if !ok || s.Jobs != 2 || !s.Progress || !slices.Equal(fs.Args(), []string{"sub", "pos", "-j", "-1"}) {
+		t.Errorf("interspersed flags: ok=%v jobs=%d progress=%v args=%q", ok, s.Jobs, s.Progress, fs.Args())
+	}
+	if fs, _, ok, _, _ = parseArgs("--", "-j"); !ok || !slices.Equal(fs.Args(), []string{"-j"}) {
+		t.Errorf("leading --: ok=%v args=%q", ok, fs.Args())
+	}
+	for _, c := range []struct {
+		args        []string
+		status      int
+		out, errOut string
+	}{
+		{[]string{"-version"}, 0, "prog ", ""},
+		{[]string{"sub", "-version"}, 0, "prog ", ""},
+		{[]string{"-h"}, 0, "", "Usage of prog:\n"},
+		{[]string{"-j"}, 2, "", "flag needs an argument: -j\nUsage of prog:\n"},
+		{[]string{"sub", "-k"}, 2, "", "flag provided but not defined: -k\nUsage of prog:\n"},
+		{[]string{"-j", "-1"}, 2, "", "prog: -j -1: the worker-pool size cannot be negative (0: the CPUs divided by -cores)\n"},
+		{[]string{"-cores", "-2"}, 2, "", "prog: -cores -2: the thread count cannot be negative (1: the serial engine)\n"},
+	} {
+		_, status, ok, out, errOut := parseArgs(c.args...)
+		bad := ok || status != c.status || !strings.HasPrefix(out, c.out) || !strings.HasPrefix(errOut, c.errOut)
+		if c.errOut == "" || strings.HasPrefix(c.errOut, "prog: ") { // nothing, or the one refusal line
+			bad = bad || errOut != c.errOut
+		}
+		if bad {
+			t.Errorf("%q: status %d ok %v, stdout %q, stderr %q; want status %d, stdout starting %q, stderr starting %q",
+				c.args, status, ok, out, errOut, c.status, c.out, c.errOut)
+		}
+	}
+	if _, _, _, out, _ := parseArgs("-version"); !strings.Contains(out, "engine schema ") {
+		t.Errorf("-version printed %q, want the schema versions", out)
 	}
 }

@@ -27,20 +27,44 @@ func (fp FaultPlan) Active() bool {
 	return fp.FailCount > 0 || fp.FailFrac > 0 || fp.MTBF > 0
 }
 
-// apply builds the fault schedule for a topology and attaches it to
-// the engine.
-func (fp FaultPlan) apply(e *sim.Engine, t topo.Topology, sc Scale) error {
+// normal returns the plan as it injects at a scale with this warm-up,
+// the one form both the run and the store key read, so that plans that
+// inject alike key alike: an inactive plan is the zero value (its
+// overrides reach nothing but a fault schedule); the MTBF process
+// drops the burst fields and resolves MTTR 0 to max(MTBF/10, 1); a
+// burst drops MTTR and, with a FailCount, FailFrac, and resolves
+// FailAt < 0 to the warm-up cycle. A burst that rounds to zero links
+// stays active here: that needs the topology's link count.
+func (fp FaultPlan) normal(warmup int64) FaultPlan {
 	if !fp.Active() {
-		return nil
+		return FaultPlan{}
 	}
-	var fs *sim.FaultSchedule
 	if fp.MTBF > 0 {
-		mttr := fp.MTTR
-		if mttr <= 0 {
-			mttr = max(fp.MTBF/10, 1)
+		fp.FailCount, fp.FailFrac, fp.FailAt = 0, 0, 0
+		if fp.MTTR <= 0 {
+			fp.MTTR = max(fp.MTBF/10, 1)
 		}
-		fs = sim.NewRandomFaultSchedule(t, fp.MTBF, mttr, sc.Cycles, sc.Seed)
 	} else {
+		fp.MTTR = 0
+		if fp.FailCount > 0 {
+			fp.FailFrac = 0
+		}
+		if fp.FailAt < 0 {
+			fp.FailAt = warmup
+		}
+	}
+	fp.RetxTimeout = max(fp.RetxTimeout, 0)
+	return fp
+}
+
+// apply builds the fault schedule of a normal plan for a topology and
+// attaches it to the engine.
+func (fp FaultPlan) apply(e *sim.Engine, t topo.Topology, sc Scale) error {
+	var fs *sim.FaultSchedule
+	switch {
+	case fp.MTBF > 0:
+		fs = sim.NewRandomFaultSchedule(t, fp.MTBF, fp.MTTR, sc.Cycles, sc.Seed)
+	case fp.Active():
 		count := fp.FailCount
 		if count == 0 {
 			count = int(fp.FailFrac*float64(t.Graph().NumEdges()) + 0.5)
@@ -48,21 +72,18 @@ func (fp FaultPlan) apply(e *sim.Engine, t topo.Topology, sc Scale) error {
 		if count == 0 {
 			return nil
 		}
-		at := fp.FailAt
-		if at < 0 {
-			at = sc.Warmup
-		}
 		var err error
-		fs, err = sim.RandomLinkFailures(t, count, at, sc.Seed)
-		if err != nil {
+		if fs, err = sim.RandomLinkFailures(t, count, fp.FailAt, sc.Seed); err != nil {
 			return err
 		}
+	default:
+		return nil
 	}
 	return e.SetFaultSchedule(fs)
 }
 
-// applyOverrides folds the plan's simulator-parameter overrides into a
-// config (used by Scale.SimConfig).
+// applyOverrides folds a normal plan's simulator-parameter overrides
+// into a config (used by Scale.SimConfig).
 func (fp FaultPlan) applyOverrides(cfg *sim.Config) {
 	if fp.RetxTimeout > 0 {
 		cfg.RetxTimeout = fp.RetxTimeout

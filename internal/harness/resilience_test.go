@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"diam2/internal/store"
 	"diam2/internal/traffic"
 )
 
@@ -105,5 +106,42 @@ func TestFaultPlanOverrides(t *testing.T) {
 	sc.Faults.RebuildLatency = 99
 	if cfg = sc.SimConfig(2); cfg.RebuildLatency != 99 {
 		t.Errorf("RebuildLatency = %d, want 99", cfg.RebuildLatency)
+	}
+}
+
+// TestFaultPlanNormalForm: plans that inject alike normalise alike, and
+// the store key reads the normal form. An inactive plan keys as no plan
+// at all, a burst at FailAt < 0 as the same burst at the warm-up cycle,
+// and the MTBF process without burst fields and with its MTTR resolved.
+func TestFaultPlanNormalForm(t *testing.T) {
+	sc := QuickScale()
+	w := sc.Warmup
+	for _, c := range []struct{ plan, want FaultPlan }{
+		{FaultPlan{FailAt: -1}, FaultPlan{}},
+		{FaultPlan{FailAt: 500, MTTR: 5, RetxTimeout: 64, RebuildLatency: -1}, FaultPlan{}},
+		{FaultPlan{FailFrac: 0.05, FailAt: -1, MTTR: 5}, FaultPlan{FailFrac: 0.05, FailAt: w}},
+		{FaultPlan{FailCount: 3, FailFrac: 0.05, FailAt: 100, RetxTimeout: -1}, FaultPlan{FailCount: 3, FailAt: 100}},
+		{FaultPlan{MTBF: 5, FailCount: 3, FailFrac: 0.05, FailAt: 100}, FaultPlan{MTBF: 5, MTTR: 1}},
+		{FaultPlan{MTBF: 200000, RebuildLatency: -1}, FaultPlan{MTBF: 200000, MTTR: 20000, RebuildLatency: -1}},
+	} {
+		if got := c.plan.normal(w); got != c.want {
+			t.Errorf("%+v normalises to %+v, want %+v", c.plan, got, c.want)
+		}
+		plan, want := sc, sc
+		plan.Faults, want.Faults = c.plan, c.want
+		if a, b := plan.pointConfig("p").Key(), want.pointConfig("p").Key(); a != b {
+			t.Errorf("%+v keys as %s, its normal form as %s", c.plan, store.ShortKey(a), store.ShortKey(b))
+		}
+	}
+	// What stays apart: the burst's cycle and the overrides of an
+	// active plan.
+	burst := sc
+	burst.Faults = FaultPlan{FailFrac: 0.05}
+	for _, f := range []FaultPlan{{FailFrac: 0.05, FailAt: 100}, {FailFrac: 0.05, RetxTimeout: 64}} {
+		other := sc
+		other.Faults = f
+		if burst.pointConfig("p").Key() == other.pointConfig("p").Key() {
+			t.Errorf("%+v keys as %+v", f, burst.Faults)
+		}
 	}
 }

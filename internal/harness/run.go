@@ -229,7 +229,7 @@ func (s Scale) run(t topo.Topology, kind AlgKind, ugal UGALConfig, label string,
 		// the open-loop warm-up window.
 		e.Warmup = s.Warmup
 	}
-	if err := s.Faults.apply(e, t, s); err != nil {
+	if err := s.faults().apply(e, t, s); err != nil {
 		return sim.Results{}, err
 	}
 	col := s.Telemetry.attach(e, label)
@@ -253,6 +253,10 @@ func (s Scale) run(t topo.Topology, kind AlgKind, ugal UGALConfig, label string,
 	return res, nil
 }
 
+// faults is the scale's fault plan in the normal form its runs inject
+// and its store keys carry.
+func (s Scale) faults() FaultPlan { return s.Faults.normal(s.Warmup) }
+
 // SimConfig returns the switch configuration for this scale and VC
 // count.
 func (s Scale) SimConfig(numVCs int) sim.Config {
@@ -263,7 +267,7 @@ func (s Scale) SimConfig(numVCs int) sim.Config {
 		cfg = sim.TestConfig(numVCs)
 	}
 	cfg.Seed = s.Seed
-	s.Faults.applyOverrides(&cfg)
+	s.faults().applyOverrides(&cfg)
 	return cfg
 }
 

@@ -39,7 +39,9 @@ import (
 // point key (topology, algorithm, pattern, per-point load or failure
 // fraction), in these fields, or — for adaptive algorithms — in the
 // point's pinned UGAL configuration (canonicalKey folds Point.UGAL in).
+// The fault fields are the plan's normal form, the one the run injects.
 func (s Scale) pointConfig(pointKey string) store.PointConfig {
+	f := s.faults()
 	cores := s.Cores
 	if cores <= 1 {
 		cores = 0 // 1 and unset are both one shard, one worker
@@ -58,13 +60,13 @@ func (s Scale) pointConfig(pointKey string) store.PointConfig {
 		NNPackets:    s.NNPackets,
 		Paper:        s.Paper,
 
-		FailCount:      s.Faults.FailCount,
-		FailFrac:       s.Faults.FailFrac,
-		FailAt:         s.Faults.FailAt,
-		MTBF:           s.Faults.MTBF,
-		MTTR:           s.Faults.MTTR,
-		RetxTimeout:    s.Faults.RetxTimeout,
-		RebuildLatency: s.Faults.RebuildLatency,
+		FailCount:      f.FailCount,
+		FailFrac:       f.FailFrac,
+		FailAt:         f.FailAt,
+		MTBF:           f.MTBF,
+		MTTR:           f.MTTR,
+		RetxTimeout:    f.RetxTimeout,
+		RebuildLatency: f.RebuildLatency,
 	}
 }
 
