@@ -20,8 +20,9 @@
 // campaign manifest. The first submission wins; submitting over an
 // existing manifest is an error (a changed mind means a new store).
 //
-// serve runs a coordinator: it extends the telemetry registry's
-// observability mux with campaign endpoints and blocks. GET /campaign
+// serve runs a coordinator: it mounts campaign endpoints on a
+// telemetry registry and serves them until SIGTERM or SIGINT, then
+// drains in-flight requests and exits 0. GET /campaign
 // returns the full status scan (workers, liveness, leases, failures,
 // quarantine), GET /campaign/progress a compact progress summary
 // including the store's live record count, and POST /campaign/submit
@@ -32,16 +33,17 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"io/fs"
-	"net"
 	"net/http"
 	"os"
 	"strings"
+	"syscall"
 	"time"
 
 	"diam2/internal/buildinfo"
@@ -68,19 +70,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: diam2campaign -store DIR {status|submit -name NAME [ARGS...]|serve -http ADDR}")
 		return 2
 	}
-	return cliflags.Status(fs, subcommand(stdout, stderr, *dir, fs.Arg(0), fs.Args()[1:], *httpAddr, *name))
+	return cliflags.Status(fs, subcommand(fs, stdout, *dir, fs.Arg(0), fs.Args()[1:], *httpAddr, *name))
 }
 
 // subcommand runs cmd with its positional arguments on the campaign of
-// the store in dir.
-func subcommand(stdout, stderr io.Writer, dir, cmd string, args []string, httpAddr, name string) error {
+// the store in dir, reporting on fs.Output().
+func subcommand(fs *flag.FlagSet, stdout io.Writer, dir, cmd string, args []string, httpAddr, name string) error {
 	campDir := campaign.DirFor(dir)
 	switch cmd {
 	case "status":
 		if len(args) > 0 {
 			return fmt.Errorf("status takes no arguments (got %q)", args)
 		}
-		return status(stdout, dir, campDir)
+		return status(stdout, fs.Output(), dir, campDir)
 	case "submit":
 		if name == "" {
 			return fmt.Errorf("submit needs -name")
@@ -93,17 +95,17 @@ func subcommand(stdout, stderr io.Writer, dir, cmd string, args []string, httpAd
 		if httpAddr == "" {
 			return fmt.Errorf("serve needs -http ADDR")
 		}
-		return serve(stderr, dir, campDir, httpAddr)
+		return serve(fs, dir, campDir, httpAddr)
 	default:
 		return fmt.Errorf("unknown subcommand %q (status|submit|serve)", cmd)
 	}
 }
 
-// liveRecords counts the store's live records without taking its lock
-// or logging scan warnings (the store may be mid-append; a torn tail
-// just undercounts by one until the writer finishes).
-func liveRecords(dir string) (int, error) {
-	st, err := store.Open(dir, store.Options{ReadOnly: true})
+// liveRecords counts the store's live records without taking its
+// lock, its scan warnings on warn (the store may be mid-append; a torn
+// tail just undercounts by one until the writer finishes).
+func liveRecords(dir string, warn io.Writer) (int, error) {
+	st, err := store.OpenCLI(dir, "diam2campaign", store.ReadOnly, warn)
 	if err != nil {
 		return 0, err
 	}
@@ -111,7 +113,7 @@ func liveRecords(dir string) (int, error) {
 	return st.Len(), nil
 }
 
-func status(w io.Writer, storeDir, campDir string) error {
+func status(w, stderr io.Writer, storeDir, campDir string) error {
 	st, err := campaign.Scan(campDir)
 	if err != nil {
 		return err
@@ -124,7 +126,7 @@ func status(w io.Writer, storeDir, campDir string) error {
 	} else {
 		fmt.Fprintln(w, "campaign  (no manifest submitted)")
 	}
-	if n, err := liveRecords(storeDir); err == nil {
+	if n, err := liveRecords(storeDir, stderr); err == nil {
 		fmt.Fprintf(w, "store     %s\n", store.FormatCount(n, "live record"))
 	} else {
 		fmt.Fprintf(w, "store     not readable yet (%v)\n", err)
@@ -187,16 +189,14 @@ type progressBody struct {
 	Quarantined int    `json:"quarantined"`
 }
 
-// coordinatorMux assembles the coordinator's HTTP surface: the
-// telemetry registry's observability mux (with /campaign attached)
-// plus the coordinator-only progress and submit endpoints, mounted on
-// the same route-enumerating mux so the "/" index lists them all.
-// Factored out of serve so tests can drive it without a listener.
-func coordinatorMux(storeDir, campDir string) *telemetry.Mux {
+// coordinator assembles the coordinator's HTTP surface: a telemetry
+// registry carrying /campaign plus the coordinator-only progress and
+// submit endpoints, so its "/" index lists them all. Factored out of
+// serve so tests can drive it without a listener.
+func coordinator(storeDir, campDir string) *telemetry.Registry {
 	reg := telemetry.NewRegistry()
 	cliflags.ServeCampaign(reg, campDir)
-	mux := reg.Handler()
-	mux.HandleFunc("/campaign/progress", func(w http.ResponseWriter, req *http.Request) {
+	reg.HandleFunc("/campaign/progress", func(w http.ResponseWriter, req *http.Request) {
 		st, err := campaign.Scan(campDir)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -210,14 +210,16 @@ func coordinatorMux(storeDir, campDir string) *telemetry.Mux {
 			Failed:      len(st.Failed),
 			Quarantined: len(st.Quarantined),
 		}
-		if n, err := liveRecords(storeDir); err == nil {
+		// Every poll rescans the store; a live campaign's torn tail is
+		// not worth a warning each time.
+		if n, err := liveRecords(storeDir, io.Discard); err == nil {
 			body.Records = n
 		} else {
 			body.Records = -1
 		}
 		telemetry.WriteJSON(w, body)
 	})
-	mux.HandleFunc("/campaign/submit", func(w http.ResponseWriter, req *http.Request) {
+	reg.HandleFunc("/campaign/submit", func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodPost {
 			http.Error(w, "POST a JSON {\"name\": ..., \"args\": [...]} body", http.StatusMethodNotAllowed)
 			return
@@ -244,14 +246,19 @@ func coordinatorMux(storeDir, campDir string) *telemetry.Mux {
 		w.WriteHeader(http.StatusCreated)
 		fmt.Fprintf(w, "submitted %q\n", m.Name)
 	})
-	return mux
+	return reg
 }
 
-func serve(stderr io.Writer, storeDir, campDir, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("listen %s: %w", addr, err)
+// serve answers the coordinator's endpoints on addr until SIGTERM or
+// SIGINT, then gives in-flight requests 10 s to finish.
+func serve(fs *flag.FlagSet, storeDir, campDir, addr string) error {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cliflags.OnSignal(fs, "", cancel, syscall.SIGTERM, os.Interrupt)()
+	err := coordinator(storeDir, campDir).Serve(ctx, addr, 10*time.Second, func(addr string) {
+		fmt.Fprintf(fs.Output(), "diam2campaign: coordinator at http://%s/campaign (progress, submit; telemetry mux underneath)\n", addr)
+	})
+	if err == nil {
+		fmt.Fprintln(fs.Output(), "diam2campaign: drained")
 	}
-	fmt.Fprintf(stderr, "diam2campaign: coordinator at http://%s/campaign (progress, submit; telemetry mux underneath)\n", ln.Addr())
-	return (&http.Server{Handler: coordinatorMux(storeDir, campDir)}).Serve(ln)
+	return err
 }

@@ -125,9 +125,8 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	defer w.Close()
 
-	// Build the same mux serve() listens with, but under httptest.
-	mux := coordinatorMux(storeDir, campDir)
-	srv := httptest.NewServer(mux)
+	// Serve the same mux serve() listens with, but under httptest.
+	srv := httptest.NewServer(coordinator(storeDir, campDir))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/campaign")

@@ -32,10 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"syscall"
 	"time"
 
@@ -73,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.DurationVar(&o.drainTO, "drain-timeout", 30*time.Second, "how long queued escalations get to finish on shutdown")
 	o.scale.Register(fs)
 	o.camp.Register(fs)
-	if status, ok := cliflags.Parse(fs, args, stdout); !ok {
+	if status, ok := cliflags.Parse(fs, args, stdout, cliflags.NoArgs(fs)); !ok {
 		return status
 	}
 	if o.httpAddr == "" || o.storeDir == "" {
@@ -117,40 +114,26 @@ func (o *options) listen(fs *flag.FlagSet, stderr io.Writer) error {
 		return err
 	}
 
-	mux := reg.Handler()
-	srv.Register(mux)
+	srv.Register(reg)
 
-	ln, err := net.Listen("tcp", o.httpAddr)
+	// Drain order matters: Serve stops accepting and finishes the
+	// in-flight HTTP responses first, then the background escalations
+	// get their budget.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cliflags.OnSignal(fs, fmt.Sprintf(" (in-flight queries finish, escalations get %s)", o.drainTO), cancel, syscall.SIGTERM, os.Interrupt)()
+	err = reg.Serve(ctx, o.httpAddr, o.drainTO, func(addr string) {
+		fmt.Fprintf(stderr, "diam2serve: serving design-space queries at http://%s/query (scale %s, %d presets, band %.2f)\n",
+			addr, o.scale.Name, len(presets), o.cfg.Band)
+	})
+	if ctx.Err() == nil {
+		return err
+	}
 	if err != nil {
-		return fmt.Errorf("listen %s: %w", o.httpAddr, err)
-	}
-	httpSrv := &http.Server{Handler: mux}
-	fmt.Fprintf(stderr, "diam2serve: serving design-space queries at http://%s/query (scale %s, %d presets, band %.2f)\n",
-		ln.Addr(), o.scale.Name, len(presets), o.cfg.Band)
-
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
-	defer signal.Stop(sigc)
-
-	select {
-	case sig := <-sigc:
-		fmt.Fprintf(stderr, "diam2serve: %v: draining (in-flight queries finish, escalations get %s)\n", sig, o.drainTO)
-	case err := <-errc:
-		return fmt.Errorf("http server: %w", err)
-	}
-
-	// Drain order matters: stop accepting and finish in-flight HTTP
-	// responses first (Shutdown blocks until handlers return), then
-	// give the background escalations their budget.
-	shutCtx, cancel := context.WithTimeout(context.Background(), o.drainTO)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutCtx); err != nil {
 		fmt.Fprintln(stderr, "diam2serve: http shutdown:", err)
 	}
-	if err := srv.Close(shutCtx); err != nil {
+	escCtx, escCancel := context.WithTimeout(context.Background(), o.drainTO)
+	defer escCancel()
+	if err := srv.Close(escCtx); err != nil {
 		fmt.Fprintln(stderr, "diam2serve: escalations cut off at drain timeout:", err)
 	}
 	fmt.Fprintln(stderr, "diam2serve: drained")

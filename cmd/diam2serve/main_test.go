@@ -16,6 +16,7 @@ func TestRefusedInvocationsExit2(t *testing.T) {
 		{[]string{"-store", dir}, "usage: diam2serve -http ADDR -store DIR [flags]\n"},
 		{[]string{"-http", "127.0.0.1:0"}, "usage: diam2serve -http ADDR -store DIR [flags]\n"},
 		{[]string{"-http", "127.0.0.1:0", "-store", dir, "-grid", "-1"}, "diam2serve: -grid -1: the decision-ladder size cannot be negative\n"},
+		{[]string{"-http", "127.0.0.1:0", "-store", dir, "extra"}, "diam2serve: unexpected argument \"extra\": diam2serve takes flags only\n"},
 	} {
 		var stdout, stderr strings.Builder
 		if code := run(c.args, &stdout, &stderr); code != 2 || stderr.String() != c.want || stdout.Len() != 0 {

@@ -23,8 +23,10 @@
 // The shared flag groups — -scale/-seed, -j/-cores/-progress, the
 // three profilers, -store/-force and the -telemetry observers — are
 // declared and documented in internal/cliflags; see also README,
-// "Profiling the engine" and "Observability". The summary always
-// includes the achieved simulation rate (cycles/s).
+// "Profiling the engine" and "Observability". -j, -progress, -store
+// and -force act on the -saturate ladder's scheduler only; a single
+// run or an exchange refuses them. The summary always includes the
+// achieved simulation rate (cycles/s).
 //
 // Fault injection: -fail-links downs a random (seeded) set of router
 // links at cycle -fail-at; -mtbf instead drives a continuous per-link
@@ -68,7 +70,7 @@ type options struct {
 	sched cliflags.Sched
 	prof  cliflags.Profile
 	// The store rides the experiment scheduler, so it covers the
-	// -saturate ladder; a plain single run bypasses it.
+	// -saturate ladder; a single run or an exchange refuses it.
 	st  cliflags.Store
 	tel cliflags.Telemetry
 }
@@ -103,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	o.prof.Register(fs)
 	o.st.Register(fs)
 	o.tel.Register(fs, false)
-	if status, ok := cliflags.Parse(fs, args, stdout, o.sched.Check, o.check); !ok {
+	if status, ok := cliflags.Parse(fs, args, stdout, cliflags.NoArgs(fs), o.sched.Check, o.check); !ok {
 		return status
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -112,7 +114,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // check refuses the values a run would otherwise clamp, ignore or
-// replace by a default, and the fault flags the run would not read.
+// replace by a default, and the fault and scheduler flags the run
+// would not read.
 // The load bound is the one diam2serve enforces.
 func (o *options) check() error {
 	if !(o.load > 0 && o.load <= 1) {
@@ -131,6 +134,8 @@ func (o *options) check() error {
 	}
 	fp, burst, mtbf := o.faults, o.failLinks > 0, o.faults.MTBF > 0
 	switch {
+	case (!o.saturate || o.exchange != "") && (o.st.Dir != "" || o.st.Force || o.sched.Jobs != 0 || o.sched.Progress):
+		return errors.New("-store, -force, -j and -progress drive the -saturate ladder's scheduler; a single run or an exchange reads none of them")
 	case o.failLinks >= 1 && o.failLinks != math.Trunc(o.failLinks):
 		return fmt.Errorf("-fail-links %v: a count of links (>= 1) must be a whole number", o.failLinks)
 	case burst && mtbf:

@@ -98,7 +98,8 @@ func TestSingleRunSummary(t *testing.T) {
 }
 
 // TestOutOfRangeExit2: a value the run would clamp, ignore or replace
-// by a default exits 2 with one line on stderr and nothing on stdout.
+// by a default, a flag it would not read and a stray argument exit 2
+// with one line on stderr and nothing on stdout.
 func TestOutOfRangeExit2(t *testing.T) {
 	for _, args := range [][]string{
 		{"-load", "1.5"}, {"-load", "0"}, {"-load", "NaN"},
@@ -109,6 +110,9 @@ func TestOutOfRangeExit2(t *testing.T) {
 		{"-mttr", "50"}, {"-mttr", "50", "-fail-links", "2"},
 		{"-retx-timeout", "100"}, {"-rebuild-latency", "-1"},
 		{"-fail-links", "2.5"},
+		{"extra", "-topo", "sf-small", "-load", "0.1"},
+		{"-store", t.TempDir()}, {"-force"}, {"-j", "2"}, {"-progress"},
+		{"-store", t.TempDir(), "-saturate", "-exchange", "a2a"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {

@@ -83,13 +83,13 @@ func subcommand(stdout, stderr io.Writer, dir, cmd string, args []string, verbos
 		if len(args) != 1 {
 			return fmt.Errorf("diff wants exactly one other store directory")
 		}
-		return diff(stdout, dir, args[0])
+		return diff(stdout, stderr, dir, args[0])
 	}
 	do, ok := map[string]func() error{
 		"list":   func() error { return list(stdout, stderr, dir, verbose) },
-		"stats":  func() error { return stats(stdout, dir) },
+		"stats":  func() error { return stats(stdout, stderr, dir) },
 		"verify": func() error { return verify(stdout, dir) },
-		"gc":     func() error { return gc(stdout, dir, dryRun) },
+		"gc":     func() error { return gc(stdout, stderr, dir, dryRun) },
 	}[cmd]
 	switch {
 	case !ok:
@@ -103,7 +103,7 @@ func subcommand(stdout, stderr io.Writer, dir, cmd string, args []string, verbos
 }
 
 func list(w, stderr io.Writer, dir string, verbose bool) error {
-	st, err := store.OpenCLIRead(dir, "diam2store")
+	st, err := store.OpenCLI(dir, "diam2store", store.ReadOnly, stderr)
 	if err != nil {
 		return err
 	}
@@ -121,8 +121,8 @@ func list(w, stderr io.Writer, dir string, verbose bool) error {
 
 // stats summarizes one store read-only: per-tier live record counts,
 // on-disk segment footprint, and the dedupe ratio.
-func stats(w io.Writer, dir string) error {
-	st, err := store.OpenCLIRead(dir, "diam2store")
+func stats(w, stderr io.Writer, dir string) error {
+	st, err := store.OpenCLI(dir, "diam2store", store.ReadOnly, stderr)
 	if err != nil {
 		return err
 	}
@@ -198,13 +198,13 @@ func verify(w io.Writer, dir string) error {
 		store.FormatCount(len(rep.Corruptions), "corrupt record"))
 }
 
-func diff(w io.Writer, dirA, dirB string) error {
-	a, err := store.OpenCLIRead(dirA, "diam2store")
+func diff(w, stderr io.Writer, dirA, dirB string) error {
+	a, err := store.OpenCLI(dirA, "diam2store", store.ReadOnly, stderr)
 	if err != nil {
 		return err
 	}
 	defer a.Close()
-	b, err := store.OpenCLIRead(dirB, "diam2store")
+	b, err := store.OpenCLI(dirB, "diam2store", store.ReadOnly, stderr)
 	if err != nil {
 		return err
 	}
@@ -227,8 +227,8 @@ func diff(w io.Writer, dirA, dirB string) error {
 	return nil
 }
 
-func gc(w io.Writer, dir string, dryRun bool) error {
-	st, err := store.OpenCLIExisting(dir, "diam2store")
+func gc(w, stderr io.Writer, dir string, dryRun bool) error {
+	st, err := store.OpenCLI(dir, "diam2store", store.Existing, stderr)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -40,7 +43,7 @@ func superseded(t *testing.T) string {
 // included.
 func stored(t *testing.T, dir string) int {
 	t.Helper()
-	st, err := store.Open(dir, store.Options{ReadOnly: true})
+	st, err := store.Open(dir, store.Options{Mode: store.ReadOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +111,7 @@ func TestStats(t *testing.T) {
 	}
 
 	var out strings.Builder
-	if err := stats(&out, dir); err != nil {
+	if err := stats(&out, io.Discard, dir); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -123,11 +126,34 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestScanWarningsOnRunStderr: a corrupt record the store skips at
+// open is reported on the stderr writer run was given, not on the
+// process's.
+func TestScanWarningsOnRunStderr(t *testing.T) {
+	dir := superseded(t)
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.jsonl"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v, %v; want one", segs, err)
+	}
+	f, err := os.OpenFile(segs[0], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("garbage\n"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	code, _, errOut := storeArgs("-store", dir, "list")
+	if want := "diam2store: store: skipped corrupt record seg-000001.jsonl:3: "; code != 0 || !strings.HasPrefix(errOut, want) {
+		t.Errorf("list over a corrupt record: exit %d, stderr %q; want exit 0 and a line starting %q", code, errOut, want)
+	}
+}
+
 // TestStatsRefusesMissingStore: stats is read-only and must not
 // conjure an empty store out of a typo'd path.
 func TestStatsRefusesMissingStore(t *testing.T) {
 	var out strings.Builder
-	if err := stats(&out, t.TempDir()+"/nope"); err == nil {
+	if err := stats(&out, io.Discard, t.TempDir()+"/nope"); err == nil {
 		t.Fatal("stats on a nonexistent store succeeded")
 	}
 }

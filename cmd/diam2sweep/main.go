@@ -133,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.DurationVar(&o.camp.Policy.Watchdog, "watchdog", 0, "campaign per-attempt timeout: a point attempt running longer is cancelled, retried and eventually quarantined (0: off)")
 	fs.IntVar(&o.camp.Policy.MaxAttempts, "retries", campaign.DefaultMaxAttempts, "campaign attempts per point (across all workers) before quarantine")
 	fs.DurationVar(&o.camp.Policy.BaseBackoff, "backoff", campaign.DefaultBaseBackoff, "campaign base backoff after a failed attempt (doubles per attempt, jittered)")
-	if status, ok := cliflags.Parse(fs, args, stdout, o.sched.Check, o.refuse); !ok {
+	if status, ok := cliflags.Parse(fs, args, stdout, cliflags.NoArgs(fs), o.sched.Check, o.refuse); !ok {
 		return status
 	}
 	if o.fig == "" && !o.screen {
@@ -236,15 +236,7 @@ func (o *options) sweep(fs *flag.FlagSet, args []string, stdout, stderr io.Write
 		// SIGTERM drains gracefully: leased points finish and store,
 		// unclaimed points stay for the other workers. SIGINT (Ctrl-C)
 		// keeps its hard-cancel meaning via the NotifyContext above.
-		sigc := make(chan os.Signal, 1)
-		signal.Notify(sigc, syscall.SIGTERM)
-		defer signal.Stop(sigc)
-		go func() {
-			if _, ok := <-sigc; ok {
-				fmt.Fprintln(stderr, "diam2sweep: SIGTERM: draining (finishing leased points, releasing the rest)")
-				worker.Drain()
-			}
-		}()
+		defer cliflags.OnSignal(fs, " (finishing leased points, releasing the rest)", worker.Drain, syscall.SIGTERM)()
 	}
 	workers := sc.Sched.PoolSize(sc.Cores)
 	start := time.Now()

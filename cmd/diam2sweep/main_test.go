@@ -29,6 +29,7 @@ func TestRefusedInvocationsExit2(t *testing.T) {
 		{[]string{"-fig", "14", "-j", "-1"}, "diam2sweep: -j -1:"},
 		{[]string{"-fig", "14", "-campaign"}, "diam2sweep: -campaign requires -store"},
 		{[]string{"-fig", "14", "-campaign", "-store", t.TempDir(), "-telemetry"}, "diam2sweep: -campaign is incompatible with telemetry collection"},
+		{[]string{"-fig", "14", "extra"}, "diam2sweep: unexpected argument \"extra\": diam2sweep takes flags only\n"},
 	} {
 		code, out, errOut := sweepArgs(c.args...)
 		if code != 2 || out != "" || !strings.HasPrefix(errOut, c.want) {

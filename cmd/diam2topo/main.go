@@ -55,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.exportEL, "edgelist", "", "write the named paper topology as an edge list to stdout")
 	fs.BoolVar(&o.fluidSat, "fluid", false, "analytic (fluid-model) saturation loads for the paper configurations")
 	fs.StringVar(&o.draw, "draw", "", "write a Fig. 1-style SVG diagram of the named topology (sf9|sf10|mlfm|oft) to stdout")
-	if status, ok := cliflags.Parse(fs, args, stdout); !ok {
+	if status, ok := cliflags.Parse(fs, args, stdout, cliflags.NoArgs(fs)); !ok {
 		return status
 	}
 	if o == (options{restarts: o.restarts, passes: o.passes, seed: o.seed}) { // no analysis selected

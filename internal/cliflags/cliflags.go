@@ -17,9 +17,11 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
+	"strings"
 	"time"
 
 	"diam2/internal/buildinfo"
@@ -48,7 +50,7 @@ func Parse(fs *flag.FlagSet, args []string, stdout io.Writer, checks ...func() e
 			return 2, false
 		}
 		rest := fs.Args()
-		if n := len(args) - len(rest); len(rest) == 0 || n > 0 && args[n-1] == "--" {
+		if len(rest) == 0 || terminated(fs, args[:len(args)-len(rest)]) {
 			fs.Parse(append(append([]string{"--"}, pos...), rest...)) // sets only fs.Args()
 			break
 		}
@@ -69,6 +71,31 @@ func Parse(fs *flag.FlagSet, args []string, stdout io.Writer, checks ...func() e
 	return 0, true
 }
 
+// terminated reports whether the flags fs parsed end at a "--"
+// terminator: it steps over the value of each flag that takes one, so
+// a "--" that is a flag's value ("-name --") is not taken for it.
+func terminated(fs *flag.FlagSet, parsed []string) bool {
+	i := 0
+	for ; i < len(parsed) && parsed[i] != "--"; i++ {
+		name, _, inline := strings.Cut(strings.TrimLeft(parsed[i], "-"), "=")
+		if b, ok := fs.Lookup(name).Value.(interface{ IsBoolFlag() bool }); !inline && !(ok && b.IsBoolFlag()) {
+			i++ // the flag's value
+		}
+	}
+	return i < len(parsed)
+}
+
+// NoArgs is the Parse check of a binary that takes flags only: it
+// refuses a positional argument, which the run would otherwise ignore.
+func NoArgs(fs *flag.FlagSet) func() error {
+	return func() error {
+		if fs.NArg() > 0 {
+			return fmt.Errorf("unexpected argument %q: %s takes flags only", fs.Arg(0), fs.Name())
+		}
+		return nil
+	}
+}
+
 // Status reports the error a run ended with, if any, as one line on
 // fs.Output() and returns the exit status: 0 without an error, 3 for a
 // campaign worker drained on request (the campaign goes on), else 1.
@@ -81,6 +108,21 @@ func Status(fs *flag.FlagSet, err error) int {
 		return 3
 	}
 	return 1
+}
+
+// OnSignal runs drain at the first of sigs, after noting the signal on
+// fs.Output() as "NAME: SIGNAL: draining" followed by what; stop
+// releases the signals.
+func OnSignal(fs *flag.FlagSet, what string, drain func(), sigs ...os.Signal) (stop func()) {
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, sigs...)
+	go func() {
+		if sig, ok := <-sigc; ok {
+			fmt.Fprintf(fs.Output(), "%s: %v: draining%s\n", fs.Name(), sig, what)
+			drain()
+		}
+	}()
+	return func() { signal.Stop(sigc); close(sigc) }
 }
 
 // Scale is the fidelity flag group: -scale and -seed.
@@ -230,18 +272,19 @@ func (s *Store) Register(fs *flag.FlagSet) {
 }
 
 // Attach opens the store (creating it if needed; under the shared
-// campaign lock when shared) and hangs it on sc.Sched. The returned
-// func reports the run's store summary on fs.Output() and closes the
-// store. Without -store, Attach does nothing.
+// campaign lock when shared), its scan warnings on fs.Output(), and
+// hangs it on sc.Sched. The returned func reports the run's store
+// summary on fs.Output() and closes the store. Without -store, Attach
+// does nothing.
 func (s Store) Attach(fs *flag.FlagSet, sc *harness.Scale, shared bool) (func(), error) {
 	if s.Dir == "" {
 		return func() {}, nil
 	}
-	open := store.OpenCLI
+	mode := store.Create
 	if shared {
-		open = store.OpenCLICampaign
+		mode = store.Shared
 	}
-	st, err := open(s.Dir, fs.Name())
+	st, err := store.OpenCLI(s.Dir, fs.Name(), mode, fs.Output())
 	if err != nil {
 		return nil, err
 	}
@@ -302,7 +345,7 @@ func ServeCampaign(reg *telemetry.Registry, dir string) {
 	if reg == nil {
 		return
 	}
-	reg.Handler().HandleFunc("/campaign", func(w http.ResponseWriter, _ *http.Request) {
+	reg.HandleFunc("/campaign", func(w http.ResponseWriter, _ *http.Request) {
 		st, err := campaign.Scan(dir)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -358,16 +401,30 @@ func (t Telemetry) Setup(fs *flag.FlagSet, sc *harness.Scale, serveOnly bool) (*
 		if sink != nil {
 			sc.Telemetry.Registry = reg
 		}
-		addr, stop, err := reg.Serve(t.HTTP)
-		if err != nil {
-			return nil, nil, nil, err
-		}
 		endpoints := "/telemetry"
 		if serveOnly {
 			endpoints = "/campaign and /telemetry"
 		}
-		fmt.Fprintf(fs.Output(), "telemetry: live at http://%s%s (pprof under /debug/pprof/)\n", addr, endpoints)
-		shutdown = func() { _ = stop() }
+		// The run's end drains the server: a request in flight gets a
+		// second to finish.
+		ctx, stop := context.WithCancel(context.Background())
+		done := make(chan error, 2) // nil once listening, then what Serve returns
+		go func() {
+			done <- reg.Serve(ctx, t.HTTP, time.Second, func(addr string) {
+				fmt.Fprintf(fs.Output(), "telemetry: live at http://%s%s (pprof under /debug/pprof/)\n", addr, endpoints)
+				done <- nil
+			})
+		}()
+		if err := <-done; err != nil {
+			stop()
+			return nil, nil, nil, err
+		}
+		shutdown = func() {
+			stop()
+			if err := <-done; err != nil {
+				fmt.Fprintf(fs.Output(), "telemetry: %v\n", err)
+			}
+		}
 	}
 	return sink, reg, shutdown, nil
 }

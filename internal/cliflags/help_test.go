@@ -115,6 +115,11 @@ func TestBadInvocationsExit2(t *testing.T) {
 		{"diam2sim", []string{"-c", "-2"}},
 		{"diam2sim", []string{"-retx-timeout", "-1"}},
 		{"diam2sweep", []string{"-fig", "6", "-cores", "-2"}},
+		{"diam2topo", []string{"-scaling", "bogus", "-summary"}},
+		{"diam2sim", []string{"-topo", "sf-small", "-load", "0.1", "extra"}},
+		{"diam2sweep", []string{"-fig", "14", "extra"}},
+		{"diam2report", []string{"-fast", "extra"}},
+		{"diam2serve", []string{"-http", "127.0.0.1:0", "-store", t.TempDir(), "extra"}},
 	} {
 		var stdout, stderr bytes.Buffer
 		cmd := exec.Command(filepath.Join(bin, c.prog), c.args...)

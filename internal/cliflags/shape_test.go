@@ -12,13 +12,28 @@ import (
 	"testing"
 )
 
+// importNames maps each import path of f to its name in f.
+func importNames(f *ast.File) map[string]string {
+	local := map[string]string{}
+	for _, imp := range f.Imports {
+		p, _ := strconv.Unquote(imp.Path.Value)
+		local[p] = p[strings.LastIndex(p, "/")+1:]
+		if imp.Name != nil {
+			local[p] = imp.Name.Name
+		}
+	}
+	return local
+}
+
 // TestEntryShape pins the one entry shape of the binaries: each main
 // is exactly os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)), nothing
 // else in cmd/* or in this package exits the process, writes to the
 // process's stdout or stderr or touches flag.CommandLine (through the
-// flag package's top-level functions either), and this package keeps no
-// package-level variable. So every run can be called in-process, and
-// every output goes to the writers it was given.
+// flag package's top-level functions either), no package under
+// internal names the process's stdout or stderr, no binary listens
+// itself (telemetry.Registry.Serve is the one listener), and this
+// package keeps no package-level variable. So every run can be called
+// in-process, and every output goes to the writers it was given.
 func TestEntryShape(t *testing.T) {
 	dirs, err := filepath.Glob("../../cmd/*")
 	if err != nil {
@@ -44,14 +59,7 @@ func TestEntryShape(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			local := map[string]string{} // import path -> name in this file
-			for _, imp := range f.Imports {
-				p, _ := strconv.Unquote(imp.Path.Value)
-				local[p] = p[strings.LastIndex(p, "/")+1:]
-				if imp.Name != nil {
-					local[p] = imp.Name.Name
-				}
-			}
+			local := importNames(f)
 			for _, decl := range f.Decls {
 				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.Name == "main" {
 					mains++
@@ -76,7 +84,8 @@ func TestEntryShape(t *testing.T) {
 					}
 					name := sel.Sel.Name
 					if x.Name == local["os"] && (name == "Exit" || name == "Stdout" || name == "Stderr") ||
-						x.Name == local["flag"] && !flagOK[name] {
+						x.Name == local["flag"] && !flagOK[name] ||
+						dir != "." && (x.Name == local["net"] && name == "Listen" || x.Name == local["net/http"] && name == "Server") {
 						t.Errorf("%s: %s.%s outside func main", fset.Position(sel.Pos()), x.Name, name)
 					}
 					return true
@@ -90,5 +99,28 @@ func TestEntryShape(t *testing.T) {
 		if mains != want {
 			t.Errorf("%s: %d func main, want %d", dir, mains, want)
 		}
+	}
+	files, err := filepath.Glob("../../internal/*/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		osName := importNames(f)["os"]
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == osName && (sel.Sel.Name == "Stdout" || sel.Sel.Name == "Stderr") {
+					t.Errorf("%s: os.%s in a library package", fset.Position(sel.Pos()), sel.Sel.Name)
+				}
+			}
+			return true
+		})
 	}
 }

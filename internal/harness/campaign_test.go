@@ -25,7 +25,7 @@ import (
 // campaignStore opens dir as a cooperating campaign writer.
 func campaignStore(t *testing.T, dir string) *store.Store {
 	t.Helper()
-	st, err := store.Open(dir, store.Options{Logf: t.Logf, SharedLock: true})
+	st, err := store.Open(dir, store.Options{Logf: t.Logf, Mode: store.Shared})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestCampaignTwoWorkersSplitSweep(t *testing.T) {
 	}
 	// The two store handles saw overlapping but complete views; a fresh
 	// read-only open must hold exactly n records' keys.
-	st, err := store.Open(dir, store.Options{ReadOnly: true})
+	st, err := store.Open(dir, store.Options{Mode: store.ReadOnly})
 	if err != nil {
 		t.Fatal(err)
 	}

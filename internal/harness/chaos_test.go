@@ -55,7 +55,7 @@ func TestChaosWorkerMain(t *testing.T) {
 	if dir == "" {
 		t.Skip("chaos worker harness; driven by TestChaosWorkersConverge")
 	}
-	st, err := store.Open(dir, store.Options{SharedLock: true})
+	st, err := store.Open(dir, store.Options{Mode: store.Shared})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "chaos worker:", err)
 		os.Exit(1)
@@ -182,7 +182,7 @@ func TestChaosWorkersConverge(t *testing.T) {
 
 	// The merged store must render byte-identically to the baseline:
 	// same canonical keys, same derived seeds, same payload bytes.
-	merged, err := store.Open(chaosDir, store.Options{Logf: t.Logf, ReadOnly: true})
+	merged, err := store.Open(chaosDir, store.Options{Logf: t.Logf, Mode: store.ReadOnly})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,18 +12,18 @@ import (
 	"diam2/internal/telemetry"
 )
 
-// Register mounts the query endpoints on the observability mux (they
+// Register mounts the query endpoints on the registry's mux (they
 // appear on its "/" index automatically):
 //
 //	GET/POST /query        one query (params or JSON body)
 //	POST     /query/batch  many queries / a whole grid
 //	GET      /ticket/<id>  poll one escalation
 //	GET      /tickets      list escalations
-func (s *Server) Register(mux *telemetry.Mux) {
-	mux.HandleFunc("/query", s.handleQuery)
-	mux.HandleFunc("/query/batch", s.handleBatch)
-	mux.HandleFunc("/ticket/", s.handleTicket)
-	mux.HandleFunc("/tickets", s.handleTickets)
+func (s *Server) Register(reg *telemetry.Registry) {
+	reg.HandleFunc("/query", s.handleQuery)
+	reg.HandleFunc("/query/batch", s.handleBatch)
+	reg.HandleFunc("/ticket/", s.handleTicket)
+	reg.HandleFunc("/tickets", s.handleTickets)
 }
 
 // admit takes an admission slot, answering 429 + Retry-After when the

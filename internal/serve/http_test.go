@@ -22,7 +22,7 @@ import (
 func newHTTPServer(t *testing.T, mod func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
 	s := newTestServer(t, mod)
-	mux := telemetry.NewMux()
+	mux := telemetry.NewRegistry()
 	s.Register(mux)
 	hs := httptest.NewServer(mux)
 	t.Cleanup(hs.Close)
@@ -194,7 +194,7 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // instead of buffering the whole body.
 func TestHTTPBodyLimit(t *testing.T) {
 	s := newTestServer(t, nil)
-	mux := telemetry.NewMux()
+	mux := telemetry.NewRegistry()
 	s.Register(mux)
 	for _, path := range []string{"/query", "/query/batch"} {
 		// One JSON string that does not end within the limit.
@@ -451,7 +451,7 @@ func TestGracefulDrain(t *testing.T) {
 		entered <- struct{}{}
 		<-release
 	}
-	mux := telemetry.NewMux()
+	mux := telemetry.NewRegistry()
 	s.Register(mux)
 	hs := httptest.NewServer(mux)
 	t.Cleanup(hs.Close)

@@ -165,7 +165,7 @@ type Config struct {
 	// histograms (query_ms.<tier>) and the screen.* counters.
 	Registry *telemetry.Registry
 	// Campaign, when non-nil, runs escalations under the multi-process
-	// lease protocol (the store must then be opened SharedLock), so
+	// lease protocol (the store must then be opened store.Shared), so
 	// external `diam2sweep -campaign` workers can share the load.
 	Campaign *campaign.Worker
 }

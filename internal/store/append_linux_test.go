@@ -33,7 +33,7 @@ func TestFailedAppendStartsFreshSegment(t *testing.T) {
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("child: %v\n%s", err, out)
 	}
-	st, err := Open(dir, Options{ReadOnly: true, Logf: t.Logf})
+	st, err := Open(dir, Options{Mode: ReadOnly, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,58 +2,20 @@ package store
 
 import (
 	"fmt"
-	"os"
+	"io"
 
 	"diam2/internal/buildinfo"
 )
 
-// cliLogf routes scan warnings to stderr prefixed with the command
-// name.
-func cliLogf(cmd string) func(format string, args ...any) {
-	return func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, cmd+": "+format+"\n", args...)
-	}
-}
-
-// OpenCLI opens (creating if necessary) a store for a campaign-running
-// command-line tool: scan warnings go to stderr prefixed with the
-// command name, and a newly-created store records the creating binary
-// in its manifest.
-func OpenCLI(dir, cmd string) (*Store, error) {
+// OpenCLI opens the store in dir for the command-line tool cmd in
+// the given mode: scan warnings go to w prefixed with the command
+// name, and a newly-created store records the creating binary in its
+// manifest.
+func OpenCLI(dir, cmd string, mode Mode, w io.Writer) (*Store, error) {
 	return Open(dir, Options{
-		Logf:      cliLogf(cmd),
+		Logf:      func(format string, args ...any) { fmt.Fprintf(w, cmd+": "+format+"\n", args...) },
 		CreatedBy: cmd + " " + buildinfo.Version(),
-	})
-}
-
-// OpenCLICampaign opens (creating if necessary) a store as one of
-// several cooperating campaign workers: the advisory lock is taken
-// shared, and other workers' results become visible through Refresh.
-func OpenCLICampaign(dir, cmd string) (*Store, error) {
-	return Open(dir, Options{
-		Logf:       cliLogf(cmd),
-		CreatedBy:  cmd + " " + buildinfo.Version(),
-		SharedLock: true,
-	})
-}
-
-// OpenCLIRead opens an existing store read-only for inspection
-// commands (list, diff): a mistyped path is an error, never a freshly
-// created empty store, and nothing on disk is modified.
-func OpenCLIRead(dir, cmd string) (*Store, error) {
-	return Open(dir, Options{
-		Logf:     cliLogf(cmd),
-		ReadOnly: true,
-	})
-}
-
-// OpenCLIExisting opens an existing store writable, for maintenance
-// commands that rewrite it (gc): like OpenCLI, except that a path
-// holding no store is an error instead of a fresh empty store.
-func OpenCLIExisting(dir, cmd string) (*Store, error) {
-	return Open(dir, Options{
-		Logf:      cliLogf(cmd),
-		MustExist: true,
+		Mode:      mode,
 	})
 }
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -34,30 +35,48 @@ func TestSummaryAndFormatCount(t *testing.T) {
 	}
 }
 
-// TestOpenCLIVariants: the CLI constructors wire the right options —
-// create-if-missing for writers, hard errors for read/maintenance
-// opens of nonexistent paths.
+// TestOpenCLIVariants: the one CLI opener creates a store in the
+// writing modes, refuses a missing path in the maintenance and
+// inspection modes, and sends scan warnings to the writer it is given,
+// prefixed with the command name.
 func TestOpenCLIVariants(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenCLI(dir, "testcmd")
+	var warn strings.Builder
+	st, err := OpenCLI(dir, "testcmd", Create, &warn)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(testRecord(0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	missing := dir + "/nope"
-	if _, err := OpenCLIRead(missing, "testcmd"); err == nil {
-		t.Error("OpenCLIRead conjured a store from a missing path")
+	for _, mode := range []Mode{Existing, ReadOnly} {
+		if _, err := OpenCLI(missing, "testcmd", mode, &warn); err == nil {
+			t.Errorf("mode %d conjured a store from a missing path", mode)
+		}
 	}
-	if _, err := OpenCLIExisting(missing, "testcmd"); err == nil {
-		t.Error("OpenCLIExisting conjured a store from a missing path")
-	}
-	shared, err := OpenCLICampaign(dir, "testcmd")
+	f, err := os.OpenFile(segFiles(t, dir)[0], os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := shared.Close(); err != nil {
+	if _, err := f.WriteString("garbage\n"); err != nil {
 		t.Fatal(err)
+	}
+	f.Close()
+	for _, mode := range []Mode{Shared, Existing, ReadOnly} {
+		warn.Reset()
+		st, err := OpenCLI(dir, "testcmd", mode, &warn)
+		if err != nil {
+			t.Fatalf("mode %d: %v", mode, err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if want := "testcmd: store: skipped corrupt record seg-000001.jsonl:2: "; !strings.HasPrefix(warn.String(), want) {
+			t.Errorf("mode %d warned %q, want a line starting %q", mode, warn.String(), want)
+		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 
 func mustOpenShared(t *testing.T, dir string) *Store {
 	t.Helper()
-	st, err := Open(dir, Options{Logf: t.Logf, SharedLock: true})
+	st, err := Open(dir, Options{Logf: t.Logf, Mode: Shared})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,15 +35,15 @@ func TestExclusiveLockConflicts(t *testing.T) {
 		t.Fatalf("lock conflict error %q does not name the cause", err)
 	}
 	// Shared writers cannot sneak past an exclusive holder either.
-	if _, err := Open(dir, Options{SharedLock: true}); err == nil {
+	if _, err := Open(dir, Options{Mode: Shared}); err == nil {
 		t.Fatal("shared open of an exclusively locked store succeeded")
 	}
 }
 
-// TestSharedLockCoexists: campaign workers take the lock shared, so
+// TestSharedCoexists: campaign workers take the lock shared, so
 // any number may hold the store at once — but an exclusive writer (a
 // plain sweep, gc) must be refused while they do, and vice versa.
-func TestSharedLockCoexists(t *testing.T) {
+func TestSharedCoexists(t *testing.T) {
 	dir := t.TempDir()
 	a := mustOpenShared(t, dir)
 	defer a.Close()
@@ -53,7 +53,7 @@ func TestSharedLockCoexists(t *testing.T) {
 		t.Fatal("exclusive open succeeded while campaign workers hold the store")
 	}
 	// Read-only opens take no lock at all and always work.
-	ro, err := Open(dir, Options{ReadOnly: true})
+	ro, err := Open(dir, Options{Mode: ReadOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,15 +250,22 @@ func TestReadOnlyReportsTornTailStillCorruption(t *testing.T) {
 	}
 }
 
-// TestMustExistLeavesNoLockBehind: a refused MustExist open of a
-// non-store directory must not leave a LOCK file (satellite of the
-// flock work; TestReadOnlyMissingStore checks the same via ReadDir).
-func TestMustExistLeavesNoLockBehind(t *testing.T) {
+// TestExistingLeavesNoLockBehind: a refused Existing open of a
+// non-store path must not leave a LOCK file, nor create a missing
+// directory (TestReadOnlyMissingStore checks the same via ReadDir).
+func TestExistingLeavesNoLockBehind(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := Open(dir, Options{MustExist: true}); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("MustExist open of empty dir = %v, want os.ErrNotExist", err)
+	if _, err := Open(dir, Options{Mode: Existing}); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Existing open of empty dir = %v, want os.ErrNotExist", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, lockName)); !errors.Is(err, os.ErrNotExist) {
-		t.Error("refused MustExist open left a LOCK file behind")
+		t.Error("refused Existing open left a LOCK file behind")
+	}
+	missing := filepath.Join(dir, "typo")
+	if _, err := Open(missing, Options{Mode: Existing}); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Existing open of a missing path = %v, want os.ErrNotExist", err)
+	}
+	if _, err := os.Stat(missing); !errors.Is(err, os.ErrNotExist) {
+		t.Error("refused Existing open created the missing directory")
 	}
 }

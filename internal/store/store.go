@@ -73,6 +73,36 @@ type Stats struct {
 	Puts     int64 // records appended this session
 }
 
+// Mode says what Open may do to the store directory and how it takes
+// the store's advisory lock.
+type Mode int
+
+const (
+	// Create opens the store, creating it if needed, as its one writer:
+	// the lock is taken exclusively, so a second writer that does not
+	// speak the lease protocol fails fast instead of interleaving.
+	Create Mode = iota
+	// Shared opens the store, creating it if needed, as one of several
+	// cooperating writer processes (the campaign lease protocol): the
+	// lock is taken shared. Each writer still appends only to its own
+	// segment (rotation is O_EXCL), other writers' appends become
+	// visible through Refresh, and index maintenance is skipped (the
+	// segment scan is the source of truth; a partial-view index would
+	// only log drift). GC is refused.
+	Shared
+	// Existing opens an existing store as its one writer, for commands
+	// that maintain a store (gc) rather than start one, so gc cannot
+	// rewrite segments under a live campaign: a path with no manifest
+	// is an error (wrapping os.ErrNotExist), and is left as it was.
+	Existing
+	// ReadOnly opens an existing store for inspection: no lock is
+	// taken and nothing on disk is created or modified — a missing
+	// directory or manifest is an error (wrapping os.ErrNotExist),
+	// stray temp files are left in place, Close skips the index
+	// rewrite, and Put and GC fail.
+	ReadOnly
+)
+
 // Options configures Open.
 type Options struct {
 	// Logf receives scan warnings (corrupt records, index drift); nil
@@ -80,28 +110,8 @@ type Options struct {
 	Logf func(format string, args ...any)
 	// CreatedBy is recorded in the manifest of a newly-created store.
 	CreatedBy string
-	// ReadOnly opens for inspection: nothing on disk is created or
-	// modified — a missing directory or manifest is an error (wrapping
-	// os.ErrNotExist) instead of a freshly conjured empty store, stray
-	// temp files are left in place, Close skips the index rewrite, and
-	// Put and GC fail. Implies MustExist.
-	ReadOnly bool
-	// MustExist refuses to create a store: opening a directory with no
-	// manifest fails (wrapping os.ErrNotExist). For writable commands
-	// that maintain an existing store (gc) rather than start campaigns.
-	MustExist bool
-	// SharedLock opens the store as one of several cooperating writer
-	// processes (the campaign lease protocol): the advisory store lock
-	// is taken shared instead of exclusive. Each writer still appends
-	// only to its own segment (rotation is O_EXCL), other writers'
-	// appends become visible through Refresh, and index maintenance is
-	// skipped (the segment scan is the source of truth; a partial-view
-	// index would only log drift). GC is refused on a shared store.
-	//
-	// Without SharedLock a writable open takes the lock exclusively, so
-	// two plain (non-campaign) writers on one store fail fast instead
-	// of interleaving: the second Open reports the store as locked.
-	SharedLock bool
+	// Mode is how the store is opened; the zero value is Create.
+	Mode Mode
 }
 
 type manifest struct {
@@ -122,15 +132,14 @@ type indexFile struct {
 }
 
 // Store is an open result store. All methods are safe for concurrent
-// use by the goroutines of one process; concurrent writers from
-// separate processes are not supported (campaigns own their store).
+// use by the goroutines of one process; writers in separate processes
+// cooperate only when each opened the store Shared.
 type Store struct {
-	mu     sync.Mutex
-	dir    string
-	logf   func(format string, args ...any)
-	ro     bool
-	shared bool
-	lock   *os.File // advisory flock holder; nil when read-only
+	mu   sync.Mutex
+	dir  string
+	logf func(format string, args ...any)
+	mode Mode
+	lock *os.File // advisory flock holder; nil when read-only
 
 	recs    map[string]Record // key -> latest record
 	total   int
@@ -150,7 +159,7 @@ type Store struct {
 	hits, misses, puts int64
 }
 
-// Open opens (creating if necessary) the store in dir. The segments
+// Open opens the store in dir as opts.Mode says. The segments
 // are scanned front to back; records that fail framing, checksum or
 // JSON validation — a torn tail after a kill, a flipped bit — are
 // logged via opts.Logf and skipped, and the store stays fully usable.
@@ -160,33 +169,26 @@ func Open(dir string, opts Options) (*Store, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	if !opts.ReadOnly {
+	s := &Store{dir: dir, logf: logf, mode: opts.Mode,
+		recs: make(map[string]Record), offsets: make(map[string]int64), lines: make(map[string]int)}
+	if opts.Mode == Existing {
+		// Fail fast: a refused open must leave a path that holds no
+		// store exactly as it found it (no directory, no LOCK file).
+		if _, err := os.Stat(filepath.Join(dir, manifestName)); errors.Is(err, os.ErrNotExist) {
+			return nil, fmt.Errorf("store: %s is not a store (no %s): %w", dir, manifestName, os.ErrNotExist)
+		}
+	}
+	if opts.Mode != ReadOnly {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, err
 		}
-	}
-	s := &Store{dir: dir, logf: logf, ro: opts.ReadOnly, shared: opts.SharedLock,
-		recs: make(map[string]Record), offsets: make(map[string]int64), lines: make(map[string]int)}
-	if !opts.ReadOnly {
-		if opts.MustExist {
-			// Fail fast before the lock: a refused MustExist open must
-			// leave a non-store directory exactly as it found it (no
-			// stray LOCK file).
-			if _, err := os.Stat(filepath.Join(dir, manifestName)); errors.Is(err, os.ErrNotExist) {
-				return nil, fmt.Errorf("store: %s is not a store (no %s): %w", dir, manifestName, os.ErrNotExist)
-			}
-		}
-		// The advisory lock serializes writers that do not speak the
-		// lease protocol (exclusive) and lets campaign workers coexist
-		// (shared); gc demands exclusivity, so it cannot rewrite
-		// segments under a live campaign.
-		lock, err := acquireLock(filepath.Join(dir, lockName), opts.SharedLock)
+		lock, err := acquireLock(filepath.Join(dir, lockName), opts.Mode == Shared)
 		if err != nil {
 			return nil, err
 		}
 		s.lock = lock
 	}
-	if err := s.loadManifest(opts); err != nil {
+	if err := s.loadManifest(opts.CreatedBy); err != nil {
 		s.unlock()
 		return nil, err
 	}
@@ -195,7 +197,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	// Only an exclusive writer may clean them: a shared (campaign)
 	// writer could race another worker's in-flight replace, and
 	// read-only opens leave them for the next writer to reclaim.
-	if strays, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(strays) > 0 && !opts.ReadOnly && !opts.SharedLock {
+	if strays, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(strays) > 0 && (opts.Mode == Create || opts.Mode == Existing) {
 		for _, p := range strays {
 			os.Remove(p)
 		}
@@ -225,7 +227,7 @@ func (s *Store) unlock() {
 	}
 }
 
-func (s *Store) loadManifest(opts Options) error {
+func (s *Store) loadManifest(createdBy string) error {
 	path := filepath.Join(s.dir, manifestName)
 	b, err := os.ReadFile(path)
 	switch {
@@ -240,7 +242,7 @@ func (s *Store) loadManifest(opts Options) error {
 		}
 		return nil
 	case errors.Is(err, os.ErrNotExist):
-		if opts.ReadOnly || opts.MustExist {
+		if s.mode == ReadOnly || s.mode == Existing {
 			return fmt.Errorf("store: %s is not a store (no %s): %w", s.dir, manifestName, os.ErrNotExist)
 		}
 		// New store (or a pre-manifest directory): refuse to adopt a
@@ -248,7 +250,7 @@ func (s *Store) loadManifest(opts Options) error {
 		if segs, _ := filepath.Glob(filepath.Join(s.dir, segGlob)); len(segs) > 0 {
 			return fmt.Errorf("store: %s has segments but no %s; refusing to guess its schema", s.dir, manifestName)
 		}
-		m := manifest{StoreSchema: Schema, Created: time.Now().UTC().Format(time.RFC3339), CreatedBy: opts.CreatedBy}
+		m := manifest{StoreSchema: Schema, Created: time.Now().UTC().Format(time.RFC3339), CreatedBy: createdBy}
 		return replaceFile(path, mustJSON(m))
 	default:
 		return err
@@ -306,7 +308,7 @@ func (s *Store) scanFrom(path string, cur segCursor) (added int, out segCursor, 
 		}
 		if len(raw) > 0 {
 			if raw[len(raw)-1] != '\n' {
-				if !s.shared {
+				if s.mode != Shared {
 					corrs = append(corrs, Corruption{Segment: name, Line: out.line + 1,
 						Reason: "truncated tail record (no trailing newline)"})
 				}
@@ -452,7 +454,7 @@ func (s *Store) Put(rec Record) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ro {
+	if s.mode == ReadOnly {
 		return fmt.Errorf("store: %s is opened read-only", s.dir)
 	}
 	if s.active == nil || s.activeBytes+int64(len(line)) > maxSegmentBytes {
@@ -496,7 +498,7 @@ func (s *Store) rotateLocked() error {
 			return err
 		}
 		s.active = nil
-		if !s.shared {
+		if s.mode != Shared {
 			if err := s.writeIndexLocked(); err != nil {
 				return err
 			}
@@ -537,11 +539,11 @@ func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.unlock()
-	if s.ro {
+	if s.mode == ReadOnly {
 		return nil // never wrote anything; nothing to flush
 	}
 	var err error
-	if !s.shared { // a campaign worker's partial view must not become the index
+	if s.mode != Shared { // a campaign worker's partial view must not become the index
 		err = s.writeIndexLocked()
 	}
 	if s.active != nil {
@@ -634,10 +636,10 @@ func (s *Store) GC(engineSchema int) (GCReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var rep GCReport
-	if s.ro {
+	if s.mode == ReadOnly {
 		return rep, fmt.Errorf("store: %s is opened read-only", s.dir)
 	}
-	if s.shared {
+	if s.mode == Shared {
 		return rep, fmt.Errorf("store: gc needs exclusive access, but %s is opened shared (campaign mode)", s.dir)
 	}
 	rep.DroppedDupes = s.total - len(s.recs)
@@ -782,7 +784,7 @@ type VerifyReport struct {
 // stale. A path that holds no store is an error, never a freshly
 // created empty store that would "verify" clean.
 func Verify(dir string, engineSchema int) (VerifyReport, error) {
-	st, err := Open(dir, Options{ReadOnly: true})
+	st, err := Open(dir, Options{Mode: ReadOnly})
 	if err != nil {
 		return VerifyReport{}, err
 	}

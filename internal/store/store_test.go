@@ -406,7 +406,7 @@ func TestVerifyReport(t *testing.T) {
 // conjure an empty store that then reports a clean bill of health.
 func TestReadOnlyMissingStore(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "typo", "path")
-	if _, err := Open(dir, Options{ReadOnly: true}); !errors.Is(err, os.ErrNotExist) {
+	if _, err := Open(dir, Options{Mode: ReadOnly}); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("read-only Open of a missing store = %v, want os.ErrNotExist", err)
 	}
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
@@ -418,11 +418,11 @@ func TestReadOnlyMissingStore(t *testing.T) {
 	// An existing but empty directory is just as wrong: no manifest, no
 	// store.
 	empty := t.TempDir()
-	if _, err := Open(empty, Options{ReadOnly: true}); !errors.Is(err, os.ErrNotExist) {
+	if _, err := Open(empty, Options{Mode: ReadOnly}); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("read-only Open of a manifest-less dir = %v, want os.ErrNotExist", err)
 	}
-	if _, err := Open(empty, Options{MustExist: true}); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("MustExist Open of a manifest-less dir = %v, want os.ErrNotExist", err)
+	if _, err := Open(empty, Options{Mode: Existing}); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Existing Open of a manifest-less dir = %v, want os.ErrNotExist", err)
 	}
 	if entries, err := os.ReadDir(empty); err != nil || len(entries) != 0 {
 		t.Errorf("refused opens left files behind: %v, %v", entries, err)
@@ -465,7 +465,7 @@ func TestReadOnlyDoesNotMutate(t *testing.T) {
 	}
 	before := dirSnapshot(t, dir)
 
-	ro, err := Open(dir, Options{ReadOnly: true, Logf: t.Logf})
+	ro, err := Open(dir, Options{Mode: ReadOnly, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,7 +538,7 @@ func TestSegmentRotation(t *testing.T) {
 // non-compact payload, reordered fields, broken JSON, a torn tail).
 // The records and corruptions are the ones that encoder's build read.
 func TestCompatStore(t *testing.T) {
-	st, err := Open(filepath.Join("testdata", "compat"), Options{ReadOnly: true, Logf: t.Logf})
+	st, err := Open(filepath.Join("testdata", "compat"), Options{Mode: ReadOnly, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

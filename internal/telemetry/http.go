@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"encoding/json"
 	"expvar"
 	"fmt"
@@ -12,18 +13,21 @@ import (
 	"time"
 )
 
-// Registry is a process's one named set of live measurements: workers
-// attach a point's collector for the duration of its run, and any
-// package adds to a named counter (Add) or a named latency histogram
-// (Observe). The registry knows none of the names; its mux serves the
-// whole set as JSON at /telemetry.
+// Registry is a process's one named set of live measurements and its
+// one HTTP mux: workers attach a point's collector for the duration of
+// its run, and any package adds to a named counter (Add) or a named
+// latency histogram (Observe). The registry knows none of the names;
+// it serves the whole set as JSON at /telemetry, and every route
+// mounted through HandleFunc — the query service's /query, the
+// campaign coordinator's /campaign/submit — is listed on its "/" index.
 type Registry struct {
 	mu       sync.Mutex
 	active   map[*Collector]int64 // collector -> attach order
 	nextSeq  int64
 	counters map[string]int64
 	hists    map[string]*Histogram // milliseconds
-	mux      *Mux
+	mux      *http.ServeMux
+	routes   []string // the patterns the "/" index lists
 }
 
 // obsBucketMS × obsBuckets bound every Observe histogram: 0.25 ms
@@ -34,21 +38,33 @@ const (
 	obsBuckets  = 8000
 )
 
-// NewRegistry creates an empty registry and its observability mux.
+// NewRegistry creates an empty registry and mounts /telemetry (the
+// JSON snapshot), /debug/vars (the runtime's expvars) and
+// /debug/pprof/* (runtime profiles) on its mux.
 func NewRegistry() *Registry {
 	r := &Registry{
 		active:   make(map[*Collector]int64),
 		counters: make(map[string]int64),
 		hists:    make(map[string]*Histogram),
-		mux:      NewMux(),
+		mux:      http.NewServeMux(),
 	}
-	r.mux.HandleFunc("/telemetry", func(w http.ResponseWriter, _ *http.Request) { WriteJSON(w, r.Snapshot()) })
-	r.mux.Handle("/debug/vars", expvar.Handler())
-	r.mux.HandleFunc("/debug/pprof/", pprof.Index)
-	r.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	r.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	r.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	r.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	r.mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path != "/" {
+			http.NotFound(w, req)
+			return
+		}
+		fmt.Fprintln(w, "diam2 endpoints:")
+		for _, route := range r.Routes() {
+			fmt.Fprintln(w, "  "+route)
+		}
+	})
+	r.HandleFunc("/telemetry", func(w http.ResponseWriter, _ *http.Request) { WriteJSON(w, r.Snapshot()) })
+	r.HandleFunc("/debug/vars", expvar.Handler().ServeHTTP)
+	r.HandleFunc("/debug/pprof/", pprof.Index)
+	r.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	r.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	r.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	r.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return r
 }
 
@@ -155,82 +171,53 @@ func WriteJSON(w http.ResponseWriter, v any) {
 	_, _ = w.Write(append(b, '\n')) // a failed write means the client left; nobody to tell
 }
 
-// Mux is the observability mux with a self-describing index: every
-// route registered through Handle/HandleFunc is remembered, and the
-// "/" page enumerates them — a process that mounts extra endpoints
-// (the query service's /query, the campaign coordinator's
-// /campaign/submit) lists them automatically instead of relying on a
-// hand-maintained string going stale.
-type Mux struct {
-	mu     sync.Mutex
-	mux    *http.ServeMux
-	routes []string
-}
-
-// NewMux returns an empty route-enumerating mux whose "/" index lists
-// the registered routes.
-func NewMux() *Mux {
-	m := &Mux{mux: http.NewServeMux()}
-	m.mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Path != "/" {
-			http.NotFound(w, req)
-			return
-		}
-		fmt.Fprintln(w, "diam2 endpoints:")
-		for _, r := range m.Routes() {
-			fmt.Fprintln(w, "  "+r)
-		}
-	})
-	return m
-}
-
-// Handle registers a handler under pattern and records the pattern for
-// the index page.
-func (m *Mux) Handle(pattern string, h http.Handler) {
-	m.mu.Lock()
-	m.routes = append(m.routes, pattern)
-	m.mu.Unlock()
-	m.mux.Handle(pattern, h)
-}
-
-// HandleFunc registers a handler function under pattern and records
-// the pattern for the index page.
-func (m *Mux) HandleFunc(pattern string, h func(http.ResponseWriter, *http.Request)) {
-	m.Handle(pattern, http.HandlerFunc(h))
+// HandleFunc registers a handler function under pattern and lists the
+// pattern on the "/" index.
+func (r *Registry) HandleFunc(pattern string, h func(http.ResponseWriter, *http.Request)) {
+	r.mu.Lock()
+	r.routes = append(r.routes, pattern)
+	r.mu.Unlock()
+	r.mux.HandleFunc(pattern, h)
 }
 
 // Routes returns the registered patterns, sorted. The "/" index route
 // itself is not listed.
-func (m *Mux) Routes() []string {
-	m.mu.Lock()
-	out := append([]string(nil), m.routes...)
-	m.mu.Unlock()
+func (r *Registry) Routes() []string {
+	r.mu.Lock()
+	out := append([]string(nil), r.routes...)
+	r.mu.Unlock()
 	sort.Strings(out)
 	return out
 }
 
 // ServeHTTP dispatches to the registered handlers.
-func (m *Mux) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	m.mux.ServeHTTP(w, req)
+func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
+	r.mux.ServeHTTP(w, req)
 }
 
-// Handler returns the registry's one observability mux: /telemetry
-// (the JSON snapshot), /debug/vars (the runtime's expvars) and
-// /debug/pprof/* (runtime profiles). Every call returns the same mux,
-// so endpoints mounted on it — /campaign, the query service's /query —
-// are served by Serve and listed on the "/" index.
-func (r *Registry) Handler() *Mux { return r.mux }
-
-// Serve starts the observability endpoint on addr (e.g. ":6060") in a
-// background goroutine and returns the bound address (useful with
-// ":0") and a shutdown function. The server is best-effort: serve
-// errors after startup are discarded.
-func (r *Registry) Serve(addr string) (string, func() error, error) {
+// Serve listens on addr, hands the bound address (useful with ":0")
+// to ready, and serves the registry's routes until ctx is done. Then it
+// drains: the listener closes and in-flight requests get drain to
+// finish (http.Server.Shutdown). It returns the error listening,
+// serving or draining failed with; a server that fails after startup
+// returns at once.
+func (r *Registry) Serve(ctx context.Context, addr string, drain time.Duration, ready func(addr string)) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return "", nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
+		return fmt.Errorf("listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: r.mux}
-	go func() { _ = srv.Serve(ln) }()
-	return ln.Addr().String(), srv.Close, nil
+	ready(ln.Addr().String())
+	srv := &http.Server{Handler: r}
+	failed := make(chan error, 1)
+	go func() { failed <- srv.Serve(ln) }()
+	select {
+	case err := <-failed:
+		return fmt.Errorf("http server: %w", err)
+	case <-ctx.Done():
+	}
+	shutCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), drain)
+	defer cancel()
+	err = srv.Shutdown(shutCtx)
+	<-failed // http.ErrServerClosed, once Shutdown closed the listener
+	return err
 }

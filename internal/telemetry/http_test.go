@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"math"
@@ -86,7 +87,7 @@ func TestHTTPHandler(t *testing.T) {
 	c := NewCollector(Options{Label: "live"})
 	fill(c)
 	r.Attach(c)
-	srv := httptest.NewServer(r.Handler())
+	srv := httptest.NewServer(r)
 	defer srv.Close()
 
 	code, body := get(t, srv, "/telemetry")
@@ -115,18 +116,14 @@ func TestHTTPHandler(t *testing.T) {
 	}
 }
 
-// TestIndexListsEveryRoute: Handler returns the registry's one mux, and
-// its "/" index enumerates every route registered on it — the
-// registry's own endpoints and anything a caller mounts afterwards — so
-// the page cannot go stale.
+// TestIndexListsEveryRoute: the registry's "/" index enumerates every
+// route registered on its one mux — the registry's own endpoints and
+// anything a caller mounts afterwards — so the page cannot go stale.
 func TestIndexListsEveryRoute(t *testing.T) {
 	r := NewRegistry()
-	if r.Handler() != r.Handler() {
-		t.Fatal("Handler built a second mux")
-	}
-	r.Handler().HandleFunc("/query", func(w http.ResponseWriter, req *http.Request) {})
-	r.Handler().HandleFunc("/query/batch", func(w http.ResponseWriter, req *http.Request) {})
-	routes := r.Handler().Routes()
+	r.HandleFunc("/query", func(w http.ResponseWriter, req *http.Request) {})
+	r.HandleFunc("/query/batch", func(w http.ResponseWriter, req *http.Request) {})
+	routes := r.Routes()
 	for _, want := range []string{"/telemetry", "/debug/vars", "/debug/pprof/", "/query", "/query/batch"} {
 		found := false
 		for _, got := range routes {
@@ -140,7 +137,7 @@ func TestIndexListsEveryRoute(t *testing.T) {
 		}
 	}
 
-	srv := httptest.NewServer(r.Handler())
+	srv := httptest.NewServer(r)
 	defer srv.Close()
 	_, body := get(t, srv, "/")
 	for _, route := range routes {
@@ -200,7 +197,7 @@ func TestLatencyOverflowServes(t *testing.T) {
 	}
 	r := NewRegistry()
 	r.Attach(c)
-	srv := httptest.NewServer(r.Handler())
+	srv := httptest.NewServer(r)
 	defer srv.Close()
 	if code, body := get(t, srv, "/telemetry"); code != http.StatusOK {
 		t.Errorf("/telemetry status %d: %s", code, body)
@@ -238,13 +235,14 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 }
 
-// TestServe: the background server binds, answers, and shuts down.
+// TestServe: the server binds, announces its address, answers, drains
+// once its context is done, and returns a listen failure.
 func TestServe(t *testing.T) {
 	r := NewRegistry()
-	addr, shutdown, err := r.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx, cancel := context.WithCancel(context.Background())
+	addrc, done := make(chan string, 1), make(chan error, 1)
+	go func() { done <- r.Serve(ctx, "127.0.0.1:0", time.Second, func(addr string) { addrc <- addr }) }()
+	addr := <-addrc
 	resp, err := http.Get("http://" + addr + "/telemetry")
 	if err != nil {
 		t.Fatal(err)
@@ -253,8 +251,16 @@ func TestServe(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("status %d", resp.StatusCode)
 	}
-	if err := shutdown(); err != nil {
-		t.Errorf("shutdown: %v", err)
+	cancel()
+	if err := <-done; err != nil {
+		t.Errorf("drain: %v", err)
+	}
+	if _, err := http.Get("http://" + addr + "/telemetry"); err == nil {
+		t.Error("a drained server still answers")
+	}
+	err = r.Serve(context.Background(), addr+"x", time.Second, func(string) { t.Error("announced a failed listen") })
+	if err == nil || !strings.HasPrefix(err.Error(), "listen "+addr+"x: ") {
+		t.Errorf("Serve on a bad address = %v, want the listen error", err)
 	}
 }
 
@@ -263,13 +269,13 @@ func TestServe(t *testing.T) {
 // WriteJSON, and the index advertises it.
 func TestCampaignEndpoint(t *testing.T) {
 	r := NewRegistry()
-	srv := httptest.NewServer(r.Handler())
+	srv := httptest.NewServer(r)
 	defer srv.Close()
 
 	if code, _ := get(t, srv, "/campaign"); code != http.StatusNotFound {
 		t.Fatalf("/campaign before mounting: status %d, want 404", code)
 	}
-	r.Handler().HandleFunc("/campaign", func(w http.ResponseWriter, _ *http.Request) {
+	r.HandleFunc("/campaign", func(w http.ResponseWriter, _ *http.Request) {
 		WriteJSON(w, map[string]any{"workers": 3, "leases": []string{"a", "b"}})
 	})
 	code, body := get(t, srv, "/campaign")

@@ -5,7 +5,10 @@
 # segment tails), then fresh workers must converge — stealing the dead
 # workers' leases — and the finishing worker's stdout must be
 # byte-identical to a cold single-process run. This is the end-to-end
-# version of TestChaosWorkersConverge, on real binaries.
+# version of TestChaosWorkersConverge, on real binaries. A
+# `diam2campaign serve` coordinator runs beside the workers: it must
+# answer /campaign/progress while they run, and drain and exit 0 on
+# SIGTERM.
 #
 # Usage: scripts/chaos_workers_smoke.sh [generations] [kill-delay-seconds]
 set -euo pipefail
@@ -14,7 +17,12 @@ cd "$(dirname "$0")/.."
 generations="${1:-3}"
 delay="${2:-1}"
 workdir="$(mktemp -d)"
-trap 'rm -rf "$workdir"' EXIT
+coord=""
+cleanup() {
+  [ -n "$coord" ] && kill "$coord" 2>/dev/null || true
+  rm -rf "$workdir"
+}
+trap cleanup EXIT
 
 go build -o "$workdir/diam2sweep" ./cmd/diam2sweep
 go build -o "$workdir/diam2campaign" ./cmd/diam2campaign
@@ -53,11 +61,35 @@ echo "== cold single-process baseline"
 echo "== submit the campaign manifest"
 "$workdir/diam2campaign" -store "$store" submit -name "chaos smoke fig 6a" -- "${common[@]}"
 
+echo "== coordinator: diam2campaign serve beside the workers"
+"$workdir/diam2campaign" -store "$store" serve -http 127.0.0.1:0 2> "$workdir/coord.log" &
+coord=$!
+base=""
+for _ in $(seq 50); do
+  base="$(grep -o 'at http://[0-9.:]*' "$workdir/coord.log" | head -1 | cut -c4- || true)"
+  [ -n "$base" ] && break
+  sleep 0.1
+done
+if [ -z "$base" ]; then
+  echo "FAIL: coordinator never announced its address:" >&2
+  cat "$workdir/coord.log" >&2
+  exit 1
+fi
+echo "   listening at $base"
+
 echo "== chaos phase: $generations generations of 3 workers, SIGKILL after ${delay}s"
 kills=0
 for gen in $(seq 1 "$generations"); do
   spawn3
   sleep "$delay"
+  if [ "$gen" -eq 1 ]; then
+    progress="$(curl -sf "$base/campaign/progress" || true)"
+    if ! grep -q '"workers": [1-9]' <<<"$progress"; then
+      echo "FAIL: /campaign/progress shows no worker while three run: $progress" >&2
+      exit 1
+    fi
+    echo "   /campaign/progress while workers run: $(tr -d ' \n' <<<"$progress")"
+  fi
   for pid in "${pids[@]}"; do
     if kill -0 "$pid" 2>/dev/null; then
       kills=$((kills + 1))
@@ -133,4 +165,15 @@ if grep -q 'QUARANTINED' <<<"$status"; then
   exit 1
 fi
 
-echo "PASS: campaign converged under SIGKILL chaos, byte-identical to the cold run"
+echo "== coordinator drain: SIGTERM must exit 0"
+kill -TERM "$coord"
+rc=0
+wait "$coord" || rc=$?
+coord=""
+if [ "$rc" -ne 0 ] || ! grep -q 'diam2campaign: drained' "$workdir/coord.log"; then
+  echo "FAIL: coordinator exited $rc on SIGTERM:" >&2
+  cat "$workdir/coord.log" >&2
+  exit 1
+fi
+
+echo "PASS: campaign converged under SIGKILL chaos, byte-identical to the cold run; the coordinator served progress and drained"
