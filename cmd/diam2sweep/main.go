@@ -264,13 +264,8 @@ func (o *options) sweep(fs *flag.FlagSet, args []string, stdout, stderr io.Write
 		return o.exportTelemetry(fs, sink)
 	}
 
-	// Preset lookup by family for the per-topology adaptive figures.
-	byFamily := map[string]harness.Preset{}
-	for _, p := range presets {
-		if _, ok := byFamily[p.Family()]; !ok { // the family's first preset (SF: p = floor)
-			byFamily[p.Family()] = p
-		}
-	}
+	// The per-topology adaptive figures run on each family's representative.
+	byFamily := harness.Representatives(presets)
 	loads := harness.DefaultLoads()
 	// The paper's sweep values; the medium reproduction trims the
 	// grid to keep the full figure set to about an hour of CPU.

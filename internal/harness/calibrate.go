@@ -1,13 +1,8 @@
 package harness
 
-import (
-	"fmt"
-	"math"
+import "fmt"
 
-	"diam2/internal/sim"
-)
-
-// Calibration pins the screening tier to the flit-level simulator: for
+// This file pins the screening tier to the flit-level simulator: for
 // each diameter-two family and each (pattern, routing) combination the
 // paper evaluates obliviously, the fluid saturation estimate is
 // compared against the simulator's delivered-throughput plateau at
@@ -80,94 +75,68 @@ func ToleranceFor(family string, pat PatternKind, alg AlgKind) (float64, bool) {
 	return 0, false
 }
 
-// Calibration is one scenario's comparison of the fluid estimate
-// against the simulator.
-type Calibration struct {
-	Scenario
-	Topo     string  // concrete instance the comparison ran on
-	FluidSat float64 // analytic saturation estimate
-	SimSat   float64 // simulator delivered-throughput plateau at full offered load
-	RelErr   float64 // |FluidSat - SimSat| / SimSat
-	Within   bool    // RelErr <= Tolerance
-}
-
-// Compare evaluates the scenario against a measured simulator
-// saturation.
-func (s Scenario) Compare(topoName string, fluidSat, simSat float64) Calibration {
-	rel := math.Inf(1)
-	if simSat > 0 {
-		rel = math.Abs(fluidSat-simSat) / simSat
-	}
-	return Calibration{
-		Scenario: s,
-		Topo:     topoName,
-		FluidSat: fluidSat,
-		SimSat:   simSat,
-		RelErr:   rel,
-		Within:   rel <= s.Tolerance,
-	}
-}
-
-// Calibrate pins the fluid model against the simulator: for each of
-// the nine golden scenarios (Scenarios) it computes the analytic
-// saturation estimate and the simulator's delivered-throughput plateau
-// at full offered load on the first preset of the scenario's family,
-// and scores the relative disagreement against the scenario's recorded
-// tolerance. The simulator side runs through the scheduler (sim-tier
-// "calibrate|" keys), so calibration is resumable and -j-parallel like
-// any sweep. Every scenario family must have a preset, or the gate
-// would silently shrink.
-func Calibrate(presets []Preset, scale Scale) ([]Calibration, error) {
-	first := make(map[string]Preset) // family -> its first preset
-	var firsts []Preset
+// Representatives returns each family's representative preset, keyed
+// by Family: the first preset of the family in presets (for Slim Fly
+// the smallest p, the order the preset lists keep). Calibrate and
+// the per-family adaptive figures run on it.
+func Representatives(presets []Preset) map[string]Preset {
+	reps := make(map[string]Preset)
 	for _, p := range presets {
-		if _, ok := first[p.Family()]; !ok {
-			first[p.Family()] = p
-			firsts = append(firsts, p)
+		if _, ok := reps[p.Family()]; !ok {
+			reps[p.Family()] = p
 		}
 	}
+	return reps
+}
+
+// Calibrate pins the fluid model against the simulator: each of the
+// nine golden scenarios (Scenarios) becomes one escalation pick, the
+// scenario's fluid point at full offered load on its family's
+// representative preset, where the fluid throughput is the saturation
+// estimate. The picks run through the escalation path (Escalate's
+// simulate-and-score code, under "calibrate|" point keys, so
+// calibration is resumable and -j-parallel like any sweep and is not
+// counted as an escalation), and each verdict scores the simulator's
+// delivered plateau against the scenario's recorded tolerance. Every
+// scenario family must have a preset, or the gate would silently
+// shrink.
+func Calibrate(presets []Preset, scale Scale) ([]Escalation, error) {
+	reps := Representatives(presets)
 	scens := Scenarios()
 	for _, s := range scens {
-		if _, ok := first[s.Family]; !ok {
+		if _, ok := reps[s.Family]; !ok {
 			return nil, fmt.Errorf("harness: calibration scenario %s has no preset of family %s", s.Name(), s.Family)
+		}
+	}
+	var firsts []Preset
+	for _, p := range presets {
+		if reps[p.Family()].Name == p.Name {
+			firsts = append(firsts, p)
 		}
 	}
 	scr, err := NewScreener(firsts, scale)
 	if err != nil {
 		return nil, err
 	}
-	fluidSats := make([]float64, len(scens))
-	points := make([]Point[LoadPoint], 0, len(scens))
+	picks := make([]EscalationPick, len(scens))
 	for i, s := range scens {
-		preset := first[s.Family]
-		sp, err := scr.Point(preset.Name, s.Routing, s.Pattern, 1.0)
-		if err != nil {
+		if picks[i].Point, err = scr.Point(reps[s.Family].Name, s.Routing, s.Pattern, 1.0); err != nil {
 			return nil, err
 		}
-		fluidSats[i] = sp.Saturation
-		tp := scr.topos[preset.Name].tp
-		points = append(points, syntheticPoint(pointKey("calibrate", preset.Name, s.Routing, s.Pattern, 1.0), tp, s.Routing, preset.BestAdaptive, s.Pattern, 1.0, scale,
-			func(res sim.Results) LoadPoint { return loadPoint(1.0, res) }))
 	}
-	sims, err := Collect(scale, points)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Calibration, len(scens))
-	for i, s := range scens {
-		out[i] = s.Compare(first[s.Family].Name, fluidSats[i], sims[i].Throughput)
-	}
-	return out, nil
+	return scr.escalate("calibrate", picks, scale)
 }
 
 // CalibrationTable renders a calibration pass.
-func CalibrationTable(cals []Calibration) *Table {
+func CalibrationTable(cals []Escalation) *Table {
 	t := &Table{
 		Title:  "Fluid-model calibration against simulator goldens",
 		Header: []string{"scenario", "topology", "fluid sat", "sim sat", "rel err", "tolerance", "within"},
 	}
 	for _, c := range cals {
-		t.AddRow(c.Name(), c.Topo, f3(c.FluidSat), f3(c.SimSat), f3(c.RelErr), f3(c.Tolerance), fmt.Sprintf("%v", c.Within))
+		p := c.Pick.Point
+		t.AddRow(Scenario{Family: p.Family, Pattern: p.Pat, Routing: p.Alg}.Name(), p.Topo,
+			f3(p.Throughput), f3(c.Sim.Throughput), f3(c.RelErr), f3(c.Tolerance), fmt.Sprintf("%v", c.Within))
 	}
 	return t
 }

@@ -23,9 +23,10 @@ import (
 // plus loads where two topology families swap throughput ranking — and
 // EscalateSweep re-runs exactly those points at flit-level fidelity,
 // checking each against the calibration tolerances recorded in
-// Scenarios. Calibrate maintains those tolerances: it pins the
-// fluid saturation estimate against the simulator's delivered plateau
-// for all nine golden scenarios.
+// Scenarios. Calibrate maintains those tolerances: it escalates the
+// nine golden scenarios' full-load points through the same path, so
+// the fluid saturation estimate is scored against the simulator's
+// delivered plateau by the same code.
 
 // ScreenPoint is one answered screening point: the grid coordinates
 // plus the fluid model's estimate. It is the store payload of the
@@ -36,13 +37,6 @@ type ScreenPoint struct {
 	Alg    AlgKind     // routing, by name on the wire
 	Pat    PatternKind // pattern, by name on the wire
 	fluid.Estimate
-}
-
-// Tolerance returns the recorded calibration tolerance of the point's
-// (family, pattern, routing) scenario; false when no golden scenario
-// (Scenarios) covers it.
-func (p ScreenPoint) Tolerance() (float64, bool) {
-	return ToleranceFor(p.Family, p.Pat, p.Alg)
 }
 
 // ScreenSpec selects the grid a screening sweep covers. Zero-value
@@ -248,18 +242,19 @@ func SelectEscalations(points []ScreenPoint, band float64) []EscalationPick {
 
 // Escalation is one pick re-run at flit-level fidelity, with the
 // fluid-versus-simulator disagreement and its verdict against the
-// recorded calibration tolerance.
+// recorded calibration tolerance. The JSON tags are the verdict's wire
+// form in the query service's escalation tickets.
 type Escalation struct {
-	Pick EscalationPick
-	Sim  LoadPoint // simulator answer at the pick's offered load
+	Pick EscalationPick `json:"-"`
+	Sim  LoadPoint      `json:"sim"` // simulator answer at the pick's offered load
 	// RelErr is |fluid throughput - sim throughput| / sim throughput.
-	RelErr float64
+	RelErr float64 `json:"rel_err,omitempty"`
 	// Tolerance is the recorded calibration tolerance for the pick's
 	// (family, pattern, routing) scenario; Recorded is false (and
 	// Within meaningless) when no scenario covers it.
-	Tolerance float64
-	Recorded  bool
-	Within    bool
+	Tolerance float64 `json:"tolerance,omitempty"`
+	Recorded  bool    `json:"recorded,omitempty"`
+	Within    bool    `json:"within,omitempty"`
 }
 
 // EscalateSweep re-runs the picked points through the flit-level
@@ -277,6 +272,16 @@ func EscalateSweep(picks []EscalationPick, presets []Preset, scale Scale) ([]Esc
 // (ordinary sim-tier store keys, prefixed "escalate|" so they never
 // collide with figure sweeps).
 func (s *Screener) Escalate(picks []EscalationPick, scale Scale) ([]Escalation, error) {
+	return s.escalate("escalate", picks, scale)
+}
+
+// escalate is the one place a fluid estimate is scored against the
+// simulator: it runs each pick through the scheduler under the point
+// key pointKey(kind, ...) and returns the relative error of the pick's
+// fluid throughput against the simulated one (+Inf when the simulator
+// delivered nothing) with its verdict. Only "escalate" runs advance
+// screen.escalations; calibration ("calibrate") is not an escalation.
+func (s *Screener) escalate(kind string, picks []EscalationPick, scale Scale) ([]Escalation, error) {
 	points := make([]Point[LoadPoint], 0, len(picks))
 	for _, pick := range picks {
 		st, err := s.topoState(pick.Point.Topo)
@@ -284,9 +289,11 @@ func (s *Screener) Escalate(picks []EscalationPick, scale Scale) ([]Escalation, 
 			return nil, err
 		}
 		alg, pat, load := pick.Point.Alg, pick.Point.Pat, pick.Point.Load
-		points = append(points, syntheticPoint(EscalatePointKey(st.preset.Name, alg, pat, load), st.tp, alg, st.preset.BestAdaptive, pat, load, scale,
+		points = append(points, syntheticPoint(pointKey(kind, st.preset.Name, alg, pat, load), st.tp, alg, st.preset.BestAdaptive, pat, load, scale,
 			func(res sim.Results) LoadPoint {
-				s.reg.Add("screen.escalations", 1)
+				if kind == "escalate" {
+					s.reg.Add("screen.escalations", 1)
+				}
 				return loadPoint(load, res)
 			}))
 	}
@@ -296,10 +303,11 @@ func (s *Screener) Escalate(picks []EscalationPick, scale Scale) ([]Escalation, 
 	}
 	out := make([]Escalation, len(picks))
 	for i, pick := range picks {
-		tol, recorded := pick.Point.Tolerance()
+		p := pick.Point
+		tol, recorded := ToleranceFor(p.Family, p.Pat, p.Alg)
 		rel := math.Inf(1)
 		if sims[i].Throughput > 0 {
-			rel = math.Abs(pick.Point.Throughput-sims[i].Throughput) / sims[i].Throughput
+			rel = math.Abs(p.Throughput-sims[i].Throughput) / sims[i].Throughput
 		}
 		out[i] = Escalation{
 			Pick:      pick,

@@ -469,41 +469,6 @@ func TestScreenAndEscalationTables(t *testing.T) {
 	}
 }
 
-// TestCalibrateHarness drives the harness side of calibration on a
-// shortened scale: all nine golden scenarios run through the scheduler
-// and come back structurally complete (the tolerance gate itself is
-// TestCalibrationPinsSimulator in internal/fluid, at full quick scale).
-func TestCalibrateHarness(t *testing.T) {
-	sc := QuickScale()
-	sc.Cycles, sc.Warmup = 6000, 1500
-	cals, err := Calibrate(SmallPresets(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cals) != 9 {
-		t.Fatalf("Calibrate returned %d scenarios, want 9", len(cals))
-	}
-	for _, c := range cals {
-		if c.Topo == "" || c.FluidSat <= 0 || c.SimSat <= 0 {
-			t.Errorf("%s: incomplete calibration %+v", c.Name(), c)
-		}
-		if math.IsInf(c.RelErr, 0) || math.IsNaN(c.RelErr) {
-			t.Errorf("%s: relative error %v", c.Name(), c.RelErr)
-		}
-	}
-	ct := CalibrationTable(cals)
-	if len(ct.Rows) != 9 {
-		t.Errorf("CalibrationTable has %d rows, want 9", len(ct.Rows))
-	}
-	var b strings.Builder
-	if err := ct.Render(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "SF|UNI|MIN") {
-		t.Errorf("calibration table lacks scenario names:\n%s", b.String())
-	}
-}
-
 // TestCalibrateMissingFamily: a preset set that cannot cover every
 // scenario family must fail loudly, or the CI gate would silently
 // shrink to the families that happen to be present.

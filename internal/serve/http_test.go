@@ -79,7 +79,7 @@ func TestHTTPQuery(t *testing.T) {
 		var tk Ticket
 		getJSON(t, hs.URL+"/ticket/"+ans.Escalation.Ticket, &tk)
 		if tk.State == TicketDone {
-			if tk.Sim == nil || tk.Sim.Throughput <= 0 {
+			if tk.Escalation == nil || tk.Sim.Throughput <= 0 {
 				t.Fatalf("done ticket: %+v", tk)
 			}
 			break

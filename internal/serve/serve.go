@@ -113,12 +113,8 @@ type Ticket struct {
 	Created string   `json:"created"`
 	Updated string   `json:"updated"`
 	Error   string   `json:"error,omitempty"`
-	// Set once State is TicketDone:
-	Sim       *harness.LoadPoint `json:"sim,omitempty"`
-	RelErr    float64            `json:"rel_err,omitempty"`
-	Tolerance float64            `json:"tolerance,omitempty"`
-	Recorded  bool               `json:"recorded,omitempty"`
-	Within    bool               `json:"within,omitempty"`
+	// The escalation's verdict, set once State is TicketDone.
+	*harness.Escalation
 }
 
 // ticket is the mutable server-side ticket; the embedded Ticket is
@@ -386,7 +382,7 @@ func (s *Server) normalize(q *Query) (harness.AlgKind, harness.PatternKind, erro
 
 // tolerance is the calibration stamp of an analytic answer.
 func tolerance(sp harness.ScreenPoint) *Tolerance {
-	tol, recorded := sp.Tolerance()
+	tol, recorded := harness.ToleranceFor(sp.Family, sp.Pat, sp.Alg)
 	return &Tolerance{RelErr: tol, Recorded: recorded}
 }
 
@@ -577,12 +573,7 @@ func (s *Server) finishTicket(t *ticket, esc *harness.Escalation, err error) {
 		return
 	}
 	t.State = TicketDone
-	sim := esc.Sim
-	t.Sim = &sim
-	t.RelErr = esc.RelErr
-	t.Tolerance = esc.Tolerance
-	t.Recorded = esc.Recorded
-	t.Within = esc.Within
+	t.Escalation = esc
 }
 
 // Ticket returns a snapshot of one escalation ticket.

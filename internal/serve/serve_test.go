@@ -144,8 +144,8 @@ func TestResolveTierLadder(t *testing.T) {
 	}
 
 	tk := waitTicket(t, s, cold.Escalation.Ticket)
-	if tk.Sim == nil || tk.Sim.Throughput <= 0 {
-		t.Fatalf("done ticket sim = %+v", tk.Sim)
+	if tk.Escalation == nil || tk.Sim.Throughput <= 0 {
+		t.Fatalf("done ticket = %+v", tk)
 	}
 	if !tk.Recorded || !tk.Within {
 		t.Errorf("SF WC MIN escalation outside its recorded tolerance: relerr %.3f tol %.3f", tk.RelErr, tk.Tolerance)
@@ -158,7 +158,7 @@ func TestResolveTierLadder(t *testing.T) {
 	if after.Tier != TierSimCache {
 		t.Fatalf("post-escalation query answered from %q, want %q", after.Tier, TierSimCache)
 	}
-	if after.Sim == nil || *after.Sim != *tk.Sim {
+	if after.Sim == nil || *after.Sim != tk.Sim {
 		t.Fatalf("sim-cache answer %+v != ticket result %+v", after.Sim, tk.Sim)
 	}
 	if after.Key != tk.Key {
