@@ -15,10 +15,11 @@
 // (see topo.ReadEdgeList). File topologies are named PATH#DIGEST — a
 // content digest, so -store results keyed under one file never get
 // reused after the file changes. Algorithms: min, inr, a, ath. Patterns:
-// uni, wc. Exchanges: a2a, nn (override -pattern). -saturate sweeps
-// the default load ladder through the experiment scheduler and
-// reports the highest load whose delivered throughput tracks the
-// offer within 5%.
+// uni, wc. Exchanges: a2a, nn (closed-loop runs of their own traffic, so
+// -exchange refuses -pattern, -load and -saturate). -saturate sweeps
+// the default load ladder through the experiment scheduler (so it
+// refuses -load) and reports the highest load whose delivered
+// throughput tracks the offer within 5%.
 //
 // The shared flag groups — -scale/-seed, -j/-cores/-progress, the
 // three profilers, -store/-force and the -telemetry observers — are
@@ -105,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	o.prof.Register(fs)
 	o.st.Register(fs)
 	o.tel.Register(fs, false)
-	if status, ok := cliflags.Parse(fs, args, stdout, cliflags.NoArgs(fs), o.sched.Check, o.check); !ok {
+	if status, ok := cliflags.Parse(fs, args, stdout, cliflags.NoArgs(fs), o.sched.Check, func() error { return o.check(fs) }); !ok {
 		return status
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -114,10 +115,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // check refuses the values a run would otherwise clamp, ignore or
-// replace by a default, and the fault and scheduler flags the run
-// would not read.
+// replace by a default, and the fault, scheduler and synthetic-traffic
+// flags set on fs that the run would not read.
 // The load bound is the one diam2serve enforces.
-func (o *options) check() error {
+func (o *options) check(fs *flag.FlagSet) error {
 	if !(o.load > 0 && o.load <= 1) {
 		return fmt.Errorf("-load %v: the offered load must be in (0, 1]", o.load)
 	}
@@ -132,10 +133,20 @@ func (o *options) check() error {
 			return fmt.Errorf("-%s %v: cannot be negative (0 keeps the default)", f.name, f.v)
 		}
 	}
+	set := make(map[string]bool) // flags given on the command line, defaults aside
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	fp, burst, mtbf := o.faults, o.failLinks > 0, o.faults.MTBF > 0
 	switch {
 	case (!o.saturate || o.exchange != "") && (o.st.Dir != "" || o.st.Force || o.sched.Jobs != 0 || o.sched.Progress):
 		return errors.New("-store, -force, -j and -progress drive the -saturate ladder's scheduler; a single run or an exchange reads none of them")
+	case o.saturate && o.exchange != "":
+		return fmt.Errorf("-saturate with -exchange %s: the ladder sweeps synthetic loads and an exchange is one closed-loop run; pass one or the other", o.exchange)
+	case set["pattern"] && o.exchange != "":
+		return fmt.Errorf("-pattern %s with -exchange %s: the exchange brings its own traffic", o.pattern, o.exchange)
+	case set["load"] && o.exchange != "":
+		return fmt.Errorf("-load %v with -exchange %s: an exchange runs closed-loop, not at an offered load", o.load, o.exchange)
+	case set["load"] && o.saturate:
+		return fmt.Errorf("-load %v with -saturate: the ladder runs its own loads", o.load)
 	case o.failLinks >= 1 && o.failLinks != math.Trunc(o.failLinks):
 		return fmt.Errorf("-fail-links %v: a count of links (>= 1) must be a whole number", o.failLinks)
 	case burst && mtbf:

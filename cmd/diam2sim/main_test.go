@@ -113,6 +113,11 @@ func TestOutOfRangeExit2(t *testing.T) {
 		{"extra", "-topo", "sf-small", "-load", "0.1"},
 		{"-store", t.TempDir()}, {"-force"}, {"-j", "2"}, {"-progress"},
 		{"-store", t.TempDir(), "-saturate", "-exchange", "a2a"},
+		{"-saturate", "-topo", "sf-small", "-exchange", "a2a"},
+		{"-pattern", "wc", "-topo", "sf-small", "-exchange", "a2a"},
+		{"-pattern", "uni", "-topo", "sf-small", "-exchange", "nn"},
+		{"-load", "0.3", "-topo", "sf-small", "-exchange", "a2a"},
+		{"-load", "0.5", "-topo", "sf-small", "-alg", "inr", "-saturate"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {
