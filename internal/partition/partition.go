@@ -29,10 +29,9 @@ type Result struct {
 
 // Config controls the heuristic.
 type Config struct {
-	Restarts  int     // independent restarts (default 8)
-	Passes    int     // maximum refinement passes per restart (default 16)
-	Imbalance float64 // allowed weight imbalance fraction (default: minimal feasible)
-	Seed      int64   // RNG seed
+	Restarts int   // independent restarts (default 8)
+	Passes   int   // maximum refinement passes per restart (default 16)
+	Seed     int64 // RNG seed
 }
 
 func (c *Config) setDefaults() {
@@ -163,9 +162,8 @@ func bisectSubset(g *graph.Graph, w []int, verts []int, num, den int, cfg Config
 // bisect returns the best of cfg.Restarts seeded bisections of g with
 // target weight fraction num/den on side A. A perfectly proportional
 // split may be impossible with integer weights, so the balance allows
-// a slack of one vertex weight beyond it (plus the requested imbalance
-// fraction); for unit weights and an exact target this forces an
-// exact split.
+// a slack of one vertex weight beyond it; for unit weights and an
+// exact target this forces an exact split.
 func bisect(g *graph.Graph, w []int, num, den int, cfg Config) *Result {
 	total, maxW := 0, 0
 	for _, wi := range w {
@@ -182,7 +180,6 @@ func bisect(g *graph.Graph, w []int, num, den int, cfg Config) *Result {
 	if maxW > 1 {
 		slack = maxW - 1
 	}
-	slack += int(cfg.Imbalance * float64(total))
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var best *Result
 	for restart := 0; restart < cfg.Restarts; restart++ {

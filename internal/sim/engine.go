@@ -92,7 +92,6 @@ type Engine struct {
 	Warmup int64 // cycle at which measurement starts (handed to the shards at each launch)
 
 	shards []*shard
-	part   []int      // router -> shard
 	owned  [][]*shard // worker -> the shards it advances
 
 	bar     barrier

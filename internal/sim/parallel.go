@@ -108,11 +108,6 @@ type ParallelOptions struct {
 	// throughput knob — Results do not depend on it). Default:
 	// min(Partitions, GOMAXPROCS).
 	Workers int
-	// RouterPartition optionally supplies an explicit cut:
-	// RouterPartition[r] is router r's shard in [0, Partitions). When
-	// nil the cut is derived with partition.KWay from a fixed seed, so
-	// a given (topology, Partitions) pair always yields the same cut.
-	RouterPartition []int
 }
 
 // shardSeed derives shard s's rng seed. A one-shard engine keeps the
@@ -142,17 +137,8 @@ func NewParallelEngine(net *Network, alg RoutingAlgorithm, work Workload, opt Pa
 	}
 	nr := len(net.Routers)
 	p := opt.Partitions
-	part := opt.RouterPartition
 	if p <= 0 {
-		if part != nil {
-			for _, s := range part {
-				if s+1 > p {
-					p = s + 1
-				}
-			}
-		} else {
-			p = runtime.GOMAXPROCS(0)
-		}
+		p = runtime.GOMAXPROCS(0)
 	}
 	if p > nr {
 		p = nr
@@ -168,21 +154,21 @@ func NewParallelEngine(net *Network, alg RoutingAlgorithm, work Workload, opt Pa
 			return nil, fmt.Errorf("sim: algorithm %s reads remote router state, unsafe under sharding", alg.Name())
 		}
 	}
-	if part == nil && p > 1 {
+	// The cut is derived with partition.KWay from a fixed seed, so a
+	// given (topology, Partitions) pair always yields the same cut.
+	part := make([]int, nr) // one shard: the single group NewNetwork built
+	if p > 1 {
 		w := make([]int, nr)
 		for r := range w {
 			w[r] = 1 + len(net.Topo.RouterNodes(r))
 		}
 		var err error
-		part, err = partition.KWay(net.Topo.Graph(), w, p, partition.Config{Seed: 1})
-		if err != nil {
+		if part, err = partition.KWay(net.Topo.Graph(), w, p, partition.Config{Seed: 1}); err != nil {
 			return nil, fmt.Errorf("sim: deriving router partition: %w", err)
 		}
-	}
-	if part == nil {
-		part = make([]int, nr) // one shard: the single group NewNetwork built
-	} else if err := net.partitionShards(part, p); err != nil {
-		return nil, err
+		if err := net.partitionShards(part, p); err != nil {
+			return nil, err
+		}
 	}
 	workers := opt.Workers
 	if workers <= 0 {
@@ -197,7 +183,6 @@ func NewParallelEngine(net *Network, alg RoutingAlgorithm, work Workload, opt Pa
 		Alg:  alg,
 		Work: work,
 		Cfg:  net.Cfg,
-		part: append([]int(nil), part...),
 	}
 	e.shards = make([]*shard, p)
 	for s := range e.shards {
@@ -223,13 +208,6 @@ func (e *Engine) Partitions() int { return len(e.shards) }
 
 // Workers returns the worker count, the calling goroutine included.
 func (e *Engine) Workers() int { return len(e.owned) }
-
-// RouterPartition returns a copy of the router -> shard assignment
-// (pass it back via ParallelOptions.RouterPartition to reproduce a
-// run exactly).
-func (e *Engine) RouterPartition() []int {
-	return append([]int(nil), e.part...)
-}
 
 // Stop releases the worker goroutines (a one-worker engine has none).
 // The engine cannot run again afterwards; Results remains readable.

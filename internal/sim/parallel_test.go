@@ -109,50 +109,6 @@ func TestParallelWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestParallelExplicitPartition: passing the recorded RouterPartition
-// back reproduces a run exactly, and invalid partitions are rejected.
-func TestParallelExplicitPartition(t *testing.T) {
-	sc := goldenSpecs[0] // mlfm-min-uni
-	p := sc.setup(t)
-	net, err := sim.NewNetwork(p.topo, p.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pe, err := sim.NewParallelEngine(net, p.alg, p.work, sim.ParallelOptions{Partitions: 3, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	part := pe.RouterPartition()
-	pe.Warmup = sc.warmup
-	pe.Run(sc.cycles)
-	ref := resultsDigest(pe.Results())
-	pe.Stop()
-
-	got := resultsDigest(runGoldenParallel(t, sc, sim.ParallelOptions{RouterPartition: part, Workers: 2}))
-	if got != ref {
-		t.Errorf("explicit partition did not reproduce the run:\n got %s\nwant %s", got, ref)
-	}
-
-	bad := func(name string, opt sim.ParallelOptions) {
-		q := sc.setup(t)
-		n2, err := sim.NewNetwork(q.topo, q.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pe, err := sim.NewParallelEngine(n2, q.alg, q.work, opt); err == nil {
-			pe.Stop()
-			t.Errorf("%s: invalid partition accepted", name)
-		}
-	}
-	bad("short partition", sim.ParallelOptions{RouterPartition: []int{0, 1}})
-	short := make([]int, len(part))
-	for i := range short {
-		short[i] = 0
-	}
-	short[0] = 2 // shard 1 owns no routers
-	bad("empty shard", sim.ParallelOptions{Partitions: 3, RouterPartition: short})
-}
-
 // TestParallelRejectsUnsafe: the sharding gates, by shard count. What
 // one shard runs in its caller's order is accepted there and refused
 // at construction — not raced — from two shards up, whatever the worker
