@@ -2,8 +2,11 @@ package harness
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -312,6 +315,61 @@ func TestCampaignQuarantineContinuesSweep(t *testing.T) {
 		}
 		if len(cst.Quarantined) != 1 || cst.Quarantined[0].Point != "poison|1" {
 			t.Errorf("workers=%d: quarantine listing = %+v", workers, cst.Quarantined)
+		}
+	}
+}
+
+// TestCampaignPanicQuarantined: a panicking point under a campaign is
+// caught as an attempt failure, retried, and quarantined with the panic
+// text and its stack in its failure log, while the healthy points of
+// the sweep are computed, recorded and returned beside the verdict.
+func TestCampaignPanicQuarantined(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		dir := t.TempDir()
+		pol := fastPolicy()
+		pol.MaxAttempts = 2
+		sc, _ := campaignScale(t, dir, "w1", workers, pol)
+		var calls atomic.Int32
+		points := []Point[float64]{
+			{Key: "ok|0", Run: func(context.Context, int64) (float64, error) { return 1, nil }},
+			{Key: "panics|1", Run: func(context.Context, int64) (float64, error) {
+				calls.Add(1)
+				panic("kaboom")
+			}},
+			{Key: "ok|2", Run: func(context.Context, int64) (float64, error) { return 3, nil }},
+		}
+		got, err := Collect(sc, points)
+		var q *campaign.Quarantined
+		if !errors.As(err, &q) {
+			t.Fatalf("workers=%d: error %v does not unwrap to *campaign.Quarantined", workers, err)
+		}
+		if q.Point != "panics|1" || q.Attempts != 2 || q.LastErr != "panicked: kaboom" {
+			t.Errorf("workers=%d: quarantine verdict = %+v", workers, q)
+		}
+		if n := calls.Load(); n != 2 {
+			t.Errorf("workers=%d: panicking point ran %d times, want 2", workers, n)
+		}
+		if len(got) != 3 || got[0] != 1 || got[1] != 0 || got[2] != 3 {
+			t.Errorf("workers=%d: healthy points not returned: %v", workers, got)
+		}
+		key := sc.CanonicalPointKey("panics|1")
+		b, rerr := os.ReadFile(filepath.Join(campaign.DirFor(dir), "quarantine", key+".json"))
+		if rerr != nil {
+			t.Fatalf("workers=%d: %v", workers, rerr)
+		}
+		var f campaign.Failure
+		if err := json.Unmarshal(b, &f); err != nil {
+			t.Fatalf("workers=%d: quarantine file: %v", workers, err)
+		}
+		if !strings.HasPrefix(f.LastErr, "panicked: kaboom\n") || !strings.Contains(f.LastErr, "goroutine ") ||
+			!strings.Contains(f.LastErr, "TestCampaignPanicQuarantined") {
+			t.Errorf("workers=%d: quarantine log lacks the panic text and stack: %q", workers, f.LastErr)
+		}
+		if _, _, ok := Lookup(sc, points[1]); ok {
+			t.Errorf("workers=%d: the panicking point was recorded", workers)
+		}
+		if n := sc.Sched.Store.Len(); n != 2 {
+			t.Errorf("workers=%d: store has %d records, want the 2 healthy points", workers, n)
 		}
 	}
 }
