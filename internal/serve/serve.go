@@ -30,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -113,7 +114,9 @@ type Ticket struct {
 	Created string   `json:"created"`
 	Updated string   `json:"updated"`
 	Error   string   `json:"error,omitempty"`
-	// The escalation's verdict, set once State is TicketDone.
+	// The escalation's verdict, set once State is TicketDone. RelErr
+	// is -1 when the simulator delivered nothing: JSON has no +Inf
+	// (fluid.Estimate.AvgLatency's sentinel, for the same reason).
 	*harness.Escalation
 }
 
@@ -573,6 +576,9 @@ func (s *Server) finishTicket(t *ticket, esc *harness.Escalation, err error) {
 		return
 	}
 	t.State = TicketDone
+	if math.IsInf(esc.RelErr, 1) {
+		esc.RelErr = -1
+	}
 	t.Escalation = esc
 }
 

@@ -5,12 +5,15 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"diam2/internal/harness"
 )
 
 var update = flag.Bool("update", false, "rewrite the ticket golden under testdata/")
@@ -62,5 +65,34 @@ func TestTicketJSONGolden(t *testing.T) {
 	}
 	if got.String() != string(want) {
 		t.Errorf("ticket bytes drifted from %s\ngot:\n%swant:\n%s", golden, got.String(), want)
+	}
+}
+
+// TestTicketNoDeliveryJSON: an escalation whose simulator delivered
+// nothing scores a relative error of +Inf, which JSON cannot carry. A
+// done ticket with that verdict must still serve /ticket/<id> and the
+// whole /tickets list, encoding "no delivery" as rel_err -1 and within
+// false.
+func TestTicketNoDeliveryJSON(t *testing.T) {
+	s, hs := newHTTPServer(t, nil)
+	tk := &ticket{Ticket: Ticket{ID: "esc-000009", State: TicketRunning}}
+	s.mu.Lock()
+	s.tickets[tk.ID] = tk
+	s.tickets["esc-000010"] = &ticket{Ticket: Ticket{ID: "esc-000010", State: TicketQueued}}
+	s.mu.Unlock()
+	s.finishTicket(tk, &harness.Escalation{Sim: harness.LoadPoint{Load: 0.9}, RelErr: math.Inf(1), Tolerance: 0.16, Recorded: true}, nil)
+
+	var one Ticket
+	getJSON(t, hs.URL+"/ticket/esc-000009", &one)
+	if one.State != TicketDone || one.Escalation == nil || one.RelErr != -1 || one.Within {
+		t.Errorf("/ticket/esc-000009 = %+v %+v, want done with rel_err -1 and within false", one, one.Escalation)
+	}
+	var all struct {
+		Count   int      `json:"count"`
+		Tickets []Ticket `json:"tickets"`
+	}
+	getJSON(t, hs.URL+"/tickets", &all)
+	if all.Count != 2 || len(all.Tickets) != 2 || all.Tickets[0].Escalation == nil || all.Tickets[0].RelErr != -1 {
+		t.Errorf("/tickets = %+v, want both tickets, the first with rel_err -1", all)
 	}
 }
