@@ -67,7 +67,7 @@ func main() {
 	res := eng.Results()
 	fmt.Printf("exchanged %d packets in %d cycles (avg latency %.0f cycles, %.2f hops)\n",
 		res.Delivered, res.Cycles, res.AvgLatency, res.AvgHops)
-	if links := tel.Snapshot(0).Links; len(links) > 0 {
+	if links := tel.Snapshot().Links; len(links) > 0 {
 		fmt.Printf("hottest link r%d->r%d at %.1f%% utilization\n",
 			links[0].From, links[0].To, links[0].Load*100)
 	}

@@ -95,7 +95,7 @@ func (s *TelemetrySink) Snapshots() []*telemetry.Snapshot {
 	cols := s.Collectors()
 	out := make([]*telemetry.Snapshot, len(cols))
 	for i, c := range cols {
-		out[i] = c.Snapshot(0)
+		out[i] = c.Snapshot()
 	}
 	return out
 }

@@ -20,7 +20,7 @@ func windowLinks(e *sim.Engine, warmup, total int64) []telemetry.LinkSnap {
 	e.AttachTelemetry(c)
 	e.Run(total - warmup)
 	e.Finish()
-	return c.Snapshot(0).Links
+	return c.Snapshot().Links
 }
 
 // TestLinkStatsWorstCaseHotspot verifies the Section 4.2 structure

@@ -160,7 +160,7 @@ func TestParallelRejectsUnsafe(t *testing.T) {
 		e.Run(300)
 		e.Finish()
 		e.Stop()
-		snap := c.Snapshot(0)
+		snap := c.Snapshot()
 		if hooked := snap.Injected > 0; hooked != (shards == 1) {
 			t.Errorf("%d shards: collector saw %d injections", shards, snap.Injected)
 		}

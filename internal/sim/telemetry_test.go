@@ -47,7 +47,7 @@ func TestGoldenStatsTelemetry(t *testing.T) {
 	}
 	faulted := 0
 	for i, c := range cols {
-		events := c.Snapshot(0).Events
+		events := c.Snapshot().Events
 		if events["deliver"] == 0 {
 			t.Errorf("scenario %s: collector saw no deliveries (hook not wired?)", goldenSpecs[i].name)
 		}
@@ -80,7 +80,7 @@ func TestTelemetryReconcilesWithResults(t *testing.T) {
 	}
 	e.Finish()
 	res := e.Results()
-	snap := c.Snapshot(0)
+	snap := c.Snapshot()
 	if snap.Injected != res.Injected {
 		t.Errorf("telemetry injected %d, Results %d", snap.Injected, res.Injected)
 	}
@@ -163,7 +163,7 @@ func TestTelemetryTraceJSONL(t *testing.T) {
 		prevCycle = ev.Cycle
 	}
 	var total int64
-	for _, n := range c.Snapshot(0).Events {
+	for _, n := range c.Snapshot().Events {
 		total += n
 	}
 	if total <= 64 {
@@ -203,7 +203,7 @@ func TestLinkStatsFaultRestitution(t *testing.T) {
 		return e, ex, c
 	}
 	linkFlits := func(c *telemetry.Collector, from, to int) int64 {
-		for _, l := range c.Snapshot(0).Links {
+		for _, l := range c.Snapshot().Links {
 			if l.From == from && l.To == to {
 				return l.Flits
 			}
@@ -254,7 +254,7 @@ func TestLinkStatsFaultRestitution(t *testing.T) {
 			t.Errorf("detour link %v carried %d flits, want 4", link, got)
 		}
 	}
-	snap := c.Snapshot(0)
+	snap := c.Snapshot()
 	if snap.LinkFlits != 8 {
 		t.Errorf("telemetry link-flit total %d, want 8 (two detour hops)", snap.LinkFlits)
 	}

@@ -111,7 +111,7 @@ func (r *Registry) Detach(c *Collector) {
 	if r == nil || c == nil {
 		return
 	}
-	s := c.Snapshot(0)
+	s := c.Snapshot()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.active[c]; !ok {
@@ -155,7 +155,7 @@ func (r *Registry) Snapshot() *RegistrySnapshot {
 	}
 	r.mu.Unlock() // snapshot collectors outside the registry lock
 	for _, c := range cols {
-		out.Active = append(out.Active, c.Snapshot(0))
+		out.Active = append(out.Active, c.Snapshot())
 	}
 	return out
 }

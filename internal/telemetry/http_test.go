@@ -188,7 +188,7 @@ func TestLatencyOverflowServes(t *testing.T) {
 	c := NewCollector(Options{Label: "slow"})
 	fill(c)
 	c.Deliver(250000, 2, 0, 2, 200000, true, 2, 4)
-	snap := c.Snapshot(0)
+	snap := c.Snapshot()
 	if _, err := json.Marshal(snap); err != nil {
 		t.Fatalf("snapshot not JSON-encodable: %v", err)
 	}

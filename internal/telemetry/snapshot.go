@@ -59,7 +59,7 @@ func histSnap(h *Histogram) HistSnap {
 // snapshots of identical runs marshal to identical bytes.
 type Snapshot struct {
 	Label    string `json:"label,omitempty"`
-	Cycles   int64  `json:"cycles"`   // observed cycles (start to end/now)
+	Cycles   int64  `json:"cycles"`   // observed cycles: start to Finish, or to the last event while running
 	Finished bool   `json:"finished"` // the run called Finish
 
 	// Events counts every recorded event by kind (including events the
@@ -87,17 +87,13 @@ type Snapshot struct {
 }
 
 // Snapshot captures the collector's current state. It can be called
-// while the engine is running (live introspection) or after Finish.
-// now is the current cycle for load normalization; pass a non-positive
-// value to use the last cycle the collector saw.
-func (c *Collector) Snapshot(now int64) *Snapshot {
+// while the engine is running (live introspection) or after Finish;
+// loads are normalized by the observed window, which ends at the
+// Finish cycle or, while the run goes on, at its last recorded event.
+func (c *Collector) Snapshot() *Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	end := now
-	if end <= 0 {
-		end = c.endCycle
-	}
-	window := end - c.startCycle
+	window := c.endCycle - c.startCycle
 	s := &Snapshot{
 		Label:          c.label,
 		Cycles:         window,

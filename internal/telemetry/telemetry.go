@@ -176,8 +176,12 @@ func (c *Collector) Finish(cycle int64) {
 	c.finished = true
 }
 
-// event appends to the ring and bumps the kind counter. Callers hold mu.
+// event appends to the ring, bumps the kind counter and, until Finish,
+// extends the observed window to the event's cycle. Callers hold mu.
 func (c *Collector) event(ev Event) {
+	if !c.finished {
+		c.endCycle = max(c.endCycle, ev.Cycle)
+	}
 	ev.KindS = ev.Kind.String()
 	c.counts[ev.Kind]++
 	c.ring.push(ev)

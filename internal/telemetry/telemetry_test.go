@@ -65,7 +65,7 @@ func TestSnapshotDeterminism(t *testing.T) {
 		if err := c.WriteJSONL(&sb); err != nil {
 			t.Fatal(err)
 		}
-		return sb.String(), c.Snapshot(0)
+		return sb.String(), c.Snapshot()
 	}
 	trace1, snap1 := render()
 	trace2, snap2 := render()
@@ -90,6 +90,28 @@ func TestSnapshotDeterminism(t *testing.T) {
 	}
 }
 
+// TestSnapshotRunningWindow: before Finish, a snapshot's window ends at
+// the latest event recorded so far, so a running collector reports the
+// cycles it has observed and nonzero link loads; Finish then fixes the
+// window at the final cycle.
+func TestSnapshotRunningWindow(t *testing.T) {
+	c := NewCollector(Options{})
+	c.Shape(3, 2)
+	c.Start(100)
+	c.Inject(110, 1, 0, 2, 0, 0, 4)
+	c.LinkTraverse(0, 1, 0, 4)
+	c.Route(120, 1, 0, 2, 1, 1, 0, 0, true)
+	c.LinkTraverse(1, 2, 0, 4)
+	c.Deliver(115, 2, 1, 0, 5, true, 1, 4) // out of order: the window keeps its end
+	if s := c.Snapshot(); s.Cycles != 20 || s.Finished || len(s.Links) != 2 || s.Links[0].Load != 0.2 {
+		t.Errorf("running snapshot: cycles %d finished %v links %+v, want 20 cycles and load 0.2", s.Cycles, s.Finished, s.Links)
+	}
+	c.Finish(140)
+	if s := c.Snapshot(); s.Cycles != 40 || !s.Finished || s.Links[0].Load != 0.1 {
+		t.Errorf("finished snapshot: cycles %d finished %v links %+v, want 40 cycles and load 0.1", s.Cycles, s.Finished, s.Links)
+	}
+}
+
 // TestRestitution: LinkRestitute cancels a traversal exactly.
 func TestRestitution(t *testing.T) {
 	c := NewCollector(Options{})
@@ -99,7 +121,7 @@ func TestRestitution(t *testing.T) {
 	c.LinkTraverse(0, 1, 1, 4)
 	c.LinkRestitute(0, 1, 1, 4)
 	c.Finish(100)
-	s := c.Snapshot(0)
+	s := c.Snapshot()
 	if s.LinkFlits != 4 {
 		t.Errorf("LinkFlits = %d, want 4", s.LinkFlits)
 	}
@@ -117,7 +139,7 @@ func TestMergeLinks(t *testing.T) {
 		c.Start(0)
 		c.LinkTraverse(0, 1, 0, int(flits))
 		c.Finish(100)
-		return c.Snapshot(0)
+		return c.Snapshot()
 	}
 	merged := MergeLinks([]*Snapshot{mk(10), mk(30)})
 	if len(merged) != 1 {
@@ -142,7 +164,7 @@ func TestHeatmapCSV(t *testing.T) {
 	c.LinkTraverse(1, 2, 1, 4)
 	c.Finish(10)
 	var sb strings.Builder
-	if err := WriteHeatmapCSV(&sb, c.Snapshot(0).Links); err != nil {
+	if err := WriteHeatmapCSV(&sb, c.Snapshot().Links); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
