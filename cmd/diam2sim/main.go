@@ -223,11 +223,7 @@ func (o *options) simulate(ctx context.Context, fs *flag.FlagSet, stdout, stderr
 		ugal.NI = o.ni
 	}
 	if o.c > 0 {
-		if preset.SFStyle {
-			ugal.CSF = o.c
-		} else {
-			ugal.C = o.c
-		}
+		*ugal.Cost() = o.c
 	}
 	tp, err := preset.Build()
 	if err != nil {

@@ -139,17 +139,10 @@ func AdaptiveSweep(p Preset, kind AlgKind, varyNI []int, varyC []float64, fixedN
 	if err != nil {
 		return nil, err
 	}
-	// cost points at a configuration's cost constant: cSF on SF, else c.
-	cost := func(u *UGALConfig) *float64 {
-		if p.SFStyle {
-			return &u.CSF
-		}
-		return &u.C
-	}
 	var curves []Curve
 	variant := func(ni int, c float64) {
 		cfg := p.BestAdaptive
-		cfg.NI, *cost(&cfg) = ni, c
+		cfg.NI, *cfg.Cost() = ni, c
 		for _, pat := range []PatternKind{PatUNI, PatWC} {
 			curves = append(curves, Curve{Topo: p.Name, Alg: kind, Pattern: pat, UGAL: cfg, X: loads})
 		}
@@ -161,7 +154,7 @@ func AdaptiveSweep(p Preset, kind AlgKind, varyNI []int, varyC []float64, fixedN
 		variant(fixedNI, c)
 	}
 	err = collectCurves(scale, curves, func(c *Curve, load float64) Point[sim.Results] {
-		key := fmt.Sprintf("adaptive|%s|%s|nI=%d|c=%g|%s|load=%.4f", p.Name, kind, c.UGAL.NI, *cost(&c.UGAL), c.Pattern, load)
+		key := fmt.Sprintf("adaptive|%s|%s|nI=%d|c=%g|%s|load=%.4f", p.Name, kind, c.UGAL.NI, *c.UGAL.Cost(), c.Pattern, load)
 		return syntheticPoint(key, tp, kind, c.UGAL, c.Pattern, load, scale, whole)
 	}, whole)
 	if err != nil {
@@ -171,9 +164,9 @@ func AdaptiveSweep(p Preset, kind AlgKind, varyNI []int, varyC []float64, fixedN
 		[]string{"pattern", "nI", "c", "load", "throughput", "avg latency (cycles)", "indirect frac"}, curves,
 		func(c *Curve, i int) []string {
 			r := c.Runs[i]
-			return []string{c.Pattern.String(), d(c.UGAL.NI), f2(*cost(&c.UGAL)), f2(c.X[i]), f3(r.Throughput), f1(r.AvgLatency), f3(r.IndirectFrac)}
+			return []string{c.Pattern.String(), d(c.UGAL.NI), f2(*c.UGAL.Cost()), f2(c.X[i]), f3(r.Throughput), f1(r.AvgLatency), f3(r.IndirectFrac)}
 		},
-		"offered load", func(c *Curve) string { return fmt.Sprintf("%s nI=%d c=%g", c.Pattern, c.UGAL.NI, *cost(&c.UGAL)) },
+		"offered load", func(c *Curve) string { return fmt.Sprintf("%s nI=%d c=%g", c.Pattern, c.UGAL.NI, *c.UGAL.Cost()) },
 		throughputAxis, latencyAxis), nil
 }
 

@@ -95,6 +95,10 @@ func TestPresetsBuild(t *testing.T) {
 		if tp.Nodes() == 0 {
 			t.Errorf("%s: no nodes", p.Name)
 		}
+		// Family reads SFStyle, the router's cost model reads SFCost.
+		if p.SFStyle != p.BestAdaptive.SFCost {
+			t.Errorf("%s: SFStyle %v but BestAdaptive.SFCost %v", p.Name, p.SFStyle, p.BestAdaptive.SFCost)
+		}
 	}
 }
 

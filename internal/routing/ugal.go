@@ -86,6 +86,15 @@ func (c *UGALConfig) check() error {
 	return nil
 }
 
+// Cost points at the configuration's cost constant, the one a CLI
+// override or a cost sweep sets: CSF under SFCost, else C.
+func (c *UGALConfig) Cost() *float64 {
+	if c.SFCost {
+		return &c.CSF
+	}
+	return &c.C
+}
+
 // penalty is the factor an indirect candidate's congestion is scaled
 // by (Section 3.3): the constant C, or under SFCost the Slim Fly
 // length ratio (L_I / L_M) * CSF of the path here -> ri -> dst against
