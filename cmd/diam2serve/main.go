@@ -8,7 +8,7 @@
 // Usage:
 //
 //	diam2serve -http :8080 -store DIR [-scale quick] [-seed 1] \
-//	    [-escalate-band 0.15] [-grid 30] [-queue 64] [-esc-workers 1] \
+//	    [-escalate-band 0.15] [-queue 64] [-esc-workers 1] \
 //	    [-campaign] [-worker-id NAME] [-drain-timeout 30s]
 //
 // The server shares its store keys with diam2sweep: points a sweep or
@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"diam2/internal/cliflags"
-	"diam2/internal/harness"
 	"diam2/internal/serve"
 	"diam2/internal/telemetry"
 )
@@ -45,7 +44,6 @@ import (
 // options is diam2serve's command line.
 type options struct {
 	httpAddr, storeDir string
-	grid               int
 	drainTO            time.Duration
 	cfg                serve.Config // -escalate-band, -queue, -esc-workers
 
@@ -64,7 +62,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.httpAddr, "http", "", "listen address, e.g. :8080 (required)")
 	fs.StringVar(&o.storeDir, "store", "", "content-addressed result store directory (required; created if absent)")
 	fs.Float64Var(&o.cfg.Band, "escalate-band", 0.15, "escalation band around predicted saturation; 0 disables escalation")
-	fs.IntVar(&o.grid, "grid", 30, "decision-ladder size for the escalation policy")
 	fs.IntVar(&o.cfg.QueueMax, "queue", 64, "admitted-query bound; excess answered 429 + Retry-After")
 	fs.IntVar(&o.cfg.EscWorkers, "esc-workers", 1, "background escalation worker count")
 	fs.DurationVar(&o.drainTO, "drain-timeout", 30*time.Second, "how long queued escalations get to finish on shutdown")
@@ -75,10 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if o.httpAddr == "" || o.storeDir == "" {
 		fmt.Fprintln(stderr, "usage: diam2serve -http ADDR -store DIR [flags]")
-		return 2
-	}
-	if o.grid < 0 {
-		fmt.Fprintf(stderr, "diam2serve: -grid %d: the decision-ladder size cannot be negative\n", o.grid)
 		return 2
 	}
 	return cliflags.Status(fs, o.listen(fs, stderr))
@@ -107,7 +100,7 @@ func (o *options) listen(fs *flag.FlagSet, stderr io.Writer) error {
 		defer func() { _ = worker.Close() }()
 	}
 
-	o.cfg.Presets, o.cfg.Scale, o.cfg.Store, o.cfg.Loads = presets, sc, sc.Sched.Store, harness.ScreenGridLoads(o.grid)
+	o.cfg.Presets, o.cfg.Scale, o.cfg.Store = presets, sc, sc.Sched.Store
 	o.cfg.Registry, o.cfg.Campaign = reg, worker
 	srv, err := serve.New(o.cfg)
 	if err != nil {

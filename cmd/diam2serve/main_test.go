@@ -15,7 +15,6 @@ func TestRefusedInvocationsExit2(t *testing.T) {
 	}{
 		{[]string{"-store", dir}, "usage: diam2serve -http ADDR -store DIR [flags]\n"},
 		{[]string{"-http", "127.0.0.1:0"}, "usage: diam2serve -http ADDR -store DIR [flags]\n"},
-		{[]string{"-http", "127.0.0.1:0", "-store", dir, "-grid", "-1"}, "diam2serve: -grid -1: the decision-ladder size cannot be negative\n"},
 		{[]string{"-http", "127.0.0.1:0", "-store", dir, "extra"}, "diam2serve: unexpected argument \"extra\": diam2serve takes flags only\n"},
 	} {
 		var stdout, stderr strings.Builder

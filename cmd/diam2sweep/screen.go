@@ -17,9 +17,9 @@ type screenOpts struct {
 }
 
 // runScreen drives the screening tier: answer the full grid
-// analytically, print the summary table to stdout, then (with -escalate-band) pick the
-// near-saturation and family-crossover neighborhoods and re-run them
-// through the flit-level simulator, scoring each against the recorded
+// analytically, print the summary table to stdout, then (with
+// -escalate-band) pick the points near their predicted saturation and
+// re-run them through the flit-level simulator, scoring each against the recorded
 // calibration tolerances. With -screen-check, any escalated point
 // outside its recorded tolerance fails the run — the CI smoke gate.
 func runScreen(sc harness.Scale, presets []harness.Preset, o screenOpts, csvDir string, stdout, stderr io.Writer) error {

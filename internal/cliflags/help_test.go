@@ -101,7 +101,6 @@ func TestBadInvocationsExit2(t *testing.T) {
 		prog string
 		args []string
 	}{
-		{"diam2serve", []string{"-http", "127.0.0.1:0", "-store", t.TempDir(), "-grid", "-1"}},
 		{"diam2sweep", []string{"-screen", "-screen-grid", "-3"}},
 		{"diam2sweep", []string{"-screen", "-fig", "14"}},
 		{"diam2sim", []string{"-j", "-1"}},

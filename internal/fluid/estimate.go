@@ -11,8 +11,10 @@ import (
 // loads computed once per (demand, routing) answer any offered load in
 // microseconds with the same axes the flit-level simulator sweeps, so
 // the harness can screen thousands of design-space points and reserve
-// simulation for the neighborhoods where analytic fidelity runs out
-// (near saturation, family crossovers). See harness.ScreenSweep.
+// simulation for the neighborhood where analytic fidelity runs out:
+// loads near saturation. Throughput is min(load, saturation) with one
+// saturation per (demand, routing), so two screened curves never cross
+// (harness.TestScreenThroughputNeverCrosses). See harness.ScreenSweep.
 
 // ErrDisconnected: some endpoint-router pair has no path, so flows
 // between them vanish from the load accounting and every derived

@@ -3,9 +3,9 @@ package harness
 import "testing"
 
 // Degenerate inputs the escalation policy must survive without
-// panicking or over-picking: empty sweeps, ladders too short to show a
-// crossover, screened points whose fluid model failed (zero
-// saturation), and bands so wide they swallow the whole grid.
+// panicking or over-picking: empty sweeps, one-load ladders, screened
+// points whose fluid model failed (zero saturation), and bands so wide
+// they swallow the whole grid.
 
 func TestSelectEscalationsEmptySweep(t *testing.T) {
 	if picks := SelectEscalations(nil, 0.15); len(picks) != 0 {
@@ -16,20 +16,16 @@ func TestSelectEscalationsEmptySweep(t *testing.T) {
 	}
 }
 
-// TestSelectEscalationsSingleLoadLadder: a crossover needs two
-// consecutive loads; a one-load ladder has none, even when the
-// cross-family ranking at that load would flip against a neighboring
-// load's. Only the band can pick here.
+// TestSelectEscalationsSingleLoadLadder: each point is judged alone,
+// so of two topologies screened at one load only the one whose band
+// covers it is picked.
 func TestSelectEscalationsSingleLoadLadder(t *testing.T) {
 	points := []ScreenPoint{
 		screenPt("A(1)", "A", "MIN", "UNI", 0.5, 0.9, 0.5),
 		screenPt("B(1)", "B", "MIN", "UNI", 0.5, 0.8, 0.5),
 	}
-	if picks := SelectEscalations(points, 0); len(picks) != 0 {
-		t.Fatalf("single-load ladder with no band picked %v", picks)
-	}
-	// With a band covering load 0.5 of the B topology (|0.5-0.8| <=
-	// 0.4*0.8) only that point is picked, and only for the band.
+	// The band covers load 0.5 of the B topology (|0.5-0.8| <= 0.4*0.8)
+	// and not of the A topology (|0.5-0.9| > 0.4*0.9).
 	picks := SelectEscalations(points, 0.4)
 	if len(picks) != 1 || picks[0].Point.Topo != "B(1)" {
 		t.Fatalf("picks = %+v, want the B(1) band point only", picks)
@@ -73,21 +69,5 @@ func TestSelectEscalationsBandWiderThanGrid(t *testing.T) {
 		if len(pk.Reasons) != 1 || pk.Reasons[0] != ReasonBand {
 			t.Errorf("pick %d reasons = %v, want [band] once", i, pk.Reasons)
 		}
-	}
-}
-
-// TestSelectEscalationsSameFamilyNoCrossover: ranking flips between
-// topologies of the same family are expected (different instance
-// sizes) and must not trigger crossover escalation — the policy
-// settles family-versus-family questions only.
-func TestSelectEscalationsSameFamilyNoCrossover(t *testing.T) {
-	points := []ScreenPoint{
-		screenPt("A(1)", "A", "MIN", "UNI", 0.2, 1, 0.30),
-		screenPt("A(1)", "A", "MIN", "UNI", 0.4, 1, 0.30),
-		screenPt("A(2)", "A", "MIN", "UNI", 0.2, 1, 0.25),
-		screenPt("A(2)", "A", "MIN", "UNI", 0.4, 1, 0.35),
-	}
-	if picks := SelectEscalations(points, 0); len(picks) != 0 {
-		t.Fatalf("same-family ranking flip escalated: %+v", picks)
 	}
 }

@@ -27,7 +27,6 @@ import (
 // config, the pattern seed and the telemetry registry — so a point
 // answered here is value-identical whichever caller asks.
 type Screener struct {
-	presets []Preset
 	cfg     sim.Config
 	patSeed int64
 	reg     *telemetry.Registry
@@ -69,7 +68,6 @@ type screenerComboKey struct {
 // everything load- and pattern-dependent is computed lazily.
 func NewScreener(presets []Preset, scale Scale) (*Screener, error) {
 	s := &Screener{
-		presets: presets,
 		cfg:     scale.SimConfig(1),
 		patSeed: scale.patternSeed(),
 		reg:     scale.Telemetry.Registry,
@@ -108,7 +106,7 @@ func (s *Screener) topoState(name string) (*screenerTopo, error) {
 	if st, ok := s.topos[name]; ok {
 		return st, nil
 	}
-	return nil, fmt.Errorf("harness: unknown topology %q (know %d presets)", name, len(s.presets))
+	return nil, fmt.Errorf("harness: unknown topology %q (know %d presets)", name, len(s.topos))
 }
 
 // worstCase returns the topology's pinned worst-case permutation,
@@ -223,22 +221,4 @@ func (s *Screener) SchedPoint(topoName string, alg AlgKind, pat PatternKind, loa
 			return sp, err
 		},
 	}
-}
-
-// Ladder answers the (alg, pat) combination across every preset and
-// the given loads, in grid order (presets outermost) — the input
-// SelectEscalations expects when deciding whether one query's point
-// sits in an escalation-worthy neighborhood.
-func (s *Screener) Ladder(alg AlgKind, pat PatternKind, loads []float64) ([]ScreenPoint, error) {
-	out := make([]ScreenPoint, 0, len(s.presets)*len(loads))
-	for _, p := range s.presets {
-		for _, load := range loads {
-			sp, err := s.Point(p.Name, alg, pat, load)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, sp)
-		}
-	}
-	return out, nil
 }

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"diam2/internal/harness"
 	"diam2/internal/telemetry"
 )
 
@@ -129,8 +130,8 @@ func TestHTTPQuery(t *testing.T) {
 func TestHTTPBatchGrid(t *testing.T) {
 	s, hs := newHTTPServer(t, nil)
 
-	// A constrained grid: 1 topo x 1 routing x 1 pattern x ladder(2).
-	body := strings.NewReader(`{"grid": {"topos": ["SF(q=5,p=3)"], "routings": ["MIN"], "patterns": ["WC"]}}`)
+	// A constrained grid: 1 topo x 1 routing x 1 pattern x 2 loads.
+	body := strings.NewReader(`{"grid": {"topos": ["SF(q=5,p=3)"], "routings": ["MIN"], "patterns": ["WC"], "loads": [0.15, 0.18]}}`)
 	resp, err := http.Post(hs.URL+"/query/batch", "application/json", body)
 	if err != nil {
 		t.Fatal(err)
@@ -144,19 +145,20 @@ func TestHTTPBatchGrid(t *testing.T) {
 	if err := json.Unmarshal(raw, &br); err != nil {
 		t.Fatal(err)
 	}
-	if br.Count != len(testLadder) || len(br.Answers) != len(testLadder) {
-		t.Fatalf("batch count %d answers %d, want %d", br.Count, len(br.Answers), len(testLadder))
+	loads := []float64{0.15, 0.18}
+	if br.Count != len(loads) || len(br.Answers) != len(loads) {
+		t.Fatalf("batch count %d answers %d, want %d", br.Count, len(br.Answers), len(loads))
 	}
 	for i, ans := range br.Answers {
-		if ans.Query.Load != testLadder[i] {
-			t.Errorf("answer %d at load %v, want %v (grid order)", i, ans.Query.Load, testLadder[i])
+		if ans.Query.Load != loads[i] {
+			t.Errorf("answer %d at load %v, want %v (grid order)", i, ans.Query.Load, loads[i])
 		}
 		if ans.Estimate == nil {
 			t.Errorf("answer %d has no estimate", i)
 		}
 	}
 
-	// Both SF WC MIN ladder loads sit in the band: two tickets.
+	// Both SF WC MIN loads sit in the band: two tickets.
 	if got := len(s.Tickets()); got != 2 {
 		t.Errorf("%d tickets after batch, want 2", got)
 	}
@@ -292,7 +294,7 @@ func FuzzBatchExpand(f *testing.F) {
 			br.Grid = &BatchGrid{Topos: names[:topos], Routings: names[:routings], Patterns: names[:patterns], Loads: loads[:nLoads]}
 			tps, rts, pts = orDefault(br.Grid.Topos, presets), orDefault(br.Grid.Routings, []string{"MIN", "INR"}), orDefault(br.Grid.Patterns, []string{"UNI", "WC"})
 			if lds = br.Grid.Loads; len(lds) == 0 {
-				lds = s.loads
+				lds = harness.ScreenGridLoads(defaultGridLoads)
 			}
 			n += len(tps) * len(rts) * len(pts) * len(lds)
 		}

@@ -12,10 +12,10 @@
 //     calibration tolerance of their (family, pattern, routing)
 //     scenario so the client knows how far to trust them.
 //  3. escalation — when the escalation policy (the same
-//     SelectEscalations band/crossover logic `diam2sweep
-//     -escalate-band` uses) decides the point sits where analytic
-//     fidelity runs out, the service returns the fluid answer
-//     immediately plus a ticket, and re-simulates the point at
+//     SelectEscalations band rule `diam2sweep -escalate-band` uses,
+//     applied to the answered point alone) decides the point sits
+//     where analytic fidelity runs out, the service returns the fluid
+//     answer immediately plus a ticket, and re-simulates the point at
 //     flit-level fidelity in the background. The result lands in the
 //     store under the ordinary escalate-point key, so the next query
 //     for the point is a sim-cache hit — every escalation permanently
@@ -150,10 +150,6 @@ type Config struct {
 	// Band is the escalation band passed to SelectEscalations; <= 0
 	// disables escalation entirely.
 	Band float64
-	// Loads is the decision ladder the escalation policy evaluates
-	// queries against (crossovers need a grid); nil defaults to
-	// ScreenGridLoads(30).
-	Loads []float64
 	// QueueMax bounds concurrently admitted HTTP queries; excess gets
 	// 429 + Retry-After. <= 0 defaults to 64.
 	QueueMax int
@@ -172,22 +168,20 @@ type Config struct {
 // Server resolves design-space queries. Create with New, serve over
 // HTTP with Register (http.go), stop with Close.
 type Server struct {
-	cfg   Config
-	scr   *harness.Screener
-	loads []float64
+	cfg Config
+	scr *harness.Screener
 
 	baseCtx context.Context // computation lifetime; cancelled by forced Close
 	stop    context.CancelFunc
 
 	queue chan struct{} // HTTP admission semaphore
 
-	mu        sync.Mutex
-	flight    map[string]*flight     // in-flight fluid computes by canonical key
-	decisions map[comboKey]*decision // escalation pick-sets by (alg, pat)
-	tickets   map[string]*ticket     // by id
-	byKey     map[string]*ticket     // by canonical sim key (dedupe)
-	seq       int
-	closing   bool
+	mu      sync.Mutex
+	flight  map[string]*flight // in-flight fluid computes by canonical key
+	tickets map[string]*ticket // by id
+	byKey   map[string]*ticket // by canonical sim key (dedupe)
+	seq     int
+	closing bool
 
 	escQ  chan *ticket // holds up to escBacklog queued-but-not-running tickets
 	escWG sync.WaitGroup
@@ -205,25 +199,6 @@ type flight struct {
 	done chan struct{}
 	sp   harness.ScreenPoint
 	err  error
-}
-
-type comboKey struct {
-	alg harness.AlgKind
-	pat harness.PatternKind
-}
-
-// decision caches the escalation policy's verdicts for one (alg, pat)
-// over the decision ladder: which (topology, load) grid points
-// SelectEscalations picks, and why.
-type decision struct {
-	once  sync.Once
-	err   error
-	picks map[pickKey]harness.EscalationPick
-}
-
-type pickKey struct {
-	topo string
-	load float64
 }
 
 // New builds a Server. Topologies are built eagerly; nothing listens
@@ -253,23 +228,17 @@ func New(cfg Config) (*Server, error) {
 	if cfg.EscWorkers <= 0 {
 		cfg.EscWorkers = 1
 	}
-	loads := cfg.Loads
-	if len(loads) == 0 {
-		loads = harness.ScreenGridLoads(30)
-	}
 	s := &Server{
-		cfg:       cfg,
-		scr:       scr,
-		loads:     loads,
-		baseCtx:   ctx,
-		stop:      stop,
-		queue:     make(chan struct{}, cfg.QueueMax),
-		flight:    make(map[string]*flight),
-		decisions: make(map[comboKey]*decision),
-		tickets:   make(map[string]*ticket),
-		byKey:     make(map[string]*ticket),
-		escQ:      make(chan *ticket, escBacklog),
-		now:       time.Now,
+		cfg:     cfg,
+		scr:     scr,
+		baseCtx: ctx,
+		stop:    stop,
+		queue:   make(chan struct{}, cfg.QueueMax),
+		flight:  make(map[string]*flight),
+		tickets: make(map[string]*ticket),
+		byKey:   make(map[string]*ticket),
+		escQ:    make(chan *ticket, escBacklog),
+		now:     time.Now,
 	}
 	for i := 0; i < cfg.EscWorkers; i++ {
 		s.escWG.Add(1)
@@ -345,8 +314,8 @@ func (s *Server) resolve(ctx context.Context, q Query) (Answer, error) {
 	// Tier 3: the escalation policy decides whether this point
 	// deserves flit-level fidelity; if so the client gets a ticket to
 	// poll while the simulator runs in the background.
-	if pick, ok := s.escalationPick(sp, alg, pat); ok {
-		ans.Escalation = s.submitEscalation(q, pick, simPoint, simKey)
+	if picks := harness.SelectEscalations([]harness.ScreenPoint{sp}, s.cfg.Band); len(picks) == 1 {
+		ans.Escalation = s.submitEscalation(q, picks[0], simPoint, simKey)
 	}
 	return ans, nil
 }
@@ -425,71 +394,6 @@ func (s *Server) fluidCompute(ctx context.Context, sc harness.Scale, key string,
 	}
 	f.sp = res[0]
 	return f.sp, nil
-}
-
-// escalationPick asks the policy whether the answered point deserves
-// flit-level fidelity. The ladder verdicts for each (alg, pat) are
-// computed once and cached; only off-ladder loads pay a fresh
-// SelectEscalations pass (with the query's load spliced in, so
-// crossovers against its neighbors are seen).
-func (s *Server) escalationPick(sp harness.ScreenPoint, alg harness.AlgKind, pat harness.PatternKind) (harness.EscalationPick, bool) {
-	if s.cfg.Band <= 0 {
-		return harness.EscalationPick{}, false
-	}
-	onLadder := false
-	for _, l := range s.loads {
-		if l == sp.Load {
-			onLadder = true
-			break
-		}
-	}
-	if onLadder {
-		d := s.ladderDecision(alg, pat)
-		if d.err != nil {
-			return harness.EscalationPick{}, false
-		}
-		pick, ok := d.picks[pickKey{sp.Topo, sp.Load}]
-		return pick, ok
-	}
-	loads := make([]float64, 0, len(s.loads)+1)
-	loads = append(loads, s.loads...)
-	loads = append(loads, sp.Load)
-	sort.Float64s(loads)
-	points, err := s.scr.Ladder(alg, pat, loads)
-	if err != nil {
-		return harness.EscalationPick{}, false
-	}
-	for _, pick := range harness.SelectEscalations(points, s.cfg.Band) {
-		if pick.Point.Topo == sp.Topo && pick.Point.Load == sp.Load {
-			return pick, true
-		}
-	}
-	return harness.EscalationPick{}, false
-}
-
-// ladderDecision returns (computing on first use) the cached pick-set
-// for one (alg, pat) over the decision ladder.
-func (s *Server) ladderDecision(alg harness.AlgKind, pat harness.PatternKind) *decision {
-	k := comboKey{alg, pat}
-	s.mu.Lock()
-	d, ok := s.decisions[k]
-	if !ok {
-		d = &decision{}
-		s.decisions[k] = d
-	}
-	s.mu.Unlock()
-	d.once.Do(func() {
-		points, err := s.scr.Ladder(alg, pat, s.loads)
-		if err != nil {
-			d.err = err
-			return
-		}
-		d.picks = make(map[pickKey]harness.EscalationPick)
-		for _, pick := range harness.SelectEscalations(points, s.cfg.Band) {
-			d.picks[pickKey{pick.Point.Topo, pick.Point.Load}] = pick
-		}
-	})
-	return d
 }
 
 // submitEscalation hands a picked point to the background workers,

@@ -20,10 +20,6 @@ import (
 // inside the 0.15 band — and its flit-level run is sub-second.
 var testQuery = Query{Topo: "SF(q=5,p=3)", Routing: "MIN", Pattern: "WC", Load: 0.18}
 
-// testLadder keeps the escalation decision ladder (and so any
-// escalated simulations) small and fast.
-var testLadder = []float64{0.15, 0.18}
-
 func openStore(t testing.TB, dir string) *store.Store {
 	t.Helper()
 	st, err := store.Open(dir, store.Options{})
@@ -41,7 +37,6 @@ func newTestServer(t testing.TB, mod func(*Config)) *Server {
 		Scale:    harness.QuickScale(),
 		Store:    openStore(t, t.TempDir()),
 		Band:     0.15,
-		Loads:    testLadder,
 		Registry: telemetry.NewRegistry(),
 	}
 	if mod != nil {
@@ -239,7 +234,7 @@ func TestEscalationByteIdentity(t *testing.T) {
 	spec := harness.ScreenSpec{
 		Algs:  []harness.AlgKind{harness.AlgMIN},
 		Pats:  []harness.PatternKind{harness.PatWC},
-		Loads: testLadder,
+		Loads: []float64{0.15, 0.18},
 	}
 	points, err := harness.ScreenSweep(presets, spec, sc)
 	if err != nil {
