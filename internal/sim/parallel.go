@@ -101,8 +101,9 @@ type credMsg struct {
 // ParallelOptions configures NewParallelEngine.
 type ParallelOptions struct {
 	// Partitions is the number of shards the router set is cut into
-	// (the determinism-relevant knob). Default: GOMAXPROCS, clamped to
-	// the router count.
+	// (the determinism-relevant knob), clamped to the router count.
+	// <= 0 means one shard: a default read from the host's CPU count
+	// would make Results depend on the host.
 	Partitions int
 	// Workers is the number of goroutines advancing shards (a pure
 	// throughput knob — Results do not depend on it). Default:
@@ -136,16 +137,7 @@ func NewParallelEngine(net *Network, alg RoutingAlgorithm, work Workload, opt Pa
 		return nil, fmt.Errorf("sim: algorithm %s needs %d VCs, config has %d", alg.Name(), alg.NumVCs(), net.Cfg.NumVCs)
 	}
 	nr := len(net.Routers)
-	p := opt.Partitions
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > nr {
-		p = nr
-	}
-	if p < 1 {
-		p = 1
-	}
+	p := max(1, min(opt.Partitions, nr))
 	if p > 1 {
 		if _, ok := work.(ParallelSafeWorkload); !ok {
 			return nil, fmt.Errorf("sim: workload %s is not marked parallel-safe", work.Name())

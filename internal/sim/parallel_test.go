@@ -80,6 +80,26 @@ func TestParallelSerialParity(t *testing.T) {
 	}
 }
 
+// TestParallelDefaultOneShard: the zero options cut one shard whatever
+// the host's CPU count, so the same call gives the same Results on
+// every host.
+func TestParallelDefaultOneShard(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	p := goldenSpecs[0].setup(t)
+	net, err := sim.NewNetwork(p.topo, p.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pe, err := sim.NewParallelEngine(net, p.alg, p.work, sim.ParallelOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pe.Stop()
+	if got := pe.Partitions(); got != 1 {
+		t.Errorf("zero ParallelOptions cut %d shards at GOMAXPROCS 4, want 1", got)
+	}
+}
+
 // TestParallelWorkerInvariance: for a fixed partition count, Results
 // must not depend on how many goroutines advance the shards, nor on
 // the run (repeat stability). This is the load-bearing determinism
