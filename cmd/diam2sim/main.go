@@ -157,6 +157,8 @@ func (o *options) check(fs *flag.FlagSet) error {
 		return fmt.Errorf("-mttr %d: only the -mtbf process repairs links", fp.MTTR)
 	case (fp.RetxTimeout != 0 || fp.RebuildLatency != 0) && !burst && !mtbf:
 		return errors.New("-retx-timeout and -rebuild-latency tune the recovery from faults: pass -fail-links or -mtbf")
+	case o.sched.Cores > 1 && (o.tel.Collecting() || o.tel.HTTP != ""):
+		return fmt.Errorf("-cores %d with telemetry collection: only the serial engine feeds a collector; drop -cores or -telemetry, -trace-out and -http", o.sched.Cores)
 	}
 	return nil
 }

@@ -118,6 +118,7 @@ func TestOutOfRangeExit2(t *testing.T) {
 		{"-pattern", "uni", "-topo", "sf-small", "-exchange", "nn"},
 		{"-load", "0.3", "-topo", "sf-small", "-exchange", "a2a"},
 		{"-load", "0.5", "-topo", "sf-small", "-alg", "inr", "-saturate"},
+		{"-cores", "2", "-topo", "mlfm-small", "-telemetry"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {

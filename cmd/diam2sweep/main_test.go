@@ -29,6 +29,8 @@ func TestRefusedInvocationsExit2(t *testing.T) {
 		{[]string{"-fig", "14", "-j", "-1"}, "diam2sweep: -j -1:"},
 		{[]string{"-fig", "14", "-campaign"}, "diam2sweep: -campaign requires -store"},
 		{[]string{"-fig", "14", "-campaign", "-store", t.TempDir(), "-telemetry"}, "diam2sweep: -campaign is incompatible with telemetry collection"},
+		{[]string{"-fig", "13", "-cores", "2", "-telemetry"}, "diam2sweep: -cores 2 with telemetry collection"},
+		{[]string{"-fig", "14", "-cores", "2", "-http", "127.0.0.1:0"}, "diam2sweep: -cores 2 with telemetry collection"},
 		{[]string{"-fig", "14", "extra"}, "diam2sweep: unexpected argument \"extra\": diam2sweep takes flags only\n"},
 	} {
 		code, out, errOut := sweepArgs(c.args...)
