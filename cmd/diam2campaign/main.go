@@ -189,6 +189,10 @@ type progressBody struct {
 	Quarantined int    `json:"quarantined"`
 }
 
+// maxManifest bounds a submitted manifest's body, the cap diam2serve
+// puts on its query bodies: a name and a command line fit many times.
+const maxManifest = 1 << 20
+
 // coordinator assembles the coordinator's HTTP surface: a telemetry
 // registry carrying /campaign plus the coordinator-only progress and
 // submit endpoints, so its "/" index lists them all. Factored out of
@@ -225,7 +229,7 @@ func coordinator(storeDir, campDir string) *telemetry.Registry {
 			return
 		}
 		var m campaign.Manifest
-		if err := json.NewDecoder(req.Body).Decode(&m); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxManifest)).Decode(&m); err != nil {
 			http.Error(w, "bad manifest: "+err.Error(), http.StatusBadRequest)
 			return
 		}

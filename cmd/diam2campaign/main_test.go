@@ -113,9 +113,21 @@ func TestSubmitFirstWriterWins(t *testing.T) {
 	}
 }
 
+// countingReader counts the bytes a handler pulled from a request body.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
 // TestServeEndpoints exercises the coordinator mux against a real
 // campaign directory: full status, compact progress, and the submit
-// endpoint including its conflict answer.
+// endpoint including its conflict answer and its body limit.
 func TestServeEndpoints(t *testing.T) {
 	storeDir := t.TempDir()
 	campDir := campaign.DirFor(storeDir)
@@ -171,6 +183,17 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	if code, _ := post(`{"args":["-fig","6a"]}`); code != http.StatusBadRequest {
 		t.Errorf("nameless submit status %d, want 400", code)
+	}
+	// A manifest body past the limit is the client's error, and the
+	// handler stops reading at the limit.
+	big := &countingReader{r: strings.NewReader(`{"name":"` + strings.Repeat("x", 4*maxManifest))}
+	rec := httptest.NewRecorder()
+	coordinator(storeDir, campDir).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/campaign/submit", big))
+	if rec.Code < 400 || rec.Code >= 500 {
+		t.Errorf("submit with a %d-byte body: status %d, want 4xx", 4*maxManifest, rec.Code)
+	}
+	if big.n > 2*maxManifest {
+		t.Errorf("submit read %d bytes of an oversized body; limit is %d", big.n, maxManifest)
 	}
 	if code, body := post(`{"name":"fig 6a","args":["-fig","6a"]}`); code != http.StatusCreated {
 		t.Errorf("submit status %d (%s), want 201", code, body)
