@@ -67,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.DurationVar(&o.drainTO, "drain-timeout", 30*time.Second, "how long queued escalations get to finish on shutdown")
 	o.scale.Register(fs)
 	o.camp.Register(fs)
-	if status, ok := cliflags.Parse(fs, args, stdout, cliflags.NoArgs(fs)); !ok {
+	if status, ok := cliflags.Parse(fs, args, stdout, cliflags.NoArgs(fs), o.refuse); !ok {
 		return status
 	}
 	if o.httpAddr == "" || o.storeDir == "" {
@@ -75,6 +75,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	return cliflags.Status(fs, o.listen(fs, stderr))
+}
+
+// refuse returns why the values cannot run, if they cannot; it leaves
+// serve.Config's defaults for a zero field to library callers.
+func (o *options) refuse() error {
+	switch {
+	case !(o.cfg.Band >= 0): // also refuses NaN
+		return fmt.Errorf("-escalate-band %v: the band cannot be negative (0: no escalation)", o.cfg.Band)
+	case o.cfg.QueueMax < 1:
+		return fmt.Errorf("-queue %d: the server must admit at least one query", o.cfg.QueueMax)
+	case o.cfg.EscWorkers < 1:
+		return fmt.Errorf("-esc-workers %d: escalations need at least one worker", o.cfg.EscWorkers)
+	case o.drainTO < 0:
+		return fmt.Errorf("-drain-timeout %s cannot be negative", o.drainTO)
+	}
+	return nil
 }
 
 // listen answers queries until a signal, then drains, reporting on

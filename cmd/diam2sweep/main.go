@@ -78,6 +78,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -132,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.DurationVar(&o.camp.Policy.Watchdog, "watchdog", 0, "campaign per-attempt timeout: a point attempt running longer is cancelled, retried and eventually quarantined (0: off)")
 	fs.IntVar(&o.camp.Policy.MaxAttempts, "retries", campaign.DefaultMaxAttempts, "campaign attempts per point (across all workers) before quarantine")
 	fs.DurationVar(&o.camp.Policy.BaseBackoff, "backoff", campaign.DefaultBaseBackoff, "campaign base backoff after a failed attempt (doubles per attempt, jittered)")
-	if status, ok := cliflags.Parse(fs, args, stdout, cliflags.NoArgs(fs), o.sched.Check, o.refuse); !ok {
+	if status, ok := cliflags.Parse(fs, args, stdout, cliflags.NoArgs(fs), o.sched.Check, func() error { return o.refuse(fs) }); !ok {
 		return status
 	}
 	if o.fig == "" && !o.screen {
@@ -142,13 +143,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return cliflags.Status(fs, o.prof.Run(func() error { return o.sweep(fs, args, stdout, stderr) }))
 }
 
-// refuse returns why the flag combination cannot run, if it cannot.
-func (o *options) refuse() error {
+// figures are the -fig values that name one figure; "all" runs them
+// in this order.
+var figures = []string{"6a", "6b", "7", "8", "9", "10", "11", "12", "13", "14"}
+
+// refuse returns why the flag combination parsed on fs cannot run, if
+// it cannot.
+func (o *options) refuse(fs *flag.FlagSet) error {
+	var screenFlag string // a screening flag given, for the -screen check
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "screen-grid", "escalate-band", "screen-check":
+			screenFlag = f.Name
+		}
+	})
 	switch {
 	case o.fig != "" && o.screen:
 		return errors.New("-screen replaces -fig (the screening tier covers the whole oblivious grid); pass one or the other")
+	case o.fig != "" && o.fig != "all" && o.fig != "resilience" && !slices.Contains(figures, o.fig):
+		return fmt.Errorf("-fig %s: unknown figure (want 6a|6b|7|8|9|10|11|12|13|14|resilience|all)", o.fig)
+	case screenFlag != "" && !o.screen:
+		return fmt.Errorf("-%s needs -screen", screenFlag)
+	case o.screen && (o.plotDir != "" || o.ascii):
+		return errors.New("-plotdir and -ascii draw figure charts; -screen has none (use -csvdir for its tables)")
 	case o.grid < 0:
 		return fmt.Errorf("-screen-grid %d: the load ladder size cannot be negative (0: the default figure ladder)", o.grid)
+	case !(o.band >= 0): // also refuses NaN
+		return fmt.Errorf("-escalate-band %v: the band cannot be negative (0: screen only)", o.band)
+	case o.check && !(o.band > 0):
+		return errors.New("-screen-check checks escalated points; give it a positive -escalate-band")
 	case o.camp.On && o.st.Dir == "":
 		return errors.New("-campaign requires -store (workers coordinate through the store directory)")
 	case o.camp.On && o.tel.Collecting():
@@ -315,7 +338,7 @@ func (o *options) sweep(fs *flag.FlagSet, args []string, stdout, stderr io.Write
 
 	figs := []string{o.fig}
 	if o.fig == "all" {
-		figs = []string{"6a", "6b", "7", "8", "9", "10", "11", "12", "13", "14"}
+		figs = figures
 	}
 	for _, f := range figs {
 		var err error

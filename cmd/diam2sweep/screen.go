@@ -28,7 +28,11 @@ func runScreen(sc harness.Scale, presets []harness.Preset, o screenOpts, csvDir 
 		spec.Loads = harness.ScreenGridLoads(o.grid)
 	}
 	start := time.Now()
-	points, err := harness.ScreenSweep(presets, spec, sc)
+	scr, err := harness.NewScreener(presets, sc)
+	if err != nil {
+		return err
+	}
+	points, err := scr.Sweep(spec, sc)
 	if err != nil {
 		return err
 	}
@@ -43,7 +47,7 @@ func runScreen(sc harness.Scale, presets []harness.Preset, o screenOpts, csvDir 
 	picks := harness.SelectEscalations(points, o.band)
 	fmt.Fprintf(stderr, "diam2sweep: escalating %d of %d screened points (band=%.2f)\n",
 		len(picks), len(points), o.band)
-	escs, err := harness.EscalateSweep(picks, presets, sc)
+	escs, err := scr.Escalate(picks, sc)
 	if err != nil {
 		return err
 	}

@@ -55,14 +55,41 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.exportEL, "edgelist", "", "write the named paper topology as an edge list to stdout")
 	fs.BoolVar(&o.fluidSat, "fluid", false, "analytic (fluid-model) saturation loads for the paper configurations")
 	fs.StringVar(&o.draw, "draw", "", "write a Fig. 1-style SVG diagram of the named topology (sf9|sf10|mlfm|oft) to stdout")
-	if status, ok := cliflags.Parse(fs, args, stdout, cliflags.NoArgs(fs)); !ok {
+	if status, ok := cliflags.Parse(fs, args, stdout, cliflags.NoArgs(fs), func() error { return o.refuse(fs) }); !ok {
 		return status
 	}
-	if o == (options{restarts: o.restarts, passes: o.passes, seed: o.seed}) { // no analysis selected
+	if !o.selected() {
 		fs.Usage()
 		return 2
 	}
 	return cliflags.Status(fs, o.print(stdout))
+}
+
+// selected reports whether o selects an analysis; the tuning flags
+// -restarts, -passes and -seed select none.
+func (o *options) selected() bool {
+	return *o != options{restarts: o.restarts, passes: o.passes, seed: o.seed}
+}
+
+// refuse returns why the values parsed on fs cannot run, if they
+// cannot: the bisection knobs are read by -bisection alone. Tuning
+// flags without an analysis get the usage instead.
+func (o *options) refuse(fs *flag.FlagSet) error {
+	var knob string // -restarts or -passes, if given
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "restarts" || f.Name == "passes" {
+			knob = f.Name
+		}
+	})
+	switch {
+	case o.ml3b != 0 && o.ml3b < 2: // 0: no Table 2
+		return fmt.Errorf("-ml3b %d: the k-ML3B needs k >= 2", o.ml3b)
+	case o.restarts <= 0 || o.passes <= 0:
+		return fmt.Errorf("-restarts %d -passes %d: bisection needs at least one of each", o.restarts, o.passes)
+	case knob != "" && !o.bisection && o.selected():
+		return fmt.Errorf("-%s tunes -bisection, which is not selected", knob)
+	}
+	return nil
 }
 
 // namedTopo builds the preset with the given command-line name.

@@ -19,12 +19,12 @@ type lease struct {
 }
 
 // acquire claims the lease for a point. It returns the held lease, or
-// (nil, holder) when another worker's live lease blocks the point, or
-// an error for real filesystem trouble. An expired lease (mtime older
-// than the TTL) is stolen: rename-to-tomb first, so exactly one of any
-// number of concurrent stealers wins the rename and gets to recreate
-// the lease.
-func (w *Worker) acquire(key, point string) (*lease, *LeaseStatus, error) {
+// nil when another worker's live lease blocks the point, or an error
+// for real filesystem trouble. An expired lease (mtime older than the
+// TTL) is stolen: rename-to-tomb first, so exactly one of any number
+// of concurrent stealers wins the rename and gets to recreate the
+// lease.
+func (w *Worker) acquire(key, point string) (*lease, error) {
 	path := filepath.Join(w.dir, leasesDir, key+leaseSuffix)
 	body, err := json.Marshal(leaseInfo{
 		Owner:    w.owner,
@@ -34,7 +34,7 @@ func (w *Worker) acquire(key, point string) (*lease, *LeaseStatus, error) {
 		Acquired: time.Now().UTC().Format(time.RFC3339),
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// The lease must appear with its body already in place (a reader
 	// must never see an empty claim), so it is created by hardlinking a
@@ -42,7 +42,7 @@ func (w *Worker) acquire(key, point string) (*lease, *LeaseStatus, error) {
 	// is already claimed, which is the atomic test-and-set.
 	tmp := filepath.Join(w.dir, leasesDir, fmt.Sprintf(".claim-%s-%d", w.owner, w.tombs.Add(1)))
 	if err := os.WriteFile(tmp, body, 0o644); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer os.Remove(tmp)
 	for {
@@ -50,24 +50,20 @@ func (w *Worker) acquire(key, point string) (*lease, *LeaseStatus, error) {
 		if err == nil {
 			l := &lease{key: key, path: path}
 			w.track(l)
-			return l, nil, nil
+			return l, nil
 		}
 		if !errors.Is(err, fs.ErrExist) {
-			return nil, nil, err
+			return nil, err
 		}
 		fi, serr := os.Stat(path)
 		if serr != nil {
 			if errors.Is(serr, fs.ErrNotExist) {
 				continue // released between link and stat; retry the link
 			}
-			return nil, nil, serr
+			return nil, serr
 		}
-		if age := time.Since(fi.ModTime()); age <= w.pol.leaseTTL() {
-			var info leaseInfo
-			if b, rerr := os.ReadFile(path); rerr == nil {
-				_ = json.Unmarshal(b, &info)
-			}
-			return nil, &LeaseStatus{Point: info.Point, Key: key, Owner: info.Owner, Age: age.Seconds()}, nil
+		if time.Since(fi.ModTime()) <= w.pol.leaseTTL() {
+			return nil, nil
 		}
 		// Expired: the holder died or hung past its TTL. Steal by
 		// renaming the stale file aside; rename succeeds for exactly one
@@ -78,7 +74,7 @@ func (w *Worker) acquire(key, point string) (*lease, *LeaseStatus, error) {
 			if errors.Is(rerr, fs.ErrNotExist) {
 				continue // lost the steal race; re-evaluate from the top
 			}
-			return nil, nil, rerr
+			return nil, rerr
 		}
 		os.Remove(tomb)
 	}

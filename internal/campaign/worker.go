@@ -186,9 +186,6 @@ func (w *Worker) Dir() string { return w.dir }
 // call from a signal handler goroutine; idempotent.
 func (w *Worker) Drain() { w.draining.Store(true) }
 
-// Draining reports whether Drain was called.
-func (w *Worker) Draining() bool { return w.draining.Load() }
-
 // Close stops the heartbeater and removes the worker registration.
 // Leases still held (there are none after a clean sweep) keep their
 // files and expire on their own.
@@ -245,12 +242,11 @@ func (w *Worker) Execute(ctx context.Context, t Task) error {
 		if w.draining.Load() {
 			return ErrDrained
 		}
-		l, holder, err := w.acquire(t.Key, t.Point)
+		l, err := w.acquire(t.Key, t.Point)
 		if err != nil {
 			return err
 		}
 		if l == nil {
-			_ = holder // attribution available to a future verbose mode
 			if err := w.sleep(ctx, w.pol.poll()); err != nil {
 				return err
 			}

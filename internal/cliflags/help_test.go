@@ -119,6 +119,19 @@ func TestBadInvocationsExit2(t *testing.T) {
 		{"diam2sweep", []string{"-fig", "14", "extra"}},
 		{"diam2report", []string{"-fast", "extra"}},
 		{"diam2serve", []string{"-http", "127.0.0.1:0", "-store", t.TempDir(), "extra"}},
+		{"diam2sweep", []string{"-fig", "14", "-screen-grid", "5"}},
+		{"diam2sweep", []string{"-fig", "14", "-escalate-band", "0.1"}},
+		{"diam2sweep", []string{"-fig", "14", "-screen-check"}},
+		{"diam2sweep", []string{"-screen", "-screen-check"}},
+		{"diam2sweep", []string{"-screen", "-escalate-band", "-0.3"}},
+		{"diam2sweep", []string{"-screen", "-plotdir", filepath.Join(t.TempDir(), "pd"), "-ascii"}},
+		{"diam2sweep", []string{"-fig", "bogus", "-screen-grid", "5", "-escalate-band", "0.1", "-screen-check"}},
+		{"diam2sweep", []string{"-fig", "bogus"}},
+		{"diam2topo", []string{"-ml3b", "-2"}},
+		{"diam2topo", []string{"-ml3b", "1"}},
+		{"diam2topo", []string{"-restarts", "0", "-passes", "0", "-bisection"}},
+		{"diam2topo", []string{"-passes", "5", "-summary"}},
+		{"diam2topo", []string{"-restarts", "5", "-summary"}},
 	} {
 		var stdout, stderr bytes.Buffer
 		cmd := exec.Command(filepath.Join(bin, c.prog), c.args...)

@@ -53,13 +53,17 @@ func TestSchedulerKeysPinned(t *testing.T) {
 			return err
 		}},
 		{"escalate|SF(q=5,p=3)|MIN|UNI|load=0.3000", func() error {
-			quiet := sc
-			quiet.Sched.OnPoint = nil
-			pts, err := ScreenSweep(presets[:1], ScreenSpec{Loads: loads}, quiet)
+			scr, err := NewScreener(presets[:1], sc)
 			if err != nil {
 				return err
 			}
-			_, err = EscalateSweep([]EscalationPick{{Point: pts[0]}}, presets[:1], sc)
+			quiet := sc
+			quiet.Sched.OnPoint = nil
+			pts, err := scr.Sweep(ScreenSpec{Loads: loads}, quiet)
+			if err != nil {
+				return err
+			}
+			_, err = scr.Escalate([]EscalationPick{{Point: pts[0]}}, sc)
 			return err
 		}},
 		{"calibrate|SF(q=5,p=3)|MIN|UNI|load=1.0000", func() error {

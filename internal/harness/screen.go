@@ -11,7 +11,7 @@ import (
 )
 
 // This file is the screening tier: the fluid model promoted to a
-// first-class experiment generator. ScreenSweep answers a full
+// first-class experiment generator. Screener.Sweep answers a full
 // (topology, routing, pattern, load) grid analytically — thousands of
 // points in seconds — through the same scheduler every simulated sweep
 // uses, so -j fan-out, progress reporting, cancellation and the
@@ -19,7 +19,7 @@ import (
 // store.TierFluid so they never alias flit-level results.
 // SelectEscalations then picks the neighborhood where analytic
 // fidelity runs out, the loads within a band of the predicted
-// saturation, and EscalateSweep re-runs exactly those points at
+// saturation, and Screener.Escalate re-runs exactly those points at
 // flit-level fidelity, checking each against the calibration
 // tolerances recorded in Scenarios. Calibrate maintains those
 // tolerances: it escalates the nine golden scenarios' full-load points
@@ -81,7 +81,7 @@ func ScreenPointKey(topoName string, alg AlgKind, pat PatternKind, load float64)
 }
 
 // EscalatePointKey is the scheduler point key of one escalated
-// (sim-tier) screening point, shared by EscalateSweep and the query
+// (sim-tier) screening point, shared by Screener.Escalate and the query
 // service for the same reason as ScreenPointKey.
 func EscalatePointKey(topoName string, alg AlgKind, pat PatternKind, load float64) string {
 	return pointKey("escalate", topoName, alg, pat, load)
@@ -100,32 +100,36 @@ func (p Preset) Family() string {
 	return p.Name
 }
 
-// ScreenSweep answers the spec's grid over the presets analytically,
-// as a client of Screener: each (topology, algorithm, pattern, load)
-// tuple is one Screener.SchedPoint — fanned out by scale.Sched,
-// reported to scale.Sched.OnPoint, and stored (when scale.Sched.Store
-// is set) under the fluid tier — while the screener shares the
-// link-load computation across each combination's load ladder. Results
-// arrive in grid order: presets outermost, then algorithms, patterns,
-// loads.
+// ScreenSweep answers the spec's grid over the presets: NewScreener
+// followed by Sweep.
 func ScreenSweep(presets []Preset, spec ScreenSpec, scale Scale) ([]ScreenPoint, error) {
+	scr, err := NewScreener(presets, scale)
+	if err != nil {
+		return nil, err
+	}
+	return scr.Sweep(spec, scale)
+}
+
+// Sweep answers the spec's grid over the screener's presets
+// analytically: each (topology, algorithm, pattern, load) tuple is one
+// SchedPoint — fanned out by scale.Sched, reported to
+// scale.Sched.OnPoint, and stored (when scale.Sched.Store is set)
+// under the fluid tier. Results arrive in grid order: presets in the
+// order NewScreener was given them, then algorithms, patterns, loads.
+func (s *Screener) Sweep(spec ScreenSpec, scale Scale) ([]ScreenPoint, error) {
 	spec = spec.withDefaults()
 	for _, alg := range spec.Algs {
 		if err := Screenable(alg); err != nil {
 			return nil, err
 		}
 	}
-	scr, err := NewScreener(presets, scale)
-	if err != nil {
-		return nil, err
-	}
 	scale.Tier = store.TierFluid
 	var points []Point[ScreenPoint]
-	for _, p := range presets {
+	for _, name := range s.order {
 		for _, alg := range spec.Algs {
 			for _, pat := range spec.Pats {
 				for _, load := range spec.Loads {
-					points = append(points, scr.SchedPoint(p.Name, alg, pat, load))
+					points = append(points, s.SchedPoint(name, alg, pat, load))
 				}
 			}
 		}
@@ -179,20 +183,11 @@ type Escalation struct {
 	Within    bool    `json:"within,omitempty"`
 }
 
-// EscalateSweep re-runs the picked points through the flit-level
-// simulator and scores each against its fluid estimate. presets must
-// cover every topology the picks name.
-func EscalateSweep(picks []EscalationPick, presets []Preset, scale Scale) ([]Escalation, error) {
-	scr, err := NewScreener(presets, scale)
-	if err != nil {
-		return nil, err
-	}
-	return scr.Escalate(picks, scale)
-}
-
-// Escalate is EscalateSweep on the screener's already-built topologies
-// (ordinary sim-tier store keys, prefixed "escalate|" so they never
-// collide with figure sweeps).
+// Escalate re-runs the picked points through the flit-level simulator
+// on the screener's built topologies and scores each against its
+// fluid estimate (ordinary sim-tier store keys, prefixed "escalate|"
+// so they never collide with figure sweeps). Every pick must name one
+// of the screener's presets.
 func (s *Screener) Escalate(picks []EscalationPick, scale Scale) ([]Escalation, error) {
 	return s.escalate("escalate", picks, scale)
 }
@@ -241,6 +236,14 @@ func (s *Screener) escalate(kind string, picks []EscalationPick, scale Scale) ([
 		}
 	}
 	return out, nil
+}
+
+// screenerComboKey names one (topology, routing, pattern) ladder of a
+// screening sweep.
+type screenerComboKey struct {
+	topo string
+	alg  AlgKind
+	pat  PatternKind
 }
 
 // ScreenTable summarizes a screening sweep one row per (topology,

@@ -1,12 +1,14 @@
 package harness
 
 import (
+	"context"
 	"errors"
 	"math"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"diam2/internal/fluid"
 	"diam2/internal/store"
@@ -260,7 +262,11 @@ func TestEscalateSweep(t *testing.T) {
 		Pats:  []PatternKind{PatWC},
 		Loads: []float64{0.15, 0.18},
 	}
-	points, err := ScreenSweep(presets, spec, sc)
+	scr, err := NewScreener(presets, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, err := scr.Sweep(spec, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +274,7 @@ func TestEscalateSweep(t *testing.T) {
 	if len(picks) == 0 {
 		t.Fatal("no picks around the predicted saturation")
 	}
-	escs, err := EscalateSweep(picks, presets, sc)
+	escs, err := scr.Escalate(picks, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,8 +303,12 @@ func TestEscalateSweep(t *testing.T) {
 // preset set fail loudly instead of simulating something else.
 func TestEscalateSweepUnknownTopo(t *testing.T) {
 	picks := []EscalationPick{{Point: screenPt("Nope(1)", "Nope", "MIN", "UNI", 0.5, 1, 0.5)}}
-	if _, err := EscalateSweep(picks, SmallPresets(), QuickScale()); err == nil {
-		t.Fatal("EscalateSweep accepted an unknown topology")
+	scr, err := NewScreener(SmallPresets(), QuickScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := scr.Escalate(picks, QuickScale()); err == nil {
+		t.Fatal("Escalate accepted an unknown topology")
 	}
 }
 
@@ -353,18 +363,15 @@ func TestPresetFamily(t *testing.T) {
 	}
 }
 
-// TestScreenerPointAllocs: once a combination's link loads exist, a
-// screening point is one pass over them and allocates nothing — the
-// per-point cost of a 30 000-point screen.
+// TestScreenerPointAllocs: on a built screener a screening point is
+// one pass over its combination's link loads and allocates nothing —
+// the per-point cost of a 30 000-point screen.
 func TestScreenerPointAllocs(t *testing.T) {
 	scr, err := NewScreener(SmallPresets(), QuickScale())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, pat := range []PatternKind{PatUNI, PatWC} {
-		if _, err := scr.Point("SF(q=5,p=3)", AlgINR, pat, 0.5); err != nil {
-			t.Fatal(err)
-		}
 		load := 0.0
 		if avg := testing.AllocsPerRun(200, func() {
 			load += 0.01
@@ -374,6 +381,33 @@ func TestScreenerPointAllocs(t *testing.T) {
 		}); avg != 0 {
 			t.Errorf("warm Point(%s) allocates %v times per call, want 0", pat, avg)
 		}
+	}
+}
+
+// TestNewScreenerCancelled: the eager build runs under Sched.Ctx, so
+// a cancelled context fails construction.
+func TestNewScreenerCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sc := QuickScale()
+	sc.Sched.Ctx = ctx
+	if _, err := NewScreener(SmallPresets(), sc); !errors.Is(err, context.Canceled) {
+		t.Fatalf("NewScreener on a cancelled context = %v, want context.Canceled", err)
+	}
+}
+
+// TestNewScreenerLeavesNothing: the construction points are neither
+// stored nor reported, whatever the scale's Sched carries.
+func TestNewScreenerLeavesNothing(t *testing.T) {
+	st := openTestStore(t, t.TempDir())
+	sc := QuickScale()
+	sc.Sched.Store = st
+	sc.Sched.OnPoint = func(_, _ int, key string, _ time.Duration) { t.Errorf("construction reported point %s", key) }
+	if _, err := NewScreener(SmallPresets(), sc); err != nil {
+		t.Fatal(err)
+	}
+	if n := st.Len(); n != 0 {
+		t.Fatalf("construction stored %d records", n)
 	}
 }
 

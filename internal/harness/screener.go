@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"diam2/internal/fluid"
 	"diam2/internal/sim"
@@ -15,81 +14,100 @@ import (
 )
 
 // Screener is the harness's one fluid evaluator: it answers individual
-// screening points on demand, for grid callers (ScreenSweep, Calibrate,
+// screening points for grid callers (Sweep, Calibrate,
 // FluidSaturationTable) and for callers like the design-space query
-// service, where points arrive one query at a time. Topology builds,
-// fluid models, worst-case permutations and per-(routing, pattern)
-// link loads are computed once and cached for the Screener's lifetime,
-// so a warm Point call is a single EstimateAt evaluation. All methods
-// are safe for concurrent use.
+// service, where points arrive one query at a time. NewScreener
+// computes every preset's oblivious link loads — MIN and INR under UNI
+// and WC — up front, so a Point call is a map lookup plus one
+// EstimateAt evaluation. A built Screener is read-only and safe for
+// concurrent use.
 //
 // A Screener pins what screening derives from its Scale — the sim
 // config, the pattern seed and the telemetry registry — so a point
 // answered here is value-identical whichever caller asks.
 type Screener struct {
-	cfg     sim.Config
-	patSeed int64
-	reg     *telemetry.Registry
-
-	mu     sync.Mutex
-	topos  map[string]*screenerTopo
-	combos map[screenerComboKey]*screenCombo
+	cfg   sim.Config
+	reg   *telemetry.Registry
+	topos map[string]*screenerTopo
+	order []string // preset names in NewScreener's order
 }
 
-// screenerTopo caches one preset's built topology, fluid model and
-// (lazily) its worst-case permutation.
+// screenerTopo is one preset's built topology and its link loads per
+// (routing, pattern).
 type screenerTopo struct {
 	preset Preset
 	family string
 	tp     topo.Topology
-	model  *fluid.Model
-	wcOnce sync.Once
-	wc     *traffic.Permutation
-	wcErr  error
+	loads  map[oblivious]fluid.LinkLoads
 }
 
-// screenCombo lazily computes the load-independent link loads of one
-// (topology, routing, pattern) combination, shared by every load of
-// its ladder whichever worker gets there first.
-type screenCombo struct {
-	once  sync.Once
-	loads fluid.LinkLoads
-	err   error
+// oblivious is one (routing, pattern) combination the fluid tier
+// answers.
+type oblivious struct {
+	alg AlgKind
+	pat PatternKind
 }
 
-type screenerComboKey struct {
-	topo string
-	alg  AlgKind
-	pat  PatternKind
-}
-
-// NewScreener builds a screener over the presets at the given scale.
-// Topologies are built eagerly (errors surface here, not per query);
-// everything load- and pattern-dependent is computed lazily.
+// NewScreener builds a screener over the presets at the given scale:
+// each preset's topology, fluid model, UNI and WC demands and the four
+// MIN/INR × UNI/WC link loads, one scheduler point per preset on
+// scale.Sched's worker pool and context. Nothing is stored, reported
+// or leased for these points, and the demands are dropped once the
+// loads exist. Errors (a failed build, a disconnected topology,
+// cancellation) surface here, not per query.
+//
+// The build also computes INR under UNI, which FluidSaturationTable
+// and Calibrate never read (DESIGN §16 gives its cost).
 func NewScreener(presets []Preset, scale Scale) (*Screener, error) {
-	s := &Screener{
-		cfg:     scale.SimConfig(1),
-		patSeed: scale.patternSeed(),
-		reg:     scale.Telemetry.Registry,
-		topos:   make(map[string]*screenerTopo, len(presets)),
-		combos:  make(map[screenerComboKey]*screenCombo),
+	points := make([]Point[*screenerTopo], len(presets))
+	for i, p := range presets {
+		points[i] = Point[*screenerTopo]{Key: "screener|" + p.Name, Run: func(context.Context, int64) (*screenerTopo, error) {
+			return screenTopo(p, scale.patternSeed())
+		}}
 	}
-	for _, p := range presets {
-		if _, dup := s.topos[p.Name]; dup {
-			return nil, fmt.Errorf("harness: duplicate preset %s", p.Name)
+	build := scale
+	build.Sched = Sched{Workers: scale.Sched.Workers, Ctx: scale.Sched.Ctx}
+	built, err := Collect(build, points)
+	if err != nil {
+		return nil, err
+	}
+	s := &Screener{cfg: scale.SimConfig(1), reg: scale.Telemetry.Registry, topos: make(map[string]*screenerTopo, len(built))}
+	for _, st := range built {
+		if _, dup := s.topos[st.preset.Name]; dup {
+			return nil, fmt.Errorf("harness: duplicate preset %s", st.preset.Name)
 		}
-		tp, err := p.Build()
-		if err != nil {
-			return nil, fmt.Errorf("harness: building %s: %w", p.Name, err)
-		}
-		s.topos[p.Name] = &screenerTopo{
-			preset: p,
-			family: p.Family(),
-			tp:     tp,
-			model:  fluid.New(tp),
-		}
+		s.topos[st.preset.Name] = st
+		s.order = append(s.order, st.preset.Name)
 	}
 	return s, nil
+}
+
+// screenTopo builds one preset's topology and its oblivious link
+// loads, drawing the worst-case permutation with patSeed.
+func screenTopo(p Preset, patSeed int64) (*screenerTopo, error) {
+	tp, err := p.Build()
+	if err != nil {
+		return nil, fmt.Errorf("harness: building %s: %w", p.Name, err)
+	}
+	m := fluid.New(tp)
+	uni, err := m.Uniform()
+	if err != nil {
+		return nil, err
+	}
+	perm, err := traffic.WorstCase(tp, rand.New(rand.NewSource(patSeed)))
+	if err != nil {
+		return nil, err
+	}
+	wc, err := m.Permutation(perm)
+	if err != nil {
+		return nil, err
+	}
+	st := &screenerTopo{preset: p, family: p.Family(), tp: tp, loads: make(map[oblivious]fluid.LinkLoads, 4)}
+	for pat, d := range map[PatternKind]fluid.Demand{PatUNI: uni, PatWC: wc} {
+		st.loads[oblivious{AlgMIN, pat}] = m.Minimal(d)
+		st.loads[oblivious{AlgINR, pat}] = m.Valiant(d)
+	}
+	return st, nil
 }
 
 // Preset returns the named preset.
@@ -101,26 +119,12 @@ func (s *Screener) Preset(name string) (Preset, bool) {
 	return st.preset, true
 }
 
-// topoState returns the cached per-topology state.
+// topoState returns the per-topology state.
 func (s *Screener) topoState(name string) (*screenerTopo, error) {
 	if st, ok := s.topos[name]; ok {
 		return st, nil
 	}
 	return nil, fmt.Errorf("harness: unknown topology %q (know %d presets)", name, len(s.topos))
-}
-
-// worstCase returns the topology's pinned worst-case permutation,
-// drawing it on first use with the screener's pattern seed.
-func (st *screenerTopo) worstCase(patSeed int64) (*traffic.Permutation, error) {
-	st.wcOnce.Do(func() {
-		perm, err := traffic.WorstCase(st.tp, rand.New(rand.NewSource(patSeed)))
-		if err != nil {
-			st.wcErr = err
-			return
-		}
-		st.wc = &perm
-	})
-	return st.wc, st.wcErr
 }
 
 // ErrUnsupportedRouting: the requested routing has no fluid
@@ -129,62 +133,14 @@ func (st *screenerTopo) worstCase(patSeed int64) (*traffic.Permutation, error) {
 // approximation).
 var ErrUnsupportedRouting = errors.New("fluid: unsupported routing (the fluid model covers MIN and INR only)")
 
-// fluidRoute returns the fluid builder of a routing kind. This switch
-// is where "the fluid tier answers MIN and INR only" is decided.
-func fluidRoute(alg AlgKind) (func(*fluid.Model, fluid.Demand) fluid.LinkLoads, error) {
-	switch alg {
-	case AlgMIN:
-		return (*fluid.Model).Minimal, nil
-	case AlgINR:
-		return (*fluid.Model).Valiant, nil
-	}
-	return nil, fmt.Errorf("%w: %s", ErrUnsupportedRouting, alg)
-}
-
 // Screenable returns nil for the routing kinds the fluid tier answers
-// and an error wrapping ErrUnsupportedRouting for the rest.
+// and an error wrapping ErrUnsupportedRouting for the rest. This is
+// where "the fluid tier answers MIN and INR only" is decided.
 func Screenable(alg AlgKind) error {
-	_, err := fluidRoute(alg)
-	return err
-}
-
-// demand returns the fluid demand of a pattern kind on the topology.
-func (s *Screener) demand(st *screenerTopo, pat PatternKind) (fluid.Demand, error) {
-	switch pat {
-	case PatUNI:
-		return st.model.Uniform()
-	case PatWC:
-		wc, err := st.worstCase(s.patSeed)
-		if err != nil {
-			return fluid.Demand{}, err
-		}
-		return st.model.Permutation(*wc)
+	if alg == AlgMIN || alg == AlgINR {
+		return nil
 	}
-	return fluid.Demand{}, fmt.Errorf("harness: the fluid tier has no demand for pattern %s", pat)
-}
-
-// combo returns the shared link-load computation for one
-// (topology, routing, pattern), creating it on first use.
-func (s *Screener) combo(st *screenerTopo, alg AlgKind, pat PatternKind) (*screenCombo, error) {
-	route, err := fluidRoute(alg)
-	if err != nil {
-		return nil, err
-	}
-	key := screenerComboKey{st.preset.Name, alg, pat}
-	s.mu.Lock()
-	c, ok := s.combos[key]
-	if !ok {
-		c = &screenCombo{}
-		s.combos[key] = c
-	}
-	s.mu.Unlock()
-	c.once.Do(func() {
-		var d fluid.Demand
-		if d, c.err = s.demand(st, pat); c.err == nil {
-			c.loads = route(st.model, d)
-		}
-	})
-	return c, c.err
+	return fmt.Errorf("%w: %s", ErrUnsupportedRouting, alg)
 }
 
 // Point answers one screening point analytically.
@@ -193,23 +149,26 @@ func (s *Screener) Point(topoName string, alg AlgKind, pat PatternKind, load flo
 	if err != nil {
 		return ScreenPoint{}, err
 	}
-	c, err := s.combo(st, alg, pat)
-	if err != nil {
-		return ScreenPoint{}, err
+	loads, ok := st.loads[oblivious{alg, pat}]
+	if !ok {
+		if err := Screenable(alg); err != nil {
+			return ScreenPoint{}, err
+		}
+		return ScreenPoint{}, fmt.Errorf("harness: the fluid tier has no demand for pattern %s", pat)
 	}
 	return ScreenPoint{
 		Topo:     st.preset.Name,
 		Family:   st.family,
 		Alg:      alg,
 		Pat:      pat,
-		Estimate: fluid.EstimateAt(c.loads, load, s.cfg),
+		Estimate: fluid.EstimateAt(loads, load, s.cfg),
 	}, nil
 }
 
 // SchedPoint returns the scheduler point of one fluid-tier screening
 // point: key ScreenPointKey, run Point plus the screening counters.
-// ScreenSweep and the query service both submit exactly this, so the
-// store records and counters of the two paths cannot drift.
+// Sweep and the query service both submit exactly this, so the store
+// records and counters of the two paths cannot drift.
 func (s *Screener) SchedPoint(topoName string, alg AlgKind, pat PatternKind, load float64) Point[ScreenPoint] {
 	return Point[ScreenPoint]{
 		Key: ScreenPointKey(topoName, alg, pat, load),

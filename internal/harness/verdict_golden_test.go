@@ -30,7 +30,11 @@ func TestVerdictTablesGolden(t *testing.T) {
 
 	sc := QuickScale()
 	presets := SmallPresets()[:2] // SF(q=5,p=3), MLFM(h=6)
-	points, err := ScreenSweep(presets, ScreenSpec{
+	scr, err := NewScreener(presets, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, err := scr.Sweep(ScreenSpec{
 		Algs:  []AlgKind{AlgMIN},
 		Pats:  []PatternKind{PatWC},
 		Loads: []float64{0.15, 0.18},
@@ -38,7 +42,7 @@ func TestVerdictTablesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	escs, err := EscalateSweep(SelectEscalations(points, 0.15), presets, sc)
+	escs, err := scr.Escalate(SelectEscalations(points, 0.15), sc)
 	if err != nil {
 		t.Fatal(err)
 	}

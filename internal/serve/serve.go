@@ -201,8 +201,9 @@ type flight struct {
 	err  error
 }
 
-// New builds a Server. Topologies are built eagerly; nothing listens
-// yet (Register mounts the HTTP surface, cmd/diam2serve the listener).
+// New builds a Server and its screener, which computes every served
+// combination's link loads; nothing listens yet (Register mounts the
+// HTTP surface, cmd/diam2serve the listener).
 func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("serve: Config.Store is required")
@@ -211,17 +212,17 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("serve: Config.Presets is empty")
 	}
 	// The registry rides on the scale so the screener and every
-	// scheduler submission below meter into it; so does the store,
-	// under the server-lifetime context (a computation must not be
-	// lost because the client that started it hung up).
-	ctx, stop := context.WithCancel(context.Background())
+	// scheduler submission below meter into it. The screener is built
+	// on the caller's pool; queries then run one point at a time with
+	// the store, under the server-lifetime context (a computation must
+	// not be lost because the client that started it hung up).
 	cfg.Scale.Telemetry = harness.TelemetryPlan{Registry: cfg.Registry}
-	cfg.Scale.Sched = harness.Sched{Workers: 1, Ctx: ctx, Store: cfg.Store}
 	scr, err := harness.NewScreener(cfg.Presets, cfg.Scale)
 	if err != nil {
-		stop()
 		return nil, err
 	}
+	ctx, stop := context.WithCancel(context.Background())
+	cfg.Scale.Sched = harness.Sched{Workers: 1, Ctx: ctx, Store: cfg.Store}
 	if cfg.QueueMax <= 0 {
 		cfg.QueueMax = 64
 	}
@@ -275,7 +276,7 @@ func (s *Server) resolve(ctx context.Context, q Query) (Answer, error) {
 	}
 
 	// Tier 1: a flit-level result already in the store. The point key
-	// is the one EscalateSweep writes, so results from `diam2sweep
+	// is the one Screener.Escalate writes, so results from `diam2sweep
 	// -screen -escalate-band` runs and from this server's own past
 	// escalations both satisfy it.
 	simPoint := harness.EscalatePointKey(q.Topo, alg, pat, q.Load)
@@ -292,7 +293,7 @@ func (s *Server) resolve(ctx context.Context, q Query) (Answer, error) {
 	}
 
 	// Tier 2: the analytic answer, cached or computed. The point is
-	// the one ScreenSweep submits, so screening sweeps pre-warm this
+	// the one Screener.Sweep submits, so screening sweeps pre-warm this
 	// tier.
 	fluidScale := s.cfg.Scale
 	fluidScale.Tier = store.TierFluid
@@ -444,9 +445,9 @@ func (s *Server) escWorker() {
 }
 
 // runEscalation re-simulates one picked point at flit-level fidelity
-// through the screener's Escalate — EscalateSweep's body on the
-// already-built topologies: same scale, same seeds, same store keys as
-// the sweep path — and scores it against its calibration tolerance.
+// through the screener's Escalate, the call diam2sweep -screen makes:
+// same scale, same seeds, same store keys as the sweep path — and
+// scores it against its calibration tolerance.
 func (s *Server) runEscalation(t *ticket) {
 	if err := s.baseCtx.Err(); err != nil {
 		s.finishTicket(t, nil, fmt.Errorf("server shut down before the point ran: %w", err))

@@ -236,12 +236,16 @@ func TestEscalationByteIdentity(t *testing.T) {
 		Pats:  []harness.PatternKind{harness.PatWC},
 		Loads: []float64{0.15, 0.18},
 	}
-	points, err := harness.ScreenSweep(presets, spec, sc)
+	scr, err := harness.NewScreener(presets, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, err := scr.Sweep(spec, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	picks := harness.SelectEscalations(points, 0.15)
-	if _, err := harness.EscalateSweep(picks, presets, sc); err != nil {
+	if _, err := scr.Escalate(picks, sc); err != nil {
 		t.Fatal(err)
 	}
 	sweptRec, ok := sweepStore.Get(tk.Key)
