@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -456,6 +457,32 @@ func TestTableFileWriters(t *testing.T) {
 	for _, path := range svgs {
 		if data, err := os.ReadFile(path); err != nil || !strings.HasPrefix(string(data), "<svg") {
 			t.Errorf("%s: %v, %.20q", path, err, data)
+		}
+	}
+}
+
+// TestPointKeyMatchesSprintf holds pointKey to the format it was first
+// written with, which every stored key's point string went through,
+// for ordinary loads, ones that round, and NaN, ±Inf and -0.
+func TestPointKeyMatchesSprintf(t *testing.T) {
+	oracle := func(family, topoName string, kind AlgKind, pat PatternKind, load float64) string {
+		return fmt.Sprintf("%s|%s|%s|%s|load=%.4f", family, topoName, kind, pat, load)
+	}
+	loads := []float64{0, 0.5, 0.123449999, 0.12345, 0.99995, 1, 1e-9, 12345.6789, -0.25,
+		math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	for _, load := range loads {
+		for _, c := range []struct {
+			family, topo string
+			kind         AlgKind
+			pat          PatternKind
+		}{
+			{"screen", "SF(q=5,p=3)", AlgMIN, PatUNI},
+			{"fig6", "MLFM(h=6)", AlgINR, PatWC},
+			{"", "", AlgKind(99), PatternKind(-1)},
+		} {
+			if got, want := pointKey(c.family, c.topo, c.kind, c.pat, load), oracle(c.family, c.topo, c.kind, c.pat, load); got != want {
+				t.Errorf("pointKey = %q, Sprintf = %q", got, want)
+			}
 		}
 	}
 }

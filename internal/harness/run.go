@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"diam2/internal/sim"
 	"diam2/internal/topo"
@@ -341,7 +342,11 @@ func pointCost(kind AlgKind, packets float64) float64 {
 // pointKey is the scheduler key of the per-load point families:
 // family|topology|routing|pattern|load.
 func pointKey(family, topoName string, kind AlgKind, pat PatternKind, load float64) string {
-	return fmt.Sprintf("%s|%s|%s|%s|load=%.4f", family, topoName, kind, pat, load)
+	b := make([]byte, 0, 96) // a preset's key fits: the one allocation is the string
+	for _, part := range [...]string{family, topoName, kind.String(), pat.String()} {
+		b = append(append(b, part...), '|')
+	}
+	return string(strconv.AppendFloat(append(b, "load="...), load, 'f', 4, 64))
 }
 
 // whole keeps a run's full results as the point's payload.

@@ -237,6 +237,7 @@ func execute[T any](ctx context.Context, sc *Scale, p Point[T], key string, seed
 // verdicts, which are not fatal.
 type sweep[T any] struct {
 	sc      Scale
+	key     func(Point[T]) string // canonical store keys; nil without a store
 	points  []Point[T]
 	out     []T
 	done    int
@@ -258,8 +259,8 @@ type outcome[T any] struct {
 func (s *sweep[T]) exec(ctx context.Context, i int) outcome[T] {
 	start := time.Now()
 	p, key := s.points[i], ""
-	if s.sc.Sched.Store != nil {
-		key = canonicalKey(s.sc, p)
+	if s.key != nil {
+		key = s.key(p)
 	}
 	res, err := execute(ctx, &s.sc, p, key, DeriveSeed(s.sc.Seed, p.Key))
 	return outcome[T]{i: i, res: res, err: err, elapsed: time.Since(start)}
@@ -358,6 +359,9 @@ func Collect[T any](sc Scale, points []Point[T]) ([]T, error) {
 		return nil, errors.New("harness: Sched.Campaign requires Sched.Store (leases are keyed by canonical store keys)")
 	}
 	s := &sweep[T]{sc: sc, points: points, out: make([]T, len(points))}
+	if sc.Sched.Store != nil {
+		s.key = keyer[T](sc)
+	}
 	if w := min(sc.Sched.PoolSize(sc.Cores), len(points)); w > 1 {
 		s.runPool(ctx, w)
 	} else {

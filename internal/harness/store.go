@@ -82,6 +82,20 @@ func canonicalKey[T any](sc Scale, p Point[T]) string {
 	return cfg.Key()
 }
 
+// keyer returns canonicalKey(sc, ·) for the points of one sweep: the
+// scale's part of the digest input is encoded once, so a point that
+// pins no UGAL configuration costs one hash of its key string around
+// it.
+func keyer[T any](sc Scale) func(Point[T]) string {
+	plain := sc.pointConfig("").Keyer()
+	return func(p Point[T]) string {
+		if p.UGAL != nil {
+			return canonicalKey(sc, p)
+		}
+		return plain(p.Key)
+	}
+}
+
 // CanonicalPointKey is canonicalKey for a point that pins no UGAL
 // configuration, by its scheduler key alone.
 func (s Scale) CanonicalPointKey(pointKey string) string {
@@ -113,17 +127,14 @@ func lookupKey[T any](st *store.Store, key string) (v T, ok bool) {
 
 // record appends a computed result under its canonical key, with its
 // provenance: the point's seed, this build, the worker that ran it and
-// the run's wall time since start.
+// the run's wall time since start. The result is encoded once, into
+// its record's line.
 func record[T any](sc *Scale, point, key string, seed int64, v T, start time.Time) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
 	worker := ""
 	if sc.Sched.Campaign != nil {
 		worker = sc.Sched.Campaign.Owner()
 	}
-	return sc.Sched.Store.Put(store.Record{
+	return store.PutValue(sc.Sched.Store, store.Record{
 		Key:          key,
 		Point:        point,
 		Seed:         seed,
@@ -134,6 +145,5 @@ func record[T any](sc *Scale, point, key string, seed int64, v T, start time.Tim
 		Worker:       worker,
 		WallMS:       float64(time.Since(start)) / float64(time.Millisecond),
 		Created:      time.Now().UTC().Format(time.RFC3339),
-		Payload:      payload,
-	})
+	}, v)
 }

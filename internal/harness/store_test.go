@@ -435,3 +435,31 @@ func TestStoredPanicNotRecorded(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyerIsCanonicalKey: a sweep's keyer, which encodes the scale's
+// part of the digest once, gives canonicalKey's key for points with
+// and without a pinned UGAL configuration, at scales that set the
+// tier, the cores and a fault plan.
+func TestKeyerIsCanonicalKey(t *testing.T) {
+	base := QuickScale()
+	fluid := base
+	fluid.Tier = store.TierFluid
+	sharded := base
+	sharded.Cores, sharded.PatternSeed = 2, 9
+	faulty := base
+	faulty.Faults = FaultPlan{FailFrac: 0.05, FailAt: 100, MTTR: 20}
+	pinned := SmallPresets()[0].BestAdaptive
+	for _, sc := range []Scale{base, fluid, sharded, faulty} {
+		key := keyer[struct{}](sc)
+		for _, p := range []Point[struct{}]{
+			{Key: pointKey("screen", "SF(q=5,p=3)", AlgINR, PatWC, 0.25)},
+			{Key: ""},
+			{Key: "adaptive|SF(q=5,p=3)|A", UGAL: &pinned},
+		} {
+			if got, want := key(p), canonicalKey(sc, p); got != want {
+				t.Errorf("scale %+v, point %q (UGAL %v): keyer %s, canonicalKey %s",
+					sc.Faults, p.Key, p.UGAL != nil, store.ShortKey(got), store.ShortKey(want))
+			}
+		}
+	}
+}

@@ -7,29 +7,62 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"strconv"
-	"strings"
 )
 
 // The record codec. A segment line is "%08x <json>\n": the CRC-32 of
 // the JSON body, a space, the body, a newline. The body is what
-// json.Marshal(Record) produces. Decoding reads the shape json.Marshal
-// writes without reflection and hands anything else to json.Unmarshal,
-// which remains the definition (FuzzRecordCodec holds the two to each
-// other).
+// json.Marshal(Record) produces, with the payload encoded in place
+// (recordOf). Decoding reads the shape json.Marshal writes without
+// reflection and hands anything else to json.Unmarshal, which remains
+// the definition (FuzzRecordCodec holds the two to each other).
 
-// appendLine appends rec's framed segment line to dst.
-func appendLine(dst []byte, rec *Record) ([]byte, error) {
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return dst, err
+// recordOf is a Record whose payload is a typed value: the outer
+// Payload field dominates the embedded one, and encoding/json orders
+// fields by index, so it encodes as the Record that carries
+// json.Marshal(v) as its payload does — the value is encoded once,
+// inside the record.
+type recordOf[T any] struct {
+	Record
+	Payload T `json:"payload"`
+}
+
+// payloadField precedes the payload in every body: it is the body's
+// last field, and no header string can hold an unescaped quote.
+var payloadField = []byte(`,"payload":`)
+
+// appendLine appends the framed segment line of rec carrying payload v
+// to dst. It returns the extended buffer and the payload's bytes within
+// the line.
+func appendLine[T any](dst []byte, rec *Record, v T) (out, payload []byte, err error) {
+	w := lineWriter{b: dst, start: len(dst)}
+	if err := json.NewEncoder(&w).Encode(recordOf[T]{*rec, v}); err != nil {
+		return dst, nil, err
 	}
+	line := w.b[w.start:]
+	body := line[9 : len(line)-1] // Encode ends the body with '\n'
 	var crc [4]byte
 	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(body))
-	dst = hex.AppendEncode(dst, crc[:])
-	dst = append(dst, ' ')
-	dst = append(dst, body...)
-	return append(dst, '\n'), nil
+	hex.Encode(line[:8], crc[:])
+	line[8] = ' '
+	payload = body[bytes.Index(body, payloadField)+len(payloadField) : len(body)-1]
+	return w.b, payload, nil
+}
+
+// lineWriter receives the encoder's body and newline after room for
+// the CRC field, growing its buffer once to the line's size.
+type lineWriter struct {
+	b     []byte
+	start int
+}
+
+func (w *lineWriter) Write(p []byte) (int, error) {
+	if len(w.b) == w.start {
+		w.b = append(slices.Grow(w.b, 9+len(p)), "CRC32HEX "...)
+	}
+	w.b = append(w.b, p...)
+	return len(p), nil
 }
 
 // parseLine validates one complete (newline-terminated) framed record
@@ -142,25 +175,54 @@ func (p *recordParser) str(prefix string) string {
 	return ""
 }
 
-// number reads a run of number bytes and lets json.Valid hold it to
-// JSON's number grammar (no "+1", "01" or "1."); strconv then refuses
-// what encoding/json would also refuse (a fraction for an integer field,
-// a value out of range).
+// number reads a number in JSON's grammar (no "+1", "01" or "1.");
+// strconv then refuses what encoding/json would also refuse (a fraction
+// for an integer field, a value out of range). A number byte left after
+// it fails the literal that follows, as json.Unmarshal fails it.
 func (p *recordParser) number(prefix string) []byte {
 	if !p.lit(prefix) {
 		return nil
 	}
-	i := 0
-	for i < len(p.b) && strings.IndexByte("0123456789+-.eE", p.b[i]) >= 0 {
+	b, i, ok := p.b, 0, true
+	if i < len(b) && b[i] == '-' {
 		i++
 	}
-	num := p.b[:i]
-	if !json.Valid(num) {
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = digits(b, i)
+	default:
+		ok = false
+	}
+	if i < len(b) && b[i] == '.' {
+		j := digits(b, i+1)
+		ok = ok && j > i+1
+		i = j
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := digits(b, i)
+		ok = ok && j > i
+		i = j
+	}
+	if !ok {
 		p.bad = true
 		return nil
 	}
-	p.b = p.b[i:]
-	return num
+	p.b = b[i:]
+	return b[:i]
+}
+
+// digits returns the index of the first non-digit in b at or after i.
+func digits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
 }
 
 func (p *recordParser) int(prefix string, bits int) int64 {

@@ -96,13 +96,39 @@ type PointConfig struct {
 // configuration. The fields are appended into one buffer and hashed
 // once.
 func (c PointConfig) Key() string {
-	b := make([]byte, 0, 640) // a sweep point's encoding fits: no regrowth
-	var num [32]byte          // one formatted numeric value
+	var buf [512]byte // the fields after the point fit: no heap buffer
+	return digest(c.Point, c.appendTail(buf[:0]))
+}
+
+// Keyer returns Key as a function of the point string: c's other
+// fields are encoded once, and each call hashes them around the point
+// it is given, so Keyer()(p) is Key() with Point = p.
+func (c PointConfig) Keyer() func(point string) string {
+	tail := c.appendTail(nil)
+	return func(point string) string { return digest(point, tail) }
+}
+
+// canonField is the encoding's first field, the one before the point.
+var canonField = string(field(nil, "canon", strconv.Itoa(CanonVersion)))
+
+// digest hashes the canon field, the point field and the encoded tail,
+// the fields after the point.
+func digest(point string, tail []byte) string {
+	var buf [640]byte // a sweep point's encoding fits: no regrowth
+	b := append(buf[:0], canonField...)
+	b = field(b, "point", point)
+	sum := sha256.Sum256(append(b, tail...))
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
+}
+
+// appendTail appends the fields after the point to b.
+func (c PointConfig) appendTail(b []byte) []byte {
+	var num [32]byte // one formatted numeric value
 	i := func(name string, v int64) { b = field(b, name, strconv.AppendInt(num[:0], v, 10)) }
 	f := func(name string, v float64) { b = field(b, name, strconv.AppendFloat(num[:0], v, 'g', -1, 64)) }
 	t := func(name string, v bool) { b = field(b, name, strconv.AppendBool(num[:0], v)) }
-	i("canon", CanonVersion)
-	b = field(b, "point", c.Point)
 	i("engine", int64(c.EngineSchema))
 	i("engine-cores", int64(c.EngineCores))
 	b = field(b, "tier", c.Tier)
@@ -127,8 +153,7 @@ func (c PointConfig) Key() string {
 	f("ugal-csf", c.UGALCSF)
 	t("ugal-sfcost", c.UGALSFCost)
 	f("ugal-threshold", c.UGALThreshold)
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	return b
 }
 
 // field appends one length-prefixed name/value pair,

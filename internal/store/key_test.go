@@ -201,3 +201,15 @@ func TestShortKey(t *testing.T) {
 		t.Fatalf("ShortKey on short input = %q", s)
 	}
 }
+
+// TestKeyAllocs: a key costs one allocation, its string, whether from
+// Key or from a Keyer: the encoding and the hash stay on the stack.
+func TestKeyAllocs(t *testing.T) {
+	c := fullConfig()
+	keyer := c.Keyer()
+	for name, key := range map[string]func() string{"Key": c.Key, "Keyer": func() string { return keyer(c.Point) }} {
+		if avg := testing.AllocsPerRun(100, func() { _ = key() }); avg > 1 {
+			t.Errorf("%s allocates %v times per key, want 1", name, avg)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -118,6 +119,37 @@ func TestRefreshSeesOtherWriters(t *testing.T) {
 	}
 	if a.Len() != 7 {
 		t.Fatalf("a sees %d records after refresh, want 7", a.Len())
+	}
+}
+
+// TestRefreshAllocatesTailSize: a Refresh that picks up one peer
+// append reads it with a buffer the tail's size, not the 1 MiB a whole
+// segment gets; a campaign refreshes on every local miss.
+func TestRefreshAllocatesTailSize(t *testing.T) {
+	dir := t.TempDir()
+	a := mustOpenShared(t, dir)
+	defer a.Close()
+	b := mustOpenShared(t, dir)
+	defer b.Close()
+	const n = 20
+	var allocated uint64
+	for i := range n {
+		if err := a.Put(testRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := b.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		allocated += after.TotalAlloc - before.TotalAlloc
+	}
+	if b.Len() != n {
+		t.Fatalf("b sees %d records, want %d", b.Len(), n)
+	}
+	if mean := allocated / n; mean >= 64<<10 {
+		t.Errorf("Refresh after one peer append allocates %d bytes, want under 64 KiB", mean)
 	}
 }
 

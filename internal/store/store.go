@@ -155,6 +155,7 @@ type Store struct {
 	active      *os.File
 	activeBytes int64
 	activeName  string
+	closed      bool
 
 	hits, misses, puts int64
 }
@@ -300,7 +301,13 @@ func (s *Store) scanFrom(path string, cur segCursor) (added int, out segCursor, 
 			return 0, cur, nil, err
 		}
 	}
-	r := bufio.NewReaderSize(f, 1<<20)
+	// A tail of a few records, which is what Refresh reads after a
+	// peer's append, gets a buffer its size, not the whole-segment one.
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, cur, nil, err
+	}
+	r := bufio.NewReaderSize(f, int(min(fi.Size()-out.off, 1<<20)))
 	for {
 		raw, rerr := r.ReadBytes('\n')
 		if rerr != nil && rerr != io.EOF {
@@ -442,20 +449,31 @@ func (s *Store) Len() int {
 
 // Put appends a record and makes it the live result for its key. The
 // write is a single checksummed line on an append-only segment: a kill
-// during Put loses at most this record, never an earlier one.
+// during Put loses at most this record, never an earlier one. The
+// payload is validated and compacted as json.Marshal does, and the live
+// record holds the compacted bytes, the ones a reopen reads.
 func (s *Store) Put(rec Record) error {
+	return PutValue(s, rec, rec.Payload)
+}
+
+// PutValue is Put with rec's payload given as a value: v is encoded
+// once, into the record's line, and the live record's payload is a copy
+// of its bytes there. The line is what Put writes for the payload
+// json.Marshal(v).
+func PutValue[T any](s *Store, rec Record, v T) error {
 	if rec.Key == "" {
 		return errors.New("store: record has no key")
 	}
 	rec.StoreSchema = Schema
-	line, err := appendLine(nil, &rec)
+	line, payload, err := appendLine(nil, &rec, v)
 	if err != nil {
 		return fmt.Errorf("store: unencodable record %s: %w", ShortKey(rec.Key), err)
 	}
+	rec.Payload = bytes.Clone(payload)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.mode == ReadOnly {
-		return fmt.Errorf("store: %s is opened read-only", s.dir)
+	if err := s.writableLocked(); err != nil {
+		return err
 	}
 	if s.active == nil || s.activeBytes+int64(len(line)) > maxSegmentBytes {
 		if err := s.rotateLocked(); err != nil {
@@ -524,6 +542,17 @@ func (s *Store) rotateLocked() error {
 	}
 }
 
+// writableLocked refuses writes to a read-only or closed store.
+func (s *Store) writableLocked() error {
+	switch {
+	case s.mode == ReadOnly:
+		return fmt.Errorf("store: %s is opened read-only", s.dir)
+	case s.closed:
+		return fmt.Errorf("store: %s is closed", s.dir)
+	}
+	return nil
+}
+
 func (s *Store) writeIndexLocked() error {
 	segs := make([]segmentInfo, len(s.segs))
 	copy(segs, s.segs)
@@ -534,13 +563,17 @@ func (s *Store) writeIndexLocked() error {
 // Close flushes the index and releases the active segment. The store
 // remains valid on disk without Close ever running — that is the
 // crash-safety contract — but a clean Close keeps the index current.
-// A read-only store closes without touching the disk.
+// A read-only store closes without touching the disk. After Close the
+// store still answers reads from memory, Put and GC fail, and a
+// second Close does nothing.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.unlock()
-	if s.mode == ReadOnly {
-		return nil // never wrote anything; nothing to flush
+	wasClosed := s.closed
+	s.closed = true
+	if wasClosed || s.mode == ReadOnly {
+		return nil // nothing written since, or ever; nothing to flush
 	}
 	var err error
 	if s.mode != Shared { // a campaign worker's partial view must not become the index
@@ -636,8 +669,8 @@ func (s *Store) GC(engineSchema int) (GCReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var rep GCReport
-	if s.mode == ReadOnly {
-		return rep, fmt.Errorf("store: %s is opened read-only", s.dir)
+	if err := s.writableLocked(); err != nil {
+		return rep, err
 	}
 	if s.mode == Shared {
 		return rep, fmt.Errorf("store: gc needs exclusive access, but %s is opened shared (campaign mode)", s.dir)
@@ -667,7 +700,7 @@ func (s *Store) GC(engineSchema int) (GCReport, error) {
 	var buf []byte
 	for i := range keep {
 		var err error
-		if buf, err = appendLine(buf, &keep[i]); err != nil {
+		if buf, _, err = appendLine(buf, &keep[i], keep[i].Payload); err != nil {
 			return rep, err
 		}
 	}

@@ -212,7 +212,7 @@ func TestChecksumField(t *testing.T) {
 	for i := 0; len(line) == 0 || line[0] != '0'; i++ {
 		rec := testRecord(i)
 		var err error
-		if line, err = appendLine(nil, &rec); err != nil {
+		if line, _, err = appendLine(nil, &rec, rec.Payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -255,6 +255,81 @@ func TestLatestDuplicateWins(t *testing.T) {
 	}
 	if s := st2.Stats(); s.Total != 2 || s.Records != 1 {
 		t.Fatalf("stats = %+v, want total 2 live 1", s)
+	}
+}
+
+// TestPutAfterCloseRefused: a closed store takes no more writes. Put
+// and GC fail and create no segment (Close released the lock they would
+// write under), and a second Close writes nothing, not even the index.
+func TestPutAfterCloseRefused(t *testing.T) {
+	dir := t.TempDir()
+	st := mustOpen(t, dir)
+	if err := st.Put(testRecord(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(testRecord(1)); err == nil {
+		t.Error("Put on a closed store succeeded")
+	}
+	if _, err := st.GC(0); err == nil {
+		t.Error("GC on a closed store succeeded")
+	}
+	if segs := segFiles(t, dir); len(segs) != 1 {
+		t.Errorf("segments after Close: %v, want the one written before it", segs)
+	}
+	index := filepath.Join(dir, indexName)
+	if err := os.Remove(index); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
+	}
+	if _, err := os.Stat(index); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("second Close rewrote the index (stat: %v)", err)
+	}
+	if got, ok := st.Get(testRecord(0).Key); !ok || string(got.Payload) != `{"value":0}` {
+		t.Errorf("Get after Close = %s, %v; reads stay served from memory", got.Payload, ok)
+	}
+	st2 := mustOpen(t, dir)
+	defer st2.Close()
+	if st2.Len() != 1 {
+		t.Errorf("reopen has %d records, want 1", st2.Len())
+	}
+}
+
+// TestLivePayloadIsStoredBytes: the live record's payload is the bytes
+// its line holds, so a store and a fresh reader of it agree on every
+// record, whether the payload came raw (and was compacted) or typed.
+func TestLivePayloadIsStoredBytes(t *testing.T) {
+	dir := t.TempDir()
+	st := mustOpen(t, dir)
+	defer st.Close()
+	raw, typed := testRecord(0), testRecord(1)
+	raw.Payload = json.RawMessage(`{"a": 1,  "b" : [1, 2], "c": "<&>"}`)
+	if err := st.Put(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := PutValue(st, typed, struct{ A, B float64 }{0.5, 1e21}); err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]string{
+		raw.Key:   `{"a":1,"b":[1,2],"c":"\u003c\u0026\u003e"}`,
+		typed.Key: `{"A":0.5,"B":1e+21}`,
+	} {
+		if got, _ := st.Get(key); string(got.Payload) != want {
+			t.Errorf("live payload %s, want the stored %s", got.Payload, want)
+		}
+	}
+	ro, err := Open(dir, Options{Mode: ReadOnly})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	if rep := Diff(st, ro); rep.Equal != 2 || len(rep.Differ)+len(rep.OnlyA)+len(rep.OnlyB) != 0 {
+		t.Errorf("live store against its reopened copy: %d equal, %d differ, %d only live, %d only reopened",
+			rep.Equal, len(rep.Differ), len(rep.OnlyA), len(rep.OnlyB))
 	}
 }
 
