@@ -92,7 +92,7 @@ func writeUnderFileSizeLimit(t *testing.T, dir string) {
 	if err := st.Put(testRecord(3)); err != nil {
 		t.Fatalf("Put after the limit was lifted: %v", err)
 	}
-	limit.Cur = uint64(st.activeBytes)
+	limit.Cur = uint64(st.segs[st.active].cur.off)
 	if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &limit); err != nil {
 		t.Fatal(err)
 	}
